@@ -38,7 +38,6 @@ from .simulate import (KernelCheckReport, LiftedPolicy, SimResult,
                        simulate_episode)
 from .static_games import (StaticGame, load_static_game, pure_nash_static,
                            static_report, team_nash_static)
-from .cli import run
 
 __version__ = "0.1.0"
 
@@ -67,6 +66,5 @@ __all__ = [
     "simulate_episode",
     "StaticGame", "load_static_game", "pure_nash_static", "static_report",
     "team_nash_static",
-    "run",
     "__version__",
 ]

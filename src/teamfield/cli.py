@@ -36,7 +36,7 @@ from .metrics import (estimate_lipschitz, fit_rate, kappa_envelope,
                       theorem4_bound)
 from .model import load_spec_file, with_populations
 from .simulate import estimate_cost, lift_policy
-from .stage_game import KernelCache, build_prescription_set
+from .stage_game import CERT_TOL, KernelCache, build_prescription_set
 from .static_games import load_static_game_file, static_report
 
 DEFAULT_EPISODES = 10000
@@ -83,6 +83,14 @@ def _build_sets(spec, args):
                  for k in range(spec.n_teams))
 
 
+def _stage_epsilons(policy) -> dict:
+    """Worst certified stage-game epsilon of a solved policy and the number
+    of stage solutions above CERT_TOL (fictitious play that stopped short)."""
+    eps = np.array([eq.epsilon for st in policy.stages for eq in st.flat])
+    return {"worst_stage_epsilon": float(eps.max()),
+            "stage_games_above_cert_tol": int(np.sum(eps > CERT_TOL))}
+
+
 def _grid(spec, args):
     if args.simplex_n:
         return SimplexGrid(spec, [args.simplex_n] * spec.n_teams)
@@ -125,6 +133,7 @@ def _run_solve_finite(args, out, h):
         "mixed_points": len(policy.mixed_points),
         "lattice_points": int(np.prod(policy.lattice.shape)),
         "expected_total_cost": [float(x) for x in totals],
+        **_stage_epsilons(policy),
     })
     print("solved %d lattice points x %d stages; certified max gain %.3e"
           % (np.prod(policy.lattice.shape), spec.horizon, cert.max_gain))
@@ -148,6 +157,7 @@ def _run_solve_infinite(args, out, h):
         "mixed_points": len(policy.mixed_points),
         "totals": [float(x) for x in traj.totals],
         "projection": log.as_dict(),
+        **_stage_epsilons(policy),
     })
     print("solved %d grid points x %d stages; limit totals %s"
           % (np.prod(policy.grid.shape), spec.horizon,
@@ -400,11 +410,6 @@ def main(argv=None) -> int:
             "wall_seconds": time.monotonic() - t0,
         })
     return 0
-
-
-def run(argv=None) -> int:
-    """Programmatic entry point; same contract as the console script."""
-    return main(argv)
 
 
 if __name__ == "__main__":

@@ -417,10 +417,3 @@ def format_counts(counts) -> str:
     vals = counts.counts if isinstance(counts, CountVector) else counts
     return "-".join(str(int(c)) for c in vals)
 
-
-def kernel_csv_rows(team: int, m_in, gamma_id, dist: CountDistribution):
-    """Rows (team, m_in, gamma_id, m_out, prob) for kernel audit dumps."""
-    rows = []
-    for cv, p in zip(dist.support, dist.probs):
-        rows.append((team, format_counts(m_in), gamma_id, format_counts(cv), repr(float(p))))
-    return rows

@@ -13,6 +13,13 @@ all of them).
 frozen policy, which makes ``verify_mpe`` an independent certificate:
 deviation gain = value under the policy minus the best-response value,
 pointwise over (stage, lattice point, team).
+
+All recursions run on the engine in ``stage_game``, batched over the
+lattice: per-team kernel stacks are contracted against the next values,
+raw for the stage games, averaged under the policy's mixtures for
+``policy_value`` (all teams), ``best_response`` (all but one) and the
+forward pass of ``evaluate_total_cost``. Only stage games are solved
+point by point.
 """
 
 from __future__ import annotations
@@ -24,10 +31,10 @@ import numpy as np
 
 from .errors import CapacityError
 from .counts import (DEFAULT_SUPPORT_CAP, MeanField, TeamLattice,
-                     _multinomial_pmf, format_counts, stage_cost)
+                     _multinomial_pmf, format_counts)
 from .model import GameSpec
-from .stage_game import (ContinuationTable, KernelCache, StageEquilibrium,
-                         build_stage_game, equilibrium_values, solve_stage)
+from .stage_game import (KernelCache, StageEquilibrium, _contract, _cost_table,
+                         _joint_points, _solve_points, _stage_tensors)
 
 
 class JointLattice:
@@ -116,37 +123,34 @@ def solve_mpe(spec: GameSpec, sets, pure_only: bool = False,
     lattice = JointLattice(spec, cap=cap)
     cache = kernel_cache or KernelCache(spec, sets, cap=cap)
     T, K = spec.horizon, spec.n_teams
+    shape = tuple(len(ps) for ps in sets)
+    Z = _joint_points([tl.z for tl in lattice.teams])
+    Ws = cache._stacks(Z) if T > 1 else None
     values = np.zeros((T + 1, K) + lattice.shape)
-    stages = [np.empty(lattice.shape, dtype=object) for _ in range(T)]
+    stages = [None] * T
     mixed_points = []
     for t in range(T - 1, -1, -1):
-        cont = None if t == T - 1 else ContinuationTable(
-            lattices=tuple(cache.lattices), values=values[t + 1])
-        for idx in lattice.indices():
-            z = lattice.mean_field(idx)
-            game = build_stage_game(z, t, cont, sets, spec,
-                                    kernel_cache=cache, cap=cap)
-            eq = solve_stage(game, t, lattice.z_id(idx),
-                             pure_only=pure_only, support_bound=support_bound)
-            stages[t][idx] = eq
-            values[(t, slice(None)) + idx] = equilibrium_values(game, eq)
-            if eq.kind == "mixed":
-                mixed_points.append((t, idx))
+        own = [_cost_table(spec, k, sets[k], Z, t) for k in range(K)]
+        cont = None if t == T - 1 else _contract(Ws, values[t + 1])
+        stages[t], values[t], mixed = _solve_points(
+            _stage_tensors(own, cont, shape), sets, t, lattice.shape, lattice.z_id,
+            pure_only, support_bound)
+        mixed_points += [(t, idx) for idx in mixed]
     policy = PolicyTable(stages=stages, sets=tuple(sets), lattice=lattice,
                          mixed_points=mixed_points)
     return policy, ValueTable(values=values[:T], lattice=lattice)
 
 
-def _averaged_kernels(cache: KernelCache, z: MeanField, weights) -> list:
-    """Per-team kernel vectors with each team's mixture averaged in."""
-    out = []
-    for j, w in enumerate(weights):
-        out.append(w @ cache.matrix(j, z))
-    return out
+def _average(w, W) -> np.ndarray:
+    """Kernel stack W (P, n, L) averaged under per-point mixtures w (P, n)."""
+    return np.einsum("pi,pil->pl", w, W)
 
 
-def _stage_cost_vector(spec, z, ps, k, t) -> np.ndarray:
-    return np.array([stage_cost(z, p, spec, k, t) for p in ps.items])
+def _mixtures(eqs, shape) -> list:
+    """Per-team (P, n_k) mixtures over menu indices of a flat sequence of
+    equilibria (one-hot rows for pure ones)."""
+    ws = [eq.weights(shape) for eq in eqs]
+    return [np.array([w[k] for w in ws]) for k in range(len(shape))]
 
 
 def best_response(spec: GameSpec, k: int, others: PolicyTable, sets,
@@ -163,29 +167,21 @@ def best_response(spec: GameSpec, k: int, others: PolicyTable, sets,
     """
     lattice = others.lattice
     cache = kernel_cache or KernelCache(spec, sets, cap=cap)
-    T, K = spec.horizon, spec.n_teams
+    T = spec.horizon
     shape = lattice.shape
-    U = np.zeros((T + 1,) + shape)
-    picks = [np.zeros(shape, dtype=int) for _ in range(T)]
     game_shape = tuple(len(ps) for ps in sets)
+    Z = _joint_points([tl.z for tl in lattice.teams])
+    Ws = cache._stacks(Z) if T > 1 else None
+    U = np.zeros((T + 1,) + shape)
+    picks = [None] * T
     for t in range(T - 1, -1, -1):
-        for idx in lattice.indices():
-            z = lattice.mean_field(idx)
-            sc = _stage_cost_vector(spec, z, sets[k], k, t)
-            if t == T - 1:
-                e = sc
-            else:
-                eq = others.equilibrium(t, idx)
-                w = eq.weights(game_shape)
-                X = U[t + 1]
-                for j in range(K - 1, -1, -1):
-                    if j == k:
-                        continue
-                    wbar = w[j] @ cache.matrix(j, z)
-                    X = np.tensordot(X, wbar, axes=(j, 0))
-                e = sc + cache.matrix(k, z) @ X
-            picks[t][idx] = int(np.argmin(e))
-            U[(t,) + idx] = e.min()
+        e = _cost_table(spec, k, sets[k], Z, t)
+        if t < T - 1:
+            w = _mixtures(others.stages[t].flat, game_shape)
+            Wk = [W if j == k else _average(w[j], W)[:, None] for j, W in enumerate(Ws)]
+            e = e + _contract(Wk, U[t + 1]).reshape(e.shape)
+        picks[t] = e.argmin(axis=1).reshape(shape)
+        U[t] = e.min(axis=1).reshape(shape)
     return picks, U[:T]
 
 
@@ -197,22 +193,17 @@ def policy_value(spec: GameSpec, policy: PolicyTable,
     cache = kernel_cache or KernelCache(spec, policy.sets, cap=cap)
     T, K = spec.horizon, spec.n_teams
     game_shape = tuple(len(ps) for ps in policy.sets)
+    Z = _joint_points([tl.z for tl in lattice.teams])
+    Ws = cache._stacks(Z) if T > 1 else None
     V = np.zeros((T + 1, K) + lattice.shape)
     for t in range(T - 1, -1, -1):
-        for idx in lattice.indices():
-            z = lattice.mean_field(idx)
-            eq = policy.equilibrium(t, idx)
-            w = eq.weights(game_shape)
-            kers = None if t == T - 1 else _averaged_kernels(cache, z, w)
-            for k in range(K):
-                sc = float(w[k] @ _stage_cost_vector(spec, z, policy.sets[k], k, t))
-                if t == T - 1:
-                    V[(t, k) + idx] = sc
-                    continue
-                X = V[t + 1, k]
-                for j in range(K - 1, -1, -1):
-                    X = np.tensordot(X, kers[j], axes=(j, 0))
-                V[(t, k) + idx] = sc + float(X)
+        w = _mixtures(policy.stages[t].flat, game_shape)
+        v = np.stack([np.einsum("pi,pi->p", w[k], _cost_table(spec, k, policy.sets[k], Z, t))
+                      for k in range(K)])
+        if t < T - 1:
+            avg = [_average(w[j], W)[:, None] for j, W in enumerate(Ws)]
+            v = v + _contract(avg, V[t + 1]).reshape(v.shape)
+        V[t] = v.reshape(V[t].shape)
     return V[:T]
 
 
@@ -250,33 +241,29 @@ def evaluate_total_cost(spec: GameSpec, policy: PolicyTable,
                         cap: int = DEFAULT_SUPPORT_CAP) -> np.ndarray:
     """Exact expected cumulative cost per team under ``policy`` from the
     initial count law, by forward propagation of the full distribution
-    over the lattice (never sampled)."""
+    over the lattice (never sampled). Kernels are built only at points
+    the distribution reaches."""
     lattice = policy.lattice
     cache = KernelCache(spec, policy.sets, cap=cap)
     T, K = spec.horizon, spec.n_teams
     game_shape = tuple(len(ps) for ps in policy.sets)
-    dist = initial_distribution(spec, lattice)
+    Z = _joint_points([tl.z for tl in lattice.teams])
+    dist = initial_distribution(spec, lattice).reshape(-1)
     totals = np.zeros(K)
     for t in range(T):
-        new = np.zeros(lattice.shape)
-        for idx in lattice.indices():
-            p = dist[idx]
-            if p <= 0.0:
-                continue
-            z = lattice.mean_field(idx)
-            eq = policy.equilibrium(t, idx)
-            w = eq.weights(game_shape)
-            for k in range(K):
-                totals[k] += p * float(w[k] @ _stage_cost_vector(spec, z, policy.sets[k], k, t))
-            if t < T - 1:
-                step = np.ones(())
-                for ker in _averaged_kernels(cache, z, w):
-                    step = np.multiply.outer(step, ker)
-                new += p * step
+        live = np.flatnonzero(dist > 0.0)
+        Zl = [z[live] for z in Z]
+        w = _mixtures(policy.stages[t].reshape(-1)[live], game_shape)
+        totals += [dist[live] @ np.einsum("pi,pi->p", w[k], _cost_table(spec, k, ps, Zl, t))
+                   for k, ps in enumerate(policy.sets)]
         if t < T - 1:
+            operands = [dist[live], [K]]
+            for k, W in enumerate(cache._stacks(Zl)):
+                operands += [_average(w[k], W), [K, k]]
+            new = np.einsum(*operands, list(range(K)), optimize=True)
             if abs(new.sum() - 1.0) > 1e-10:
                 raise AssertionError("forward propagation lost mass: %.17g" % new.sum())
-            dist = new
+            dist = new.reshape(-1)
     return totals
 
 

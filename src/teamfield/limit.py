@@ -8,6 +8,11 @@ on a uniform 1/n discretization of each team's simplex, projecting every
 flow image to its nearest grid point (projection errors are logged, they
 are the honest discretization cost of the scheme).
 
+This is the finite solver's recursion with a Dirac mass for the count
+kernel, run on the same engine (``stage_game``): the flow image of every
+(grid point, team, menu item) is projected once, and each stage gathers
+the next values there.
+
 With resolution n = 2N per team, every count mean field of a population-N
 instance lies exactly on the grid, which is what ``project_policy_to_lattice``
 exploits when replaying a limit policy inside the finite game.
@@ -22,8 +27,10 @@ import numpy as np
 
 from .errors import CapacityError, SpecValidationError
 from .counts import DEFAULT_SUPPORT_CAP, MeanField, enumerate_counts, lattice_size
-from .model import GameSpec, cost_matrix, flatten_mean_field, transition_matrix
-from .stage_game import StageEquilibrium, StageGame, solve_stage
+from .metrics import transport_distance
+from .model import GameSpec, cost_matrix, flatten_mean_field
+from .stage_game import (StageEquilibrium, _cost_table, _joint_points, _on_axis,
+                         _solve_points, _stage_tensors)
 
 
 class SimplexGrid:
@@ -83,17 +90,25 @@ def flow(z, prescriptions, spec: GameSpec) -> MeanField:
     """Deterministic mean-field update: team k's next occupancy is
     z'(s') = sum_s z(s) sum_a gamma(a|s) P(s'|s,a,z). Equals the exact
     mean of the finite-population count kernel."""
-    per_team = getattr(z, "per_team", z)
-    zf = flatten_mean_field(spec, z)
+    flatten_mean_field(spec, z)
+    Z = [np.asarray(v, dtype=float)[None] for v in getattr(z, "per_team", z)]
+    nxt = _flow(spec, Z, [np.asarray(getattr(p, "rows", p), dtype=float)[None]
+                          for p in prescriptions])
+    return MeanField(per_team=tuple(x[0, 0] for x in nxt))
+
+
+def _flow(spec: GameSpec, Z, R) -> list:
+    """``flow`` batched over P joint points and every prescription of each
+    team: (P, m_k, S_k) images from occupancies Z[k] (P, S_k) and
+    prescription rows R[k] (m_k, S_k, A_k)."""
+    zf = np.concatenate(Z, axis=1)
     out = []
-    for k in range(spec.n_teams):
-        rows = prescriptions[k].rows if hasattr(prescriptions[k], "rows") \
-            else np.asarray(prescriptions[k], dtype=float)
-        P = transition_matrix(spec, k, zf)
-        zk = np.asarray(per_team[k], dtype=float)
-        nxt = np.einsum("s,sa,sat->t", zk, rows, P)
-        out.append(nxt / nxt.sum())
-    return MeanField(per_team=tuple(out))
+    for k, tm in enumerate(spec.teams):
+        P = np.maximum(tm.transition_base
+                       + np.einsum("satd,pd->psat", tm.transition_coupling, zf), 0.0)
+        nxt = np.einsum("ps,isa,psat->pit", Z[k], R[k], P)
+        out.append(nxt / nxt.sum(axis=2, keepdims=True))
+    return out
 
 
 def limit_stage_cost(z, gamma, spec: GameSpec, k: int, t: int) -> float:
@@ -110,38 +125,18 @@ def limit_stage_cost(z, gamma, spec: GameSpec, k: int, t: int) -> float:
     return total
 
 
-def _team_w2(p, q, metric) -> float:
-    """Transport distance used for grid projection; |S| <= 2 and the
-    discrete metric have closed forms, anything else defers to the exact
-    solver in approx metrics."""
-    n = len(p)
-    if n == 1:
-        return 0.0
-    if n == 2:
-        return float(metric[0, 1] * abs(p[0] - q[0]))
-    off = metric[~np.eye(n, dtype=bool)]
-    if np.all(off == off[0]):
-        return float(off[0]) * 0.5 * float(np.abs(np.asarray(p) - np.asarray(q)).sum())
-    from .metrics import wasserstein
-    return wasserstein(p, q, metric)
-
-
-def _project_team(zk, k, grid: SimplexGrid):
-    """Index of the nearest grid point of team k plus its distance; ties
-    go to the ascending-lex first point."""
+def _nearest(x, k, grid: SimplexGrid):
+    """Nearest grid point of team k to every row of ``x`` and its distance;
+    ties go to the ascending-lex first point. Rows go in blocks that keep
+    the (rows, grid points, states) difference table near 2^20 entries."""
     pts = grid.points[k]
-    metric = grid.spec.teams[k].state_metric
-    S = pts.shape[1]
-    if S == 2:
-        d = metric[0, 1] * np.abs(pts[:, 0] - zk[0])
-    else:
-        off = metric[~np.eye(S, dtype=bool)]
-        if np.all(off == off[0]):
-            d = off[0] * 0.5 * np.abs(pts - np.asarray(zk)[None, :]).sum(axis=1)
-        else:
-            d = np.array([_team_w2(zk, q, metric) for q in pts])
-    i = int(np.argmin(d))
-    return i, float(d[i])
+    step = max(1, (1 << 20) // pts.size)
+    idx, dist = [], []
+    for lo in range(0, len(x), step):
+        d = transport_distance(x[lo:lo + step, None], pts[None], grid.spec.teams[k].state_metric)
+        idx.append(d.argmin(axis=1))
+        dist.append(d.min(axis=1))
+    return np.concatenate(idx), np.concatenate(dist)
 
 
 def project_to_grid(z, grid: SimplexGrid):
@@ -155,9 +150,9 @@ def project_indices(z, grid: SimplexGrid):
     per_team = getattr(z, "per_team", z)
     idx, err = [], 0.0
     for k in range(len(grid.points)):
-        i, d = _project_team(np.asarray(per_team[k], dtype=float), k, grid)
-        idx.append(i)
-        err += d
+        i, d = _nearest(np.asarray(per_team[k], dtype=float)[None], k, grid)
+        idx.append(int(i[0]))
+        err += float(d[0])
     return tuple(idx), err
 
 
@@ -206,9 +201,9 @@ def solve_mpe_inf(spec: GameSpec, sets, grid: SimplexGrid = None,
 
     The one-step kernel is the Dirac mass at the flow image, so each
     stage-game tensor entry is the own stage cost plus the next value at
-    the projected flow image. Because each team's flow component depends
-    only on its own prescription, projections are computed per (team,
-    menu item) and shared across joint profiles.
+    the projected flow image. Each team's flow component depends only on
+    its own prescription and not on the stage, so projections are computed
+    once per (grid point, team, menu item) and gathered at every stage.
 
     Returns (LimitPolicyTable, LimitValueTable, ProjectionLog).
     """
@@ -216,60 +211,28 @@ def solve_mpe_inf(spec: GameSpec, sets, grid: SimplexGrid = None,
         grid = default_grid(spec)
     T, K = spec.horizon, spec.n_teams
     shape = tuple(len(ps) for ps in sets)
-    values = np.zeros((T + 1, K) + grid.shape)
-    stages = [np.empty(grid.shape, dtype=object) for _ in range(T)]
-    mixed_points = []
+    Z = _joint_points(grid.points)
     log = ProjectionLog(evaluations=[0] * T, max_error=[0.0] * T, mean_error=[0.0] * T)
+    if T > 1:
+        gather, errors = [], []
+        for k, nxt in enumerate(_flow(spec, Z, [ps.rows_stack() for ps in sets])):
+            idx, err = _nearest(nxt.reshape(-1, nxt.shape[-1]), k, grid)
+            gather.append(_on_axis(idx.reshape(nxt.shape[:2]), k, K))
+            errors.append(err)
+        gather, errors = tuple(gather), np.concatenate(errors)
+        log.evaluations[:T - 1] = [int(errors.size)] * (T - 1)
+        log.max_error[:T - 1] = [float(errors.max())] * (T - 1)
+        log.mean_error[:T - 1] = [float(errors.sum()) / errors.size] * (T - 1)
+    values = np.zeros((T + 1, K) + grid.shape)
+    stages = [None] * T
+    mixed_points = []
     for t in range(T - 1, -1, -1):
-        err_sum, err_max, err_n = 0.0, 0.0, 0
-        for idx in grid.indices():
-            z = grid.mean_field(idx)
-            own_cost = [np.array([limit_stage_cost(z, p, spec, k, t)
-                                  for p in sets[k].items]) for k in range(K)]
-            if t == T - 1:
-                tensors = []
-                for k in range(K):
-                    bshape = [1] * K
-                    bshape[k] = shape[k]
-                    tensors.append(np.broadcast_to(own_cost[k].reshape(bshape),
-                                                   shape).copy())
-            else:
-                zf = flatten_mean_field(spec, z)
-                proj = []      # per team: arrays of next grid index / error per item
-                for k in range(K):
-                    P = transition_matrix(spec, k, zf)
-                    zk = z.per_team[k]
-                    pidx = np.empty(shape[k], dtype=int)
-                    perr = np.empty(shape[k])
-                    for i, p in enumerate(sets[k].items):
-                        nxt = np.einsum("s,sa,sat->t", zk, p.rows, P)
-                        pidx[i], perr[i] = _project_team(nxt / nxt.sum(), k, grid)
-                    proj.append((pidx, perr))
-                    err_sum += perr.sum()
-                    err_max = max(err_max, float(perr.max()))
-                    err_n += shape[k]
-                gather = np.ix_(*(proj[k][0] for k in range(K)))
-                tensors = []
-                for k in range(K):
-                    bshape = [1] * K
-                    bshape[k] = shape[k]
-                    tensors.append(own_cost[k].reshape(bshape)
-                                   + values[t + 1, k][gather])
-            game = StageGame(tensors=tuple(tensors), sets=tuple(sets))
-            eq = solve_stage(game, t, grid.point_id(idx),
-                             pure_only=pure_only, support_bound=support_bound)
-            stages[t][idx] = eq
-            w = eq.weights(shape)
-            for k in range(K):
-                e = game.tensors[k]
-                for j in range(K - 1, -1, -1):
-                    e = np.tensordot(e, w[j], axes=(j, 0))
-                values[(t, k) + idx] = float(e)
-            if eq.kind == "mixed":
-                mixed_points.append((t, idx))
-        log.evaluations[t] = err_n
-        log.max_error[t] = err_max
-        log.mean_error[t] = err_sum / err_n if err_n else 0.0
+        own = [_cost_table(spec, k, sets[k], Z, t) for k in range(K)]
+        cont = None if t == T - 1 else values[t + 1][(slice(None),) + gather]
+        stages[t], values[t], mixed = _solve_points(
+            _stage_tensors(own, cont, shape), sets, t, grid.shape, grid.point_id,
+            pure_only, support_bound)
+        mixed_points += [(t, idx) for idx in mixed]
     policy = LimitPolicyTable(stages=stages, sets=tuple(sets), grid=grid,
                               mixed_points=mixed_points)
     return policy, LimitValueTable(values=values[:T], grid=grid), log
@@ -332,16 +295,11 @@ def project_policy_to_lattice(spec: GameSpec, policy: LimitPolicyTable,
     projection error)."""
     from .finite_mpe import JointLattice, PolicyTable
     lattice = JointLattice(spec, cap=cap)
-    stages = [np.empty(lattice.shape, dtype=object) for _ in range(policy.horizon)]
-    mixed_points = []
-    for idx in lattice.indices():
-        z = lattice.mean_field(idx)
-        gidx, _ = project_indices(z, policy.grid)
-        for t in range(policy.horizon):
-            eq = policy.equilibrium(t, gidx)
-            stages[t][idx] = eq
-            if eq.kind == "mixed":
-                mixed_points.append((t, idx))
+    nearest = np.ix_(*(_nearest(tl.z, k, policy.grid)[0]
+                       for k, tl in enumerate(lattice.teams)))
+    stages = [st[nearest] for st in policy.stages]
+    mixed_points = [(t, idx) for idx in lattice.indices() for t in range(policy.horizon)
+                    if stages[t][idx].kind == "mixed"]
     return PolicyTable(stages=stages, sets=policy.sets, lattice=lattice,
                        mixed_points=mixed_points)
 

@@ -66,23 +66,35 @@ def wasserstein(p, q, metric) -> float:
     return float(res.fun)
 
 
-def wasserstein_fast(p, q, metric) -> float:
-    """Same value as ``wasserstein`` through closed forms where they
-    exist (two states: d01*|p0-q0|; equal off-diagonal metric: half the
-    L1 distance times that value); falls back to the LP otherwise. Used
-    by the pairwise scans; the identity with the LP is property-tested."""
+def transport_distance(p, q, metric) -> np.ndarray:
+    """Optimal transport cost between the distributions on the last axis of
+    ``p`` and ``q``, broadcast against each other; one value per pair.
+
+    Closed forms where they exist (one state: 0; two states: d01*|p0-q0|;
+    equal off-diagonal metric: half the L1 distance times that value);
+    any other metric falls back to the exact LP ``wasserstein`` pair by
+    pair. The identity with the LP is property-tested."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     d = np.asarray(metric, dtype=float)
-    n = len(p)
+    n = p.shape[-1]
     if n == 1:
-        return 0.0
+        return np.zeros(np.broadcast_shapes(p.shape, q.shape)[:-1])
     if n == 2:
-        return float(d[0, 1] * abs(p[0] - q[0]))
+        return d[0, 1] * np.abs(p[..., 0] - q[..., 0])
     off = d[~np.eye(n, dtype=bool)]
     if np.all(off == off[0]):
-        return float(off[0]) * 0.5 * float(np.abs(p - q).sum())
-    return wasserstein(p, q, d)
+        return off[0] * 0.5 * np.abs(p - q).sum(axis=-1)
+    p, q = np.broadcast_arrays(p, q)
+    out = np.empty(p.shape[:-1])
+    for i in np.ndindex(out.shape):
+        out[i] = wasserstein(p[i], q[i], d)
+    return out
+
+
+def wasserstein_fast(p, q, metric) -> float:
+    """``wasserstein`` of one pair through ``transport_distance``."""
+    return float(transport_distance(p, q, metric))
 
 
 def joint_distance(z, zhat, spec: GameSpec) -> float:
@@ -113,11 +125,8 @@ def per_team_deviation(z, prescriptions, spec: GameSpec, cap=None) -> np.ndarray
             raise SpecValidationError("mean field of team %d is not a count point "
                                       "for population %d" % (k, N))
         dist = team_transition_kernel(m, z, prescriptions[k], spec, k)
-        acc = 0.0
-        for cv, p in zip(dist.support, dist.probs):
-            acc += p * wasserstein_fast(cv.as_array() / N, q.per_team[k],
-                                        tm.state_metric)
-        out[k] = acc
+        support = np.array([cv.counts for cv in dist.support]) / N
+        out[k] = dist.probs @ transport_distance(support, q.per_team[k], tm.state_metric)
     return out
 
 
@@ -152,14 +161,10 @@ def expected_deviation(z, prescriptions, spec: GameSpec,
         for k in range(spec.n_teams)))
     rng = substream(spec.seed if master_seed is None else master_seed,
                     "expected-deviation")
-    draws = np.empty(samples)
-    for i in range(samples):
-        nxt = sample_next_counts(M, prescriptions, spec, rng)
-        acc = 0.0
-        for k, cv in enumerate(nxt.per_team):
-            acc += wasserstein_fast(cv.as_array() / spec.teams[k].population,
-                                    q.per_team[k], spec.teams[k].state_metric)
-        draws[i] = acc
+    nxt = [sample_next_counts(M, prescriptions, spec, rng) for _ in range(samples)]
+    draws = sum(transport_distance(np.array([jc.per_team[k].counts for jc in nxt]) / tm.population,
+                                   q.per_team[k], tm.state_metric)
+                for k, tm in enumerate(spec.teams))
     mean = float(draws.mean())
     stderr = float(draws.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return (mean, stderr) if with_stderr else mean
@@ -240,21 +245,6 @@ def kappa_envelope(spec: GameSpec, z, profiles, n_values) -> np.ndarray:
     return kappa
 
 
-def _pairwise_distances(points: np.ndarray, metric: np.ndarray) -> np.ndarray:
-    """All-pairs transport distances between rows of ``points``."""
-    L, S = points.shape
-    if S == 2:
-        return metric[0, 1] * np.abs(points[:, 0][:, None] - points[:, 0][None, :])
-    off = metric[~np.eye(S, dtype=bool)]
-    if np.all(off == off[0]):
-        return off[0] * 0.5 * np.abs(points[:, None, :] - points[None, :, :]).sum(axis=2)
-    D = np.zeros((L, L))
-    for i in range(L):
-        for j in range(i + 1, L):
-            D[i, j] = D[j, i] = wasserstein(points[i], points[j], metric)
-    return D
-
-
 def estimate_lipschitz(table, spec: GameSpec,
                        pair_cap: int = DEFAULT_PAIR_CAP,
                        master_seed: int = 0) -> np.ndarray:
@@ -267,15 +257,6 @@ def estimate_lipschitz(table, spec: GameSpec,
     L = int(np.prod(V.shape[2:]))
     if L < 2:
         raise SpecValidationError("lipschitz estimation needs at least 2 points")
-    Ds = [_pairwise_distances(pts[k], spec.teams[k].state_metric) for k in range(K)]
-    D = Ds[0]
-    for k in range(1, K):
-        D = np.add.outer(D, Ds[k])
-    if K > 1:
-        # np.add.outer leaves axes ordered (i1, j1, i2, j2, ...); regroup
-        # to (i1, ..., iK, j1, ..., jK) before flattening to (L, L)
-        order = list(range(0, 2 * K, 2)) + list(range(1, 2 * K, 2))
-        D = D.transpose(order).reshape(L, L)
     flatV = V.reshape(T, K, L)
     out = np.zeros((K, T))
     iu, ju = np.triu_indices(L, k=1)
@@ -283,7 +264,15 @@ def estimate_lipschitz(table, spec: GameSpec,
         rng = substream(master_seed, "lipschitz-pairs")
         sel = rng.choice(iu.size, size=pair_cap, replace=False)
         iu, ju = iu[sel], ju[sel]
-    dist = D[iu, ju]
+    # joint point p has per-team grid indices idx[:, p]; the joint distance
+    # sums per-team tables, each computed once per unordered pair
+    idx = np.indices(V.shape[2:]).reshape(K, L)
+    dist = 0.0
+    for x, i, tm in zip(pts, idx, spec.teams):
+        a, b = np.triu_indices(len(x), k=1)
+        D = np.zeros((len(x), len(x)))
+        D[a, b] = D[b, a] = transport_distance(x[a], x[b], tm.state_metric)
+        dist = dist + D[i[iu], i[ju]]
     ok = dist > 1e-15
     for k in range(K):
         for t in range(T):

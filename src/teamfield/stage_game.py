@@ -24,7 +24,7 @@ import numpy as np
 from .errors import CapacityError, EquilibriumNotFoundError, SpecValidationError
 from .counts import (DEFAULT_SUPPORT_CAP, MeanField, Prescription, TeamLattice,
                      enumerate_counts, stage_cost, team_transition_kernel)
-from .model import GameSpec
+from .model import GameSpec, flatten_mean_field
 
 PURE_TOL = 1e-12      # strict-improvement tolerance for pure deviations
 CERT_TOL = 1e-9       # certified-equilibrium acceptance threshold
@@ -203,6 +203,23 @@ class KernelCache:
         """(menu size, lattice size) stack of kernel vectors at z."""
         return np.stack([self.vector(k, z, i) for i in range(len(self.sets[k]))])
 
+    def _stacks(self, Z) -> list:
+        """Per-team (points, menu size, lattice size) kernel stacks at the
+        joint points Z (one (P, S_k) occupancy array per team). The store
+        then keeps read-only views into the stacks, so no kernel is held
+        both as a stack row and as a separate vector."""
+        zs = [MeanField(per_team=tuple(z[p] for z in Z)) for p in range(len(Z[0]))]
+        out = []
+        for k, ps in enumerate(self.sets):
+            W = np.empty((len(zs), len(ps), len(self.lattices[k])))
+            for p, z in enumerate(zs):
+                W[p] = self.matrix(k, z)
+                for i, row in enumerate(W[p]):
+                    row.setflags(write=False)
+                    self._store[(k, z.key(), i)] = row
+            out.append(W)
+        return out
+
 
 @dataclass(frozen=True)
 class ContinuationTable:
@@ -210,13 +227,6 @@ class ContinuationTable:
     with per-team lattice indices i_k."""
     lattices: tuple
     values: np.ndarray = field(repr=False)
-
-
-def _einsum_script(K):
-    own = [chr(ord("a") + i) for i in range(K)]
-    lat = [chr(ord("n") + i) for i in range(K)]
-    ins = ",".join(o + l for o, l in zip(own, lat))
-    return ins + "," + "".join(lat) + "->" + "".join(own)
 
 
 def build_stage_game(z: MeanField, t: int, continuation, sets, spec: GameSpec,
@@ -228,39 +238,27 @@ def build_stage_game(z: MeanField, t: int, continuation, sets, spec: GameSpec,
                             + E[continuation_k(next counts)],
     the expectation taken under the exact joint kernel (product across
     teams). ``continuation`` is None (terminal stage), a ContinuationTable
-    (fast path used by the solvers), or a callable mapping a JointCount to
-    a length-K value sequence.
+    (the solvers' batched engine at a single point), or a callable mapping
+    a JointCount to a length-K value sequence (exact summation over the
+    materialized joint support, the reference the engine is tested
+    against; small instances only).
     """
     K = spec.n_teams
+    flatten_mean_field(spec, z)
     shape = tuple(len(ps) for ps in sets)
-    own_cost = []
-    for k in range(K):
-        own_cost.append(np.array([stage_cost(z, p, spec, k, t) for p in sets[k].items]))
+    if continuation is None or isinstance(continuation, ContinuationTable):
+        Z = [v[None] for v in getattr(z, "per_team", z)]
+        own = [_cost_table(spec, k, sets[k], Z, t) for k in range(K)]
+        cont = None
+        if continuation is not None:
+            cache = kernel_cache or KernelCache(spec, sets, cap=cap)
+            cont = _contract([cache.matrix(k, z)[None] for k in range(K)], continuation.values)
+        tensors = _stage_tensors(own, cont, shape)
+        return StageGame(tensors=tuple(T[0] for T in tensors), sets=tuple(sets))
 
-    if continuation is None:
-        tensors = []
-        for k in range(K):
-            bshape = [1] * K
-            bshape[k] = shape[k]
-            tensors.append(np.broadcast_to(own_cost[k].reshape(bshape), shape).copy())
-        return StageGame(tensors=tuple(tensors), sets=tuple(sets))
-
-    if isinstance(continuation, ContinuationTable):
-        if kernel_cache is None:
-            kernel_cache = KernelCache(spec, sets, cap=cap)
-        Ws = [kernel_cache.matrix(k, z) for k in range(K)]
-        script = _einsum_script(K)
-        tensors = []
-        for k in range(K):
-            exp_next = np.einsum(script, *Ws, continuation.values[k])
-            bshape = [1] * K
-            bshape[k] = shape[k]
-            tensors.append(own_cost[k].reshape(bshape) + exp_next)
-        return StageGame(tensors=tuple(tensors), sets=tuple(sets))
-
-    # generic continuation callable: exact summation over the materialized
-    # joint support, profile by profile (small instances only)
     from .counts import JointCount, CountVector
+    own_cost = [np.array([stage_cost(z, p, spec, k, t) for p in sets[k].items])
+                for k in range(K)]
     dists = {}
     for k in range(K):
         m = np.rint(z.per_team[k] * spec.teams[k].population).astype(int)
@@ -281,6 +279,78 @@ def build_stage_game(z: MeanField, t: int, continuation, sets, spec: GameSpec,
         for k in range(K):
             tensors[k][profile] = own_cost[k][profile[k]] + acc[k]
     return StageGame(tensors=tuple(tensors), sets=tuple(sets))
+
+
+# ---------------------------------------------------------------------------
+# the backward-induction engine, batched over P joint points; the finite and
+# limit solvers differ only in the next-state operator (kernel stacks
+# W_k[P, n_k, L_k] against a gather at projected flow images)
+
+def _joint_points(per_team_points) -> list:
+    """Per-team occupancy at every point of the joint product in C order
+    (the order of np.ndindex): one (P, S_k) array per team."""
+    shape = tuple(len(x) for x in per_team_points)
+    idx = np.indices(shape).reshape(len(shape), -1)
+    return [x[i] for x, i in zip(per_team_points, idx)]
+
+
+def _cost_table(spec: GameSpec, k: int, ps: PrescriptionSet, Z, t: int) -> np.ndarray:
+    """(P, menu size) own stage cost of team k at the joint points Z: the
+    closed form of counts.stage_cost, sum_s z_k(s) sum_a gamma(a|s) c_t(s, a, z)."""
+    tm = spec.teams[k]
+    C = tm.cost_base[t] + np.einsum("sad,pd->psa", tm.cost_coupling[t],
+                                    np.concatenate(Z, axis=1))
+    return np.einsum("ps,isa,psa->pi", Z[k], ps.rows_stack(), C)
+
+
+def _contract(Ws, V) -> np.ndarray:
+    """sum_n prod_k W_k[p, i_k, n_k] V[..., n_1, ..., n_K] as a
+    (..., P, m_1, ..., m_K) array, each W_k being (P, m_k, L_k).
+
+    Raw kernel stacks give the continuation part of the stage tensors;
+    kernels averaged under a policy's mixtures (m_k = 1) give its expected
+    next value; averaging every team but one gives that team's
+    best-response step."""
+    K = len(Ws)
+    operands = []
+    for k, W in enumerate(Ws):
+        operands += [W, [2 * K, k, K + k]]
+    return np.einsum(*operands, V, [Ellipsis] + list(range(K, 2 * K)),
+                     [Ellipsis, 2 * K] + list(range(K)), optimize=True)
+
+
+def _on_axis(a, k: int, K: int) -> np.ndarray:
+    """(P, n) array as (P, 1, ..., n, ..., 1) with n on team k's axis."""
+    return np.expand_dims(a, tuple(j + 1 for j in range(K) if j != k))
+
+
+def _stage_tensors(own, cont, shape) -> list:
+    """Per-team (P, *shape) stage-game tensors: own cost table (P, n_k)
+    along team k's axis plus the expected continuation (None: terminal)."""
+    K = len(own)
+    return [_on_axis(c, k, K) + (np.zeros((len(c),) + tuple(shape)) if cont is None
+                                 else cont[k]) for k, c in enumerate(own)]
+
+
+def _solve_points(tensors, sets, t: int, points_shape, label, pure_only: bool,
+                  support_bound: int):
+    """Solve the stage game at every joint point (C order) with solve_stage.
+
+    Returns the equilibria as an object array of ``points_shape``, the
+    per-team equilibrium values (K, *points_shape) and the indices of the
+    points whose equilibrium is mixed; ``label(idx)`` names a point."""
+    eqs = np.empty(points_shape, dtype=object)
+    values = np.empty((len(tensors),) + tuple(points_shape))
+    mixed = []
+    for p, idx in enumerate(np.ndindex(points_shape)):
+        game = StageGame(tensors=tuple(T[p] for T in tensors), sets=tuple(sets))
+        eq = solve_stage(game, t, label(idx), pure_only=pure_only,
+                         support_bound=support_bound)
+        eqs[idx] = eq
+        values[(slice(None),) + idx] = equilibrium_values(game, eq)
+        if eq.kind == "mixed":
+            mixed.append(idx)
+    return eqs, values, mixed
 
 
 # ---------------------------------------------------------------------------
@@ -473,12 +543,3 @@ def select_equilibrium(candidates) -> StageEquilibrium:
         return (1, (sum(len(s) for s in supports),), supports, i)
 
     return min(enumerate(candidates), key=key)[1]
-
-
-def stage_game_csv_rows(z_id, game: StageGame):
-    """Audit rows (z_id, team, joint indices..., cost)."""
-    rows = []
-    for k, T in enumerate(game.tensors):
-        for profile in np.ndindex(game.shape):
-            rows.append((z_id, k) + tuple(int(i) for i in profile) + (repr(float(T[profile])),))
-    return rows

@@ -99,3 +99,31 @@ def assert_simplex(v, tol=1e-9):
     v = np.asarray(v, dtype=float)
     assert np.all(v >= -tol)
     assert abs(v.sum() - 1.0) <= tol
+
+
+def cyclic_pursuit_three_team():
+    """Three one-agent teams on a ring of two positions, horizon 2: team k
+    chases team k+1 and flees team k-1. Most stage-0 games have no pure
+    equilibrium, and fictitious play stops above CERT_TOL on several of
+    them."""
+    def ring(slip):
+        return [[[1.0 - slip if s2 == (s + a) % 2 else slip for s2 in range(2)]
+                 for a in range(2)] for s in range(2)]
+
+    slips = (0.10, 0.11, 0.09)
+    moves = (0.02, 0.025, 0.015)
+    scales = ((1.0, 1.005), (1.003, 1.008), (1.006, 1.001))
+    inits = ((0.5, 0.5), (0.49, 0.51), (0.51, 0.49))
+    teams = []
+    for k in range(3):
+        sign = 1.0 if k == 2 else -1.0
+        coupling = [{"t": t, "s": s, "a": a, "team": (k + 1) % 3, "sigma": s,
+                     "value": sign * scales[k][t]}
+                    for t in range(2) for s in range(2) for a in range(2)]
+        teams.append({
+            "states": ["c0", "c1"], "actions": ["step0", "step1"],
+            "population": 1, "initial_law": list(inits[k]),
+            "transition": {"base": ring(slips[k])},
+            "cost": {"base": [[[0.0, moves[k]]] * 2] * 2, "coupling": coupling},
+        })
+    return {"horizon": 2, "seed": 1, "teams": teams}

@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import teamfield
 from teamfield.cli import main
 
-from conftest import DATA, deterministic_two_team, minimal_team, write_json
+from conftest import (DATA, cyclic_pursuit_three_team, deterministic_two_team,
+                      minimal_team, write_json)
 
 REFERENCE = DATA / "two_team_reference.json"
 
@@ -188,3 +194,40 @@ def test_static_mode_stdout(tmp_path, capsys):
                  "--out", str(tmp_path)]) == 0
     rep = _read(tmp_path / "static-tne" / "report.json")
     assert rep["team_nash"] == [["T", "L", "I"], ["B", "L", "II"]]
+
+
+def test_module_entry_point_runs_without_runpy_warning():
+    """``python -m teamfield.cli`` must not find the module already imported
+    by the package, which runpy reports as a RuntimeWarning."""
+    src = Path(teamfield.__file__).resolve().parents[1]
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "teamfield.cli",
+                           "validate", "--spec", str(REFERENCE)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("mode", ["solve-finite", "solve-infinite"])
+def test_summary_surfaces_stage_fallbacks(tmp_path, mode):
+    import teamfield as tf
+    from teamfield.stage_game import CERT_TOL
+    doc = cyclic_pursuit_three_team()
+    spec_path = write_json(tmp_path / "cyclic.json", doc)
+    assert main([mode, "--spec", str(spec_path), "--out", str(tmp_path)]) == 0
+    summary = _read(tmp_path / mode / "summary.json")
+    assert summary["stage_games_above_cert_tol"] > 0
+    assert summary["worst_stage_epsilon"] > CERT_TOL
+    if mode == "solve-finite":
+        spec = tf.load_spec(doc)
+        sets = tuple(tf.build_prescription_set(spec, k) for k in range(spec.n_teams))
+        policy, _ = tf.solve_mpe(spec, sets)
+        per_stage = [max(eq.epsilon for eq in st.flat) for st in policy.stages]
+        assert summary["worst_stage_epsilon"] == max(per_stage)
+        assert summary["stage_games_above_cert_tol"] == sum(
+            eq.epsilon > CERT_TOL for st in policy.stages for eq in st.flat)
+        assert summary["max_gain"] <= sum(per_stage) + 1e-9
+    assert main([mode, "--spec", str(REFERENCE), "--out", str(tmp_path / "ref")]) == 0
+    reference = _read(tmp_path / "ref" / mode / "summary.json")
+    assert reference["stage_games_above_cert_tol"] == 0
+    assert reference["worst_stage_epsilon"] <= CERT_TOL

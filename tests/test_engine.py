@@ -1,0 +1,112 @@
+"""The batched backward-induction engine against the per-point oracle.
+
+``build_stage_game`` with a callable continuation sums exactly over the
+materialized joint next-count support of one point, one profile at a
+time; the solvers contract kernel stacks for all points at once. Both
+must give the same stage games, equilibria and values, for any number of
+teams with their own state, action and population sizes.
+"""
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import teamfield as tf
+from teamfield.counts import lattice_size
+from teamfield.finite_mpe import initial_distribution, policy_value
+from teamfield.stage_game import build_stage_game, equilibrium_values, solve_stage
+
+from conftest import cyclic_pursuit_three_team
+
+# (states, actions, population) per team; the oracle's work at one point
+# grows with lattice size squared times menu size, so draws are budgeted
+TEAM_SIZES = [(S, A, N) for S in (1, 2, 3) for A in (1, 2) for N in (1, 2)]
+ORACLE_BUDGET = 1500
+
+
+def _oracle_work(S, A, N):
+    return lattice_size(N, S) ** 2 * A ** S
+
+
+def check_engine_against_oracle(spec):
+    sets = tuple(tf.build_prescription_set(spec, k) for k in range(spec.n_teams))
+    policy, values = tf.solve_mpe(spec, sets)
+    lattice = policy.lattice
+    V = values.values
+    T, K = spec.horizon, spec.n_teams
+    for t in range(T):
+        def continuation(jc, t=t):
+            idx = tuple(lattice.teams[k].index[jc.per_team[k].counts] for k in range(K))
+            return V[(t + 1, slice(None)) + idx]
+
+        for idx in lattice.indices():
+            game = build_stage_game(lattice.mean_field(idx), t,
+                                    None if t == T - 1 else continuation, sets, spec)
+            eq = solve_stage(game, t, lattice.z_id(idx))
+            solved = policy.equilibrium(t, idx)
+            assert eq.kind == solved.kind
+            for mine, theirs in zip(eq.per_team, solved.per_team):
+                np.testing.assert_allclose(mine, theirs, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(equilibrium_values(game, eq),
+                                       V[(t, slice(None)) + idx], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(policy_value(spec, policy), V, rtol=0, atol=1e-12)
+    init = initial_distribution(spec, lattice)
+    np.testing.assert_allclose(tf.evaluate_total_cost(spec, policy),
+                               [np.sum(init * V[0, k]) for k in range(K)],
+                               rtol=0, atol=1e-12)
+    return policy
+
+
+def test_engine_matches_oracle_on_three_team_cyclic_pursuit():
+    spec = tf.load_spec(cyclic_pursuit_three_team())
+    policy = check_engine_against_oracle(spec)
+    assert policy.mixed_points
+
+
+@st.composite
+def small_games(draw):
+    """Random games with K <= 3 teams of S <= 3 states, A <= 2 actions and
+    N <= 2 agents each, horizon <= 3, within the oracle's budget."""
+    K = draw(st.integers(1, 3))
+    horizon = draw(st.integers(1, 3))
+    sizes, work = [], 1
+    for _ in range(K):
+        fits = [s for s in TEAM_SIZES if work * _oracle_work(*s) <= ORACLE_BUDGET]
+        sizes.append(draw(st.sampled_from(fits)))
+        work *= _oracle_work(*sizes[-1])
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n_states = [S for S, _, _ in sizes]
+    teams = []
+    for k, (S, A, N) in enumerate(sizes):
+        base = rng.random((S, A, S)) + 0.05
+        base /= base.sum(axis=-1, keepdims=True)
+        trans = []
+        if S > 1:
+            for s in range(S):
+                for a in range(A):
+                    # crowding in s pushes mass on to s+1; keeps P >= 0
+                    kp = int(rng.integers(K))
+                    sig = int(rng.integers(n_states[kp]))
+                    v = float(0.5 * rng.random() * base[s, a, s])
+                    trans += [{"s": s, "a": a, "s'": s, "team": kp, "sigma": sig, "value": -v},
+                              {"s": s, "a": a, "s'": (s + 1) % S, "team": kp, "sigma": sig,
+                               "value": v}]
+        cost = [{"t": t, "s": s, "a": a, "team": kp, "sigma": sig,
+                 "value": float(rng.uniform(-1.0, 1.0))}
+                for t in range(horizon) for s in range(S) for a in range(A)
+                for kp in range(K) for sig in range(n_states[kp])]
+        teams.append({
+            "states": ["s%d" % s for s in range(S)],
+            "actions": ["a%d" % a for a in range(A)],
+            "population": N,
+            "initial_law": list(rng.dirichlet(np.ones(S))),
+            "transition": {"base": base.tolist(), "coupling": trans},
+            "cost": {"base": rng.random((horizon, S, A)).tolist(), "coupling": cost},
+        })
+    return {"horizon": horizon, "seed": 0, "teams": teams}
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(small_games())
+def test_engine_matches_oracle_on_random_games(doc):
+    check_engine_against_oracle(tf.load_spec(doc))

@@ -170,3 +170,20 @@ def test_limit_values_approach_finite_values(reference_spec, reference_sets,
                 worst = max(worst, abs(a - b))
         gaps.append(worst)
     assert gaps[1] <= gaps[0] + 0.05
+
+
+def test_limit_solver_handles_one_state_team():
+    """A team with a single state has a one-point simplex: its projections
+    and transport distances are zero, its value is its cheapest action."""
+    doc = {"horizon": 2, "teams": [
+        {"states": ["only"], "actions": ["a0", "a1"], "population": 2,
+         "initial_law": [1.0], "transition": {"base": [[[1.0], [1.0]]]},
+         "cost": {"base": [[0.25, 0.5]]}},
+        identity_dynamics_spec(population=2)["teams"][0]]}
+    spec = tf.load_spec(doc)
+    sets = tuple(tf.build_prescription_set(spec, k) for k in range(2))
+    policy, values, log = solve_mpe_inf(spec, sets)
+    assert max(log.max_error) == 0.0
+    assert np.allclose(values.values[:, 0, 0, :], [[0.5], [0.25]])
+    assert np.allclose(values.values[:, 1, 0, :], [[2.0], [1.0]])
+    assert np.all(tf.estimate_lipschitz(values, spec)[0] == 0.0)

@@ -14,7 +14,8 @@ from teamfield.limit import SimplexGrid, LimitValueTable
 from teamfield.metrics import (expected_deviation, estimate_lipschitz,
                                fit_rate, joint_distance, kappa_envelope,
                                lemma1_check, per_team_deviation,
-                               theorem4_bound, wasserstein, wasserstein_fast)
+                               theorem4_bound, transport_distance, wasserstein,
+                               wasserstein_fast)
 
 from conftest import minimal_team
 
@@ -51,6 +52,28 @@ def test_discrete_metric_is_half_l1(pw, qw):
     lp = wasserstein(p, q, DISCRETE3)
     assert lp == pytest.approx(0.5 * np.abs(p - q).sum(), abs=1e-9)
     assert wasserstein_fast(p, q, DISCRETE3) == pytest.approx(lp, abs=1e-9)
+
+
+@pytest.mark.parametrize("uniform", [True, False])
+@pytest.mark.parametrize("S", [1, 2, 3, 4])
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_transport_distance_batched_matches_lp(S, uniform, seed):
+    """One broadcast call equals the transportation LP pair by pair, on the
+    discrete metric scaled and on points of a line (no closed form)."""
+    rng = np.random.default_rng(seed)
+    if uniform:
+        metric = 0.7 * (np.ones((S, S)) - np.eye(S))
+    else:
+        x = np.cumsum(rng.random(S) + 0.1)
+        metric = np.abs(x[:, None] - x[None, :])
+    p = rng.dirichlet(np.ones(S), size=(3, 1))
+    q = rng.dirichlet(np.ones(S), size=(1, 4))
+    d = transport_distance(p, q, metric)
+    assert d.shape == (3, 4)
+    for i in range(3):
+        for j in range(4):
+            assert d[i, j] == pytest.approx(wasserstein(p[i, 0], q[0, j], metric), abs=1e-9)
 
 
 def test_wasserstein_axioms():
