@@ -19,7 +19,7 @@ from .counts import (CountDistribution, CountVector, JointCount, MeanField,
                      joint_transition_kernel, marginalize_counts,
                      nextstate_count_dist, sample_next_counts, stage_cost,
                      team_transition_kernel)
-from .stage_game import (PrescriptionSet, StageEquilibrium, StageGame,
+from .stage_game import (KernelCache, PrescriptionSet, StageEquilibrium, StageGame,
                          br_iteration, build_prescription_set,
                          build_stage_game, mixed_nash_2team, pure_nash,
                          select_equilibrium)
@@ -50,7 +50,7 @@ __all__ = [
     "Prescription", "action_count_dist", "enumerate_counts",
     "joint_transition_kernel", "marginalize_counts", "nextstate_count_dist",
     "sample_next_counts", "stage_cost", "team_transition_kernel",
-    "PrescriptionSet", "StageEquilibrium", "StageGame", "br_iteration",
+    "KernelCache", "PrescriptionSet", "StageEquilibrium", "StageGame", "br_iteration",
     "build_prescription_set", "build_stage_game", "mixed_nash_2team",
     "pure_nash", "select_equilibrium",
     "EquilibriumCertificate", "JointLattice", "PolicyTable", "ValueTable",

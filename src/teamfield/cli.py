@@ -119,9 +119,10 @@ def _run_validate(args, out, h):
 def _run_solve_finite(args, out, h):
     spec = _load_game(args)
     sets = _build_sets(spec, args)
-    policy, values = solve_mpe(spec, sets, pure_only=args.pure_only)
-    cert = verify_mpe(spec, policy, sets)
-    totals = evaluate_total_cost(spec, policy)
+    cache = KernelCache(spec, sets)
+    policy, values = solve_mpe(spec, sets, pure_only=args.pure_only, kernel_cache=cache)
+    cert = verify_mpe(spec, policy, sets, kernel_cache=cache)
+    totals = evaluate_total_cost(spec, policy, kernel_cache=cache)
     _write_json(out / "policy.json",
                 {"spec_sha256": h, "records": policy_records(policy, values)})
     _write_csv(out / "certificate.csv", ("stage", "z_id", "team", "gain"),
@@ -166,14 +167,16 @@ def _run_solve_infinite(args, out, h):
 
 
 def _solved_lifted(spec, args):
+    """Solved policy, its per-agent lift and the run's kernel store."""
     sets = _build_sets(spec, args)
-    policy, _ = solve_mpe(spec, sets, pure_only=args.pure_only)
-    return policy, lift_policy(policy)
+    cache = KernelCache(spec, sets)
+    policy, _ = solve_mpe(spec, sets, pure_only=args.pure_only, kernel_cache=cache)
+    return policy, lift_policy(policy), cache
 
 
 def _run_simulate(args, out, h):
     spec = _load_game(args)
-    _, lifted = _solved_lifted(spec, args)
+    _, lifted, _ = _solved_lifted(spec, args)
     res = estimate_cost(spec, lifted, episodes=args.episodes,
                         workers=args.workers, keep_episodes=args.keep_episodes)
     _write_json(out / "result.json", {"spec_sha256": h, **res.as_dict()})
@@ -187,8 +190,8 @@ def _run_simulate(args, out, h):
 
 def _run_compare(args, out, h):
     spec = _load_game(args)
-    policy, lifted = _solved_lifted(spec, args)
-    dp = evaluate_total_cost(spec, policy)
+    policy, lifted, cache = _solved_lifted(spec, args)
+    dp = evaluate_total_cost(spec, policy, kernel_cache=cache)
     res = estimate_cost(spec, lifted, episodes=args.episodes,
                         workers=args.workers)
     rows = []

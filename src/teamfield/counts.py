@@ -97,10 +97,6 @@ class MeanField:
     def flat(self):
         return np.concatenate(self.per_team)
 
-    def key(self):
-        """Hashable identity, used for kernel caching."""
-        return tuple(tuple(v.tolist()) for v in self.per_team)
-
 
 @dataclass(frozen=True)
 class Prescription:
@@ -210,6 +206,56 @@ class TeamLattice:
 
     def __len__(self):
         return len(self.points)
+
+
+def _joint_points(per_team_points) -> list:
+    """Per-team occupancy at every point of the joint product in C order
+    (the order of np.ndindex): one (P, S_k) array per team."""
+    shape = tuple(len(x) for x in per_team_points)
+    idx = np.indices(shape).reshape(len(shape), -1)
+    return [x[i] for x, i in zip(per_team_points, idx)]
+
+
+class JointLattice:
+    """Cartesian product of the per-team count lattices; ``z`` holds the
+    occupancies of every joint point in C order, (P, S_k) per team."""
+
+    def __init__(self, spec: GameSpec, cap: int = DEFAULT_SUPPORT_CAP):
+        self.spec = spec
+        self.teams = [TeamLattice(tm.population, tm.n_states, cap=cap)
+                      for tm in spec.teams]
+        self.shape = tuple(len(t) for t in self.teams)
+        if math.prod(self.shape) > cap:
+            raise CapacityError("joint count lattice has %d points, cap is %d"
+                                % (math.prod(self.shape), cap))
+        self.z = _joint_points([tl.z for tl in self.teams])
+
+    def __len__(self):
+        return math.prod(self.shape)
+
+    def indices(self):
+        return np.ndindex(self.shape)
+
+    def mean_field(self, idx) -> MeanField:
+        return MeanField(per_team=tuple(self.teams[k].z[idx[k]]
+                                        for k in range(len(self.teams))))
+
+    def counts_at(self, idx):
+        return tuple(self.teams[k].points[idx[k]] for k in range(len(self.teams)))
+
+    def z_id(self, idx) -> str:
+        return "/".join(format_counts(c) for c in self.counts_at(idx))
+
+
+def count_point(z_k, population: int, k: int) -> np.ndarray:
+    """Counts N * z_k of team k's occupancy z_k; raises SpecValidationError
+    when z_k is not a point of the count lattice of population N."""
+    z_k = np.asarray(z_k, dtype=float)
+    m = np.rint(z_k * population).astype(int)
+    if np.any(np.abs(z_k * population - m) > 1e-9):
+        raise SpecValidationError("mean field %s of team %d is not a count point "
+                                  "for population %d" % (z_k, k, population))
+    return m
 
 
 def _multinomial_pmf(n: int, probs: np.ndarray, comps: np.ndarray) -> np.ndarray:

@@ -10,60 +10,30 @@ every point, reachable or not (subgame perfection is a statement about
 all of them).
 
 ``best_response`` solves the single-team decision problem against a
-frozen policy, which makes ``verify_mpe`` an independent certificate:
-deviation gain = value under the policy minus the best-response value,
-pointwise over (stage, lattice point, team).
+frozen policy, which makes ``verify_mpe`` a certificate independent of
+stage-game solving: deviation gain = value under the policy minus the
+best-response value, pointwise over (stage, lattice point, team), both
+recomputed from prescriptions, stage costs and kernels alone.
 
 All recursions run on the engine in ``stage_game``, batched over the
 lattice: per-team kernel stacks are contracted against the next values,
 raw for the stage games, averaged under the policy's mixtures for
 ``policy_value`` (all teams), ``best_response`` (all but one) and the
 forward pass of ``evaluate_total_cost``. Only stage games are solved
-point by point.
+point by point. One ``KernelCache`` (``kernel_cache``) can hold the
+kernels of a run for the solver, the certificate and the forward pass.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError
-from .counts import (DEFAULT_SUPPORT_CAP, MeanField, TeamLattice,
-                     _multinomial_pmf, format_counts)
+from .counts import DEFAULT_SUPPORT_CAP, JointLattice, _multinomial_pmf
 from .model import GameSpec
 from .stage_game import (KernelCache, StageEquilibrium, _contract, _cost_table,
-                         _joint_points, _solve_points, _stage_tensors)
-
-
-class JointLattice:
-    """Cartesian product of the per-team count lattices."""
-
-    def __init__(self, spec: GameSpec, cap: int = DEFAULT_SUPPORT_CAP):
-        self.spec = spec
-        self.teams = [TeamLattice(tm.population, tm.n_states, cap=cap)
-                      for tm in spec.teams]
-        self.shape = tuple(len(t) for t in self.teams)
-        if math.prod(self.shape) > cap:
-            raise CapacityError("joint count lattice has %d points, cap is %d"
-                                % (math.prod(self.shape), cap))
-
-    def __len__(self):
-        return math.prod(self.shape)
-
-    def indices(self):
-        return np.ndindex(self.shape)
-
-    def mean_field(self, idx) -> MeanField:
-        return MeanField(per_team=tuple(self.teams[k].z[idx[k]]
-                                        for k in range(len(self.teams))))
-
-    def counts_at(self, idx):
-        return tuple(self.teams[k].points[idx[k]] for k in range(len(self.teams)))
-
-    def z_id(self, idx) -> str:
-        return "/".join(format_counts(c) for c in self.counts_at(idx))
+                         _solve_points, _stage_tensors)
 
 
 @dataclass
@@ -120,17 +90,16 @@ def solve_mpe(spec: GameSpec, sets, pure_only: bool = False,
     pure_only mode at the first (stage, point) whose game has no pure
     equilibrium.
     """
-    lattice = JointLattice(spec, cap=cap)
     cache = kernel_cache or KernelCache(spec, sets, cap=cap)
+    lattice = cache.lattice
     T, K = spec.horizon, spec.n_teams
     shape = tuple(len(ps) for ps in sets)
-    Z = _joint_points([tl.z for tl in lattice.teams])
-    Ws = cache._stacks(Z) if T > 1 else None
+    Ws = cache.stacks() if T > 1 else None
     values = np.zeros((T + 1, K) + lattice.shape)
     stages = [None] * T
     mixed_points = []
     for t in range(T - 1, -1, -1):
-        own = [_cost_table(spec, k, sets[k], Z, t) for k in range(K)]
+        own = [_cost_table(spec, k, sets[k], lattice.z, t) for k in range(K)]
         cont = None if t == T - 1 else _contract(Ws, values[t + 1])
         stages[t], values[t], mixed = _solve_points(
             _stage_tensors(own, cont, shape), sets, t, lattice.shape, lattice.z_id,
@@ -170,12 +139,11 @@ def best_response(spec: GameSpec, k: int, others: PolicyTable, sets,
     T = spec.horizon
     shape = lattice.shape
     game_shape = tuple(len(ps) for ps in sets)
-    Z = _joint_points([tl.z for tl in lattice.teams])
-    Ws = cache._stacks(Z) if T > 1 else None
+    Ws = cache.stacks() if T > 1 else None
     U = np.zeros((T + 1,) + shape)
     picks = [None] * T
     for t in range(T - 1, -1, -1):
-        e = _cost_table(spec, k, sets[k], Z, t)
+        e = _cost_table(spec, k, sets[k], lattice.z, t)
         if t < T - 1:
             w = _mixtures(others.stages[t].flat, game_shape)
             Wk = [W if j == k else _average(w[j], W)[:, None] for j, W in enumerate(Ws)]
@@ -193,13 +161,12 @@ def policy_value(spec: GameSpec, policy: PolicyTable,
     cache = kernel_cache or KernelCache(spec, policy.sets, cap=cap)
     T, K = spec.horizon, spec.n_teams
     game_shape = tuple(len(ps) for ps in policy.sets)
-    Z = _joint_points([tl.z for tl in lattice.teams])
-    Ws = cache._stacks(Z) if T > 1 else None
+    Ws = cache.stacks() if T > 1 else None
     V = np.zeros((T + 1, K) + lattice.shape)
     for t in range(T - 1, -1, -1):
         w = _mixtures(policy.stages[t].flat, game_shape)
-        v = np.stack([np.einsum("pi,pi->p", w[k], _cost_table(spec, k, policy.sets[k], Z, t))
-                      for k in range(K)])
+        v = np.stack([np.einsum("pi,pi->p", w[k], _cost_table(spec, k, ps, lattice.z, t))
+                      for k, ps in enumerate(policy.sets)])
         if t < T - 1:
             avg = [_average(w[j], W)[:, None] for j, W in enumerate(Ws)]
             v = v + _contract(avg, V[t + 1]).reshape(v.shape)
@@ -208,14 +175,18 @@ def policy_value(spec: GameSpec, policy: PolicyTable,
 
 
 def verify_mpe(spec: GameSpec, policy: PolicyTable, sets,
-               cap: int = DEFAULT_SUPPORT_CAP) -> EquilibriumCertificate:
-    """Independent equilibrium certificate.
+               cap: int = DEFAULT_SUPPORT_CAP,
+               kernel_cache: KernelCache = None) -> EquilibriumCertificate:
+    """Equilibrium certificate, independent of stage-game solving.
 
     gains[t, k, z] = (value of playing the policy) - (best-response value),
-    both recomputed from scratch. Gains are nonnegative up to a -1e-9
+    both recomputed by dynamic programming from the policy's prescriptions,
+    the stage costs and the count kernels; no stage game is solved. The
+    kernels may be the solver's (``kernel_cache``); acceptance criterion 2
+    and the engine oracle check them. Gains are nonnegative up to a -1e-9
     numerical floor; for an exact equilibrium the max is ~0.
     """
-    cache = KernelCache(spec, sets, cap=cap)
+    cache = kernel_cache or KernelCache(spec, sets, cap=cap)
     V = policy_value(spec, policy, cap=cap, kernel_cache=cache)
     T, K = spec.horizon, spec.n_teams
     gains = np.empty_like(V)
@@ -238,28 +209,28 @@ def initial_distribution(spec: GameSpec, lattice: JointLattice) -> np.ndarray:
 
 
 def evaluate_total_cost(spec: GameSpec, policy: PolicyTable,
-                        cap: int = DEFAULT_SUPPORT_CAP) -> np.ndarray:
+                        cap: int = DEFAULT_SUPPORT_CAP,
+                        kernel_cache: KernelCache = None) -> np.ndarray:
     """Exact expected cumulative cost per team under ``policy`` from the
     initial count law, by forward propagation of the full distribution
-    over the lattice (never sampled). Kernels are built only at points
-    the distribution reaches."""
+    over the lattice (never sampled). A fresh store builds kernels only
+    at points the distribution reaches."""
     lattice = policy.lattice
-    cache = KernelCache(spec, policy.sets, cap=cap)
+    cache = kernel_cache or KernelCache(spec, policy.sets, cap=cap)
     T, K = spec.horizon, spec.n_teams
     game_shape = tuple(len(ps) for ps in policy.sets)
-    Z = _joint_points([tl.z for tl in lattice.teams])
     dist = initial_distribution(spec, lattice).reshape(-1)
     totals = np.zeros(K)
     for t in range(T):
         live = np.flatnonzero(dist > 0.0)
-        Zl = [z[live] for z in Z]
+        Zl = [z[live] for z in lattice.z]
         w = _mixtures(policy.stages[t].reshape(-1)[live], game_shape)
         totals += [dist[live] @ np.einsum("pi,pi->p", w[k], _cost_table(spec, k, ps, Zl, t))
                    for k, ps in enumerate(policy.sets)]
         if t < T - 1:
             operands = [dist[live], [K]]
-            for k, W in enumerate(cache._stacks(Zl)):
-                operands += [_average(w[k], W), [K, k]]
+            for k, W in enumerate(cache.stacks(live)):
+                operands += [_average(w[k], W[live]), [K, k]]
             new = np.einsum(*operands, list(range(K)), optimize=True)
             if abs(new.sum() - 1.0) > 1e-10:
                 raise AssertionError("forward propagation lost mass: %.17g" % new.sum())

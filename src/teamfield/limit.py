@@ -26,11 +26,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, SpecValidationError
-from .counts import DEFAULT_SUPPORT_CAP, MeanField, enumerate_counts, lattice_size
+from .counts import (DEFAULT_SUPPORT_CAP, JointLattice, MeanField, _joint_points,
+                     enumerate_counts, lattice_size)
 from .metrics import transport_distance
 from .model import GameSpec, cost_matrix, flatten_mean_field
-from .stage_game import (StageEquilibrium, _cost_table, _joint_points, _on_axis,
-                         _solve_points, _stage_tensors)
+from .stage_game import (StageEquilibrium, _cost_table, _on_axis, _solve_points,
+                         _stage_tensors)
 
 
 class SimplexGrid:
@@ -293,7 +294,7 @@ def project_policy_to_lattice(spec: GameSpec, policy: LimitPolicyTable,
     lattice point take the limit equilibrium at the nearest grid point.
     With the default 2N grid every count point embeds exactly (zero
     projection error)."""
-    from .finite_mpe import JointLattice, PolicyTable
+    from .finite_mpe import PolicyTable
     lattice = JointLattice(spec, cap=cap)
     nearest = np.ix_(*(_nearest(tl.z, k, policy.grid)[0]
                        for k, tl in enumerate(lattice.teams)))

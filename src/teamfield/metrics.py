@@ -20,7 +20,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .errors import SpecValidationError
-from .counts import team_transition_kernel
+from .counts import count_point, team_transition_kernel
 from .model import GameSpec, with_populations
 from .rng import substream
 
@@ -119,13 +119,9 @@ def per_team_deviation(z, prescriptions, spec: GameSpec, cap=None) -> np.ndarray
     out = np.zeros(spec.n_teams)
     for k in range(spec.n_teams):
         tm = spec.teams[k]
-        N = tm.population
-        m = np.rint(np.asarray(per_team[k]) * N).astype(int)
-        if np.any(np.abs(np.asarray(per_team[k]) * N - m) > 1e-9):
-            raise SpecValidationError("mean field of team %d is not a count point "
-                                      "for population %d" % (k, N))
+        m = count_point(per_team[k], tm.population, k)
         dist = team_transition_kernel(m, z, prescriptions[k], spec, k)
-        support = np.array([cv.counts for cv in dist.support]) / N
+        support = np.array([cv.counts for cv in dist.support]) / tm.population
         out[k] = dist.probs @ transport_distance(support, q.per_team[k], tm.state_metric)
     return out
 
@@ -143,22 +139,15 @@ def expected_deviation(z, prescriptions, spec: GameSpec,
     from .counts import CountVector, JointCount, sample_next_counts
     from .limit import flow
     per_team = getattr(z, "per_team", z)
-    sizes = []
-    for k in range(spec.n_teams):
-        N = spec.teams[k].population
-        m = np.rint(np.asarray(per_team[k]) * N).astype(int)
-        dist = team_transition_kernel(m, z, prescriptions[k], spec, k)
-        sizes.append(len(dist))
+    ms = [count_point(per_team[k], tm.population, k) for k, tm in enumerate(spec.teams)]
+    sizes = [len(team_transition_kernel(m, z, prescriptions[k], spec, k))
+             for k, m in enumerate(ms)]
     if math.prod(sizes) <= support_cap:
         val = float(per_team_deviation(z, prescriptions, spec).sum())
         return (val, 0.0) if with_stderr else val
     # Monte Carlo fallback for large supports
     q = flow(z, prescriptions, spec)
-    M = JointCount(per_team=tuple(
-        CountVector(team_id=k,
-                    counts=tuple(int(round(x * spec.teams[k].population))
-                                 for x in per_team[k]))
-        for k in range(spec.n_teams)))
+    M = JointCount(per_team=tuple(CountVector(team_id=k, counts=m) for k, m in enumerate(ms)))
     rng = substream(spec.seed if master_seed is None else master_seed,
                     "expected-deviation")
     nxt = [sample_next_counts(M, prescriptions, spec, rng) for _ in range(samples)]

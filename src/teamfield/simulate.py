@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .counts import CountVector, JointCount, joint_transition_kernel
+from .counts import CountVector, JointCount, count_point, joint_transition_kernel
 from .errors import SpecValidationError
 from .model import GameSpec, cost_matrix, flatten_mean_field, transition_matrix
 from .rng import substream
@@ -214,17 +214,10 @@ def empirical_kernel_check(spec: GameSpec, z, prescriptions,
     a (samples, N_k) uniform block for actions then one for transitions.
     """
     per_team = getattr(z, "per_team", z)
-    counts_in = []
-    for k in range(spec.n_teams):
-        N = spec.teams[k].population
-        m = np.rint(np.asarray(per_team[k], dtype=float) * N).astype(int)
-        if np.any(np.abs(np.asarray(per_team[k]) * N - m) > 1e-9):
-            raise SpecValidationError("mean field of team %d is off the count "
-                                      "lattice for population %d" % (k, N))
-        counts_in.append(m)
-    M = JointCount(per_team=tuple(
-        CountVector(team_id=k, counts=tuple(int(x) for x in counts_in[k]))
-        for k in range(spec.n_teams)))
+    counts_in = [count_point(per_team[k], tm.population, k)
+                 for k, tm in enumerate(spec.teams)]
+    M = JointCount(per_team=tuple(CountVector(team_id=k, counts=m)
+                                  for k, m in enumerate(counts_in)))
     exact = joint_transition_kernel(M, prescriptions, spec)
     exact_map = {tuple(cv.counts for cv in jc.per_team): p
                  for jc, p in zip(exact.support, exact.probs)}

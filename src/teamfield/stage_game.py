@@ -22,14 +22,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, EquilibriumNotFoundError, SpecValidationError
-from .counts import (DEFAULT_SUPPORT_CAP, MeanField, Prescription, TeamLattice,
-                     enumerate_counts, stage_cost, team_transition_kernel)
+from .counts import (DEFAULT_SUPPORT_CAP, JointLattice, MeanField, Prescription,
+                     count_point, enumerate_counts, stage_cost, team_transition_kernel)
 from .model import GameSpec, flatten_mean_field
 
 PURE_TOL = 1e-12      # strict-improvement tolerance for pure deviations
 CERT_TOL = 1e-9       # certified-equilibrium acceptance threshold
 DEFAULT_PRESCRIPTION_CAP = 10 ** 5
 DEFAULT_SUPPORT_BOUND = 4
+MAX_STORE_BYTES = 1 << 30     # largest kernel store a run may allocate
 
 
 @dataclass(frozen=True)
@@ -149,11 +150,6 @@ class StageEquilibrium:
             out.append(w)
         return out
 
-    def support_sizes(self):
-        if self.kind == "pure":
-            return tuple(1 for _ in self.per_team)
-        return tuple(int(np.sum(v > 1e-12)) for v in self.per_team)
-
     def mean_rows(self, sets) -> list:
         """Mixture-averaged prescription rows per team."""
         out = []
@@ -166,59 +162,66 @@ class StageEquilibrium:
 
 
 class KernelCache:
-    """Per-team next-count kernels as dense vectors over the team lattice.
+    """The one store of per-team next-count kernels of a run.
 
-    Kernels are stationary in the stage index, so one cache serves the
-    whole backward induction; keys are (team, mean field, menu index).
+    Kernels do not depend on the stage, so one store serves the solver,
+    the certificate (which recomputes values and best replies from them
+    but solves no stage game) and the forward evaluation; criterion 2 and
+    the engine oracle check them. Team k's are a dense read-only stack
+    W_k[point, menu item, L_k] over the C-order points of ``lattice``,
+    allocated on first request after a size check; a point is filled by
+    ``team_transition_kernel`` when first requested.
     """
 
     def __init__(self, spec: GameSpec, sets, cap: int = DEFAULT_SUPPORT_CAP):
         self.spec = spec
         self.sets = sets
         self.cap = cap
-        self.lattices = [TeamLattice(tm.population, tm.n_states, cap=cap)
-                         for tm in spec.teams]
-        self._store = {}
+        self.lattice = JointLattice(spec, cap=cap)
+        self._W = None
+        self._filled = np.zeros(len(self.lattice), dtype=bool)
 
-    def vector(self, k: int, z: MeanField, presc_idx: int) -> np.ndarray:
-        key = (k, z.key(), presc_idx)
-        vec = self._store.get(key)
-        if vec is None:
-            lat = self.lattices[k]
-            m = np.rint(z.per_team[k] * lat.population).astype(int)
-            if np.any(np.abs(z.per_team[k] * lat.population - m) > 1e-9):
-                raise SpecValidationError(
-                    "mean field %s is not a count point for population %d"
-                    % (z.per_team[k], lat.population))
-            dist = team_transition_kernel(m, z, self.sets[k].items[presc_idx],
-                                          self.spec, k, cap=self.cap)
-            vec = np.zeros(len(lat))
-            for cv, p in zip(dist.support, dist.probs):
-                vec[lat.index[cv.counts]] = p
-            vec.setflags(write=False)
-            self._store[key] = vec
-        return vec
+    def stacks(self, points=None) -> list:
+        """Per-team read-only stacks W_k over every joint point, with the
+        kernels at the flat joint indices ``points`` (default: all)
+        filled; rows of points not yet requested are zero."""
+        if self._W is None:
+            lat = self.lattice
+            size = 8 * len(lat) * sum(len(ps) * len(tl) for ps, tl in zip(self.sets, lat.teams))
+            if size > MAX_STORE_BYTES:
+                raise CapacityError("kernel store needs %d bytes, cap is %d"
+                                    % (size, MAX_STORE_BYTES))
+            self._W = [np.zeros((len(lat), len(ps), len(tl)))
+                       for ps, tl in zip(self.sets, lat.teams)]
+        todo = np.arange(len(self._filled)) if points is None else np.asarray(points)
+        for p in todo[~self._filled[todo]]:
+            self._fill(p)
+        out = [W.view() for W in self._W]
+        for W in out:
+            W.setflags(write=False)
+        return out
+
+    def _fill(self, p: int):
+        idx = np.unravel_index(p, self.lattice.shape)
+        z = tuple(zk[p] for zk in self.lattice.z)
+        for k, (ps, tl, W) in enumerate(zip(self.sets, self.lattice.teams, self._W)):
+            for i, gamma in enumerate(ps.items):
+                dist = team_transition_kernel(tl.counts[idx[k]], z, gamma, self.spec, k,
+                                              cap=self.cap)
+                W[p, i, [tl.index[cv.counts] for cv in dist.support]] = dist.probs
+        self._filled[p] = True
 
     def matrix(self, k: int, z: MeanField) -> np.ndarray:
-        """(menu size, lattice size) stack of kernel vectors at z."""
-        return np.stack([self.vector(k, z, i) for i in range(len(self.sets[k]))])
+        """(menu size, lattice size) stack of team k's kernels at z."""
+        lat = self.lattice
+        flatten_mean_field(self.spec, z)
+        idx = [tl.index[tuple(count_point(v, tl.population, j))]
+               for j, (v, tl) in enumerate(zip(getattr(z, "per_team", z), lat.teams))]
+        p = int(np.ravel_multi_index(idx, lat.shape))
+        return self.stacks([p])[k][p]
 
-    def _stacks(self, Z) -> list:
-        """Per-team (points, menu size, lattice size) kernel stacks at the
-        joint points Z (one (P, S_k) occupancy array per team). The store
-        then keeps read-only views into the stacks, so no kernel is held
-        both as a stack row and as a separate vector."""
-        zs = [MeanField(per_team=tuple(z[p] for z in Z)) for p in range(len(Z[0]))]
-        out = []
-        for k, ps in enumerate(self.sets):
-            W = np.empty((len(zs), len(ps), len(self.lattices[k])))
-            for p, z in enumerate(zs):
-                W[p] = self.matrix(k, z)
-                for i, row in enumerate(W[p]):
-                    row.setflags(write=False)
-                    self._store[(k, z.key(), i)] = row
-            out.append(W)
-        return out
+    def vector(self, k: int, z: MeanField, presc_idx: int) -> np.ndarray:
+        return self.matrix(k, z)[presc_idx]
 
 
 @dataclass(frozen=True)
@@ -285,14 +288,6 @@ def build_stage_game(z: MeanField, t: int, continuation, sets, spec: GameSpec,
 # the backward-induction engine, batched over P joint points; the finite and
 # limit solvers differ only in the next-state operator (kernel stacks
 # W_k[P, n_k, L_k] against a gather at projected flow images)
-
-def _joint_points(per_team_points) -> list:
-    """Per-team occupancy at every point of the joint product in C order
-    (the order of np.ndindex): one (P, S_k) array per team."""
-    shape = tuple(len(x) for x in per_team_points)
-    idx = np.indices(shape).reshape(len(shape), -1)
-    return [x[i] for x, i in zip(per_team_points, idx)]
-
 
 def _cost_table(spec: GameSpec, k: int, ps: PrescriptionSet, Z, t: int) -> np.ndarray:
     """(P, menu size) own stage cost of team k at the joint points Z: the

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -63,6 +64,53 @@ def test_capacity_overflow_exits_3(tmp_path):
     assert code == 3
     err = _read(tmp_path / "solve-finite" / "error.json")
     assert err["error"] == "CapacityError"
+
+
+def _uniform_two_team(states, actions, population, horizon=2):
+    """Two teams moving uniformly at random at zero cost."""
+    S, A = states, actions
+    team = {"states": ["s%d" % i for i in range(S)],
+            "actions": ["a%d" % i for i in range(A)],
+            "population": population, "initial_law": [1.0 / S] * S,
+            "transition": {"base": [[[1.0 / S] * S] * A] * S},
+            "cost": {"base": [[[0.0] * A] * S] * horizon}}
+    return {"horizon": horizon, "seed": 0, "teams": [team, dict(team)]}
+
+
+def test_oversized_kernel_store_exits_3_before_solving(tmp_path):
+    """S=3, A=3, N=20 passes every lattice cap, but its kernel store needs
+    231^2 points x 2 teams x 27 prescriptions x 231 counts x 8 bytes."""
+    spec = write_json(tmp_path / "big.json", _uniform_two_team(3, 3, 20))
+    t0 = time.monotonic()
+    code = main(["solve-finite", "--spec", str(spec), "--out", str(tmp_path)])
+    elapsed = time.monotonic() - t0
+    assert code == 3
+    err = _read(tmp_path / "solve-finite" / "error.json")
+    assert err["error"] == "CapacityError"
+    assert "%d bytes" % (8 * 231 ** 2 * 2 * 27 * 231) in err["message"]
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("argv", [["solve-finite"], ["compare", "--episodes", "30"]])
+def test_exact_run_builds_each_kernel_once(tmp_path, monkeypatch, argv):
+    """solve-finite (solve, verify, evaluate) and compare (solve, evaluate)
+    share one kernel store: one kernel per joint point and menu item."""
+    from teamfield import counts, stage_game
+    calls = []
+    real = counts.team_transition_kernel
+
+    def counted(*args, **kwargs):
+        calls.append(args[4])
+        return real(*args, **kwargs)
+
+    for mod in (counts, stage_game):
+        monkeypatch.setattr(mod, "team_transition_kernel", counted)
+    spec = teamfield.load_spec_file(REFERENCE)
+    sets = [teamfield.build_prescription_set(spec, k) for k in range(spec.n_teams)]
+    assert main(argv[:1] + ["--spec", str(REFERENCE), "--out", str(tmp_path)] + argv[1:]) == 0
+    points = len(teamfield.JointLattice(spec))
+    assert len(calls) == points * sum(len(ps) for ps in sets)
+    assert [calls.count(k) for k in range(spec.n_teams)] == [points * len(ps) for ps in sets]
 
 
 def test_pure_only_exits_4(tmp_path):

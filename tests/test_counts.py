@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import teamfield as tf
 from teamfield.counts import (CountDistribution, CountVector, JointCount,
-                              MeanField, Prescription, TeamLattice,
+                              MeanField, Prescription, TeamLattice, count_point,
                               enumerate_counts, lattice_size,
                               marginalize_counts, team_transition_kernel)
 from teamfield.errors import CapacityError, SpecValidationError
@@ -145,6 +145,13 @@ def test_stage_cost_literal(single_team_spec):
     mover = Prescription(team_id=0, rows=np.array([[0.0, 1.0], [0.0, 1.0]]))
     assert tf.stage_cost(z, mover, single_team_spec, 0, 0) == \
         pytest.approx(0.5 + 0.05)
+
+
+def test_count_point_rounds_lattice_points_and_rejects_the_rest():
+    assert count_point([0.25, 0.75], 4, 0).tolist() == [1, 3]
+    assert count_point([1.0 / 3, 2.0 / 3], 3, 0).tolist() == [1, 2]
+    with pytest.raises(SpecValidationError, match="team 1 is not a count point"):
+        count_point([0.3, 0.7], 4, 1)
 
 
 def test_team_lattice_lookup():

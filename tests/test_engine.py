@@ -8,13 +8,15 @@ teams with their own state, action and population sizes.
 """
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import teamfield as tf
 from teamfield.counts import lattice_size
-from teamfield.finite_mpe import initial_distribution, policy_value
-from teamfield.stage_game import build_stage_game, equilibrium_values, solve_stage
+from teamfield.finite_mpe import best_response, initial_distribution, policy_value
+from teamfield.stage_game import (KernelCache, build_stage_game, equilibrium_values,
+                                  solve_stage)
 
 from conftest import cyclic_pursuit_three_team
 
@@ -30,8 +32,10 @@ def _oracle_work(S, A, N):
 
 def check_engine_against_oracle(spec):
     sets = tuple(tf.build_prescription_set(spec, k) for k in range(spec.n_teams))
-    policy, values = tf.solve_mpe(spec, sets)
+    store = KernelCache(spec, sets)
+    policy, values = tf.solve_mpe(spec, sets, kernel_cache=store)
     lattice = policy.lattice
+    assert lattice is store.lattice
     V = values.values
     T, K = spec.horizon, spec.n_teams
     for t in range(T):
@@ -54,7 +58,30 @@ def check_engine_against_oracle(spec):
     np.testing.assert_allclose(tf.evaluate_total_cost(spec, policy),
                                [np.sum(init * V[0, k]) for k in range(K)],
                                rtol=0, atol=1e-12)
+    check_shared_store(spec, sets, policy, store)
     return policy
+
+
+def check_shared_store(spec, sets, policy, store):
+    """The solver's store, reused by the certificate and the forward pass,
+    gives exactly the results of fresh stores, and its stacks are
+    read-only."""
+    assert np.array_equal(tf.verify_mpe(spec, policy, sets, kernel_cache=store).gains,
+                          tf.verify_mpe(spec, policy, sets).gains)
+    assert np.array_equal(tf.evaluate_total_cost(spec, policy, kernel_cache=store),
+                          tf.evaluate_total_cost(spec, policy))
+    assert np.array_equal(policy_value(spec, policy, kernel_cache=store),
+                          policy_value(spec, policy))
+    for k in range(spec.n_teams):
+        picks, U = best_response(spec, k, policy, sets, kernel_cache=store)
+        fresh_picks, fresh_U = best_response(spec, k, policy, sets)
+        assert np.array_equal(U, fresh_U)
+        assert all(np.array_equal(a, b) for a, b in zip(picks, fresh_picks))
+    W = store.stacks()[0]
+    with pytest.raises(ValueError):
+        W[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        store.matrix(0, store.lattice.mean_field((0,) * spec.n_teams))[0, 0] = 1.0
 
 
 def test_engine_matches_oracle_on_three_team_cyclic_pursuit():

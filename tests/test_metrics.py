@@ -154,6 +154,19 @@ def test_expected_deviation_monte_carlo_agrees():
     assert mc2 == mc
 
 
+def test_expected_deviation_rejects_off_lattice_point_in_both_branches(reference_spec,
+                                                                     reference_sets):
+    """0.3 is no count point at N=4: the Monte Carlo branch (support_cap=0)
+    must refuse it as the exact branch does, not round it onto the lattice."""
+    from teamfield.model import with_populations
+    spec = with_populations(reference_spec, 4)
+    gammas = [ps.items[0] for ps in reference_sets]
+    z = MeanField(per_team=(np.array([0.3, 0.7]), np.array([0.5, 0.5])))
+    for cap in (10 ** 5, 0):
+        with pytest.raises(SpecValidationError, match="not a count point"):
+            expected_deviation(z, gammas, spec, support_cap=cap, samples=100)
+
+
 def test_fit_rate_on_coin_flips(iid_probe_spec):
     z, gammas = _iid_probe_inputs(iid_probe_spec)
     fit = fit_rate(iid_probe_spec, z, gammas, [2, 4, 8, 16, 32, 64])
