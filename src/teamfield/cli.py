@@ -253,8 +253,8 @@ def _run_bound(args, out, h):
         sets = _build_sets(spn, args)
         lpolicy, lvalues, _ = solve_mpe_inf(spn, sets, grid=_grid(spn, args),
                                             pure_only=args.pure_only)
-        fpolicy = project_policy_to_lattice(spn, lpolicy)
         cache = KernelCache(spn, sets)
+        fpolicy = project_policy_to_lattice(spn, lpolicy, lattice=cache.lattice)
         V = policy_value(spn, fpolicy, kernel_cache=cache)
         init = initial_distribution(spn, fpolicy.lattice)
         gains = []

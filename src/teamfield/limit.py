@@ -289,13 +289,17 @@ def rollout_inf(spec: GameSpec, policy: LimitPolicyTable) -> LimitTrajectory:
 
 
 def project_policy_to_lattice(spec: GameSpec, policy: LimitPolicyTable,
-                              cap: int = DEFAULT_SUPPORT_CAP):
+                              cap: int = DEFAULT_SUPPORT_CAP,
+                              lattice: JointLattice = None):
     """Replay a limit policy inside the finite game: for every joint count
     lattice point take the limit equilibrium at the nearest grid point.
     With the default 2N grid every count point embeds exactly (zero
-    projection error)."""
+    projection error). ``lattice`` is the joint count lattice of ``spec``
+    to replay on, such as a run's ``KernelCache.lattice``; by default a
+    new one is built."""
     from .finite_mpe import PolicyTable
-    lattice = JointLattice(spec, cap=cap)
+    if lattice is None:
+        lattice = JointLattice(spec, cap=cap)
     nearest = np.ix_(*(_nearest(tl.z, k, policy.grid)[0]
                        for k, tl in enumerate(lattice.teams)))
     stages = [st[nearest] for st in policy.stages]

@@ -6,6 +6,15 @@ and transition independently) under a policy lifted from a solved count
 table. Agreement between simulated average costs and the dynamic-program
 values, and between empirical next-count frequencies and the exact count
 kernel, is what certifies the count reformulation end to end.
+
+``simulate_episode`` defines the per-agent process and its draw order.
+``estimate_cost`` runs a lifted table policy in blocks of
+``BLOCK_EPISODES`` episodes with numpy: every episode draws the same
+uniforms in the same order from its own substream, and every table
+entry is the same per-point ``cost_matrix`` / ``transition_matrix`` value
+the per-episode process computes, so the per-episode costs are bitwise
+those of ``simulate_episode``, for any block boundaries and any worker
+count. Hand-written policies run one episode at a time.
 """
 
 from __future__ import annotations
@@ -21,11 +30,18 @@ from .errors import SpecValidationError
 from .model import GameSpec, cost_matrix, flatten_mean_field, transition_matrix
 from .rng import substream
 
+BLOCK_EPISODES = 256      # episodes per batched block; bounds a block's arrays
 
-def _draw_categorical(cdf_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """index i with cdf[i-1] < u <= cdf[i], vectorized over leading axes.
-    cdf_rows is normalized by its last column to absorb rounding."""
-    cdf = cdf_rows / cdf_rows[..., -1:]
+
+def _cdf(weights: np.ndarray) -> np.ndarray:
+    """Cumulative sums along the last axis, divided by their last entry to
+    absorb rounding."""
+    c = np.cumsum(weights, axis=-1)
+    return c / c[..., -1:]
+
+
+def _pick(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """index i with cdf[i-1] < u <= cdf[i], vectorized over leading axes."""
     idx = (u[..., None] > cdf).sum(axis=-1)
     return np.minimum(idx, cdf.shape[-1] - 1)
 
@@ -54,7 +70,7 @@ class LiftedPolicy:
                 choice = eq.per_team[k]
             else:
                 w = np.asarray(eq.per_team[k], dtype=float)
-                choice = int(_draw_categorical(np.cumsum(w), np.asarray(rng.random())))
+                choice = int(_pick(_cdf(w), np.asarray(rng.random())))
             rows.append(ps.items[choice].rows)
         return rows
 
@@ -97,8 +113,7 @@ def simulate_episode(spec: GameSpec, policy, rng):
     states = []
     for k in range(K):
         tm = spec.teams[k]
-        cdf = np.cumsum(tm.initial_law)
-        states.append(_draw_categorical(cdf, rng.random(tm.population)))
+        states.append(_pick(_cdf(tm.initial_law), rng.random(tm.population)))
     traj = [_counts_of(spec, states)]
     costs = np.zeros(K)
     for t in range(spec.horizon):
@@ -112,13 +127,11 @@ def simulate_episode(spec: GameSpec, policy, rng):
             if rows.shape != (tm.n_states, tm.n_actions):
                 raise SpecValidationError("policy rows for team %d have shape %s"
                                           % (k, rows.shape))
-            acdf = np.cumsum(rows, axis=1)
-            a = _draw_categorical(acdf[states[k]], rng.random(tm.population))
+            a = _pick(_cdf(rows)[states[k]], rng.random(tm.population))
             C = cost_matrix(spec, k, t, zf)
             costs[k] += C[states[k], a].sum() / tm.population
-            P = np.maximum(transition_matrix(spec, k, zf), 0.0)
-            pcdf = np.cumsum(P, axis=2)[states[k], a]
-            nxt.append(_draw_categorical(pcdf, rng.random(tm.population)))
+            pcdf = _cdf(transition_matrix(spec, k, zf))[states[k], a]
+            nxt.append(_pick(pcdf, rng.random(tm.population)))
         states = nxt
         traj.append(_counts_of(spec, states))
     return traj, costs
@@ -149,8 +162,129 @@ class SimResult:
                 for k in range(self.per_episode.shape[1])]
 
 
+@dataclass
+class _EpisodeTables:
+    """What an episode of a lifted table policy looks up, built once per
+    run at every joint lattice point p (C order of the policy's lattice).
+    Cumulative rows come from ``_cdf``; per team k:
+
+      initial_cdf (S_k,), state_code (S_k,) and team_index (codes,) map a
+      team's agent states to its lattice index (mixed radix N_k + 1 over
+      all but the last state), action_cdf (items, S_k, A_k),
+      cost (T, P, S_k, A_k), transition_cdf (P, S_k, A_k, S_k),
+      pure_item (T, P) and mixture_cdf (T, P, items)."""
+    populations: tuple
+    horizon: int
+    lattice_shape: tuple
+    initial_cdf: list
+    state_code: list
+    team_index: list
+    action_cdf: list
+    cost: list
+    transition_cdf: list
+    mixed: np.ndarray             # (T, P): the stage profile at p is mixed
+    pure_item: list
+    mixture_cdf: list
+
+    @property
+    def draws(self) -> int:
+        """Uniforms an episode consumes at most, in the order of
+        ``simulate_episode``."""
+        n = sum(self.populations)
+        return n + self.horizon * (len(self.populations) + 2 * n)
+
+
+def _episode_tables(spec: GameSpec, policy: LiftedPolicy) -> _EpisodeTables:
+    table = policy.table
+    lattice = table.lattice
+    K, T, P = spec.n_teams, spec.horizon, len(lattice)
+    for k, ps in enumerate(table.sets):
+        tm = spec.teams[k]
+        for item in ps.items:
+            if item.rows.shape != (tm.n_states, tm.n_actions):
+                raise SpecValidationError("policy rows for team %d have shape %s"
+                                          % (k, item.rows.shape))
+    cost = [np.empty((T, P, tm.n_states, tm.n_actions)) for tm in spec.teams]
+    trans = [np.empty((P, tm.n_states, tm.n_actions, tm.n_states)) for tm in spec.teams]
+    for p in range(P):
+        zf = np.concatenate([z[p] for z in lattice.z])
+        for k in range(K):
+            trans[k][p] = transition_matrix(spec, k, zf)
+            for t in range(T):
+                cost[k][t, p] = cost_matrix(spec, k, t, zf)
+    mixed = np.zeros((T, P), dtype=bool)
+    pure_item = [np.zeros((T, P), dtype=np.intp) for _ in range(K)]
+    mixture_cdf = [np.ones((T, P, len(ps))) for ps in table.sets]
+    for t in range(T):
+        for p, eq in enumerate(table.stages[t].flat):
+            if eq.kind == "pure":
+                for k in range(K):
+                    pure_item[k][t, p] = eq.per_team[k]
+            else:
+                mixed[t, p] = True
+                for k in range(K):
+                    mixture_cdf[k][t, p] = _cdf(eq.per_team[k])
+    state_code, team_index = [], []
+    for tm, tl in zip(spec.teams, lattice.teams):
+        radix = (tm.population + 1) ** np.arange(tm.n_states)
+        radix[-1] = 0
+        index = np.zeros((tm.population + 1) ** (tm.n_states - 1), dtype=np.intp)
+        index[tl.counts @ radix] = np.arange(len(tl))
+        state_code.append(radix)
+        team_index.append(index)
+    return _EpisodeTables(
+        populations=tuple(tm.population for tm in spec.teams), horizon=T,
+        lattice_shape=lattice.shape,
+        initial_cdf=[_cdf(tm.initial_law) for tm in spec.teams],
+        state_code=state_code, team_index=team_index,
+        action_cdf=[_cdf(ps.rows_stack()) for ps in table.sets],
+        cost=cost, transition_cdf=[_cdf(x) for x in trans],
+        mixed=mixed, pure_item=pure_item, mixture_cdf=mixture_cdf)
+
+
+def _run_block(tab: _EpisodeTables, seed, episode_ids) -> np.ndarray:
+    """Per-team cumulative costs of the episodes ``episode_ids`` under a
+    lifted table policy: the per-agent process of ``simulate_episode``,
+    one row per episode. Episode e reads its uniforms in sequence from
+    one ``random(draws)`` call on its substream, which begins with
+    exactly the values the per-episode process draws one call at a time;
+    ``off`` is each episode's read position, since only mixed points
+    consume prescription draws."""
+    B, K = len(episode_ids), len(tab.populations)
+    U = np.empty((B, tab.draws))
+    for i, e in enumerate(episode_ids):
+        substream(seed, "episode", e).random(out=U[i])
+    ep = np.arange(B)[:, None]
+    states, pos = [], 0
+    for k, N in enumerate(tab.populations):
+        states.append(_pick(tab.initial_cdf[k], U[:, pos:pos + N]))
+        pos += N
+    off = np.full(B, pos)
+    costs = np.zeros((B, K))
+    for t in range(tab.horizon):
+        p = np.ravel_multi_index(
+            [tab.team_index[k][tab.state_code[k][x].sum(axis=1)]
+             for k, x in enumerate(states)], tab.lattice_shape)
+        choice = [tab.pure_item[k][t, p] for k in range(K)]
+        m = np.flatnonzero(tab.mixed[t, p])
+        for k in range(K):
+            choice[k][m] = _pick(tab.mixture_cdf[k][t, p[m]], U[m, off[m] + k])
+        off[m] += K
+        for k, N in enumerate(tab.populations):
+            s, cols = states[k], off[:, None] + np.arange(N)
+            a = _pick(tab.action_cdf[k][choice[k][:, None], s], U[ep, cols])
+            costs[:, k] += tab.cost[k][t, p[:, None], s, a].sum(axis=1) / N
+            states[k] = _pick(tab.transition_cdf[k][p[:, None], s, a], U[ep, cols + N])
+            off += 2 * N
+    return costs
+
+
 def _run_chunk(args):
     spec, policy, seed, episode_ids = args
+    if isinstance(policy, _EpisodeTables):
+        return np.concatenate([
+            _run_block(policy, seed, episode_ids[i:i + BLOCK_EPISODES])
+            for i in range(0, len(episode_ids), BLOCK_EPISODES)], axis=0)
     out = np.empty((len(episode_ids), spec.n_teams))
     for i, e in enumerate(episode_ids):
         rng = substream(seed, "episode", e)
@@ -164,20 +298,23 @@ def estimate_cost(spec: GameSpec, policy, episodes: int, master_seed=None,
     """Mean and standard error of the per-team cumulative cost over
     independent episodes. Episode e always runs on the substream
     (seed, "episode", e), so the result is identical for any worker
-    count; parallel chunks are reduced in episode order."""
+    count; parallel chunks are reduced in episode order. A LiftedPolicy
+    runs in batched blocks (see ``_run_block``), any other policy one
+    ``simulate_episode`` at a time."""
     if episodes < 1:
         raise SpecValidationError("need at least one episode")
     seed = spec.seed if master_seed is None else master_seed
+    runner = _episode_tables(spec, policy) if isinstance(policy, LiftedPolicy) else policy
     ids = list(range(episodes))
     if workers > 1 and episodes > 1:
         chunks = [c.tolist() for c in np.array_split(ids, min(workers * 4, episodes))
                   if len(c)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_run_chunk,
-                                  [(spec, policy, seed, c) for c in chunks]))
+                                  [(spec, runner, seed, c) for c in chunks]))
         per = np.concatenate(parts, axis=0)
     else:
-        per = _run_chunk((spec, policy, seed, ids))
+        per = _run_chunk((spec, runner, seed, ids))
     mean = per.mean(axis=0)
     if episodes > 1:
         stderr = per.std(axis=0, ddof=1) / math.sqrt(episodes)
@@ -202,6 +339,28 @@ class KernelCheckReport:
             "samples": int(self.samples),
             "support_size": int(self.support_size),
         }
+
+
+def _frequencies(keys_per_team) -> dict:
+    """{per-team count tuples: number of samples} from one (samples, S_k)
+    count array per team, keyed in order of first occurrence (the order
+    the support set of ``empirical_kernel_check`` is built in). Rows are
+    counted by an integer code when the codes fit in int64, else as
+    rows."""
+    rows = np.concatenate(keys_per_team, axis=1)
+    base = int(rows.max()) + 1
+    if base ** rows.shape[1] <= np.iinfo(np.int64).max:
+        coded = rows @ (base ** np.arange(rows.shape[1], dtype=np.int64))
+        _, first, count = np.unique(coded, return_index=True, return_counts=True)
+    else:
+        _, first, count = np.unique(rows, axis=0, return_index=True, return_counts=True)
+    ends = np.cumsum([x.shape[1] for x in keys_per_team]).tolist()
+    spans = list(zip([0] + ends[:-1], ends))
+    freq = {}
+    for i in np.argsort(first):
+        row = rows[first[i]].tolist()
+        freq[tuple(tuple(row[a:b]) for a, b in spans)] = int(count[i])
+    return freq
 
 
 def empirical_kernel_check(spec: GameSpec, z, prescriptions,
@@ -229,19 +388,13 @@ def empirical_kernel_check(spec: GameSpec, z, prescriptions,
     for k in range(spec.n_teams):
         tm = spec.teams[k]
         agent_states = np.repeat(np.arange(tm.n_states), counts_in[k])
-        acdf = np.cumsum(prescriptions[k].rows, axis=1)
-        a = _draw_categorical(acdf[agent_states][None, :, :],
-                              rng.random((samples, tm.population)))
-        P = np.maximum(transition_matrix(spec, k, zf), 0.0)
-        pcdf = np.cumsum(P, axis=2)[agent_states[None, :], a]
-        sp = _draw_categorical(pcdf, rng.random((samples, tm.population)))
+        a = _pick(_cdf(prescriptions[k].rows)[agent_states][None, :, :],
+                  rng.random((samples, tm.population)))
+        pcdf = _cdf(transition_matrix(spec, k, zf))[agent_states[None, :], a]
+        sp = _pick(pcdf, rng.random((samples, tm.population)))
         onehot = sp[:, :, None] == np.arange(tm.n_states)[None, None, :]
         keys_per_team.append(onehot.sum(axis=1))         # (samples, S_k)
-    freq = {}
-    for i in range(samples):
-        key = tuple(tuple(int(x) for x in keys_per_team[k][i])
-                    for k in range(spec.n_teams))
-        freq[key] = freq.get(key, 0) + 1
+    freq = _frequencies(keys_per_team)
 
     support = set(exact_map) | set(freq)
     tv, radius = 0.0, 0.0
