@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .counts import CountVector, JointCount, count_point, joint_transition_kernel
+from .counts import (CountVector, JointCount, count_point, joint_transition_kernel,
+                     lattice_size)
 from .errors import SpecValidationError
 from .model import GameSpec, cost_matrix, flatten_mean_field, transition_matrix
 from .rng import substream
@@ -168,17 +169,15 @@ class _EpisodeTables:
     run at every joint lattice point p (C order of the policy's lattice).
     Cumulative rows come from ``_cdf``; per team k:
 
-      initial_cdf (S_k,), state_code (S_k,) and team_index (codes,) map a
-      team's agent states to its lattice index (mixed radix N_k + 1 over
-      all but the last state), action_cdf (items, S_k, A_k),
+      initial_cdf (S_k,), rank_terms (see ``_rank_terms``),
+      action_cdf (items, S_k, A_k),
       cost (T, P, S_k, A_k), transition_cdf (P, S_k, A_k, S_k),
       pure_item (T, P) and mixture_cdf (T, P, items)."""
     populations: tuple
     horizon: int
     lattice_shape: tuple
     initial_cdf: list
-    state_code: list
-    team_index: list
+    rank_terms: list
     action_cdf: list
     cost: list
     transition_cdf: list
@@ -194,12 +193,42 @@ class _EpisodeTables:
         return n + self.horizon * (len(self.populations) + 2 * n)
 
 
+def _rank_terms(N: int, S: int) -> np.ndarray:
+    """terms[i, j] = lattice_size(j - 1, S - i) (0 at j = 0), for i < S - 1.
+
+    ``enumerate_counts`` lists the points with a larger coordinate i
+    first, so of the points sharing a point's first i coordinates, the
+    ones ahead of it are those whose coordinate i exceeds its c_i; there
+    are lattice_size(N - c_0 - ... - c_i - 1, S - i) of them. A point's
+    lattice index is the sum of these terms over i < S - 1 and is below
+    the lattice size, so the table has (S - 1) x (N + 1) entries and no
+    index can overflow."""
+    terms = np.zeros((S - 1, N + 1), dtype=np.intp)
+    for i in range(S - 1):
+        terms[i, 1:] = [lattice_size(n, S - i) for n in range(N)]
+    return terms
+
+
+def _team_index(terms: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Lattice index of each row of agent states (B, N) of one team."""
+    B, N = states.shape
+    S = terms.shape[0] + 1
+    counts = np.bincount((states + S * np.arange(B)[:, None]).ravel(),
+                         minlength=B * S).reshape(B, S)
+    left = N - np.cumsum(counts[:, :-1], axis=1)      # N - c_0 - ... - c_i
+    return terms[np.arange(S - 1), left].sum(axis=1)
+
+
 def _episode_tables(spec: GameSpec, policy: LiftedPolicy) -> _EpisodeTables:
     table = policy.table
     lattice = table.lattice
     K, T, P = spec.n_teams, spec.horizon, len(lattice)
     for k, ps in enumerate(table.sets):
         tm = spec.teams[k]
+        if lattice.teams[k].population != tm.population:
+            raise SpecValidationError("policy for team %d was solved at population %d, "
+                                      "the game has %d" % (k, lattice.teams[k].population,
+                                                           tm.population))
         for item in ps.items:
             if item.rows.shape != (tm.n_states, tm.n_actions):
                 raise SpecValidationError("policy rows for team %d have shape %s"
@@ -224,19 +253,11 @@ def _episode_tables(spec: GameSpec, policy: LiftedPolicy) -> _EpisodeTables:
                 mixed[t, p] = True
                 for k in range(K):
                     mixture_cdf[k][t, p] = _cdf(eq.per_team[k])
-    state_code, team_index = [], []
-    for tm, tl in zip(spec.teams, lattice.teams):
-        radix = (tm.population + 1) ** np.arange(tm.n_states)
-        radix[-1] = 0
-        index = np.zeros((tm.population + 1) ** (tm.n_states - 1), dtype=np.intp)
-        index[tl.counts @ radix] = np.arange(len(tl))
-        state_code.append(radix)
-        team_index.append(index)
     return _EpisodeTables(
         populations=tuple(tm.population for tm in spec.teams), horizon=T,
         lattice_shape=lattice.shape,
         initial_cdf=[_cdf(tm.initial_law) for tm in spec.teams],
-        state_code=state_code, team_index=team_index,
+        rank_terms=[_rank_terms(tm.population, tm.n_states) for tm in spec.teams],
         action_cdf=[_cdf(ps.rows_stack()) for ps in table.sets],
         cost=cost, transition_cdf=[_cdf(x) for x in trans],
         mixed=mixed, pure_item=pure_item, mixture_cdf=mixture_cdf)
@@ -263,8 +284,8 @@ def _run_block(tab: _EpisodeTables, seed, episode_ids) -> np.ndarray:
     costs = np.zeros((B, K))
     for t in range(tab.horizon):
         p = np.ravel_multi_index(
-            [tab.team_index[k][tab.state_code[k][x].sum(axis=1)]
-             for k, x in enumerate(states)], tab.lattice_shape)
+            [_team_index(tab.rank_terms[k], x) for k, x in enumerate(states)],
+            tab.lattice_shape)
         choice = [tab.pure_item[k][t, p] for k in range(K)]
         m = np.flatnonzero(tab.mixed[t, p])
         for k in range(K):
@@ -344,16 +365,9 @@ class KernelCheckReport:
 def _frequencies(keys_per_team) -> dict:
     """{per-team count tuples: number of samples} from one (samples, S_k)
     count array per team, keyed in order of first occurrence (the order
-    the support set of ``empirical_kernel_check`` is built in). Rows are
-    counted by an integer code when the codes fit in int64, else as
-    rows."""
+    the support set of ``empirical_kernel_check`` is built in)."""
     rows = np.concatenate(keys_per_team, axis=1)
-    base = int(rows.max()) + 1
-    if base ** rows.shape[1] <= np.iinfo(np.int64).max:
-        coded = rows @ (base ** np.arange(rows.shape[1], dtype=np.int64))
-        _, first, count = np.unique(coded, return_index=True, return_counts=True)
-    else:
-        _, first, count = np.unique(rows, axis=0, return_index=True, return_counts=True)
+    _, first, count = np.unique(rows, axis=0, return_index=True, return_counts=True)
     ends = np.cumsum([x.shape[1] for x in keys_per_team]).tolist()
     spans = list(zip([0] + ends[:-1], ends))
     freq = {}

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import teamfield as tf
 from teamfield import simulate
-from teamfield.counts import MeanField, lattice_size
+from teamfield.counts import MeanField, TeamLattice, lattice_size
 from teamfield.rng import substream
 from teamfield.simulate import (empirical_kernel_check, estimate_cost, lift_policy,
                                 simulate_episode)
@@ -170,3 +170,60 @@ def test_policy_rows_of_the_wrong_shape_are_rejected():
         simulate_episode(one_action, lifted, substream(0, "episode", 0))
     with pytest.raises(tf.SpecValidationError):
         estimate_cost(one_action, lifted, 3)
+
+
+def _walker_beside_chooser(walker_states, walker_population):
+    """A two-state, two-action team beside a one-action team that walks a
+    ring of ``walker_states`` states, stepping faster where the first team
+    crowds state 0; each team's cost depends on the other's mean field."""
+    S = walker_states
+    walk = [[[0.6 if s2 == s else 0.4 if s2 == (s + 1) % S else 0.0 for s2 in range(S)]]
+            for s in range(S)]
+    return {
+        "horizon": 2, "seed": 0,
+        "teams": [
+            {"states": ["x0", "x1"], "actions": ["stay", "move"], "population": 2,
+             "initial_law": [0.7, 0.3],
+             "transition": {"base": [[[0.9, 0.1], [0.2, 0.8]], [[0.1, 0.9], [0.8, 0.2]]]},
+             "cost": {"base": [[[0.0, 0.3], [0.5, 0.2]]] * 2,
+                      "coupling": [{"t": t, "s": 0, "a": a, "team": 1, "sigma": 0,
+                                    "value": 1.0 + a} for t in range(2) for a in range(2)]}},
+            {"states": ["w%d" % s for s in range(S)], "actions": ["walk"],
+             "population": walker_population,
+             "initial_law": list(np.linspace(1.0, 2.0, S) / np.linspace(1.0, 2.0, S).sum()),
+             "transition": {"base": walk,
+                            "coupling": [c for s in range(S) for c in (
+                                {"s": s, "a": 0, "s'": s, "team": 0, "sigma": 0,
+                                 "value": -0.3},
+                                {"s": s, "a": 0, "s'": (s + 1) % S, "team": 0, "sigma": 0,
+                                 "value": 0.3})]},
+             "cost": {"base": [[[0.1 * s] for s in range(S)]] * 2,
+                      "coupling": [{"t": t, "s": s, "a": 0, "team": 0, "sigma": 1,
+                                    "value": 0.5 * s} for t in range(2) for s in range(S)]}},
+        ],
+    }
+
+
+def test_batched_costs_with_a_one_action_team_of_many_states():
+    spec = tf.load_spec(_walker_beside_chooser(walker_states=7, walker_population=3))
+    check_batched(spec, 40)
+
+
+@pytest.mark.parametrize("N, S", [(1, 1), (3, 1), (4, 2), (5, 3), (4, 12), (1, 64), (7, 4)])
+def test_team_index_follows_the_lattice_order(N, S):
+    """The index is ranked from counts in O(S x N) memory, also where a
+    mixed-radix code over the counts would need 2**63 entries (N=1, S=64)."""
+    tl = TeamLattice(N, S)
+    states = np.array([np.repeat(np.arange(S), c) for c in tl.counts])
+    shuffled = np.random.default_rng(0).permuted(states, axis=1)
+    terms = simulate._rank_terms(N, S)
+    assert terms.size == (S - 1) * (N + 1)
+    assert np.array_equal(simulate._team_index(terms, shuffled), np.arange(len(tl)))
+
+
+def test_policy_solved_at_other_populations_is_rejected():
+    spec = tf.load_spec(json.dumps(deterministic_two_team()))
+    lifted = _solved_lift(tf.with_populations(spec, 2))
+    assert spec.teams[0].population != 2
+    with pytest.raises(tf.SpecValidationError, match="population"):
+        estimate_cost(spec, lifted, 3)
