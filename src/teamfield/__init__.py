@@ -29,7 +29,7 @@ from .finite_mpe import (EquilibriumCertificate, JointLattice, PolicyTable,
 from .limit import (LimitPolicyTable, LimitValueTable, SimplexGrid,
                     default_grid, flow, project_policy_to_lattice,
                     project_to_grid, rollout_inf, solve_mpe_inf)
-from .metrics import (Lemma1Report, MetricReport, RateFit, estimate_lipschitz,
+from .metrics import (Lemma1Report, RateFit, estimate_lipschitz,
                       expected_deviation, fit_rate, joint_distance,
                       kappa_envelope, lemma1_check, theorem4_bound,
                       wasserstein)
@@ -58,7 +58,7 @@ __all__ = [
     "LimitPolicyTable", "LimitValueTable", "SimplexGrid", "default_grid",
     "flow", "project_policy_to_lattice", "project_to_grid", "rollout_inf",
     "solve_mpe_inf",
-    "Lemma1Report", "MetricReport", "RateFit", "estimate_lipschitz",
+    "Lemma1Report", "RateFit", "estimate_lipschitz",
     "expected_deviation", "fit_rate", "joint_distance", "kappa_envelope",
     "lemma1_check", "theorem4_bound", "wasserstein",
     "KernelCheckReport", "LiftedPolicy", "SimResult",

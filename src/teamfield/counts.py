@@ -196,10 +196,10 @@ def enumerate_counts(N: int, d: int, cap: int = DEFAULT_SUPPORT_CAP):
 class TeamLattice:
     """Count lattice of one team plus index lookups, shared by the solvers."""
 
-    def __init__(self, population: int, n_states: int, cap: int = DEFAULT_SUPPORT_CAP):
+    def __init__(self, population: int, n_states: int):
         self.population = population
         self.n_states = n_states
-        self.points = enumerate_counts(population, n_states, cap=cap)
+        self.points = enumerate_counts(population, n_states)
         self.index = {pt: i for i, pt in enumerate(self.points)}
         self.counts = np.array(self.points, dtype=int)
         self.z = self.counts / float(population)
@@ -220,14 +220,13 @@ class JointLattice:
     """Cartesian product of the per-team count lattices; ``z`` holds the
     occupancies of every joint point in C order, (P, S_k) per team."""
 
-    def __init__(self, spec: GameSpec, cap: int = DEFAULT_SUPPORT_CAP):
+    def __init__(self, spec: GameSpec):
         self.spec = spec
-        self.teams = [TeamLattice(tm.population, tm.n_states, cap=cap)
-                      for tm in spec.teams]
+        self.teams = [TeamLattice(tm.population, tm.n_states) for tm in spec.teams]
         self.shape = tuple(len(t) for t in self.teams)
-        if math.prod(self.shape) > cap:
+        if math.prod(self.shape) > DEFAULT_SUPPORT_CAP:
             raise CapacityError("joint count lattice has %d points, cap is %d"
-                                % (math.prod(self.shape), cap))
+                                % (math.prod(self.shape), DEFAULT_SUPPORT_CAP))
         self.z = _joint_points([tl.z for tl in self.teams])
 
     def __len__(self):
@@ -455,9 +454,6 @@ def stage_cost(z, gamma: Prescription, spec: GameSpec, k: int, t: int) -> float:
     zk = np.asarray(per_team[k], dtype=float)
     return float(zk @ (gamma.rows * C).sum(axis=1))
 
-
-# ---------------------------------------------------------------------------
-# audit exports
 
 def format_counts(counts) -> str:
     vals = counts.counts if isinstance(counts, CountVector) else counts

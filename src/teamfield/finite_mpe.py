@@ -19,7 +19,11 @@ All recursions run on the engine in ``stage_game``, batched over the
 lattice: per-team kernel stacks are contracted against the next values,
 raw for the stage games, averaged under the policy's mixtures for
 ``policy_value`` (all teams), ``best_response`` (all but one) and the
-forward pass of ``evaluate_total_cost``. Only stage games are solved
+forward pass of ``evaluate_total_cost``. ``solve_mpe`` runs the backward
+driver ``stage_game._backward`` that ``limit.solve_mpe_inf`` also runs;
+its continuation contracts the store's kernel stacks against the next
+values (``_contract``), the limit's gathers them at projected flow
+images. Only stage games are solved
 point by point. One ``KernelCache`` (``kernel_cache``) can hold the
 kernels of a run for the solver, the certificate and the forward pass.
 """
@@ -30,26 +34,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .counts import DEFAULT_SUPPORT_CAP, JointLattice, _multinomial_pmf
+from .counts import JointLattice, _multinomial_pmf
 from .model import GameSpec
-from .stage_game import (KernelCache, StageEquilibrium, _contract, _cost_table,
-                         _solve_points, _stage_tensors)
+from .stage_game import EquilibriumTable, KernelCache, _backward, _contract, _cost_table
 
 
 @dataclass
-class PolicyTable:
+class PolicyTable(EquilibriumTable):
     """Equilibrium prescriptions at every (stage, lattice point)."""
-    stages: list                 # per stage: object array of StageEquilibrium
-    sets: tuple
     lattice: JointLattice
-    mixed_points: list           # (stage, joint index) where the profile is mixed
-
-    def equilibrium(self, t: int, idx) -> StageEquilibrium:
-        return self.stages[t][tuple(idx)]
-
-    @property
-    def horizon(self):
-        return len(self.stages)
 
 
 @dataclass
@@ -68,7 +61,6 @@ class EquilibriumCertificate:
     gains: np.ndarray = field(repr=False)    # (T, K, *lattice shape)
     max_gain: float = 0.0
     mean_gain: float = 0.0
-    mixed_points: list = None
 
     def csv_rows(self, lattice: JointLattice):
         rows = []
@@ -82,7 +74,6 @@ class EquilibriumCertificate:
 
 
 def solve_mpe(spec: GameSpec, sets, pure_only: bool = False,
-              cap: int = DEFAULT_SUPPORT_CAP, support_bound: int = 4,
               kernel_cache: KernelCache = None):
     """Backward induction over stages T-1 .. 0 and the full joint lattice.
 
@@ -90,24 +81,13 @@ def solve_mpe(spec: GameSpec, sets, pure_only: bool = False,
     pure_only mode at the first (stage, point) whose game has no pure
     equilibrium.
     """
-    cache = kernel_cache or KernelCache(spec, sets, cap=cap)
+    cache = kernel_cache or KernelCache(spec, sets)
     lattice = cache.lattice
-    T, K = spec.horizon, spec.n_teams
-    shape = tuple(len(ps) for ps in sets)
-    Ws = cache.stacks() if T > 1 else None
-    values = np.zeros((T + 1, K) + lattice.shape)
-    stages = [None] * T
-    mixed_points = []
-    for t in range(T - 1, -1, -1):
-        own = [_cost_table(spec, k, sets[k], lattice.z, t) for k in range(K)]
-        cont = None if t == T - 1 else _contract(Ws, values[t + 1])
-        stages[t], values[t], mixed = _solve_points(
-            _stage_tensors(own, cont, shape), sets, t, lattice.shape, lattice.z_id,
-            pure_only, support_bound)
-        mixed_points += [(t, idx) for idx in mixed]
-    policy = PolicyTable(stages=stages, sets=tuple(sets), lattice=lattice,
-                         mixed_points=mixed_points)
-    return policy, ValueTable(values=values[:T], lattice=lattice)
+    Ws = cache.stacks() if spec.horizon > 1 else None    # checks the store size first
+    stages, values = _backward(spec, sets, lattice.z, lattice.shape, lattice.z_id,
+                               lambda V: _contract(Ws, V), pure_only)
+    return (PolicyTable(stages=stages, sets=tuple(sets), lattice=lattice),
+            ValueTable(values=values, lattice=lattice))
 
 
 def _average(w, W) -> np.ndarray:
@@ -123,7 +103,7 @@ def _mixtures(eqs, shape) -> list:
 
 
 def best_response(spec: GameSpec, k: int, others: PolicyTable, sets,
-                  cap: int = DEFAULT_SUPPORT_CAP, kernel_cache: KernelCache = None):
+                  kernel_cache: KernelCache = None):
     """Optimal reply of team k when teams j != k play ``others``.
 
     A plain finite-horizon dynamic program (no game solving): at every
@@ -135,7 +115,7 @@ def best_response(spec: GameSpec, k: int, others: PolicyTable, sets,
     shape (T, *lattice shape)); ties resolve to the smallest index.
     """
     lattice = others.lattice
-    cache = kernel_cache or KernelCache(spec, sets, cap=cap)
+    cache = kernel_cache or KernelCache(spec, sets)
     T = spec.horizon
     shape = lattice.shape
     game_shape = tuple(len(ps) for ps in sets)
@@ -154,11 +134,10 @@ def best_response(spec: GameSpec, k: int, others: PolicyTable, sets,
 
 
 def policy_value(spec: GameSpec, policy: PolicyTable,
-                 cap: int = DEFAULT_SUPPORT_CAP,
                  kernel_cache: KernelCache = None) -> np.ndarray:
     """Per-team values of playing ``policy`` everywhere: (T, K, *shape)."""
     lattice = policy.lattice
-    cache = kernel_cache or KernelCache(spec, policy.sets, cap=cap)
+    cache = kernel_cache or KernelCache(spec, policy.sets)
     T, K = spec.horizon, spec.n_teams
     game_shape = tuple(len(ps) for ps in policy.sets)
     Ws = cache.stacks() if T > 1 else None
@@ -175,7 +154,6 @@ def policy_value(spec: GameSpec, policy: PolicyTable,
 
 
 def verify_mpe(spec: GameSpec, policy: PolicyTable, sets,
-               cap: int = DEFAULT_SUPPORT_CAP,
                kernel_cache: KernelCache = None) -> EquilibriumCertificate:
     """Equilibrium certificate, independent of stage-game solving.
 
@@ -186,16 +164,15 @@ def verify_mpe(spec: GameSpec, policy: PolicyTable, sets,
     and the engine oracle check them. Gains are nonnegative up to a -1e-9
     numerical floor; for an exact equilibrium the max is ~0.
     """
-    cache = kernel_cache or KernelCache(spec, sets, cap=cap)
-    V = policy_value(spec, policy, cap=cap, kernel_cache=cache)
+    cache = kernel_cache or KernelCache(spec, sets)
+    V = policy_value(spec, policy, kernel_cache=cache)
     T, K = spec.horizon, spec.n_teams
     gains = np.empty_like(V)
     for k in range(K):
-        _, U = best_response(spec, k, policy, sets, cap=cap, kernel_cache=cache)
+        _, U = best_response(spec, k, policy, sets, kernel_cache=cache)
         gains[:, k] = V[:, k] - U
     return EquilibriumCertificate(
-        gains=gains, max_gain=float(gains.max()), mean_gain=float(gains.mean()),
-        mixed_points=list(policy.mixed_points))
+        gains=gains, max_gain=float(gains.max()), mean_gain=float(gains.mean()))
 
 
 def initial_distribution(spec: GameSpec, lattice: JointLattice) -> np.ndarray:
@@ -209,14 +186,13 @@ def initial_distribution(spec: GameSpec, lattice: JointLattice) -> np.ndarray:
 
 
 def evaluate_total_cost(spec: GameSpec, policy: PolicyTable,
-                        cap: int = DEFAULT_SUPPORT_CAP,
                         kernel_cache: KernelCache = None) -> np.ndarray:
     """Exact expected cumulative cost per team under ``policy`` from the
     initial count law, by forward propagation of the full distribution
     over the lattice (never sampled). A fresh store builds kernels only
     at points the distribution reaches."""
     lattice = policy.lattice
-    cache = kernel_cache or KernelCache(spec, policy.sets, cap=cap)
+    cache = kernel_cache or KernelCache(spec, policy.sets)
     T, K = spec.horizon, spec.n_teams
     game_shape = tuple(len(ps) for ps in policy.sets)
     dist = initial_distribution(spec, lattice).reshape(-1)
@@ -243,21 +219,26 @@ def evaluate_total_cost(spec: GameSpec, policy: PolicyTable,
 
 def policy_records(policy: PolicyTable, values: ValueTable):
     """JSON-ready records {stage, z, team, kind, prescription, value}."""
-    records = []
     lattice = policy.lattice
-    T = policy.horizon
-    for t in range(T):
-        for idx in lattice.indices():
-            eq = policy.equilibrium(t, idx)
+    return _records(policy, values.values, lambda idx: [list(c) for c in lattice.counts_at(idx)])
+
+
+def _records(policy, values, z_of):
+    """Records of ``policy`` and its values (T, K, *points) at every stage,
+    point (C order) and team; ``z_of(idx)`` gives a point's ``z`` entry."""
+    records = []
+    for t, st in enumerate(policy.stages):
+        for idx in np.ndindex(st.shape):
+            eq = st[idx]
             rows = eq.mean_rows(policy.sets)
             for k in range(len(policy.sets)):
                 rec = {
                     "stage": t,
-                    "z": [list(c) for c in lattice.counts_at(idx)],
+                    "z": z_of(idx),
                     "team": k,
                     "kind": eq.kind,
-                    "prescription": [list(map(float, r)) for r in rows[k]],
-                    "value": float(values.values[(t, k) + idx]),
+                    "prescription": [[float(x) for x in r] for r in rows[k]],
+                    "value": float(values[(t, k) + idx]),
                 }
                 if eq.kind == "mixed":
                     rec["weights"] = [float(x) for x in eq.per_team[k]]

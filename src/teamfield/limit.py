@@ -9,9 +9,10 @@ flow image to its nearest grid point (projection errors are logged, they
 are the honest discretization cost of the scheme).
 
 This is the finite solver's recursion with a Dirac mass for the count
-kernel, run on the same engine (``stage_game``): the flow image of every
-(grid point, team, menu item) is projected once, and each stage gathers
-the next values there.
+kernel, run by the same backward driver (``stage_game._backward``): the
+flow image of every (grid point, team, menu item) is projected once, and
+the continuation gathers the next values there (``solve_mpe``'s
+contracts them with the count kernels instead, ``_contract``).
 
 With resolution n = 2N per team, every count mean field of a population-N
 instance lies exactly on the grid, which is what ``project_policy_to_lattice``
@@ -28,10 +29,10 @@ import numpy as np
 from .errors import CapacityError, SpecValidationError
 from .counts import (DEFAULT_SUPPORT_CAP, JointLattice, MeanField, _joint_points,
                      enumerate_counts, lattice_size)
+from .finite_mpe import PolicyTable, _records
 from .metrics import transport_distance
 from .model import GameSpec, cost_matrix, flatten_mean_field
-from .stage_game import (StageEquilibrium, _cost_table, _on_axis, _solve_points,
-                         _stage_tensors)
+from .stage_game import EquilibriumTable, _backward, _on_axis
 
 
 class SimplexGrid:
@@ -42,7 +43,7 @@ class SimplexGrid:
     grid is their Cartesian product.
     """
 
-    def __init__(self, spec: GameSpec, resolutions, cap: int = DEFAULT_SUPPORT_CAP):
+    def __init__(self, spec: GameSpec, resolutions):
         if len(resolutions) != spec.n_teams:
             raise SpecValidationError("need one grid resolution per team")
         self.spec = spec
@@ -53,15 +54,14 @@ class SimplexGrid:
                 raise SpecValidationError("grid resolution must be >= 1, team %d got %d"
                                           % (k, n))
             S = spec.teams[k].n_states
-            if lattice_size(n, S) > cap:
+            if lattice_size(n, S) > DEFAULT_SUPPORT_CAP:
                 raise CapacityError("simplex grid for team %d has %d points, cap %d"
-                                    % (k, lattice_size(n, S), cap))
-            pts = sorted(enumerate_counts(n, S, cap=cap))
-            self.points.append(np.array(pts, dtype=float) / n)
+                                    % (k, lattice_size(n, S), DEFAULT_SUPPORT_CAP))
+            self.points.append(np.array(sorted(enumerate_counts(n, S)), dtype=float) / n)
         self.shape = tuple(len(p) for p in self.points)
-        if math.prod(self.shape) > cap:
+        if math.prod(self.shape) > DEFAULT_SUPPORT_CAP:
             raise CapacityError("joint simplex grid has %d points, cap %d"
-                                % (math.prod(self.shape), cap))
+                                % (math.prod(self.shape), DEFAULT_SUPPORT_CAP))
 
     def __len__(self):
         return math.prod(self.shape)
@@ -81,10 +81,9 @@ class SimplexGrid:
         return "|".join(parts)
 
 
-def default_grid(spec: GameSpec, factor: int = 2,
-                 cap: int = DEFAULT_SUPPORT_CAP) -> SimplexGrid:
+def default_grid(spec: GameSpec) -> SimplexGrid:
     """Resolution 2N per team, so count mean fields embed exactly."""
-    return SimplexGrid(spec, [factor * tm.population for tm in spec.teams], cap=cap)
+    return SimplexGrid(spec, [2 * tm.population for tm in spec.teams])
 
 
 def flow(z, prescriptions, spec: GameSpec) -> MeanField:
@@ -158,19 +157,9 @@ def project_indices(z, grid: SimplexGrid):
 
 
 @dataclass
-class LimitPolicyTable:
+class LimitPolicyTable(EquilibriumTable):
     """Equilibrium prescriptions at every (stage, joint grid point)."""
-    stages: list
-    sets: tuple
     grid: SimplexGrid
-    mixed_points: list
-
-    def equilibrium(self, t: int, idx) -> StageEquilibrium:
-        return self.stages[t][tuple(idx)]
-
-    @property
-    def horizon(self):
-        return len(self.stages)
 
 
 @dataclass
@@ -196,8 +185,7 @@ class ProjectionLog:
 
 
 def solve_mpe_inf(spec: GameSpec, sets, grid: SimplexGrid = None,
-                  pure_only: bool = False, support_bound: int = 4,
-                  cap: int = DEFAULT_SUPPORT_CAP):
+                  pure_only: bool = False):
     """Backward induction on the joint simplex grid.
 
     The one-step kernel is the Dirac mass at the flow image, so each
@@ -211,7 +199,6 @@ def solve_mpe_inf(spec: GameSpec, sets, grid: SimplexGrid = None,
     if grid is None:
         grid = default_grid(spec)
     T, K = spec.horizon, spec.n_teams
-    shape = tuple(len(ps) for ps in sets)
     Z = _joint_points(grid.points)
     log = ProjectionLog(evaluations=[0] * T, max_error=[0.0] * T, mean_error=[0.0] * T)
     if T > 1:
@@ -224,19 +211,10 @@ def solve_mpe_inf(spec: GameSpec, sets, grid: SimplexGrid = None,
         log.evaluations[:T - 1] = [int(errors.size)] * (T - 1)
         log.max_error[:T - 1] = [float(errors.max())] * (T - 1)
         log.mean_error[:T - 1] = [float(errors.sum()) / errors.size] * (T - 1)
-    values = np.zeros((T + 1, K) + grid.shape)
-    stages = [None] * T
-    mixed_points = []
-    for t in range(T - 1, -1, -1):
-        own = [_cost_table(spec, k, sets[k], Z, t) for k in range(K)]
-        cont = None if t == T - 1 else values[t + 1][(slice(None),) + gather]
-        stages[t], values[t], mixed = _solve_points(
-            _stage_tensors(own, cont, shape), sets, t, grid.shape, grid.point_id,
-            pure_only, support_bound)
-        mixed_points += [(t, idx) for idx in mixed]
-    policy = LimitPolicyTable(stages=stages, sets=tuple(sets), grid=grid,
-                              mixed_points=mixed_points)
-    return policy, LimitValueTable(values=values[:T], grid=grid), log
+    stages, values = _backward(spec, sets, Z, grid.shape, grid.point_id,
+                               lambda V: V[(slice(None),) + gather], pure_only)
+    return (LimitPolicyTable(stages=stages, sets=tuple(sets), grid=grid),
+            LimitValueTable(values=values, grid=grid), log)
 
 
 @dataclass
@@ -289,7 +267,6 @@ def rollout_inf(spec: GameSpec, policy: LimitPolicyTable) -> LimitTrajectory:
 
 
 def project_policy_to_lattice(spec: GameSpec, policy: LimitPolicyTable,
-                              cap: int = DEFAULT_SUPPORT_CAP,
                               lattice: JointLattice = None):
     """Replay a limit policy inside the finite game: for every joint count
     lattice point take the limit equilibrium at the nearest grid point.
@@ -297,36 +274,14 @@ def project_policy_to_lattice(spec: GameSpec, policy: LimitPolicyTable,
     projection error). ``lattice`` is the joint count lattice of ``spec``
     to replay on, such as a run's ``KernelCache.lattice``; by default a
     new one is built."""
-    from .finite_mpe import PolicyTable
     if lattice is None:
-        lattice = JointLattice(spec, cap=cap)
+        lattice = JointLattice(spec)
     nearest = np.ix_(*(_nearest(tl.z, k, policy.grid)[0]
                        for k, tl in enumerate(lattice.teams)))
-    stages = [st[nearest] for st in policy.stages]
-    mixed_points = [(t, idx) for idx in lattice.indices() for t in range(policy.horizon)
-                    if stages[t][idx].kind == "mixed"]
-    return PolicyTable(stages=stages, sets=policy.sets, lattice=lattice,
-                       mixed_points=mixed_points)
+    return PolicyTable(stages=[st[nearest] for st in policy.stages], sets=policy.sets,
+                       lattice=lattice)
 
 
 def limit_policy_records(policy: LimitPolicyTable, values: LimitValueTable):
     """JSON-ready records {stage, z, team, kind, prescription, value}."""
-    records = []
-    grid = policy.grid
-    for t in range(policy.horizon):
-        for idx in grid.indices():
-            eq = policy.equilibrium(t, idx)
-            rows = eq.mean_rows(policy.sets)
-            for k in range(len(policy.sets)):
-                rec = {
-                    "stage": t,
-                    "z": grid.point_id(idx),
-                    "team": k,
-                    "kind": eq.kind,
-                    "prescription": [[float(x) for x in r] for r in rows[k]],
-                    "value": float(values.values[(t, k) + tuple(idx)]),
-                }
-                if eq.kind == "mixed":
-                    rec["weights"] = [float(w) for w in eq.per_team[k]]
-                records.append(rec)
-    return records
+    return _records(policy, values.values, policy.grid.point_id)

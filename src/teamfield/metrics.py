@@ -14,7 +14,7 @@ populations and is labeled as such in reports; no constants are invented.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
@@ -334,23 +334,3 @@ def lemma1_check(spec: GameSpec, pairs) -> Lemma1Report:
     max_margin = max((r[2] for r in rows), default=0.0)
     return Lemma1Report(rows=rows, max_cost_gap=max(gaps, default=0.0),
                         max_margin=max_margin, kappa_hat=kappa)
-
-
-@dataclass
-class MetricReport:
-    """Bundle written by the CLI bound mode."""
-    kappa_hat: np.ndarray
-    lipschitz: np.ndarray            # (K, T)
-    epsilon_bound: float
-    rate: RateFit = field(repr=False, default=None)
-
-    def as_dict(self):
-        out = {
-            "kappa_hat": [float(x) for x in self.kappa_hat],
-            "kappa_kind": "empirical-envelope",
-            "lipschitz": [[float(x) for x in row] for row in self.lipschitz],
-            "epsilon_bound": float(self.epsilon_bound),
-        }
-        if self.rate is not None:
-            out["rate_fit"] = self.rate.as_dict()
-        return out

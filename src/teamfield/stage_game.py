@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, EquilibriumNotFoundError, SpecValidationError
-from .counts import (DEFAULT_SUPPORT_CAP, JointLattice, MeanField, Prescription,
-                     count_point, enumerate_counts, stage_cost, team_transition_kernel)
+from .counts import (JointLattice, MeanField, Prescription, count_point,
+                     enumerate_counts, stage_cost, team_transition_kernel)
 from .model import GameSpec, flatten_mean_field
 
 PURE_TOL = 1e-12      # strict-improvement tolerance for pure deviations
@@ -161,6 +161,27 @@ class StageEquilibrium:
         return out
 
 
+@dataclass
+class EquilibriumTable:
+    """Stage-game equilibria at every (stage, point) of a backward
+    induction; the finite and limit policy tables add the points."""
+    stages: list                 # per stage: object array of StageEquilibrium
+    sets: tuple
+
+    def equilibrium(self, t: int, idx) -> StageEquilibrium:
+        return self.stages[t][tuple(idx)]
+
+    @property
+    def horizon(self):
+        return len(self.stages)
+
+    @property
+    def mixed_points(self) -> list:
+        """(stage, point index) of every mixed equilibrium, stage by stage."""
+        return [(t, idx) for t, st in enumerate(self.stages)
+                for idx in np.ndindex(st.shape) if st[idx].kind == "mixed"]
+
+
 class KernelCache:
     """The one store of per-team next-count kernels of a run.
 
@@ -173,11 +194,10 @@ class KernelCache:
     ``team_transition_kernel`` when first requested.
     """
 
-    def __init__(self, spec: GameSpec, sets, cap: int = DEFAULT_SUPPORT_CAP):
+    def __init__(self, spec: GameSpec, sets):
         self.spec = spec
         self.sets = sets
-        self.cap = cap
-        self.lattice = JointLattice(spec, cap=cap)
+        self.lattice = JointLattice(spec)
         self._W = None
         self._filled = np.zeros(len(self.lattice), dtype=bool)
 
@@ -206,8 +226,7 @@ class KernelCache:
         z = tuple(zk[p] for zk in self.lattice.z)
         for k, (ps, tl, W) in enumerate(zip(self.sets, self.lattice.teams, self._W)):
             for i, gamma in enumerate(ps.items):
-                dist = team_transition_kernel(tl.counts[idx[k]], z, gamma, self.spec, k,
-                                              cap=self.cap)
+                dist = team_transition_kernel(tl.counts[idx[k]], z, gamma, self.spec, k)
                 W[p, i, [tl.index[cv.counts] for cv in dist.support]] = dist.probs
         self._filled[p] = True
 
@@ -233,8 +252,7 @@ class ContinuationTable:
 
 
 def build_stage_game(z: MeanField, t: int, continuation, sets, spec: GameSpec,
-                     kernel_cache: KernelCache = None,
-                     cap: int = DEFAULT_SUPPORT_CAP) -> StageGame:
+                     kernel_cache: KernelCache = None) -> StageGame:
     """Cost tensors at mean-field point z and stage t.
 
     tensor_k[joint index] = stage_cost(z, menu_k[i_k])
@@ -254,7 +272,7 @@ def build_stage_game(z: MeanField, t: int, continuation, sets, spec: GameSpec,
         own = [_cost_table(spec, k, sets[k], Z, t) for k in range(K)]
         cont = None
         if continuation is not None:
-            cache = kernel_cache or KernelCache(spec, sets, cap=cap)
+            cache = kernel_cache or KernelCache(spec, sets)
             cont = _contract([cache.matrix(k, z)[None] for k in range(K)], continuation.values)
         tensors = _stage_tensors(own, cont, shape)
         return StageGame(tensors=tuple(T[0] for T in tensors), sets=tuple(sets))
@@ -266,7 +284,7 @@ def build_stage_game(z: MeanField, t: int, continuation, sets, spec: GameSpec,
     for k in range(K):
         m = np.rint(z.per_team[k] * spec.teams[k].population).astype(int)
         for i, p in enumerate(sets[k].items):
-            dists[(k, i)] = team_transition_kernel(m, z, p, spec, k, cap=cap)
+            dists[(k, i)] = team_transition_kernel(m, z, p, spec, k)
     tensors = [np.zeros(shape) for _ in range(K)]
     for profile in np.ndindex(shape):
         per = [dists[(k, profile[k])] for k in range(K)]
@@ -327,25 +345,29 @@ def _stage_tensors(own, cont, shape) -> list:
                                  else cont[k]) for k, c in enumerate(own)]
 
 
-def _solve_points(tensors, sets, t: int, points_shape, label, pure_only: bool,
-                  support_bound: int):
-    """Solve the stage game at every joint point (C order) with solve_stage.
+def _backward(spec: GameSpec, sets, Z, points_shape, label, continuation,
+              pure_only: bool):
+    """Backward induction over stages T-1 .. 0 at the joint points Z (C
+    order of ``points_shape``): own cost tables, ``continuation`` of the
+    next values (K, *points_shape) as (K, P, *menu shape), stage tensors,
+    then solve_stage at every point; ``label(idx)`` names a point.
 
-    Returns the equilibria as an object array of ``points_shape``, the
-    per-team equilibrium values (K, *points_shape) and the indices of the
-    points whose equilibrium is mixed; ``label(idx)`` names a point."""
-    eqs = np.empty(points_shape, dtype=object)
-    values = np.empty((len(tensors),) + tuple(points_shape))
-    mixed = []
-    for p, idx in enumerate(np.ndindex(points_shape)):
-        game = StageGame(tensors=tuple(T[p] for T in tensors), sets=tuple(sets))
-        eq = solve_stage(game, t, label(idx), pure_only=pure_only,
-                         support_bound=support_bound)
-        eqs[idx] = eq
-        values[(slice(None),) + idx] = equilibrium_values(game, eq)
-        if eq.kind == "mixed":
-            mixed.append(idx)
-    return eqs, values, mixed
+    Returns the per-stage object arrays of equilibria and the per-team
+    equilibrium values (T, K, *points_shape)."""
+    T, K = spec.horizon, spec.n_teams
+    shape = tuple(len(ps) for ps in sets)
+    values = np.zeros((T + 1, K) + tuple(points_shape))
+    stages = [None] * T
+    for t in range(T - 1, -1, -1):
+        own = [_cost_table(spec, k, sets[k], Z, t) for k in range(K)]
+        tensors = _stage_tensors(own, None if t == T - 1 else continuation(values[t + 1]),
+                                 shape)
+        stages[t] = np.empty(points_shape, dtype=object)
+        for p, idx in enumerate(np.ndindex(points_shape)):
+            game = StageGame(tensors=tuple(X[p] for X in tensors), sets=tuple(sets))
+            eq = stages[t][idx] = solve_stage(game, t, label(idx), pure_only=pure_only)
+            values[(t, slice(None)) + idx] = equilibrium_values(game, eq)
+    return stages, values[:T]
 
 
 # ---------------------------------------------------------------------------
@@ -392,22 +414,22 @@ def _own_cost_vector(tensor: np.ndarray, weights, k: int) -> np.ndarray:
     return X
 
 
-def mixed_nash_2team(game: StageGame,
-                     support_bound: int = DEFAULT_SUPPORT_BOUND) -> StageEquilibrium:
+def mixed_nash_2team(game: StageGame) -> StageEquilibrium:
     """Support enumeration for two-team games.
 
     Candidate supports are scanned smallest total size first (then row
     size, then lexicographic); each candidate's indifference system is
     solved by least squares and the resulting profile is kept only if its
-    exactly recomputed epsilon is at most 1e-9.
+    exactly recomputed epsilon is at most 1e-9. Supports hold at most
+    DEFAULT_SUPPORT_BOUND indices per team.
     """
     if game.n_teams != 2:
         raise SpecValidationError("support enumeration needs exactly 2 teams")
     A, B = game.tensors
     n1, n2 = game.shape
     combos = []
-    for r in range(1, min(n1, support_bound) + 1):
-        for c in range(1, min(n2, support_bound) + 1):
+    for r in range(1, min(n1, DEFAULT_SUPPORT_BOUND) + 1):
+        for c in range(1, min(n2, DEFAULT_SUPPORT_BOUND) + 1):
             for R in itertools.combinations(range(n1), r):
                 for C in itertools.combinations(range(n2), c):
                     combos.append((r + c, r, c, R, C))
@@ -431,7 +453,7 @@ def mixed_nash_2team(game: StageGame,
                 return StageEquilibrium(kind="pure", per_team=(R[0], C[0]), epsilon=eps)
             return StageEquilibrium(kind="mixed", per_team=(x, y), epsilon=eps)
     raise EquilibriumNotFoundError(
-        "no equilibrium with supports of size <= %d certified" % support_bound)
+        "no equilibrium with supports of size <= %d certified" % DEFAULT_SUPPORT_BOUND)
 
 
 def _indifference_solve(M: np.ndarray, size: int):
@@ -498,24 +520,23 @@ def br_iteration(game: StageGame, max_iters: int = 200,
     return best[3]
 
 
-def solve_stage(game: StageGame, t: int, z_label, pure_only: bool = False,
-                support_bound: int = DEFAULT_SUPPORT_BOUND) -> StageEquilibrium:
+def solve_stage(game: StageGame, t: int, z_label, pure_only: bool = False) -> StageEquilibrium:
     """One-stop solve used by the backward inductions: pure enumeration
-    first (lexicographic selection), then support enumeration for two
-    teams, then fictitious play. pure_only fails loudly instead of
-    falling back."""
+    first, then support enumeration for two teams, then fictitious play.
+    pure_only fails loudly instead of falling back. pure_nash lists
+    lexicographically, which is select_equilibrium's order among pure
+    equilibria, so the first one is the selected one."""
     from .errors import NoPureEquilibriumError
     pure = pure_nash(game)
     if pure:
-        cands = [StageEquilibrium(kind="pure", per_team=p, epsilon=0.0) for p in pure]
-        eq = select_equilibrium(cands)
-        return StageEquilibrium(kind="pure", per_team=eq.per_team,
+        eq = StageEquilibrium(kind="pure", per_team=pure[0], epsilon=0.0)
+        return StageEquilibrium(kind="pure", per_team=pure[0],
                                 epsilon=certify_epsilon(game, eq))
     if pure_only:
         raise NoPureEquilibriumError(t, z_label)
     if game.n_teams == 2:
         try:
-            return mixed_nash_2team(game, support_bound=support_bound)
+            return mixed_nash_2team(game)
         except EquilibriumNotFoundError:
             pass
     return br_iteration(game)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -57,18 +57,10 @@ class StaticGame:
 
 def pure_nash_static(game: StaticGame, tol: float = PAYOFF_TOL) -> list:
     """Profiles where no single player gains strictly by a unilateral
-    switch. Returned in lexicographic profile order."""
-    out = []
-    for profile in np.ndindex(game.shape):
-        stable = True
-        for i in range(game.n_players):
-            line = game.payoffs[i][profile[:i] + (slice(None),) + profile[i + 1:]]
-            if np.max(line) > game.payoffs[i][profile] + tol:
-                stable = False
-                break
-        if stable:
-            out.append(profile)
-    return out
+    switch: the team check with every player a team of one. Returned in
+    lexicographic profile order."""
+    singletons = tuple((i,) for i in range(game.n_players))
+    return team_nash_static(replace(game, team_partition=singletons), tol=tol)
 
 
 def _team_sum(game: StaticGame, team, profile) -> float:

@@ -11,7 +11,7 @@ from teamfield.limit import (SimplexGrid, default_grid, limit_stage_cost,
                              project_indices, project_to_grid,
                              rollout_inf, solve_mpe_inf)
 
-from conftest import identity_dynamics_spec, minimal_team
+from conftest import deterministic_two_team, identity_dynamics_spec, minimal_team
 
 
 def test_flow_literal():
@@ -105,6 +105,22 @@ def test_solve_mpe_inf_certifies_stagewise(reference_spec, reference_sets):
         for idx in policy.grid.indices():
             assert policy.equilibrium(t, idx).epsilon <= 1e-9
     assert log.max_error[-1] == 0.0       # terminal stage projects nothing
+
+
+def test_mixed_points_list_the_mixed_stage_equilibria():
+    """mixed_points of the finite, the limit and the projected policy name
+    exactly the (stage, point) pairs whose equilibrium is mixed, in order."""
+    spec = tf.load_spec(json.dumps(deterministic_two_team()))
+    sets = tuple(tf.build_prescription_set(spec, k) for k in range(2))
+    finite, _ = tf.solve_mpe(spec, sets)
+    limit_policy, _, _ = solve_mpe_inf(spec, sets)
+    projected = tf.project_policy_to_lattice(spec, limit_policy)
+    for policy in (finite, limit_policy, projected):
+        mixed = {(t, idx) for t, st in enumerate(policy.stages)
+                 for idx in np.ndindex(st.shape) if st[idx].kind == "mixed"}
+        assert mixed
+        assert policy.mixed_points == sorted(mixed)
+    assert tf.lift_policy(projected).randomized
 
 
 def test_rollout_accumulates(reference_spec, reference_sets):

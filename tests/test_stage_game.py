@@ -134,6 +134,15 @@ def test_select_equilibrium_prefers_pure_then_lex():
     assert got.kind == "pure" and got.per_team == (0, 1)
     with pytest.raises(ValueError):
         select_equilibrium([])
+    # two pure equilibria, the first one only within PURE_TOL: solve_stage
+    # returns select_equilibrium's choice among them with its epsilon
+    g = game2([[5e-13, 1.0], [0.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]])
+    assert pure_nash(g) == [(0, 0), (1, 1)]
+    chosen = select_equilibrium([StageEquilibrium(kind="pure", per_team=p, epsilon=0.0)
+                                 for p in pure_nash(g)])
+    eq = solve_stage(g, 0, "z")
+    assert eq.kind == "pure" and eq.per_team == chosen.per_team
+    assert eq.epsilon == certify_epsilon(g, chosen) > 0.0
 
 
 def test_solve_stage_pure_only_raises():

@@ -1,13 +1,18 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from teamfield.errors import SpecParseError, SpecValidationError
-from teamfield.static_games import (StaticGame, load_static_game,
+from teamfield.static_games import (PAYOFF_TOL, StaticGame, load_static_game,
                                     load_static_game_file, pure_nash_static,
                                     static_report, team_deviation_witness,
                                     team_nash_static)
 
 from conftest import DATA
+from oracles import pure_nash_static_loop
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +61,29 @@ def _with_teams(game: StaticGame, teams):
 def test_singleton_teams_reduce_to_nash(matrix_game):
     solo = _with_teams(matrix_game, ((0,), (1,), (2,)))
     assert team_nash_static(solo) == pure_nash_static(solo)
+
+
+@st.composite
+def static_games(draw):
+    """1-4 players with 1-3 actions each, payoffs in {0, 1, 2} * scale (the
+    smaller scales put gaps at and below PAYOFF_TOL), random teams."""
+    shape = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)))
+    n, size = len(shape), math.prod(shape)
+    scale = draw(st.sampled_from([1.0, PAYOFF_TOL, 0.4 * PAYOFF_TOL]))
+    payoffs = tuple(scale * np.array(draw(st.lists(st.integers(0, 2), min_size=size,
+                                                    max_size=size)), dtype=float).reshape(shape)
+                    for _ in range(n))
+    team_of = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    teams = tuple(tuple(i for i in range(n) if team_of[i] == j) for j in sorted(set(team_of)))
+    return StaticGame(payoffs=payoffs, team_partition=teams,
+                      action_labels=tuple(tuple("a%d" % a for a in range(m)) for m in shape),
+                      player_names=tuple("p%d" % i for i in range(n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(static_games())
+def test_pure_nash_matches_the_unilateral_loop(game):
+    assert pure_nash_static(game) == pure_nash_static_loop(game, PAYOFF_TOL)
 
 
 def test_grand_team_maximizes_welfare(matrix_game):
