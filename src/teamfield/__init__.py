@@ -12,23 +12,20 @@ per-agent simulation.
 from .errors import (CapacityError, EquilibriumNotFoundError,
                      NoPureEquilibriumError, SpecParseError,
                      SpecValidationError, TeamfieldError)
-from .model import (GameSpec, TeamModel, eval_cost, eval_transition,
-                    load_spec, load_spec_file, with_populations)
+from .model import (GameSpec, TeamModel, load_spec, load_spec_file,
+                    with_populations)
 from .counts import (CountDistribution, CountVector, JointCount, MeanField,
-                     Prescription, action_count_dist, enumerate_counts,
-                     joint_transition_kernel, marginalize_counts,
-                     nextstate_count_dist, sample_next_counts, stage_cost,
-                     team_transition_kernel)
+                     Prescription, enumerate_counts, joint_transition_kernel,
+                     stage_cost, team_transition_kernel)
 from .stage_game import (KernelCache, PrescriptionSet, StageEquilibrium, StageGame,
-                         br_iteration, build_prescription_set,
-                         build_stage_game, mixed_nash_2team, pure_nash,
-                         select_equilibrium)
+                         br_iteration, build_prescription_set, mixed_nash_2team,
+                         pure_nash, select_equilibrium)
 from .finite_mpe import (EquilibriumCertificate, JointLattice, PolicyTable,
                          ValueTable, best_response, evaluate_total_cost,
                          solve_mpe, verify_mpe)
 from .limit import (LimitPolicyTable, LimitValueTable, SimplexGrid,
                     default_grid, flow, project_policy_to_lattice,
-                    project_to_grid, rollout_inf, solve_mpe_inf)
+                    rollout_inf, solve_mpe_inf)
 from .metrics import (Lemma1Report, RateFit, estimate_lipschitz,
                       expected_deviation, fit_rate, joint_distance,
                       kappa_envelope, lemma1_check, theorem4_bound,
@@ -44,20 +41,16 @@ __version__ = "0.1.0"
 __all__ = [
     "CapacityError", "EquilibriumNotFoundError", "NoPureEquilibriumError",
     "SpecParseError", "SpecValidationError", "TeamfieldError",
-    "GameSpec", "TeamModel", "eval_cost", "eval_transition", "load_spec",
-    "load_spec_file", "with_populations",
+    "GameSpec", "TeamModel", "load_spec", "load_spec_file", "with_populations",
     "CountDistribution", "CountVector", "JointCount", "MeanField",
-    "Prescription", "action_count_dist", "enumerate_counts",
-    "joint_transition_kernel", "marginalize_counts", "nextstate_count_dist",
-    "sample_next_counts", "stage_cost", "team_transition_kernel",
+    "Prescription", "enumerate_counts", "joint_transition_kernel",
+    "stage_cost", "team_transition_kernel",
     "KernelCache", "PrescriptionSet", "StageEquilibrium", "StageGame", "br_iteration",
-    "build_prescription_set", "build_stage_game", "mixed_nash_2team",
-    "pure_nash", "select_equilibrium",
+    "build_prescription_set", "mixed_nash_2team", "pure_nash", "select_equilibrium",
     "EquilibriumCertificate", "JointLattice", "PolicyTable", "ValueTable",
     "best_response", "evaluate_total_cost", "solve_mpe", "verify_mpe",
     "LimitPolicyTable", "LimitValueTable", "SimplexGrid", "default_grid",
-    "flow", "project_policy_to_lattice", "project_to_grid", "rollout_inf",
-    "solve_mpe_inf",
+    "flow", "project_policy_to_lattice", "rollout_inf", "solve_mpe_inf",
     "Lemma1Report", "RateFit", "estimate_lipschitz",
     "expected_deviation", "fit_rate", "joint_distance", "kappa_envelope",
     "lemma1_check", "theorem4_bound", "wasserstein",

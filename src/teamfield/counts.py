@@ -10,12 +10,13 @@ agent of the team), one stage factors into three elementary random maps:
      per cell, rows from the mean-field-coupled kernel),
   3. the triple counts marginalize to next-state counts.
 
-``action_count_dist`` / ``nextstate_count_dist`` / ``marginalize_counts``
-expose the three maps; ``team_transition_kernel`` composes them exactly.
-The composition is computed by convolving per-state multinomials over the
-mixture row sum_a gamma(a|s) P(.|s,a,z) (agents leaving a state are iid
-across both splits, so their arrival counts are multinomial on the mixture)
-which is the same distribution with a far smaller intermediate support.
+``team_transition_kernel`` composes the three maps exactly; the maps
+themselves live in ``tests/oracles.py``, as the per-agent composition the
+kernel is checked against. The composition is computed by convolving
+per-state multinomials over the mixture row sum_a gamma(a|s) P(.|s,a,z)
+(agents leaving a state are iid across both splits, so their arrival
+counts are multinomial on the mixture) which is the same distribution
+with a far smaller intermediate support.
 
 Counts are exact integers; multinomial weights accumulate in log space, so
 populations are not limited by factorial overflow.
@@ -115,9 +116,6 @@ class Prescription:
         rows = np.ascontiguousarray(rows)
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
-
-    def is_deterministic(self):
-        return bool(np.all(np.max(self.rows, axis=1) == 1.0))
 
 
 @dataclass(frozen=True)
@@ -264,83 +262,6 @@ def _multinomial_pmf(n: int, probs: np.ndarray, comps: np.ndarray) -> np.ndarray
     return np.exp(logp)
 
 
-def action_count_dist(m, gamma: Prescription) -> CountDistribution:
-    """Law of the state-action counts: each state's occupants split across
-    actions independently with the prescription row as weights."""
-    mv = m.as_array() if isinstance(m, CountVector) else np.asarray(m, dtype=int)
-    rows = gamma.rows
-    S, A = rows.shape
-    if mv.shape != (S,):
-        raise SpecValidationError("counts have shape %s, prescription has %d states"
-                                  % (mv.shape, S))
-    per_state = []
-    for s in range(S):
-        comps = np.array(enumerate_counts(int(mv[s]), A), dtype=int)
-        per_state.append((comps, _multinomial_pmf(int(mv[s]), rows[s], comps)))
-    atoms = {}
-
-    def rec(s, acc_rows, acc_p):
-        if s == S:
-            key = tuple(acc_rows)
-            atoms[key] = atoms.get(key, 0.0) + acc_p
-            return
-        comps, pmf = per_state[s]
-        for i in range(len(comps)):
-            if pmf[i] < PRUNE_TOL:
-                continue
-            rec(s + 1, acc_rows + [tuple(int(x) for x in comps[i])], acc_p * pmf[i])
-
-    rec(0, [], 1.0)
-    return _finalize(atoms, wrap=lambda key: np.array(key, dtype=int))
-
-
-def nextstate_count_dist(mbar, z, spec: GameSpec, k: int) -> CountDistribution:
-    """Law of the (state, action, next state) counts: each occupied
-    (s, a) cell splits across next states with the kernel row at z."""
-    mb = np.asarray(mbar, dtype=int)
-    tm = spec.teams[k]
-    S, A = tm.n_states, tm.n_actions
-    if mb.shape != (S, A):
-        raise SpecValidationError("state-action counts have shape %s, expected %s"
-                                  % (mb.shape, (S, A)))
-    zf = flatten_mean_field(spec, z)
-    P = transition_matrix(spec, k, zf)
-    cells = [(s, a) for s in range(S) for a in range(A) if mb[s, a] > 0]
-    per_cell = []
-    for (s, a) in cells:
-        comps = np.array(enumerate_counts(int(mb[s, a]), S), dtype=int)
-        per_cell.append((comps, _multinomial_pmf(int(mb[s, a]), P[s, a], comps)))
-    atoms = {}
-
-    def rec(i, acc, acc_p):
-        if i == len(cells):
-            atoms[acc] = atoms.get(acc, 0.0) + acc_p
-            return
-        comps, pmf = per_cell[i]
-        for j in range(len(comps)):
-            if pmf[j] < PRUNE_TOL:
-                continue
-            rec(i + 1, acc + (tuple(int(x) for x in comps[j]),), acc_p * pmf[j])
-
-    rec(0, (), 1.0)
-
-    def wrap(key):
-        mhat = np.zeros((S, A, S), dtype=int)
-        for (s, a), comp in zip(cells, key):
-            mhat[s, a, :] = comp
-        return mhat
-
-    return _finalize(atoms, wrap=wrap)
-
-
-def marginalize_counts(mhat) -> np.ndarray:
-    """Next-state counts from the triple counts: m'(s') = sum_{s,a} mhat."""
-    mh = np.asarray(mhat, dtype=int)
-    if mh.ndim != 3:
-        raise SpecValidationError("triple counts must be 3-d, got shape %s" % (mh.shape,))
-    return mh.sum(axis=(0, 1))
-
-
 def mixture_rows(spec: GameSpec, k: int, zf: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Per-state next-state law of one agent: sum_a gamma(a|s) P(.|s,a,z)."""
     P = transition_matrix(spec, k, zf)                     # (S, A, S')
@@ -352,9 +273,9 @@ def team_transition_kernel(m, z, gamma: Prescription, spec: GameSpec, k: int,
     """Exact one-stage law of team k's next counts given counts m, joint
     mean field z and prescription gamma.
 
-    Equal to pushing action_count_dist through nextstate_count_dist and
-    marginalizing; computed by convolving, state by state, the multinomial
-    arrival counts on the per-state mixture row.
+    Equal to composing the three maps of the module docstring; computed
+    by convolving, state by state, the multinomial arrival counts on the
+    per-state mixture row.
     """
     mv = m.as_array() if isinstance(m, CountVector) else np.asarray(m, dtype=int)
     tm = spec.teams[k]
@@ -412,35 +333,6 @@ def joint_transition_kernel(M: JointCount, prescriptions, spec: GameSpec,
     rec(0, (), 1.0)
     return _finalize(atoms, wrap=lambda key: JointCount(
         per_team=tuple(CountVector(team_id=i, counts=c) for i, c in enumerate(key))))
-
-
-def sample_next_counts(M: JointCount, prescriptions, spec: GameSpec,
-                       rng: np.random.Generator) -> JointCount:
-    """One draw of the next joint counts via sequential multinomial
-    sampling (split over actions, then over next states, then marginalize).
-    Identical generator state yields identical draws."""
-    M.validate(spec)
-    zf = M.mean_field().flat()
-    out = []
-    for k in range(spec.n_teams):
-        tm = spec.teams[k]
-        S, A = tm.n_states, tm.n_actions
-        P = transition_matrix(spec, k, zf)
-        rows = prescriptions[k].rows
-        nxt = np.zeros(S, dtype=int)
-        mv = M.per_team[k].counts
-        for s in range(S):
-            if mv[s] == 0:
-                continue
-            p_act = rows[s] / rows[s].sum()
-            mbar_s = rng.multinomial(mv[s], p_act)
-            for a in range(A):
-                if mbar_s[a] == 0:
-                    continue
-                row = P[s, a] / P[s, a].sum()
-                nxt += rng.multinomial(mbar_s[a], row)
-        out.append(CountVector(team_id=k, counts=tuple(int(x) for x in nxt)))
-    return JointCount(per_team=tuple(out))
 
 
 def stage_cost(z, gamma: Prescription, spec: GameSpec, k: int, t: int) -> float:

@@ -139,14 +139,10 @@ def _nearest(x, k, grid: SimplexGrid):
     return np.concatenate(idx), np.concatenate(dist)
 
 
-def project_to_grid(z, grid: SimplexGrid):
-    """Nearest joint grid point under the summed per-team transport
-    metric (the per-team problems separate); returns (point, error)."""
-    idx, err = project_indices(z, grid)
-    return grid.mean_field(idx), err
-
-
 def project_indices(z, grid: SimplexGrid):
+    """Per-team indices of the nearest joint grid point under the summed
+    per-team transport metric (the per-team problems separate), and the
+    projection error."""
     per_team = getattr(z, "per_team", z)
     idx, err = [], 0.0
     for k in range(len(grid.points)):

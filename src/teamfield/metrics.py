@@ -3,12 +3,14 @@ value-table Lipschitz estimates and the resulting equilibrium-gap bound.
 
 The quality of the infinite-population approximation is governed by (a)
 how far the random next mean field strays from its deterministic flow
-image (a constant-over-sqrt(N) envelope, estimated empirically here) and
-(b) how steep the equilibrium value functions are in the mean field
-(estimated from the computed tables). ``theorem4_bound`` combines the two
-into the certified gap 2 * sum_t sum_k kappa_k * L_{k,t} / sqrt(N_k).
-Every kappa produced here is an empirical envelope over the probed
-populations and is labeled as such in reports; no constants are invented.
+image (a constant-over-sqrt(N) envelope, estimated empirically here from
+deviations that are exact expectations under the count kernel) and (b)
+how steep the equilibrium value functions are in the mean field (the
+largest difference quotient over all point pairs of the computed tables).
+``theorem4_bound`` combines the two into the certified gap
+2 * sum_t sum_k kappa_k * L_{k,t} / sqrt(N_k). Every kappa produced here
+is an empirical envelope over the probed populations and is labeled as
+such in reports; no constants are invented. Nothing here samples.
 """
 
 from __future__ import annotations
@@ -19,14 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .errors import SpecValidationError
+from .errors import CapacityError, SpecValidationError
 from .counts import count_point, team_transition_kernel
 from .model import GameSpec, with_populations
-from .rng import substream
 
 MAX_EXACT_STATES = 32
-DEFAULT_DEVIATION_CAP = 10 ** 5
-DEFAULT_PAIR_CAP = 10 ** 6
+MAX_LIPSCHITZ_PAIRS = 10 ** 9     # most point pairs estimate_lipschitz compares
+LIPSCHITZ_BLOCK_PAIRS = 1 << 14   # pairs per block; bounds the transient arrays
 
 
 def _check_dist(p, name):
@@ -92,11 +93,6 @@ def transport_distance(p, q, metric) -> np.ndarray:
     return out
 
 
-def wasserstein_fast(p, q, metric) -> float:
-    """``wasserstein`` of one pair through ``transport_distance``."""
-    return float(transport_distance(p, q, metric))
-
-
 def joint_distance(z, zhat, spec: GameSpec) -> float:
     """Sum over teams of the per-team transport distances."""
     a = getattr(z, "per_team", z)
@@ -109,7 +105,7 @@ def joint_distance(z, zhat, spec: GameSpec) -> float:
     return total
 
 
-def per_team_deviation(z, prescriptions, spec: GameSpec, cap=None) -> np.ndarray:
+def per_team_deviation(z, prescriptions, spec: GameSpec) -> np.ndarray:
     """Exact per-team E[W(next counts / N, flow image)] under the count
     kernel. The joint expectation of the summed metric separates across
     teams because teams transition independently."""
@@ -126,37 +122,11 @@ def per_team_deviation(z, prescriptions, spec: GameSpec, cap=None) -> np.ndarray
     return out
 
 
-def expected_deviation(z, prescriptions, spec: GameSpec,
-                       support_cap: int = DEFAULT_DEVIATION_CAP,
-                       samples: int = 20000, master_seed=None,
-                       with_stderr: bool = False):
-    """E over the joint count kernel of the summed transport distance to
-    the deterministic flow image.
-
-    Exact when the joint support fits under ``support_cap``; otherwise a
-    Monte Carlo estimate (``samples`` draws) whose standard error is
-    available via with_stderr=True (exact mode reports stderr 0)."""
-    from .counts import CountVector, JointCount, sample_next_counts
-    from .limit import flow
-    per_team = getattr(z, "per_team", z)
-    ms = [count_point(per_team[k], tm.population, k) for k, tm in enumerate(spec.teams)]
-    sizes = [len(team_transition_kernel(m, z, prescriptions[k], spec, k))
-             for k, m in enumerate(ms)]
-    if math.prod(sizes) <= support_cap:
-        val = float(per_team_deviation(z, prescriptions, spec).sum())
-        return (val, 0.0) if with_stderr else val
-    # Monte Carlo fallback for large supports
-    q = flow(z, prescriptions, spec)
-    M = JointCount(per_team=tuple(CountVector(team_id=k, counts=m) for k, m in enumerate(ms)))
-    rng = substream(spec.seed if master_seed is None else master_seed,
-                    "expected-deviation")
-    nxt = [sample_next_counts(M, prescriptions, spec, rng) for _ in range(samples)]
-    draws = sum(transport_distance(np.array([jc.per_team[k].counts for jc in nxt]) / tm.population,
-                                   q.per_team[k], tm.state_metric)
-                for k, tm in enumerate(spec.teams))
-    mean = float(draws.mean())
-    stderr = float(draws.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-    return (mean, stderr) if with_stderr else mean
+def expected_deviation(z, prescriptions, spec: GameSpec) -> float:
+    """Exact E over the joint count kernel of the summed transport distance
+    to the deterministic flow image; teams move independently given z, so
+    it is the sum of the per-team deviations."""
+    return float(per_team_deviation(z, prescriptions, spec).sum())
 
 
 @dataclass
@@ -234,40 +204,42 @@ def kappa_envelope(spec: GameSpec, z, profiles, n_values) -> np.ndarray:
     return kappa
 
 
-def estimate_lipschitz(table, spec: GameSpec,
-                       pair_cap: int = DEFAULT_PAIR_CAP,
-                       master_seed: int = 0) -> np.ndarray:
+def estimate_lipschitz(table, spec: GameSpec) -> np.ndarray:
     """Per-(team, stage) Lipschitz estimate of a value table w.r.t. the
-    summed transport metric: the max difference quotient over point pairs
-    (a deterministic subsample above ``pair_cap`` pairs). Shape (K, T)."""
+    summed transport metric: the max difference quotient over all point
+    pairs, taken in row blocks of about LIPSCHITZ_BLOCK_PAIRS pairs.
+    Shape (K, T); raises CapacityError above MAX_LIPSCHITZ_PAIRS pairs."""
     V = table.values                      # (T, K, *shape)
-    pts = table.per_team_points()
     T, K = V.shape[0], V.shape[1]
     L = int(np.prod(V.shape[2:]))
     if L < 2:
         raise SpecValidationError("lipschitz estimation needs at least 2 points")
-    flatV = V.reshape(T, K, L)
-    out = np.zeros((K, T))
-    iu, ju = np.triu_indices(L, k=1)
-    if iu.size > pair_cap:
-        rng = substream(master_seed, "lipschitz-pairs")
-        sel = rng.choice(iu.size, size=pair_cap, replace=False)
-        iu, ju = iu[sel], ju[sel]
+    if L * (L - 1) // 2 > MAX_LIPSCHITZ_PAIRS:
+        raise CapacityError("lipschitz estimation over %d point pairs, cap is %d"
+                            % (L * (L - 1) // 2, MAX_LIPSCHITZ_PAIRS))
+    flatV = V.reshape(T * K, L)
     # joint point p has per-team grid indices idx[:, p]; the joint distance
     # sums per-team tables, each computed once per unordered pair
     idx = np.indices(V.shape[2:]).reshape(K, L)
-    dist = 0.0
-    for x, i, tm in zip(pts, idx, spec.teams):
+    tables = []
+    for x, tm in zip(table.per_team_points(), spec.teams):
         a, b = np.triu_indices(len(x), k=1)
         D = np.zeros((len(x), len(x)))
         D[a, b] = D[b, a] = transport_distance(x[a], x[b], tm.state_metric)
-        dist = dist + D[i[iu], i[ju]]
-    ok = dist > 1e-15
-    for k in range(K):
-        for t in range(T):
-            dv = np.abs(flatV[t, k, iu] - flatV[t, k, ju])
-            out[k, t] = float(np.max(dv[ok] / dist[ok])) if np.any(ok) else 0.0
-    return out
+        tables.append(D)
+    best = np.zeros(T * K)
+    rows = max(1, LIPSCHITZ_BLOCK_PAIRS // L)
+    for lo in range(0, L - 1, rows):
+        r, c = np.nonzero(np.arange(lo + 1, L) > np.arange(lo, min(lo + rows, L - 1))[:, None])
+        iu, ju = lo + r, lo + 1 + c
+        dist = 0.0
+        for D, ik in zip(tables, idx):
+            dist = dist + D[ik[iu], ik[ju]]
+        ok = dist > 1e-15
+        if np.any(ok):
+            q = np.abs(flatV[:, iu[ok]] - flatV[:, ju[ok]]) / dist[ok]
+            best = np.maximum(best, q.max(axis=1))
+    return best.reshape(T, K).T
 
 
 def theorem4_bound(kappa_hat, lipschitz, populations) -> float:

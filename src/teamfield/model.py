@@ -244,27 +244,6 @@ def flatten_mean_field(spec: GameSpec, z) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def eval_transition(spec: GameSpec, k: int, s: int, a: int, z) -> np.ndarray:
-    """Next-state probability row P(.|s, a, z) for an agent of team k."""
-    tm = spec.teams[k]
-    if not (0 <= s < tm.n_states and 0 <= a < tm.n_actions):
-        raise IndexError("state/action out of range for team %d: (s=%d, a=%d)" % (k, s, a))
-    zf = flatten_mean_field(spec, z)
-    row = tm.transition_base[s, a] + tm.transition_coupling[s, a] @ zf
-    return np.maximum(row, 0.0)
-
-
-def eval_cost(spec: GameSpec, k: int, t: int, s: int, a: int, z) -> float:
-    """Per-agent stage cost c_t(s, a, z) for team k at stage t (0-based)."""
-    tm = spec.teams[k]
-    if not 0 <= t < spec.horizon:
-        raise IndexError("stage %d out of range for horizon %d" % (t, spec.horizon))
-    if not (0 <= s < tm.n_states and 0 <= a < tm.n_actions):
-        raise IndexError("state/action out of range for team %d: (s=%d, a=%d)" % (k, s, a))
-    zf = flatten_mean_field(spec, z)
-    return float(tm.cost_base[t, s, a] + tm.cost_coupling[t, s, a] @ zf)
-
-
 def transition_matrix(spec: GameSpec, k: int, zf: np.ndarray) -> np.ndarray:
     """All rows at once: (S, A, S) array of P(s'|s, a, z), z flat."""
     tm = spec.teams[k]
@@ -275,52 +254,6 @@ def cost_matrix(spec: GameSpec, k: int, t: int, zf: np.ndarray) -> np.ndarray:
     """(S, A) array of c_t(s, a, z), z flat."""
     tm = spec.teams[k]
     return tm.cost_base[t] + tm.cost_coupling[t] @ zf
-
-
-def _kr_norm(w: np.ndarray, metric: np.ndarray) -> float:
-    """Smallest L with |w . (p - q)| <= L * W_metric(p, q) for p, q on the
-    simplex: the Lipschitz constant of the coefficient vector w on the
-    metric state space (Kantorovich duality makes this tight)."""
-    S = len(w)
-    if S == 1:
-        return 0.0
-    diff = np.abs(w[:, None] - w[None, :])
-    off = ~np.eye(S, dtype=bool)
-    return float(np.max(diff[off] / metric[off]))
-
-
-def transition_lipschitz(spec: GameSpec, k: int) -> float:
-    """Closed-form bound: W(P(.|s,a,z), P(.|s,a,z')) <= L * joint_distance(z, z')
-    for every (s, a), where W uses team k's state metric and joint_distance
-    sums per-team transport distances."""
-    tm = spec.teams[k]
-    S = tm.n_states
-    if S == 1:
-        return 0.0
-    diam = float(tm.state_metric.max())
-    best = 0.0
-    for s in range(S):
-        for a in range(tm.n_actions):
-            per_team = []
-            for kp in range(spec.n_teams):
-                blk = tm.transition_coupling[s, a, :, spec.block(kp)]   # (S', |S_kp|)
-                mkp = spec.teams[kp].state_metric
-                per_team.append(sum(_kr_norm(blk[sp], mkp) for sp in range(S)))
-            best = max(best, max(per_team) if per_team else 0.0)
-    return 0.5 * diam * best
-
-
-def cost_lipschitz(spec: GameSpec, k: int, t: int) -> float:
-    """Closed-form bound: |c_t(s,a,z) - c_t(s,a,z')| <= L * joint_distance(z, z')
-    for every (s, a)."""
-    tm = spec.teams[k]
-    best = 0.0
-    for s in range(tm.n_states):
-        for a in range(tm.n_actions):
-            for kp in range(spec.n_teams):
-                w = tm.cost_coupling[t, s, a, spec.block(kp)]
-                best = max(best, _kr_norm(w, spec.teams[kp].state_metric))
-    return best
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ uniforms in the same order from its own substream, and every table
 entry is the same per-point ``cost_matrix`` / ``transition_matrix`` value
 the per-episode process computes, so the per-episode costs are bitwise
 those of ``simulate_episode``, for any block boundaries and any worker
-count. Hand-written policies run one episode at a time.
+count. Hand-written policies run one episode at a time through
+``simulate_episode``.
 """
 
 from __future__ import annotations
@@ -74,17 +75,6 @@ class LiftedPolicy:
                 choice = int(_pick(_cdf(w), np.asarray(rng.random())))
             rows.append(ps.items[choice].rows)
         return rows
-
-
-@dataclass
-class FunctionPolicy:
-    """Adapter for hand-written policies in tests: fn(t, M, rng) must
-    return per-team (S, A) action rows."""
-    fn: object
-    randomized: bool = False
-
-    def realize(self, t, M, rng):
-        return self.fn(t, M, rng)
 
 
 def lift_policy(table) -> LiftedPolicy:
@@ -301,48 +291,42 @@ def _run_block(tab: _EpisodeTables, seed, episode_ids) -> np.ndarray:
 
 
 def _run_chunk(args):
-    spec, policy, seed, episode_ids = args
-    if isinstance(policy, _EpisodeTables):
-        return np.concatenate([
-            _run_block(policy, seed, episode_ids[i:i + BLOCK_EPISODES])
-            for i in range(0, len(episode_ids), BLOCK_EPISODES)], axis=0)
-    out = np.empty((len(episode_ids), spec.n_teams))
-    for i, e in enumerate(episode_ids):
-        rng = substream(seed, "episode", e)
-        _, costs = simulate_episode(spec, policy, rng)
-        out[i] = costs
-    return out
+    tab, seed, episode_ids = args
+    return np.concatenate([_run_block(tab, seed, episode_ids[i:i + BLOCK_EPISODES])
+                           for i in range(0, len(episode_ids), BLOCK_EPISODES)], axis=0)
 
 
-def estimate_cost(spec: GameSpec, policy, episodes: int, master_seed=None,
+def estimate_cost(spec: GameSpec, policy: LiftedPolicy, episodes: int, master_seed=None,
                   workers: int = 1, keep_episodes: bool = False) -> SimResult:
     """Mean and standard error of the per-team cumulative cost over
-    independent episodes. Episode e always runs on the substream
+    independent episodes of a lifted table policy, run in batched blocks
+    (see ``_run_block``). Episode e always runs on the substream
     (seed, "episode", e), so the result is identical for any worker
-    count; parallel chunks are reduced in episode order. A LiftedPolicy
-    runs in batched blocks (see ``_run_block``), any other policy one
-    ``simulate_episode`` at a time."""
+    count; parallel chunks are reduced in episode order."""
+    if not isinstance(policy, LiftedPolicy):
+        raise SpecValidationError("estimate_cost runs a LiftedPolicy, got %s"
+                                  % type(policy).__name__)
     if episodes < 1:
         raise SpecValidationError("need at least one episode")
     seed = spec.seed if master_seed is None else master_seed
-    runner = _episode_tables(spec, policy) if isinstance(policy, LiftedPolicy) else policy
+    tab = _episode_tables(spec, policy)
     ids = list(range(episodes))
     if workers > 1 and episodes > 1:
         chunks = [c.tolist() for c in np.array_split(ids, min(workers * 4, episodes))
                   if len(c)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_run_chunk,
-                                  [(spec, runner, seed, c) for c in chunks]))
+                                  [(tab, seed, c) for c in chunks]))
         per = np.concatenate(parts, axis=0)
     else:
-        per = _run_chunk((spec, runner, seed, ids))
+        per = _run_chunk((tab, seed, ids))
     mean = per.mean(axis=0)
     if episodes > 1:
         stderr = per.std(axis=0, ddof=1) / math.sqrt(episodes)
     else:
         stderr = np.zeros_like(mean)
     return SimResult(mean=mean, stderr=stderr, episodes=episodes,
-                     randomized_policy=bool(getattr(policy, "randomized", False)),
+                     randomized_policy=policy.randomized,
                      per_episode=per if keep_episodes else None)
 
 

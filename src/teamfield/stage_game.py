@@ -17,13 +17,14 @@ fidelity.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, EquilibriumNotFoundError, SpecValidationError
+from .errors import (CapacityError, EquilibriumNotFoundError, NoPureEquilibriumError,
+                     SpecValidationError)
 from .counts import (JointLattice, MeanField, Prescription, count_point,
-                     enumerate_counts, stage_cost, team_transition_kernel)
+                     enumerate_counts, team_transition_kernel)
 from .model import GameSpec, flatten_mean_field
 
 PURE_TOL = 1e-12      # strict-improvement tolerance for pure deviations
@@ -241,65 +242,6 @@ class KernelCache:
 
     def vector(self, k: int, z: MeanField, presc_idx: int) -> np.ndarray:
         return self.matrix(k, z)[presc_idx]
-
-
-@dataclass(frozen=True)
-class ContinuationTable:
-    """Next-stage values on the joint count lattice: values[k, i_1, ..., i_K]
-    with per-team lattice indices i_k."""
-    lattices: tuple
-    values: np.ndarray = field(repr=False)
-
-
-def build_stage_game(z: MeanField, t: int, continuation, sets, spec: GameSpec,
-                     kernel_cache: KernelCache = None) -> StageGame:
-    """Cost tensors at mean-field point z and stage t.
-
-    tensor_k[joint index] = stage_cost(z, menu_k[i_k])
-                            + E[continuation_k(next counts)],
-    the expectation taken under the exact joint kernel (product across
-    teams). ``continuation`` is None (terminal stage), a ContinuationTable
-    (the solvers' batched engine at a single point), or a callable mapping
-    a JointCount to a length-K value sequence (exact summation over the
-    materialized joint support, the reference the engine is tested
-    against; small instances only).
-    """
-    K = spec.n_teams
-    flatten_mean_field(spec, z)
-    shape = tuple(len(ps) for ps in sets)
-    if continuation is None or isinstance(continuation, ContinuationTable):
-        Z = [v[None] for v in getattr(z, "per_team", z)]
-        own = [_cost_table(spec, k, sets[k], Z, t) for k in range(K)]
-        cont = None
-        if continuation is not None:
-            cache = kernel_cache or KernelCache(spec, sets)
-            cont = _contract([cache.matrix(k, z)[None] for k in range(K)], continuation.values)
-        tensors = _stage_tensors(own, cont, shape)
-        return StageGame(tensors=tuple(T[0] for T in tensors), sets=tuple(sets))
-
-    from .counts import JointCount, CountVector
-    own_cost = [np.array([stage_cost(z, p, spec, k, t) for p in sets[k].items])
-                for k in range(K)]
-    dists = {}
-    for k in range(K):
-        m = np.rint(z.per_team[k] * spec.teams[k].population).astype(int)
-        for i, p in enumerate(sets[k].items):
-            dists[(k, i)] = team_transition_kernel(m, z, p, spec, k)
-    tensors = [np.zeros(shape) for _ in range(K)]
-    for profile in np.ndindex(shape):
-        per = [dists[(k, profile[k])] for k in range(K)]
-        acc = np.zeros(K)
-        for combo in itertools.product(*(range(len(d)) for d in per)):
-            pr = 1.0
-            for k in range(K):
-                pr *= per[k].probs[combo[k]]
-            jc = JointCount(per_team=tuple(
-                CountVector(team_id=k, counts=per[k].support[combo[k]].counts)
-                for k in range(K)))
-            acc += pr * np.asarray(continuation(jc), dtype=float)
-        for k in range(K):
-            tensors[k][profile] = own_cost[k][profile[k]] + acc[k]
-    return StageGame(tensors=tuple(tensors), sets=tuple(sets))
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +468,6 @@ def solve_stage(game: StageGame, t: int, z_label, pure_only: bool = False) -> St
     pure_only fails loudly instead of falling back. pure_nash lists
     lexicographically, which is select_equilibrium's order among pure
     equilibria, so the first one is the selected one."""
-    from .errors import NoPureEquilibriumError
     pure = pure_nash(game)
     if pure:
         eq = StageEquilibrium(kind="pure", per_team=pure[0], epsilon=0.0)

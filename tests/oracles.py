@@ -1,7 +1,20 @@
 """Slow reference implementations that fast paths in ``src/`` are tested
-against."""
+against: the per-agent composition of one stage (checked against the
+count kernels), the per-point stage game (checked against the batched
+engine), hand-written agent policies for ``simulate.simulate_episode``,
+and pointwise model evaluation with its closed-form Lipschitz bounds."""
+
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
+
+from teamfield.counts import (PRUNE_TOL, CountDistribution, CountVector, JointCount,
+                              Prescription, _finalize, _multinomial_pmf,
+                              enumerate_counts, stage_cost, team_transition_kernel)
+from teamfield.errors import SpecValidationError
+from teamfield.model import GameSpec, flatten_mean_field, transition_matrix
+from teamfield.stage_game import StageGame
 
 
 def frequencies_loop(keys_per_team) -> dict:
@@ -32,3 +45,226 @@ def pure_nash_static_loop(game, tol) -> list:
         if stable:
             out.append(profile)
     return out
+
+
+def action_count_dist(m, gamma: Prescription) -> CountDistribution:
+    """Law of the state-action counts: each state's occupants split across
+    actions independently with the prescription row as weights."""
+    mv = m.as_array() if isinstance(m, CountVector) else np.asarray(m, dtype=int)
+    rows = gamma.rows
+    S, A = rows.shape
+    if mv.shape != (S,):
+        raise SpecValidationError("counts have shape %s, prescription has %d states"
+                                  % (mv.shape, S))
+    per_state = []
+    for s in range(S):
+        comps = np.array(enumerate_counts(int(mv[s]), A), dtype=int)
+        per_state.append((comps, _multinomial_pmf(int(mv[s]), rows[s], comps)))
+    atoms = {}
+
+    def rec(s, acc_rows, acc_p):
+        if s == S:
+            key = tuple(acc_rows)
+            atoms[key] = atoms.get(key, 0.0) + acc_p
+            return
+        comps, pmf = per_state[s]
+        for i in range(len(comps)):
+            if pmf[i] < PRUNE_TOL:
+                continue
+            rec(s + 1, acc_rows + [tuple(int(x) for x in comps[i])], acc_p * pmf[i])
+
+    rec(0, [], 1.0)
+    return _finalize(atoms, wrap=lambda key: np.array(key, dtype=int))
+
+
+def nextstate_count_dist(mbar, z, spec: GameSpec, k: int) -> CountDistribution:
+    """Law of the (state, action, next state) counts: each occupied
+    (s, a) cell splits across next states with the kernel row at z."""
+    mb = np.asarray(mbar, dtype=int)
+    tm = spec.teams[k]
+    S, A = tm.n_states, tm.n_actions
+    if mb.shape != (S, A):
+        raise SpecValidationError("state-action counts have shape %s, expected %s"
+                                  % (mb.shape, (S, A)))
+    zf = flatten_mean_field(spec, z)
+    P = transition_matrix(spec, k, zf)
+    cells = [(s, a) for s in range(S) for a in range(A) if mb[s, a] > 0]
+    per_cell = []
+    for (s, a) in cells:
+        comps = np.array(enumerate_counts(int(mb[s, a]), S), dtype=int)
+        per_cell.append((comps, _multinomial_pmf(int(mb[s, a]), P[s, a], comps)))
+    atoms = {}
+
+    def rec(i, acc, acc_p):
+        if i == len(cells):
+            atoms[acc] = atoms.get(acc, 0.0) + acc_p
+            return
+        comps, pmf = per_cell[i]
+        for j in range(len(comps)):
+            if pmf[j] < PRUNE_TOL:
+                continue
+            rec(i + 1, acc + (tuple(int(x) for x in comps[j]),), acc_p * pmf[j])
+
+    rec(0, (), 1.0)
+
+    def wrap(key):
+        mhat = np.zeros((S, A, S), dtype=int)
+        for (s, a), comp in zip(cells, key):
+            mhat[s, a, :] = comp
+        return mhat
+
+    return _finalize(atoms, wrap=wrap)
+
+
+def marginalize_counts(mhat) -> np.ndarray:
+    """Next-state counts from the triple counts: m'(s') = sum_{s,a} mhat."""
+    mh = np.asarray(mhat, dtype=int)
+    if mh.ndim != 3:
+        raise SpecValidationError("triple counts must be 3-d, got shape %s" % (mh.shape,))
+    return mh.sum(axis=(0, 1))
+
+
+def sample_next_counts(M: JointCount, prescriptions, spec: GameSpec,
+                       rng: np.random.Generator) -> JointCount:
+    """One draw of the next joint counts via sequential multinomial
+    sampling (split over actions, then over next states, then marginalize).
+    Identical generator state yields identical draws."""
+    M.validate(spec)
+    zf = M.mean_field().flat()
+    out = []
+    for k in range(spec.n_teams):
+        tm = spec.teams[k]
+        S, A = tm.n_states, tm.n_actions
+        P = transition_matrix(spec, k, zf)
+        rows = prescriptions[k].rows
+        nxt = np.zeros(S, dtype=int)
+        mv = M.per_team[k].counts
+        for s in range(S):
+            if mv[s] == 0:
+                continue
+            p_act = rows[s] / rows[s].sum()
+            mbar_s = rng.multinomial(mv[s], p_act)
+            for a in range(A):
+                if mbar_s[a] == 0:
+                    continue
+                row = P[s, a] / P[s, a].sum()
+                nxt += rng.multinomial(mbar_s[a], row)
+        out.append(CountVector(team_id=k, counts=tuple(int(x) for x in nxt)))
+    return JointCount(per_team=tuple(out))
+
+
+def build_stage_game(z, t: int, continuation, sets, spec: GameSpec) -> StageGame:
+    """Cost tensors at mean-field point z and stage t.
+
+    tensor_k[joint index] = stage_cost(z, menu_k[i_k])
+                            + E[continuation_k(next counts)],
+    the expectation summed exactly over the materialized joint support of
+    the per-team kernels, one profile at a time; ``continuation`` maps a
+    JointCount to a length-K value sequence, or is None at the terminal
+    stage. Own costs come from ``counts.stage_cost`` at every stage, so no
+    step shares code with the engine's cost tables or contraction.
+    Small instances only."""
+    K = spec.n_teams
+    flatten_mean_field(spec, z)
+    shape = tuple(len(ps) for ps in sets)
+    own_cost = [np.array([stage_cost(z, p, spec, k, t) for p in sets[k].items])
+                for k in range(K)]
+    dists = {}
+    for k in range(K):
+        m = np.rint(z.per_team[k] * spec.teams[k].population).astype(int)
+        for i, p in enumerate(sets[k].items):
+            dists[(k, i)] = team_transition_kernel(m, z, p, spec, k)
+    tensors = [np.zeros(shape) for _ in range(K)]
+    for profile in np.ndindex(shape):
+        per = [dists[(k, profile[k])] for k in range(K)]
+        acc = np.zeros(K)
+        if continuation is not None:
+            for combo in itertools.product(*(range(len(d)) for d in per)):
+                pr = 1.0
+                for k in range(K):
+                    pr *= per[k].probs[combo[k]]
+                jc = JointCount(per_team=tuple(
+                    CountVector(team_id=k, counts=per[k].support[combo[k]].counts)
+                    for k in range(K)))
+                acc += pr * np.asarray(continuation(jc), dtype=float)
+        for k in range(K):
+            tensors[k][profile] = own_cost[k][profile[k]] + acc[k]
+    return StageGame(tensors=tuple(tensors), sets=tuple(sets))
+
+
+@dataclass
+class FunctionPolicy:
+    """Adapter for hand-written policies: fn(t, M, rng) must return
+    per-team (S, A) action rows."""
+    fn: object
+    randomized: bool = False
+
+    def realize(self, t, M, rng):
+        return self.fn(t, M, rng)
+
+
+def eval_transition(spec: GameSpec, k: int, s: int, a: int, z) -> np.ndarray:
+    """Next-state probability row P(.|s, a, z) for an agent of team k."""
+    tm = spec.teams[k]
+    if not (0 <= s < tm.n_states and 0 <= a < tm.n_actions):
+        raise IndexError("state/action out of range for team %d: (s=%d, a=%d)" % (k, s, a))
+    zf = flatten_mean_field(spec, z)
+    row = tm.transition_base[s, a] + tm.transition_coupling[s, a] @ zf
+    return np.maximum(row, 0.0)
+
+
+def eval_cost(spec: GameSpec, k: int, t: int, s: int, a: int, z) -> float:
+    """Per-agent stage cost c_t(s, a, z) for team k at stage t (0-based)."""
+    tm = spec.teams[k]
+    if not 0 <= t < spec.horizon:
+        raise IndexError("stage %d out of range for horizon %d" % (t, spec.horizon))
+    if not (0 <= s < tm.n_states and 0 <= a < tm.n_actions):
+        raise IndexError("state/action out of range for team %d: (s=%d, a=%d)" % (k, s, a))
+    zf = flatten_mean_field(spec, z)
+    return float(tm.cost_base[t, s, a] + tm.cost_coupling[t, s, a] @ zf)
+
+
+def _kr_norm(w: np.ndarray, metric: np.ndarray) -> float:
+    """Smallest L with |w . (p - q)| <= L * W_metric(p, q) for p, q on the
+    simplex: the Lipschitz constant of the coefficient vector w on the
+    metric state space (Kantorovich duality makes this tight)."""
+    S = len(w)
+    if S == 1:
+        return 0.0
+    diff = np.abs(w[:, None] - w[None, :])
+    off = ~np.eye(S, dtype=bool)
+    return float(np.max(diff[off] / metric[off]))
+
+
+def transition_lipschitz(spec: GameSpec, k: int) -> float:
+    """Closed-form bound: W(P(.|s,a,z), P(.|s,a,z')) <= L * joint_distance(z, z')
+    for every (s, a), where W uses team k's state metric and joint_distance
+    sums per-team transport distances."""
+    tm = spec.teams[k]
+    S = tm.n_states
+    if S == 1:
+        return 0.0
+    diam = float(tm.state_metric.max())
+    best = 0.0
+    for s in range(S):
+        for a in range(tm.n_actions):
+            per_team = []
+            for kp in range(spec.n_teams):
+                blk = tm.transition_coupling[s, a, :, spec.block(kp)]   # (S', |S_kp|)
+                mkp = spec.teams[kp].state_metric
+                per_team.append(sum(_kr_norm(blk[sp], mkp) for sp in range(S)))
+            best = max(best, max(per_team) if per_team else 0.0)
+    return 0.5 * diam * best
+
+
+def cost_lipschitz(spec: GameSpec, k: int, t: int) -> float:
+    """Closed-form bound: |c_t(s,a,z) - c_t(s,a,z')| <= L * joint_distance(z, z')
+    for every (s, a)."""
+    tm = spec.teams[k]
+    best = 0.0
+    for s in range(tm.n_states):
+        for a in range(tm.n_actions):
+            for kp in range(spec.n_teams):
+                w = tm.cost_coupling[t, s, a, spec.block(kp)]
+                best = max(best, _kr_norm(w, spec.teams[kp].state_metric))
+    return best

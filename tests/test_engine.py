@@ -1,8 +1,9 @@
 """The batched backward-induction engine against the per-point oracle.
 
-``build_stage_game`` with a callable continuation sums exactly over the
-materialized joint next-count support of one point, one profile at a
-time; the solvers contract kernel stacks for all points at once. Both
+``oracles.build_stage_game`` with a callable continuation sums exactly
+over the materialized joint next-count support of one point, one profile
+at a time, with own costs from ``counts.stage_cost``; the solvers contract
+kernel stacks for all points at once. Both
 must give the same stage games, equilibria and values, for any number of
 teams with their own state, action and population sizes.
 """
@@ -15,10 +16,10 @@ from hypothesis import strategies as st
 import teamfield as tf
 from teamfield.counts import lattice_size
 from teamfield.finite_mpe import best_response, initial_distribution, policy_value
-from teamfield.stage_game import (KernelCache, build_stage_game, equilibrium_values,
-                                  solve_stage)
+from teamfield.stage_game import KernelCache, equilibrium_values, solve_stage
 
 from conftest import cyclic_pursuit_three_team
+from oracles import build_stage_game
 
 # (states, actions, population) per team; the oracle's work at one point
 # grows with lattice size squared times menu size, so draws are budgeted

@@ -8,8 +8,7 @@ import teamfield as tf
 from teamfield.counts import MeanField, Prescription, stage_cost
 from teamfield.errors import CapacityError, SpecValidationError
 from teamfield.limit import (SimplexGrid, default_grid, limit_stage_cost,
-                             project_indices, project_to_grid,
-                             rollout_inf, solve_mpe_inf)
+                             project_indices, rollout_inf, solve_mpe_inf)
 
 from conftest import deterministic_two_team, identity_dynamics_spec, minimal_team
 
@@ -69,19 +68,18 @@ def test_simplex_grid_layout(reference_spec):
 def test_projection_literals(reference_spec):
     grid = SimplexGrid(reference_spec, [2, 2])
     z = MeanField(per_team=(np.array([0.6, 0.4]), np.array([1.0, 0.0])))
-    snapped, err = project_to_grid(z, grid)
+    idx, err = project_indices(z, grid)
+    snapped = grid.mean_field(idx)
     assert np.allclose(snapped.per_team[0], [0.5, 0.5])
     assert np.allclose(snapped.per_team[1], [1.0, 0.0])
     assert err == pytest.approx(0.1, abs=1e-12)
-    idx, err2 = project_indices(z, grid)
-    assert err2 == pytest.approx(err)
     assert np.allclose(grid.points[0][idx[0]], [0.5, 0.5])
 
 
 def test_projection_tie_breaks_to_first(reference_spec):
     grid = SimplexGrid(reference_spec, [2, 2])
     z = MeanField(per_team=(np.array([0.25, 0.75]), np.array([1.0, 0.0])))
-    snapped, _ = project_to_grid(z, grid)
+    snapped = grid.mean_field(project_indices(z, grid)[0])
     # equidistant between (0,1) and (.5,.5): ascending-lex first wins
     assert np.allclose(snapped.per_team[0], [0.0, 1.0])
 

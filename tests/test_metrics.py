@@ -9,13 +9,13 @@ from scipy.stats import binom
 
 import teamfield as tf
 from teamfield.counts import MeanField, enumerate_counts
-from teamfield.errors import SpecValidationError
+from teamfield import metrics
+from teamfield.errors import CapacityError, SpecValidationError
 from teamfield.limit import SimplexGrid, LimitValueTable
 from teamfield.metrics import (expected_deviation, estimate_lipschitz,
                                fit_rate, joint_distance, kappa_envelope,
                                lemma1_check, per_team_deviation,
-                               theorem4_bound, transport_distance, wasserstein,
-                               wasserstein_fast)
+                               theorem4_bound, transport_distance, wasserstein)
 
 from conftest import minimal_team
 
@@ -31,7 +31,7 @@ def _rand_dist(rng, n):
 def test_wasserstein_two_state_closed_form():
     d = np.array([[0.0, 3.0], [3.0, 0.0]])
     assert wasserstein([0.2, 0.8], [0.7, 0.3], d) == pytest.approx(1.5, abs=1e-12)
-    assert wasserstein_fast([0.2, 0.8], [0.7, 0.3], d) == pytest.approx(1.5)
+    assert float(transport_distance([0.2, 0.8], [0.7, 0.3], d)) == pytest.approx(1.5)
 
 
 def test_wasserstein_line_metric_equals_cdf_formula():
@@ -51,7 +51,7 @@ def test_discrete_metric_is_half_l1(pw, qw):
     q = np.array(qw) / sum(qw)
     lp = wasserstein(p, q, DISCRETE3)
     assert lp == pytest.approx(0.5 * np.abs(p - q).sum(), abs=1e-9)
-    assert wasserstein_fast(p, q, DISCRETE3) == pytest.approx(lp, abs=1e-9)
+    assert float(transport_distance(p, q, DISCRETE3)) == pytest.approx(lp, abs=1e-9)
 
 
 @pytest.mark.parametrize("uniform", [True, False])
@@ -145,26 +145,18 @@ def test_expected_deviation_monte_carlo_agrees():
     z = MeanField(per_team=(np.array([0.5, 0.5]),))
     exact = expected_deviation(z, gammas, spec)
     assert exact == pytest.approx(0.1875, abs=1e-15)
-    mc, se = expected_deviation(z, gammas, spec, support_cap=1, samples=4000,
-                                master_seed=5, with_stderr=True)
-    assert se > 0.0
-    assert abs(mc - exact) <= 4 * se
-    mc2 = expected_deviation(z, gammas, spec, support_cap=1, samples=4000,
-                             master_seed=5)
-    assert mc2 == mc
 
 
 def test_expected_deviation_rejects_off_lattice_point_in_both_branches(reference_spec,
                                                                      reference_sets):
-    """0.3 is no count point at N=4: the Monte Carlo branch (support_cap=0)
-    must refuse it as the exact branch does, not round it onto the lattice."""
+    """0.3 is no count point at N=4: the deviation must refuse it, not
+    round it onto the lattice."""
     from teamfield.model import with_populations
     spec = with_populations(reference_spec, 4)
     gammas = [ps.items[0] for ps in reference_sets]
     z = MeanField(per_team=(np.array([0.3, 0.7]), np.array([0.5, 0.5])))
-    for cap in (10 ** 5, 0):
-        with pytest.raises(SpecValidationError, match="not a count point"):
-            expected_deviation(z, gammas, spec, support_cap=cap, samples=100)
+    with pytest.raises(SpecValidationError, match="not a count point"):
+        expected_deviation(z, gammas, spec)
 
 
 def test_fit_rate_on_coin_flips(iid_probe_spec):
@@ -239,16 +231,43 @@ def test_lipschitz_recovers_unit_slope(reference_spec):
     assert np.allclose(estimate_lipschitz(shifted, reference_spec), out)
 
 
-def test_lipschitz_respects_pair_cap(reference_spec):
+def test_lipschitz_is_the_max_over_all_pairs(monkeypatch, reference_spec):
+    """Blocked over rows (12 blocks of two rows), the estimate equals the
+    all-pairs loop on a random two-team table of 25 points, and it reaches
+    every pair: on 25 points at unit distance, stage t raises one pair
+    (a, b) to +1 and -1, so its estimate is 2 only if (a, b) is compared."""
+    monkeypatch.setattr(metrics, "LIPSCHITZ_BLOCK_PAIRS", 60)
     grid = SimplexGrid(reference_spec, [4, 4])
-    rng = np.random.default_rng(0)
-    vals = rng.random((2, 2) + grid.shape)
-    table = LimitValueTable(values=vals, grid=grid)
-    full = estimate_lipschitz(table, reference_spec)
-    sub = estimate_lipschitz(table, reference_spec, pair_cap=40, master_seed=1)
-    assert np.all(sub <= full + 1e-12)
-    assert np.array_equal(sub, estimate_lipschitz(table, reference_spec,
-                                                  pair_cap=40, master_seed=1))
+    vals = np.random.default_rng(0).random((2, 2) + grid.shape)
+    got = estimate_lipschitz(LimitValueTable(values=vals, grid=grid), reference_spec)
+    pts = list(np.ndindex(grid.shape))
+    expect = np.zeros((2, 2))
+    for a, ia in enumerate(pts):
+        for ib in pts[a + 1:]:
+            d = sum(wasserstein(grid.points[k][ia[k]], grid.points[k][ib[k]],
+                                reference_spec.teams[k].state_metric) for k in range(2))
+            for k in range(2):
+                for t in range(2):
+                    q = abs(vals[(t, k) + ia] - vals[(t, k) + ib]) / d
+                    expect[k, t] = max(expect[k, t], q)
+    np.testing.assert_allclose(got, expect, rtol=1e-12, atol=0)
+
+    n = 25
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    spikes = np.zeros((len(pairs), 1, n))
+    for t, (a, b) in enumerate(pairs):
+        spikes[t, 0, a], spikes[t, 0, b] = 1.0, -1.0
+    vertices = types.SimpleNamespace(values=spikes, per_team_points=lambda: [np.eye(n)])
+    unit = types.SimpleNamespace(teams=[types.SimpleNamespace(state_metric=1.0 - np.eye(n))])
+    assert np.array_equal(estimate_lipschitz(vertices, unit), np.full((1, len(pairs)), 2.0))
+
+
+def test_lipschitz_above_the_pair_cap_is_refused(reference_spec):
+    # 44,722 points make 1,000,006,281 pairs, just above MAX_LIPSCHITZ_PAIRS;
+    # the table has no points to measure, so only the early check can answer
+    table = types.SimpleNamespace(values=np.zeros((1, 1, 44722)))
+    with pytest.raises(CapacityError, match="1000006281 point pairs"):
+        estimate_lipschitz(table, reference_spec)
 
 
 def test_lipschitz_needs_two_points(reference_spec):

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import teamfield as tf
 from teamfield.errors import SpecParseError, SpecValidationError
-from teamfield.model import (cost_lipschitz, flatten_mean_field, load_spec,
-                             transition_lipschitz, with_populations)
+from teamfield.model import flatten_mean_field, load_spec, with_populations
 
 from conftest import minimal_team
+from oracles import cost_lipschitz, eval_cost, eval_transition, transition_lipschitz
 
 
 def test_minimal_spec_loads():
@@ -91,9 +90,9 @@ def test_eval_transition_affine_in_z(reference_spec):
     for k in range(2):
         for s in range(2):
             for a in range(2):
-                pa = tf.eval_transition(spec, k, s, a, z0)
-                pb = tf.eval_transition(spec, k, s, a, z1)
-                pm = tf.eval_transition(spec, k, s, a, mid)
+                pa = eval_transition(spec, k, s, a, z0)
+                pb = eval_transition(spec, k, s, a, z1)
+                pm = eval_transition(spec, k, s, a, mid)
                 assert np.allclose(0.5 * (pa + pb), pm, atol=1e-12)
                 assert abs(pa.sum() - 1.0) < 1e-12
                 assert np.all(pa >= 0)
@@ -104,9 +103,9 @@ def test_eval_cost_matches_hand_expansion(reference_spec):
     z = (np.array([0.5, 0.5]), np.array([1.0, 0.0]))
     # team 0 congestion weight 0.5 on both teams' occupancy of the current
     # state, switch fee 0.25
-    got = tf.eval_cost(spec, 0, 0, 0, 1, z)
+    got = eval_cost(spec, 0, 0, 0, 1, z)
     assert got == pytest.approx(0.25 + 0.5 * (0.5 + 1.0), abs=1e-12)
-    got = tf.eval_cost(spec, 1, 1, 1, 0, z)
+    got = eval_cost(spec, 1, 1, 1, 0, z)
     assert got == pytest.approx(0.4 * (0.5 + 0.0), abs=1e-12)
 
 
@@ -141,8 +140,8 @@ def test_transition_lipschitz_dominates_sampled_quotients(reference_spec):
             continue
         for s in range(2):
             for a in range(2):
-                pa = tf.eval_transition(spec, 0, s, a, za)
-                pb = tf.eval_transition(spec, 0, s, a, zb)
+                pa = eval_transition(spec, 0, s, a, za)
+                pb = eval_transition(spec, 0, s, a, zb)
                 w1 = 0.5 * np.abs(pa - pb).sum()
                 assert w1 <= L * dist + 1e-12
 

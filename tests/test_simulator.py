@@ -7,10 +7,13 @@ import teamfield as tf
 from teamfield.counts import CountVector, JointCount, MeanField
 from teamfield.errors import SpecValidationError
 from teamfield.rng import substream
-from teamfield.simulate import (FunctionPolicy, empirical_kernel_check,
-                                estimate_cost, lift_policy, simulate_episode)
+from teamfield.finite_mpe import PolicyTable
+from teamfield.simulate import (empirical_kernel_check, estimate_cost, lift_policy,
+                                simulate_episode)
+from teamfield.stage_game import PrescriptionSet, StageEquilibrium
 
 from conftest import deterministic_two_team, identity_dynamics_spec
+from oracles import FunctionPolicy
 
 
 FIXED_ROWS = [np.array([[0.7, 0.3], [0.4, 0.6]]),
@@ -22,12 +25,28 @@ def _fixed_rows(t, M, rng):
 
 
 def _fixed_policy():
-    # module-level fn so the policy survives pickling into worker processes
     return FunctionPolicy(fn=_fixed_rows)
 
 
+def _constant_table_policy(spec, rows=FIXED_ROWS):
+    """Lifted table policy playing the fixed per-team ``rows`` at every
+    (stage, lattice point): a one-item menu per team, pure index 0."""
+    sets = tuple(PrescriptionSet(team_id=k, mode="gridded", grid_resolution=1,
+                                 items=(tf.Prescription(team_id=k, rows=r),))
+                 for k, r in enumerate(rows))
+    lattice = tf.JointLattice(spec)
+    stages = []
+    for _ in range(spec.horizon):
+        st = np.empty(lattice.shape, dtype=object)
+        for idx in lattice.indices():
+            st[idx] = StageEquilibrium(kind="pure", per_team=(0,) * spec.n_teams,
+                                       epsilon=0.0)
+        stages.append(st)
+    return lift_policy(PolicyTable(stages=stages, sets=sets, lattice=lattice))
+
+
 def test_estimate_cost_reproducible(reference_spec):
-    pol = _fixed_policy()
+    pol = _constant_table_policy(reference_spec)
     a = estimate_cost(reference_spec, pol, episodes=20, master_seed=42,
                       keep_episodes=True)
     b = estimate_cost(reference_spec, pol, episodes=20, master_seed=42,
@@ -44,7 +63,7 @@ def test_estimate_cost_reproducible(reference_spec):
 
 
 def test_worker_count_does_not_change_results(reference_spec):
-    pol = _fixed_policy()
+    pol = _constant_table_policy(reference_spec)
     serial = estimate_cost(reference_spec, pol, episodes=12, master_seed=7,
                            keep_episodes=True)
     parallel = estimate_cost(reference_spec, pol, episodes=12, master_seed=7,
@@ -57,7 +76,7 @@ def test_constant_cost_instance_is_exact():
     spec = tf.load_spec(json.dumps(identity_dynamics_spec(population=3,
                                                           horizon=2,
                                                           cost=1.0)))
-    pol = FunctionPolicy(fn=lambda t, M, rng: [np.ones((2, 1))])
+    pol = _constant_table_policy(spec, [np.ones((2, 1))])
     res = estimate_cost(spec, pol, episodes=40, master_seed=1,
                         keep_episodes=True)
     assert np.all(res.per_episode == 2.0)
@@ -155,7 +174,7 @@ def test_mixed_policy_randomizes():
 
 
 def test_per_episode_rows(reference_spec):
-    pol = _fixed_policy()
+    pol = _constant_table_policy(reference_spec)
     res = estimate_cost(reference_spec, pol, episodes=3, master_seed=0,
                         keep_episodes=True)
     rows = res.csv_rows()
@@ -167,6 +186,11 @@ def test_per_episode_rows(reference_spec):
         bare.csv_rows()
     with pytest.raises(SpecValidationError):
         estimate_cost(reference_spec, pol, episodes=0)
+
+
+def test_estimate_cost_runs_only_lifted_policies(reference_spec):
+    with pytest.raises(SpecValidationError, match="LiftedPolicy"):
+        estimate_cost(reference_spec, _fixed_policy(), episodes=3)
 
 
 def test_kernel_check_deterministic_dynamics():

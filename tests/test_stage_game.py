@@ -3,12 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
-import teamfield as tf
 from teamfield.errors import CapacityError, NoPureEquilibriumError
 from teamfield.stage_game import (StageEquilibrium, StageGame, br_iteration,
                                   build_prescription_set, certify_epsilon,
                                   mixed_nash_2team, pure_nash,
                                   select_equilibrium, solve_stage)
+
+from oracles import build_stage_game
 
 
 def game2(A, B):
@@ -20,7 +21,7 @@ def game2(A, B):
 def test_prescription_sets_pure(reference_spec):
     ps = build_prescription_set(reference_spec, 0)
     assert len(ps.items) == 4          # |A|^|S| = 2^2
-    assert all(g.is_deterministic() for g in ps.items)
+    assert all(np.all(g.rows.max(axis=1) == 1.0) for g in ps.items)
     # itertools.product order over per-state action picks
     expected = [((1, 0), (1, 0)), ((1, 0), (0, 1)),
                 ((0, 1), (1, 0)), ((0, 1), (0, 1))]
@@ -158,7 +159,7 @@ def test_build_stage_game_terminal_matches_stage_costs(reference_spec,
     from teamfield.counts import MeanField, stage_cost
     spec = reference_spec
     z = MeanField(per_team=(np.array([0.5, 0.5]), np.array([1.0, 0.0])))
-    game = tf.build_stage_game(z, spec.horizon - 1, None, reference_sets, spec)
+    game = build_stage_game(z, spec.horizon - 1, None, reference_sets, spec)
     for (i, j) in itertools.product(range(4), range(4)):
         assert game.tensors[0][i, j] == pytest.approx(
             stage_cost(z, reference_sets[0].items[i], spec, 0, 1), abs=1e-12)
@@ -168,16 +169,15 @@ def test_build_stage_game_terminal_matches_stage_costs(reference_spec,
 
 def test_build_stage_game_callable_matches_table(reference_spec,
                                                  reference_sets):
-    """Continuation passed as an exact-summation callable must equal the
-    einsum fast path over a tabulated continuation."""
-    from teamfield.counts import MeanField
+    """The exact-summation oracle with a callable continuation must equal
+    the engine's batched stage tensors at one point: own cost tables plus
+    the contraction of the kernel stacks with a tabulated continuation."""
     from teamfield.finite_mpe import JointLattice
-    from teamfield.stage_game import ContinuationTable, KernelCache
+    from teamfield.stage_game import KernelCache, _contract, _cost_table, _stage_tensors
     spec = reference_spec
     lattice = JointLattice(spec)
     rng = np.random.default_rng(3)
     values = rng.normal(size=(2,) + lattice.shape)
-    table = ContinuationTable(lattices=lattice.teams, values=values)
     cache = KernelCache(spec, reference_sets)
 
     def lookup(jc):
@@ -185,9 +185,12 @@ def test_build_stage_game_callable_matches_table(reference_spec,
                     for i in range(2))
         return values[(slice(None),) + idx]
 
-    z = lattice.mean_field((1, 1))
-    fast = tf.build_stage_game(z, 0, table, reference_sets, spec,
-                               kernel_cache=cache)
-    slow = tf.build_stage_game(z, 0, lookup, reference_sets, spec)
+    idx = (1, 1)
+    p = int(np.ravel_multi_index(idx, lattice.shape))
+    Z = [zk[p:p + 1] for zk in lattice.z]
+    own = [_cost_table(spec, k, reference_sets[k], Z, 0) for k in range(2)]
+    cont = _contract([W[p:p + 1] for W in cache.stacks([p])], values)
+    fast = _stage_tensors(own, cont, tuple(len(ps) for ps in reference_sets))
+    slow = build_stage_game(lattice.mean_field(idx), 0, lookup, reference_sets, spec)
     for k in range(2):
-        assert np.allclose(fast.tensors[k], slow.tensors[k], atol=1e-10)
+        assert np.allclose(fast[k][0], slow.tensors[k], atol=1e-10)
