@@ -27,7 +27,7 @@ from .limit import (LimitPolicyTable, LimitValueTable, SimplexGrid,
                     default_grid, flow, project_policy_to_lattice,
                     rollout_inf, solve_mpe_inf)
 from .metrics import (Lemma1Report, RateFit, estimate_lipschitz,
-                      expected_deviation, fit_rate, joint_distance,
+                      expected_deviation, fit_rate,
                       kappa_envelope, lemma1_check, theorem4_bound,
                       wasserstein)
 from .simulate import (KernelCheckReport, LiftedPolicy, SimResult,
@@ -52,7 +52,7 @@ __all__ = [
     "LimitPolicyTable", "LimitValueTable", "SimplexGrid", "default_grid",
     "flow", "project_policy_to_lattice", "rollout_inf", "solve_mpe_inf",
     "Lemma1Report", "RateFit", "estimate_lipschitz",
-    "expected_deviation", "fit_rate", "joint_distance", "kappa_envelope",
+    "expected_deviation", "fit_rate", "kappa_envelope",
     "lemma1_check", "theorem4_bound", "wasserstein",
     "KernelCheckReport", "LiftedPolicy", "SimResult",
     "empirical_kernel_check", "estimate_cost", "lift_policy",

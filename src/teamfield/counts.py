@@ -10,28 +10,28 @@ agent of the team), one stage factors into three elementary random maps:
      per cell, rows from the mean-field-coupled kernel),
   3. the triple counts marginalize to next-state counts.
 
-``team_transition_kernel`` composes the three maps exactly; the maps
-themselves live in ``tests/oracles.py``, as the per-agent composition the
-kernel is checked against. The composition is computed by convolving
-per-state multinomials over the mixture row sum_a gamma(a|s) P(.|s,a,z)
-(agents leaving a state are iid across both splits, so their arrival
-counts are multinomial on the mixture) which is the same distribution
-with a far smaller intermediate support.
-
-Counts are exact integers; multinomial weights accumulate in log space, so
-populations are not limited by factorial overflow.
+So the next counts are a sum of N independent one-agent draws, an agent
+in state s landing in s' with the mixture row sum_a gamma(a|s) P(s'|s,a,z).
+``_count_laws`` builds their law batched over many rows, adding one agent
+at a time on the lattice of the agents seen so far: arrays stay
+lattice-sized and every term is a nonnegative product, with no log space
+and no pruning. The kernels, the store, the initial count law and the
+kernel check all read its rows. The three maps and the per-state
+multinomial convolution it replaced are the references in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 from .errors import CapacityError, SpecValidationError
-from .model import GameSpec, cost_matrix, flatten_mean_field, transition_matrix
+from .model import GameSpec, _transitions, cost_matrix, flatten_mean_field
 
 DEFAULT_SUPPORT_CAP = 10 ** 7
 PRUNE_TOL = 1e-15     # support atoms below this are dropped, mass renormalized
@@ -147,8 +147,6 @@ def _support_key(x):
         return x.counts
     if isinstance(x, JointCount):
         return tuple(cv.counts for cv in x.per_team)
-    if isinstance(x, np.ndarray):
-        return (x.shape, x.tobytes())
     return x
 
 
@@ -189,6 +187,65 @@ def enumerate_counts(N: int, d: int, cap: int = DEFAULT_SUPPORT_CAP):
 
     rec((), N, d)
     return out
+
+
+def _rank_terms(N: int, S: int) -> np.ndarray:
+    """terms[i, j] = lattice_size(j - 1, S - i) (0 at j = 0), for i < S - 1.
+    ``enumerate_counts`` lists a larger coordinate i first, so of the points
+    sharing a point's first i coordinates, lattice_size(n - c_0 - ... - c_i
+    - 1, S - i) come before it (n the total). The index is the sum of these
+    terms over i < S - 1; the table serves every total n <= N."""
+    terms = np.zeros((S - 1, N + 1), dtype=np.intp)
+    for i in range(S - 1):
+        terms[i, 1:] = [lattice_size(n, S - i) for n in range(N)]
+    return terms
+
+
+def _lattice_rank(terms: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Index in ``enumerate_counts`` order of each row of counts (B, S),
+    each on the lattice of its own total."""
+    S = terms.shape[0] + 1
+    left = np.cumsum(counts[:, :0:-1], axis=1)[:, ::-1]    # c_{i+1} + ... + c_{S-1}
+    return terms[np.arange(S - 1), left].sum(axis=1)
+
+
+@functools.lru_cache(maxsize=32)
+def _arrivals(N: int, S: int) -> tuple:
+    """(maps, points): per level j < N, maps[j][s] holds for each point of
+    the level-(j + 1) lattice (counts of j + 1 agents) the level-j index of
+    that point less one agent in state s, or L_j where s is empty; points
+    is the level-N lattice (L_N, S) in ``enumerate_counts`` order."""
+    terms = _rank_terms(N, S)
+    pts, maps = np.zeros((1, S), dtype=np.intp), []
+    for j in range(N):
+        nxt = pts[None] + np.eye(S, dtype=np.intp)[:, None]      # (S, L_j, S)
+        idx = _lattice_rank(terms, nxt.reshape(-1, S)).reshape(S, -1)
+        pred = np.full((S, lattice_size(j + 1, S)), len(pts), dtype=np.intp)
+        pred[np.arange(S)[:, None], idx] = np.arange(len(pts))
+        pts = np.empty((pred.shape[1], S), dtype=np.intp)
+        pts[idx] = nxt
+        pred.setflags(write=False)
+        maps.append(pred)
+    pts.setflags(write=False)
+    return tuple(maps), pts
+
+
+def _count_laws(mix: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """(B, L) law, in ``enumerate_counts`` order, of the next counts of N
+    independent agents: row b has counts[b, s] agents in state s, each
+    landing in s' with probability mix[b, s, s']; all rows total N. Agents
+    join one at a time in state order, so after j of them the law lives on
+    the level-j lattice, plus the zero column ``_arrivals`` points to."""
+    B, S = counts.shape
+    bounds = np.cumsum(counts, axis=1)
+    law = np.repeat([[1.0, 0.0]], B, axis=0)
+    for j, pred in enumerate(_arrivals(int(bounds[0, -1]), S)[0]):
+        w = mix[np.arange(B), (bounds <= j).sum(axis=1)]         # agent j's row, (B, S)
+        new = np.zeros((B, pred.shape[1] + 1))
+        for s in range(S):
+            new[:, :-1] += law[:, pred[s]] * w[:, s, None]
+        law = new
+    return law[:, :-1]
 
 
 class TeamLattice:
@@ -255,56 +312,32 @@ def count_point(z_k, population: int, k: int) -> np.ndarray:
     return m
 
 
-def _multinomial_pmf(n: int, probs: np.ndarray, comps: np.ndarray) -> np.ndarray:
-    """Exact-in-structure multinomial pmf over given compositions of n."""
-    logp = gammaln(n + 1) - gammaln(comps + 1.0).sum(axis=1) \
-        + xlogy(comps, probs[None, :]).sum(axis=1)
-    return np.exp(logp)
-
-
-def mixture_rows(spec: GameSpec, k: int, zf: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Per-state next-state law of one agent: sum_a gamma(a|s) P(.|s,a,z)."""
-    P = transition_matrix(spec, k, zf)                     # (S, A, S')
-    return np.einsum("sa,sat->st", rows, P)
+def _mixture_rows(spec: GameSpec, k: int, zf: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """(P, m, S, S) next-state law of one team-k agent in each state,
+    sum_a gamma(a|s) P(.|s,a,z), at the flat joint points zf (P, D) under
+    each prescription of R (m, S, A)."""
+    tm = spec.teams[k]
+    if R.shape[1:] != (tm.n_states, tm.n_actions):
+        raise SpecValidationError("prescription shape %s does not match team %d"
+                                  % (R.shape[1:], k))
+    return np.einsum("isa,psat->pist", R, _transitions(spec, k, zf))
 
 
 def team_transition_kernel(m, z, gamma: Prescription, spec: GameSpec, k: int,
                            cap: int = DEFAULT_SUPPORT_CAP) -> CountDistribution:
     """Exact one-stage law of team k's next counts given counts m, joint
-    mean field z and prescription gamma.
-
-    Equal to composing the three maps of the module docstring; computed
-    by convolving, state by state, the multinomial arrival counts on the
-    per-state mixture row.
-    """
+    mean field z and prescription gamma: one row of ``_count_laws``, with
+    atoms below PRUNE_TOL dropped and the rest renormalized."""
     mv = m.as_array() if isinstance(m, CountVector) else np.asarray(m, dtype=int)
-    tm = spec.teams[k]
-    S = tm.n_states
-    zf = flatten_mean_field(spec, z)
-    rows = gamma.rows
-    if rows.shape != (S, tm.n_actions):
-        raise SpecValidationError("prescription shape %s does not match team %d"
-                                  % (rows.shape, k))
-    mix = mixture_rows(spec, k, zf, rows)
-    dist = {(0,) * S: 1.0}
-    for s in range(S):
-        n_s = int(mv[s])
-        if n_s == 0:
-            continue
-        comps = np.array(enumerate_counts(n_s, S), dtype=int)
-        pmf = _multinomial_pmf(n_s, mix[s], comps)
-        new = {}
-        for part, p in dist.items():
-            for j in range(len(comps)):
-                q = pmf[j]
-                if q < PRUNE_TOL:
-                    continue
-                key = tuple(int(a + b) for a, b in zip(part, comps[j]))
-                new[key] = new.get(key, 0.0) + p * q
-        if len(new) > cap:
-            raise CapacityError("team kernel support exceeded cap %d" % cap)
-        dist = new
-    return _finalize(dist, wrap=lambda key: CountVector(team_id=k, counts=key))
+    N, S = int(mv.sum()), spec.teams[k].n_states
+    if lattice_size(N, S) > cap:
+        raise CapacityError("team %d count lattice exceeds cap %d" % (k, cap))
+    mix = _mixture_rows(spec, k, flatten_mean_field(spec, z)[None], gamma.rows[None])
+    law = _count_laws(mix[0], mv[None])[0]
+    keep = law >= PRUNE_TOL
+    points = map(tuple, _arrivals(N, S)[1][keep].tolist())
+    return _finalize(dict(zip(points, law[keep].tolist())),
+                     wrap=lambda key: CountVector(team_id=k, counts=key))
 
 
 def joint_transition_kernel(M: JointCount, prescriptions, spec: GameSpec,
@@ -315,22 +348,11 @@ def joint_transition_kernel(M: JointCount, prescriptions, spec: GameSpec,
     z = M.mean_field()
     per_team = [team_transition_kernel(M.per_team[k], z, prescriptions[k], spec, k, cap=cap)
                 for k in range(spec.n_teams)]
-    size = 1
-    for d in per_team:
-        size *= len(d)
+    size = math.prod(len(d) for d in per_team)
     if size > cap:
         raise CapacityError("joint kernel support %d exceeds cap %d" % (size, cap))
-    atoms = {}
-
-    def rec(k, acc, acc_p):
-        if k == spec.n_teams:
-            atoms[acc] = acc_p
-            return
-        d = per_team[k]
-        for cv, p in zip(d.support, d.probs):
-            rec(k + 1, acc + (cv.counts,), acc_p * p)
-
-    rec(0, (), 1.0)
+    atoms = {tuple(cv.counts for cv, _ in combo): math.prod(p for _, p in combo)
+             for combo in itertools.product(*(zip(d.support, d.probs) for d in per_team))}
     return _finalize(atoms, wrap=lambda key: JointCount(
         per_team=tuple(CountVector(team_id=i, counts=c) for i, c in enumerate(key))))
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .counts import JointLattice, _multinomial_pmf
+from .counts import JointLattice, _count_laws
 from .model import GameSpec
 from .stage_game import EquilibriumTable, KernelCache, _backward, _contract, _cost_table
 
@@ -180,7 +180,8 @@ def initial_distribution(spec: GameSpec, lattice: JointLattice) -> np.ndarray:
     team's initial law, as an array over the joint lattice."""
     dist = np.ones(())
     for k, tl in enumerate(lattice.teams):
-        pmf = _multinomial_pmf(tl.population, spec.teams[k].initial_law, tl.counts)
+        mix = np.broadcast_to(spec.teams[k].initial_law, (1, tl.n_states, tl.n_states))
+        pmf = _count_laws(mix, tl.counts[:1])[0]    # every agent draws from the initial law
         dist = np.multiply.outer(dist, pmf)
     return dist
 
@@ -189,8 +190,8 @@ def evaluate_total_cost(spec: GameSpec, policy: PolicyTable,
                         kernel_cache: KernelCache = None) -> np.ndarray:
     """Exact expected cumulative cost per team under ``policy`` from the
     initial count law, by forward propagation of the full distribution
-    over the lattice (never sampled). A fresh store builds kernels only
-    at points the distribution reaches."""
+    over the lattice (never sampled). The contraction reads only the
+    points the distribution reaches, but the store is built whole."""
     lattice = policy.lattice
     cache = kernel_cache or KernelCache(spec, policy.sets)
     T, K = spec.horizon, spec.n_teams
@@ -205,7 +206,7 @@ def evaluate_total_cost(spec: GameSpec, policy: PolicyTable,
                    for k, ps in enumerate(policy.sets)]
         if t < T - 1:
             operands = [dist[live], [K]]
-            for k, W in enumerate(cache.stacks(live)):
+            for k, W in enumerate(cache.stacks()):
                 operands += [_average(w[k], W[live]), [K, k]]
             new = np.einsum(*operands, list(range(K)), optimize=True)
             if abs(new.sum() - 1.0) > 1e-10:

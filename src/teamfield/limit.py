@@ -31,7 +31,7 @@ from .counts import (DEFAULT_SUPPORT_CAP, JointLattice, MeanField, _joint_points
                      enumerate_counts, lattice_size)
 from .finite_mpe import PolicyTable, _records
 from .metrics import transport_distance
-from .model import GameSpec, cost_matrix, flatten_mean_field
+from .model import GameSpec, _transitions, cost_matrix, flatten_mean_field
 from .stage_game import EquilibriumTable, _backward, _on_axis
 
 
@@ -103,10 +103,8 @@ def _flow(spec: GameSpec, Z, R) -> list:
     prescription rows R[k] (m_k, S_k, A_k)."""
     zf = np.concatenate(Z, axis=1)
     out = []
-    for k, tm in enumerate(spec.teams):
-        P = np.maximum(tm.transition_base
-                       + np.einsum("satd,pd->psat", tm.transition_coupling, zf), 0.0)
-        nxt = np.einsum("ps,isa,psat->pit", Z[k], R[k], P)
+    for k in range(spec.n_teams):
+        nxt = np.einsum("ps,isa,psat->pit", Z[k], R[k], _transitions(spec, k, zf))
         out.append(nxt / nxt.sum(axis=2, keepdims=True))
     return out
 

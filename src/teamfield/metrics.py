@@ -93,18 +93,6 @@ def transport_distance(p, q, metric) -> np.ndarray:
     return out
 
 
-def joint_distance(z, zhat, spec: GameSpec) -> float:
-    """Sum over teams of the per-team transport distances."""
-    a = getattr(z, "per_team", z)
-    b = getattr(zhat, "per_team", zhat)
-    if len(a) != len(b) or len(a) != spec.n_teams:
-        raise SpecValidationError("mean fields disagree on team count")
-    total = 0.0
-    for k in range(spec.n_teams):
-        total += wasserstein(a[k], b[k], spec.teams[k].state_metric)
-    return total
-
-
 def per_team_deviation(z, prescriptions, spec: GameSpec) -> np.ndarray:
     """Exact per-team E[W(next counts / N, flow image)] under the count
     kernel. The joint expectation of the summed metric separates across

@@ -245,9 +245,18 @@ def flatten_mean_field(spec: GameSpec, z) -> np.ndarray:
 
 
 def transition_matrix(spec: GameSpec, k: int, zf: np.ndarray) -> np.ndarray:
-    """All rows at once: (S, A, S) array of P(s'|s, a, z), z flat."""
+    """All rows at once: (S, A, S) array of P(s'|s, a, z), z flat. Kept per
+    point: the simulator's tables must be bitwise those of the per-episode
+    process, which evaluates one point at a time."""
     tm = spec.teams[k]
     return np.maximum(tm.transition_base + tm.transition_coupling @ zf, 0.0)
+
+
+def _transitions(spec: GameSpec, k: int, zf: np.ndarray) -> np.ndarray:
+    """``transition_matrix`` at P flat joint points zf (P, D): (P, S, A, S)."""
+    tm = spec.teams[k]
+    return np.maximum(tm.transition_base
+                      + np.einsum("satd,pd->psat", tm.transition_coupling, zf), 0.0)
 
 
 def cost_matrix(spec: GameSpec, k: int, t: int, zf: np.ndarray) -> np.ndarray:

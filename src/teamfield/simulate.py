@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .counts import (CountVector, JointCount, count_point, joint_transition_kernel,
-                     lattice_size)
-from .errors import SpecValidationError
+from .counts import (DEFAULT_SUPPORT_CAP, PRUNE_TOL, CountVector, JointCount, _count_laws,
+                     _lattice_rank, _mixture_rows, _rank_terms, count_point, lattice_size)
+from .errors import CapacityError, SpecValidationError
 from .model import GameSpec, cost_matrix, flatten_mean_field, transition_matrix
 from .rng import substream
 
@@ -159,7 +159,7 @@ class _EpisodeTables:
     run at every joint lattice point p (C order of the policy's lattice).
     Cumulative rows come from ``_cdf``; per team k:
 
-      initial_cdf (S_k,), rank_terms (see ``_rank_terms``),
+      initial_cdf (S_k,), rank_terms (see ``counts._rank_terms``),
       action_cdf (items, S_k, A_k),
       cost (T, P, S_k, A_k), transition_cdf (P, S_k, A_k, S_k),
       pure_item (T, P) and mixture_cdf (T, P, items)."""
@@ -183,30 +183,12 @@ class _EpisodeTables:
         return n + self.horizon * (len(self.populations) + 2 * n)
 
 
-def _rank_terms(N: int, S: int) -> np.ndarray:
-    """terms[i, j] = lattice_size(j - 1, S - i) (0 at j = 0), for i < S - 1.
-
-    ``enumerate_counts`` lists the points with a larger coordinate i
-    first, so of the points sharing a point's first i coordinates, the
-    ones ahead of it are those whose coordinate i exceeds its c_i; there
-    are lattice_size(N - c_0 - ... - c_i - 1, S - i) of them. A point's
-    lattice index is the sum of these terms over i < S - 1 and is below
-    the lattice size, so the table has (S - 1) x (N + 1) entries and no
-    index can overflow."""
-    terms = np.zeros((S - 1, N + 1), dtype=np.intp)
-    for i in range(S - 1):
-        terms[i, 1:] = [lattice_size(n, S - i) for n in range(N)]
-    return terms
-
-
 def _team_index(terms: np.ndarray, states: np.ndarray) -> np.ndarray:
     """Lattice index of each row of agent states (B, N) of one team."""
-    B, N = states.shape
-    S = terms.shape[0] + 1
+    B, S = states.shape[0], terms.shape[0] + 1
     counts = np.bincount((states + S * np.arange(B)[:, None]).ravel(),
                          minlength=B * S).reshape(B, S)
-    left = N - np.cumsum(counts[:, :-1], axis=1)      # N - c_0 - ... - c_i
-    return terms[np.arange(S - 1), left].sum(axis=1)
+    return _lattice_rank(terms, counts)
 
 
 def _episode_tables(spec: GameSpec, policy: LiftedPolicy) -> _EpisodeTables:
@@ -346,26 +328,13 @@ class KernelCheckReport:
         }
 
 
-def _frequencies(keys_per_team) -> dict:
-    """{per-team count tuples: number of samples} from one (samples, S_k)
-    count array per team, keyed in order of first occurrence (the order
-    the support set of ``empirical_kernel_check`` is built in)."""
-    rows = np.concatenate(keys_per_team, axis=1)
-    _, first, count = np.unique(rows, axis=0, return_index=True, return_counts=True)
-    ends = np.cumsum([x.shape[1] for x in keys_per_team]).tolist()
-    spans = list(zip([0] + ends[:-1], ends))
-    freq = {}
-    for i in np.argsort(first):
-        row = rows[first[i]].tolist()
-        freq[tuple(tuple(row[a:b]) for a, b in spans)] = int(count[i])
-    return freq
-
-
 def empirical_kernel_check(spec: GameSpec, z, prescriptions,
                            samples: int = 10 ** 5,
                            master_seed=None) -> KernelCheckReport:
     """Total variation between the empirical next-count frequency from
-    per-agent simulation and the exact count kernel at (z, prescriptions).
+    per-agent simulation and the exact count kernel at (z, prescriptions),
+    over the joint lattice points whose exact probability is at least
+    PRUNE_TOL or that a sample hit.
 
     All samples run vectorized on one substream; per team the draws are
     a (samples, N_k) uniform block for actions then one for transitions.
@@ -373,16 +342,21 @@ def empirical_kernel_check(spec: GameSpec, z, prescriptions,
     per_team = getattr(z, "per_team", z)
     counts_in = [count_point(per_team[k], tm.population, k)
                  for k, tm in enumerate(spec.teams)]
+    shape = tuple(lattice_size(tm.population, tm.n_states) for tm in spec.teams)
+    if math.prod(shape) > DEFAULT_SUPPORT_CAP:
+        raise CapacityError("joint count lattice has %d points, cap is %d"
+                            % (math.prod(shape), DEFAULT_SUPPORT_CAP))
     M = JointCount(per_team=tuple(CountVector(team_id=k, counts=m)
-                                  for k, m in enumerate(counts_in)))
-    exact = joint_transition_kernel(M, prescriptions, spec)
-    exact_map = {tuple(cv.counts for cv in jc.per_team): p
-                 for jc, p in zip(exact.support, exact.probs)}
+                                  for k, m in enumerate(counts_in))).validate(spec)
+    zf = M.mean_field().flat()
+    exact = np.ones(())
+    for k, m in enumerate(counts_in):
+        mix = _mixture_rows(spec, k, zf[None], prescriptions[k].rows[None])
+        exact = np.multiply.outer(exact, _count_laws(mix[0], m[None])[0])
 
     rng = substream(spec.seed if master_seed is None else master_seed,
                     "kernel-check")
-    zf = M.mean_field().flat()
-    keys_per_team = []
+    index = []
     for k in range(spec.n_teams):
         tm = spec.teams[k]
         agent_states = np.repeat(np.arange(tm.n_states), counts_in[k])
@@ -390,16 +364,12 @@ def empirical_kernel_check(spec: GameSpec, z, prescriptions,
                   rng.random((samples, tm.population)))
         pcdf = _cdf(transition_matrix(spec, k, zf))[agent_states[None, :], a]
         sp = _pick(pcdf, rng.random((samples, tm.population)))
-        onehot = sp[:, :, None] == np.arange(tm.n_states)[None, None, :]
-        keys_per_team.append(onehot.sum(axis=1))         # (samples, S_k)
-    freq = _frequencies(keys_per_team)
-
-    support = set(exact_map) | set(freq)
-    tv, radius = 0.0, 0.0
-    for key in support:
-        phat = freq.get(key, 0) / samples
-        tv += abs(phat - exact_map.get(key, 0.0))
-        radius = max(radius, math.sqrt(phat * (1.0 - phat) / samples))
-    return KernelCheckReport(tv_distance=0.5 * tv,
-                             confidence_radius=1.96 * radius,
-                             samples=samples, support_size=len(support))
+        index.append(_team_index(_rank_terms(tm.population, tm.n_states), sp))
+    phat = np.bincount(np.ravel_multi_index(index, shape),
+                       minlength=exact.size) / samples
+    keep = (exact.ravel() >= PRUNE_TOL) | (phat > 0)
+    phat = phat[keep]
+    return KernelCheckReport(
+        tv_distance=0.5 * float(np.abs(phat - exact.ravel()[keep]).sum()),
+        confidence_radius=1.96 * math.sqrt(float((phat * (1.0 - phat)).max()) / samples),
+        samples=samples, support_size=int(keep.sum()))

@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import (CapacityError, EquilibriumNotFoundError, NoPureEquilibriumError,
                      SpecValidationError)
-from .counts import (JointLattice, MeanField, Prescription, count_point,
-                     enumerate_counts, team_transition_kernel)
+from .counts import (JointLattice, MeanField, Prescription, _count_laws, _joint_points,
+                     _mixture_rows, count_point, enumerate_counts)
 from .model import GameSpec, flatten_mean_field
 
 PURE_TOL = 1e-12      # strict-improvement tolerance for pure deviations
@@ -32,6 +32,7 @@ CERT_TOL = 1e-9       # certified-equilibrium acceptance threshold
 DEFAULT_PRESCRIPTION_CAP = 10 ** 5
 DEFAULT_SUPPORT_BOUND = 4
 MAX_STORE_BYTES = 1 << 30     # largest kernel store a run may allocate
+STORE_BLOCK_ENTRIES = 1 << 20  # (rows, lattice) entries per block of the store build
 
 
 @dataclass(frozen=True)
@@ -191,8 +192,7 @@ class KernelCache:
     but solves no stage game) and the forward evaluation; criterion 2 and
     the engine oracle check them. Team k's are a dense read-only stack
     W_k[point, menu item, L_k] over the C-order points of ``lattice``,
-    allocated on first request after a size check; a point is filled by
-    ``team_transition_kernel`` when first requested.
+    built whole by ``counts._count_laws`` on the first ``stacks`` call.
     """
 
     def __init__(self, spec: GameSpec, sets):
@@ -200,36 +200,32 @@ class KernelCache:
         self.sets = sets
         self.lattice = JointLattice(spec)
         self._W = None
-        self._filled = np.zeros(len(self.lattice), dtype=bool)
 
-    def stacks(self, points=None) -> list:
-        """Per-team read-only stacks W_k over every joint point, with the
-        kernels at the flat joint indices ``points`` (default: all)
-        filled; rows of points not yet requested are zero."""
+    def stacks(self) -> list:
+        """Per-team read-only stacks W_k over every joint point, built in
+        blocks of points whose (rows, lattice) arrays stay near
+        STORE_BLOCK_ENTRIES entries."""
         if self._W is None:
             lat = self.lattice
             size = 8 * len(lat) * sum(len(ps) * len(tl) for ps, tl in zip(self.sets, lat.teams))
             if size > MAX_STORE_BYTES:
                 raise CapacityError("kernel store needs %d bytes, cap is %d"
                                     % (size, MAX_STORE_BYTES))
-            self._W = [np.zeros((len(lat), len(ps), len(tl)))
-                       for ps, tl in zip(self.sets, lat.teams)]
-        todo = np.arange(len(self._filled)) if points is None else np.asarray(points)
-        for p in todo[~self._filled[todo]]:
-            self._fill(p)
-        out = [W.view() for W in self._W]
-        for W in out:
-            W.setflags(write=False)
-        return out
-
-    def _fill(self, p: int):
-        idx = np.unravel_index(p, self.lattice.shape)
-        z = tuple(zk[p] for zk in self.lattice.z)
-        for k, (ps, tl, W) in enumerate(zip(self.sets, self.lattice.teams, self._W)):
-            for i, gamma in enumerate(ps.items):
-                dist = team_transition_kernel(tl.counts[idx[k]], z, gamma, self.spec, k)
-                W[p, i, [tl.index[cv.counts] for cv in dist.support]] = dist.probs
-        self._filled[p] = True
+            zf = np.concatenate(lat.z, axis=1)
+            counts = _joint_points([tl.counts for tl in lat.teams])
+            self._W = []
+            for k, (ps, tl, m) in enumerate(zip(self.sets, lat.teams, counts)):
+                n, L, R = len(ps), len(tl), ps.rows_stack()
+                W = np.empty((len(lat), n, L))
+                step = max(1, STORE_BLOCK_ENTRIES // (n * L))
+                for lo in range(0, len(lat), step):
+                    mix = _mixture_rows(self.spec, k, zf[lo:lo + step], R)
+                    law = _count_laws(mix.reshape((-1,) + mix.shape[2:]),
+                                      np.repeat(m[lo:lo + step], n, axis=0))
+                    W[lo:lo + step] = law.reshape(-1, n, L)
+                W.setflags(write=False)
+                self._W.append(W)
+        return list(self._W)
 
     def matrix(self, k: int, z: MeanField) -> np.ndarray:
         """(menu size, lattice size) stack of team k's kernels at z."""
@@ -237,8 +233,7 @@ class KernelCache:
         flatten_mean_field(self.spec, z)
         idx = [tl.index[tuple(count_point(v, tl.population, j))]
                for j, (v, tl) in enumerate(zip(getattr(z, "per_team", z), lat.teams))]
-        p = int(np.ravel_multi_index(idx, lat.shape))
-        return self.stacks([p])[k][p]
+        return self.stacks()[k][np.ravel_multi_index(idx, lat.shape)]
 
     def vector(self, k: int, z: MeanField, presc_idx: int) -> np.ndarray:
         return self.matrix(k, z)[presc_idx]

@@ -1,26 +1,126 @@
 """Slow reference implementations that fast paths in ``src/`` are tested
-against: the per-agent composition of one stage (checked against the
-count kernels), the per-point stage game (checked against the batched
-engine), hand-written agent policies for ``simulate.simulate_episode``,
-and pointwise model evaluation with its closed-form Lipschitz bounds."""
+against: the per-agent composition of one stage and the per-state
+multinomial convolution (checked against the count kernels), the
+counting loop of the kernel check, the per-point stage game (checked
+against the batched engine), hand-written agent policies for
+``simulate.simulate_episode``, and pointwise model evaluation with its
+closed-form Lipschitz bounds."""
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaln, xlogy
 
-from teamfield.counts import (PRUNE_TOL, CountDistribution, CountVector, JointCount,
-                              Prescription, _finalize, _multinomial_pmf,
-                              enumerate_counts, stage_cost, team_transition_kernel)
-from teamfield.errors import SpecValidationError
+from teamfield.counts import (DEFAULT_SUPPORT_CAP, PRUNE_TOL, CountDistribution,
+                              CountVector, JointCount, Prescription, _finalize,
+                              count_point, enumerate_counts, joint_transition_kernel,
+                              stage_cost, team_transition_kernel)
+from teamfield.errors import CapacityError, SpecValidationError
 from teamfield.model import GameSpec, flatten_mean_field, transition_matrix
+from teamfield.rng import substream
+from teamfield.simulate import KernelCheckReport, _cdf, _pick
 from teamfield.stage_game import StageGame
+
+
+def _multinomial_pmf(n: int, probs: np.ndarray, comps: np.ndarray) -> np.ndarray:
+    """Exact-in-structure multinomial pmf over given compositions of n."""
+    logp = gammaln(n + 1) - gammaln(comps + 1.0).sum(axis=1) \
+        + xlogy(comps, probs[None, :]).sum(axis=1)
+    return np.exp(logp)
+
+
+def team_kernel_convolution(m, z, gamma: Prescription, spec: GameSpec, k: int,
+                            cap: int = DEFAULT_SUPPORT_CAP) -> CountDistribution:
+    """``counts.team_transition_kernel`` by convolving, state by state, the
+    multinomial arrival counts on the per-state mixture row
+    sum_a gamma(a|s) P(.|s,a,z), in log space, pruning atoms below
+    PRUNE_TOL as they arise: the dict path ``counts._count_laws`` replaced."""
+    mv = m.as_array() if isinstance(m, CountVector) else np.asarray(m, dtype=int)
+    tm = spec.teams[k]
+    S = tm.n_states
+    zf = flatten_mean_field(spec, z)
+    rows = gamma.rows
+    if rows.shape != (S, tm.n_actions):
+        raise SpecValidationError("prescription shape %s does not match team %d"
+                                  % (rows.shape, k))
+    mix = np.einsum("sa,sat->st", rows, transition_matrix(spec, k, zf))
+    dist = {(0,) * S: 1.0}
+    for s in range(S):
+        n_s = int(mv[s])
+        if n_s == 0:
+            continue
+        comps = np.array(enumerate_counts(n_s, S), dtype=int)
+        pmf = _multinomial_pmf(n_s, mix[s], comps)
+        new = {}
+        for part, p in dist.items():
+            for j in range(len(comps)):
+                q = pmf[j]
+                if q < PRUNE_TOL:
+                    continue
+                key = tuple(int(a + b) for a, b in zip(part, comps[j]))
+                new[key] = new.get(key, 0.0) + p * q
+        if len(new) > cap:
+            raise CapacityError("team kernel support exceeded cap %d" % cap)
+        dist = new
+    return _finalize(dist, wrap=lambda key: CountVector(team_id=k, counts=key))
+
+
+def kernel_store_loop(lattice, sets, spec: GameSpec) -> list:
+    """Per-team stacks W_k[point, menu item, L_k] of ``KernelCache``, one
+    ``team_kernel_convolution`` per (point, team, menu item)."""
+    out = []
+    for k, (ps, tl) in enumerate(zip(sets, lattice.teams)):
+        W = np.zeros((len(lattice), len(ps), len(tl)))
+        for p, idx in enumerate(lattice.indices()):
+            z = lattice.mean_field(idx)
+            for i, gamma in enumerate(ps.items):
+                dist = team_kernel_convolution(tl.counts[idx[k]], z, gamma, spec, k)
+                W[p, i, [tl.index[cv.counts] for cv in dist.support]] = dist.probs
+        out.append(W)
+    return out
+
+
+def kernel_check_loop(spec: GameSpec, z, prescriptions, samples: int,
+                      master_seed=None) -> KernelCheckReport:
+    """``simulate.empirical_kernel_check`` from the same substream draws,
+    counted one sample at a time by ``frequencies_loop`` and compared with
+    ``joint_transition_kernel`` over the union of both supports."""
+    per_team = getattr(z, "per_team", z)
+    counts_in = [count_point(per_team[k], tm.population, k)
+                 for k, tm in enumerate(spec.teams)]
+    M = JointCount(per_team=tuple(CountVector(team_id=k, counts=m)
+                                  for k, m in enumerate(counts_in)))
+    exact = joint_transition_kernel(M, prescriptions, spec)
+    exact_map = {tuple(cv.counts for cv in jc.per_team): p
+                 for jc, p in zip(exact.support, exact.probs)}
+    rng = substream(spec.seed if master_seed is None else master_seed, "kernel-check")
+    zf = M.mean_field().flat()
+    keys_per_team = []
+    for k in range(spec.n_teams):
+        tm = spec.teams[k]
+        agent_states = np.repeat(np.arange(tm.n_states), counts_in[k])
+        a = _pick(_cdf(prescriptions[k].rows)[agent_states][None, :, :],
+                  rng.random((samples, tm.population)))
+        pcdf = _cdf(transition_matrix(spec, k, zf))[agent_states[None, :], a]
+        sp = _pick(pcdf, rng.random((samples, tm.population)))
+        keys_per_team.append(np.stack([(sp == s).sum(axis=1)
+                                       for s in range(tm.n_states)], axis=1))
+    freq = frequencies_loop(keys_per_team)
+    support = set(exact_map) | set(freq)
+    tv, radius = 0.0, 0.0
+    for key in support:
+        phat = freq.get(key, 0) / samples
+        tv += abs(phat - exact_map.get(key, 0.0))
+        radius = max(radius, math.sqrt(phat * (1.0 - phat) / samples))
+    return KernelCheckReport(tv_distance=0.5 * tv, confidence_radius=1.96 * radius,
+                             samples=samples, support_size=len(support))
 
 
 def frequencies_loop(keys_per_team) -> dict:
     """{per-team count tuples: number of samples}, one sample at a time,
-    keyed in order of first occurrence: the counting loop that
-    ``simulate._frequencies`` replaces."""
+    keyed in order of first occurrence."""
     samples = len(keys_per_team[0])
     freq = {}
     for i in range(samples):
@@ -49,7 +149,8 @@ def pure_nash_static_loop(game, tol) -> list:
 
 def action_count_dist(m, gamma: Prescription) -> CountDistribution:
     """Law of the state-action counts: each state's occupants split across
-    actions independently with the prescription row as weights."""
+    actions independently with the prescription row as weights. Atoms are
+    (S, A) nested tuples."""
     mv = m.as_array() if isinstance(m, CountVector) else np.asarray(m, dtype=int)
     rows = gamma.rows
     S, A = rows.shape
@@ -74,12 +175,13 @@ def action_count_dist(m, gamma: Prescription) -> CountDistribution:
             rec(s + 1, acc_rows + [tuple(int(x) for x in comps[i])], acc_p * pmf[i])
 
     rec(0, [], 1.0)
-    return _finalize(atoms, wrap=lambda key: np.array(key, dtype=int))
+    return _finalize(atoms)
 
 
 def nextstate_count_dist(mbar, z, spec: GameSpec, k: int) -> CountDistribution:
     """Law of the (state, action, next state) counts: each occupied
-    (s, a) cell splits across next states with the kernel row at z."""
+    (s, a) cell splits across next states with the kernel row at z. Atoms
+    are (S, A, S) nested tuples."""
     mb = np.asarray(mbar, dtype=int)
     tm = spec.teams[k]
     S, A = tm.n_states, tm.n_actions
@@ -108,10 +210,10 @@ def nextstate_count_dist(mbar, z, spec: GameSpec, k: int) -> CountDistribution:
     rec(0, (), 1.0)
 
     def wrap(key):
-        mhat = np.zeros((S, A, S), dtype=int)
+        mhat = [[[0] * S for _ in range(A)] for _ in range(S)]
         for (s, a), comp in zip(cells, key):
-            mhat[s, a, :] = comp
-        return mhat
+            mhat[s][a] = list(comp)
+        return tuple(tuple(map(tuple, cell)) for cell in mhat)
 
     return _finalize(atoms, wrap=wrap)
 
@@ -237,9 +339,9 @@ def _kr_norm(w: np.ndarray, metric: np.ndarray) -> float:
 
 
 def transition_lipschitz(spec: GameSpec, k: int) -> float:
-    """Closed-form bound: W(P(.|s,a,z), P(.|s,a,z')) <= L * joint_distance(z, z')
-    for every (s, a), where W uses team k's state metric and joint_distance
-    sums per-team transport distances."""
+    """Closed-form bound: W(P(.|s,a,z), P(.|s,a,z')) <= L * d(z, z') for
+    every (s, a), where W uses team k's state metric and d(z, z') is the
+    summed per-team transport distance."""
     tm = spec.teams[k]
     S = tm.n_states
     if S == 1:
@@ -258,8 +360,8 @@ def transition_lipschitz(spec: GameSpec, k: int) -> float:
 
 
 def cost_lipschitz(spec: GameSpec, k: int, t: int) -> float:
-    """Closed-form bound: |c_t(s,a,z) - c_t(s,a,z')| <= L * joint_distance(z, z')
-    for every (s, a)."""
+    """Closed-form bound: |c_t(s,a,z) - c_t(s,a,z')| <= L * d(z, z') for
+    every (s, a), d(z, z') the summed per-team transport distance."""
     tm = spec.teams[k]
     best = 0.0
     for s in range(tm.n_states):

@@ -1,20 +1,26 @@
 """The public surface of ``teamfield``: every exported name resolves, none
-twice, and the test oracles in ``tests/oracles.py`` are not part of it."""
+twice, the test oracles in ``tests/oracles.py`` are not part of it, and
+every hook the benchmark wraps by name still exists."""
 
 import importlib
+import importlib.util
+from pathlib import Path
 
 import teamfield as tf
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # names that left src/ for tests/oracles.py or were deleted, by the module
 # that defined them
 NOT_IN_SRC = {
     "counts": ("action_count_dist", "nextstate_count_dist", "marginalize_counts",
-               "sample_next_counts"),
+               "sample_next_counts", "_multinomial_pmf", "mixture_rows"),
     "model": ("eval_transition", "eval_cost", "_kr_norm", "transition_lipschitz",
               "cost_lipschitz"),
     "stage_game": ("build_stage_game", "ContinuationTable"),
-    "simulate": ("FunctionPolicy",),
-    "metrics": ("wasserstein_fast", "DEFAULT_DEVIATION_CAP", "DEFAULT_PAIR_CAP"),
+    "simulate": ("FunctionPolicy", "_frequencies"),
+    "metrics": ("wasserstein_fast", "DEFAULT_DEVIATION_CAP", "DEFAULT_PAIR_CAP",
+                "joint_distance"),
     "limit": ("project_to_grid",),
 }
 
@@ -32,3 +38,18 @@ def test_test_oracles_are_not_exported():
             assert name not in tf.__all__
             assert not hasattr(tf, name), name
             assert not hasattr(mod, name), "%s.%s" % (module, name)
+
+
+def test_benchmark_hooks_resolve(monkeypatch):
+    """perfbench/workloads.py wraps these callables by name; a removed or
+    renamed one must fail here, not only in the benchmark's smoke runs."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for name in workloads.TIMED:
+        layer, attr = name.split(".")
+        assert callable(getattr(importlib.import_module("teamfield." + layer), attr)), name
+    for cls, attr in workloads.METHODS:
+        assert callable(getattr(cls, attr)), "%s.%s" % (cls.__name__, attr)
+    assert callable(tf.counts.team_transition_kernel)

@@ -95,22 +95,25 @@ def test_oversized_kernel_store_exits_3_before_solving(tmp_path):
 def test_exact_run_builds_each_kernel_once(tmp_path, monkeypatch, argv):
     """solve-finite (solve, verify, evaluate) and compare (solve, evaluate)
     share one kernel store: one kernel per joint point and menu item."""
-    from teamfield import counts, stage_game
-    calls = []
-    real = counts.team_transition_kernel
+    from teamfield import stage_game
+    team, rows = [], {}
+    real_mix, real_laws = stage_game._mixture_rows, stage_game._count_laws
 
-    def counted(*args, **kwargs):
-        calls.append(args[4])
-        return real(*args, **kwargs)
+    def mixture_rows(spec, k, zf, R):
+        team.append(k)
+        return real_mix(spec, k, zf, R)
 
-    for mod in (counts, stage_game):
-        monkeypatch.setattr(mod, "team_transition_kernel", counted)
+    def count_laws(mix, counts):
+        rows[team[-1]] = rows.get(team[-1], 0) + len(counts)
+        return real_laws(mix, counts)
+
+    monkeypatch.setattr(stage_game, "_mixture_rows", mixture_rows)
+    monkeypatch.setattr(stage_game, "_count_laws", count_laws)
     spec = teamfield.load_spec_file(REFERENCE)
     sets = [teamfield.build_prescription_set(spec, k) for k in range(spec.n_teams)]
     assert main(argv[:1] + ["--spec", str(REFERENCE), "--out", str(tmp_path)] + argv[1:]) == 0
     points = len(teamfield.JointLattice(spec))
-    assert len(calls) == points * sum(len(ps) for ps in sets)
-    assert [calls.count(k) for k in range(spec.n_teams)] == [points * len(ps) for ps in sets]
+    assert [rows.get(k, 0) for k in range(spec.n_teams)] == [points * len(ps) for ps in sets]
 
 
 def test_pure_only_exits_4(tmp_path):

@@ -13,7 +13,7 @@ from teamfield import metrics
 from teamfield.errors import CapacityError, SpecValidationError
 from teamfield.limit import SimplexGrid, LimitValueTable
 from teamfield.metrics import (expected_deviation, estimate_lipschitz,
-                               fit_rate, joint_distance, kappa_envelope,
+                               fit_rate, kappa_envelope,
                                lemma1_check, per_team_deviation,
                                theorem4_bound, transport_distance, wasserstein)
 
@@ -92,16 +92,6 @@ def test_wasserstein_rejects_bad_input():
         wasserstein([0.5, 0.6], [0.5, 0.5], DISCRETE3[:2, :2])
     with pytest.raises(SpecValidationError):
         wasserstein([0.5, 0.5], [1.0, 0.0], LINE3)
-
-
-def test_joint_distance_sums_teams(reference_spec):
-    z = MeanField(per_team=(np.array([1.0, 0.0]), np.array([0.3, 0.7])))
-    zh = MeanField(per_team=(np.array([0.5, 0.5]), np.array([0.7, 0.3])))
-    assert joint_distance(z, zh, reference_spec) == pytest.approx(0.9, abs=1e-12)
-    assert joint_distance(z, z, reference_spec) == 0.0
-    bad = MeanField(per_team=(np.array([1.0, 0.0]),))
-    with pytest.raises(SpecValidationError):
-        joint_distance(z, bad, reference_spec)
 
 
 def _iid_probe_inputs(spec):

@@ -3,9 +3,9 @@
 ``estimate_cost`` runs a lifted table policy in blocks of episodes; each
 episode must draw the same uniforms and pay the same costs as
 ``simulate_episode`` on its substream, bit for bit, for any block size
-and worker count. The empirical kernel check counts next counts with
-``np.unique``; its frequencies must equal the sample-by-sample loop,
-keys in the same order.
+and worker count. The empirical kernel check ranks next counts on the
+joint lattice and counts them with ``np.bincount``; its report must
+equal the sample-by-sample loop against the dict-keyed joint kernel.
 """
 
 import json
@@ -17,14 +17,15 @@ from hypothesis import strategies as st
 
 import teamfield as tf
 from teamfield import simulate
-from teamfield.counts import MeanField, TeamLattice, lattice_size
+from teamfield.counts import (MeanField, TeamLattice, _lattice_rank, _rank_terms,
+                              lattice_size)
 from teamfield.rng import substream
 from teamfield.simulate import (empirical_kernel_check, estimate_cost, lift_policy,
                                 simulate_episode)
 
 from conftest import (cyclic_pursuit_three_team, deterministic_two_team,
                       identity_dynamics_spec)
-from oracles import frequencies_loop
+from oracles import kernel_check_loop
 
 SEED = 11
 JOINT_POINTS_BUDGET = 100      # joint lattice points a drawn game may have
@@ -138,27 +139,33 @@ def test_episodes_across_block_boundaries(monkeypatch):
     check_batched(spec, 23)
 
 
-def test_frequencies_equal_the_counting_loop():
-    rng = np.random.default_rng(4)
-    for populations, states in (((8, 8), (2, 2)), ((5,), (3,)), ((1, 2, 3), (1, 2, 3)),
-                                ((100,), (30,))):
-        keys = [rng.multinomial(N, np.ones(S) / S, size=3000)
-                for N, S in zip(populations, states)]
-        fast = simulate._frequencies(keys)
-        assert list(fast.items()) == list(frequencies_loop(keys).items())
-    assert sum(fast.values()) == 3000
+def check_kernel_check(spec, z, gammas, samples, seed):
+    fast = empirical_kernel_check(spec, z, gammas, samples=samples, master_seed=seed)
+    slow = kernel_check_loop(spec, z, gammas, samples, master_seed=seed)
+    assert fast.support_size == slow.support_size
+    assert fast.samples == slow.samples
+    assert fast.confidence_radius == slow.confidence_radius
+    assert fast.tv_distance == pytest.approx(slow.tv_distance, abs=1e-12)
 
 
-def test_kernel_check_tv_is_unchanged_by_the_counting(monkeypatch, reference_spec,
-                                                      reference_sets):
-    spec = tf.with_populations(reference_spec, 4)
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(small_games(), st.data())
+def test_frequencies_equal_the_counting_loop(doc, data):
+    spec = tf.load_spec(doc)
+    z = MeanField(per_team=tuple(
+        data.draw(st.sampled_from(TeamLattice(tm.population, tm.n_states).z.tolist()))
+        for tm in spec.teams))
+    gammas = tuple(data.draw(st.sampled_from(tf.build_prescription_set(spec, k).items))
+                   for k in range(spec.n_teams))
+    check_kernel_check(spec, z, gammas, data.draw(st.integers(1, 400)),
+                       data.draw(st.integers(0, 100)))
+
+
+def test_kernel_check_tv_is_unchanged_by_the_counting(reference_spec, reference_sets):
     z = MeanField(per_team=(np.array([0.5, 0.5]), np.array([0.25, 0.75])))
     gammas = (reference_sets[0].items[2], reference_sets[1].items[1])
-    fast = empirical_kernel_check(spec, z, gammas, samples=5000, master_seed=2)
-    monkeypatch.setattr(simulate, "_frequencies", frequencies_loop)
-    slow = empirical_kernel_check(spec, z, gammas, samples=5000, master_seed=2)
-    assert fast.as_dict() == slow.as_dict()
-    assert repr(fast.tv_distance) == repr(slow.tv_distance)
+    for N in (4, 8):
+        check_kernel_check(tf.with_populations(reference_spec, N), z, gammas, 5000, 2)
 
 
 def test_policy_rows_of_the_wrong_shape_are_rejected():
@@ -216,8 +223,9 @@ def test_team_index_follows_the_lattice_order(N, S):
     tl = TeamLattice(N, S)
     states = np.array([np.repeat(np.arange(S), c) for c in tl.counts])
     shuffled = np.random.default_rng(0).permuted(states, axis=1)
-    terms = simulate._rank_terms(N, S)
+    terms = _rank_terms(N, S)
     assert terms.size == (S - 1) * (N + 1)
+    assert np.array_equal(_lattice_rank(terms, tl.counts), np.arange(len(tl)))
     assert np.array_equal(simulate._team_index(terms, shuffled), np.arange(len(tl)))
 
 

@@ -189,7 +189,7 @@ def test_build_stage_game_callable_matches_table(reference_spec,
     p = int(np.ravel_multi_index(idx, lattice.shape))
     Z = [zk[p:p + 1] for zk in lattice.z]
     own = [_cost_table(spec, k, reference_sets[k], Z, 0) for k in range(2)]
-    cont = _contract([W[p:p + 1] for W in cache.stacks([p])], values)
+    cont = _contract([W[p:p + 1] for W in cache.stacks()], values)
     fast = _stage_tensors(own, cont, tuple(len(ps) for ps in reference_sets))
     slow = build_stage_game(lattice.mean_field(idx), 0, lookup, reference_sets, spec)
     for k in range(2):
