@@ -26,10 +26,8 @@ from .finite_mpe import (EquilibriumCertificate, JointLattice, PolicyTable,
 from .limit import (LimitPolicyTable, LimitValueTable, SimplexGrid,
                     default_grid, flow, project_policy_to_lattice,
                     rollout_inf, solve_mpe_inf)
-from .metrics import (Lemma1Report, RateFit, estimate_lipschitz,
-                      expected_deviation, fit_rate,
-                      kappa_envelope, lemma1_check, theorem4_bound,
-                      wasserstein)
+from .metrics import (RateFit, estimate_lipschitz, expected_deviation, fit_rate,
+                      kappa_envelope, theorem4_bound, wasserstein)
 from .simulate import (KernelCheckReport, LiftedPolicy, SimResult,
                        empirical_kernel_check, estimate_cost, lift_policy,
                        simulate_episode)
@@ -51,9 +49,8 @@ __all__ = [
     "best_response", "evaluate_total_cost", "solve_mpe", "verify_mpe",
     "LimitPolicyTable", "LimitValueTable", "SimplexGrid", "default_grid",
     "flow", "project_policy_to_lattice", "rollout_inf", "solve_mpe_inf",
-    "Lemma1Report", "RateFit", "estimate_lipschitz",
-    "expected_deviation", "fit_rate", "kappa_envelope",
-    "lemma1_check", "theorem4_bound", "wasserstein",
+    "RateFit", "estimate_lipschitz", "expected_deviation", "fit_rate",
+    "kappa_envelope", "theorem4_bound", "wasserstein",
     "KernelCheckReport", "LiftedPolicy", "SimResult",
     "empirical_kernel_check", "estimate_cost", "lift_policy",
     "simulate_episode",

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import itertools
 import json
 import sys
 import time
@@ -42,7 +41,6 @@ from .static_games import load_static_game_file, static_report
 DEFAULT_EPISODES = 10000
 DEFAULT_N_SWEEP = (4, 8, 16)
 PROBE_POPULATIONS = (2, 4, 8, 16, 32, 64)
-PROBE_PROFILE_CAP = 256
 
 
 def _versions():
@@ -242,11 +240,9 @@ def _run_bound(args, out, h):
     probe_z = _probe_mean_field(spec, probe_ns)
     pure_sets = tuple(build_prescription_set(spec, k, mode="pure")
                       for k in range(spec.n_teams))
-    profiles = list(itertools.islice(
-        itertools.product(*(ps.items for ps in pure_sets)), PROBE_PROFILE_CAP))
-    rate = fit_rate(spec, probe_z, profiles[0], probe_ns)
-    kappa = np.maximum(rate.kappa_hat,
-                       kappa_envelope(spec, probe_z, profiles, [max(probe_ns)]))
+    rate = fit_rate(spec, probe_z, [ps.items[0] for ps in pure_sets], probe_ns)
+    kappa = np.maximum(rate.kappa_hat, kappa_envelope(
+        spec, probe_z, [ps.items for ps in pure_sets], [max(probe_ns)]))
     rows = []
     for n in sweep:
         spn = with_populations(spec, n)

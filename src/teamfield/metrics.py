@@ -7,6 +7,8 @@ image (a constant-over-sqrt(N) envelope, estimated empirically here from
 deviations that are exact expectations under the count kernel) and (b)
 how steep the equilibrium value functions are in the mean field (the
 largest difference quotient over all point pairs of the computed tables).
+Each team's envelope covers its whole menu, every item once, with the
+next-count laws read as rows of ``counts._count_laws`` on its lattice.
 ``theorem4_bound`` combines the two into the certified gap
 2 * sum_t sum_k kappa_k * L_{k,t} / sqrt(N_k). Every kappa produced here
 is an empirical envelope over the probed populations and is labeled as
@@ -22,8 +24,10 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .errors import CapacityError, SpecValidationError
-from .counts import count_point, team_transition_kernel
-from .model import GameSpec, with_populations
+from .counts import (DEFAULT_SUPPORT_CAP, _arrivals, _count_laws, _mixture_rows,
+                     count_point, lattice_size)
+from .model import GameSpec, flatten_mean_field, with_populations
+from .stage_game import STORE_BLOCK_ENTRIES
 
 MAX_EXACT_STATES = 32
 MAX_LIPSCHITZ_PAIRS = 10 ** 9     # most point pairs estimate_lipschitz compares
@@ -93,21 +97,45 @@ def transport_distance(p, q, metric) -> np.ndarray:
     return out
 
 
+def _deviations(spec: GameSpec, z, menus) -> list:
+    """Per team k, the (len(menus[k]),) exact E W(next counts / N, flow
+    image) under each item of menus[k], read from rows of the count law on
+    team k's lattice in blocks of about STORE_BLOCK_ENTRIES entries. Teams
+    move independently given z, so each item is evaluated once."""
+    from .limit import _flow
+    if len(menus) != spec.n_teams:
+        raise SpecValidationError("need one menu per team, got %d for %d teams"
+                                  % (len(menus), spec.n_teams))
+    zf = flatten_mean_field(spec, z)
+    Z = [np.asarray(v, dtype=float)[None] for v in getattr(z, "per_team", z)]
+    R, laws = [], []
+    for k, (tm, menu) in enumerate(zip(spec.teams, menus)):
+        m = count_point(Z[k][0], tm.population, k)
+        if lattice_size(tm.population, tm.n_states) > DEFAULT_SUPPORT_CAP:
+            raise CapacityError("team %d count lattice exceeds cap %d" % (k, DEFAULT_SUPPORT_CAP))
+        if len({p.rows.shape for p in menu}) > 1:
+            raise SpecValidationError("prescription shapes differ within team %d's menu" % k)
+        R.append(np.stack([p.rows for p in menu]))
+        laws.append((m, _mixture_rows(spec, k, zf[None], R[k])[0]))
+    out = []
+    for tm, (m, mix), q in zip(spec.teams, laws, _flow(spec, Z, R)):
+        points = _arrivals(tm.population, tm.n_states)[1] / tm.population
+        step = max(1, STORE_BLOCK_ENTRIES // len(points))
+        dev = np.empty(len(mix))
+        for lo in range(0, len(mix), step):
+            rows = mix[lo:lo + step]
+            law = _count_laws(rows, np.repeat(m[None], len(rows), axis=0))
+            dist = transport_distance(points, q[0, lo:lo + step, None], tm.state_metric)
+            dev[lo:lo + step] = (law * dist).sum(axis=1)
+        out.append(dev)
+    return out
+
+
 def per_team_deviation(z, prescriptions, spec: GameSpec) -> np.ndarray:
     """Exact per-team E[W(next counts / N, flow image)] under the count
     kernel. The joint expectation of the summed metric separates across
     teams because teams transition independently."""
-    from .limit import flow
-    per_team = getattr(z, "per_team", z)
-    q = flow(z, prescriptions, spec)
-    out = np.zeros(spec.n_teams)
-    for k in range(spec.n_teams):
-        tm = spec.teams[k]
-        m = count_point(per_team[k], tm.population, k)
-        dist = team_transition_kernel(m, z, prescriptions[k], spec, k)
-        support = np.array([cv.counts for cv in dist.support]) / tm.population
-        out[k] = dist.probs @ transport_distance(support, q.per_team[k], tm.state_metric)
-    return out
+    return np.array([d[0] for d in _deviations(spec, z, [[p] for p in prescriptions])])
 
 
 def expected_deviation(z, prescriptions, spec: GameSpec) -> float:
@@ -180,15 +208,13 @@ def fit_rate(spec: GameSpec, z, prescriptions, n_values) -> RateFit:
                    kappa_hat=kappa)
 
 
-def kappa_envelope(spec: GameSpec, z, profiles, n_values) -> np.ndarray:
-    """Elementwise-max sqrt(N)-scaled deviation over prescription profiles
-    and populations; z must sit on every probed count lattice."""
+def kappa_envelope(spec: GameSpec, z, menus, n_values) -> np.ndarray:
+    """Per team k, the max sqrt(N)-scaled deviation over every item of
+    menus[k] and every N in n_values; z must sit on every probed lattice."""
     kappa = np.zeros(spec.n_teams)
     for n in n_values:
-        sp = with_populations(spec, n)
-        for gammas in profiles:
-            d = per_team_deviation(z, gammas, sp)
-            kappa = np.maximum(kappa, math.sqrt(n) * d)
+        devs = _deviations(with_populations(spec, n), z, menus)
+        kappa = np.maximum(kappa, [math.sqrt(n) * d.max() for d in devs])
     return kappa
 
 
@@ -196,12 +222,11 @@ def estimate_lipschitz(table, spec: GameSpec) -> np.ndarray:
     """Per-(team, stage) Lipschitz estimate of a value table w.r.t. the
     summed transport metric: the max difference quotient over all point
     pairs, taken in row blocks of about LIPSCHITZ_BLOCK_PAIRS pairs.
-    Shape (K, T); raises CapacityError above MAX_LIPSCHITZ_PAIRS pairs."""
+    Shape (K, T); all zeros on a one-point table, which has no pairs;
+    raises CapacityError above MAX_LIPSCHITZ_PAIRS pairs."""
     V = table.values                      # (T, K, *shape)
     T, K = V.shape[0], V.shape[1]
     L = int(np.prod(V.shape[2:]))
-    if L < 2:
-        raise SpecValidationError("lipschitz estimation needs at least 2 points")
     if L * (L - 1) // 2 > MAX_LIPSCHITZ_PAIRS:
         raise CapacityError("lipschitz estimation over %d point pairs, cap is %d"
                             % (L * (L - 1) // 2, MAX_LIPSCHITZ_PAIRS))
@@ -240,57 +265,3 @@ def theorem4_bound(kappa_hat, lipschitz, populations) -> float:
     if np.any(kap < 0) or np.any(L < 0):
         raise SpecValidationError("kappa and Lipschitz inputs must be nonnegative")
     return float(2.0 * np.sum(L * (kap / np.sqrt(N))[:, None]))
-
-
-@dataclass
-class Lemma1Report:
-    """Dual-route consistency of the limit approximation on a test set:
-    the finite and limit stage-cost closed forms must coincide, and the
-    fitted kappa envelope must dominate every probed deviation."""
-    rows: list                       # (cost_gap, deviation, margin) per pair
-    max_cost_gap: float
-    max_margin: float
-    kappa_hat: np.ndarray
-
-    def as_dict(self):
-        return {
-            "max_cost_gap": float(self.max_cost_gap),
-            "max_margin": float(self.max_margin),
-            "kappa_hat": [float(x) for x in self.kappa_hat],
-            "rows": [{"cost_gap": float(a), "deviation": float(b), "margin": float(c)}
-                     for a, b, c in self.rows],
-        }
-
-
-def lemma1_check(spec: GameSpec, pairs) -> Lemma1Report:
-    """``pairs`` is a list of (count mean field, prescription profile).
-
-    cost_gap: max over teams of |finite stage cost - limit stage cost|
-    (identical closed forms, so ~0 up to rounding). margin: deviation
-    minus sum_k kappa_k / sqrt(N_k) with kappa the envelope fitted on the
-    same set (nonpositive by construction)."""
-    from .counts import stage_cost
-    from .limit import limit_stage_cost
-    K = spec.n_teams
-    sqrtN = np.sqrt([tm.population for tm in spec.teams])
-    devs, gaps = [], []
-    kappa = np.zeros(K)
-    for z, gammas in pairs:
-        gap = 0.0
-        for k in range(K):
-            for t in range(spec.horizon):
-                a = stage_cost(z, gammas[k], spec, k, t)
-                b = limit_stage_cost(z, gammas[k], spec, k, t)
-                gap = max(gap, abs(a - b))
-        gaps.append(gap)
-        d = per_team_deviation(z, gammas, spec)
-        devs.append(d)
-        kappa = np.maximum(kappa, sqrtN * d)
-    rows = []
-    env = float(np.sum(kappa / sqrtN))
-    for gap, d in zip(gaps, devs):
-        dev = float(d.sum())
-        rows.append((gap, dev, dev - env))
-    max_margin = max((r[2] for r in rows), default=0.0)
-    return Lemma1Report(rows=rows, max_cost_gap=max(gaps, default=0.0),
-                        max_margin=max_margin, kappa_hat=kappa)

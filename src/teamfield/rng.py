@@ -8,6 +8,7 @@ parallel replication is deterministic: worker processes re-derive the
 streams for the episode indices they own instead of sharing a generator.
 """
 
+import functools
 import hashlib
 
 import numpy as np
@@ -26,9 +27,15 @@ def _label_words(label):
             if v == 0:
                 return words
     if isinstance(label, str):
-        digest = hashlib.sha256(label.encode("utf-8")).digest()
-        return [int.from_bytes(digest[i:i + 4], "little") for i in range(0, 16, 4)]
+        return _str_words(label)
     raise TypeError("stream label must be int or str, got %r" % (label,))
+
+
+@functools.lru_cache(maxsize=256)
+def _str_words(label: str) -> tuple:
+    """First four uint32 words of the label's SHA-256 digest, cached."""
+    digest = hashlib.sha256(label.encode("utf-8")).digest()
+    return tuple(int.from_bytes(digest[i:i + 4], "little") for i in range(0, 16, 4))
 
 
 def seed_sequence(master_seed, *labels):

@@ -364,14 +364,7 @@ def mixed_nash_2team(game: StageGame) -> StageEquilibrium:
         raise SpecValidationError("support enumeration needs exactly 2 teams")
     A, B = game.tensors
     n1, n2 = game.shape
-    combos = []
-    for r in range(1, min(n1, DEFAULT_SUPPORT_BOUND) + 1):
-        for c in range(1, min(n2, DEFAULT_SUPPORT_BOUND) + 1):
-            for R in itertools.combinations(range(n1), r):
-                for C in itertools.combinations(range(n2), c):
-                    combos.append((r + c, r, c, R, C))
-    combos.sort()
-    for _, r, c, R, C in combos:
+    for r, c, R, C in _support_pairs(n1, n2):
         if r == 1 and c == 1:
             x = np.zeros(n1); x[R[0]] = 1.0
             y = np.zeros(n2); y[C[0]] = 1.0
@@ -391,6 +384,17 @@ def mixed_nash_2team(game: StageGame) -> StageEquilibrium:
             return StageEquilibrium(kind="mixed", per_team=(x, y), epsilon=eps)
     raise EquilibriumNotFoundError(
         "no equilibrium with supports of size <= %d certified" % DEFAULT_SUPPORT_BOUND)
+
+
+def _support_pairs(n1: int, n2: int):
+    """(r, c, R, C) for supports of at most DEFAULT_SUPPORT_BOUND indices,
+    generated lazily in ``mixed_nash_2team``'s scan order."""
+    b1, b2 = min(n1, DEFAULT_SUPPORT_BOUND), min(n2, DEFAULT_SUPPORT_BOUND)
+    for total in range(2, b1 + b2 + 1):
+        for r in range(max(1, total - b2), min(b1, total - 1) + 1):
+            for R in itertools.combinations(range(n1), r):
+                for C in itertools.combinations(range(n2), total - r):
+                    yield r, total - r, R, C
 
 
 def _indifference_solve(M: np.ndarray, size: int):

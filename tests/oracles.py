@@ -1,7 +1,8 @@
 """Slow reference implementations that fast paths in ``src/`` are tested
 against: the per-agent composition of one stage and the per-state
 multinomial convolution (checked against the count kernels), the
-counting loop of the kernel check, the per-point stage game (checked
+per-profile deviation through the one-point kernel, the counting loop
+of the kernel check, the per-point stage game (checked
 against the batched engine), hand-written agent policies for
 ``simulate.simulate_episode``, and pointwise model evaluation with its
 closed-form Lipschitz bounds."""
@@ -18,6 +19,8 @@ from teamfield.counts import (DEFAULT_SUPPORT_CAP, PRUNE_TOL, CountDistribution,
                               count_point, enumerate_counts, joint_transition_kernel,
                               stage_cost, team_transition_kernel)
 from teamfield.errors import CapacityError, SpecValidationError
+from teamfield.limit import flow
+from teamfield.metrics import transport_distance
 from teamfield.model import GameSpec, flatten_mean_field, transition_matrix
 from teamfield.rng import substream
 from teamfield.simulate import KernelCheckReport, _cdf, _pick
@@ -79,6 +82,22 @@ def kernel_store_loop(lattice, sets, spec: GameSpec) -> list:
                 dist = team_kernel_convolution(tl.counts[idx[k]], z, gamma, spec, k)
                 W[p, i, [tl.index[cv.counts] for cv in dist.support]] = dist.probs
         out.append(W)
+    return out
+
+
+def deviation_by_kernel(z, prescriptions, spec: GameSpec) -> np.ndarray:
+    """``metrics.per_team_deviation`` through one ``team_transition_kernel``
+    distribution of ``CountVector`` atoms per team and the ``flow`` image:
+    the per-profile path ``metrics._deviations`` replaced."""
+    per_team = getattr(z, "per_team", z)
+    q = flow(z, prescriptions, spec)
+    out = np.zeros(spec.n_teams)
+    for k in range(spec.n_teams):
+        tm = spec.teams[k]
+        m = count_point(per_team[k], tm.population, k)
+        dist = team_transition_kernel(m, z, prescriptions[k], spec, k)
+        support = np.array([cv.counts for cv in dist.support]) / tm.population
+        out[k] = dist.probs @ transport_distance(support, q.per_team[k], tm.state_metric)
     return out
 
 

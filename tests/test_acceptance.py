@@ -233,10 +233,9 @@ def test_criterion_10_bound_pipeline(reference_spec):
     probe_ns = [2, 4, 8, 16, 32, 64]
     probe_z = MeanField(per_team=(np.array([0.5, 0.5]), np.array([0.5, 0.5])))
     pure = tuple(build_prescription_set(spec, k) for k in range(2))
-    profiles = list(itertools.product(pure[0].items, pure[1].items))
-    rate = fit_rate(spec, probe_z, profiles[0], probe_ns)
+    rate = fit_rate(spec, probe_z, [ps.items[0] for ps in pure], probe_ns)
     kappa = np.maximum(rate.kappa_hat,
-                       kappa_envelope(spec, probe_z, profiles,
+                       kappa_envelope(spec, probe_z, [ps.items for ps in pure],
                                       [max(probe_ns)]))
     gains, bounds = [], []
     for n in (4, 8, 16):

@@ -20,7 +20,8 @@ NOT_IN_SRC = {
     "stage_game": ("build_stage_game", "ContinuationTable"),
     "simulate": ("FunctionPolicy", "_frequencies"),
     "metrics": ("wasserstein_fast", "DEFAULT_DEVIATION_CAP", "DEFAULT_PAIR_CAP",
-                "joint_distance"),
+                "joint_distance", "lemma1_check", "Lemma1Report"),
+    "cli": ("PROBE_PROFILE_CAP",),
     "limit": ("project_to_grid",),
 }
 

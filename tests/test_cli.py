@@ -233,6 +233,24 @@ def test_bound_mode_reports_envelope(tmp_path):
     assert len(rate) == 2 + 6
 
 
+def test_bound_on_one_state_teams_exits_0(tmp_path):
+    """With one state per team every grid has one point: no pair to take a
+    Lipschitz quotient over, so the estimates are 0, not a spec error."""
+    def team(k):
+        return {"states": ["only"], "actions": ["a0", "a1"], "population": 2,
+                "initial_law": [1.0], "transition": {"base": [[[1.0], [1.0]]]},
+                "cost": {"base": [[[0.2 + k, 0.5]], [[0.7, 0.1 * k]]]}}
+    spec = write_json(tmp_path / "one.json", {"horizon": 2, "seed": 0,
+                                              "teams": [team(0), team(1)]})
+    assert main(["bound", "--spec", str(spec), "--out", str(tmp_path),
+                 "--n-sweep", "2,4"]) == 0
+    rep = _read(tmp_path / "bound" / "bound.json")
+    assert [row["N"] for row in rep["sweep"]] == [2, 4]
+    for row in rep["sweep"]:
+        assert row["lipschitz"] == [[0.0, 0.0], [0.0, 0.0]]
+        assert row["max_gain"] <= row["epsilon_bound"]
+
+
 def test_static_mode_stdout(tmp_path, capsys):
     assert main(["static-tne", "--spec",
                  str(DATA / "matrix_team_example.json")]) == 0

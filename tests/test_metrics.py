@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 from scipy.stats import binom
 
 import teamfield as tf
-from teamfield.counts import MeanField, enumerate_counts
+from teamfield.counts import MeanField
 from teamfield import metrics
 from teamfield.errors import CapacityError, SpecValidationError
 from teamfield.limit import SimplexGrid, LimitValueTable
 from teamfield.metrics import (expected_deviation, estimate_lipschitz,
-                               fit_rate, kappa_envelope,
-                               lemma1_check, per_team_deviation,
+                               fit_rate, kappa_envelope, per_team_deviation,
                                theorem4_bound, transport_distance, wasserstein)
 
 from conftest import minimal_team
@@ -260,11 +259,13 @@ def test_lipschitz_above_the_pair_cap_is_refused(reference_spec):
         estimate_lipschitz(table, reference_spec)
 
 
-def test_lipschitz_needs_two_points(reference_spec):
-    table = types.SimpleNamespace(values=np.zeros((1, 1, 1)),
-                                  per_team_points=lambda: [np.array([[1.0]])])
-    with pytest.raises(SpecValidationError):
-        estimate_lipschitz(table, reference_spec)
+def test_lipschitz_of_a_one_point_table_is_zero(reference_spec):
+    """One point makes no pair, so the largest difference quotient is 0."""
+    table = types.SimpleNamespace(values=np.full((3, 2, 1, 1), 7.0),
+                                  per_team_points=lambda: [np.array([[1.0]])] * 2)
+    out = estimate_lipschitz(table, reference_spec)
+    assert out.shape == (2, 3)
+    assert np.all(out == 0.0)
 
 
 def test_theorem4_bound_literals():
@@ -278,21 +279,3 @@ def test_theorem4_bound_literals():
     assert theorem4_bound([0.3], [[0.7, 0.2]], [36]) == pytest.approx(base / 2)
     with pytest.raises(SpecValidationError):
         theorem4_bound([-1.0], [[1.0]], [4])
-
-
-def test_lemma1_check_reference(reference_spec, reference_sets):
-    lattice_points = [
-        MeanField(per_team=(np.array(a, dtype=float) / 2,
-                            np.array(b, dtype=float) / 2))
-        for a in enumerate_counts(2, 2) for b in enumerate_counts(2, 2)
-    ]
-    pairs = [(z, (reference_sets[0].items[i % 4], reference_sets[1].items[i % 4]))
-             for i, z in enumerate(lattice_points)]
-    rep = lemma1_check(reference_spec, pairs)
-    assert rep.max_cost_gap <= 1e-12
-    assert rep.max_margin <= 1e-12
-    assert len(rep.rows) == len(pairs)
-    assert any(dev > 0 for _, dev, _ in rep.rows)
-    d = rep.as_dict()
-    assert set(d) == {"max_cost_gap", "max_margin", "kappa_hat", "rows"}
-    assert set(d["rows"][0]) == {"cost_gap", "deviation", "margin"}

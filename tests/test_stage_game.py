@@ -1,10 +1,12 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from teamfield.errors import CapacityError, NoPureEquilibriumError
-from teamfield.stage_game import (StageEquilibrium, StageGame, br_iteration,
+from teamfield.stage_game import (DEFAULT_SUPPORT_BOUND, StageEquilibrium, StageGame,
+                                  _support_pairs, br_iteration,
                                   build_prescription_set, certify_epsilon,
                                   mixed_nash_2team, pure_nash,
                                   select_equilibrium, solve_stage)
@@ -101,6 +103,44 @@ def test_mixed_nash_returns_pure_when_it_exists():
     eq = mixed_nash_2team(g)
     assert eq.kind == "pure"
     assert eq.per_team == (0, 0)
+
+
+def test_support_pairs_follow_the_sorted_order():
+    """The lazy generator gives exactly the order of the sorted list of
+    (total size, row size, column size, R, C) it replaced."""
+    for n1 in range(1, 10):
+        for n2 in range(1, 10):
+            b1, b2 = min(n1, DEFAULT_SUPPORT_BOUND), min(n2, DEFAULT_SUPPORT_BOUND)
+            combos = sorted((r + c, r, c, R, C)
+                            for r in range(1, b1 + 1) for c in range(1, b2 + 1)
+                            for R in itertools.combinations(range(n1), r)
+                            for C in itertools.combinations(range(n2), c))
+            assert list(_support_pairs(n1, n2)) == [combo[1:] for combo in combos]
+
+
+def test_mixed_nash_lists_no_candidates_up_front():
+    """12 x 12 game whose only equilibrium is matching pennies on items
+    0-1, every other item strictly dominated: it is found after a few
+    thousand candidates, without a list of all 628,849 support pairs."""
+    A = np.full((12, 12), 2.0)
+    A[:, :2] = 3.0
+    A[:2, :] = 0.5
+    A[:2, :2] = [[0.0, 1.0], [1.0, 0.0]]
+    B = np.full((12, 12), 2.0)
+    B[:2, :] = 3.0
+    B[:, :2] = 0.5
+    B[:2, :2] = [[1.0, 0.0], [0.0, 1.0]]
+    g = game2(A, B)
+    tracemalloc.start()
+    try:
+        eq = mixed_nash_2team(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert eq.kind == "mixed" and eq.epsilon <= 1e-9
+    for v in eq.per_team:
+        np.testing.assert_allclose(v, [0.5, 0.5] + [0.0] * 10, atol=1e-9)
+    assert peak < 5 * 2 ** 20, peak
 
 
 def test_br_iteration_common_interest():
