@@ -23,8 +23,8 @@ forward pass of ``evaluate_total_cost``. ``solve_mpe`` runs the backward
 driver ``stage_game._backward`` that ``limit.solve_mpe_inf`` also runs;
 its continuation contracts the store's kernel stacks against the next
 values (``_contract``), the limit's gathers them at projected flow
-images. Only stage games are solved
-point by point. One ``KernelCache`` (``kernel_cache``) can hold the
+images. The driver finds the pure stage equilibria of a stage in one
+pass; only the stage games without one are solved point by point. One ``KernelCache`` (``kernel_cache``) can hold the
 kernels of a run for the solver, the certificate and the forward pass.
 """
 

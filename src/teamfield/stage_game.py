@@ -5,8 +5,9 @@ coordinators face a finite simultaneous-move game: each picks a
 prescription from a finite menu, pays its own stage cost plus the
 expected continuation value under the induced joint count kernel. This
 module builds those menus and cost tensors and solves the game (pure
-enumeration, support enumeration for two teams, damped fictitious play
-as the always-terminating fallback).
+enumeration, batched over every point of a stage; support enumeration
+with exact dominance pruning for two teams; damped fictitious play as
+the always-terminating fallback).
 
 The prescription simplex is continuous in principle; menus here are
 either all deterministic state-to-action maps ("pure") or all maps with
@@ -16,6 +17,7 @@ fidelity.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -287,7 +289,7 @@ def _backward(spec: GameSpec, sets, Z, points_shape, label, continuation,
     """Backward induction over stages T-1 .. 0 at the joint points Z (C
     order of ``points_shape``): own cost tables, ``continuation`` of the
     next values (K, *points_shape) as (K, P, *menu shape), stage tensors,
-    then solve_stage at every point; ``label(idx)`` names a point.
+    then ``_solve_points``; ``label(idx)`` names a point.
 
     Returns the per-stage object arrays of equilibria and the per-team
     equilibrium values (T, K, *points_shape)."""
@@ -299,33 +301,93 @@ def _backward(spec: GameSpec, sets, Z, points_shape, label, continuation,
         own = [_cost_table(spec, k, sets[k], Z, t) for k in range(K)]
         tensors = _stage_tensors(own, None if t == T - 1 else continuation(values[t + 1]),
                                  shape)
-        stages[t] = np.empty(points_shape, dtype=object)
-        for p, idx in enumerate(np.ndindex(points_shape)):
-            game = StageGame(tensors=tuple(X[p] for X in tensors), sets=tuple(sets))
-            eq = stages[t][idx] = solve_stage(game, t, label(idx), pure_only=pure_only)
-            values[(t, slice(None)) + idx] = equilibrium_values(game, eq)
+        stages[t], values[t] = _solve_points(tensors, sets, t, points_shape, label, pure_only)
     return stages, values[:T]
+
+
+def _solve_points(tensors, sets, t: int, points_shape, label, pure_only: bool):
+    """Equilibria (object array over ``points_shape``) and per-team values
+    (K, *points_shape) of the stage games in the per-team tensors
+    (P, *menu shape), P points in C order.
+
+    One pure pass covers every point: the lexicographically first pure
+    profile with its epsilon and values read by indexing. solve_stage
+    runs only at the points without one, in C order, so under pure_only
+    it raises at the first such point."""
+    if not all(np.isfinite(X).all() for X in tensors):
+        raise SpecValidationError("stage game tensor has non-finite entries")
+    has, profiles = _first_pure(tensors)
+    pure = np.flatnonzero(has)
+    eps, vals = _pure_certificate(tensors, pure, profiles[pure])
+    eqs = np.empty(len(has), dtype=object)
+    values = np.empty((len(tensors), len(has)))
+    for p, prof, e in zip(pure, profiles[pure].tolist(), eps.tolist()):
+        eqs[p] = StageEquilibrium(kind="pure", per_team=prof, epsilon=e)
+    values[:, pure] = vals
+    for p in np.flatnonzero(~has):
+        idx = tuple(int(i) for i in np.unravel_index(p, points_shape))
+        game = StageGame(tensors=tuple(X[p] for X in tensors), sets=tuple(sets))
+        eqs[p] = solve_stage(game, t, label(idx), pure_only=pure_only)
+        values[:, p] = equilibrium_values(game, eqs[p])
+    return eqs.reshape(points_shape), values.reshape((len(tensors),) + tuple(points_shape))
 
 
 # ---------------------------------------------------------------------------
 # solvers
 
+def _pure_mask(tensors) -> np.ndarray:
+    """(P, *menu shape) mask of the joint indices from which no team can
+    strictly lower its own cost unilaterally (strict tolerance PURE_TOL),
+    for per-team tensors of shape (P, *menu shape)."""
+    mask = np.ones(tensors[0].shape, dtype=bool)
+    for k, T in enumerate(tensors):
+        mask &= T <= T.min(axis=k + 1, keepdims=True) + PURE_TOL
+    return mask
+
+
+def _first_pure(tensors):
+    """Per point of (P, *menu shape) tensors: whether a pure equilibrium
+    exists (P,) and the lexicographically first one (P, K), which is
+    select_equilibrium's choice among them (rows without one are 0)."""
+    mask = _pure_mask(tensors).reshape(len(tensors[0]), -1)
+    first = np.unravel_index(mask.argmax(axis=1), tensors[0].shape[1:])
+    return mask.any(axis=1), np.stack(first, axis=1)
+
+
+def _pure_certificate(tensors, points, profiles):
+    """certify_epsilon (len(points),) and equilibrium_values (K, len(points))
+    of the pure profiles (len(points), K) at the given points of
+    (P, *menu shape) tensors, read by indexing: with one-hot weights the
+    contractions pick single entries (+ 0.0: a one-hot dot product never
+    returns -0.0)."""
+    K = len(tensors)
+    at = (np.asarray(points),) + tuple(np.asarray(profiles, dtype=np.intp).T)
+    vals = np.array([T[at] + 0.0 for T in tensors]).reshape(K, -1)
+    gains = [vals[k] - T[at[:k + 1] + (slice(None),) + at[k + 2:]].min(axis=-1)
+             for k, T in enumerate(tensors)]
+    return np.max(gains, axis=0), vals
+
+
 def pure_nash(game: StageGame) -> list:
     """All joint indices from which no team can strictly lower its own
     cost unilaterally (strict tolerance 1e-12), lexicographic order."""
-    mask = np.ones(game.shape, dtype=bool)
-    for k, T in enumerate(game.tensors):
-        mask &= T <= T.min(axis=k, keepdims=True) + PURE_TOL
+    mask = _pure_mask([T[None] for T in game.tensors])[0]
     return [tuple(int(i) for i in idx) for idx in np.argwhere(mask)]
 
 
 def certify_epsilon(game: StageGame, eq: StageEquilibrium) -> float:
     """Exact maximal unilateral gain of eq, recomputed from the tensors."""
     weights = eq.weights(game.shape)
+    return _epsilon(weights, [_own_cost_vector(T, weights, k)
+                              for k, T in enumerate(game.tensors)])
+
+
+def _epsilon(weights, own) -> float:
+    """Maximal unilateral gain of the mixtures ``weights`` given each
+    team's own cost vector against the others' mixtures."""
     eps = 0.0
-    for k, T in enumerate(game.tensors):
-        e = _own_cost_vector(T, weights, k)
-        eps = max(eps, float(weights[k] @ e - e.min()))
+    for w, e in zip(weights, own):
+        eps = max(eps, float(w @ e - e.min()))
     return max(eps, 0.0)
 
 
@@ -359,19 +421,36 @@ def mixed_nash_2team(game: StageGame) -> StageEquilibrium:
     solved by least squares and the resulting profile is kept only if its
     exactly recomputed epsilon is at most 1e-9. Supports hold at most
     DEFAULT_SUPPORT_BOUND indices per team.
+
+    Pairs (R, C) with a conditionally dominated index are skipped unsolved
+    (Porter, Nudelman and Shoham 2008): a row of R that costs more than
+    delta = 1e-6 (1 + max |cost|) above some other row against every
+    column of C, or a column of C likewise against the rows of R. Such a
+    candidate would give that other index a gain of at least delta less
+    the 1e-9 residual of the indifference solve, so the certificate would
+    reject it and the first certified candidate is unchanged. Dominance
+    is worked out only for the supports the scan reaches, once each.
     """
     if game.n_teams != 2:
         raise SpecValidationError("support enumeration needs exactly 2 teams")
     A, B = game.tensors
     n1, n2 = game.shape
-    for r, c, R, C in _support_pairs(n1, n2):
+    delta = 1e-6 * (1.0 + max(np.abs(A).max(), np.abs(B).max()))
+    rows_ok = _undominated(A, delta)      # rows of A kept against a column support
+    cols_ok = _undominated(B.T, delta)    # columns of B kept against a row support
+    for r, c, R, C in _support_pairs(n1, n2, cols_ok):
+        if not set(R).issubset(rows_ok(C)):
+            continue
         if r == 1 and c == 1:
             x = np.zeros(n1); x[R[0]] = 1.0
             y = np.zeros(n2); y[C[0]] = 1.0
         else:
-            y = _indifference_solve(A[np.ix_(R, C)], c)
-            x = _indifference_solve(B[np.ix_(R, C)].T, r)
-            if x is None or y is None:
+            block = np.ix_(R, C)
+            y = _indifference_solve(A[block], c)
+            if y is None:
+                continue
+            x = _indifference_solve(B[block].T, r)
+            if x is None:
                 continue
             xf = np.zeros(n1); xf[list(R)] = x
             yf = np.zeros(n2); yf[list(C)] = y
@@ -386,14 +465,28 @@ def mixed_nash_2team(game: StageGame) -> StageEquilibrium:
         "no equilibrium with supports of size <= %d certified" % DEFAULT_SUPPORT_BOUND)
 
 
-def _support_pairs(n1: int, n2: int):
+def _undominated(M: np.ndarray, delta: float):
+    """Map from a support (tuple of column indices of M) to the increasing
+    tuple of rows of M that no other row beats by more than delta against
+    every column of it; each is built on first use and kept."""
+    @functools.cache
+    def rows(support):
+        X = M[:, list(support)]
+        dominated = (X[:, None] > X[None] + delta).all(axis=2).any(axis=1)
+        return tuple(np.flatnonzero(~dominated).tolist())
+    return rows
+
+
+def _support_pairs(n1: int, n2: int, columns):
     """(r, c, R, C) for supports of at most DEFAULT_SUPPORT_BOUND indices,
-    generated lazily in ``mixed_nash_2team``'s scan order."""
+    generated lazily in ``mixed_nash_2team``'s scan order; ``columns(R)``
+    lists in increasing order the column indices that may enter C
+    alongside R."""
     b1, b2 = min(n1, DEFAULT_SUPPORT_BOUND), min(n2, DEFAULT_SUPPORT_BOUND)
     for total in range(2, b1 + b2 + 1):
         for r in range(max(1, total - b2), min(b1, total - 1) + 1):
             for R in itertools.combinations(range(n1), r):
-                for C in itertools.combinations(range(n2), total - r):
+                for C in itertools.combinations(columns(R), total - r):
                     yield r, total - r, R, C
 
 
@@ -427,31 +520,31 @@ def br_iteration(game: StageGame, max_iters: int = 200,
     Tracks every visited profile (the running mixtures and each round's
     pure best-response profile) with its exactly certified epsilon and
     returns the best one; epsilon is reported honestly even when it never
-    reaches tol.
+    reaches tol. The mixtures are certified from the own-cost vectors of
+    the best-reply step, the pure profile by indexing, both exactly what
+    certify_epsilon gives.
     """
     K = game.n_teams
     shape = game.shape
+    tensors = [T[None] for T in game.tensors]
     weights = [np.full(n, 1.0 / n) for n in shape]
     best = None     # (epsilon, preference, order, equilibrium)
     order = 0
 
     def consider(eq):
         nonlocal best, order
-        eps = certify_epsilon(game, eq)
-        eq = StageEquilibrium(kind=eq.kind, per_team=eq.per_team, epsilon=eps)
-        rank = (eps, 0 if eq.kind == "pure" else 1, order)
+        rank = (eq.epsilon, 0 if eq.kind == "pure" else 1, order)
         order += 1
         if best is None or rank < best[0:3]:
-            best = (eps, rank[1], rank[2], eq)
+            best = rank + (eq,)
 
     for it in range(1, max_iters + 1):
-        brs = []
-        for k in range(K):
-            e = _own_cost_vector(game.tensors[k], weights, k)
-            brs.append(int(np.argmin(e)))
-        consider(StageEquilibrium(kind="pure", per_team=tuple(brs), epsilon=0.0))
-        consider(StageEquilibrium(kind="mixed",
-                                  per_team=tuple(w.copy() for w in weights), epsilon=0.0))
+        own = [_own_cost_vector(game.tensors[k], weights, k) for k in range(K)]
+        brs = tuple(int(np.argmin(e)) for e in own)
+        eps, _ = _pure_certificate(tensors, [0], [brs])
+        consider(StageEquilibrium(kind="pure", per_team=brs, epsilon=float(eps[0])))
+        consider(StageEquilibrium(kind="mixed", per_team=tuple(w.copy() for w in weights),
+                                  epsilon=_epsilon(weights, own)))
         if best[0] <= tol:
             break
         alpha = 1.0 / (it + 1.0)
@@ -462,16 +555,17 @@ def br_iteration(game: StageGame, max_iters: int = 200,
 
 
 def solve_stage(game: StageGame, t: int, z_label, pure_only: bool = False) -> StageEquilibrium:
-    """One-stop solve used by the backward inductions: pure enumeration
-    first, then support enumeration for two teams, then fictitious play.
-    pure_only fails loudly instead of falling back. pure_nash lists
-    lexicographically, which is select_equilibrium's order among pure
-    equilibria, so the first one is the selected one."""
-    pure = pure_nash(game)
-    if pure:
-        eq = StageEquilibrium(kind="pure", per_team=pure[0], epsilon=0.0)
-        return StageEquilibrium(kind="pure", per_team=pure[0],
-                                epsilon=certify_epsilon(game, eq))
+    """One-stop solve of one stage game: the first pure equilibrium (the
+    pure pass of the backward driver at one point), then support
+    enumeration for two teams, then fictitious play. pure_only fails
+    loudly instead of falling back. Pure equilibria are taken
+    lexicographically first, which is select_equilibrium's order among
+    them."""
+    tensors = [T[None] for T in game.tensors]
+    has, profiles = _first_pure(tensors)
+    if has[0]:
+        eps, _ = _pure_certificate(tensors, [0], profiles)
+        return StageEquilibrium(kind="pure", per_team=profiles[0], epsilon=float(eps[0]))
     if pure_only:
         raise NoPureEquilibriumError(t, z_label)
     if game.n_teams == 2:

@@ -2,8 +2,10 @@
 against: the per-agent composition of one stage and the per-state
 multinomial convolution (checked against the count kernels), the
 per-profile deviation through the one-point kernel, the counting loop
-of the kernel check, the per-point stage game (checked
-against the batched engine), hand-written agent policies for
+of the kernel check, the per-point stage game (checked against the
+batched engine), the profile-by-profile pure check, the unpruned support
+enumeration and the re-certifying fictitious play (checked against the
+stage solvers), hand-written agent policies for
 ``simulate.simulate_episode``, and pointwise model evaluation with its
 closed-form Lipschitz bounds."""
 
@@ -18,13 +20,15 @@ from teamfield.counts import (DEFAULT_SUPPORT_CAP, PRUNE_TOL, CountDistribution,
                               CountVector, JointCount, Prescription, _finalize,
                               count_point, enumerate_counts, joint_transition_kernel,
                               stage_cost, team_transition_kernel)
-from teamfield.errors import CapacityError, SpecValidationError
+from teamfield.errors import CapacityError, EquilibriumNotFoundError, SpecValidationError
 from teamfield.limit import flow
 from teamfield.metrics import transport_distance
 from teamfield.model import GameSpec, flatten_mean_field, transition_matrix
 from teamfield.rng import substream
 from teamfield.simulate import KernelCheckReport, _cdf, _pick
-from teamfield.stage_game import StageGame
+from teamfield.stage_game import (CERT_TOL, DEFAULT_SUPPORT_BOUND, PURE_TOL, StageEquilibrium,
+                                  StageGame, _indifference_solve, _own_cost_vector,
+                                  _support_pairs, certify_epsilon)
 
 
 def _multinomial_pmf(n: int, probs: np.ndarray, comps: np.ndarray) -> np.ndarray:
@@ -311,6 +315,81 @@ def build_stage_game(z, t: int, continuation, sets, spec: GameSpec) -> StageGame
         for k in range(K):
             tensors[k][profile] = own_cost[k][profile[k]] + acc[k]
     return StageGame(tensors=tuple(tensors), sets=tuple(sets))
+
+
+def stage_pure_nash_loop(game: StageGame) -> list:
+    """``stage_game.pure_nash`` profile by profile: every joint index, in
+    lexicographic order, from which no team's unilateral deviation costs
+    more than PURE_TOL less."""
+    out = []
+    for prof in np.ndindex(game.shape):
+        stable = True
+        for k, T in enumerate(game.tensors):
+            dev = T[prof[:k] + (slice(None),) + prof[k + 1:]]
+            stable = stable and T[prof] <= dev.min() + PURE_TOL
+        if stable:
+            out.append(prof)
+    return out
+
+
+def mixed_nash_2team_unpruned(game: StageGame) -> StageEquilibrium:
+    """``stage_game.mixed_nash_2team`` without dominance pruning: every
+    support pair in scan order is solved and certified."""
+    A, B = game.tensors
+    n1, n2 = game.shape
+    for r, c, R, C in _support_pairs(n1, n2, lambda R: range(n2)):
+        if r == 1 and c == 1:
+            x = np.zeros(n1); x[R[0]] = 1.0
+            y = np.zeros(n2); y[C[0]] = 1.0
+        else:
+            y = _indifference_solve(A[np.ix_(R, C)], c)
+            x = _indifference_solve(B[np.ix_(R, C)].T, r)
+            if x is None or y is None:
+                continue
+            xf = np.zeros(n1); xf[list(R)] = x
+            yf = np.zeros(n2); yf[list(C)] = y
+            x, y = xf, yf
+        cand = StageEquilibrium(kind="mixed", per_team=(x, y), epsilon=0.0)
+        eps = certify_epsilon(game, cand)
+        if eps <= CERT_TOL:
+            if r == 1 and c == 1:
+                return StageEquilibrium(kind="pure", per_team=(R[0], C[0]), epsilon=eps)
+            return StageEquilibrium(kind="mixed", per_team=(x, y), epsilon=eps)
+    raise EquilibriumNotFoundError(
+        "no equilibrium with supports of size <= %d certified" % DEFAULT_SUPPORT_BOUND)
+
+
+def br_iteration_recertified(game: StageGame, max_iters: int = 200,
+                             tol: float = CERT_TOL) -> StageEquilibrium:
+    """``stage_game.br_iteration`` certifying every visited profile with
+    ``certify_epsilon`` from scratch."""
+    K = game.n_teams
+    weights = [np.full(n, 1.0 / n) for n in game.shape]
+    best = None     # (epsilon, preference, order, equilibrium)
+    order = 0
+
+    def consider(eq):
+        nonlocal best, order
+        eps = certify_epsilon(game, eq)
+        eq = StageEquilibrium(kind=eq.kind, per_team=eq.per_team, epsilon=eps)
+        rank = (eps, 0 if eq.kind == "pure" else 1, order)
+        order += 1
+        if best is None or rank < best[0:3]:
+            best = (eps, rank[1], rank[2], eq)
+
+    for it in range(1, max_iters + 1):
+        brs = [int(np.argmin(_own_cost_vector(game.tensors[k], weights, k)))
+               for k in range(K)]
+        consider(StageEquilibrium(kind="pure", per_team=tuple(brs), epsilon=0.0))
+        consider(StageEquilibrium(kind="mixed",
+                                  per_team=tuple(w.copy() for w in weights), epsilon=0.0))
+        if best[0] <= tol:
+            break
+        alpha = 1.0 / (it + 1.0)
+        for k in range(K):
+            weights[k] *= (1.0 - alpha)
+            weights[k][brs[k]] += alpha
+    return best[3]
 
 
 @dataclass

@@ -115,13 +115,14 @@ def test_support_pairs_follow_the_sorted_order():
                             for r in range(1, b1 + 1) for c in range(1, b2 + 1)
                             for R in itertools.combinations(range(n1), r)
                             for C in itertools.combinations(range(n2), c))
-            assert list(_support_pairs(n1, n2)) == [combo[1:] for combo in combos]
+            assert list(_support_pairs(n1, n2, lambda R: range(n2))) == [
+                combo[1:] for combo in combos]
 
 
 def test_mixed_nash_lists_no_candidates_up_front():
     """12 x 12 game whose only equilibrium is matching pennies on items
-    0-1, every other item strictly dominated: it is found after a few
-    thousand candidates, without a list of all 628,849 support pairs."""
+    0-1, every other item strictly dominated: it is found without a list
+    of all 628,849 support pairs or of their dominance masks."""
     A = np.full((12, 12), 2.0)
     A[:, :2] = 3.0
     A[:2, :] = 0.5
