@@ -19,7 +19,7 @@ from .counts import (CountDistribution, CountVector, JointCount, MeanField,
                      stage_cost, team_transition_kernel)
 from .stage_game import (KernelCache, PrescriptionSet, StageEquilibrium, StageGame,
                          br_iteration, build_prescription_set, mixed_nash_2team,
-                         pure_nash, select_equilibrium)
+                         select_equilibrium)
 from .finite_mpe import (EquilibriumCertificate, JointLattice, PolicyTable,
                          ValueTable, best_response, evaluate_total_cost,
                          solve_mpe, verify_mpe)
@@ -44,7 +44,7 @@ __all__ = [
     "Prescription", "enumerate_counts", "joint_transition_kernel",
     "stage_cost", "team_transition_kernel",
     "KernelCache", "PrescriptionSet", "StageEquilibrium", "StageGame", "br_iteration",
-    "build_prescription_set", "mixed_nash_2team", "pure_nash", "select_equilibrium",
+    "build_prescription_set", "mixed_nash_2team", "select_equilibrium",
     "EquilibriumCertificate", "JointLattice", "PolicyTable", "ValueTable",
     "best_response", "evaluate_total_cost", "solve_mpe", "verify_mpe",
     "LimitPolicyTable", "LimitValueTable", "SimplexGrid", "default_grid",

@@ -76,11 +76,9 @@ def transport_distance(p, q, metric) -> np.ndarray:
     ``p`` and ``q``, broadcast against each other; one value per pair.
 
     Closed forms where they exist (one state: 0; two states: d01*|p0-q0|;
-    equal off-diagonal metric: half the L1 distance times that value; a
-    line in state order, d[i, j] = sum_{i <= l < j} d[l, l+1]: the sum over
-    l of d[l, l+1] |F_p(l) - F_q(l)| with F the CDF); any other metric
-    falls back to the exact LP ``wasserstein`` pair by pair. The
-    identities with the LP are property-tested."""
+    equal off-diagonal metric: half the L1 distance times that value);
+    any other metric falls back to the exact LP ``wasserstein`` pair by
+    pair. The identity with the LP is property-tested."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     d = np.asarray(metric, dtype=float)
@@ -92,14 +90,6 @@ def transport_distance(p, q, metric) -> np.ndarray:
     off = d[~np.eye(n, dtype=bool)]
     if np.all(off == off[0]):
         return off[0] * 0.5 * np.abs(p - q).sum(axis=-1)
-    gaps = np.diagonal(d, 1)
-    cum = np.concatenate([[0.0], np.cumsum(gaps)])
-    if np.allclose(d, np.abs(cum[:, None] - cum), rtol=1e-12, atol=0.0):
-        cdf = np.cumsum(p[..., :-1], axis=-1) - np.cumsum(q[..., :-1], axis=-1)
-        out = gaps[0] * np.abs(cdf[..., 0])
-        for l in range(1, n - 1):
-            out += gaps[l] * np.abs(cdf[..., l])
-        return out
     p, q = np.broadcast_arrays(p, q)
     out = np.empty(p.shape[:-1])
     for i in np.ndindex(out.shape):

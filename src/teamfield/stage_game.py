@@ -368,13 +368,6 @@ def _pure_certificate(tensors, points, profiles):
     return np.max(gains, axis=0), vals
 
 
-def pure_nash(game: StageGame) -> list:
-    """All joint indices from which no team can strictly lower its own
-    cost unilaterally (strict tolerance 1e-12), lexicographic order."""
-    mask = _pure_mask([T[None] for T in game.tensors])[0]
-    return [tuple(int(i) for i in idx) for idx in np.argwhere(mask)]
-
-
 def certify_epsilon(game: StageGame, eq: StageEquilibrium) -> float:
     """Exact maximal unilateral gain of eq, recomputed from the tensors."""
     weights = eq.weights(game.shape)

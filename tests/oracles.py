@@ -318,7 +318,7 @@ def build_stage_game(z, t: int, continuation, sets, spec: GameSpec) -> StageGame
 
 
 def stage_pure_nash_loop(game: StageGame) -> list:
-    """``stage_game.pure_nash`` profile by profile: every joint index, in
+    """``stage_game._pure_mask`` profile by profile: every joint index, in
     lexicographic order, from which no team's unilateral deviation costs
     more than PURE_TOL less."""
     out = []

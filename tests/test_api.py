@@ -18,7 +18,7 @@ NOT_IN_SRC = {
     "model": ("eval_transition", "eval_cost", "_kr_norm", "transition_lipschitz",
               "cost_lipschitz"),
     "stage_game": ("build_stage_game", "ContinuationTable", "stage_pure_nash_loop",
-                   "mixed_nash_2team_unpruned", "br_iteration_recertified"),
+                   "mixed_nash_2team_unpruned", "br_iteration_recertified", "pure_nash"),
     "simulate": ("FunctionPolicy", "_frequencies"),
     "metrics": ("wasserstein_fast", "DEFAULT_DEVIATION_CAP", "DEFAULT_PAIR_CAP",
                 "joint_distance", "lemma1_check", "Lemma1Report"),

@@ -6,10 +6,9 @@ import pytest
 
 from teamfield.errors import CapacityError, NoPureEquilibriumError
 from teamfield.stage_game import (DEFAULT_SUPPORT_BOUND, StageEquilibrium, StageGame,
-                                  _support_pairs, br_iteration,
+                                  _pure_mask, _support_pairs, br_iteration,
                                   build_prescription_set, certify_epsilon,
-                                  mixed_nash_2team, pure_nash,
-                                  select_equilibrium, solve_stage)
+                                  mixed_nash_2team, select_equilibrium, solve_stage)
 
 from oracles import build_stage_game
 
@@ -18,6 +17,13 @@ def game2(A, B):
     return StageGame(tensors=(np.asarray(A, dtype=float),
                               np.asarray(B, dtype=float)),
                      sets=(None, None))
+
+
+def pure_profiles(g):
+    """The joint indices that the solvers' pure mask accepts, in
+    lexicographic order."""
+    mask = _pure_mask([T[None] for T in g.tensors])[0]
+    return [tuple(int(i) for i in idx) for idx in np.argwhere(mask)]
 
 
 def test_prescription_sets_pure(reference_spec):
@@ -49,13 +55,13 @@ def test_prescription_cap(reference_spec):
 def test_pure_nash_simple_games():
     # dominant-strategy game: both prefer index 0
     g = game2([[0.0, 0.0], [1.0, 1.0]], [[0.0, 1.0], [0.0, 1.0]])
-    assert pure_nash(g) == [(0, 0)]
+    assert pure_profiles(g) == [(0, 0)]
     # coordination game has two pure equilibria, lexicographic order
     g = game2([[0.0, 1.0], [1.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]])
-    assert pure_nash(g) == [(0, 0), (1, 1)]
+    assert pure_profiles(g) == [(0, 0), (1, 1)]
     # matching pennies has none
     g = game2([[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]])
-    assert pure_nash(g) == []
+    assert pure_profiles(g) == []
 
 
 def test_pure_nash_three_teams():
@@ -64,7 +70,7 @@ def test_pure_nash_three_teams():
     base[1, 1, 1] = 0.0
     g = StageGame(tensors=(base, base.copy(), base.copy()),
                   sets=(None, None, None))
-    assert (1, 1, 1) in pure_nash(g)
+    assert (1, 1, 1) in pure_profiles(g)
 
 
 def test_certify_epsilon_exact():
@@ -179,9 +185,9 @@ def test_select_equilibrium_prefers_pure_then_lex():
     # two pure equilibria, the first one only within PURE_TOL: solve_stage
     # returns select_equilibrium's choice among them with its epsilon
     g = game2([[5e-13, 1.0], [0.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]])
-    assert pure_nash(g) == [(0, 0), (1, 1)]
+    assert pure_profiles(g) == [(0, 0), (1, 1)]
     chosen = select_equilibrium([StageEquilibrium(kind="pure", per_team=p, epsilon=0.0)
-                                 for p in pure_nash(g)])
+                                 for p in pure_profiles(g)])
     eq = solve_stage(g, 0, "z")
     assert eq.kind == "pure" and eq.per_team == chosen.per_team
     assert eq.epsilon == certify_epsilon(g, chosen) > 0.0

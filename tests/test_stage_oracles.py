@@ -5,7 +5,7 @@ return what the unpruned scan returns. Fictitious play certifies from the
 vectors of its best-reply step; it must return what re-certifying every
 profile returns. The backward driver solves the pure stage games of a
 stage in one pass; it must return what ``solve_stage`` returns point by
-point, and ``pure_nash`` what the profile-by-profile check lists. All
+point, and its pure mask what the profile-by-profile check lists. All
 are compared bitwise.
 """
 
@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 
 from teamfield.errors import (EquilibriumNotFoundError, NoPureEquilibriumError,
                               SpecValidationError)
-from teamfield.stage_game import (PURE_TOL, StageEquilibrium, StageGame, _solve_points,
-                                  br_iteration, certify_epsilon, equilibrium_values,
-                                  mixed_nash_2team, pure_nash, solve_stage)
+from teamfield.stage_game import (PURE_TOL, StageEquilibrium, StageGame, _pure_mask,
+                                  _solve_points, br_iteration, certify_epsilon,
+                                  equilibrium_values, mixed_nash_2team, solve_stage)
 
 from oracles import (br_iteration_recertified, mixed_nash_2team_unpruned,
                      stage_pure_nash_loop)
@@ -133,7 +133,8 @@ def test_pure_pass_matches_solve_stage_point_by_point(K, P, seed):
         _same(solve_stage(game, 1, label(idx)), ref)
         assert np.array_equal(values[(slice(None),) + idx], equilibrium_values(game, ref))
 
-    assert all(pure_nash(_game([X[p] for X in tensors]))
+    mask = _pure_mask(tensors)
+    assert all([tuple(int(i) for i in idx) for idx in np.argwhere(mask[p])]
                == stage_pure_nash_loop(_game([X[p] for X in tensors])) for p in range(P))
     first = next((idx for p, idx in enumerate(np.ndindex(points_shape))
                   if not stage_pure_nash_loop(_game([X[p] for X in tensors]))), None)
