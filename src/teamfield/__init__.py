@@ -18,8 +18,7 @@ from .counts import (CountDistribution, CountVector, JointCount, MeanField,
                      Prescription, enumerate_counts, joint_transition_kernel,
                      stage_cost, team_transition_kernel)
 from .stage_game import (KernelCache, PrescriptionSet, StageEquilibrium, StageGame,
-                         br_iteration, build_prescription_set, mixed_nash_2team,
-                         select_equilibrium)
+                         br_iteration, build_prescription_set, mixed_nash_2team)
 from .finite_mpe import (EquilibriumCertificate, JointLattice, PolicyTable,
                          ValueTable, best_response, evaluate_total_cost,
                          solve_mpe, verify_mpe)
@@ -44,7 +43,7 @@ __all__ = [
     "Prescription", "enumerate_counts", "joint_transition_kernel",
     "stage_cost", "team_transition_kernel",
     "KernelCache", "PrescriptionSet", "StageEquilibrium", "StageGame", "br_iteration",
-    "build_prescription_set", "mixed_nash_2team", "select_equilibrium",
+    "build_prescription_set", "mixed_nash_2team",
     "EquilibriumCertificate", "JointLattice", "PolicyTable", "ValueTable",
     "best_response", "evaluate_total_cost", "solve_mpe", "verify_mpe",
     "LimitPolicyTable", "LimitValueTable", "SimplexGrid", "default_grid",

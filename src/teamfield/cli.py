@@ -76,8 +76,7 @@ def _load_game(args):
 
 
 def _build_sets(spec, args):
-    mode = "gridded" if args.grid_g else "pure"
-    return tuple(build_prescription_set(spec, k, mode=mode, g=args.grid_g)
+    return tuple(build_prescription_set(spec, k, g=args.grid_g or None)
                  for k in range(spec.n_teams))
 
 
@@ -238,8 +237,7 @@ def _run_bound(args, out, h):
     sweep = args.n_sweep or list(DEFAULT_N_SWEEP)
     probe_ns = list(PROBE_POPULATIONS)
     probe_z = _probe_mean_field(spec, probe_ns)
-    pure_sets = tuple(build_prescription_set(spec, k, mode="pure")
-                      for k in range(spec.n_teams))
+    pure_sets = tuple(build_prescription_set(spec, k) for k in range(spec.n_teams))
     rate = fit_rate(spec, probe_z, [ps.items[0] for ps in pure_sets], probe_ns)
     kappa = np.maximum(rate.kappa_hat, kappa_envelope(
         spec, probe_z, [ps.items for ps in pure_sets], [max(probe_ns)]))

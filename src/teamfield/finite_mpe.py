@@ -18,14 +18,16 @@ recomputed from prescriptions, stage costs and kernels alone.
 All recursions run on the engine in ``stage_game``, batched over the
 lattice: per-team kernel stacks are contracted against the next values,
 raw for the stage games, averaged under the policy's mixtures for
-``policy_value`` (all teams), ``best_response`` (all but one) and the
-forward pass of ``evaluate_total_cost``. ``solve_mpe`` runs the backward
-driver ``stage_game._backward`` that ``limit.solve_mpe_inf`` also runs;
-its continuation contracts the store's kernel stacks against the next
-values (``_contract``), the limit's gathers them at projected flow
-images. The driver finds the pure stage equilibria of a stage in one
-pass; only the stage games without one are solved point by point. One ``KernelCache`` (``kernel_cache``) can hold the
-kernels of a run for the solver, the certificate and the forward pass.
+``policy_value`` (all teams) and ``best_response`` (all but one).
+``evaluate_total_cost`` averages ``policy_value``'s stage-0 values under
+the initial count law. ``solve_mpe`` runs the backward driver
+``stage_game._backward`` that ``limit.solve_mpe_inf`` also runs; its
+continuation contracts the store's kernel stacks against the next values
+(``_contract``), the limit's gathers them at projected flow images. The
+driver finds the pure stage equilibria of a stage in one pass; only the
+stage games without one are solved point by point. One ``KernelCache``
+(``kernel_cache``) can hold the kernels of a run for the solver, the
+certificate and the cost evaluation.
 """
 
 from __future__ import annotations
@@ -189,30 +191,11 @@ def initial_distribution(spec: GameSpec, lattice: JointLattice) -> np.ndarray:
 def evaluate_total_cost(spec: GameSpec, policy: PolicyTable,
                         kernel_cache: KernelCache = None) -> np.ndarray:
     """Exact expected cumulative cost per team under ``policy`` from the
-    initial count law, by forward propagation of the full distribution
-    over the lattice (never sampled). The contraction reads only the
-    points the distribution reaches, but the store is built whole."""
-    lattice = policy.lattice
-    cache = kernel_cache or KernelCache(spec, policy.sets)
-    T, K = spec.horizon, spec.n_teams
-    game_shape = tuple(len(ps) for ps in policy.sets)
-    dist = initial_distribution(spec, lattice).reshape(-1)
-    totals = np.zeros(K)
-    for t in range(T):
-        live = np.flatnonzero(dist > 0.0)
-        Zl = [z[live] for z in lattice.z]
-        w = _mixtures(policy.stages[t].reshape(-1)[live], game_shape)
-        totals += [dist[live] @ np.einsum("pi,pi->p", w[k], _cost_table(spec, k, ps, Zl, t))
-                   for k, ps in enumerate(policy.sets)]
-        if t < T - 1:
-            operands = [dist[live], [K]]
-            for k, W in enumerate(cache.stacks()):
-                operands += [_average(w[k], W[live]), [K, k]]
-            new = np.einsum(*operands, list(range(K)), optimize=True)
-            if abs(new.sum() - 1.0) > 1e-10:
-                raise AssertionError("forward propagation lost mass: %.17g" % new.sum())
-            dist = new.reshape(-1)
-    return totals
+    initial count law (never sampled): the stage-0 values of
+    ``policy_value`` averaged under that law."""
+    V = policy_value(spec, policy, kernel_cache=kernel_cache)
+    init = initial_distribution(spec, policy.lattice)
+    return V[0].reshape(spec.n_teams, -1) @ init.reshape(-1)
 
 
 # ---------------------------------------------------------------------------

@@ -214,7 +214,6 @@ def solve_mpe_inf(spec: GameSpec, sets, grid: SimplexGrid = None,
 @dataclass
 class LimitTrajectory:
     mean_fields: list            # length T+1
-    prescription_rows: list      # per stage: per team averaged rows
     stage_costs: np.ndarray      # (T, K)
     cumulative: np.ndarray       # (T, K) running totals
     totals: np.ndarray           # (K,)
@@ -242,22 +241,21 @@ def rollout_inf(spec: GameSpec, policy: LimitPolicyTable) -> LimitTrajectory:
     K, T = spec.n_teams, policy.horizon
     z = MeanField(per_team=tuple(tm.initial_law.copy() for tm in spec.teams))
     mean_fields = [z]
-    rows_log, errors = [], []
+    errors = []
     stage_costs = np.zeros((T, K))
     for t in range(T):
         idx, err = project_indices(z, grid)
         errors.append(err)
         eq = policy.equilibrium(t, idx)
         rows = eq.mean_rows(policy.sets)
-        rows_log.append(rows)
         for k in range(K):
             stage_costs[t, k] = limit_stage_cost(z, rows[k], spec, k, t)
         z = flow(z, rows, spec)
         mean_fields.append(z)
     cumulative = np.cumsum(stage_costs, axis=0)
-    return LimitTrajectory(mean_fields=mean_fields, prescription_rows=rows_log,
-                           stage_costs=stage_costs, cumulative=cumulative,
-                           totals=cumulative[-1].copy(), projection_errors=errors)
+    return LimitTrajectory(mean_fields=mean_fields, stage_costs=stage_costs,
+                           cumulative=cumulative, totals=cumulative[-1].copy(),
+                           projection_errors=errors)
 
 
 def project_policy_to_lattice(spec: GameSpec, policy: LimitPolicyTable,

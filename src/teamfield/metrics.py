@@ -150,7 +150,6 @@ class RateFit:
     """Log-log fit of deviation against population."""
     n_values: list
     deviations: list
-    per_team_deviations: list      # per N: (K,) array
     slope: float
     intercept: float
     r_squared: float
@@ -184,28 +183,23 @@ def fit_rate(spec: GameSpec, z, prescriptions, n_values) -> RateFit:
     ns = sorted(set(int(n) for n in n_values))
     if len(ns) < 4:
         raise SpecValidationError("rate fit needs at least 4 distinct populations")
-    devs, per_team = [], []
+    devs, kappa = [], np.zeros(spec.n_teams)
     for n in ns:
-        sp = with_populations(spec, n)
-        d = per_team_deviation(z, prescriptions, sp)
-        per_team.append(d)
+        d = per_team_deviation(z, prescriptions, with_populations(spec, n))
         devs.append(float(d.sum()))
-    kappa = np.zeros(spec.n_teams)
-    for d, n in zip(per_team, ns):
         kappa = np.maximum(kappa, math.sqrt(n) * d)
     if max(devs) < 1e-15:
-        return RateFit(n_values=ns, deviations=devs, per_team_deviations=per_team,
-                       slope=float("nan"), intercept=float("nan"),
-                       r_squared=float("nan"), kappa_hat=kappa, degenerate=True)
+        return RateFit(n_values=ns, deviations=devs, slope=float("nan"),
+                       intercept=float("nan"), r_squared=float("nan"), kappa_hat=kappa,
+                       degenerate=True)
     x = np.log(np.asarray(ns, dtype=float))
     y = np.log(np.asarray(devs))
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0 else 1.0 - float(np.sum(resid ** 2)) / ss_tot
-    return RateFit(n_values=ns, deviations=devs, per_team_deviations=per_team,
-                   slope=float(slope), intercept=float(intercept), r_squared=r2,
-                   kappa_hat=kappa)
+    return RateFit(n_values=ns, deviations=devs, slope=float(slope),
+                   intercept=float(intercept), r_squared=r2, kappa_hat=kappa)
 
 
 def kappa_envelope(spec: GameSpec, z, menus, n_values) -> np.ndarray:

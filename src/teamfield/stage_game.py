@@ -41,8 +41,6 @@ STORE_BLOCK_ENTRIES = 1 << 20  # (rows, lattice) entries per block of the store 
 class PrescriptionSet:
     """Ordered finite menu of prescriptions for one team."""
     team_id: int
-    mode: str
-    grid_resolution: int
     items: tuple
 
     def __len__(self):
@@ -52,51 +50,37 @@ class PrescriptionSet:
         return np.stack([p.rows for p in self.items])
 
 
-def build_prescription_set(spec: GameSpec, k: int, mode: str = "pure",
-                           g: int = None,
+def build_prescription_set(spec: GameSpec, k: int, g: int = None,
                            cap: int = DEFAULT_PRESCRIPTION_CAP) -> PrescriptionSet:
     """Menu for team k.
 
-    pure: all deterministic maps, ordered lexicographically by the tuple
-    of chosen action indices (|A|^|S| items). gridded: every map whose
+    g None: all deterministic maps, ordered lexicographically by the tuple
+    of chosen action indices (|A|^|S| items). g >= 1: every map whose
     rows have entries that are multiples of 1/g (C(g+|A|-1, |A|-1)^|S|
     items, rows cycling fastest in the last state).
     """
     tm = spec.teams[k]
     S, A = tm.n_states, tm.n_actions
-    if mode == "pure":
-        size = A ** S
-        if size > cap:
-            raise CapacityError("pure prescription set for team %d has %d items, cap %d"
-                                % (k, size, cap))
-        items = []
-        for choice in itertools.product(range(A), repeat=S):
-            rows = np.zeros((S, A))
-            rows[np.arange(S), list(choice)] = 1.0
-            items.append(Prescription(team_id=k, rows=rows))
-    elif mode == "gridded":
-        if g is None or g < 1:
-            raise SpecValidationError("gridded mode needs a grid resolution g >= 1")
-        row_menu = [np.array(v, dtype=float) / g for v in enumerate_counts(g, A)]
-        size = len(row_menu) ** S
-        if size > cap:
-            raise CapacityError("gridded prescription set for team %d has %d items, cap %d"
-                                % (k, size, cap))
-        items = []
-        for combo in itertools.product(row_menu, repeat=S):
-            items.append(Prescription(team_id=k, rows=np.stack(combo)))
+    if g is None:
+        kind, row_menu = "pure", list(np.eye(A))
+    elif g < 1:
+        raise SpecValidationError("gridded menus need a grid resolution g >= 1")
     else:
-        raise SpecValidationError("unknown prescription mode %r" % mode)
-    return PrescriptionSet(team_id=k, mode=mode,
-                           grid_resolution=(g if mode == "gridded" else 1),
-                           items=tuple(items))
+        kind = "gridded"
+        row_menu = [np.array(v, dtype=float) / g for v in enumerate_counts(g, A)]
+    size = len(row_menu) ** S
+    if size > cap:
+        raise CapacityError("%s prescription set for team %d has %d items, cap %d"
+                            % (kind, k, size, cap))
+    return PrescriptionSet(team_id=k, items=tuple(
+        Prescription(team_id=k, rows=np.stack(combo))
+        for combo in itertools.product(row_menu, repeat=S)))
 
 
 @dataclass(frozen=True)
 class StageGame:
     """Cost tensors over joint prescription indices, one per team."""
     tensors: tuple
-    sets: tuple
 
     def __post_init__(self):
         shape = self.tensors[0].shape
@@ -191,7 +175,7 @@ class KernelCache:
 
     Kernels do not depend on the stage, so one store serves the solver,
     the certificate (which recomputes values and best replies from them
-    but solves no stage game) and the forward evaluation; criterion 2 and
+    but solves no stage game) and the cost evaluation; criterion 2 and
     the engine oracle check them. Team k's are a dense read-only stack
     W_k[point, menu item, L_k] over the C-order points of ``lattice``,
     built whole by ``counts._count_laws`` on the first ``stacks`` call.
@@ -301,11 +285,11 @@ def _backward(spec: GameSpec, sets, Z, points_shape, label, continuation,
         own = [_cost_table(spec, k, sets[k], Z, t) for k in range(K)]
         tensors = _stage_tensors(own, None if t == T - 1 else continuation(values[t + 1]),
                                  shape)
-        stages[t], values[t] = _solve_points(tensors, sets, t, points_shape, label, pure_only)
+        stages[t], values[t] = _solve_points(tensors, t, points_shape, label, pure_only)
     return stages, values[:T]
 
 
-def _solve_points(tensors, sets, t: int, points_shape, label, pure_only: bool):
+def _solve_points(tensors, t: int, points_shape, label, pure_only: bool):
     """Equilibria (object array over ``points_shape``) and per-team values
     (K, *points_shape) of the stage games in the per-team tensors
     (P, *menu shape), P points in C order.
@@ -326,7 +310,7 @@ def _solve_points(tensors, sets, t: int, points_shape, label, pure_only: bool):
     values[:, pure] = vals
     for p in np.flatnonzero(~has):
         idx = tuple(int(i) for i in np.unravel_index(p, points_shape))
-        game = StageGame(tensors=tuple(X[p] for X in tensors), sets=tuple(sets))
+        game = StageGame(tensors=tuple(X[p] for X in tensors))
         eqs[p] = solve_stage(game, t, label(idx), pure_only=pure_only)
         values[:, p] = equilibrium_values(game, eqs[p])
     return eqs.reshape(points_shape), values.reshape((len(tensors),) + tuple(points_shape))
@@ -347,8 +331,8 @@ def _pure_mask(tensors) -> np.ndarray:
 
 def _first_pure(tensors):
     """Per point of (P, *menu shape) tensors: whether a pure equilibrium
-    exists (P,) and the lexicographically first one (P, K), which is
-    select_equilibrium's choice among them (rows without one are 0)."""
+    exists (P,) and the lexicographically first one (P, K) (rows without
+    one are 0)."""
     mask = _pure_mask(tensors).reshape(len(tensors[0]), -1)
     first = np.unravel_index(mask.argmax(axis=1), tensors[0].shape[1:])
     return mask.any(axis=1), np.stack(first, axis=1)
@@ -506,54 +490,48 @@ def _indifference_solve(M: np.ndarray, size: int):
     return y / y.sum()
 
 
-def br_iteration(game: StageGame, max_iters: int = 200,
-                 tol: float = CERT_TOL) -> StageEquilibrium:
+def br_iteration(game: StageGame, max_iters: int = 200) -> StageEquilibrium:
     """Damped fictitious play over menu indices.
 
-    Tracks every visited profile (the running mixtures and each round's
-    pure best-response profile) with its exactly certified epsilon and
-    returns the best one; epsilon is reported honestly even when it never
-    reaches tol. The mixtures are certified from the own-cost vectors of
+    Each round certifies the pure best-reply profile, then the running
+    mixtures, and keeps the first visited profile with the smallest
+    epsilon, pure before mixed at equal epsilon; it stops once that
+    epsilon is at most CERT_TOL, and reports it honestly when it never
+    gets there. The mixtures are certified from the own-cost vectors of
     the best-reply step, the pure profile by indexing, both exactly what
     certify_epsilon gives.
     """
     K = game.n_teams
-    shape = game.shape
     tensors = [T[None] for T in game.tensors]
-    weights = [np.full(n, 1.0 / n) for n in shape]
-    best = None     # (epsilon, preference, order, equilibrium)
-    order = 0
-
-    def consider(eq):
-        nonlocal best, order
-        rank = (eq.epsilon, 0 if eq.kind == "pure" else 1, order)
-        order += 1
-        if best is None or rank < best[0:3]:
-            best = rank + (eq,)
-
+    weights = [np.full(n, 1.0 / n) for n in game.shape]
+    best = None     # (epsilon, 0 for pure or 1 for mixed, profile)
     for it in range(1, max_iters + 1):
         own = [_own_cost_vector(game.tensors[k], weights, k) for k in range(K)]
         brs = tuple(int(np.argmin(e)) for e in own)
         eps, _ = _pure_certificate(tensors, [0], [brs])
-        consider(StageEquilibrium(kind="pure", per_team=brs, epsilon=float(eps[0])))
-        consider(StageEquilibrium(kind="mixed", per_team=tuple(w.copy() for w in weights),
-                                  epsilon=_epsilon(weights, own)))
-        if best[0] <= tol:
+        if best is None or (float(eps[0]), 0) < best[:2]:
+            best = (float(eps[0]), 0, brs)
+        mixed = _epsilon(weights, own)
+        if (mixed, 1) < best[:2]:
+            best = (mixed, 1, tuple(w.copy() for w in weights))
+        if best[0] <= CERT_TOL:
             break
         alpha = 1.0 / (it + 1.0)
         for k in range(K):
             weights[k] *= (1.0 - alpha)
             weights[k][brs[k]] += alpha
-    return best[3]
+    return StageEquilibrium(kind=("pure", "mixed")[best[1]], per_team=best[2],
+                            epsilon=best[0])
 
 
 def solve_stage(game: StageGame, t: int, z_label, pure_only: bool = False) -> StageEquilibrium:
     """One-stop solve of one stage game: the first pure equilibrium (the
     pure pass of the backward driver at one point), then support
     enumeration for two teams, then fictitious play. pure_only fails
-    loudly instead of falling back. Pure equilibria are taken
-    lexicographically first, which is select_equilibrium's order among
-    them."""
+    loudly instead of falling back. The pure equilibrium taken is the
+    lexicographically first joint index; fictitious play returns the first
+    visited profile with the smallest certified epsilon, pure before
+    mixed."""
     tensors = [T[None] for T in game.tensors]
     has, profiles = _first_pure(tensors)
     if has[0]:
@@ -567,22 +545,3 @@ def solve_stage(game: StageGame, t: int, z_label, pure_only: bool = False) -> St
         except EquilibriumNotFoundError:
             pass
     return br_iteration(game)
-
-
-def select_equilibrium(candidates) -> StageEquilibrium:
-    """Deterministic choice among solved equilibria: pure before mixed;
-    among pure the lexicographically smallest joint index; among mixed the
-    smallest support profile, then lexicographic support indices."""
-    candidates = list(candidates)
-    if not candidates:
-        raise ValueError("select_equilibrium: empty candidate list")
-
-    def key(ieq):
-        i, eq = ieq
-        if eq.kind == "pure":
-            return (0, eq.per_team, (), i)
-        supports = tuple(tuple(int(j) for j in np.flatnonzero(v > 1e-12))
-                         for v in eq.per_team)
-        return (1, (sum(len(s) for s in supports),), supports, i)
-
-    return min(enumerate(candidates), key=key)[1]

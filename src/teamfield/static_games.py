@@ -55,19 +55,19 @@ class StaticGame:
         return tuple(self.action_labels[i][a] for i, a in enumerate(profile))
 
 
-def pure_nash_static(game: StaticGame, tol: float = PAYOFF_TOL) -> list:
+def pure_nash_static(game: StaticGame) -> list:
     """Profiles where no single player gains strictly by a unilateral
     switch: the team check with every player a team of one. Returned in
     lexicographic profile order."""
     singletons = tuple((i,) for i in range(game.n_players))
-    return team_nash_static(replace(game, team_partition=singletons), tol=tol)
+    return team_nash_static(replace(game, team_partition=singletons))
 
 
 def _team_sum(game: StaticGame, team, profile) -> float:
     return float(sum(game.payoffs[i][tuple(profile)] for i in team))
 
 
-def team_deviation_witness(game: StaticGame, profile, tol: float = PAYOFF_TOL):
+def team_deviation_witness(game: StaticGame, profile):
     """First team (and its joint reassignment) that strictly improves its
     summed payoff at ``profile``, or None when the profile is team-stable."""
     for ti, team in enumerate(game.team_partition):
@@ -80,17 +80,17 @@ def team_deviation_witness(game: StaticGame, profile, tol: float = PAYOFF_TOL):
             if cand == tuple(profile):
                 continue
             val = _team_sum(game, team, cand)
-            if val > base + tol:
+            if val > base + PAYOFF_TOL:
                 return {"team": ti, "deviation": cand,
                         "payoff_before": base, "payoff_after": val}
     return None
 
 
-def team_nash_static(game: StaticGame, tol: float = PAYOFF_TOL) -> list:
+def team_nash_static(game: StaticGame) -> list:
     """Profiles with no profitable joint team reassignment (summed-payoff
     criterion, exhaustive over every team and every reassignment)."""
     return [profile for profile in np.ndindex(game.shape)
-            if team_deviation_witness(game, profile, tol=tol) is None]
+            if team_deviation_witness(game, profile) is None]
 
 
 def static_report(game: StaticGame) -> dict:

@@ -5,7 +5,8 @@ per-profile deviation through the one-point kernel, the counting loop
 of the kernel check, the per-point stage game (checked against the
 batched engine), the profile-by-profile pure check, the unpruned support
 enumeration and the re-certifying fictitious play (checked against the
-stage solvers), hand-written agent policies for
+stage solvers), the forward propagation of the count law (checked
+against ``evaluate_total_cost``), hand-written agent policies for
 ``simulate.simulate_episode``, and pointwise model evaluation with its
 closed-form Lipschitz bounds."""
 
@@ -21,14 +22,16 @@ from teamfield.counts import (DEFAULT_SUPPORT_CAP, PRUNE_TOL, CountDistribution,
                               count_point, enumerate_counts, joint_transition_kernel,
                               stage_cost, team_transition_kernel)
 from teamfield.errors import CapacityError, EquilibriumNotFoundError, SpecValidationError
+from teamfield.finite_mpe import PolicyTable, _average, _mixtures, initial_distribution
 from teamfield.limit import flow
 from teamfield.metrics import transport_distance
 from teamfield.model import GameSpec, flatten_mean_field, transition_matrix
 from teamfield.rng import substream
 from teamfield.simulate import KernelCheckReport, _cdf, _pick
-from teamfield.stage_game import (CERT_TOL, DEFAULT_SUPPORT_BOUND, PURE_TOL, StageEquilibrium,
-                                  StageGame, _indifference_solve, _own_cost_vector,
-                                  _support_pairs, certify_epsilon)
+from teamfield.stage_game import (CERT_TOL, DEFAULT_SUPPORT_BOUND, PURE_TOL, KernelCache,
+                                  StageEquilibrium, StageGame, _cost_table,
+                                  _indifference_solve, _own_cost_vector, _support_pairs,
+                                  certify_epsilon)
 
 
 def _multinomial_pmf(n: int, probs: np.ndarray, comps: np.ndarray) -> np.ndarray:
@@ -314,7 +317,7 @@ def build_stage_game(z, t: int, continuation, sets, spec: GameSpec) -> StageGame
                 acc += pr * np.asarray(continuation(jc), dtype=float)
         for k in range(K):
             tensors[k][profile] = own_cost[k][profile[k]] + acc[k]
-    return StageGame(tensors=tuple(tensors), sets=tuple(sets))
+    return StageGame(tensors=tuple(tensors))
 
 
 def stage_pure_nash_loop(game: StageGame) -> list:
@@ -390,6 +393,34 @@ def br_iteration_recertified(game: StageGame, max_iters: int = 200,
             weights[k] *= (1.0 - alpha)
             weights[k][brs[k]] += alpha
     return best[3]
+
+
+def total_cost_forward(spec: GameSpec, policy: PolicyTable) -> np.ndarray:
+    """``finite_mpe.evaluate_total_cost`` by forward propagation of the
+    full count law over the lattice: each stage adds the expected stage
+    cost under the current law, then moves the law through the kernels
+    averaged under the policy's mixtures."""
+    lattice = policy.lattice
+    cache = KernelCache(spec, policy.sets)
+    T, K = spec.horizon, spec.n_teams
+    game_shape = tuple(len(ps) for ps in policy.sets)
+    dist = initial_distribution(spec, lattice).reshape(-1)
+    totals = np.zeros(K)
+    for t in range(T):
+        live = np.flatnonzero(dist > 0.0)
+        Zl = [z[live] for z in lattice.z]
+        w = _mixtures(policy.stages[t].reshape(-1)[live], game_shape)
+        totals += [dist[live] @ np.einsum("pi,pi->p", w[k], _cost_table(spec, k, ps, Zl, t))
+                   for k, ps in enumerate(policy.sets)]
+        if t < T - 1:
+            operands = [dist[live], [K]]
+            for k, W in enumerate(cache.stacks()):
+                operands += [_average(w[k], W[live]), [K, k]]
+            new = np.einsum(*operands, list(range(K)), optimize=True)
+            if abs(new.sum() - 1.0) > 1e-10:
+                raise AssertionError("forward propagation lost mass: %.17g" % new.sum())
+            dist = new.reshape(-1)
+    return totals
 
 
 @dataclass

@@ -9,6 +9,7 @@ import pytest
 
 import teamfield
 from teamfield.cli import main
+from teamfield.errors import SpecValidationError
 
 from conftest import (DATA, cyclic_pursuit_three_team, deterministic_two_team,
                       minimal_team, write_json)
@@ -150,6 +151,19 @@ def test_solve_finite_artifacts(tmp_path):
     assert manifest["config"]["mode"] == "solve-finite"
     assert "out" not in manifest["config"]
     assert "workers" not in manifest["config"]
+
+
+def test_grid_g_zero_means_pure_menus(tmp_path):
+    """--grid-g 0 builds the pure menus that no flag builds, while the
+    library call with g=0 is an invalid grid."""
+    assert main(["solve-finite", "--spec", str(REFERENCE), "--out", str(tmp_path / "a")]) == 0
+    assert main(["solve-finite", "--spec", str(REFERENCE), "--grid-g", "0",
+                 "--out", str(tmp_path / "b")]) == 0
+    assert ((tmp_path / "a" / "solve-finite" / "policy.json").read_bytes()
+            == (tmp_path / "b" / "solve-finite" / "policy.json").read_bytes())
+    spec = teamfield.load_spec_file(REFERENCE)
+    with pytest.raises(SpecValidationError):
+        teamfield.build_prescription_set(spec, 0, g=0)
 
 
 def test_solve_infinite_artifacts(tmp_path):

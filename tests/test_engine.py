@@ -64,7 +64,7 @@ def check_engine_against_oracle(spec):
 
 
 def check_shared_store(spec, sets, policy, store):
-    """The solver's store, reused by the certificate and the forward pass,
+    """The solver's store, reused by the certificate and the cost evaluation,
     gives exactly the results of fresh stores, and its stacks are
     read-only."""
     assert np.array_equal(tf.verify_mpe(spec, policy, sets, kernel_cache=store).gains,

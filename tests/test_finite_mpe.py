@@ -1,5 +1,7 @@
+import importlib.util
 import itertools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,19 @@ from teamfield.finite_mpe import (JointLattice, initial_distribution,
                                   policy_records, policy_value)
 from teamfield.stage_game import KernelCache
 
-from conftest import deterministic_two_team, identity_dynamics_spec
+from conftest import (DATA, cyclic_pursuit_three_team, deterministic_two_team,
+                      identity_dynamics_spec)
+from oracles import total_cost_forward
+
+GEN = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+
+
+def _exact_pure_game(seed):
+    """The benchmark's generated two-team game whose stage games are all pure."""
+    spec = importlib.util.spec_from_file_location("gen", GEN)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen.exact_pure(seed)
 
 
 def test_solve_and_verify_reference(reference_spec, reference_sets,
@@ -150,3 +164,24 @@ def test_pure_only_raises_where_no_pure_exists():
     with pytest.raises(tf.NoPureEquilibriumError) as exc:
         tf.solve_mpe(spec, sets, pure_only=True)
     assert exc.value.stage == 0
+
+
+@pytest.mark.parametrize("game", ["two_team_reference", "single_team_small", "iid_probe",
+                                  "exact_pure", "cyclic", "deterministic"])
+def test_total_cost_matches_forward_propagation(game):
+    """evaluate_total_cost (stage-0 policy values averaged under the initial
+    count law) against the forward propagation of the count law, on the
+    bundled games, a generated all-pure game and two games with mixed
+    stage equilibria (fictitious play on the three-team one)."""
+    if game == "exact_pure":
+        spec = tf.load_spec(_exact_pure_game(1))
+    elif game == "cyclic":
+        spec = tf.load_spec(cyclic_pursuit_three_team())
+    elif game == "deterministic":
+        spec = tf.load_spec(deterministic_two_team())
+    else:
+        spec = tf.load_spec_file(DATA / ("%s.json" % game))
+    sets = tuple(tf.build_prescription_set(spec, k) for k in range(spec.n_teams))
+    policy, _ = tf.solve_mpe(spec, sets)
+    np.testing.assert_allclose(tf.evaluate_total_cost(spec, policy),
+                               total_cost_forward(spec, policy), rtol=0, atol=1e-12)

@@ -31,8 +31,7 @@ def _fixed_policy():
 def _constant_table_policy(spec, rows=FIXED_ROWS):
     """Lifted table policy playing the fixed per-team ``rows`` at every
     (stage, lattice point): a one-item menu per team, pure index 0."""
-    sets = tuple(PrescriptionSet(team_id=k, mode="gridded", grid_resolution=1,
-                                 items=(tf.Prescription(team_id=k, rows=r),))
+    sets = tuple(PrescriptionSet(team_id=k, items=(tf.Prescription(team_id=k, rows=r),))
                  for k, r in enumerate(rows))
     lattice = tf.JointLattice(spec)
     stages = []

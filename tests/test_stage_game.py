@@ -8,15 +8,14 @@ from teamfield.errors import CapacityError, NoPureEquilibriumError
 from teamfield.stage_game import (DEFAULT_SUPPORT_BOUND, StageEquilibrium, StageGame,
                                   _pure_mask, _support_pairs, br_iteration,
                                   build_prescription_set, certify_epsilon,
-                                  mixed_nash_2team, select_equilibrium, solve_stage)
+                                  mixed_nash_2team, solve_stage)
 
 from oracles import build_stage_game
 
 
 def game2(A, B):
     return StageGame(tensors=(np.asarray(A, dtype=float),
-                              np.asarray(B, dtype=float)),
-                     sets=(None, None))
+                              np.asarray(B, dtype=float)))
 
 
 def pure_profiles(g):
@@ -38,7 +37,7 @@ def test_prescription_sets_pure(reference_spec):
 
 
 def test_prescription_sets_gridded(reference_spec):
-    ps = build_prescription_set(reference_spec, 0, mode="gridded", g=2)
+    ps = build_prescription_set(reference_spec, 0, g=2)
     assert len(ps.items) == 9          # 3 rows per state, 2 states
     for g in ps.items:
         assert np.allclose(g.rows.sum(axis=1), 1.0)
@@ -49,7 +48,7 @@ def test_prescription_cap(reference_spec):
     with pytest.raises(CapacityError):
         build_prescription_set(reference_spec, 0, cap=3)
     with pytest.raises(CapacityError):
-        build_prescription_set(reference_spec, 0, mode="gridded", g=2, cap=8)
+        build_prescription_set(reference_spec, 0, g=2, cap=8)
 
 
 def test_pure_nash_simple_games():
@@ -68,8 +67,7 @@ def test_pure_nash_three_teams():
     sh = (2, 2, 2)
     base = np.ones(sh)
     base[1, 1, 1] = 0.0
-    g = StageGame(tensors=(base, base.copy(), base.copy()),
-                  sets=(None, None, None))
+    g = StageGame(tensors=(base, base.copy(), base.copy()))
     assert (1, 1, 1) in pure_profiles(g)
 
 
@@ -154,8 +152,7 @@ def test_br_iteration_common_interest():
     sh = (3, 3, 3)
     base = np.ones(sh)
     base[2, 0, 1] = -1.0
-    g = StageGame(tensors=(base, base.copy(), base.copy()),
-                  sets=(None, None, None))
+    g = StageGame(tensors=(base, base.copy(), base.copy()))
     eq = br_iteration(g)
     assert eq.epsilon <= 1e-9
     assert eq.kind == "pure"
@@ -172,22 +169,11 @@ def test_br_iteration_reports_best_visited():
 
 
 def test_select_equilibrium_prefers_pure_then_lex():
-    pure_a = StageEquilibrium(kind="pure", per_team=(1, 0), epsilon=0.0)
-    pure_b = StageEquilibrium(kind="pure", per_team=(0, 1), epsilon=0.0)
-    mixed = StageEquilibrium(kind="mixed",
-                             per_team=(np.array([0.5, 0.5]),
-                                       np.array([0.5, 0.5])),
-                             epsilon=0.0)
-    got = select_equilibrium([mixed, pure_a, pure_b])
-    assert got.kind == "pure" and got.per_team == (0, 1)
-    with pytest.raises(ValueError):
-        select_equilibrium([])
     # two pure equilibria, the first one only within PURE_TOL: solve_stage
-    # returns select_equilibrium's choice among them with its epsilon
+    # returns the lexicographically first with its certified epsilon
     g = game2([[5e-13, 1.0], [0.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]])
     assert pure_profiles(g) == [(0, 0), (1, 1)]
-    chosen = select_equilibrium([StageEquilibrium(kind="pure", per_team=p, epsilon=0.0)
-                                 for p in pure_profiles(g)])
+    chosen = StageEquilibrium(kind="pure", per_team=(0, 0), epsilon=0.0)
     eq = solve_stage(g, 0, "z")
     assert eq.kind == "pure" and eq.per_team == chosen.per_team
     assert eq.epsilon == certify_epsilon(g, chosen) > 0.0

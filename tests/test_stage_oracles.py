@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from teamfield import stage_game
 from teamfield.errors import (EquilibriumNotFoundError, NoPureEquilibriumError,
                               SpecValidationError)
 from teamfield.stage_game import (PURE_TOL, StageEquilibrium, StageGame, _pure_mask,
@@ -42,7 +43,7 @@ def _payoffs(rng, kind, shape):
 
 
 def _game(tensors):
-    return StageGame(tensors=tuple(tensors), sets=(None,) * len(tensors))
+    return StageGame(tensors=tuple(tensors))
 
 
 def _same(eq, ref):
@@ -72,18 +73,49 @@ def test_pruned_support_enumeration_matches_the_full_scan(n1, n2, kind, seed):
         _same(eq, ref)
 
 
-def test_pruned_support_enumeration_reports_the_same_failure():
+def _full_support_game():
     """Zero-sum 5 x 5 rock-paper-scissors extension whose only equilibrium
-    has full support 5 > DEFAULT_SUPPORT_BOUND: both scans exhaust."""
+    has full support 5 > DEFAULT_SUPPORT_BOUND."""
     n = 5
     A = np.zeros((n, n))
     for i in range(n):
         A[i, (i + 1) % n], A[i, (i + 2) % n] = 1.0, -1.0
         A[i, (i + 3) % n], A[i, (i + 4) % n] = 1.0, -1.0
-    game = _game([A, -A])
+    return _game([A, -A])
+
+
+def test_pruned_support_enumeration_reports_the_same_failure():
+    """Both scans exhaust on a game whose only equilibrium needs support 5."""
+    game = _full_support_game()
     for solver in (mixed_nash_2team, mixed_nash_2team_unpruned):
         with pytest.raises(EquilibriumNotFoundError):
             solver(game)
+
+
+def test_two_team_stage_falls_back_to_fictitious_play(monkeypatch):
+    """When support enumeration exhausts, solve_stage and the backward
+    driver's point solve return fictitious play's profile; under pure_only
+    both raise before any fallback runs."""
+    game = _full_support_game()
+    ref = br_iteration(game)
+    calls = []
+    monkeypatch.setattr(stage_game, "br_iteration", lambda g: calls.append(g) or br_iteration(g))
+    _same(solve_stage(game, 0, "z"), ref)
+    tensors = [X[None] for X in game.tensors]
+    eqs, values = _solve_points(tensors, 0, (1,), str, False)
+    _same(eqs[0], ref)
+    assert np.array_equal(values[:, 0], equilibrium_values(game, ref))
+    assert len(calls) == 2
+
+    def fallback(game):
+        raise AssertionError("a fallback ran under pure_only")
+
+    monkeypatch.setattr(stage_game, "mixed_nash_2team", fallback)
+    monkeypatch.setattr(stage_game, "br_iteration", fallback)
+    with pytest.raises(NoPureEquilibriumError):
+        solve_stage(game, 0, "z", pure_only=True)
+    with pytest.raises(NoPureEquilibriumError):
+        _solve_points(tensors, 0, (1,), str, True)
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -93,6 +125,26 @@ def test_fictitious_play_matches_the_recertifying_loop(K, kind, seed):
     shape = tuple(int(n) for n in rng.integers(1, 5, size=K))
     game = _game([_payoffs(rng, kind, shape) for _ in range(K)])
     _same(br_iteration(game), br_iteration_recertified(game))
+
+
+TIE_GAMES = [
+    # round 2's running mixtures tie round 1's uniform ones at epsilon 4/9
+    (2, [[[2, 0, 0], [-1, 0, 1], [-1, 0, 2]], [[-1, -2, 0], [-1, 1, -2], [2, -1, -1]]]),
+    # a later pure best-reply profile ties the first one at epsilon 1
+    (4, [[[[-1, 2, 1], [-2, -1, 0]], [[0, -2, -1], [2, 1, 2]]],
+         [[[0, 2, 1], [0, 2, -2]], [[-2, -2, -2], [1, 0, -2]]],
+         [[[-1, -2, 2], [-1, -2, 2]], [[0, 1, 2], [-1, -2, -1]]]]),
+]
+
+
+@pytest.mark.parametrize("rounds, tensors", TIE_GAMES)
+def test_fictitious_play_keeps_the_first_of_equal_profiles(rounds, tensors):
+    """Among visited profiles with the same epsilon and kind, the earliest
+    is returned, as the recertifying loop's (epsilon, pure first, order)
+    rank does."""
+    game = _game([np.array(T, dtype=float) for T in tensors])
+    _same(br_iteration(game, max_iters=rounds),
+          br_iteration_recertified(game, max_iters=rounds))
 
 
 def _stage_tensors(rng, K, P):
@@ -118,7 +170,7 @@ def test_pure_pass_matches_solve_stage_point_by_point(K, P, seed):
     tensors = _stage_tensors(rng, K, P)
     points_shape = (P,) if P % 2 else (2, P // 2)
     label = lambda idx: "z%s" % (idx,)
-    eqs, values = _solve_points(tensors, (None,) * K, 1, points_shape, label, False)
+    eqs, values = _solve_points(tensors, 1, points_shape, label, False)
     assert eqs.shape == points_shape and values.shape == (K,) + points_shape
     for p, idx in enumerate(np.ndindex(points_shape)):
         game = _game([X[p] for X in tensors])
@@ -139,10 +191,10 @@ def test_pure_pass_matches_solve_stage_point_by_point(K, P, seed):
     first = next((idx for p, idx in enumerate(np.ndindex(points_shape))
                   if not stage_pure_nash_loop(_game([X[p] for X in tensors]))), None)
     if first is None:
-        _solve_points(tensors, (None,) * K, 1, points_shape, label, True)
+        _solve_points(tensors, 1, points_shape, label, True)
         return
     with pytest.raises(NoPureEquilibriumError) as err:
-        _solve_points(tensors, (None,) * K, 1, points_shape, label, True)
+        _solve_points(tensors, 1, points_shape, label, True)
     assert (err.value.stage, err.value.z) == (1, label(first))
 
 
@@ -152,7 +204,7 @@ def test_pure_pass_rejects_non_finite_tensors(bad):
     tensors = _stage_tensors(rng, 2, 4)
     tensors[1][3, 0, 1] = bad
     with pytest.raises(SpecValidationError):
-        _solve_points(tensors, (None, None), 0, (4,), str, False)
+        _solve_points(tensors, 0, (4,), str, False)
 
 
 def test_pure_pass_values_keep_the_sign_of_zero_of_the_contraction():
@@ -160,7 +212,7 @@ def test_pure_pass_values_keep_the_sign_of_zero_of_the_contraction():
     one-hot contraction of equilibrium_values gives."""
     A = np.array([[-0.0, 1.0], [2.0, 3.0]])
     B = np.array([[-0.0, -0.0], [1.0, 1.0]])
-    eqs, values = _solve_points([A[None], B[None]], (None, None), 0, (1,), str, False)
+    eqs, values = _solve_points([A[None], B[None]], 0, (1,), str, False)
     game = _game([A, B])
     ref = equilibrium_values(game, eqs[0])
     assert eqs[0].per_team == (0, 0)
