@@ -83,7 +83,7 @@ def _build_sets(spec, args):
 def _stage_epsilons(policy) -> dict:
     """Worst certified stage-game epsilon of a solved policy and the number
     of stage solutions above CERT_TOL (fictitious play that stopped short)."""
-    eps = np.array([eq.epsilon for st in policy.stages for eq in st.flat])
+    eps = np.concatenate([st.epsilon.ravel() for st in policy.stages])
     return {"worst_stage_epsilon": float(eps.max()),
             "stage_games_above_cert_tol": int(np.sum(eps > CERT_TOL))}
 

@@ -17,17 +17,18 @@ recomputed from prescriptions, stage costs and kernels alone.
 
 All recursions run on the engine in ``stage_game``, batched over the
 lattice: per-team kernel stacks are contracted against the next values,
-raw for the stage games, averaged under the policy's mixtures for
-``policy_value`` (all teams) and ``best_response`` (all but one).
-``evaluate_total_cost`` averages ``policy_value``'s stage-0 values under
-the initial count law. ``solve_mpe`` runs the backward driver
-``stage_game._backward`` that ``limit.solve_mpe_inf`` also runs; its
-continuation contracts the store's kernel stacks against the next values
-(``_contract``), the limit's gathers them at projected flow images. The
-driver finds the pure stage equilibria of a stage in one pass; only the
-stage games without one are solved point by point. One ``KernelCache``
-(``kernel_cache``) can hold the kernels of a run for the solver, the
-certificate and the cost evaluation.
+raw for the stage games, averaged for ``policy_value`` (all teams) and
+``best_response`` (all but one) under the policy's mixtures, which
+``EquilibriumTable.mixtures`` reads from a stage's record array as whole
+(P, n_k) columns. ``evaluate_total_cost`` averages ``policy_value``'s
+stage-0 values under the initial count law. ``solve_mpe`` runs the
+backward driver ``stage_game._backward`` that ``limit.solve_mpe_inf``
+also runs; its continuation contracts the store's kernel stacks against
+the next values (``_contract``), the limit's gathers them at projected
+flow images. The driver finds the pure stage equilibria of a stage in
+one pass; only the stage games without one are solved point by point.
+One ``KernelCache`` (``kernel_cache``) can hold the kernels of a run for
+the solver, the certificate and the cost evaluation.
 """
 
 from __future__ import annotations
@@ -97,13 +98,6 @@ def _average(w, W) -> np.ndarray:
     return np.einsum("pi,pil->pl", w, W)
 
 
-def _mixtures(eqs, shape) -> list:
-    """Per-team (P, n_k) mixtures over menu indices of a flat sequence of
-    equilibria (one-hot rows for pure ones)."""
-    ws = [eq.weights(shape) for eq in eqs]
-    return [np.array([w[k] for w in ws]) for k in range(len(shape))]
-
-
 def best_response(spec: GameSpec, k: int, others: PolicyTable, sets,
                   kernel_cache: KernelCache = None):
     """Optimal reply of team k when teams j != k play ``others``.
@@ -120,14 +114,13 @@ def best_response(spec: GameSpec, k: int, others: PolicyTable, sets,
     cache = kernel_cache or KernelCache(spec, sets)
     T = spec.horizon
     shape = lattice.shape
-    game_shape = tuple(len(ps) for ps in sets)
     Ws = cache.stacks() if T > 1 else None
     U = np.zeros((T + 1,) + shape)
     picks = [None] * T
     for t in range(T - 1, -1, -1):
         e = _cost_table(spec, k, sets[k], lattice.z, t)
         if t < T - 1:
-            w = _mixtures(others.stages[t].flat, game_shape)
+            w = others.mixtures(t)
             Wk = [W if j == k else _average(w[j], W)[:, None] for j, W in enumerate(Ws)]
             e = e + _contract(Wk, U[t + 1]).reshape(e.shape)
         picks[t] = e.argmin(axis=1).reshape(shape)
@@ -141,11 +134,10 @@ def policy_value(spec: GameSpec, policy: PolicyTable,
     lattice = policy.lattice
     cache = kernel_cache or KernelCache(spec, policy.sets)
     T, K = spec.horizon, spec.n_teams
-    game_shape = tuple(len(ps) for ps in policy.sets)
     Ws = cache.stacks() if T > 1 else None
     V = np.zeros((T + 1, K) + lattice.shape)
     for t in range(T - 1, -1, -1):
-        w = _mixtures(policy.stages[t].flat, game_shape)
+        w = policy.mixtures(t)
         v = np.stack([np.einsum("pi,pi->p", w[k], _cost_table(spec, k, ps, lattice.z, t))
                       for k, ps in enumerate(policy.sets)])
         if t < T - 1:
@@ -210,21 +202,21 @@ def policy_records(policy: PolicyTable, values: ValueTable):
 def _records(policy, values, z_of):
     """Records of ``policy`` and its values (T, K, *points) at every stage,
     point (C order) and team; ``z_of(idx)`` gives a point's ``z`` entry."""
+    K = len(policy.sets)
+    items = [[p.rows.tolist() for p in ps.items] for ps in policy.sets]
+    stacks = [ps.rows_stack() for ps in policy.sets]
     records = []
     for t, st in enumerate(policy.stages):
-        for idx in np.ndindex(st.shape):
-            eq = st[idx]
-            rows = eq.mean_rows(policy.sets)
-            for k in range(len(policy.sets)):
-                rec = {
-                    "stage": t,
-                    "z": z_of(idx),
-                    "team": k,
-                    "kind": eq.kind,
-                    "prescription": [[float(x) for x in r] for r in rows[k]],
-                    "value": float(values[(t, k) + idx]),
-                }
-                if eq.kind == "mixed":
-                    rec["weights"] = [float(x) for x in eq.per_team[k]]
+        ws = policy.mixtures(t)
+        picks = [w.argmax(axis=1).tolist() for w in ws]
+        vals = values[t].reshape(K, -1).tolist()
+        for p, (idx, mixed) in enumerate(zip(np.ndindex(st.shape), st.mixed.flat)):
+            for k in range(K):
+                rec = {"stage": t, "z": z_of(idx), "team": k, "value": vals[k][p],
+                       "kind": "mixed" if mixed else "pure",
+                       "prescription": items[k][picks[k][p]]}
+                if mixed:
+                    rec["prescription"] = np.tensordot(ws[k][p], stacks[k], axes=(0, 0)).tolist()
+                    rec["weights"] = ws[k][p].tolist()
                 records.append(rec)
     return records

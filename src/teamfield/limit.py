@@ -261,7 +261,7 @@ def rollout_inf(spec: GameSpec, policy: LimitPolicyTable) -> LimitTrajectory:
 def project_policy_to_lattice(spec: GameSpec, policy: LimitPolicyTable,
                               lattice: JointLattice = None):
     """Replay a limit policy inside the finite game: for every joint count
-    lattice point take the limit equilibrium at the nearest grid point.
+    lattice point take the limit stage records of the nearest grid point.
     With the default 2N grid every count point embeds exactly (zero
     projection error). ``lattice`` is the joint count lattice of ``spec``
     to replay on, such as a run's ``KernelCache.lattice``; by default a

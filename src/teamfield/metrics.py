@@ -9,10 +9,10 @@ how steep the equilibrium value functions are in the mean field (the
 largest difference quotient over all point pairs of the computed tables).
 Each team's envelope covers its whole menu, every item once, with the
 next-count laws read as rows of ``counts._count_laws`` on its lattice.
-``theorem4_bound`` combines the two into the certified gap
-2 * sum_t sum_k kappa_k * L_{k,t} / sqrt(N_k). Every kappa produced here
-is an empirical envelope over the probed populations and is labeled as
-such in reports; no constants are invented. Nothing here samples.
+``theorem4_bound`` combines the two into an estimated gap, not a
+certificate, 2 * sum_t sum_k kappa_k * L_{k,t} / sqrt(N_k): each kappa is
+an empirical envelope over the probed populations and each L a grid
+difference quotient, both labeled as such. Nothing here samples.
 """
 
 from __future__ import annotations
@@ -250,9 +250,9 @@ def estimate_lipschitz(table, spec: GameSpec) -> np.ndarray:
 
 
 def theorem4_bound(kappa_hat, lipschitz, populations) -> float:
-    """Certified equilibrium gap 2 * sum_t sum_k kappa_k * L_{k,t} / sqrt(N_k).
-
-    ``lipschitz`` has shape (K, T); kappa_hat and populations length K."""
+    """Equilibrium gap estimate 2 * sum_t sum_k kappa_k * L_{k,t} / sqrt(N_k),
+    not a certificate: kappa_hat (length K, like populations) is an empirical
+    envelope and ``lipschitz`` (K, T) holds grid difference quotients."""
     kap = np.asarray(kappa_hat, dtype=float)
     L = np.asarray(lipschitz, dtype=float)
     N = np.asarray(populations, dtype=float)

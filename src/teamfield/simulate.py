@@ -65,14 +65,11 @@ class LiftedPolicy:
         lattice = self.table.lattice
         idx = tuple(lattice.teams[k].index[M.per_team[k].counts]
                     for k in range(len(lattice.teams)))
-        eq = self.table.equilibrium(t, idx)
+        rec = self.table.stages[t][idx]
         rows = []
         for k, ps in enumerate(self.table.sets):
-            if eq.kind == "pure":
-                choice = eq.per_team[k]
-            else:
-                w = np.asarray(eq.per_team[k], dtype=float)
-                choice = int(_pick(_cdf(w), np.asarray(rng.random())))
+            w = rec["w%d" % k]
+            choice = int(_pick(_cdf(w), np.asarray(rng.random())) if rec.mixed else w.argmax())
             rows.append(ps.items[choice].rows)
         return rows
 
@@ -213,18 +210,10 @@ def _episode_tables(spec: GameSpec, policy: LiftedPolicy) -> _EpisodeTables:
             trans[k][p] = transition_matrix(spec, k, zf)
             for t in range(T):
                 cost[k][t, p] = cost_matrix(spec, k, t, zf)
-    mixed = np.zeros((T, P), dtype=bool)
-    pure_item = [np.zeros((T, P), dtype=np.intp) for _ in range(K)]
-    mixture_cdf = [np.ones((T, P, len(ps))) for ps in table.sets]
-    for t in range(T):
-        for p, eq in enumerate(table.stages[t].flat):
-            if eq.kind == "pure":
-                for k in range(K):
-                    pure_item[k][t, p] = eq.per_team[k]
-            else:
-                mixed[t, p] = True
-                for k in range(K):
-                    mixture_cdf[k][t, p] = _cdf(eq.per_team[k])
+    ws = [table.mixtures(t) for t in range(T)]
+    mixed = np.stack([st.mixed.reshape(-1) for st in table.stages])
+    pure_item = [np.stack([w[k].argmax(axis=1) for w in ws]) for k in range(K)]
+    mixture_cdf = [_cdf(np.stack([w[k] for w in ws])) for k in range(K)]
     return _EpisodeTables(
         populations=tuple(tm.population for tm in spec.teams), horizon=T,
         lattice_shape=lattice.shape,

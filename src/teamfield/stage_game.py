@@ -152,12 +152,27 @@ class StageEquilibrium:
 @dataclass
 class EquilibriumTable:
     """Stage-game equilibria at every (stage, point) of a backward
-    induction; the finite and limit policy tables add the points."""
-    stages: list                 # per stage: object array of StageEquilibrium
+    induction; the finite and limit policy tables add the points. Each
+    stage is an ``np.recarray`` over the points with fields ``mixed``,
+    ``epsilon`` (certified maximal unilateral gain) and ``w<k>``: team
+    k's mixture over ``sets[k]``, one-hot at pure points."""
+    stages: list
     sets: tuple
 
+    def mixtures(self, t: int) -> list:
+        """Per-team (P, n_k) mixtures of stage t, points in C order."""
+        st = self.stages[t]
+        return [np.ascontiguousarray(st[w].reshape(st.size, -1)) for w in st.dtype.names[2:]]
+
     def equilibrium(self, t: int, idx) -> StageEquilibrium:
-        return self.stages[t][tuple(idx)]
+        """The equilibrium at stage t and point idx, built on demand (the
+        pure index of a team is the argmax of its one-hot row)."""
+        rec = self.stages[t][tuple(idx)]
+        ws = [np.array(rec[w]) for w in rec.dtype.names[2:]]
+        if rec.mixed:
+            return StageEquilibrium(kind="mixed", per_team=ws, epsilon=float(rec.epsilon))
+        return StageEquilibrium(kind="pure", per_team=[w.argmax() for w in ws],
+                                epsilon=float(rec.epsilon))
 
     @property
     def horizon(self):
@@ -166,8 +181,8 @@ class EquilibriumTable:
     @property
     def mixed_points(self) -> list:
         """(stage, point index) of every mixed equilibrium, stage by stage."""
-        return [(t, idx) for t, st in enumerate(self.stages)
-                for idx in np.ndindex(st.shape) if st[idx].kind == "mixed"]
+        return [(t, tuple(idx.tolist())) for t, st in enumerate(self.stages)
+                for idx in np.argwhere(st.mixed)]
 
 
 class KernelCache:
@@ -275,7 +290,7 @@ def _backward(spec: GameSpec, sets, Z, points_shape, label, continuation,
     next values (K, *points_shape) as (K, P, *menu shape), stage tensors,
     then ``_solve_points``; ``label(idx)`` names a point.
 
-    Returns the per-stage object arrays of equilibria and the per-team
+    Returns the per-stage record arrays of equilibria and the per-team
     equilibrium values (T, K, *points_shape)."""
     T, K = spec.horizon, spec.n_teams
     shape = tuple(len(ps) for ps in sets)
@@ -290,7 +305,7 @@ def _backward(spec: GameSpec, sets, Z, points_shape, label, continuation,
 
 
 def _solve_points(tensors, t: int, points_shape, label, pure_only: bool):
-    """Equilibria (object array over ``points_shape``) and per-team values
+    """Equilibria (record array over ``points_shape``) and per-team values
     (K, *points_shape) of the stage games in the per-team tensors
     (P, *menu shape), P points in C order.
 
@@ -303,17 +318,21 @@ def _solve_points(tensors, t: int, points_shape, label, pure_only: bool):
     has, profiles = _first_pure(tensors)
     pure = np.flatnonzero(has)
     eps, vals = _pure_certificate(tensors, pure, profiles[pure])
-    eqs = np.empty(len(has), dtype=object)
+    shape = tensors[0].shape[1:]
+    st = np.zeros(len(has), dtype=[("mixed", bool), ("epsilon", float)]
+                  + [("w%d" % k, float, (n,)) for k, n in enumerate(shape)]).view(np.recarray)
+    st.epsilon[pure] = eps
+    for k, item in enumerate(profiles[pure].T):
+        st["w%d" % k][pure, item] = 1.0
     values = np.empty((len(tensors), len(has)))
-    for p, prof, e in zip(pure, profiles[pure].tolist(), eps.tolist()):
-        eqs[p] = StageEquilibrium(kind="pure", per_team=prof, epsilon=e)
     values[:, pure] = vals
     for p in np.flatnonzero(~has):
         idx = tuple(int(i) for i in np.unravel_index(p, points_shape))
         game = StageGame(tensors=tuple(X[p] for X in tensors))
-        eqs[p] = solve_stage(game, t, label(idx), pure_only=pure_only)
-        values[:, p] = equilibrium_values(game, eqs[p])
-    return eqs.reshape(points_shape), values.reshape((len(tensors),) + tuple(points_shape))
+        eq = solve_stage(game, t, label(idx), pure_only=pure_only)
+        st[p] = (eq.kind == "mixed", eq.epsilon, *eq.weights(shape))
+        values[:, p] = equilibrium_values(game, eq)
+    return st.reshape(points_shape), values.reshape((len(tensors),) + tuple(points_shape))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from teamfield.counts import (DEFAULT_SUPPORT_CAP, PRUNE_TOL, CountDistribution,
                               count_point, enumerate_counts, joint_transition_kernel,
                               stage_cost, team_transition_kernel)
 from teamfield.errors import CapacityError, EquilibriumNotFoundError, SpecValidationError
-from teamfield.finite_mpe import PolicyTable, _average, _mixtures, initial_distribution
+from teamfield.finite_mpe import PolicyTable, _average, initial_distribution
 from teamfield.limit import flow
 from teamfield.metrics import transport_distance
 from teamfield.model import GameSpec, flatten_mean_field, transition_matrix
@@ -409,7 +409,9 @@ def total_cost_forward(spec: GameSpec, policy: PolicyTable) -> np.ndarray:
     for t in range(T):
         live = np.flatnonzero(dist > 0.0)
         Zl = [z[live] for z in lattice.z]
-        w = _mixtures(policy.stages[t].reshape(-1)[live], game_shape)
+        eqs = [policy.equilibrium(t, np.unravel_index(p, lattice.shape)).weights(game_shape)
+               for p in live]
+        w = [np.array([ws[k] for ws in eqs]) for k in range(K)]
         totals += [dist[live] @ np.einsum("pi,pi->p", w[k], _cost_table(spec, k, ps, Zl, t))
                    for k, ps in enumerate(policy.sets)]
         if t < T - 1:

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import teamfield as tf
 
+from conftest import cyclic_pursuit_three_team
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # names that left src/ for tests/oracles.py or were deleted, by the module
@@ -44,16 +46,34 @@ def test_test_oracles_are_not_exported():
             assert not hasattr(mod, name), "%s.%s" % (module, name)
 
 
-def test_benchmark_hooks_resolve(monkeypatch):
-    """perfbench/workloads.py wraps these callables by name; a removed or
-    renamed one must fail here, not only in the benchmark's smoke runs."""
+def _workloads(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_benchmark_hooks_resolve(monkeypatch):
+    """perfbench/workloads.py wraps these callables by name; a removed or
+    renamed one must fail here, not only in the benchmark's smoke runs."""
+    workloads = _workloads(monkeypatch)
     for name in workloads.TIMED:
         layer, attr = name.split(".")
         assert callable(getattr(importlib.import_module("teamfield." + layer), attr)), name
     for cls, attr in workloads.METHODS:
         assert callable(getattr(cls, attr)), "%s.%s" % (cls.__name__, attr)
     assert callable(tf.counts.team_transition_kernel)
+
+
+def test_benchmark_policy_reader_sums_the_stage_epsilons(monkeypatch):
+    """The benchmark's note on solve_mpe reads .epsilon from every record
+    of a solved policy's stages; on the cyclic three-team game (mixed and
+    above-tolerance stage games) it is the sum over stages of the worst
+    stage epsilon."""
+    note = _workloads(monkeypatch).NOTES["finite_mpe.solve_mpe"]
+    spec = tf.load_spec(cyclic_pursuit_three_team())
+    sets = tuple(tf.build_prescription_set(spec, k) for k in range(spec.n_teams))
+    result = tf.solve_mpe(spec, sets)
+    total = sum(st.epsilon.max() for st in result[0].stages)
+    assert total > 1e-9 and note((spec, sets), {}, result) == total

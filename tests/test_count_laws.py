@@ -143,8 +143,9 @@ def test_store_and_equilibria_match_the_convolution(name):
         np.testing.assert_allclose(a, b, rtol=0, atol=TOL)
     policy, values = tf.solve_mpe(spec, sets, kernel_cache=fast)
     ref_policy, ref_values = tf.solve_mpe(spec, sets, kernel_cache=slow)
-    for st_fast, st_slow in zip(policy.stages, ref_policy.stages):
-        for a, b in zip(st_fast.flat, st_slow.flat):
+    for t in range(spec.horizon):
+        for idx in policy.lattice.indices():
+            a, b = policy.equilibrium(t, idx), ref_policy.equilibrium(t, idx)
             assert a.kind == b.kind
             for mine, theirs in zip(a.per_team, b.per_team):
                 np.testing.assert_allclose(mine, theirs, rtol=0, atol=1e-12)

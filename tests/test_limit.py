@@ -9,6 +9,7 @@ from teamfield.counts import MeanField, Prescription, stage_cost
 from teamfield.errors import CapacityError, SpecValidationError
 from teamfield.limit import (SimplexGrid, default_grid, limit_stage_cost,
                              project_indices, rollout_inf, solve_mpe_inf)
+from teamfield.stage_game import StageEquilibrium
 
 from conftest import deterministic_two_team, identity_dynamics_spec, minimal_team
 
@@ -115,10 +116,25 @@ def test_mixed_points_list_the_mixed_stage_equilibria():
     projected = tf.project_policy_to_lattice(spec, limit_policy)
     for policy in (finite, limit_policy, projected):
         mixed = {(t, idx) for t, st in enumerate(policy.stages)
-                 for idx in np.ndindex(st.shape) if st[idx].kind == "mixed"}
+                 for idx in np.ndindex(st.shape) if policy.equilibrium(t, idx).kind == "mixed"}
         assert mixed
         assert policy.mixed_points == sorted(mixed)
     assert tf.lift_policy(projected).randomized
+
+
+def test_pure_limit_solve_builds_no_stage_equilibrium(reference_spec, reference_sets,
+                                                     monkeypatch):
+    """Every stage game of the reference game has a pure equilibrium, and
+    the batched pure pass writes those straight into the stage records:
+    the limit solve constructs no StageEquilibrium; equilibrium(t, idx)
+    builds one on demand."""
+    calls = []
+    init = StageEquilibrium.__post_init__
+    monkeypatch.setattr(StageEquilibrium, "__post_init__",
+                        lambda self: calls.append(self) or init(self))
+    policy, _, _ = solve_mpe_inf(reference_spec, reference_sets)
+    assert policy.mixed_points == [] and calls == []
+    assert policy.equilibrium(0, (0, 0)).kind == "pure" and len(calls) == 1
 
 
 def test_rollout_accumulates(reference_spec, reference_sets):

@@ -34,14 +34,14 @@ def _constant_table_policy(spec, rows=FIXED_ROWS):
     sets = tuple(PrescriptionSet(team_id=k, items=(tf.Prescription(team_id=k, rows=r),))
                  for k, r in enumerate(rows))
     lattice = tf.JointLattice(spec)
-    stages = []
-    for _ in range(spec.horizon):
-        st = np.empty(lattice.shape, dtype=object)
-        for idx in lattice.indices():
-            st[idx] = StageEquilibrium(kind="pure", per_team=(0,) * spec.n_teams,
-                                       epsilon=0.0)
-        stages.append(st)
-    return lift_policy(PolicyTable(stages=stages, sets=sets, lattice=lattice))
+    st = np.ones(lattice.shape, dtype=[("mixed", bool), ("epsilon", float)]
+                 + [("w%d" % k, float, (1,)) for k in range(spec.n_teams)]).view(np.recarray)
+    st.mixed, st.epsilon = False, 0.0
+    policy = PolicyTable(stages=[st] * spec.horizon, sets=sets, lattice=lattice)
+    ref = StageEquilibrium(kind="pure", per_team=(0,) * spec.n_teams, epsilon=0.0)
+    assert all(policy.equilibrium(t, idx) == ref
+               for t in range(spec.horizon) for idx in lattice.indices())
+    return lift_policy(policy)
 
 
 def test_estimate_cost_reproducible(reference_spec):

@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 from teamfield import stage_game
 from teamfield.errors import (EquilibriumNotFoundError, NoPureEquilibriumError,
                               SpecValidationError)
-from teamfield.stage_game import (PURE_TOL, StageEquilibrium, StageGame, _pure_mask,
-                                  _solve_points, br_iteration, certify_epsilon,
+from teamfield.stage_game import (PURE_TOL, EquilibriumTable, StageEquilibrium, StageGame,
+                                  _pure_mask, _solve_points, br_iteration, certify_epsilon,
                                   equilibrium_values, mixed_nash_2team, solve_stage)
 
 from oracles import (br_iteration_recertified, mixed_nash_2team_unpruned,
@@ -51,6 +51,11 @@ def _same(eq, ref):
     assert eq.epsilon == ref.epsilon
     for mine, theirs in zip(eq.per_team, ref.per_team):
         assert np.array_equal(mine, theirs)
+
+
+def _at(stage, idx):
+    """The equilibrium that a stage record array of _solve_points holds at idx."""
+    return EquilibriumTable(stages=[stage], sets=()).equilibrium(0, idx)
 
 
 def _solve_or_error(solver, game):
@@ -103,7 +108,7 @@ def test_two_team_stage_falls_back_to_fictitious_play(monkeypatch):
     _same(solve_stage(game, 0, "z"), ref)
     tensors = [X[None] for X in game.tensors]
     eqs, values = _solve_points(tensors, 0, (1,), str, False)
-    _same(eqs[0], ref)
+    _same(_at(eqs, (0,)), ref)
     assert np.array_equal(values[:, 0], equilibrium_values(game, ref))
     assert len(calls) == 2
 
@@ -148,12 +153,13 @@ def test_fictitious_play_keeps_the_first_of_equal_profiles(rounds, tensors):
 
 
 def _stage_tensors(rng, K, P):
-    """(P, *menu shape) tensors on a coarse integer grid shifted by less
-    than PURE_TOL, so pure checks meet ties inside the tolerance. At about
-    40% of the points a parity cycle replaces them: team k pays 1 unless
-    it matches team k+1's parity, the last team unless it differs from
-    team 0's, so no pure equilibrium exists there."""
-    shape = tuple(int(n) for n in rng.integers(2, 4, size=K))
+    """(P, *menu shape) tensors over menus of 1 to 3 items, on a coarse
+    integer grid shifted by less than PURE_TOL, so pure checks meet ties
+    inside the tolerance. At about 40% of the points a parity cycle
+    replaces them: team k pays 1 unless it matches team k+1's parity, the
+    last team unless it differs from team 0's, so no pure equilibrium
+    exists there unless a one-item menu breaks the cycle."""
+    shape = tuple(int(n) for n in rng.integers(1, 4, size=K))
     tensors = [rng.integers(0, 3, size=(P,) + shape) + rng.uniform(0, PURE_TOL, (P,) + shape)
                for _ in range(K)]
     parity = np.indices(shape) % 2
@@ -181,7 +187,7 @@ def test_pure_pass_matches_solve_stage_point_by_point(K, P, seed):
                                    epsilon=certify_epsilon(game, ref))
         else:
             ref = solve_stage(game, 1, label(idx))
-        _same(eqs[idx], ref)
+        _same(_at(eqs, idx), ref)
         _same(solve_stage(game, 1, label(idx)), ref)
         assert np.array_equal(values[(slice(None),) + idx], equilibrium_values(game, ref))
 
@@ -214,7 +220,7 @@ def test_pure_pass_values_keep_the_sign_of_zero_of_the_contraction():
     B = np.array([[-0.0, -0.0], [1.0, 1.0]])
     eqs, values = _solve_points([A[None], B[None]], 0, (1,), str, False)
     game = _game([A, B])
-    ref = equilibrium_values(game, eqs[0])
-    assert eqs[0].per_team == (0, 0)
+    ref = equilibrium_values(game, _at(eqs, (0,)))
+    assert _at(eqs, (0,)).per_team == (0, 0)
     assert np.array_equal(values[:, 0], ref)
     assert not np.signbit(ref).any() and not np.signbit(values).any()
