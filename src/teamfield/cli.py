@@ -62,6 +62,13 @@ def _write_json(path: Path, obj):
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
+def _write_policy(path: Path, records: str, spec_hash):
+    """policy.json as ``_write_json`` would write it, from the encoded
+    ``records`` array (``policy_records``, ``limit_policy_records``)."""
+    path.write_text('{\n  "records": %s,\n  "spec_sha256": %s\n}\n'
+                    % (records, json.dumps(spec_hash)))
+
+
 def _write_csv(path: Path, header, rows, spec_hash):
     lines = ["# spec_sha256=%s" % spec_hash, ",".join(header)]
     lines.extend(",".join(str(x) for x in row) for row in rows)
@@ -120,8 +127,7 @@ def _run_solve_finite(args, out, h):
     policy, values = solve_mpe(spec, sets, pure_only=args.pure_only, kernel_cache=cache)
     cert = verify_mpe(spec, policy, sets, kernel_cache=cache)
     totals = evaluate_total_cost(spec, policy, kernel_cache=cache)
-    _write_json(out / "policy.json",
-                {"spec_sha256": h, "records": policy_records(policy, values)})
+    _write_policy(out / "policy.json", policy_records(policy, values), h)
     _write_csv(out / "certificate.csv", ("stage", "z_id", "team", "gain"),
                cert.csv_rows(policy.lattice), h)
     _write_json(out / "summary.json", {
@@ -144,8 +150,7 @@ def _run_solve_infinite(args, out, h):
     policy, values, log = solve_mpe_inf(spec, sets, grid=_grid(spec, args),
                                         pure_only=args.pure_only)
     traj = rollout_inf(spec, policy)
-    _write_json(out / "policy.json",
-                {"spec_sha256": h, "records": limit_policy_records(policy, values)})
+    _write_policy(out / "policy.json", limit_policy_records(policy, values), h)
     _write_csv(out / "trajectory.csv",
                ("stage", "team", "state", "mass", "cost_so_far"),
                traj.csv_rows(), h)

@@ -33,6 +33,7 @@ the solver, the certificate and the cost evaluation.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,14 +67,12 @@ class EquilibriumCertificate:
     mean_gain: float = 0.0
 
     def csv_rows(self, lattice: JointLattice):
-        rows = []
+        """(stage, z_id, team, gain) at every stage, point (C order) and team."""
         T, K = self.gains.shape[0], self.gains.shape[1]
-        for t in range(T):
-            for idx in lattice.indices():
-                zid = lattice.z_id(idx)
-                for k in range(K):
-                    rows.append((t, zid, k, repr(float(self.gains[(t, k) + idx]))))
-        return rows
+        zids = [lattice.z_id(idx) for idx in lattice.indices()]
+        gains = self.gains.reshape(T, K, -1).tolist()
+        return [(t, zid, k, repr(gains[t][k][p]))
+                for t in range(T) for p, zid in enumerate(zids) for k in range(K)]
 
 
 def solve_mpe(spec: GameSpec, sets, pure_only: bool = False,
@@ -193,30 +192,49 @@ def evaluate_total_cost(spec: GameSpec, policy: PolicyTable,
 # ---------------------------------------------------------------------------
 # serialization
 
-def policy_records(policy: PolicyTable, values: ValueTable):
-    """JSON-ready records {stage, z, team, kind, prescription, value}."""
+def policy_records(policy: PolicyTable, values: ValueTable) -> str:
+    """The ``records`` array of ``policy.json`` as text (see
+    ``_encode_records``); a point's ``z`` is its per-team counts."""
     lattice = policy.lattice
-    return _records(policy, values.values, lambda idx: [list(c) for c in lattice.counts_at(idx)])
+    return _encode_records(policy, values.values,
+                           [_indented([list(c) for c in lattice.counts_at(idx)])
+                            for idx in lattice.indices()])
 
 
-def _records(policy, values, z_of):
-    """Records of ``policy`` and its values (T, K, *points) at every stage,
-    point (C order) and team; ``z_of(idx)`` gives a point's ``z`` entry."""
+def _indented(obj) -> str:
+    """``obj`` as ``json.dumps(indent=2)`` writes it as a record's value."""
+    return json.dumps(obj, indent=2).replace("\n", "\n      ")
+
+
+_RECORD = ('    {\n      "kind": "%s",\n      "prescription": %s,\n      "stage": %d,\n'
+           '      "team": %d,\n      "value": %r,\n%s      "z": %s\n    }')
+
+
+def _encode_records(policy, values, zs) -> str:
+    """Records {kind, prescription, stage, team, value, weights (mixed
+    only), z} of ``policy`` and its values (T, K, *points) at every stage,
+    point (C order) and team: the text ``json.dumps(sort_keys=True,
+    indent=2)`` writes for the ``records`` array of ``policy.json``, one
+    template per record. ``zs`` holds every point's encoded ``z``. Values
+    are finite (stage games reject others), so ``%r`` formats them as
+    ``json`` does. A pure prescription is a menu item, encoded once; a
+    mixed one is its mixture of the menu's rows."""
     K = len(policy.sets)
-    items = [[p.rows.tolist() for p in ps.items] for ps in policy.sets]
+    items = [[_indented(p.rows.tolist()) for p in ps.items] for ps in policy.sets]
     stacks = [ps.rows_stack() for ps in policy.sets]
     records = []
     for t, st in enumerate(policy.stages):
         ws = policy.mixtures(t)
         picks = [w.argmax(axis=1).tolist() for w in ws]
         vals = values[t].reshape(K, -1).tolist()
-        for p, (idx, mixed) in enumerate(zip(np.ndindex(st.shape), st.mixed.flat)):
+        for p, (z, mixed) in enumerate(zip(zs, st.mixed.flat)):
             for k in range(K):
-                rec = {"stage": t, "z": z_of(idx), "team": k, "value": vals[k][p],
-                       "kind": "mixed" if mixed else "pure",
-                       "prescription": items[k][picks[k][p]]}
                 if mixed:
-                    rec["prescription"] = np.tensordot(ws[k][p], stacks[k], axes=(0, 0)).tolist()
-                    rec["weights"] = ws[k][p].tolist()
-                records.append(rec)
-    return records
+                    rows = np.tensordot(ws[k][p], stacks[k], axes=(0, 0)).tolist()
+                    records.append(_RECORD % ("mixed", _indented(rows), t, k, vals[k][p],
+                                              '      "weights": %s,\n'
+                                              % _indented(ws[k][p].tolist()), z))
+                else:
+                    records.append(_RECORD % ("pure", items[k][picks[k][p]], t, k,
+                                              vals[k][p], "", z))
+    return "[\n%s\n  ]" % ",\n".join(records) if records else "[]"

@@ -21,6 +21,7 @@ exploits when replaying a limit policy inside the finite game.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -29,7 +30,7 @@ import numpy as np
 from .errors import CapacityError, SpecValidationError
 from .counts import (DEFAULT_SUPPORT_CAP, JointLattice, MeanField, _joint_points,
                      enumerate_counts, lattice_size)
-from .finite_mpe import PolicyTable, _records
+from .finite_mpe import PolicyTable, _encode_records
 from .metrics import transport_distance
 from .model import GameSpec, _transitions, cost_matrix, flatten_mean_field
 from .stage_game import EquilibriumTable, _backward, _on_axis
@@ -274,6 +275,9 @@ def project_policy_to_lattice(spec: GameSpec, policy: LimitPolicyTable,
                        lattice=lattice)
 
 
-def limit_policy_records(policy: LimitPolicyTable, values: LimitValueTable):
-    """JSON-ready records {stage, z, team, kind, prescription, value}."""
-    return _records(policy, values.values, policy.grid.point_id)
+def limit_policy_records(policy: LimitPolicyTable, values: LimitValueTable) -> str:
+    """The ``records`` array of ``policy.json`` as text (see
+    ``finite_mpe._encode_records``); a point's ``z`` is its ``point_id``."""
+    grid = policy.grid
+    return _encode_records(policy, values.values,
+                           [json.dumps(grid.point_id(idx)) for idx in grid.indices()])

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import CapacityError, SpecValidationError
 from .counts import (DEFAULT_SUPPORT_CAP, _arrivals, _count_laws, _mixture_rows,
@@ -44,7 +43,10 @@ def _check_dist(p, name):
 
 def wasserstein(p, q, metric) -> float:
     """Exact optimal transport cost between p and q on a finite metric
-    space, solved as the transportation linear program."""
+    space, solved as the transportation linear program. ``scipy.optimize``
+    is imported on first use: only metrics without a closed form reach
+    this LP, and the import costs more than most runs."""
+    from scipy.optimize import linprog
     p = _check_dist(p, "p")
     q = _check_dist(q, "q")
     d = np.asarray(metric, dtype=float)
@@ -215,37 +217,35 @@ def kappa_envelope(spec: GameSpec, z, menus, n_values) -> np.ndarray:
 def estimate_lipschitz(table, spec: GameSpec) -> np.ndarray:
     """Per-(team, stage) Lipschitz estimate of a value table w.r.t. the
     summed transport metric: the max difference quotient over all point
-    pairs, taken in row blocks of about LIPSCHITZ_BLOCK_PAIRS pairs.
-    Shape (K, T); all zeros on a one-point table, which has no pairs;
-    raises CapacityError above MAX_LIPSCHITZ_PAIRS pairs."""
+    pairs. The joint distance sums per-team distances on a product grid,
+    so a path from x to y that moves one team at a time stays on the grid,
+    and by the triangle inequality no pair's quotient exceeds the largest
+    quotient of a pair that differs in one team only; the max is taken
+    over those (a multi-team quotient can round a few ulps above it), in
+    blocks of about LIPSCHITZ_BLOCK_PAIRS pairs. Shape (K, T); all zeros
+    on a one-point table, which has no pairs; raises CapacityError above
+    MAX_LIPSCHITZ_PAIRS one-team pairs."""
     V = table.values                      # (T, K, *shape)
-    T, K = V.shape[0], V.shape[1]
-    L = int(np.prod(V.shape[2:]))
-    if L * (L - 1) // 2 > MAX_LIPSCHITZ_PAIRS:
+    T, K, shape = V.shape[0], V.shape[1], V.shape[2:]
+    L = math.prod(shape)
+    pairs = sum(L * (n - 1) // 2 for n in shape)
+    if pairs > MAX_LIPSCHITZ_PAIRS:
         raise CapacityError("lipschitz estimation over %d point pairs, cap is %d"
-                            % (L * (L - 1) // 2, MAX_LIPSCHITZ_PAIRS))
-    flatV = V.reshape(T * K, L)
-    # joint point p has per-team grid indices idx[:, p]; the joint distance
-    # sums per-team tables, each computed once per unordered pair
-    idx = np.indices(V.shape[2:]).reshape(K, L)
-    tables = []
-    for x, tm in zip(table.per_team_points(), spec.teams):
-        a, b = np.triu_indices(len(x), k=1)
-        D = np.zeros((len(x), len(x)))
-        D[a, b] = D[b, a] = transport_distance(x[a], x[b], tm.state_metric)
-        tables.append(D)
+                            % (pairs, MAX_LIPSCHITZ_PAIRS))
     best = np.zeros(T * K)
-    rows = max(1, LIPSCHITZ_BLOCK_PAIRS // L)
-    for lo in range(0, L - 1, rows):
-        r, c = np.nonzero(np.arange(lo + 1, L) > np.arange(lo, min(lo + rows, L - 1))[:, None])
-        iu, ju = lo + r, lo + 1 + c
-        dist = 0.0
-        for D, ik in zip(tables, idx):
-            dist = dist + D[ik[iu], ik[ju]]
+    for k, (x, tm) in enumerate(zip(table.per_team_points(), spec.teams)):
+        n = len(x)
+        # team k's grid index first, every other team's index flattened
+        Vk = np.moveaxis(V.reshape((T * K,) + shape), k + 1, 1).reshape(T * K, n, L // n)
+        a, b = np.triu_indices(n, k=1)
+        dist = transport_distance(x[a], x[b], tm.state_metric)
         ok = dist > 1e-15
-        if np.any(ok):
-            q = np.abs(flatV[:, iu[ok]] - flatV[:, ju[ok]]) / dist[ok]
-            best = np.maximum(best, q.max(axis=1))
+        a, b, dist = a[ok], b[ok], dist[ok, None]
+        step = max(1, LIPSCHITZ_BLOCK_PAIRS // (L // n))
+        for lo in range(0, len(a), step):
+            s = slice(lo, lo + step)
+            q = np.abs(Vk[:, a[s]] - Vk[:, b[s]]) / dist[s]
+            best = np.maximum(best, q.max(axis=(1, 2)))
     return best.reshape(T, K).T
 
 

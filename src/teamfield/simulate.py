@@ -21,7 +21,6 @@ count. Hand-written policies run one episode at a time through
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -283,6 +282,7 @@ def estimate_cost(spec: GameSpec, policy: LiftedPolicy, episodes: int, master_se
     tab = _episode_tables(spec, policy)
     ids = list(range(episodes))
     if workers > 1 and episodes > 1:
+        from concurrent.futures import ProcessPoolExecutor   # loads multiprocessing
         chunks = [c.tolist() for c in np.array_split(ids, min(workers * 4, episodes))
                   if len(c)]
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 from pathlib import Path
 
@@ -127,3 +128,13 @@ def cyclic_pursuit_three_team():
             "cost": {"base": [[[0.0, moves[k]]] * 2] * 2, "coupling": coupling},
         })
     return {"horizon": 2, "seed": 1, "teams": teams}
+
+
+def perfbench_gen():
+    """The benchmark's input generator ``perfbench/gen.py``, loaded from
+    its file; tests only read the games it builds."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen

@@ -11,6 +11,7 @@ against ``evaluate_total_cost``), hand-written agent policies for
 closed-form Lipschitz bounds."""
 
 import itertools
+import json
 import math
 from dataclasses import dataclass
 
@@ -24,7 +25,7 @@ from teamfield.counts import (DEFAULT_SUPPORT_CAP, PRUNE_TOL, CountDistribution,
 from teamfield.errors import CapacityError, EquilibriumNotFoundError, SpecValidationError
 from teamfield.finite_mpe import PolicyTable, _average, initial_distribution
 from teamfield.limit import flow
-from teamfield.metrics import transport_distance
+from teamfield.metrics import LIPSCHITZ_BLOCK_PAIRS, transport_distance
 from teamfield.model import GameSpec, flatten_mean_field, transition_matrix
 from teamfield.rng import substream
 from teamfield.simulate import KernelCheckReport, _cdf, _pick
@@ -423,6 +424,77 @@ def total_cost_forward(spec: GameSpec, policy: PolicyTable) -> np.ndarray:
                 raise AssertionError("forward propagation lost mass: %.17g" % new.sum())
             dist = new.reshape(-1)
     return totals
+
+
+def lipschitz_all_pairs(table, spec: GameSpec) -> np.ndarray:
+    """``metrics.estimate_lipschitz`` as the max difference quotient over
+    all L(L-1)/2 point pairs, not only one-team moves, taken in row blocks
+    of about LIPSCHITZ_BLOCK_PAIRS pairs. Shape (K, T)."""
+    V = table.values                      # (T, K, *shape)
+    T, K = V.shape[0], V.shape[1]
+    L = int(np.prod(V.shape[2:]))
+    flatV = V.reshape(T * K, L)
+    # joint point p has per-team grid indices idx[:, p]; the joint distance
+    # sums per-team tables, each computed once per unordered pair
+    idx = np.indices(V.shape[2:]).reshape(K, L)
+    tables = []
+    for x, tm in zip(table.per_team_points(), spec.teams):
+        a, b = np.triu_indices(len(x), k=1)
+        D = np.zeros((len(x), len(x)))
+        D[a, b] = D[b, a] = transport_distance(x[a], x[b], tm.state_metric)
+        tables.append(D)
+    best = np.zeros(T * K)
+    rows = max(1, LIPSCHITZ_BLOCK_PAIRS // L)
+    for lo in range(0, L - 1, rows):
+        r, c = np.nonzero(np.arange(lo + 1, L) > np.arange(lo, min(lo + rows, L - 1))[:, None])
+        iu, ju = lo + r, lo + 1 + c
+        dist = 0.0
+        for D, ik in zip(tables, idx):
+            dist = dist + D[ik[iu], ik[ju]]
+        ok = dist > 1e-15
+        if np.any(ok):
+            q = np.abs(flatV[:, iu[ok]] - flatV[:, ju[ok]]) / dist[ok]
+            best = np.maximum(best, q.max(axis=1))
+    return best.reshape(T, K).T
+
+
+def _records(policy, values, z_of):
+    """Records of ``policy`` and its values (T, K, *points) at every stage,
+    point (C order) and team; ``z_of(idx)`` gives a point's ``z`` entry:
+    the dicts ``json.dumps`` encoded into ``policy.json`` before the
+    writers produced its text directly."""
+    K = len(policy.sets)
+    items = [[p.rows.tolist() for p in ps.items] for ps in policy.sets]
+    stacks = [ps.rows_stack() for ps in policy.sets]
+    records = []
+    for t, st in enumerate(policy.stages):
+        ws = policy.mixtures(t)
+        picks = [w.argmax(axis=1).tolist() for w in ws]
+        vals = values[t].reshape(K, -1).tolist()
+        for p, (idx, mixed) in enumerate(zip(np.ndindex(st.shape), st.mixed.flat)):
+            for k in range(K):
+                rec = {"stage": t, "z": z_of(idx), "team": k, "value": vals[k][p],
+                       "kind": "mixed" if mixed else "pure",
+                       "prescription": items[k][picks[k][p]]}
+                if mixed:
+                    rec["prescription"] = np.tensordot(ws[k][p], stacks[k], axes=(0, 0)).tolist()
+                    rec["weights"] = ws[k][p].tolist()
+                records.append(rec)
+    return records
+
+
+def policy_json_oracle(policy, values, spec_hash: str) -> str:
+    """The bytes of ``policy.json`` for a finite (``PolicyTable``) or limit
+    (``LimitPolicyTable``) policy and its value table, from ``_records``
+    through ``json.dumps``."""
+    if hasattr(policy, "grid"):
+        records = _records(policy, values.values, policy.grid.point_id)
+    else:
+        lattice = policy.lattice
+        records = _records(policy, values.values,
+                           lambda idx: [list(c) for c in lattice.counts_at(idx)])
+    return json.dumps({"records": records, "spec_sha256": spec_hash},
+                      sort_keys=True, indent=2) + "\n"
 
 
 @dataclass

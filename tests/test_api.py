@@ -1,9 +1,13 @@
 """The public surface of ``teamfield``: every exported name resolves, none
-twice, the test oracles in ``tests/oracles.py`` are not part of it, and
-every hook the benchmark wraps by name still exists."""
+twice, the test oracles in ``tests/oracles.py`` are not part of it, every
+hook the benchmark wraps by name still exists, and importing the package
+loads neither the LP solver nor the process pool."""
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import teamfield as tf
@@ -27,7 +31,7 @@ NOT_IN_SRC = {
                 "joint_distance", "lemma1_check", "Lemma1Report"),
     "cli": ("PROBE_PROFILE_CAP",),
     "limit": ("project_to_grid",),
-    "finite_mpe": ("total_cost_forward",),
+    "finite_mpe": ("total_cost_forward", "_records"),
 }
 
 
@@ -63,7 +67,24 @@ def test_benchmark_hooks_resolve(monkeypatch):
         assert callable(getattr(importlib.import_module("teamfield." + layer), attr)), name
     for cls, attr in workloads.METHODS:
         assert callable(getattr(cls, attr)), "%s.%s" % (cls.__name__, attr)
+    for owner, attr, name, _ in workloads.targets(traced=True):
+        assert callable(getattr(owner, attr)), name
     assert callable(tf.counts.team_transition_kernel)
+
+
+def test_import_loads_no_lp_solver_or_process_pool():
+    """``scipy.optimize`` is imported by ``metrics.wasserstein`` on first
+    use and the process pool by ``simulate.estimate_cost`` when it runs
+    more than one worker, so a run that needs neither does not pay for
+    them."""
+    src = Path(tf.__file__).resolve().parents[1]
+    code = ("import teamfield, teamfield.cli, sys; "
+            "print([m for m in ('scipy.optimize', 'concurrent.futures.process') "
+            "if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_benchmark_policy_reader_sums_the_stage_epsilons(monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -12,7 +13,8 @@ from teamfield.cli import main
 from teamfield.errors import SpecValidationError
 
 from conftest import (DATA, cyclic_pursuit_three_team, deterministic_two_team,
-                      minimal_team, write_json)
+                      minimal_team, perfbench_gen, write_json)
+from oracles import policy_json_oracle
 
 REFERENCE = DATA / "two_team_reference.json"
 
@@ -247,15 +249,19 @@ def test_bound_mode_reports_envelope(tmp_path):
     assert len(rate) == 2 + 6
 
 
-def test_bound_on_one_state_teams_exits_0(tmp_path):
-    """With one state per team every grid has one point: no pair to take a
-    Lipschitz quotient over, so the estimates are 0, not a spec error."""
+def _one_state_game():
+    """Two teams of two agents with one state and two actions each."""
     def team(k):
         return {"states": ["only"], "actions": ["a0", "a1"], "population": 2,
                 "initial_law": [1.0], "transition": {"base": [[[1.0], [1.0]]]},
                 "cost": {"base": [[[0.2 + k, 0.5]], [[0.7, 0.1 * k]]]}}
-    spec = write_json(tmp_path / "one.json", {"horizon": 2, "seed": 0,
-                                              "teams": [team(0), team(1)]})
+    return {"horizon": 2, "seed": 0, "teams": [team(0), team(1)]}
+
+
+def test_bound_on_one_state_teams_exits_0(tmp_path):
+    """With one state per team every grid has one point: no pair to take a
+    Lipschitz quotient over, so the estimates are 0, not a spec error."""
+    spec = write_json(tmp_path / "one.json", _one_state_game())
     assert main(["bound", "--spec", str(spec), "--out", str(tmp_path),
                  "--n-sweep", "2,4"]) == 0
     rep = _read(tmp_path / "bound" / "bound.json")
@@ -263,6 +269,39 @@ def test_bound_on_one_state_teams_exits_0(tmp_path):
     for row in rep["sweep"]:
         assert row["lipschitz"] == [[0.0, 0.0], [0.0, 0.0]]
         assert row["max_gain"] <= row["epsilon_bound"]
+
+
+POLICY_GAMES = {
+    "two_team_reference": lambda: json.loads(REFERENCE.read_text()),
+    "single_team_small": lambda: json.loads((DATA / "single_team_small.json").read_text()),
+    "iid_probe": lambda: json.loads((DATA / "iid_probe.json").read_text()),
+    "exact_pure": lambda: perfbench_gen().exact_pure(1),
+    "pursuit": lambda: perfbench_gen().pursuit_evasion(1),
+    "cyclic": lambda: perfbench_gen().cyclic_pursuit(1),
+    "reference_16": lambda: perfbench_gen().reference(1, 16),
+    "one_state": _one_state_game,
+}
+
+
+@pytest.mark.parametrize("game, g", [(game, None) for game in POLICY_GAMES]
+                         + [("two_team_reference", 2)])
+@pytest.mark.parametrize("mode", ["solve-finite", "solve-infinite"])
+def test_policy_json_is_the_json_dumps_of_the_records(tmp_path, game, g, mode):
+    """policy.json, written from the solved arrays, is byte for byte what
+    json.dumps(sort_keys=True, indent=2) makes of the per-record dicts, on
+    the bundled games, the benchmark's inputs (pursuit and cyclic with
+    mixed records), gridded menus and one-state teams."""
+    spec_path = write_json(tmp_path / "game.json", POLICY_GAMES[game]())
+    assert main([mode, "--spec", str(spec_path), "--out", str(tmp_path)]
+                + (["--grid-g", str(g)] if g else [])) == 0
+    spec = teamfield.load_spec_file(spec_path)
+    sets = tuple(teamfield.build_prescription_set(spec, k, g=g) for k in range(spec.n_teams))
+    solve = teamfield.solve_mpe if mode == "solve-finite" else teamfield.solve_mpe_inf
+    policy, values = solve(spec, sets)[:2]
+    expect = policy_json_oracle(policy, values, hashlib.sha256(spec_path.read_bytes()).hexdigest())
+    got = (tmp_path / mode / "policy.json").read_text()
+    assert ('"weights"' in got) == bool(policy.mixed_points)
+    assert got == expect
 
 
 def test_static_mode_stdout(tmp_path, capsys):

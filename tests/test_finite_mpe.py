@@ -1,30 +1,24 @@
-import importlib.util
+import dataclasses
 import itertools
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import teamfield as tf
+from teamfield.cli import _write_policy
 from teamfield.counts import stage_cost
 from teamfield.finite_mpe import (JointLattice, initial_distribution,
                                   policy_records, policy_value)
 from teamfield.stage_game import KernelCache
 
 from conftest import (DATA, cyclic_pursuit_three_team, deterministic_two_team,
-                      identity_dynamics_spec)
-from oracles import total_cost_forward
-
-GEN = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
-
+                      identity_dynamics_spec, perfbench_gen)
+from oracles import policy_json_oracle, total_cost_forward
 
 def _exact_pure_game(seed):
     """The benchmark's generated two-team game whose stage games are all pure."""
-    spec = importlib.util.spec_from_file_location("gen", GEN)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    return gen.exact_pure(seed)
+    return perfbench_gen().exact_pure(seed)
 
 
 def test_solve_and_verify_reference(reference_spec, reference_sets,
@@ -149,12 +143,21 @@ def test_identity_dynamics_costs_add_up():
 
 def test_policy_records_roundtrip(reference_spec, reference_solution):
     policy, values = reference_solution
-    records = policy_records(policy, values)
+    records = json.loads(policy_records(policy, values))
     assert len(records) == 2 * 9 * 2      # stages x lattice points x teams
     sample = records[0]
     assert set(sample) >= {"stage", "z", "team", "kind", "prescription",
                            "value"}
     json.dumps(records)                   # must be serializable as-is
+
+
+def test_policy_without_stages_writes_an_empty_record_list(tmp_path, reference_solution):
+    policy, values = reference_solution
+    empty = dataclasses.replace(policy, stages=[])
+    none = dataclasses.replace(values, values=values.values[:0])
+    assert policy_records(empty, none) == "[]"
+    _write_policy(tmp_path / "policy.json", policy_records(empty, none), "h")
+    assert (tmp_path / "policy.json").read_text() == policy_json_oracle(empty, none, "h")
 
 
 def test_pure_only_raises_where_no_pure_exists():

@@ -16,7 +16,8 @@ from teamfield.metrics import (expected_deviation, estimate_lipschitz,
                                fit_rate, kappa_envelope, per_team_deviation,
                                theorem4_bound, transport_distance, wasserstein)
 
-from conftest import minimal_team
+from conftest import minimal_team, perfbench_gen
+from oracles import lipschitz_all_pairs
 
 LINE3 = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
 DISCRETE3 = np.ones((3, 3)) - np.eye(3)
@@ -221,11 +222,12 @@ def test_lipschitz_recovers_unit_slope(reference_spec):
 
 
 def test_lipschitz_is_the_max_over_all_pairs(monkeypatch, reference_spec):
-    """Blocked over rows (12 blocks of two rows), the estimate equals the
-    all-pairs loop on a random two-team table of 25 points, and it reaches
-    every pair: on 25 points at unit distance, stage t raises one pair
-    (a, b) to +1 and -1, so its estimate is 2 only if (a, b) is compared."""
-    monkeypatch.setattr(metrics, "LIPSCHITZ_BLOCK_PAIRS", 60)
+    """Blocked by one-team pairs (five blocks of two pairs per team), the
+    estimate equals the all-pairs loop on a random two-team table of 25
+    points, and it reaches every pair: on 25 points of one team at unit
+    distance, stage t raises one pair (a, b) to +1 and -1, so its estimate
+    is 2 only if (a, b) is compared (30 blocks of ten pairs)."""
+    monkeypatch.setattr(metrics, "LIPSCHITZ_BLOCK_PAIRS", 10)
     grid = SimplexGrid(reference_spec, [4, 4])
     vals = np.random.default_rng(0).random((2, 2) + grid.shape)
     got = estimate_lipschitz(LimitValueTable(values=vals, grid=grid), reference_spec)
@@ -251,9 +253,69 @@ def test_lipschitz_is_the_max_over_all_pairs(monkeypatch, reference_spec):
     assert np.array_equal(estimate_lipschitz(vertices, unit), np.full((1, len(pairs)), 2.0))
 
 
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_lipschitz_matches_the_all_pairs_scan_on_the_reference_grid(reference_spec, n):
+    """On the limit value tables of the reference game at the bound sweep's
+    populations, the max over one-team moves is bitwise the all-pairs max."""
+    spec = tf.with_populations(reference_spec, n)
+    sets = tuple(tf.build_prescription_set(spec, k) for k in range(spec.n_teams))
+    _, values, _ = tf.solve_mpe_inf(spec, sets)
+    got = estimate_lipschitz(values, spec)
+    assert np.any(got > 0)
+    assert np.array_equal(got, lipschitz_all_pairs(values, spec))
+
+
+def test_lipschitz_matches_the_all_pairs_scan_on_the_exact_pure_game():
+    """The benchmark's generated two-team three-state game at N=4 (45 x 45
+    grid points), as ``bound --n-sweep 4`` solves it."""
+    spec = tf.with_populations(tf.load_spec(perfbench_gen().exact_pure(1)), 4)
+    sets = tuple(tf.build_prescription_set(spec, k) for k in range(spec.n_teams))
+    _, values, _ = tf.solve_mpe_inf(spec, sets)
+    assert values.values.shape[2:] == (45, 45)
+    assert np.array_equal(estimate_lipschitz(values, spec), lipschitz_all_pairs(values, spec))
+
+
+# A multi-team pair's quotient rounds in the difference, the summed distance
+# and the division, against one rounding of each one-team quotient, so with
+# K <= 3 teams it can exceed the one-team max by at most about 3 eps
+# relative; tables whose values are a common multiple of the summed distance
+# to a point tie every quotient and reach one ulp.
+LIPSCHITZ_RTOL = 4 * np.finfo(float).eps
+
+
+@settings(max_examples=60, deadline=None)
+@given(grids=st.lists(st.tuples(st.integers(2, 3), st.integers(1, 3),
+                                 st.floats(0.1, 3.0)), min_size=2, max_size=3),
+       seed=st.integers(0, 2 ** 32 - 1), scale=st.integers(-6, 6), tied=st.booleans())
+def test_lipschitz_one_team_moves_reach_the_all_pairs_max(grids, seed, scale, tied):
+    """Random value tables on two- and three-team product grids (S in
+    {2, 3}, resolution 1-3, equal off-diagonal metrics): the one-team max
+    is never above the all-pairs max and at most LIPSCHITZ_RTOL below it."""
+    rng = np.random.default_rng(seed)
+    pts = [np.array(sorted(tf.enumerate_counts(r, S)), dtype=float) / r for S, r, _ in grids]
+    teams = [types.SimpleNamespace(state_metric=d * (1.0 - np.eye(S))) for S, _, d in grids]
+    shape = tuple(len(p) for p in pts)
+    K = len(shape)
+    if tied:
+        base = [rng.integers(len(p)) for p in pts]
+        V = sum((d * 0.5 * np.abs(p - p[b]).sum(axis=1)).reshape(
+                    [-1 if j == k else 1 for j in range(K)])
+                for k, (p, b, (_, _, d)) in enumerate(zip(pts, base, grids)))
+        V = np.broadcast_to(V * 10.0 ** scale, (2, K) + shape)
+    else:
+        V = rng.standard_normal((2, K) + shape) * 10.0 ** scale
+    table = types.SimpleNamespace(values=V, per_team_points=lambda: pts)
+    spec = types.SimpleNamespace(teams=teams)
+    got = estimate_lipschitz(table, spec)
+    full = lipschitz_all_pairs(table, spec)
+    assert np.all(got <= full)
+    assert np.all(full <= got * (1.0 + LIPSCHITZ_RTOL))
+
+
 def test_lipschitz_above_the_pair_cap_is_refused(reference_spec):
-    # 44,722 points make 1,000,006,281 pairs, just above MAX_LIPSCHITZ_PAIRS;
-    # the table has no points to measure, so only the early check can answer
+    # 44,722 points of one team make 1,000,006,281 one-team pairs, just above
+    # MAX_LIPSCHITZ_PAIRS; the table has no points to measure, so only the
+    # early check can answer
     table = types.SimpleNamespace(values=np.zeros((1, 1, 44722)))
     with pytest.raises(CapacityError, match="1000006281 point pairs"):
         estimate_lipschitz(table, reference_spec)
