@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
+from . import __version__
 from .counts import MeanField
 from .errors import (CapacityError, NoPureEquilibriumError, SpecParseError,
                      SpecValidationError)
@@ -44,14 +45,9 @@ PROBE_POPULATIONS = (2, 4, 8, 16, 32, 64)
 
 
 def _versions():
-    try:
-        from importlib.metadata import version
-        own = version("teamfield")
-    except Exception:
-        own = "unknown"
     return {"python": "%d.%d.%d" % sys.version_info[:3],
             "numpy": np.__version__, "scipy": scipy.__version__,
-            "teamfield": own}
+            "teamfield": __version__}
 
 
 def _sha256_file(path) -> str:

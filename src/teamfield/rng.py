@@ -6,12 +6,29 @@ are statistically independent (numpy SeedSequence spawning semantics),
 and the same (seed, labels) always yields the same generator state, so
 parallel replication is deterministic: worker processes re-derive the
 streams for the episode indices they own instead of sharing a generator.
+
+``stream_uniforms`` derives many streams that differ only in a last int
+label (one per episode) at once: it runs SeedSequence's entropy hash
+(NEP 19 keeps it stable) as uint32 column operations over all of them,
+then sets one PCG64 to each stream's seeded state in turn. Its rows are
+bitwise those of ``substream``.
 """
 
 import functools
 import hashlib
 
 import numpy as np
+
+_MASK32 = 0xFFFFFFFF
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+_MASK128 = (1 << 128) - 1
+# numpy/random/bit_generator.pyx (SeedSequence, pool size 4) and the
+# PCG64 default multiplier of numpy/random/src/pcg64/pcg64.h.
+_POOL = 4
+_INIT_A, _MULT_A = 0x43b0d7e5, 0x931e8875
+_INIT_B, _MULT_B = 0x8b51f9dd, 0x58f38ded
+_MIX_MULT_L, _MIX_MULT_R = 0xca01f9dd, 0x4973f715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def _label_words(label):
@@ -22,7 +39,7 @@ def _label_words(label):
             raise ValueError("stream labels must be nonnegative, got %r" % (label,))
         words = []
         while True:
-            words.append(v & 0xFFFFFFFF)
+            words.append(v & _MASK32)
             v >>= 32
             if v == 0:
                 return words
@@ -39,7 +56,7 @@ def _str_words(label: str) -> tuple:
 
 
 def seed_sequence(master_seed, *labels):
-    entropy = [int(master_seed) & 0xFFFFFFFFFFFFFFFF]
+    entropy = [int(master_seed) & _MASK64]
     for label in labels:
         entropy.extend(_label_words(label))
     return np.random.SeedSequence(entropy)
@@ -48,3 +65,70 @@ def seed_sequence(master_seed, *labels):
 def substream(master_seed, *labels) -> np.random.Generator:
     """Generator for the stream named by (master_seed, *labels)."""
     return np.random.default_rng(seed_sequence(master_seed, *labels))
+
+
+def _pcg64_states(entropy: list, rows: int) -> list:
+    """(state, inc) of ``PCG64(SeedSequence(e))`` for each of ``rows``
+    rows e of the uint32 entropy columns ``entropy`` (one per word: an
+    array, or a scalar that all rows share): SeedSequence's pool mixing and
+    ``generate_state(4, uint64)`` column by column, then ``pcg64_set_seed``.
+    Shared words hash as scalars until they meet a per-row word."""
+    hash_a = [_INIT_A]
+
+    def hashmix(value):
+        value = value ^ np.uint32(hash_a[0])
+        hash_a[0] = hash_a[0] * _MULT_A & _MASK32
+        value = value * np.uint32(hash_a[0])
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        r = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return r ^ (r >> 16)
+
+    zero = np.uint32(0)
+    with np.errstate(over="ignore"):
+        pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL)]
+        for src in range(_POOL):
+            for dst in range(_POOL):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for src in range(_POOL, len(entropy)):
+            for dst in range(_POOL):
+                pool[dst] = mix(pool[dst], hashmix(entropy[src]))
+        hash_b, words = _INIT_B, []
+        for i in range(8):
+            value = pool[i % _POOL] ^ np.uint32(hash_b)
+            hash_b = hash_b * _MULT_B & _MASK32
+            value = value * np.uint32(hash_b)
+            words.append(np.broadcast_to(value ^ (value >> 16), rows).astype(np.uint64))
+    # generate_state(4, uint64) pairs the words little-endian; pcg64_set_seed
+    # takes (high, low) halves: initstate from uint64 0 and 1, initseq from 2 and 3.
+    v = [(words[2 * j] | (words[2 * j + 1] << np.uint64(32))).tolist() for j in range(4)]
+    states = []
+    for s_hi, s_lo, q_hi, q_lo in zip(*v):
+        inc = ((q_hi << 65) | (q_lo << 1) | 1) & _MASK128
+        states.append((((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128, inc))
+    return states
+
+
+def stream_uniforms(master_seed, label, ids, out: np.ndarray) -> np.ndarray:
+    """Fill row i of the float64 array ``out`` (len(ids), n) with
+    ``substream(master_seed, label, ids[i]).random(n)``, bit for bit.
+
+    The seeding of all rows runs as array operations (``_pcg64_states``),
+    grouped by the entropy length of the ids (an id of 2**32 or more takes
+    two words, 2**64 or more three, ...); one PCG64 then draws every row."""
+    head = [np.uint32(w) for w in _label_words(int(master_seed) & _MASK64)
+            + list(_label_words(label))]
+    words = [_label_words(e) for e in ids]
+    bitgen = np.random.PCG64(0)
+    gen = np.random.Generator(bitgen)
+    inner = {"state": 0, "inc": 0}
+    value = {"bit_generator": "PCG64", "state": inner, "has_uint32": 0, "uinteger": 0}
+    for n in sorted({len(w) for w in words}):
+        rows = [i for i, w in enumerate(words) if len(w) == n]
+        entropy = head + list(np.array([words[i] for i in rows], dtype=np.uint32).T)
+        for i, (inner["state"], inner["inc"]) in zip(rows, _pcg64_states(entropy, len(rows))):
+            bitgen.state = value
+            gen.random(out=out[i])
+    return out

@@ -14,7 +14,11 @@ uniforms in the same order from its own substream, and every table
 entry is the same per-point ``cost_matrix`` / ``transition_matrix`` value
 the per-episode process computes, so the per-episode costs are bitwise
 those of ``simulate_episode``, for any block boundaries and any worker
-count. Hand-written policies run one episode at a time through
+count. A block seeds its episodes' substreams in bulk
+(``rng.stream_uniforms``) and picks actions and next states by comparing
+uniforms with one CDF column at a time (``_pick_rows``), never gathering
+whole CDF rows per agent; ``_pick`` stays the per-episode definition.
+Hand-written policies run one episode at a time through
 ``simulate_episode``.
 """
 
@@ -29,7 +33,7 @@ from .counts import (DEFAULT_SUPPORT_CAP, PRUNE_TOL, CountVector, JointCount, _c
                      _lattice_rank, _mixture_rows, _rank_terms, count_point, lattice_size)
 from .errors import CapacityError, SpecValidationError
 from .model import GameSpec, cost_matrix, flatten_mean_field, transition_matrix
-from .rng import substream
+from .rng import stream_uniforms, substream
 
 BLOCK_EPISODES = 256      # episodes per batched block; bounds a block's arrays
 
@@ -45,6 +49,18 @@ def _pick(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     """index i with cdf[i-1] < u <= cdf[i], vectorized over leading axes."""
     idx = (u[..., None] > cdf).sum(axis=-1)
     return np.minimum(idx, cdf.shape[-1] - 1)
+
+
+def _pick_rows(cdf: np.ndarray, g: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``_pick(cdf.reshape(-1, S)[g], u)`` without gathering the rows: the
+    count of inner boundaries i < S - 1 with u > cdf[g, i]. A ``_cdf`` row
+    ends at exactly 1.0 and a uniform is below 1, so the last boundary
+    never counts and no clamp is needed. ``g`` broadcasts against ``u``."""
+    flat = cdf.reshape(-1, cdf.shape[-1])
+    idx = np.zeros(np.broadcast_shapes(np.shape(g), np.shape(u)), dtype=np.intp)
+    for i in range(flat.shape[1] - 1):
+        idx += u > flat[:, i][g]
+    return idx
 
 
 @dataclass
@@ -144,9 +160,8 @@ class SimResult:
     def csv_rows(self):
         if self.per_episode is None:
             raise SpecValidationError("per-episode costs were not kept")
-        return [(e, k, repr(float(self.per_episode[e, k])))
-                for e in range(self.episodes)
-                for k in range(self.per_episode.shape[1])]
+        return [(e, k, repr(x)) for e, row in enumerate(self.per_episode.tolist())
+                for k, x in enumerate(row)]
 
 
 @dataclass
@@ -227,14 +242,12 @@ def _run_block(tab: _EpisodeTables, seed, episode_ids) -> np.ndarray:
     """Per-team cumulative costs of the episodes ``episode_ids`` under a
     lifted table policy: the per-agent process of ``simulate_episode``,
     one row per episode. Episode e reads its uniforms in sequence from
-    one ``random(draws)`` call on its substream, which begins with
-    exactly the values the per-episode process draws one call at a time;
-    ``off`` is each episode's read position, since only mixed points
-    consume prescription draws."""
+    row e of ``stream_uniforms``, i.e. one ``random(draws)`` call on its
+    substream, which begins with exactly the values the per-episode
+    process draws one call at a time; ``off`` is each episode's read
+    position, since only mixed points consume prescription draws."""
     B, K = len(episode_ids), len(tab.populations)
-    U = np.empty((B, tab.draws))
-    for i, e in enumerate(episode_ids):
-        substream(seed, "episode", e).random(out=U[i])
+    U = stream_uniforms(seed, "episode", episode_ids, np.empty((B, tab.draws)))
     ep = np.arange(B)[:, None]
     states, pos = [], 0
     for k, N in enumerate(tab.populations):
@@ -253,9 +266,11 @@ def _run_block(tab: _EpisodeTables, seed, episode_ids) -> np.ndarray:
         off[m] += K
         for k, N in enumerate(tab.populations):
             s, cols = states[k], off[:, None] + np.arange(N)
-            a = _pick(tab.action_cdf[k][choice[k][:, None], s], U[ep, cols])
+            S, A = tab.action_cdf[k].shape[1:]
+            a = _pick_rows(tab.action_cdf[k], choice[k][:, None] * S + s, U[ep, cols])
             costs[:, k] += tab.cost[k][t, p[:, None], s, a].sum(axis=1) / N
-            states[k] = _pick(tab.transition_cdf[k][p[:, None], s, a], U[ep, cols + N])
+            states[k] = _pick_rows(tab.transition_cdf[k], (p[:, None] * S + s) * A + a,
+                                   U[ep, cols + N])
             off += 2 * N
     return costs
 
@@ -326,7 +341,8 @@ def empirical_kernel_check(spec: GameSpec, z, prescriptions,
     PRUNE_TOL or that a sample hit.
 
     All samples run vectorized on one substream; per team the draws are
-    a (samples, N_k) uniform block for actions then one for transitions.
+    a (samples, N_k) uniform block for actions then one for transitions,
+    both picked with ``_pick_rows``.
     """
     per_team = getattr(z, "per_team", z)
     counts_in = [count_point(per_team[k], tm.population, k)
@@ -349,10 +365,10 @@ def empirical_kernel_check(spec: GameSpec, z, prescriptions,
     for k in range(spec.n_teams):
         tm = spec.teams[k]
         agent_states = np.repeat(np.arange(tm.n_states), counts_in[k])
-        a = _pick(_cdf(prescriptions[k].rows)[agent_states][None, :, :],
-                  rng.random((samples, tm.population)))
-        pcdf = _cdf(transition_matrix(spec, k, zf))[agent_states[None, :], a]
-        sp = _pick(pcdf, rng.random((samples, tm.population)))
+        a = _pick_rows(_cdf(prescriptions[k].rows), agent_states[None, :],
+                       rng.random((samples, tm.population)))
+        sp = _pick_rows(_cdf(transition_matrix(spec, k, zf)),
+                        agent_states * tm.n_actions + a, rng.random((samples, tm.population)))
         index.append(_team_index(_rank_terms(tm.population, tm.n_states), sp))
     phat = np.bincount(np.ravel_multi_index(index, shape),
                        minlength=exact.size) / samples

@@ -190,6 +190,23 @@ def test_simulate_with_episode_log(tmp_path):
     assert res["randomized_policy"] is True
     rows = (base / "episodes.csv").read_text().splitlines()
     assert len(rows) == 2 + 40 * 2
+    assert _read(base / "manifest.json")["versions"]["teamfield"] == teamfield.__version__
+
+
+def test_episode_log_keeps_per_index_formatting(tmp_path):
+    """episodes.csv holds repr(float(per_episode[e, k])) for every episode
+    e and team k, in that order."""
+    spec_path = write_json(tmp_path / "pennies.json", deterministic_two_team())
+    assert main(["simulate", "--spec", str(spec_path), "--out", str(tmp_path),
+                 "--episodes", "40", "--keep-episodes"]) == 0
+    spec = teamfield.load_spec_file(spec_path)
+    sets = tuple(teamfield.build_prescription_set(spec, k) for k in range(spec.n_teams))
+    res = teamfield.estimate_cost(spec, teamfield.lift_policy(teamfield.solve_mpe(spec, sets)[0]),
+                                  40, keep_episodes=True)
+    per = res.per_episode
+    expect = ["%d,%d,%r" % (e, k, float(per[e, k]))
+              for e in range(per.shape[0]) for k in range(per.shape[1])]
+    assert (tmp_path / "simulate" / "episodes.csv").read_text().splitlines()[2:] == expect
 
 
 def test_seed_override_changes_results(tmp_path):

@@ -1,10 +1,17 @@
 """Stream labels map to SeedSequence entropy words: a seed in 64 bits,
 an int label in little-endian uint32 words, a str label in the first four
-little-endian uint32 words of its SHA-256 digest (cached, same words)."""
+little-endian uint32 words of its SHA-256 digest (cached, same words).
+``stream_uniforms`` seeds many streams at once; every row must be bitwise
+the draws of ``substream`` for its id."""
 
 import hashlib
 
-from teamfield.rng import seed_sequence
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from teamfield.rng import seed_sequence, stream_uniforms, substream
 
 
 def _words(label):
@@ -23,3 +30,44 @@ def test_seed_sequence_entropy_words():
             for label in labels:
                 expect += _words(label)
             assert list(seed_sequence(seed, *labels).entropy) == expect
+
+
+SEEDS = (0, 1, 2 ** 32 + 3, 2 ** 64 - 1, -1)
+LABELS = ("episode", "", "équipe")
+IDS = [0, 2 ** 32 - 1, 2 ** 32, 2 ** 33 + 5]     # one and two entropy words, mixed
+
+
+def _substream_rows(seed, label, ids, n):
+    out = np.empty((len(ids), n))
+    for i, e in enumerate(ids):
+        out[i] = substream(seed, label, e).random(n)
+    return out
+
+
+def _check_rows(seed, label, ids, n):
+    got = stream_uniforms(seed, label, ids, np.empty((len(ids), n)))
+    assert got.tobytes() == _substream_rows(seed, label, ids, n).tobytes(), (seed, label, ids, n)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("label", LABELS)
+def test_stream_uniforms_rows_are_substreams(seed, label):
+    for ids in (IDS, IDS[::-1] + [7, 2 ** 70 + 1, 0], []):
+        for n in (0, 1, 84):
+            _check_rows(seed, label, ids, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(-2 ** 64, 2 ** 65),
+       label=st.one_of(st.text(max_size=6), st.integers(0, 2 ** 40)),
+       ids=st.lists(st.integers(0, 2 ** 72), max_size=6),
+       n=st.integers(0, 9))
+def test_stream_uniforms_property(seed, label, ids, n):
+    _check_rows(seed, label, ids, n)
+
+
+def test_stream_uniforms_rejects_negative_ids():
+    with pytest.raises(ValueError):
+        substream(1, "episode", -1)
+    with pytest.raises(ValueError):
+        stream_uniforms(1, "episode", [3, -1], np.empty((2, 4)))

@@ -9,6 +9,7 @@ equal the sample-by-sample loop against the dict-keyed joint kernel.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -235,3 +236,31 @@ def test_policy_solved_at_other_populations_is_rejected():
     assert spec.teams[0].population != 2
     with pytest.raises(tf.SpecValidationError, match="population"):
         estimate_cost(spec, lifted, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_pick_rows_equals_pick_on_gathered_rows(data):
+    """``_pick_rows(cdf, g, u)`` against ``_pick(cdf.reshape(-1, S)[g], u)``
+    on tables with tied boundaries (zero weights), S = 1, and u at 0.0 or
+    exactly on a boundary; g broadcasts against u as in the kernel check."""
+    S = data.draw(st.integers(1, 5))
+    lead = tuple(data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    weights = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.0, 0.1, 0.25, 1.0, 3.0]),
+                                          min_size=math.prod(lead) * S,
+                                          max_size=math.prod(lead) * S)))
+    weights = weights.reshape(-1, S)
+    weights[weights.sum(axis=1) == 0, -1] = 1.0
+    cdf = simulate._cdf(weights).reshape(lead + (S,))
+    flat = cdf.reshape(-1, S)
+    B, N = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    g = np.array(data.draw(st.lists(st.integers(0, len(flat) - 1), min_size=B * N,
+                                    max_size=B * N))).reshape(B, N)
+    kind = data.draw(st.lists(st.integers(0, 2), min_size=B * N, max_size=B * N))
+    fresh = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))).random(B * N)
+    u = np.array([fresh[i] if c == 0 else 0.0 if c == 1
+                  else flat[g.flat[i], data.draw(st.integers(0, S - 1))]
+                  for i, c in enumerate(kind)]).reshape(B, N)
+    u = np.minimum(u, np.nextafter(1.0, 0.0))     # uniforms lie in [0, 1)
+    assert np.array_equal(simulate._pick_rows(cdf, g, u), simulate._pick(flat[g], u))
+    assert np.array_equal(simulate._pick_rows(cdf, g[:1], u), simulate._pick(flat[g[:1]], u))
