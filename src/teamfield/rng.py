@@ -67,25 +67,27 @@ def substream(master_seed, *labels) -> np.random.Generator:
     return np.random.default_rng(seed_sequence(master_seed, *labels))
 
 
-def _pcg64_states(entropy: list, rows: int) -> list:
-    """(state, inc) of ``PCG64(SeedSequence(e))`` for each of ``rows``
-    rows e of the uint32 entropy columns ``entropy`` (one per word: an
-    array, or a scalar that all rows share): SeedSequence's pool mixing and
-    ``generate_state(4, uint64)`` column by column, then ``pcg64_set_seed``.
-    Shared words hash as scalars until they meet a per-row word."""
-    hash_a = [_INIT_A]
+def _pcg64_states(entropy: np.ndarray) -> list:
+    """(state, inc) of ``PCG64(SeedSequence(e))`` for each column e of the
+    uint32 entropy array ``entropy`` (words, rows): SeedSequence's pool
+    mixing and ``generate_state(4, uint64)`` one word row at a time, then
+    ``pcg64_set_seed``. Every operand of the hash is a uint32 array (never a
+    NumPy scalar), so it wraps mod 2**32 under NumPy 1.x value-based
+    promotion as under NEP 50."""
+    hash_a = _INIT_A
 
     def hashmix(value):
-        value = value ^ np.uint32(hash_a[0])
-        hash_a[0] = hash_a[0] * _MULT_A & _MASK32
-        value = value * np.uint32(hash_a[0])
+        nonlocal hash_a
+        value = value ^ np.uint32(hash_a)
+        hash_a = hash_a * _MULT_A & _MASK32
+        value = value * np.uint32(hash_a)
         return value ^ (value >> 16)
 
     def mix(x, y):
         r = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
         return r ^ (r >> 16)
 
-    zero = np.uint32(0)
+    zero = np.zeros_like(entropy[0])
     with np.errstate(over="ignore"):
         pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL)]
         for src in range(_POOL):
@@ -100,7 +102,7 @@ def _pcg64_states(entropy: list, rows: int) -> list:
             value = pool[i % _POOL] ^ np.uint32(hash_b)
             hash_b = hash_b * _MULT_B & _MASK32
             value = value * np.uint32(hash_b)
-            words.append(np.broadcast_to(value ^ (value >> 16), rows).astype(np.uint64))
+            words.append((value ^ (value >> 16)).astype(np.uint64))
     # generate_state(4, uint64) pairs the words little-endian; pcg64_set_seed
     # takes (high, low) halves: initstate from uint64 0 and 1, initseq from 2 and 3.
     v = [(words[2 * j] | (words[2 * j + 1] << np.uint64(32))).tolist() for j in range(4)]
@@ -118,17 +120,15 @@ def stream_uniforms(master_seed, label, ids, out: np.ndarray) -> np.ndarray:
     The seeding of all rows runs as array operations (``_pcg64_states``),
     grouped by the entropy length of the ids (an id of 2**32 or more takes
     two words, 2**64 or more three, ...); one PCG64 then draws every row."""
-    head = [np.uint32(w) for w in _label_words(int(master_seed) & _MASK64)
-            + list(_label_words(label))]
+    head = _label_words(int(master_seed) & _MASK64) + list(_label_words(label))
     words = [_label_words(e) for e in ids]
     bitgen = np.random.PCG64(0)
     gen = np.random.Generator(bitgen)
-    inner = {"state": 0, "inc": 0}
-    value = {"bit_generator": "PCG64", "state": inner, "has_uint32": 0, "uinteger": 0}
     for n in sorted({len(w) for w in words}):
         rows = [i for i, w in enumerate(words) if len(w) == n]
-        entropy = head + list(np.array([words[i] for i in rows], dtype=np.uint32).T)
-        for i, (inner["state"], inner["inc"]) in zip(rows, _pcg64_states(entropy, len(rows))):
-            bitgen.state = value
+        entropy = np.array([head + words[i] for i in rows], dtype=np.uint32).T
+        for i, (state, inc) in zip(rows, _pcg64_states(entropy)):
+            bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                            "has_uint32": 0, "uinteger": 0}
             gen.random(out=out[i])
     return out
