@@ -92,7 +92,7 @@ def _stage_epsilons(policy) -> dict:
 
 
 def _grid(spec, args):
-    if args.simplex_n:
+    if args.simplex_n is not None:
         return SimplexGrid(spec, [args.simplex_n] * spec.n_teams)
     return default_grid(spec)
 
@@ -152,14 +152,14 @@ def _run_solve_infinite(args, out, h):
                traj.csv_rows(), h)
     _write_json(out / "summary.json", {
         "spec_sha256": h,
-        "grid_points": int(np.prod(policy.grid.shape)),
+        "grid_points": int(np.prod(policy.lattice.shape)),
         "mixed_points": len(policy.mixed_points),
         "totals": [float(x) for x in traj.totals],
         "projection": log.as_dict(),
         **_stage_epsilons(policy),
     })
     print("solved %d grid points x %d stages; limit totals %s"
-          % (np.prod(policy.grid.shape), spec.horizon,
+          % (np.prod(policy.lattice.shape), spec.horizon,
              [round(float(x), 6) for x in traj.totals]))
     return spec
 

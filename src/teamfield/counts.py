@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -83,7 +84,7 @@ class JointCount:
         return MeanField(per_team=tuple(cv.as_array() / cv.total for cv in self.per_team))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeanField:
     """Per-team occupancy distributions (the joint mean field)."""
     per_team: tuple
@@ -99,7 +100,7 @@ class MeanField:
         return np.concatenate(self.per_team)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Prescription:
     """Map from a team's local state to an action distribution; the
     decision variable of the team's virtual coordinator."""
@@ -118,7 +119,7 @@ class Prescription:
         object.__setattr__(self, "rows", rows)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CountDistribution:
     """Finite distribution over count objects (vectors or count tensors)."""
     support: tuple
@@ -249,12 +250,12 @@ def _count_laws(mix: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 class TeamLattice:
-    """Count lattice of one team plus index lookups, shared by the solvers."""
+    """Count lattice of one team, descending (or ``ascending``), plus index lookups."""
 
-    def __init__(self, population: int, n_states: int):
+    def __init__(self, population: int, n_states: int, ascending: bool = False):
         self.population = population
         self.n_states = n_states
-        self.points = enumerate_counts(population, n_states)
+        self.points = enumerate_counts(population, n_states)[::-1 if ascending else 1]
         self.index = {pt: i for i, pt in enumerate(self.points)}
         self.counts = np.array(self.points, dtype=int)
         self.z = self.counts / float(population)
@@ -272,17 +273,27 @@ def _joint_points(per_team_points) -> list:
 
 
 class JointLattice:
-    """Cartesian product of the per-team count lattices; ``z`` holds the
-    occupancies of every joint point in C order, (P, S_k) per team."""
+    """Product of per-team count lattices (by default each team's
+    population lattice): ``points[k]`` holds team k's occupancies and
+    ``z`` those of every joint point in C order, (P, S_k) per team. Point
+    names are joined once from per-team parts: ``ids`` (``2-1/0-3``) and
+    ``record_z``, the ``z`` text of policy.json records."""
+
+    kind = "count lattice"
+    _sep = "/"
 
     def __init__(self, spec: GameSpec):
         self.spec = spec
-        self.teams = [TeamLattice(tm.population, tm.n_states) for tm in spec.teams]
+        self.teams = self._team_lattices(spec)
+        self.points = [tl.z for tl in self.teams]
         self.shape = tuple(len(t) for t in self.teams)
         if math.prod(self.shape) > DEFAULT_SUPPORT_CAP:
-            raise CapacityError("joint count lattice has %d points, cap is %d"
-                                % (math.prod(self.shape), DEFAULT_SUPPORT_CAP))
-        self.z = _joint_points([tl.z for tl in self.teams])
+            raise CapacityError("joint %s has %d points, cap is %d"
+                                % (self.kind, math.prod(self.shape), DEFAULT_SUPPORT_CAP))
+        self.z = _joint_points(self.points)
+
+    def _team_lattices(self, spec: GameSpec) -> list:
+        return [TeamLattice(tm.population, tm.n_states) for tm in spec.teams]
 
     def __len__(self):
         return math.prod(self.shape)
@@ -291,14 +302,45 @@ class JointLattice:
         return np.ndindex(self.shape)
 
     def mean_field(self, idx) -> MeanField:
-        return MeanField(per_team=tuple(self.teams[k].z[idx[k]]
-                                        for k in range(len(self.teams))))
+        return MeanField(per_team=tuple(x[i] for x, i in zip(self.points, idx)))
 
     def counts_at(self, idx):
-        return tuple(self.teams[k].points[idx[k]] for k in range(len(self.teams)))
+        return tuple(tl.points[i] for tl, i in zip(self.teams, idx))
+
+    def _team_ids(self, tl: TeamLattice) -> list:
+        return ["-".join(map(str, c)) for c in tl.points]
+
+    @functools.cached_property
+    def ids(self) -> list:
+        return [self._sep.join(p) for p in itertools.product(*map(self._team_ids, self.teams))]
+
+    @functools.cached_property
+    def record_z(self) -> list:
+        """Per-team count lists as ``_indented`` writes them in a record: each
+        team's list written alone is ``[`` + part + close; a point's joins the parts."""
+        alone = [[_indented([list(c)]) for c in tl.points] for tl in self.teams]
+        close = alone[0][0][alone[0][0].rindex("\n"):]
+        parts = [[s[1:-len(close)] for s in team] for team in alone]
+        return ["[%s%s" % (",".join(p), close) for p in itertools.product(*parts)]
 
     def z_id(self, idx) -> str:
-        return "/".join(format_counts(c) for c in self.counts_at(idx))
+        return self.ids[np.ravel_multi_index(idx, self.shape)]
+
+
+def _indented(obj) -> str:
+    """``obj`` as ``json.dumps(indent=2)`` writes it as a policy.json record's value."""
+    return json.dumps(obj, indent=2).replace("\n", "\n      ")
+
+
+def _count_lattice(policy) -> JointLattice:
+    """The count lattice ``policy`` is tabulated on; a grid's points are in another order,
+    so a reader of count-lattice kernels, laws or ranks would mix up their records."""
+    lattice = policy.lattice
+    if lattice.kind != JointLattice.kind:
+        raise SpecValidationError("policy is tabulated on a %s, not on the joint count "
+                                  "lattice; replay it with limit.project_policy_to_lattice"
+                                  % lattice.kind)
+    return lattice
 
 
 def count_point(z_k, population: int, k: int) -> np.ndarray:
@@ -367,9 +409,4 @@ def stage_cost(z, gamma: Prescription, spec: GameSpec, k: int, t: int) -> float:
     C = cost_matrix(spec, k, t, zf)
     zk = np.asarray(per_team[k], dtype=float)
     return float(zk @ (gamma.rows * C).sum(axis=1))
-
-
-def format_counts(counts) -> str:
-    vals = counts.counts if isinstance(counts, CountVector) else counts
-    return "-".join(str(int(c)) for c in vals)
 

@@ -19,44 +19,77 @@ All recursions run on the engine in ``stage_game``, batched over the
 lattice: per-team kernel stacks are contracted against the next values,
 raw for the stage games, averaged for ``policy_value`` (all teams) and
 ``best_response`` (all but one) under the policy's mixtures, which
-``EquilibriumTable.mixtures`` reads from a stage's record array as whole
-(P, n_k) columns. ``evaluate_total_cost`` averages ``policy_value``'s
-stage-0 values under the initial count law. ``solve_mpe`` runs the
-backward driver ``stage_game._backward`` that ``limit.solve_mpe_inf``
-also runs; its continuation contracts the store's kernel stacks against
-the next values (``_contract``), the limit's gathers them at projected
-flow images. The driver finds the pure stage equilibria of a stage in
-one pass; only the stage games without one are solved point by point.
-One ``KernelCache`` (``kernel_cache``) can hold the kernels of a run for
-the solver, the certificate and the cost evaluation.
+``PolicyTable.mixtures`` reads from a stage's record array as whole
+(P, n_k) columns; they take count-lattice tables only, though the tables
+serve the limit solver too, over a ``SimplexGrid`` (a ``JointLattice``).
+``evaluate_total_cost`` averages ``policy_value``'s stage-0 values under
+the initial count law. ``solve_mpe`` runs the backward driver
+``stage_game._backward`` that ``limit.solve_mpe_inf`` also runs; its
+continuation contracts the store's kernel stacks against the next
+values (``_contract``), the limit's gathers them at projected flow
+images. The driver finds the pure stage equilibria of a stage in one
+pass; only the stage games without one are solved point by point. One
+``KernelCache`` (``kernel_cache``) can hold the kernels of a run for the
+solver, the certificate and the cost evaluation.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .counts import JointLattice, _count_laws
+from .counts import JointLattice, _count_lattice, _count_laws, _indented
 from .model import GameSpec
-from .stage_game import EquilibriumTable, KernelCache, _backward, _contract, _cost_table
+from .stage_game import KernelCache, StageEquilibrium, _backward, _contract, _cost_table
 
 
-@dataclass
-class PolicyTable(EquilibriumTable):
-    """Equilibrium prescriptions at every (stage, lattice point)."""
+@dataclass(eq=False)
+class PolicyTable:
+    """Stage-game equilibria at every (stage, point) of ``lattice``, the
+    joint count lattice (``solve_mpe``) or a simplex grid
+    (``limit.solve_mpe_inf``). Each stage is an ``np.recarray`` over the
+    points with fields ``mixed``, ``epsilon`` (certified maximal
+    unilateral gain) and ``w<k>``: team k's mixture over ``sets[k]``,
+    one-hot at pure points."""
+    stages: list
+    sets: tuple
     lattice: JointLattice
 
+    def mixtures(self, t: int) -> list:
+        """Per-team (P, n_k) mixtures of stage t, points in C order."""
+        st = self.stages[t]
+        return [np.ascontiguousarray(st[w].reshape(st.size, -1)) for w in st.dtype.names[2:]]
 
-@dataclass
+    def equilibrium(self, t: int, idx) -> StageEquilibrium:
+        """The equilibrium at stage t and point idx, built on demand (the
+        pure index of a team is the argmax of its one-hot row)."""
+        rec = self.stages[t][tuple(idx)]
+        ws = [np.array(rec[w]) for w in rec.dtype.names[2:]]
+        if rec.mixed:
+            return StageEquilibrium(kind="mixed", per_team=ws, epsilon=float(rec.epsilon))
+        return StageEquilibrium(kind="pure", per_team=[w.argmax() for w in ws],
+                                epsilon=float(rec.epsilon))
+
+    @property
+    def horizon(self):
+        return len(self.stages)
+
+    @property
+    def mixed_points(self) -> list:
+        """(stage, point index) of every mixed equilibrium, stage by stage."""
+        return [(t, tuple(idx.tolist())) for t, st in enumerate(self.stages)
+                for idx in np.argwhere(st.mixed)]
+
+
+@dataclass(eq=False)
 class ValueTable:
-    """values[t, k, i_1, ..., i_K] over the joint lattice."""
+    """values[t, k, i_1, ..., i_K] over the points of ``lattice``."""
     values: np.ndarray = field(repr=False)
     lattice: JointLattice = None
 
     def per_team_points(self):
-        return [tl.z for tl in self.lattice.teams]
+        return list(self.lattice.points)
 
 
 @dataclass
@@ -69,10 +102,9 @@ class EquilibriumCertificate:
     def csv_rows(self, lattice: JointLattice):
         """(stage, z_id, team, gain) at every stage, point (C order) and team."""
         T, K = self.gains.shape[0], self.gains.shape[1]
-        zids = [lattice.z_id(idx) for idx in lattice.indices()]
         gains = self.gains.reshape(T, K, -1).tolist()
         return [(t, zid, k, repr(gains[t][k][p]))
-                for t in range(T) for p, zid in enumerate(zids) for k in range(K)]
+                for t in range(T) for p, zid in enumerate(lattice.ids) for k in range(K)]
 
 
 def solve_mpe(spec: GameSpec, sets, pure_only: bool = False,
@@ -86,8 +118,7 @@ def solve_mpe(spec: GameSpec, sets, pure_only: bool = False,
     cache = kernel_cache or KernelCache(spec, sets)
     lattice = cache.lattice
     Ws = cache.stacks() if spec.horizon > 1 else None    # checks the store size first
-    stages, values = _backward(spec, sets, lattice.z, lattice.shape, lattice.z_id,
-                               lambda V: _contract(Ws, V), pure_only)
+    stages, values = _backward(spec, sets, lattice, lambda V: _contract(Ws, V), pure_only)
     return (PolicyTable(stages=stages, sets=tuple(sets), lattice=lattice),
             ValueTable(values=values, lattice=lattice))
 
@@ -109,7 +140,7 @@ def best_response(spec: GameSpec, k: int, others: PolicyTable, sets,
     Returns (per-stage arrays of chosen own indices, value array U of
     shape (T, *lattice shape)); ties resolve to the smallest index.
     """
-    lattice = others.lattice
+    lattice = _count_lattice(others)
     cache = kernel_cache or KernelCache(spec, sets)
     T = spec.horizon
     shape = lattice.shape
@@ -130,7 +161,7 @@ def best_response(spec: GameSpec, k: int, others: PolicyTable, sets,
 def policy_value(spec: GameSpec, policy: PolicyTable,
                  kernel_cache: KernelCache = None) -> np.ndarray:
     """Per-team values of playing ``policy`` everywhere: (T, K, *shape)."""
-    lattice = policy.lattice
+    lattice = _count_lattice(policy)
     cache = kernel_cache or KernelCache(spec, policy.sets)
     T, K = spec.horizon, spec.n_teams
     Ws = cache.stacks() if T > 1 else None
@@ -194,16 +225,9 @@ def evaluate_total_cost(spec: GameSpec, policy: PolicyTable,
 
 def policy_records(policy: PolicyTable, values: ValueTable) -> str:
     """The ``records`` array of ``policy.json`` as text (see
-    ``_encode_records``); a point's ``z`` is its per-team counts."""
-    lattice = policy.lattice
-    return _encode_records(policy, values.values,
-                           [_indented([list(c) for c in lattice.counts_at(idx)])
-                            for idx in lattice.indices()])
-
-
-def _indented(obj) -> str:
-    """``obj`` as ``json.dumps(indent=2)`` writes it as a record's value."""
-    return json.dumps(obj, indent=2).replace("\n", "\n      ")
+    ``_encode_records``); a point's ``z`` is its lattice's ``record_z``,
+    the per-team counts."""
+    return _encode_records(policy, values.values, policy.lattice.record_z)
 
 
 _RECORD = ('    {\n      "kind": "%s",\n      "prescription": %s,\n      "stage": %d,\n'

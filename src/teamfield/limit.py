@@ -14,72 +14,57 @@ flow image of every (grid point, team, menu item) is projected once, and
 the continuation gathers the next values there (``solve_mpe``'s
 contracts them with the count kernels instead, ``_contract``).
 
-With resolution n = 2N per team, every count mean field of a population-N
-instance lies exactly on the grid, which is what ``project_policy_to_lattice``
+The grid is a ``counts.JointLattice`` with the finite solver's tables. At
+resolution n = 2N per team every count mean field of a population-N
+instance lies exactly on the grid, which ``project_policy_to_lattice``
 exploits when replaying a limit policy inside the finite game.
 """
 
 from __future__ import annotations
 
-import json
-import math
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, SpecValidationError
-from .counts import (DEFAULT_SUPPORT_CAP, JointLattice, MeanField, _joint_points,
-                     enumerate_counts, lattice_size)
-from .finite_mpe import PolicyTable, _encode_records
+from .errors import SpecValidationError
+from .counts import JointLattice, MeanField, TeamLattice
+from .finite_mpe import PolicyTable, ValueTable, _encode_records
 from .metrics import transport_distance
 from .model import GameSpec, _transitions, cost_matrix, flatten_mean_field
-from .stage_game import EquilibriumTable, _backward, _on_axis
+from .stage_game import _backward, _on_axis
 
 
-class SimplexGrid:
-    """Per-team uniform grids over the probability simplex.
+class SimplexGrid(JointLattice):
+    """Per-team uniform grids over the probability simplex: team k's points are the
+    multiples of 1/n_k, its count lattice at resolution n_k in ascending lexicographic
+    order; the joint grid is their product. A point's id joins per-team parts
+    ``c:n/...`` with ``|``; its record ``z`` is the quoted id."""
 
-    Team k's points are all vectors with entries that are multiples of
-    1/n_k, deduplicated and sorted ascending-lexicographically; the joint
-    grid is their Cartesian product.
-    """
+    kind = "simplex grid"
+    _sep = "|"
 
     def __init__(self, spec: GameSpec, resolutions):
         if len(resolutions) != spec.n_teams:
             raise SpecValidationError("need one grid resolution per team")
-        self.spec = spec
         self.resolutions = tuple(int(n) for n in resolutions)
-        self.points = []
         for k, n in enumerate(self.resolutions):
             if n < 1:
-                raise SpecValidationError("grid resolution must be >= 1, team %d got %d"
-                                          % (k, n))
-            S = spec.teams[k].n_states
-            if lattice_size(n, S) > DEFAULT_SUPPORT_CAP:
-                raise CapacityError("simplex grid for team %d has %d points, cap %d"
-                                    % (k, lattice_size(n, S), DEFAULT_SUPPORT_CAP))
-            self.points.append(np.array(sorted(enumerate_counts(n, S)), dtype=float) / n)
-        self.shape = tuple(len(p) for p in self.points)
-        if math.prod(self.shape) > DEFAULT_SUPPORT_CAP:
-            raise CapacityError("joint simplex grid has %d points, cap %d"
-                                % (math.prod(self.shape), DEFAULT_SUPPORT_CAP))
+                raise SpecValidationError("grid resolution must be >= 1, team %d got %d" % (k, n))
+        super().__init__(spec)
 
-    def __len__(self):
-        return math.prod(self.shape)
+    def _team_lattices(self, spec: GameSpec) -> list:
+        return [TeamLattice(n, tm.n_states, ascending=True)
+                for n, tm in zip(self.resolutions, spec.teams)]
 
-    def indices(self):
-        return np.ndindex(self.shape)
+    def _team_ids(self, tl: TeamLattice) -> list:
+        return ["/".join("%d:%d" % (x, tl.population) for x in c) for c in tl.points]
 
-    def mean_field(self, idx) -> MeanField:
-        return MeanField(per_team=tuple(self.points[k][idx[k]]
-                                        for k in range(len(self.points))))
+    @functools.cached_property
+    def record_z(self) -> list:
+        return ['"%s"' % i for i in self.ids]     # digits and separators need no escapes
 
-    def point_id(self, idx) -> str:
-        parts = []
-        for k, n in enumerate(self.resolutions):
-            v = np.rint(self.points[k][idx[k]] * n).astype(int)
-            parts.append("/".join("%d:%d" % (x, n) for x in v))
-        return "|".join(parts)
+    point_id = JointLattice.z_id
 
 
 def default_grid(spec: GameSpec) -> SimplexGrid:
@@ -151,19 +136,9 @@ def project_indices(z, grid: SimplexGrid):
     return tuple(idx), err
 
 
-@dataclass
-class LimitPolicyTable(EquilibriumTable):
-    """Equilibrium prescriptions at every (stage, joint grid point)."""
-    grid: SimplexGrid
-
-
-@dataclass
-class LimitValueTable:
-    values: np.ndarray = field(repr=False)    # (T, K, *grid shape)
-    grid: SimplexGrid = None
-
-    def per_team_points(self):
-        return list(self.grid.points)
+# one table family serves both solvers; the limit names stay as aliases
+LimitPolicyTable = PolicyTable
+LimitValueTable = ValueTable
 
 
 @dataclass
@@ -189,16 +164,15 @@ def solve_mpe_inf(spec: GameSpec, sets, grid: SimplexGrid = None,
     its own prescription and not on the stage, so projections are computed
     once per (grid point, team, menu item) and gathered at every stage.
 
-    Returns (LimitPolicyTable, LimitValueTable, ProjectionLog).
+    Returns (PolicyTable, ValueTable, ProjectionLog), both over ``grid``.
     """
     if grid is None:
         grid = default_grid(spec)
     T, K = spec.horizon, spec.n_teams
-    Z = _joint_points(grid.points)
     log = ProjectionLog(evaluations=[0] * T, max_error=[0.0] * T, mean_error=[0.0] * T)
     if T > 1:
         gather, errors = [], []
-        for k, nxt in enumerate(_flow(spec, Z, [ps.rows_stack() for ps in sets])):
+        for k, nxt in enumerate(_flow(spec, grid.z, [ps.rows_stack() for ps in sets])):
             idx, err = _nearest(nxt.reshape(-1, nxt.shape[-1]), k, grid)
             gather.append(_on_axis(idx.reshape(nxt.shape[:2]), k, K))
             errors.append(err)
@@ -206,10 +180,10 @@ def solve_mpe_inf(spec: GameSpec, sets, grid: SimplexGrid = None,
         log.evaluations[:T - 1] = [int(errors.size)] * (T - 1)
         log.max_error[:T - 1] = [float(errors.max())] * (T - 1)
         log.mean_error[:T - 1] = [float(errors.sum()) / errors.size] * (T - 1)
-    stages, values = _backward(spec, sets, Z, grid.shape, grid.point_id,
-                               lambda V: V[(slice(None),) + gather], pure_only)
-    return (LimitPolicyTable(stages=stages, sets=tuple(sets), grid=grid),
-            LimitValueTable(values=values, grid=grid), log)
+    stages, values = _backward(spec, sets, grid, lambda V: V[(slice(None),) + gather],
+                               pure_only)
+    return (PolicyTable(stages=stages, sets=tuple(sets), lattice=grid),
+            ValueTable(values=values, lattice=grid), log)
 
 
 @dataclass
@@ -232,13 +206,13 @@ class LimitTrajectory:
         return rows
 
 
-def rollout_inf(spec: GameSpec, policy: LimitPolicyTable) -> LimitTrajectory:
+def rollout_inf(spec: GameSpec, policy: PolicyTable) -> LimitTrajectory:
     """Deterministic trajectory from the initial laws: at each stage look
     up the equilibrium at the projected current point, pay the limit stage
     cost, advance by the flow. Mixed profiles enter through their
     mixture-averaged rows (flow and cost are affine in each team's rows,
     so this is the exact one-step expectation)."""
-    grid = policy.grid
+    grid = policy.lattice
     K, T = spec.n_teams, policy.horizon
     z = MeanField(per_team=tuple(tm.initial_law.copy() for tm in spec.teams))
     mean_fields = [z]
@@ -259,7 +233,7 @@ def rollout_inf(spec: GameSpec, policy: LimitPolicyTable) -> LimitTrajectory:
                            projection_errors=errors)
 
 
-def project_policy_to_lattice(spec: GameSpec, policy: LimitPolicyTable,
+def project_policy_to_lattice(spec: GameSpec, policy: PolicyTable,
                               lattice: JointLattice = None):
     """Replay a limit policy inside the finite game: for every joint count
     lattice point take the limit stage records of the nearest grid point.
@@ -269,15 +243,14 @@ def project_policy_to_lattice(spec: GameSpec, policy: LimitPolicyTable,
     new one is built."""
     if lattice is None:
         lattice = JointLattice(spec)
-    nearest = np.ix_(*(_nearest(tl.z, k, policy.grid)[0]
-                       for k, tl in enumerate(lattice.teams)))
+    nearest = np.ix_(*(_nearest(x, k, policy.lattice)[0]
+                       for k, x in enumerate(lattice.points)))
     return PolicyTable(stages=[st[nearest] for st in policy.stages], sets=policy.sets,
                        lattice=lattice)
 
 
-def limit_policy_records(policy: LimitPolicyTable, values: LimitValueTable) -> str:
+def limit_policy_records(policy: PolicyTable, values: ValueTable) -> str:
     """The ``records`` array of ``policy.json`` as text (see
-    ``finite_mpe._encode_records``); a point's ``z`` is its ``point_id``."""
-    grid = policy.grid
-    return _encode_records(policy, values.values,
-                           [json.dumps(grid.point_id(idx)) for idx in grid.indices()])
+    ``finite_mpe._encode_records``); a point's ``z`` is its grid's
+    ``record_z``, the quoted ``point_id``."""
+    return _encode_records(policy, values.values, policy.lattice.record_z)

@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .counts import (DEFAULT_SUPPORT_CAP, PRUNE_TOL, CountVector, JointCount, _count_laws,
-                     _lattice_rank, _mixture_rows, _rank_terms, count_point, lattice_size)
+from .counts import (DEFAULT_SUPPORT_CAP, PRUNE_TOL, CountVector, JointCount, _count_lattice,
+                     _count_laws, _lattice_rank, _mixture_rows, _rank_terms, count_point, lattice_size)
 from .errors import CapacityError, SpecValidationError
 from .model import GameSpec, cost_matrix, flatten_mean_field, transition_matrix
 from .rng import stream_uniforms, substream
@@ -91,6 +91,7 @@ class LiftedPolicy:
 
 def lift_policy(table) -> LiftedPolicy:
     """Wrap a count-table policy as an agent policy (see LiftedPolicy)."""
+    _count_lattice(table)
     return LiftedPolicy(table=table, randomized=bool(table.mixed_points))
 
 
@@ -204,7 +205,7 @@ def _team_index(terms: np.ndarray, states: np.ndarray) -> np.ndarray:
 
 def _episode_tables(spec: GameSpec, policy: LiftedPolicy) -> _EpisodeTables:
     table = policy.table
-    lattice = table.lattice
+    lattice = _count_lattice(table)
     K, T, P = spec.n_teams, spec.horizon, len(lattice)
     for k, ps in enumerate(table.sets):
         tm = spec.teams[k]
@@ -344,6 +345,8 @@ def empirical_kernel_check(spec: GameSpec, z, prescriptions,
     a (samples, N_k) uniform block for actions then one for transitions,
     both picked with ``_pick_rows``.
     """
+    if samples < 1:
+        raise SpecValidationError("need at least one sample")
     per_team = getattr(z, "per_team", z)
     counts_in = [count_point(per_team[k], tm.population, k)
                  for k, tm in enumerate(spec.teams)]

@@ -37,7 +37,7 @@ MAX_STORE_BYTES = 1 << 30     # largest kernel store a run may allocate
 STORE_BLOCK_ENTRIES = 1 << 20  # (rows, lattice) entries per block of the store build
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PrescriptionSet:
     """Ordered finite menu of prescriptions for one team."""
     team_id: int
@@ -77,7 +77,7 @@ def build_prescription_set(spec: GameSpec, k: int, g: int = None,
         for combo in itertools.product(row_menu, repeat=S)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StageGame:
     """Cost tensors over joint prescription indices, one per team."""
     tensors: tuple
@@ -99,7 +99,7 @@ class StageGame:
         return self.tensors[0].shape
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StageEquilibrium:
     """Solution of one stage game.
 
@@ -147,42 +147,6 @@ class StageEquilibrium:
             else:
                 out.append(np.tensordot(self.per_team[k], ps.rows_stack(), axes=(0, 0)))
         return out
-
-
-@dataclass
-class EquilibriumTable:
-    """Stage-game equilibria at every (stage, point) of a backward
-    induction; the finite and limit policy tables add the points. Each
-    stage is an ``np.recarray`` over the points with fields ``mixed``,
-    ``epsilon`` (certified maximal unilateral gain) and ``w<k>``: team
-    k's mixture over ``sets[k]``, one-hot at pure points."""
-    stages: list
-    sets: tuple
-
-    def mixtures(self, t: int) -> list:
-        """Per-team (P, n_k) mixtures of stage t, points in C order."""
-        st = self.stages[t]
-        return [np.ascontiguousarray(st[w].reshape(st.size, -1)) for w in st.dtype.names[2:]]
-
-    def equilibrium(self, t: int, idx) -> StageEquilibrium:
-        """The equilibrium at stage t and point idx, built on demand (the
-        pure index of a team is the argmax of its one-hot row)."""
-        rec = self.stages[t][tuple(idx)]
-        ws = [np.array(rec[w]) for w in rec.dtype.names[2:]]
-        if rec.mixed:
-            return StageEquilibrium(kind="mixed", per_team=ws, epsilon=float(rec.epsilon))
-        return StageEquilibrium(kind="pure", per_team=[w.argmax() for w in ws],
-                                epsilon=float(rec.epsilon))
-
-    @property
-    def horizon(self):
-        return len(self.stages)
-
-    @property
-    def mixed_points(self) -> list:
-        """(stage, point index) of every mixed equilibrium, stage by stage."""
-        return [(t, tuple(idx.tolist())) for t, st in enumerate(self.stages)
-                for idx in np.argwhere(st.mixed)]
 
 
 class KernelCache:
@@ -283,31 +247,30 @@ def _stage_tensors(own, cont, shape) -> list:
                                  else cont[k]) for k, c in enumerate(own)]
 
 
-def _backward(spec: GameSpec, sets, Z, points_shape, label, continuation,
-              pure_only: bool):
-    """Backward induction over stages T-1 .. 0 at the joint points Z (C
-    order of ``points_shape``): own cost tables, ``continuation`` of the
-    next values (K, *points_shape) as (K, P, *menu shape), stage tensors,
-    then ``_solve_points``; ``label(idx)`` names a point.
+def _backward(spec: GameSpec, sets, lattice: JointLattice, continuation, pure_only: bool):
+    """Backward induction over stages T-1 .. 0 at the points of
+    ``lattice`` (C order): own cost tables, ``continuation`` of the next
+    values (K, *lattice shape) as (K, P, *menu shape), stage tensors, then
+    ``_solve_points``, which names a point by its ``lattice.ids`` entry.
 
     Returns the per-stage record arrays of equilibria and the per-team
-    equilibrium values (T, K, *points_shape)."""
+    equilibrium values (T, K, *lattice shape)."""
     T, K = spec.horizon, spec.n_teams
     shape = tuple(len(ps) for ps in sets)
-    values = np.zeros((T + 1, K) + tuple(points_shape))
+    values = np.zeros((T + 1, K) + lattice.shape)
     stages = [None] * T
     for t in range(T - 1, -1, -1):
-        own = [_cost_table(spec, k, sets[k], Z, t) for k in range(K)]
+        own = [_cost_table(spec, k, sets[k], lattice.z, t) for k in range(K)]
         tensors = _stage_tensors(own, None if t == T - 1 else continuation(values[t + 1]),
                                  shape)
-        stages[t], values[t] = _solve_points(tensors, t, points_shape, label, pure_only)
+        stages[t], values[t] = _solve_points(tensors, t, lattice.shape, lattice.ids, pure_only)
     return stages, values[:T]
 
 
-def _solve_points(tensors, t: int, points_shape, label, pure_only: bool):
+def _solve_points(tensors, t: int, points_shape, ids, pure_only: bool):
     """Equilibria (record array over ``points_shape``) and per-team values
     (K, *points_shape) of the stage games in the per-team tensors
-    (P, *menu shape), P points in C order.
+    (P, *menu shape), P points in C order, named ``ids[p]``.
 
     One pure pass covers every point: the lexicographically first pure
     profile with its epsilon and values read by indexing. solve_stage
@@ -327,9 +290,8 @@ def _solve_points(tensors, t: int, points_shape, label, pure_only: bool):
     values = np.empty((len(tensors), len(has)))
     values[:, pure] = vals
     for p in np.flatnonzero(~has):
-        idx = tuple(int(i) for i in np.unravel_index(p, points_shape))
         game = StageGame(tensors=tuple(X[p] for X in tensors))
-        eq = solve_stage(game, t, label(idx), pure_only=pure_only)
+        eq = solve_stage(game, t, ids[p], pure_only=pure_only)
         st[p] = (eq.kind == "mixed", eq.epsilon, *eq.weights(shape))
         values[:, p] = equilibrium_values(game, eq)
     return st.reshape(points_shape), values.reshape((len(tensors),) + tuple(points_shape))

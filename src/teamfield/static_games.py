@@ -20,7 +20,7 @@ from .errors import SpecParseError, SpecValidationError
 PAYOFF_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StaticGame:
     payoffs: tuple              # per player, tensor over joint actions
     team_partition: tuple       # tuple of tuples of player indices

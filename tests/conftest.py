@@ -96,6 +96,15 @@ def identity_dynamics_spec(population=3, horizon=2, cost=1.0):
     }
 
 
+def one_state_two_team():
+    """Two teams of two agents with one state and two actions each."""
+    def team(k):
+        return {"states": ["only"], "actions": ["a0", "a1"], "population": 2,
+                "initial_law": [1.0], "transition": {"base": [[[1.0], [1.0]]]},
+                "cost": {"base": [[[0.2 + k, 0.5]], [[0.7, 0.1 * k]]]}}
+    return {"horizon": 2, "seed": 0, "teams": [team(0), team(1)]}
+
+
 def assert_simplex(v, tol=1e-9):
     v = np.asarray(v, dtype=float)
     assert np.all(v >= -tol)

@@ -20,11 +20,11 @@ from scipy.special import gammaln, xlogy
 
 from teamfield.counts import (DEFAULT_SUPPORT_CAP, PRUNE_TOL, CountDistribution,
                               CountVector, JointCount, Prescription, _finalize,
-                              count_point, enumerate_counts, joint_transition_kernel,
-                              stage_cost, team_transition_kernel)
+                              count_point, enumerate_counts,
+                              joint_transition_kernel, stage_cost, team_transition_kernel)
 from teamfield.errors import CapacityError, EquilibriumNotFoundError, SpecValidationError
 from teamfield.finite_mpe import PolicyTable, _average, initial_distribution
-from teamfield.limit import flow
+from teamfield.limit import SimplexGrid, flow
 from teamfield.metrics import LIPSCHITZ_BLOCK_PAIRS, transport_distance
 from teamfield.model import GameSpec, flatten_mean_field, transition_matrix
 from teamfield.rng import substream
@@ -483,16 +483,41 @@ def _records(policy, values, z_of):
     return records
 
 
+def format_counts(counts) -> str:
+    vals = counts.counts if isinstance(counts, CountVector) else counts
+    return "-".join(str(int(c)) for c in vals)
+
+
+def z_id_oracle(lattice, idx) -> str:
+    """Name of one count-lattice point: its per-team counts through
+    ``format_counts``, joined by ``/``."""
+    return "/".join(format_counts(c) for c in lattice.counts_at(idx))
+
+
+def point_id_oracle(grid, idx) -> str:
+    """Name of one simplex-grid point: per team, its occupancy times the
+    resolution n rounded to counts c, each written ``c:n`` and joined by
+    ``/``; the teams joined by ``|``."""
+    parts = []
+    for k, n in enumerate(grid.resolutions):
+        v = np.rint(grid.points[k][idx[k]] * n).astype(int)
+        parts.append("/".join("%d:%d" % (x, n) for x in v))
+    return "|".join(parts)
+
+
+def record_z_oracle(lattice, idx):
+    """The ``z`` value of one point's policy.json records: the point id
+    on a simplex grid, the per-team count lists on the count lattice."""
+    if isinstance(lattice, SimplexGrid):
+        return point_id_oracle(lattice, idx)
+    return [list(c) for c in lattice.counts_at(idx)]
+
+
 def policy_json_oracle(policy, values, spec_hash: str) -> str:
-    """The bytes of ``policy.json`` for a finite (``PolicyTable``) or limit
-    (``LimitPolicyTable``) policy and its value table, from ``_records``
+    """The bytes of ``policy.json`` for a solved policy on the count
+    lattice or a simplex grid and its value table, from ``_records``
     through ``json.dumps``."""
-    if hasattr(policy, "grid"):
-        records = _records(policy, values.values, policy.grid.point_id)
-    else:
-        lattice = policy.lattice
-        records = _records(policy, values.values,
-                           lambda idx: [list(c) for c in lattice.counts_at(idx)])
+    records = _records(policy, values.values, lambda idx: record_z_oracle(policy.lattice, idx))
     return json.dumps({"records": records, "spec_sha256": spec_hash},
                       sort_keys=True, indent=2) + "\n"
 

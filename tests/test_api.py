@@ -10,6 +10,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import teamfield as tf
 
 from conftest import cyclic_pursuit_three_team
@@ -20,7 +23,7 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # that defined them
 NOT_IN_SRC = {
     "counts": ("action_count_dist", "nextstate_count_dist", "marginalize_counts",
-               "sample_next_counts", "_multinomial_pmf", "mixture_rows"),
+               "sample_next_counts", "_multinomial_pmf", "mixture_rows", "format_counts"),
     "model": ("eval_transition", "eval_cost", "_kr_norm", "transition_lipschitz",
               "cost_lipschitz"),
     "stage_game": ("build_stage_game", "ContinuationTable", "stage_pure_nash_loop",
@@ -98,3 +101,32 @@ def test_benchmark_policy_reader_sums_the_stage_epsilons(monkeypatch):
     result = tf.solve_mpe(spec, sets)
     total = sum(st.epsilon.max() for st in result[0].stages)
     assert total > 1e-9 and note((spec, sets), {}, result) == total
+
+
+def _prescription():
+    return tf.Prescription(team_id=0, rows=np.array([[0.5, 0.5]]))
+
+
+VALUE_TYPES = {
+    "Prescription": _prescription,
+    "MeanField": lambda: tf.MeanField(per_team=(np.array([0.5, 0.5]),)),
+    "PrescriptionSet": lambda: tf.PrescriptionSet(team_id=0, items=(_prescription(),)),
+    "CountDistribution": lambda: tf.CountDistribution(
+        support=(tf.CountVector(team_id=0, counts=(1,)),), probs=np.array([1.0])),
+    "StageGame": lambda: tf.StageGame(tensors=(np.zeros((2, 2)), np.ones((2, 2)))),
+    "StageEquilibrium": lambda: tf.StageEquilibrium(
+        kind="mixed", per_team=(np.array([0.5, 0.5]),) * 2, epsilon=0.0),
+    "StaticGame": lambda: tf.StaticGame(
+        payoffs=(np.zeros((2,)),), team_partition=((0,),), action_labels=(("a", "b"),),
+        player_names=("p",)),
+    "PolicyTable": lambda: tf.PolicyTable(stages=[np.zeros(1)], sets=(), lattice=None),
+    "ValueTable": lambda: tf.ValueTable(values=np.zeros((1, 1, 2))),
+}
+
+
+@pytest.mark.parametrize("name", VALUE_TYPES)
+def test_value_types_holding_arrays_compare_by_identity(name):
+    """== and hash never reach an array's ambiguous truth value."""
+    a, b = VALUE_TYPES[name](), VALUE_TYPES[name]()
+    assert a == a and not a == b and a != b
+    assert isinstance(hash(a), int) and hash(a) != hash(b)

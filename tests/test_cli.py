@@ -13,7 +13,7 @@ from teamfield.cli import main
 from teamfield.errors import SpecValidationError
 
 from conftest import (DATA, cyclic_pursuit_three_team, deterministic_two_team,
-                      minimal_team, perfbench_gen, write_json)
+                      minimal_team, one_state_two_team, perfbench_gen, write_json)
 from oracles import policy_json_oracle
 
 REFERENCE = DATA / "two_team_reference.json"
@@ -168,6 +168,18 @@ def test_grid_g_zero_means_pure_menus(tmp_path):
         teamfield.build_prescription_set(spec, 0, g=0)
 
 
+@pytest.mark.parametrize("mode", ["solve-infinite", "bound"])
+def test_simplex_n_zero_exits_2(tmp_path, mode):
+    """--simplex-n 0 is a grid resolution below 1, not the default grid."""
+    code = main([mode, "--spec", str(REFERENCE), "--simplex-n", "0", "--n-sweep", "2",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    err = _read(tmp_path / mode / "error.json")
+    assert err["error"] == "SpecValidationError"
+    assert "grid resolution must be >= 1" in err["message"]
+    assert not (tmp_path / mode / "manifest.json").exists()
+
+
 def test_solve_infinite_artifacts(tmp_path):
     assert main(["solve-infinite", "--spec", str(REFERENCE),
                  "--out", str(tmp_path)]) == 0
@@ -266,19 +278,10 @@ def test_bound_mode_reports_envelope(tmp_path):
     assert len(rate) == 2 + 6
 
 
-def _one_state_game():
-    """Two teams of two agents with one state and two actions each."""
-    def team(k):
-        return {"states": ["only"], "actions": ["a0", "a1"], "population": 2,
-                "initial_law": [1.0], "transition": {"base": [[[1.0], [1.0]]]},
-                "cost": {"base": [[[0.2 + k, 0.5]], [[0.7, 0.1 * k]]]}}
-    return {"horizon": 2, "seed": 0, "teams": [team(0), team(1)]}
-
-
 def test_bound_on_one_state_teams_exits_0(tmp_path):
     """With one state per team every grid has one point: no pair to take a
     Lipschitz quotient over, so the estimates are 0, not a spec error."""
-    spec = write_json(tmp_path / "one.json", _one_state_game())
+    spec = write_json(tmp_path / "one.json", one_state_two_team())
     assert main(["bound", "--spec", str(spec), "--out", str(tmp_path),
                  "--n-sweep", "2,4"]) == 0
     rep = _read(tmp_path / "bound" / "bound.json")
@@ -296,7 +299,7 @@ POLICY_GAMES = {
     "pursuit": lambda: perfbench_gen().pursuit_evasion(1),
     "cyclic": lambda: perfbench_gen().cyclic_pursuit(1),
     "reference_16": lambda: perfbench_gen().reference(1, 16),
-    "one_state": _one_state_game,
+    "one_state": one_state_two_team,
 }
 
 

@@ -101,7 +101,7 @@ def test_solve_mpe_inf_certifies_stagewise(reference_spec, reference_sets):
     assert not policy.mixed_points
     # every stored stage equilibrium carries a certified epsilon
     for t in range(policy.horizon):
-        for idx in policy.grid.indices():
+        for idx in policy.lattice.indices():
             assert policy.equilibrium(t, idx).epsilon <= 1e-9
     assert log.max_error[-1] == 0.0       # terminal stage projects nothing
 
@@ -120,6 +120,32 @@ def test_mixed_points_list_the_mixed_stage_equilibria():
         assert mixed
         assert policy.mixed_points == sorted(mixed)
     assert tf.lift_policy(projected).randomized
+
+
+@pytest.mark.parametrize("grid_of", [
+    lambda spec: SimplexGrid(spec, [tm.population for tm in spec.teams]), default_grid],
+    ids=["resolution_N", "resolution_2N"])
+def test_grid_tables_are_refused_where_the_count_lattice_is_read(reference_spec,
+                                                                 reference_sets, grid_of):
+    """A limit table lists its points in the grid's (ascending) order. The
+    readers of count-lattice kernels, laws and ranks refuse it, also on
+    the grid at resolution N, whose shape and populations equal the count
+    lattice's, instead of reading the mirrored points' records; the
+    table projected to the lattice is read."""
+    spec, sets = reference_spec, reference_sets
+    policy, _, _ = solve_mpe_inf(spec, sets, grid=grid_of(spec))
+    for call in (lambda: tf.verify_mpe(spec, policy, sets),
+                 lambda: tf.finite_mpe.policy_value(spec, policy),
+                 lambda: tf.best_response(spec, 0, policy, sets),
+                 lambda: tf.evaluate_total_cost(spec, policy),
+                 lambda: tf.lift_policy(policy),
+                 lambda: tf.estimate_cost(spec, tf.LiftedPolicy(table=policy), episodes=10)):
+        with pytest.raises(SpecValidationError, match="project_policy_to_lattice"):
+            call()
+    projected = tf.project_policy_to_lattice(spec, policy)
+    cert = tf.verify_mpe(spec, projected, sets)
+    assert cert.gains.shape[2:] == tf.JointLattice(spec).shape and cert.max_gain >= 0
+    tf.estimate_cost(spec, tf.lift_policy(projected), episodes=10)
 
 
 def test_pure_limit_solve_builds_no_stage_equilibrium(reference_spec, reference_sets,
@@ -192,7 +218,7 @@ def test_limit_values_approach_finite_values(reference_spec, reference_sets,
         worst = 0.0
         for idx in lattice.indices():
             z = lattice.mean_field(idx)
-            gidx, err = project_indices(z, lpolicy.grid)
+            gidx, err = project_indices(z, lpolicy.lattice)
             assert err == 0.0
             for k in range(2):
                 a = values.values[(0, k) + idx]

@@ -39,7 +39,8 @@ def _constant_table_policy(spec, rows=FIXED_ROWS):
     st.mixed, st.epsilon = False, 0.0
     policy = PolicyTable(stages=[st] * spec.horizon, sets=sets, lattice=lattice)
     ref = StageEquilibrium(kind="pure", per_team=(0,) * spec.n_teams, epsilon=0.0)
-    assert all(policy.equilibrium(t, idx) == ref
+    fields = lambda eq: (eq.kind, eq.per_team, eq.epsilon)    # noqa: E731
+    assert all(fields(policy.equilibrium(t, idx)) == fields(ref)
                for t in range(spec.horizon) for idx in lattice.indices())
     return lift_policy(policy)
 
@@ -201,6 +202,15 @@ def test_kernel_check_deterministic_dynamics():
     assert rep.confidence_radius == 0.0
     assert rep.support_size == 1
     assert rep.as_dict()["samples"] == 200
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_kernel_check_needs_a_sample(samples):
+    spec = tf.load_spec(json.dumps(identity_dynamics_spec(population=3)))
+    gammas = (tf.build_prescription_set(spec, 0).items[0],)
+    z = MeanField(per_team=(np.array([1.0, 2.0]) / 3,))
+    with pytest.raises(SpecValidationError, match="at least one sample"):
+        empirical_kernel_check(spec, z, gammas, samples=samples, master_seed=0)
 
 
 def test_kernel_check_reference(reference_spec, reference_sets):

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from teamfield import stage_game
 from teamfield.errors import (EquilibriumNotFoundError, NoPureEquilibriumError,
                               SpecValidationError)
-from teamfield.stage_game import (PURE_TOL, EquilibriumTable, StageEquilibrium, StageGame,
+from teamfield.finite_mpe import PolicyTable
+from teamfield.stage_game import (PURE_TOL, StageEquilibrium, StageGame,
                                   _pure_mask, _solve_points, br_iteration, certify_epsilon,
                                   equilibrium_values, mixed_nash_2team, solve_stage)
 
@@ -55,7 +56,7 @@ def _same(eq, ref):
 
 def _at(stage, idx):
     """The equilibrium that a stage record array of _solve_points holds at idx."""
-    return EquilibriumTable(stages=[stage], sets=()).equilibrium(0, idx)
+    return PolicyTable(stages=[stage], sets=(), lattice=None).equilibrium(0, idx)
 
 
 def _solve_or_error(solver, game):
@@ -107,7 +108,7 @@ def test_two_team_stage_falls_back_to_fictitious_play(monkeypatch):
     monkeypatch.setattr(stage_game, "br_iteration", lambda g: calls.append(g) or br_iteration(g))
     _same(solve_stage(game, 0, "z"), ref)
     tensors = [X[None] for X in game.tensors]
-    eqs, values = _solve_points(tensors, 0, (1,), str, False)
+    eqs, values = _solve_points(tensors, 0, (1,), ["z"], False)
     _same(_at(eqs, (0,)), ref)
     assert np.array_equal(values[:, 0], equilibrium_values(game, ref))
     assert len(calls) == 2
@@ -120,7 +121,7 @@ def test_two_team_stage_falls_back_to_fictitious_play(monkeypatch):
     with pytest.raises(NoPureEquilibriumError):
         solve_stage(game, 0, "z", pure_only=True)
     with pytest.raises(NoPureEquilibriumError):
-        _solve_points(tensors, 0, (1,), str, True)
+        _solve_points(tensors, 0, (1,), ["z"], True)
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -176,7 +177,8 @@ def test_pure_pass_matches_solve_stage_point_by_point(K, P, seed):
     tensors = _stage_tensors(rng, K, P)
     points_shape = (P,) if P % 2 else (2, P // 2)
     label = lambda idx: "z%s" % (idx,)
-    eqs, values = _solve_points(tensors, 1, points_shape, label, False)
+    ids = [label(idx) for idx in np.ndindex(points_shape)]
+    eqs, values = _solve_points(tensors, 1, points_shape, ids, False)
     assert eqs.shape == points_shape and values.shape == (K,) + points_shape
     for p, idx in enumerate(np.ndindex(points_shape)):
         game = _game([X[p] for X in tensors])
@@ -197,10 +199,10 @@ def test_pure_pass_matches_solve_stage_point_by_point(K, P, seed):
     first = next((idx for p, idx in enumerate(np.ndindex(points_shape))
                   if not stage_pure_nash_loop(_game([X[p] for X in tensors]))), None)
     if first is None:
-        _solve_points(tensors, 1, points_shape, label, True)
+        _solve_points(tensors, 1, points_shape, ids, True)
         return
     with pytest.raises(NoPureEquilibriumError) as err:
-        _solve_points(tensors, 1, points_shape, label, True)
+        _solve_points(tensors, 1, points_shape, ids, True)
     assert (err.value.stage, err.value.z) == (1, label(first))
 
 
@@ -210,7 +212,7 @@ def test_pure_pass_rejects_non_finite_tensors(bad):
     tensors = _stage_tensors(rng, 2, 4)
     tensors[1][3, 0, 1] = bad
     with pytest.raises(SpecValidationError):
-        _solve_points(tensors, 0, (4,), str, False)
+        _solve_points(tensors, 0, (4,), list("abcd"), False)
 
 
 def test_pure_pass_values_keep_the_sign_of_zero_of_the_contraction():
@@ -218,7 +220,7 @@ def test_pure_pass_values_keep_the_sign_of_zero_of_the_contraction():
     one-hot contraction of equilibrium_values gives."""
     A = np.array([[-0.0, 1.0], [2.0, 3.0]])
     B = np.array([[-0.0, -0.0], [1.0, 1.0]])
-    eqs, values = _solve_points([A[None], B[None]], 0, (1,), str, False)
+    eqs, values = _solve_points([A[None], B[None]], 0, (1,), ["z"], False)
     game = _game([A, B])
     ref = equilibrium_values(game, _at(eqs, (0,)))
     assert _at(eqs, (0,)).per_team == (0, 0)
