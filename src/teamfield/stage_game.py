@@ -115,8 +115,8 @@ class StageEquilibrium:
     def __post_init__(self):
         if self.kind not in ("pure", "mixed"):
             raise SpecValidationError("equilibrium kind must be pure or mixed")
-        if self.epsilon < 0:
-            raise SpecValidationError("epsilon must be nonnegative")
+        if not (np.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise SpecValidationError("epsilon must be a finite nonnegative number")
         if self.kind == "mixed":
             vecs = tuple(np.asarray(v, dtype=float) for v in self.per_team)
             for v in vecs:
@@ -361,13 +361,16 @@ def equilibrium_values(game: StageGame, eq: StageEquilibrium) -> np.ndarray:
 def _own_cost_vector(tensor: np.ndarray, weights, k: int) -> np.ndarray:
     """Expected cost of team k per own index, others at their mixtures.
 
-    Contracts the highest axis first so remaining axis positions stay put.
+    Contracts the highest axis first so remaining axis positions stay put,
+    each step by the same np.dot call that np.tensordot makes.
     """
     X = tensor
     for j in range(len(weights) - 1, -1, -1):
         if j == k:
             continue
-        X = np.tensordot(X, weights[j], axes=(j, 0))
+        others = [i for i in range(X.ndim) if i != j]
+        X = np.dot(X.transpose(others + [j]).reshape(-1, X.shape[j]),
+                   weights[j].reshape(-1, 1)).reshape([X.shape[i] for i in others])
     return X
 
 
@@ -474,35 +477,47 @@ def _indifference_solve(M: np.ndarray, size: int):
 def br_iteration(game: StageGame, max_iters: int = 200) -> StageEquilibrium:
     """Damped fictitious play over menu indices.
 
-    Each round certifies the pure best-reply profile, then the running
-    mixtures, and keeps the first visited profile with the smallest
-    epsilon, pure before mixed at equal epsilon; it stops once that
-    epsilon is at most CERT_TOL, and reports it honestly when it never
-    gets there. The mixtures are certified from the own-cost vectors of
-    the best-reply step, the pure profile by indexing, both exactly what
-    certify_epsilon gives.
+    Round r plays best replies to row r of the weight history hist[k]
+    (uniform at row 0; row r + 1 is row r times 1 - alpha plus alpha on
+    the best reply, alpha = 1 / (r + 2)). Of each round's pure best-reply
+    profile, then running mixtures, the first visited profile with the
+    smallest epsilon is kept, pure before mixed at equal epsilon; play
+    stops at the first round where that epsilon is at most CERT_TOL, and
+    reports it honestly when it never gets there. The mixtures are
+    certified from the best-reply step's own-cost vectors, the pure
+    profiles by indexing in one _pure_certificate call per block of
+    rounds, blocks doubling in length (1, 2, 4, ...): a game certified at
+    round r plays fewer than 2r rounds, and the result is bitwise that of
+    certifying round by round with certify_epsilon.
     """
-    K = game.n_teams
+    if max_iters < 1:
+        raise SpecValidationError("fictitious play needs max_iters >= 1")
     tensors = [T[None] for T in game.tensors]
-    weights = [np.full(n, 1.0 / n) for n in game.shape]
-    best = None     # (epsilon, 0 for pure or 1 for mixed, profile)
-    for it in range(1, max_iters + 1):
-        own = [_own_cost_vector(game.tensors[k], weights, k) for k in range(K)]
-        brs = tuple(int(np.argmin(e)) for e in own)
-        eps, _ = _pure_certificate(tensors, [0], [brs])
-        if best is None or (float(eps[0]), 0) < best[:2]:
-            best = (float(eps[0]), 0, brs)
-        mixed = _epsilon(weights, own)
-        if (mixed, 1) < best[:2]:
-            best = (mixed, 1, tuple(w.copy() for w in weights))
-        if best[0] <= CERT_TOL:
-            break
-        alpha = 1.0 / (it + 1.0)
-        for k in range(K):
-            weights[k] *= (1.0 - alpha)
-            weights[k][brs[k]] += alpha
-    return StageEquilibrium(kind=("pure", "mixed")[best[1]], per_team=best[2],
-                            epsilon=best[0])
+    hist = [np.full((max_iters + 1, n), 1.0 / n) for n in game.shape]
+    brs, mixed = np.empty((max_iters, game.n_teams), dtype=np.intp), np.empty(max_iters)
+    best, start = None, 0     # best: (epsilon, 0 for pure or 1 for mixed, round)
+    while best is None or (best[0] > CERT_TOL and start < max_iters):
+        stop = min(2 * start + 1, max_iters)
+        for r in range(start, stop):
+            weights = [h[r] for h in hist]
+            own = [_own_cost_vector(T, weights, k) for k, T in enumerate(game.tensors)]
+            brs[r] = [e.argmin() for e in own]
+            mixed[r] = _epsilon(weights, own)
+            alpha = 1.0 / (r + 2.0)
+            for h, i in zip(hist, brs[r]):
+                np.multiply(h[r], 1.0 - alpha, out=h[r + 1])
+                h[r + 1, i] += alpha
+        pure, _ = _pure_certificate(tensors, np.zeros(stop - start, np.intp), brs[start:stop])
+        for r in range(start, stop):
+            for cand in ((float(pure[r - start]), 0, r), (float(mixed[r]), 1, r)):
+                if best is None or cand[:2] < best[:2]:
+                    best = cand
+            if best[0] <= CERT_TOL:
+                break
+        start = stop
+    eps, kind, r = best
+    per_team = brs[r] if kind == 0 else tuple(h[r].copy() for h in hist)
+    return StageEquilibrium(kind=("pure", "mixed")[kind], per_team=per_team, epsilon=eps)
 
 
 def solve_stage(game: StageGame, t: int, z_label, pure_only: bool = False) -> StageEquilibrium:

@@ -31,7 +31,7 @@ from teamfield.rng import substream
 from teamfield.simulate import KernelCheckReport, _cdf, _pick
 from teamfield.stage_game import (CERT_TOL, DEFAULT_SUPPORT_BOUND, PURE_TOL, KernelCache,
                                   StageEquilibrium, StageGame, _cost_table,
-                                  _indifference_solve, _own_cost_vector, _support_pairs,
+                                  _indifference_solve, _support_pairs,
                                   certify_epsilon)
 
 
@@ -363,6 +363,16 @@ def mixed_nash_2team_unpruned(game: StageGame) -> StageEquilibrium:
         "no equilibrium with supports of size <= %d certified" % DEFAULT_SUPPORT_BOUND)
 
 
+def own_cost_vector_tensordot(tensor: np.ndarray, weights, k: int) -> np.ndarray:
+    """``stage_game._own_cost_vector`` as a chain of ``np.tensordot``
+    calls, highest axis first."""
+    X = tensor
+    for j in range(len(weights) - 1, -1, -1):
+        if j != k:
+            X = np.tensordot(X, weights[j], axes=(j, 0))
+    return X
+
+
 def br_iteration_recertified(game: StageGame, max_iters: int = 200,
                              tol: float = CERT_TOL) -> StageEquilibrium:
     """``stage_game.br_iteration`` certifying every visited profile with
@@ -382,7 +392,7 @@ def br_iteration_recertified(game: StageGame, max_iters: int = 200,
             best = (eps, rank[1], rank[2], eq)
 
     for it in range(1, max_iters + 1):
-        brs = [int(np.argmin(_own_cost_vector(game.tensors[k], weights, k)))
+        brs = [int(np.argmin(own_cost_vector_tensordot(game.tensors[k], weights, k)))
                for k in range(K)]
         consider(StageEquilibrium(kind="pure", per_team=tuple(brs), epsilon=0.0))
         consider(StageEquilibrium(kind="mixed",

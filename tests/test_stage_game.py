@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from teamfield.errors import CapacityError, NoPureEquilibriumError
+from teamfield.errors import CapacityError, NoPureEquilibriumError, SpecValidationError
 from teamfield.stage_game import (DEFAULT_SUPPORT_BOUND, StageEquilibrium, StageGame,
                                   _pure_mask, _support_pairs, br_iteration,
                                   build_prescription_set, certify_epsilon,
@@ -166,6 +166,21 @@ def test_br_iteration_reports_best_visited():
     eq = br_iteration(g, max_iters=400)
     assert eq.epsilon == pytest.approx(certify_epsilon(g, eq), abs=1e-15)
     assert eq.epsilon < 0.51
+
+
+@pytest.mark.parametrize("rounds", [0, -1])
+def test_br_iteration_needs_a_round(rounds):
+    g = game2([[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(SpecValidationError):
+        br_iteration(g, max_iters=rounds)
+
+
+@pytest.mark.parametrize("eps", [np.nan, np.inf, -0.5])
+def test_equilibrium_epsilon_is_a_finite_nonnegative_number(eps):
+    with pytest.raises(SpecValidationError):
+        StageEquilibrium(kind="pure", per_team=(0,), epsilon=eps)
+    with pytest.raises(SpecValidationError):
+        StageEquilibrium(kind="mixed", per_team=([0.5, 0.5],), epsilon=eps)
 
 
 def test_select_equilibrium_prefers_pure_then_lex():

@@ -1,17 +1,19 @@
 """The stage-game solvers against their slow exact forms.
 
 Support enumeration skips conditionally dominated support pairs; it must
-return what the unpruned scan returns. Fictitious play certifies from the
-vectors of its best-reply step; it must return what re-certifying every
-profile returns. The backward driver solves the pure stage games of a
-stage in one pass; it must return what ``solve_stage`` returns point by
-point, and its pure mask what the profile-by-profile check lists. All
-are compared bitwise.
+return what the unpruned scan returns. Own-cost vectors are contracted
+without ``np.tensordot``; they must be what its chain gives. Fictitious
+play certifies from the vectors of its best-reply step, and its pure
+profiles in blocks of rounds; it must return what re-certifying every
+profile round by round returns. The backward driver solves the pure
+stage games of a stage in one pass; it must return what ``solve_stage``
+returns point by point, and its pure mask what the profile-by-profile
+check lists. All are compared bitwise.
 """
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from teamfield import stage_game
@@ -19,11 +21,12 @@ from teamfield.errors import (EquilibriumNotFoundError, NoPureEquilibriumError,
                               SpecValidationError)
 from teamfield.finite_mpe import PolicyTable
 from teamfield.stage_game import (PURE_TOL, StageEquilibrium, StageGame,
-                                  _pure_mask, _solve_points, br_iteration, certify_epsilon,
-                                  equilibrium_values, mixed_nash_2team, solve_stage)
+                                  _own_cost_vector, _pure_mask, _solve_points, br_iteration,
+                                  certify_epsilon, equilibrium_values, mixed_nash_2team,
+                                  solve_stage)
 
 from oracles import (br_iteration_recertified, mixed_nash_2team_unpruned,
-                     stage_pure_nash_loop)
+                     own_cost_vector_tensordot, stage_pure_nash_loop)
 
 PAYOFFS = ("normal", "integer", "duplicated", "constant")
 
@@ -131,6 +134,59 @@ def test_fictitious_play_matches_the_recertifying_loop(K, kind, seed):
     shape = tuple(int(n) for n in rng.integers(1, 5, size=K))
     game = _game([_payoffs(rng, kind, shape) for _ in range(K)])
     _same(br_iteration(game), br_iteration_recertified(game))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=4), st.sampled_from(PAYOFFS),
+       st.integers(0, 2 ** 32 - 1))
+@example([3, 1, 4], "normal", 0)
+def test_own_cost_vector_matches_the_tensordot_chain(shape, kind, seed):
+    rng = np.random.default_rng(seed)
+    tensor = _payoffs(rng, kind, tuple(shape))
+    weights = [rng.dirichlet(np.ones(n)) for n in shape]
+    for k in range(len(shape)):
+        mine = _own_cost_vector(tensor, weights, k)
+        ref = own_cost_vector_tensordot(tensor, weights, k)
+        assert mine.shape == ref.shape == (shape[k],)
+        assert np.array_equal(mine, ref)
+
+
+# first and last rounds of the doubling certification blocks 1, 2-3, 4-7, ...
+BLOCK_EDGES = [2 ** b + d for b in range(1, 9) for d in (-1, 0)]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(1, 4), st.one_of(st.sampled_from(BLOCK_EDGES), st.integers(1, 300)),
+       st.sampled_from(PAYOFFS + ("common",)), st.integers(0, 2 ** 32 - 1))
+def test_fictitious_play_matches_the_recertifying_loop_at_every_length(K, rounds, kind, seed):
+    """Any round budget, certifying early or not: "common" games give
+    every team the same cost tensor, where play reaches a pure
+    equilibrium after a few rounds."""
+    rng = np.random.default_rng(seed)
+    shape = tuple(int(n) for n in rng.integers(1, 6, size=K))
+    if kind == "common":
+        tensors = [_payoffs(rng, "normal", shape)] * K
+    else:
+        tensors = [_payoffs(rng, kind, shape) for _ in range(K)]
+    game = _game(tensors)
+    _same(br_iteration(game, max_iters=rounds),
+          br_iteration_recertified(game, max_iters=rounds))
+
+
+def test_fictitious_play_stops_at_the_certifying_round_inside_a_block():
+    """Round 2 certifies a pure profile at epsilon 2**-31 and round 3, in
+    the same block of rounds, would offer one at epsilon 0: play stops at
+    round 2, as the round-by-round rule does."""
+    whole = [[[[1, 0], [1, 0]], [[0, 1], [1, 0]]],
+             [[[2, 2], [1, 1]], [[0, 2], [1, 2]]],
+             [[[0, 1], [2, 1]], [[2, 2], [2, 2]]]]
+    tiny = [[[[1, 0], [0, 1]], [[1, 1], [0, 1]]],
+            [[[0, 0], [0, 0]], [[1, 0], [0, 1]]],
+            [[[0, 1], [1, 1]], [[0, 0], [0, 1]]]]
+    game = _game([np.add(W, 2.0 ** -31 * np.array(D)) for W, D in zip(whole, tiny)])
+    eq = br_iteration(game)
+    assert (eq.kind, eq.per_team, eq.epsilon) == ("pure", (1, 1, 1), 2.0 ** -31)
+    _same(eq, br_iteration_recertified(game))
 
 
 TIE_GAMES = [
