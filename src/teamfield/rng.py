@@ -10,8 +10,9 @@ streams for the episode indices they own instead of sharing a generator.
 ``stream_uniforms`` derives many streams that differ only in a last int
 label (one per episode) at once: it runs SeedSequence's entropy hash
 (NEP 19 keeps it stable) as uint32 column operations over all of them,
-then sets one PCG64 to each stream's seeded state in turn. Its rows are
-bitwise those of ``substream``.
+then sets one PCG64 to each stream's seeded state in turn, refilling one
+state dict for its ``state`` setter rather than building one per stream.
+Its rows are bitwise those of ``substream``.
 """
 
 import functools
@@ -34,15 +35,8 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 def _label_words(label):
     """Map one label (int or str) to uint32 entropy words."""
     if isinstance(label, (int, np.integer)):
-        v = int(label)
-        if v < 0:
-            raise ValueError("stream labels must be nonnegative, got %r" % (label,))
-        words = []
-        while True:
-            words.append(v & _MASK32)
-            v >>= 32
-            if v == 0:
-                return words
+        words, count = _id_words([int(label)])
+        return words[:count[0], 0].tolist()
     if isinstance(label, str):
         return _str_words(label)
     raise TypeError("stream label must be int or str, got %r" % (label,))
@@ -67,8 +61,8 @@ def substream(master_seed, *labels) -> np.random.Generator:
     return np.random.default_rng(seed_sequence(master_seed, *labels))
 
 
-def _pcg64_states(entropy: np.ndarray) -> list:
-    """(state, inc) of ``PCG64(SeedSequence(e))`` for each column e of the
+def _pcg64_states(entropy: np.ndarray):
+    """Yield (state, inc) of ``PCG64(SeedSequence(e))`` for each column e of the
     uint32 entropy array ``entropy`` (words, rows): SeedSequence's pool
     mixing and ``generate_state(4, uint64)`` one word row at a time, then
     ``pcg64_set_seed``. Every operand of the hash is a uint32 array (never a
@@ -106,29 +100,49 @@ def _pcg64_states(entropy: np.ndarray) -> list:
     # generate_state(4, uint64) pairs the words little-endian; pcg64_set_seed
     # takes (high, low) halves: initstate from uint64 0 and 1, initseq from 2 and 3.
     v = [(words[2 * j] | (words[2 * j + 1] << np.uint64(32))).tolist() for j in range(4)]
-    states = []
     for s_hi, s_lo, q_hi, q_lo in zip(*v):
         inc = ((q_hi << 65) | (q_lo << 1) | 1) & _MASK128
-        states.append((((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128, inc))
-    return states
+        yield ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128, inc
+
+
+def _id_words(ids):
+    """The uint32 entropy words of nonnegative int ids, low word first: the
+    columns of a (words, len(ids)) uint32 array, zero past each id's last
+    word, and each id's word count."""
+    e = np.asarray(ids)
+    if e.dtype.kind not in "iu":          # empty, or ids a fixed-width int cannot hold
+        e = np.array(ids, dtype=object)
+    else:                                 # a narrower dtype cannot hold the 32-bit mask
+        e = e.astype(np.uint64 if e.dtype.kind == "u" else np.int64)
+    if e.size and e.min() < 0:
+        raise ValueError("stream labels must be nonnegative, got %r" % (int(e.min()),))
+    words, count = [(e & _MASK32).astype(np.uint32)], np.ones(e.shape, dtype=np.intp)
+    while (e := e >> 32).any():
+        words.append((e & _MASK32).astype(np.uint32))
+        count += e != 0
+    return np.stack(words), count
 
 
 def stream_uniforms(master_seed, label, ids, out: np.ndarray) -> np.ndarray:
     """Fill row i of the float64 array ``out`` (len(ids), n) with
     ``substream(master_seed, label, ids[i]).random(n)``, bit for bit.
 
-    The seeding of all rows runs as array operations (``_pcg64_states``),
-    grouped by the entropy length of the ids (an id of 2**32 or more takes
-    two words, 2**64 or more three, ...); one PCG64 then draws every row."""
-    head = _label_words(int(master_seed) & _MASK64) + list(_label_words(label))
-    words = [_label_words(e) for e in ids]
+    The seeding of all rows runs as array operations (``_id_words``,
+    ``_pcg64_states``), grouped by the entropy length of the ids (an id of
+    2**32 or more takes two words, 2**64 or more three, ...); one PCG64
+    then draws every row, its ``state`` set from one reused dict."""
+    head = np.array(_label_words(int(master_seed) & _MASK64) + list(_label_words(label)),
+                    dtype=np.uint32)
+    words, count = _id_words(ids)
+    entropy = np.concatenate([np.repeat(head[:, None], len(count), axis=1), words])
     bitgen = np.random.PCG64(0)
     gen = np.random.Generator(bitgen)
-    for n in sorted({len(w) for w in words}):
-        rows = [i for i, w in enumerate(words) if len(w) == n]
-        entropy = np.array([head + words[i] for i in rows], dtype=np.uint32).T
-        for i, (state, inc) in zip(rows, _pcg64_states(entropy)):
-            bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                            "has_uint32": 0, "uinteger": 0}
+    state = bitgen.state
+    pcg = state["state"]
+    for n in np.unique(count):
+        rows = np.flatnonzero(count == n)
+        for i, (s, inc) in zip(rows.tolist(), _pcg64_states(entropy[:len(head) + n, rows])):
+            pcg["state"], pcg["inc"] = s, inc
+            bitgen.state = state
             gen.random(out=out[i])
     return out

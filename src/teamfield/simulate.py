@@ -8,17 +8,18 @@ values, and between empirical next-count frequencies and the exact count
 kernel, is what certifies the count reformulation end to end.
 
 ``simulate_episode`` defines the per-agent process and its draw order.
-``estimate_cost`` runs a lifted table policy in blocks of
-``BLOCK_EPISODES`` episodes with numpy: every episode draws the same
-uniforms in the same order from its own substream, and every table
-entry is the same per-point ``cost_matrix`` / ``transition_matrix`` value
-the per-episode process computes, so the per-episode costs are bitwise
-those of ``simulate_episode``, for any block boundaries and any worker
-count. A block seeds its episodes' substreams in bulk
-(``rng.stream_uniforms``) and picks actions and next states by comparing
-uniforms with one CDF column at a time (``_pick_rows``), never gathering
-whole CDF rows per agent; ``_pick`` stays the per-episode definition.
-Hand-written policies run one episode at a time through
+``estimate_cost`` runs a lifted table policy in blocks of episodes with
+numpy, as many per block as fit their uniforms in ``BLOCK_BYTES`` (at
+least one): every episode draws the same uniforms in the same order from
+its own substream, and every table entry is the same per-point
+``cost_matrix`` / ``transition_matrix`` value the per-episode process
+computes, so the per-episode costs are bitwise those of
+``simulate_episode``, for any block boundaries and any worker count. A
+block seeds its episodes' substreams in bulk (``rng.stream_uniforms``)
+and picks initial states, prescriptions, actions and next states by
+comparing uniforms with one CDF column at a time (``_pick_rows``), never
+gathering whole CDF rows per agent; ``_pick`` stays the per-episode
+definition. Hand-written policies run one episode at a time through
 ``simulate_episode``.
 """
 
@@ -35,7 +36,7 @@ from .errors import CapacityError, SpecValidationError
 from .model import GameSpec, cost_matrix, flatten_mean_field, transition_matrix
 from .rng import stream_uniforms, substream
 
-BLOCK_EPISODES = 256      # episodes per batched block; bounds a block's arrays
+BLOCK_BYTES = 4 << 20     # bytes of a block's uniform array (episodes x draws float64)
 
 
 def _cdf(weights: np.ndarray) -> np.ndarray:
@@ -55,12 +56,16 @@ def _pick_rows(cdf: np.ndarray, g: np.ndarray, u: np.ndarray) -> np.ndarray:
     """``_pick(cdf.reshape(-1, S)[g], u)`` without gathering the rows: the
     count of inner boundaries i < S - 1 with u > cdf[g, i]. A ``_cdf`` row
     ends at exactly 1.0 and a uniform is below 1, so the last boundary
-    never counts and no clamp is needed. ``g`` broadcasts against ``u``."""
+    never counts and no clamp is needed. ``g`` broadcasts against ``u``.
+    Counts add up in the smallest unsigned dtype that holds S - 1 (adding
+    a bool array into an intp one is several times slower) and are
+    returned as intp, so callers' index arithmetic cannot overflow."""
     flat = cdf.reshape(-1, cdf.shape[-1])
-    idx = np.zeros(np.broadcast_shapes(np.shape(g), np.shape(u)), dtype=np.intp)
+    idx = np.zeros(np.broadcast_shapes(np.shape(g), np.shape(u)),
+                   dtype=np.min_scalar_type(flat.shape[1] - 1))
     for i in range(flat.shape[1] - 1):
         idx += u > flat[:, i][g]
-    return idx
+    return idx.astype(np.intp)
 
 
 @dataclass
@@ -252,7 +257,7 @@ def _run_block(tab: _EpisodeTables, seed, episode_ids) -> np.ndarray:
     ep = np.arange(B)[:, None]
     states, pos = [], 0
     for k, N in enumerate(tab.populations):
-        states.append(_pick(tab.initial_cdf[k], U[:, pos:pos + N]))
+        states.append(_pick_rows(tab.initial_cdf[k], 0, U[:, pos:pos + N]))
         pos += N
     off = np.full(B, pos)
     costs = np.zeros((B, K))
@@ -263,7 +268,7 @@ def _run_block(tab: _EpisodeTables, seed, episode_ids) -> np.ndarray:
         choice = [tab.pure_item[k][t, p] for k in range(K)]
         m = np.flatnonzero(tab.mixed[t, p])
         for k in range(K):
-            choice[k][m] = _pick(tab.mixture_cdf[k][t, p[m]], U[m, off[m] + k])
+            choice[k][m] = _pick_rows(tab.mixture_cdf[k][t], p[m], U[m, off[m] + k])
         off[m] += K
         for k, N in enumerate(tab.populations):
             s, cols = states[k], off[:, None] + np.arange(N)
@@ -277,9 +282,12 @@ def _run_block(tab: _EpisodeTables, seed, episode_ids) -> np.ndarray:
 
 
 def _run_chunk(args):
+    """Run ``episode_ids`` in blocks whose uniform array fits in
+    ``BLOCK_BYTES``, or of one episode where one does not fit."""
     tab, seed, episode_ids = args
-    return np.concatenate([_run_block(tab, seed, episode_ids[i:i + BLOCK_EPISODES])
-                           for i in range(0, len(episode_ids), BLOCK_EPISODES)], axis=0)
+    size = max(1, BLOCK_BYTES // (8 * tab.draws))
+    return np.concatenate([_run_block(tab, seed, episode_ids[i:i + size])
+                           for i in range(0, len(episode_ids), size)], axis=0)
 
 
 def estimate_cost(spec: GameSpec, policy: LiftedPolicy, episodes: int, master_seed=None,
@@ -296,11 +304,10 @@ def estimate_cost(spec: GameSpec, policy: LiftedPolicy, episodes: int, master_se
         raise SpecValidationError("need at least one episode")
     seed = spec.seed if master_seed is None else master_seed
     tab = _episode_tables(spec, policy)
-    ids = list(range(episodes))
+    ids = np.arange(episodes)
     if workers > 1 and episodes > 1:
         from concurrent.futures import ProcessPoolExecutor   # loads multiprocessing
-        chunks = [c.tolist() for c in np.array_split(ids, min(workers * 4, episodes))
-                  if len(c)]
+        chunks = np.array_split(ids, min(workers * 4, episodes))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_run_chunk,
                                   [(tab, seed, c) for c in chunks]))
@@ -368,10 +375,11 @@ def empirical_kernel_check(spec: GameSpec, z, prescriptions,
     for k in range(spec.n_teams):
         tm = spec.teams[k]
         agent_states = np.repeat(np.arange(tm.n_states), counts_in[k])
-        a = _pick_rows(_cdf(prescriptions[k].rows), agent_states[None, :],
-                       rng.random((samples, tm.population)))
-        sp = _pick_rows(_cdf(transition_matrix(spec, k, zf)),
-                        agent_states * tm.n_actions + a, rng.random((samples, tm.population)))
+        row = _pick_rows(_cdf(prescriptions[k].rows), agent_states[None, :],
+                         rng.random((samples, tm.population)))
+        row += agent_states * tm.n_actions        # (state, action) row, in place
+        sp = _pick_rows(_cdf(transition_matrix(spec, k, zf)), row,
+                        rng.random((samples, tm.population)))
         index.append(_team_index(_rank_terms(tm.population, tm.n_states), sp))
     phat = np.bincount(np.ravel_multi_index(index, shape),
                        minlength=exact.size) / samples

@@ -66,8 +66,25 @@ def test_stream_uniforms_property(seed, label, ids, n):
     _check_rows(seed, label, ids, n)
 
 
+@pytest.mark.parametrize("ids, sample", [
+    (np.arange(5000), [0, 1, 255, 256, 1234, 4095, 4999]),
+    (np.array([2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1], dtype=np.uint64), [0, 1, 2]),
+    (np.arange(300, dtype=np.int32), [0, 1, 127, 128, 299]),
+    (np.array([0, 255, 2 ** 16 - 1], dtype=np.uint16), [0, 1, 2]),
+    (np.array([0, 127], dtype=np.int8), [0, 1]),
+])
+def test_stream_uniforms_with_integer_id_arrays(ids, sample):
+    """NumPy id arrays of every width, up to 2**64 - 1 (two words): the
+    32-bit word mask must not overflow a narrow dtype."""
+    got = stream_uniforms(3, "episode", ids, np.empty((len(ids), 5)))
+    expect = _substream_rows(3, "episode", [int(ids[i]) for i in sample], 5)
+    assert got[sample].tobytes() == expect.tobytes()
+
+
 def test_stream_uniforms_rejects_negative_ids():
     with pytest.raises(ValueError):
         substream(1, "episode", -1)
     with pytest.raises(ValueError):
         stream_uniforms(1, "episode", [3, -1], np.empty((2, 4)))
+    with pytest.raises(ValueError):
+        stream_uniforms(1, "episode", np.array([3, -1]), np.empty((2, 4)))

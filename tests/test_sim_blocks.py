@@ -1,11 +1,11 @@
 """The batched simulator against the per-episode process.
 
-``estimate_cost`` runs a lifted table policy in blocks of episodes; each
-episode must draw the same uniforms and pay the same costs as
-``simulate_episode`` on its substream, bit for bit, for any block size
-and worker count. The empirical kernel check ranks next counts on the
-joint lattice and counts them with ``np.bincount``; its report must
-equal the sample-by-sample loop against the dict-keyed joint kernel.
+``estimate_cost`` runs a lifted table policy in blocks of episodes sized
+by a byte budget; each episode must draw the same uniforms and pay the
+same costs as ``simulate_episode`` on its substream, bit for bit, for any
+block size and worker count. The empirical kernel check ranks next counts
+on the joint lattice and counts them with ``np.bincount``; its report
+must equal the sample-by-sample loop against the dict-keyed joint kernel.
 """
 
 import json
@@ -134,10 +134,58 @@ def test_single_episode(reference_spec):
     check_batched(reference_spec, 1)
 
 
+def _record_blocks(monkeypatch) -> list:
+    """Episodes of every block ``_run_block`` runs in this process, in order."""
+    run_block, sizes = simulate._run_block, []
+
+    def recorded(tab, seed, episode_ids):
+        sizes.append(len(episode_ids))
+        return run_block(tab, seed, episode_ids)
+    monkeypatch.setattr(simulate, "_run_block", recorded)
+    return sizes
+
+
 def test_episodes_across_block_boundaries(monkeypatch):
-    monkeypatch.setattr(simulate, "BLOCK_EPISODES", 3)
+    """A byte budget set to fit 1, 3 or all 23 episodes' uniforms cuts the
+    run into such blocks; costs stay those of the per-episode process."""
     spec = tf.with_populations(tf.load_spec(cyclic_pursuit_three_team()), 2)
-    check_batched(spec, 23)
+    lifted = _solved_lift(spec)
+    expect = _per_episode(spec, lifted, 23)
+    draws = simulate._episode_tables(spec, lifted).draws
+    sizes = _record_blocks(monkeypatch)
+    for per_block, blocks in ((1, [1] * 23), (3, [3] * 7 + [2]), (23, [23])):
+        monkeypatch.setattr(simulate, "BLOCK_BYTES", 8 * draws * per_block)
+        for w in (1, 2):
+            sizes.clear()
+            res = estimate_cost(spec, lifted, 23, master_seed=SEED, workers=w,
+                                keep_episodes=True)
+            assert np.array_equal(res.per_episode, expect), (per_block, w)
+            if w == 1:
+                assert sizes == blocks
+
+
+def test_block_uniforms_stay_within_the_byte_budget(monkeypatch):
+    """2,000 agents over 20 stages draw 82,020 uniforms an episode: a block
+    holds as many episodes as fit in ``BLOCK_BYTES``, or one where none
+    fits, never a fixed count regardless of the game."""
+    spec = tf.load_spec({
+        "horizon": 20,
+        "teams": [{"states": ["s0"], "actions": ["a0"], "population": 2000,
+                   "initial_law": [1.0], "transition": {"base": [[[1.0]]]},
+                   "cost": {"base": [[0.25]]}}],
+    })
+    lifted = _solved_lift(spec)
+    draws = simulate._episode_tables(spec, lifted).draws
+    assert draws == 2000 + 20 * (1 + 2 * 2000)
+    sizes = _record_blocks(monkeypatch)
+    for budget in (simulate.BLOCK_BYTES, 8 * draws - 1):
+        monkeypatch.setattr(simulate, "BLOCK_BYTES", budget)
+        sizes.clear()
+        res = estimate_cost(spec, lifted, 13, master_seed=SEED, keep_episodes=True)
+        assert np.all(res.per_episode == 5.0)
+        assert sum(sizes) == 13
+        assert all(8 * draws * b <= budget or b == 1 for b in sizes), (budget, sizes)
+    assert sizes == [1] * 13
 
 
 def check_kernel_check(spec, z, gammas, samples, seed):
@@ -242,25 +290,35 @@ def test_policy_solved_at_other_populations_is_rejected():
 @given(st.data())
 def test_pick_rows_equals_pick_on_gathered_rows(data):
     """``_pick_rows(cdf, g, u)`` against ``_pick(cdf.reshape(-1, S)[g], u)``
-    on tables with tied boundaries (zero weights), S = 1, and u at 0.0 or
-    exactly on a boundary; g broadcasts against u as in the kernel check."""
-    S = data.draw(st.integers(1, 5))
+    on tables with tied boundaries (zero weights), S = 1, S around the
+    uint8 limit, and u at 0.0, exactly on a boundary or just below 1; g
+    broadcasts against u as in the kernel check. The picks come back as
+    intp whatever dtype counted them."""
+    S = data.draw(st.one_of(st.integers(1, 5), st.sampled_from([255, 256, 257])))
     lead = tuple(data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
-    weights = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.0, 0.1, 0.25, 1.0, 3.0]),
-                                          min_size=math.prod(lead) * S,
-                                          max_size=math.prod(lead) * S)))
-    weights = weights.reshape(-1, S)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    values = [0.0, 0.0, 0.1, 0.25, 1.0, 3.0]
+    if S <= 5:      # small tables stay hypothesis-drawn, so their ties shrink
+        weights = np.array(data.draw(st.lists(st.sampled_from(values),
+                                              min_size=math.prod(lead) * S,
+                                              max_size=math.prod(lead) * S))).reshape(-1, S)
+    else:           # lists of up to 27 x 257 weights are too large to draw
+        weights = rng.choice(values, size=(math.prod(lead), S))
     weights[weights.sum(axis=1) == 0, -1] = 1.0
     cdf = simulate._cdf(weights).reshape(lead + (S,))
     flat = cdf.reshape(-1, S)
     B, N = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
     g = np.array(data.draw(st.lists(st.integers(0, len(flat) - 1), min_size=B * N,
                                     max_size=B * N))).reshape(B, N)
-    kind = data.draw(st.lists(st.integers(0, 2), min_size=B * N, max_size=B * N))
-    fresh = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))).random(B * N)
-    u = np.array([fresh[i] if c == 0 else 0.0 if c == 1
+    kind = data.draw(st.lists(st.integers(0, 3), min_size=B * N, max_size=B * N))
+    fresh = rng.random(B * N)
+    u = np.array([fresh[i] if c == 0 else 0.0 if c == 1 else 1.0 if c == 3
                   else flat[g.flat[i], data.draw(st.integers(0, S - 1))]
                   for i, c in enumerate(kind)]).reshape(B, N)
     u = np.minimum(u, np.nextafter(1.0, 0.0))     # uniforms lie in [0, 1)
-    assert np.array_equal(simulate._pick_rows(cdf, g, u), simulate._pick(flat[g], u))
-    assert np.array_equal(simulate._pick_rows(cdf, g[:1], u), simulate._pick(flat[g[:1]], u))
+    for rows in (g, g[:1]):
+        got = simulate._pick_rows(cdf, rows, u)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, simulate._pick(flat[rows], u))
+    top = simulate._pick_rows(simulate._cdf(np.ones(S)), 0, np.array([np.nextafter(1.0, 0.0)]))
+    assert top.dtype == np.intp and top.tolist() == [S - 1]
