@@ -226,12 +226,28 @@ def _contract(Ws, V) -> np.ndarray:
     kernels averaged under a policy's mixtures (m_k = 1) give its expected
     next value; averaging every team but one gives that team's
     best-response step."""
+    operands = _contract_operands(Ws, V)
+    path = _contract_path(tuple(W.shape for W in Ws), V.shape)
+    return np.einsum(*operands, optimize=path)
+
+
+def _contract_operands(Ws, V) -> list:
+    """np.einsum's sublist operands of ``_contract``."""
     K = len(Ws)
     operands = []
     for k, W in enumerate(Ws):
         operands += [W, [2 * K, k, K + k]]
-    return np.einsum(*operands, V, [Ellipsis] + list(range(K, 2 * K)),
-                     [Ellipsis, 2 * K] + list(range(K)), optimize=True)
+    return operands + [V, [Ellipsis] + list(range(K, 2 * K)), [Ellipsis, 2 * K] + list(range(K))]
+
+
+@functools.lru_cache
+def _contract_path(w_shapes, v_shape) -> tuple:
+    """The contraction order that np.einsum(..., optimize=True) searches
+    for ``_contract`` at these operand shapes (its greedy search), found
+    once per shape; zero-stride placeholders stand in for the operands.
+    A tuple, so no caller can change the cached path."""
+    ops = [np.broadcast_to(0.0, s) for s in w_shapes + (v_shape,)]
+    return tuple(np.einsum_path(*_contract_operands(ops[:-1], ops[-1]), optimize="greedy")[0])
 
 
 def _on_axis(a, k: int, K: int) -> np.ndarray:
@@ -336,16 +352,19 @@ def _pure_certificate(tensors, points, profiles):
 def certify_epsilon(game: StageGame, eq: StageEquilibrium) -> float:
     """Exact maximal unilateral gain of eq, recomputed from the tensors."""
     weights = eq.weights(game.shape)
-    return _epsilon(weights, [_own_cost_vector(T, weights, k)
-                              for k, T in enumerate(game.tensors)])
+    own = [_own_cost_vector(T, weights, k) for k, T in enumerate(game.tensors)]
+    return _epsilon(weights, own, [e.argmin() for e in own])
 
 
-def _epsilon(weights, own) -> float:
+def _epsilon(weights, own, replies) -> float:
     """Maximal unilateral gain of the mixtures ``weights`` given each
-    team's own cost vector against the others' mixtures."""
+    team's own cost vector against the others' mixtures and its best reply
+    (an argmin) in it. The entry there is the minimum up to the sign of
+    zero, which cannot change the result: eps starts at +0.0 and is
+    replaced only by a larger value."""
     eps = 0.0
-    for w, e in zip(weights, own):
-        eps = max(eps, float(w @ e - e.min()))
+    for w, e, i in zip(weights, own, replies):
+        eps = max(eps, float(w @ e - e[i]))
     return max(eps, 0.0)
 
 
@@ -359,19 +378,46 @@ def equilibrium_values(game: StageGame, eq: StageEquilibrium) -> np.ndarray:
 
 
 def _own_cost_vector(tensor: np.ndarray, weights, k: int) -> np.ndarray:
-    """Expected cost of team k per own index, others at their mixtures.
+    """Expected cost of team k per own index, others at their mixtures."""
+    return _run_plan(_contraction_plan(tensor, k), weights)
 
-    Contracts the highest axis first so remaining axis positions stay put,
-    each step by the same np.dot call that np.tensordot makes.
-    """
-    X = tensor
-    for j in range(len(weights) - 1, -1, -1):
+
+def _contraction_plan(tensor: np.ndarray, k: int):
+    """Team k's own-cost contraction of ``tensor`` as steps run by _run_plan.
+
+    The highest other axis goes first so remaining axis positions stay
+    put, each step by the same np.dot call that np.tensordot makes. A
+    step is (matrix, team whose weights it takes, out= buffer, copy):
+    the matrix is the (transposed) reshape that np.dot gets, a view of
+    the previous step's buffer where numpy makes one (the layout picks
+    the BLAS path, so an F-ordered view stays one) and otherwise a fixed
+    C-ordered buffer that copy = (dst, src) refills before the step.
+    Returns the steps and the view of the last buffer that holds the
+    result (the tensor itself for one team)."""
+    steps, X = [], tensor
+    for j in range(tensor.ndim - 1, -1, -1):
         if j == k:
             continue
         others = [i for i in range(X.ndim) if i != j]
-        X = np.dot(X.transpose(others + [j]).reshape(-1, X.shape[j]),
-                   weights[j].reshape(-1, 1)).reshape([X.shape[i] for i in others])
-    return X
+        moved = X.transpose(others + [j])
+        mat, copy = moved.reshape(-1, X.shape[j]), None
+        if steps and not np.may_share_memory(mat, X):
+            copy = (mat.reshape(moved.shape), moved)
+        out = np.empty((len(mat), 1))
+        steps.append((mat, j, out, copy))
+        X = out.reshape([X.shape[i] for i in others])
+    return steps, X
+
+
+def _run_plan(plan, weights) -> np.ndarray:
+    """Own-cost vector of a _contraction_plan against the mixtures
+    ``weights``, written into the plan's buffers."""
+    steps, result = plan
+    for mat, j, out, copy in steps:
+        if copy is not None:
+            np.copyto(*copy)
+        np.dot(mat, weights[j][:, None], out=out)
+    return result
 
 
 def mixed_nash_2team(game: StageGame) -> StageEquilibrium:
@@ -391,6 +437,10 @@ def mixed_nash_2team(game: StageGame) -> StageEquilibrium:
     the 1e-9 residual of the indifference solve, so the certificate would
     reject it and the first certified candidate is unchanged. Dominance
     is worked out only for the supports the scan reaches, once each.
+
+    The x solve of a pair is skipped when, against its solved y, some row
+    costs more than delta less than every row of R: any mixture on R then
+    leaves team 1 a gain above delta, and the certificate would reject it.
     """
     if game.n_teams != 2:
         raise SpecValidationError("support enumeration needs exactly 2 teams")
@@ -409,6 +459,9 @@ def mixed_nash_2team(game: StageGame) -> StageEquilibrium:
             block = np.ix_(R, C)
             y = _indifference_solve(A[block], c)
             if y is None:
+                continue
+            against = A[:, C] @ y
+            if against.min() < against[list(R)].min() - delta:
                 continue
             x = _indifference_solve(B[block].T, r)
             if x is None:
@@ -488,25 +541,32 @@ def br_iteration(game: StageGame, max_iters: int = 200) -> StageEquilibrium:
     profiles by indexing in one _pure_certificate call per block of
     rounds, blocks doubling in length (1, 2, 4, ...): a game certified at
     round r plays fewer than 2r rounds, and the result is bitwise that of
-    certifying round by round with certify_epsilon.
+    certifying round by round with certify_epsilon. The own-cost vectors
+    come from one contraction plan per team, built once per game and run
+    every round into the same buffers.
     """
     if max_iters < 1:
         raise SpecValidationError("fictitious play needs max_iters >= 1")
     tensors = [T[None] for T in game.tensors]
-    hist = [np.full((max_iters + 1, n), 1.0 / n) for n in game.shape]
+    plans = [_contraction_plan(T, k) for k, T in enumerate(game.tensors)]
+    plan = ([step for steps, _ in plans for step in steps], [e for _, e in plans])
+    cuts = np.cumsum((0,) + game.shape).tolist()
+    whole = np.empty((max_iters + 1, cuts[-1]))     # the histories side by side
+    whole[0] = np.repeat(1.0 / np.array(game.shape), game.shape)
+    hist = [whole[:, a:b] for a, b in zip(cuts, cuts[1:])]
     brs, mixed = np.empty((max_iters, game.n_teams), dtype=np.intp), np.empty(max_iters)
     best, start = None, 0     # best: (epsilon, 0 for pure or 1 for mixed, round)
     while best is None or (best[0] > CERT_TOL and start < max_iters):
         stop = min(2 * start + 1, max_iters)
         for r in range(start, stop):
             weights = [h[r] for h in hist]
-            own = [_own_cost_vector(T, weights, k) for k, T in enumerate(game.tensors)]
-            brs[r] = [e.argmin() for e in own]
-            mixed[r] = _epsilon(weights, own)
+            own = _run_plan(plan, weights)
+            brs[r] = replies = [e.argmin() for e in own]
+            mixed[r] = _epsilon(weights, own, replies)
             alpha = 1.0 / (r + 2.0)
-            for h, i in zip(hist, brs[r]):
-                np.multiply(h[r], 1.0 - alpha, out=h[r + 1])
-                h[r + 1, i] += alpha
+            np.multiply(whole[r], 1.0 - alpha, out=whole[r + 1])
+            for a, i in zip(cuts, replies):
+                whole[r + 1, a + i] += alpha
         pure, _ = _pure_certificate(tensors, np.zeros(stop - start, np.intp), brs[start:stop])
         for r in range(start, stop):
             for cand in ((float(pure[r - start]), 0, r), (float(mixed[r]), 1, r)):

@@ -373,6 +373,17 @@ def own_cost_vector_tensordot(tensor: np.ndarray, weights, k: int) -> np.ndarray
     return X
 
 
+def certify_epsilon_tensordot(game: StageGame, eq: StageEquilibrium) -> float:
+    """``stage_game.certify_epsilon`` from ``own_cost_vector_tensordot``
+    vectors, each gain taken against the vector's minimum."""
+    weights = eq.weights(game.shape)
+    eps = 0.0
+    for k, T in enumerate(game.tensors):
+        e = own_cost_vector_tensordot(T, weights, k)
+        eps = max(eps, float(weights[k] @ e - e.min()))
+    return max(eps, 0.0)
+
+
 def br_iteration_recertified(game: StageGame, max_iters: int = 200,
                              tol: float = CERT_TOL) -> StageEquilibrium:
     """``stage_game.br_iteration`` certifying every visited profile with

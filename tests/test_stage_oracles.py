@@ -1,8 +1,12 @@
 """The stage-game solvers against their slow exact forms.
 
-Support enumeration skips conditionally dominated support pairs; it must
-return what the unpruned scan returns. Own-cost vectors are contracted
-without ``np.tensordot``; they must be what its chain gives. Fictitious
+Support enumeration skips conditionally dominated support pairs and the
+x solves of row supports beaten against their y; it must return what the
+unpruned scan returns. Own-cost vectors are contracted without
+``np.tensordot``; they must be what its chain gives, and the certificate
+read at their argmins what it gives at their minima. The continuation
+contraction reuses one einsum path per operand shapes; it must be what
+``np.einsum(..., optimize=True)`` gives. Fictitious
 play certifies from the vectors of its best-reply step, and its pure
 profiles in blocks of rounds; it must return what re-certifying every
 profile round by round returns. The backward driver solves the pure
@@ -20,13 +24,14 @@ from teamfield import stage_game
 from teamfield.errors import (EquilibriumNotFoundError, NoPureEquilibriumError,
                               SpecValidationError)
 from teamfield.finite_mpe import PolicyTable
-from teamfield.stage_game import (PURE_TOL, StageEquilibrium, StageGame,
-                                  _own_cost_vector, _pure_mask, _solve_points, br_iteration,
-                                  certify_epsilon, equilibrium_values, mixed_nash_2team,
-                                  solve_stage)
+from teamfield.stage_game import (PURE_TOL, StageEquilibrium, StageGame, _contract,
+                                  _contract_operands, _own_cost_vector, _pure_mask,
+                                  _solve_points, br_iteration, certify_epsilon,
+                                  equilibrium_values, mixed_nash_2team, solve_stage)
 
-from oracles import (br_iteration_recertified, mixed_nash_2team_unpruned,
-                     own_cost_vector_tensordot, stage_pure_nash_loop)
+import oracles
+from oracles import (br_iteration_recertified, certify_epsilon_tensordot,
+                     mixed_nash_2team_unpruned, own_cost_vector_tensordot, stage_pure_nash_loop)
 
 PAYOFFS = ("normal", "integer", "duplicated", "constant")
 
@@ -80,6 +85,34 @@ def test_pruned_support_enumeration_matches_the_full_scan(n1, n2, kind, seed):
     assert (eq is None) == (ref is None)
     if ref is not None:
         _same(eq, ref)
+
+
+def test_support_enumeration_skips_the_x_solve_of_a_beaten_row_support(monkeypatch):
+    """No pure equilibrium. The pair ({0, 1}, {0, 1}) survives dominance
+    pruning, and its y = (1/3, 2/3) makes rows 0 and 1 cost 4/3 each while
+    row 2 costs 1: no mixture on {0, 1} is a best reply, so its x solve is
+    skipped. The next pair ({0, 2}, {0, 1}) is certified. The unpruned
+    scan solves every pair up to it and returns the same equilibrium."""
+    A = np.array([[0.0, 2.0], [2.0, 1.0], [1.0, 1.0]])
+    B = np.array([[2.0, 1.0], [1.0, 2.0], [1.0, 2.0]])
+    game = _game([A, B])
+    solves = []
+
+    def counted(M, size):
+        solves.append(M.tolist())
+        return solve(M, size)
+
+    solve = stage_game._indifference_solve
+    monkeypatch.setattr(stage_game, "_indifference_solve", counted)
+    eq = mixed_nash_2team(game)
+    assert solves == [A[:2].tolist(), A[[0, 2]].tolist(), B[[0, 2]].T.tolist()]
+    mine = len(solves)
+    monkeypatch.setattr(oracles, "_indifference_solve", counted)
+    ref = mixed_nash_2team_unpruned(game)
+    assert mine < len(solves) - mine
+    _same(eq, ref)
+    assert eq.kind == "mixed" and eq.epsilon <= 1e-15
+    assert np.allclose(eq.per_team[0], [0.5, 0.0, 0.5]) and np.allclose(eq.per_team[1], 0.5)
 
 
 def _full_support_game():
@@ -149,6 +182,43 @@ def test_own_cost_vector_matches_the_tensordot_chain(shape, kind, seed):
         ref = own_cost_vector_tensordot(tensor, weights, k)
         assert mine.shape == ref.shape == (shape[k],)
         assert np.array_equal(mine, ref)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=4), st.sampled_from(PAYOFFS),
+       st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_certify_epsilon_at_the_argmins_matches_the_minima(shape, kind, pure, seed):
+    """Pure and mixed profiles, with ties and constant tensors, where the
+    argmin entry and the minimum may differ in the sign of zero."""
+    rng = np.random.default_rng(seed)
+    game = _game([_payoffs(rng, kind, tuple(shape)) for _ in shape])
+    if pure:
+        eq = StageEquilibrium(kind="pure", per_team=[rng.integers(n) for n in shape],
+                              epsilon=0.0)
+    else:
+        eq = StageEquilibrium(kind="mixed", per_team=[rng.dirichlet(np.ones(n)) for n in shape],
+                              epsilon=0.0)
+    eps = certify_epsilon(game, eq)
+    ref = certify_epsilon_tensordot(game, eq)
+    assert eps == ref and np.signbit(eps) == np.signbit(ref)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 2), st.integers(0, 2 ** 32 - 1))
+def test_contract_with_the_cached_path_matches_the_searched_one(K, P, lead, seed):
+    """Kernel stacks over menus of 1 to 4 items (1: a policy's averaged
+    kernels) against values with no leading axis, a per-team one as the
+    backward driver passes, or two. Called twice, so the second call reads
+    the cached path."""
+    rng = np.random.default_rng(seed)
+    menus, lattice = rng.integers(1, 5, size=K), rng.integers(1, 5, size=K)
+    Ws = [rng.dirichlet(np.ones(L), size=(P, m)) for m, L in zip(menus, lattice)]
+    V = rng.normal(size=(K,) * lead + tuple(lattice))
+    ref = np.einsum(*_contract_operands(Ws, V), optimize=True)
+    for _ in range(2):
+        out = _contract(Ws, V)
+        assert out.shape == V.shape[:lead] + (P,) + tuple(menus)
+        assert np.array_equal(out, ref)
 
 
 # first and last rounds of the doubling certification blocks 1, 2-3, 4-7, ...
