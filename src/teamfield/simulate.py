@@ -21,11 +21,16 @@ comparing uniforms with one CDF column at a time (``_pick_rows``), never
 gathering whole CDF rows per agent; ``_pick`` stays the per-episode
 definition. Hand-written policies run one episode at a time through
 ``simulate_episode``.
+
+``empirical_kernel_check`` draws in the same order from its one stream,
+but reads it in chunks of samples by jump-ahead (``PCG64.advance``), so
+its memory, like a block's, is O(``BLOCK_BYTES``) for any sample count.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +41,7 @@ from .errors import CapacityError, SpecValidationError
 from .model import GameSpec, cost_matrix, flatten_mean_field, transition_matrix
 from .rng import stream_uniforms, substream
 
-BLOCK_BYTES = 4 << 20     # bytes of a block's uniform array (episodes x draws float64)
+BLOCK_BYTES = 1 << 20     # bytes of the uniforms of an episode block or a kernel-check chunk
 
 
 def _cdf(weights: np.ndarray) -> np.ndarray:
@@ -290,6 +295,18 @@ def _run_chunk(args):
                            for i in range(0, len(episode_ids), size)], axis=0)
 
 
+def _count(value, unit: str) -> int:
+    """``value`` as a positive int: any integer type, never a float or str."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise SpecValidationError("the number of %ss must be an integer, got %r"
+                                  % (unit, value)) from None
+    if n < 1:
+        raise SpecValidationError("need at least one %s" % unit)
+    return n
+
+
 def estimate_cost(spec: GameSpec, policy: LiftedPolicy, episodes: int, master_seed=None,
                   workers: int = 1, keep_episodes: bool = False) -> SimResult:
     """Mean and standard error of the per-team cumulative cost over
@@ -300,8 +317,7 @@ def estimate_cost(spec: GameSpec, policy: LiftedPolicy, episodes: int, master_se
     if not isinstance(policy, LiftedPolicy):
         raise SpecValidationError("estimate_cost runs a LiftedPolicy, got %s"
                                   % type(policy).__name__)
-    if episodes < 1:
-        raise SpecValidationError("need at least one episode")
+    episodes = _count(episodes, "episode")
     seed = spec.seed if master_seed is None else master_seed
     tab = _episode_tables(spec, policy)
     ids = np.arange(episodes)
@@ -340,6 +356,13 @@ class KernelCheckReport:
         }
 
 
+def _jumped(bitgen, n: int) -> np.random.Generator:
+    """A Generator on a copy of ``bitgen`` moved past its next n draws."""
+    copy = np.random.PCG64(0)
+    copy.state = bitgen.state
+    return np.random.Generator(copy.advance(n))
+
+
 def empirical_kernel_check(spec: GameSpec, z, prescriptions,
                            samples: int = 10 ** 5,
                            master_seed=None) -> KernelCheckReport:
@@ -348,12 +371,14 @@ def empirical_kernel_check(spec: GameSpec, z, prescriptions,
     over the joint lattice points whose exact probability is at least
     PRUNE_TOL or that a sample hit.
 
-    All samples run vectorized on one substream; per team the draws are
-    a (samples, N_k) uniform block for actions then one for transitions,
-    both picked with ``_pick_rows``.
+    All samples draw from one substream, per team a (samples, N_k)
+    uniform block for actions then one for transitions. Each block is
+    read in chunks of samples by a copy of the stream moved to its start
+    (``PCG64.advance``), picked with ``_pick_rows`` and counted into one
+    hit array, so the draws are those of the whole blocks and memory is
+    O(``BLOCK_BYTES``) for any sample count.
     """
-    if samples < 1:
-        raise SpecValidationError("need at least one sample")
+    samples = _count(samples, "sample")
     per_team = getattr(z, "per_team", z)
     counts_in = [count_point(per_team[k], tm.population, k)
                  for k, tm in enumerate(spec.teams)]
@@ -369,20 +394,29 @@ def empirical_kernel_check(spec: GameSpec, z, prescriptions,
         mix = _mixture_rows(spec, k, zf[None], prescriptions[k].rows[None])
         exact = np.multiply.outer(exact, _count_laws(mix[0], m[None])[0])
 
-    rng = substream(spec.seed if master_seed is None else master_seed,
-                    "kernel-check")
-    index = []
-    for k in range(spec.n_teams):
-        tm = spec.teams[k]
+    bitgen = substream(spec.seed if master_seed is None else master_seed,
+                       "kernel-check").bit_generator
+    teams, at = [], 0
+    for k, tm in enumerate(spec.teams):
         agent_states = np.repeat(np.arange(tm.n_states), counts_in[k])
-        row = _pick_rows(_cdf(prescriptions[k].rows), agent_states[None, :],
-                         rng.random((samples, tm.population)))
-        row += agent_states * tm.n_actions        # (state, action) row, in place
-        sp = _pick_rows(_cdf(transition_matrix(spec, k, zf)), row,
-                        rng.random((samples, tm.population)))
-        index.append(_team_index(_rank_terms(tm.population, tm.n_states), sp))
-    phat = np.bincount(np.ravel_multi_index(index, shape),
-                       minlength=exact.size) / samples
+        teams.append((agent_states, _cdf(prescriptions[k].rows),
+                      _cdf(transition_matrix(spec, k, zf)),
+                      _rank_terms(tm.population, tm.n_states),
+                      _jumped(bitgen, at), _jumped(bitgen, at + samples * tm.population)))
+        at += 2 * samples * tm.population
+    chunk = max(1, BLOCK_BYTES // (8 * max(tm.population for tm in spec.teams)))
+    hits = np.zeros(exact.size, dtype=np.intp)
+    for lo in range(0, samples, chunk):
+        n, index = min(chunk, samples - lo), []
+        for (agent_states, action_cdf, transition_cdf, terms, actions,
+             moves), tm in zip(teams, spec.teams):
+            row = _pick_rows(action_cdf, agent_states[None, :],
+                             actions.random((n, tm.population)))
+            row += agent_states * tm.n_actions        # (state, action) row, in place
+            sp = _pick_rows(transition_cdf, row, moves.random((n, tm.population)))
+            index.append(_team_index(terms, sp))
+        hits += np.bincount(np.ravel_multi_index(index, shape), minlength=exact.size)
+    phat = hits / samples
     keep = (exact.ravel() >= PRUNE_TOL) | (phat > 0)
     phat = phat[keep]
     return KernelCheckReport(

@@ -2,7 +2,8 @@
 against: the per-agent composition of one stage and the per-state
 multinomial convolution (checked against the count kernels), the
 per-profile deviation through the one-point kernel, the counting loop
-of the kernel check, the per-point stage game (checked against the
+of the kernel check and its whole-array form (checked against the
+chunked one), the per-point stage game (checked against the
 batched engine), the profile-by-profile pure check, the unpruned support
 enumeration and the re-certifying fictitious play (checked against the
 stage solvers), the forward propagation of the count law (checked
@@ -19,16 +20,17 @@ import numpy as np
 from scipy.special import gammaln, xlogy
 
 from teamfield.counts import (DEFAULT_SUPPORT_CAP, PRUNE_TOL, CountDistribution,
-                              CountVector, JointCount, Prescription, _finalize,
-                              count_point, enumerate_counts,
-                              joint_transition_kernel, stage_cost, team_transition_kernel)
+                              CountVector, JointCount, Prescription, _count_laws, _finalize,
+                              _mixture_rows, _rank_terms, count_point, enumerate_counts,
+                              joint_transition_kernel, lattice_size, stage_cost,
+                              team_transition_kernel)
 from teamfield.errors import CapacityError, EquilibriumNotFoundError, SpecValidationError
 from teamfield.finite_mpe import PolicyTable, _average, initial_distribution
 from teamfield.limit import SimplexGrid, flow
 from teamfield.metrics import LIPSCHITZ_BLOCK_PAIRS, transport_distance
 from teamfield.model import GameSpec, flatten_mean_field, transition_matrix
 from teamfield.rng import substream
-from teamfield.simulate import KernelCheckReport, _cdf, _pick
+from teamfield.simulate import KernelCheckReport, _cdf, _pick, _pick_rows, _team_index
 from teamfield.stage_game import (CERT_TOL, DEFAULT_SUPPORT_BOUND, PURE_TOL, KernelCache,
                                   StageEquilibrium, StageGame, _cost_table,
                                   _indifference_solve, _support_pairs,
@@ -143,6 +145,46 @@ def kernel_check_loop(spec: GameSpec, z, prescriptions, samples: int,
         radius = max(radius, math.sqrt(phat * (1.0 - phat) / samples))
     return KernelCheckReport(tv_distance=0.5 * tv, confidence_radius=1.96 * radius,
                              samples=samples, support_size=len(support))
+
+
+def kernel_check_whole(spec: GameSpec, z, prescriptions, samples: int,
+                       master_seed=None) -> KernelCheckReport:
+    """``simulate.empirical_kernel_check`` on whole (samples, N_k) arrays:
+    per team one ``random`` call for all action uniforms, then one for all
+    transition uniforms, on the one substream, and one ``np.bincount`` of
+    all samples' joint lattice indices."""
+    per_team = getattr(z, "per_team", z)
+    counts_in = [count_point(per_team[k], tm.population, k)
+                 for k, tm in enumerate(spec.teams)]
+    shape = tuple(lattice_size(tm.population, tm.n_states) for tm in spec.teams)
+    if math.prod(shape) > DEFAULT_SUPPORT_CAP:
+        raise CapacityError("joint count lattice has %d points, cap is %d"
+                            % (math.prod(shape), DEFAULT_SUPPORT_CAP))
+    M = JointCount(per_team=tuple(CountVector(team_id=k, counts=m)
+                                  for k, m in enumerate(counts_in))).validate(spec)
+    zf = M.mean_field().flat()
+    exact = np.ones(())
+    for k, m in enumerate(counts_in):
+        mix = _mixture_rows(spec, k, zf[None], prescriptions[k].rows[None])
+        exact = np.multiply.outer(exact, _count_laws(mix[0], m[None])[0])
+    rng = substream(spec.seed if master_seed is None else master_seed, "kernel-check")
+    index = []
+    for k in range(spec.n_teams):
+        tm = spec.teams[k]
+        agent_states = np.repeat(np.arange(tm.n_states), counts_in[k])
+        row = _pick_rows(_cdf(prescriptions[k].rows), agent_states[None, :],
+                         rng.random((samples, tm.population)))
+        row += agent_states * tm.n_actions
+        sp = _pick_rows(_cdf(transition_matrix(spec, k, zf)), row,
+                        rng.random((samples, tm.population)))
+        index.append(_team_index(_rank_terms(tm.population, tm.n_states), sp))
+    phat = np.bincount(np.ravel_multi_index(index, shape), minlength=exact.size) / samples
+    keep = (exact.ravel() >= PRUNE_TOL) | (phat > 0)
+    phat = phat[keep]
+    return KernelCheckReport(
+        tv_distance=0.5 * float(np.abs(phat - exact.ravel()[keep]).sum()),
+        confidence_radius=1.96 * math.sqrt(float((phat * (1.0 - phat)).max()) / samples),
+        samples=samples, support_size=int(keep.sum()))
 
 
 def frequencies_loop(keys_per_team) -> dict:

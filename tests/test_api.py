@@ -29,7 +29,7 @@ NOT_IN_SRC = {
     "stage_game": ("build_stage_game", "ContinuationTable", "stage_pure_nash_loop",
                    "mixed_nash_2team_unpruned", "br_iteration_recertified", "pure_nash",
                    "select_equilibrium", "own_cost_vector_tensordot"),
-    "simulate": ("FunctionPolicy", "_frequencies"),
+    "simulate": ("FunctionPolicy", "_frequencies", "kernel_check_whole"),
     "metrics": ("wasserstein_fast", "DEFAULT_DEVIATION_CAP", "DEFAULT_PAIR_CAP",
                 "joint_distance", "lemma1_check", "Lemma1Report"),
     "cli": ("PROBE_PROFILE_CAP",),

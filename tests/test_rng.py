@@ -2,7 +2,9 @@
 an int label in little-endian uint32 words, a str label in the first four
 little-endian uint32 words of its SHA-256 digest (cached, same words).
 ``stream_uniforms`` seeds many streams at once; every row must be bitwise
-the draws of ``substream`` for its id."""
+the draws of ``substream`` for its id. A stream is a PCG64 whose copy,
+moved ahead by ``advance(n)``, reads the draws after the first n: the
+kernel check reads its stream in chunks that way."""
 
 import hashlib
 
@@ -88,3 +90,19 @@ def test_stream_uniforms_rejects_negative_ids():
         stream_uniforms(1, "episode", [3, -1], np.empty((2, 4)))
     with pytest.raises(ValueError):
         stream_uniforms(1, "episode", np.array([3, -1]), np.empty((2, 4)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1), n=st.integers(0, 5000), m=st.integers(1, 300))
+def test_substream_jumps_ahead_bitwise(seed, n, m):
+    """A copy of a substream's PCG64 state moved ahead by ``advance(n)``
+    draws bitwise what the stream draws after its first n doubles, also
+    across ``random`` calls of any shape."""
+    gen = substream(seed, "kernel-check")
+    assert type(gen.bit_generator) is np.random.PCG64
+    copy = np.random.PCG64(0)
+    copy.state = gen.bit_generator.state
+    ahead = np.random.Generator(copy.advance(n)).random(m)
+    gen.random((n // 3, 3))
+    gen.random(n % 3)
+    assert gen.random(m).tobytes() == ahead.tobytes()

@@ -5,11 +5,14 @@ by a byte budget; each episode must draw the same uniforms and pay the
 same costs as ``simulate_episode`` on its substream, bit for bit, for any
 block size and worker count. The empirical kernel check ranks next counts
 on the joint lattice and counts them with ``np.bincount``; its report
-must equal the sample-by-sample loop against the dict-keyed joint kernel.
+must equal the sample-by-sample loop against the dict-keyed joint kernel,
+and, bitwise, the whole-array check for any chunking of its samples. Both
+simulators hold their uniforms within a byte budget for any run length.
 """
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +29,7 @@ from teamfield.simulate import (empirical_kernel_check, estimate_cost, lift_poli
 
 from conftest import (cyclic_pursuit_three_team, deterministic_two_team,
                       identity_dynamics_spec)
-from oracles import kernel_check_loop
+from oracles import kernel_check_loop, kernel_check_whole
 
 SEED = 11
 JOINT_POINTS_BUDGET = 100      # joint lattice points a drawn game may have
@@ -118,13 +121,17 @@ def test_batched_costs_on_three_team_cyclic_pursuit():
     assert lifted.randomized
 
 
-def test_batched_costs_with_one_state_one_action_one_agent():
-    spec = tf.load_spec({
+def _one_state_one_action_one_agent():
+    return tf.load_spec({
         "horizon": 2,
         "teams": [{"states": ["s0"], "actions": ["a0"], "population": 1,
                    "initial_law": [1.0], "transition": {"base": [[[1.0]]]},
                    "cost": {"base": [[0.25]]}}],
     })
+
+
+def test_batched_costs_with_one_state_one_action_one_agent():
+    spec = _one_state_one_action_one_agent()
     check_batched(spec, 5)
     res = estimate_cost(spec, _solved_lift(spec), 5, master_seed=SEED, keep_episodes=True)
     assert np.all(res.per_episode == 0.5)
@@ -197,17 +204,74 @@ def check_kernel_check(spec, z, gammas, samples, seed):
     assert fast.tv_distance == pytest.approx(slow.tv_distance, abs=1e-12)
 
 
-@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(small_games(), st.data())
-def test_frequencies_equal_the_counting_loop(doc, data):
-    spec = tf.load_spec(doc)
+def _draw_point(spec, data):
+    """A lattice mean field and one menu item per team, drawn."""
     z = MeanField(per_team=tuple(
         data.draw(st.sampled_from(TeamLattice(tm.population, tm.n_states).z.tolist()))
         for tm in spec.teams))
     gammas = tuple(data.draw(st.sampled_from(tf.build_prescription_set(spec, k).items))
                    for k in range(spec.n_teams))
+    return z, gammas
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(small_games(), st.data())
+def test_frequencies_equal_the_counting_loop(doc, data):
+    spec = tf.load_spec(doc)
+    z, gammas = _draw_point(spec, data)
     check_kernel_check(spec, z, gammas, data.draw(st.integers(1, 400)),
                        data.draw(st.integers(0, 100)))
+
+
+def check_kernel_chunks(spec, z, gammas, samples, seed):
+    """The chunked check equals the whole-array one (``==`` on the
+    report) at the default budget and at budgets that cut the samples into
+    chunks of 1, 2 and 3, sized by the largest team: each chunk ranks the
+    next counts of every team once."""
+    whole = kernel_check_whole(spec, z, gammas, samples, master_seed=seed)
+    assert empirical_kernel_check(spec, z, gammas, samples=samples, master_seed=seed) == whole
+    widest = max(tm.population for tm in spec.teams)
+    team_index, ranked = simulate._team_index, []
+
+    def recorded(terms, states):
+        ranked.append(len(states))
+        return team_index(terms, states)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_team_index", recorded)
+        for per_chunk, spare in ((1, 0), (2, 8 * widest - 1), (3, 5)):
+            mp.setattr(simulate, "BLOCK_BYTES", 8 * widest * per_chunk + spare)
+            ranked.clear()
+            got = empirical_kernel_check(spec, z, gammas, samples=samples, master_seed=seed)
+            assert got == whole, per_chunk
+            chunks = [per_chunk] * (samples // per_chunk) + [samples % per_chunk] * (
+                samples % per_chunk > 0)
+            assert ranked == [n for n in chunks for _ in spec.teams], per_chunk
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(small_games(), st.data())
+def test_chunked_kernel_check_equals_the_whole_arrays(doc, data):
+    spec = tf.load_spec(doc)
+    z, gammas = _draw_point(spec, data)
+    check_kernel_chunks(spec, z, gammas, data.draw(st.integers(1, 40)),
+                        data.draw(st.integers(0, 100)))
+
+
+@pytest.mark.parametrize("game", ["cyclic", "one_agent", "unequal", "reference"])
+def test_chunked_kernel_check_on_fixed_games(game, reference_spec):
+    """Three one-agent teams (K=3), one team of one state, action and
+    agent, populations 2 and 3 (one team of one action and seven states),
+    and the reference game at N=4, at the first and last lattice points
+    with the first and last menu items."""
+    spec = {"cyclic": lambda: tf.load_spec(cyclic_pursuit_three_team()),
+            "one_agent": _one_state_one_action_one_agent,
+            "unequal": lambda: tf.load_spec(_walker_beside_chooser(7, 3)),
+            "reference": lambda: tf.with_populations(reference_spec, 4)}[game]()
+    lattices = [TeamLattice(tm.population, tm.n_states) for tm in spec.teams]
+    menus = [tf.build_prescription_set(spec, k).items for k in range(spec.n_teams)]
+    for end in (0, -1):
+        z = MeanField(per_team=tuple(tl.z[end] for tl in lattices))
+        check_kernel_chunks(spec, z, tuple(items[end] for items in menus), 23, SEED)
 
 
 def test_kernel_check_tv_is_unchanged_by_the_counting(reference_spec, reference_sets):
@@ -215,6 +279,41 @@ def test_kernel_check_tv_is_unchanged_by_the_counting(reference_spec, reference_
     gammas = (reference_sets[0].items[2], reference_sets[1].items[1])
     for N in (4, 8):
         check_kernel_check(tf.with_populations(reference_spec, N), z, gammas, 5000, 2)
+
+
+def _traced_peak(run) -> int:
+    """Peak bytes ``tracemalloc`` sees (numpy buffers included) while
+    ``run()`` runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_kernel_check_memory_does_not_grow_with_samples(reference_spec, reference_sets):
+    """At N=8 a whole-array check held about 280 MB at a million samples;
+    the chunked one stays within 8 budgets, and its peak at a million
+    samples is within 10% of its peak at 200,000."""
+    spec = tf.with_populations(reference_spec, 8)
+    z = MeanField(per_team=(np.array([0.5, 0.5]), np.array([0.5, 0.5])))
+    gammas = (reference_sets[0].items[1], reference_sets[1].items[1])
+    peak = {n: _traced_peak(lambda: empirical_kernel_check(spec, z, gammas, samples=n,
+                                                           master_seed=1))
+            for n in (2 * 10 ** 5, 10 ** 6)}
+    assert peak[10 ** 6] <= 8 * simulate.BLOCK_BYTES, peak
+    assert abs(peak[10 ** 6] - peak[2 * 10 ** 5]) <= 0.1 * peak[2 * 10 ** 5], peak
+
+
+def test_estimate_cost_memory_is_its_output_and_one_block(reference_spec):
+    """Beyond the (episodes, K) cost array, 20,000 episodes of the
+    reference game at N=8 hold at most 8 budgets."""
+    spec = tf.with_populations(reference_spec, 8)
+    lifted = _solved_lift(spec)
+    episodes = 20000
+    peak = _traced_peak(lambda: estimate_cost(spec, lifted, episodes, master_seed=SEED))
+    assert peak - 8 * episodes * spec.n_teams <= 8 * simulate.BLOCK_BYTES, peak
 
 
 def test_policy_rows_of_the_wrong_shape_are_rejected():

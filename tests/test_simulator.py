@@ -213,6 +213,32 @@ def test_kernel_check_needs_a_sample(samples):
         empirical_kernel_check(spec, z, gammas, samples=samples, master_seed=0)
 
 
+@pytest.mark.parametrize("count", [2.5, 3.0, "3", None])
+def test_counts_must_be_integers(count, reference_spec, reference_sets):
+    """A float or str count is refused up front, before it reaches a
+    stream label or ``PCG64.advance``."""
+    z = MeanField(per_team=(np.array([0.5, 0.5]), np.array([0.5, 0.5])))
+    gammas = (reference_sets[0].items[0], reference_sets[1].items[0])
+    with pytest.raises(SpecValidationError, match="must be an integer"):
+        empirical_kernel_check(reference_spec, z, gammas, samples=count, master_seed=0)
+    with pytest.raises(SpecValidationError, match="must be an integer"):
+        estimate_cost(reference_spec, _constant_table_policy(reference_spec), episodes=count)
+
+
+def test_integer_types_are_counts(reference_spec, reference_sets):
+    z = MeanField(per_team=(np.array([0.5, 0.5]), np.array([0.5, 0.5])))
+    gammas = (reference_sets[0].items[0], reference_sets[1].items[0])
+    rep = empirical_kernel_check(reference_spec, z, gammas, samples=np.int64(30), master_seed=0)
+    assert rep == empirical_kernel_check(reference_spec, z, gammas, samples=30, master_seed=0)
+    assert type(rep.samples) is int
+    res = estimate_cost(reference_spec, _constant_table_policy(reference_spec),
+                        episodes=np.uint8(3), master_seed=0, keep_episodes=True)
+    assert res.episodes == 3 and res.per_episode.shape == (3, 2)
+    with pytest.raises(SpecValidationError, match="at least one episode"):
+        estimate_cost(reference_spec, _constant_table_policy(reference_spec),
+                      episodes=np.int64(0))
+
+
 def test_kernel_check_reference(reference_spec, reference_sets):
     z = MeanField(per_team=(np.array([0.5, 0.5]), np.array([0.5, 0.5])))
     gammas = (reference_sets[0].items[2], reference_sets[1].items[1])
