@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, SpecValidationError
-from .model import GameSpec, _transitions, cost_matrix, flatten_mean_field
+from .model import GameSpec, cost_matrix, flatten_mean_field, transition_matrix
 
 DEFAULT_SUPPORT_CAP = 10 ** 7
 PRUNE_TOL = 1e-15     # support atoms below this are dropped, mass renormalized
@@ -362,7 +362,7 @@ def _mixture_rows(spec: GameSpec, k: int, zf: np.ndarray, R: np.ndarray) -> np.n
     if R.shape[1:] != (tm.n_states, tm.n_actions):
         raise SpecValidationError("prescription shape %s does not match team %d"
                                   % (R.shape[1:], k))
-    return np.einsum("isa,psat->pist", R, _transitions(spec, k, zf))
+    return np.einsum("isa,psat->pist", R, transition_matrix(spec, k, zf))
 
 
 def team_transition_kernel(m, z, gamma: Prescription, spec: GameSpec, k: int,

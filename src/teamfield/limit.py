@@ -3,7 +3,9 @@
 As populations grow, the random next mean field concentrates on its
 expectation, so the coordinator game collapses to a deterministic one:
 the mean field advances by the push-forward ``flow`` and stage costs are
-the same closed forms evaluated on it. The backward induction then runs
+the finite solver's cost table on it. The solve and ``rollout_inf`` both
+step with ``model._flow`` and pay ``stage_game._cost_table``, each
+batched over points and menu items. The backward induction then runs
 on a uniform 1/n discretization of each team's simplex, projecting every
 flow image to its nearest grid point (projection errors are logged, they
 are the honest discretization cost of the scheme).
@@ -31,8 +33,8 @@ from .errors import SpecValidationError
 from .counts import JointLattice, MeanField, TeamLattice
 from .finite_mpe import PolicyTable, ValueTable, _encode_records
 from .metrics import transport_distance
-from .model import GameSpec, _transitions, cost_matrix, flatten_mean_field
-from .stage_game import _backward, _on_axis
+from .model import GameSpec, _count, _flow, flatten_mean_field
+from .stage_game import STORE_BLOCK_ENTRIES, _backward, _cost_table, _on_axis
 
 
 class SimplexGrid(JointLattice):
@@ -47,10 +49,8 @@ class SimplexGrid(JointLattice):
     def __init__(self, spec: GameSpec, resolutions):
         if len(resolutions) != spec.n_teams:
             raise SpecValidationError("need one grid resolution per team")
-        self.resolutions = tuple(int(n) for n in resolutions)
-        for k, n in enumerate(self.resolutions):
-            if n < 1:
-                raise SpecValidationError("grid resolution must be >= 1, team %d got %d" % (k, n))
+        self.resolutions = tuple(_count(n, "team %d: grid resolution" % k)
+                                 for k, n in enumerate(resolutions))
         super().__init__(spec)
 
     def _team_lattices(self, spec: GameSpec) -> list:
@@ -83,38 +83,13 @@ def flow(z, prescriptions, spec: GameSpec) -> MeanField:
     return MeanField(per_team=tuple(x[0, 0] for x in nxt))
 
 
-def _flow(spec: GameSpec, Z, R) -> list:
-    """``flow`` batched over P joint points and every prescription of each
-    team: (P, m_k, S_k) images from occupancies Z[k] (P, S_k) and
-    prescription rows R[k] (m_k, S_k, A_k)."""
-    zf = np.concatenate(Z, axis=1)
-    out = []
-    for k in range(spec.n_teams):
-        nxt = np.einsum("ps,isa,psat->pit", Z[k], R[k], _transitions(spec, k, zf))
-        out.append(nxt / nxt.sum(axis=2, keepdims=True))
-    return out
-
-
-def limit_stage_cost(z, gamma, spec: GameSpec, k: int, t: int) -> float:
-    """Per-agent stage cost along the deterministic flow; written out
-    independently of counts.stage_cost so the two can be cross-checked."""
-    per_team = getattr(z, "per_team", z)
-    zf = flatten_mean_field(spec, z)
-    rows = gamma.rows if hasattr(gamma, "rows") else np.asarray(gamma, dtype=float)
-    zk = np.asarray(per_team[k], dtype=float)
-    total = 0.0
-    C = cost_matrix(spec, k, t, zf)
-    for s in range(spec.teams[k].n_states):
-        total += zk[s] * float(rows[s] @ C[s])
-    return total
-
-
 def _nearest(x, k, grid: SimplexGrid):
     """Nearest grid point of team k to every row of ``x`` and its distance;
     ties go to the ascending-lex first point. Rows go in blocks that keep
-    the (rows, grid points, states) difference table near 2^20 entries."""
+    the (rows, grid points, states) difference table near
+    STORE_BLOCK_ENTRIES entries."""
     pts = grid.points[k]
-    step = max(1, (1 << 20) // pts.size)
+    step = max(1, STORE_BLOCK_ENTRIES // pts.size)
     idx, dist = [], []
     for lo in range(0, len(x), step):
         d = transport_distance(x[lo:lo + step, None], pts[None], grid.spec.teams[k].state_metric)
@@ -207,11 +182,12 @@ class LimitTrajectory:
 
 
 def rollout_inf(spec: GameSpec, policy: PolicyTable) -> LimitTrajectory:
-    """Deterministic trajectory from the initial laws: at each stage look
-    up the equilibrium at the projected current point, pay the limit stage
-    cost, advance by the flow. Mixed profiles enter through their
-    mixture-averaged rows (flow and cost are affine in each team's rows,
-    so this is the exact one-step expectation)."""
+    """Deterministic trajectory from the initial laws: at each stage read
+    the stage record at the projected current point, pay each team's menu
+    costs (the solver's own ``_cost_table``) averaged under its weights,
+    and advance by the flow (``_flow``) under the weight-averaged rows.
+    Flow and cost are affine in each team's rows, so a mixed profile
+    enters exactly as its one-step expectation; a pure one reads its item."""
     grid = policy.lattice
     K, T = spec.n_teams, policy.horizon
     z = MeanField(per_team=tuple(tm.initial_law.copy() for tm in spec.teams))
@@ -221,11 +197,14 @@ def rollout_inf(spec: GameSpec, policy: PolicyTable) -> LimitTrajectory:
     for t in range(T):
         idx, err = project_indices(z, grid)
         errors.append(err)
-        eq = policy.equilibrium(t, idx)
-        rows = eq.mean_rows(policy.sets)
-        for k in range(K):
-            stage_costs[t, k] = limit_stage_cost(z, rows[k], spec, k, t)
-        z = flow(z, rows, spec)
+        rec = policy.stages[t][idx]
+        Z = [v[None] for v in z.per_team]
+        rows = []
+        for k, ps in enumerate(policy.sets):
+            w = rec["w%d" % k]
+            stage_costs[t, k] = w @ _cost_table(spec, k, ps, Z, t)[0]
+            rows.append(np.tensordot(w, ps.rows_stack(), axes=(0, 0))[None])
+        z = MeanField(per_team=tuple(x[0, 0] for x in _flow(spec, Z, rows)))
         mean_fields.append(z)
     cumulative = np.cumsum(stage_costs, axis=0)
     return LimitTrajectory(mean_fields=mean_fields, stage_costs=stage_costs,

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import CapacityError, SpecValidationError
 from .counts import (DEFAULT_SUPPORT_CAP, _arrivals, _count_laws, _mixture_rows,
                      count_point, lattice_size)
-from .model import GameSpec, flatten_mean_field, with_populations
+from .model import GameSpec, _flow, flatten_mean_field, with_populations
 from .stage_game import STORE_BLOCK_ENTRIES
 
 MAX_EXACT_STATES = 32
@@ -104,7 +104,6 @@ def _deviations(spec: GameSpec, z, menus) -> list:
     image) under each item of menus[k], read from rows of the count law on
     team k's lattice in blocks of about STORE_BLOCK_ENTRIES entries. Teams
     move independently given z, so each item is evaluated once."""
-    from .limit import _flow
     if len(menus) != spec.n_teams:
         raise SpecValidationError("need one menu per team, got %d for %d teams"
                                   % (len(menus), spec.n_teams))

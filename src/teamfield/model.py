@@ -16,6 +16,10 @@ product of simplices can be checked at its finitely many vertices, the
 coefficients yield closed-form Lipschitz bounds w.r.t. the transport
 metric, and the infinite-population flow stays exact.
 
+``transition_matrix`` and ``cost_matrix`` evaluate the maps by one einsum
+each, at one flat point or any batch, bitwise alike for a point either
+way; other modules call them (and ``_flow``) and never read coefficients.
+
 All validation failures raise SpecValidationError naming the first
 violated invariant and its location.
 """
@@ -23,6 +27,7 @@ violated invariant and its location.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -31,6 +36,18 @@ from .errors import SpecParseError, SpecValidationError
 
 STOCH_TOL = 1e-12     # stochasticity / normalization checks
 SIMPLEX_TOL = 1e-9    # membership of user-supplied mean fields
+
+
+def _count(value, name: str, least=1) -> int:
+    """``value`` as an int of at least ``least`` (any sign when None): any
+    integer type, NumPy's too, never a float, str or None."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise SpecValidationError("%s must be an integer, got %r" % (name, value)) from None
+    if least is not None and n < least:
+        raise SpecValidationError("%s must be >= %d, got %d" % (name, least, n))
+    return n
 
 
 def _freeze(a):
@@ -67,6 +84,8 @@ class TeamModel:
         for name in ("initial_law", "state_metric", "transition_base",
                      "transition_coupling", "cost_base", "cost_coupling"):
             object.__setattr__(self, name, _freeze(np.asarray(getattr(self, name), dtype=float)))
+        object.__setattr__(self, "population",
+                           _count(self.population, "team %d: population" % self.team_id))
         self._check_local()
 
     @property
@@ -82,8 +101,6 @@ class TeamModel:
         S, A = self.n_states, self.n_actions
         if S < 1 or A < 1:
             raise SpecValidationError("team %d: needs at least one state and one action" % k)
-        if int(self.population) < 1:
-            raise SpecValidationError("team %d: population must be a positive integer" % k)
         if self.initial_law.shape != (S,):
             raise SpecValidationError("team %d: initial_law has shape %s, expected (%d,)"
                                       % (k, self.initial_law.shape, S))
@@ -144,12 +161,10 @@ class GameSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "teams", tuple(self.teams))
-        object.__setattr__(self, "horizon", int(self.horizon))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "horizon", _count(self.horizon, "horizon"))
+        object.__setattr__(self, "seed", _count(self.seed, "seed", least=None))
         if len(self.teams) < 1:
             raise SpecValidationError("spec needs at least one team")
-        if self.horizon < 1:
-            raise SpecValidationError("horizon must be >= 1, got %d" % self.horizon)
         for i, tm in enumerate(self.teams):
             if tm.team_id != i:
                 raise SpecValidationError("team at position %d carries team_id %d"
@@ -245,24 +260,32 @@ def flatten_mean_field(spec: GameSpec, z) -> np.ndarray:
 
 
 def transition_matrix(spec: GameSpec, k: int, zf: np.ndarray) -> np.ndarray:
-    """All rows at once: (S, A, S) array of P(s'|s, a, z), z flat. Kept per
-    point: the simulator's tables must be bitwise those of the per-episode
-    process, which evaluates one point at a time."""
-    tm = spec.teams[k]
-    return np.maximum(tm.transition_base + tm.transition_coupling @ zf, 0.0)
-
-
-def _transitions(spec: GameSpec, k: int, zf: np.ndarray) -> np.ndarray:
-    """``transition_matrix`` at P flat joint points zf (P, D): (P, S, A, S)."""
+    """P(s'|s, a, z) of team k at flat points zf (..., D): a (..., S, A, S)
+    array. One einsum serves one point and any batch, and a point's rows
+    are bitwise the same alone or inside a batch, so the simulator's
+    tables, the per-episode process and the solver's kernels share them."""
     tm = spec.teams[k]
     return np.maximum(tm.transition_base
-                      + np.einsum("satd,pd->psat", tm.transition_coupling, zf), 0.0)
+                      + np.einsum("satd,...d->...sat", tm.transition_coupling, zf), 0.0)
 
 
 def cost_matrix(spec: GameSpec, k: int, t: int, zf: np.ndarray) -> np.ndarray:
-    """(S, A) array of c_t(s, a, z), z flat."""
+    """c_t(s, a, z) of team k at flat points zf (..., D): a (..., S, A)
+    array, bitwise the same for a point alone or inside a batch."""
     tm = spec.teams[k]
-    return tm.cost_base[t] + tm.cost_coupling[t] @ zf
+    return tm.cost_base[t] + np.einsum("sad,...d->...sa", tm.cost_coupling[t], zf)
+
+
+def _flow(spec: GameSpec, Z, R) -> list:
+    """The deterministic mean-field update (``limit.flow``) batched over P
+    joint points and every prescription of each team: (P, m_k, S_k) images
+    from occupancies Z[k] (P, S_k) and prescription rows R[k] (m_k, S_k, A_k)."""
+    zf = np.concatenate(Z, axis=1)
+    out = []
+    for k in range(spec.n_teams):
+        nxt = np.einsum("ps,isa,psat->pit", Z[k], R[k], transition_matrix(spec, k, zf))
+        out.append(nxt / nxt.sum(axis=2, keepdims=True))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -318,11 +341,11 @@ def load_spec(document) -> GameSpec:
         raise SpecParseError("document must be JSON text or a mapping, got %r" % type(document))
 
     try:
-        horizon = int(doc["horizon"])
+        horizon = _count(doc["horizon"], "horizon")    # it shapes the cost arrays
         team_docs = doc["teams"]
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecParseError("missing or malformed top-level field: %s" % exc) from exc
-    seed = int(doc.get("seed", 0))
+    seed = doc.get("seed", 0)
     if not isinstance(team_docs, list) or not team_docs:
         raise SpecParseError("'teams' must be a nonempty list")
 
@@ -339,7 +362,7 @@ def load_spec(document) -> GameSpec:
         try:
             states = list(td["states"])
             actions = list(td["actions"])
-            population = int(td["population"])
+            population = td["population"]
             initial_law = td["initial_law"]
             trans = td["transition"]
             cost = td["cost"]
@@ -375,10 +398,10 @@ def load_spec_file(path) -> GameSpec:
 
 def with_populations(spec: GameSpec, populations) -> GameSpec:
     """Same game with team populations replaced (revalidated)."""
-    if isinstance(populations, (int, np.integer)):
-        populations = [int(populations)] * spec.n_teams
+    if np.ndim(populations) == 0:
+        populations = [populations] * spec.n_teams
     if len(populations) != spec.n_teams:
         raise SpecValidationError("need one population per team")
-    teams = tuple(replace(tm, population=int(n))
+    teams = tuple(replace(tm, population=n)
                   for tm, n in zip(spec.teams, populations))
     return GameSpec(teams=teams, horizon=spec.horizon, seed=spec.seed)

@@ -11,8 +11,9 @@ kernel, is what certifies the count reformulation end to end.
 ``estimate_cost`` runs a lifted table policy in blocks of episodes with
 numpy, as many per block as fit their uniforms in ``BLOCK_BYTES`` (at
 least one): every episode draws the same uniforms in the same order from
-its own substream, and every table entry is the same per-point
-``cost_matrix`` / ``transition_matrix`` value the per-episode process
+its own substream, and its cost and transition tables come from one
+``cost_matrix`` / ``transition_matrix`` call per team (and stage) over
+all lattice points, bitwise the one-point values the per-episode process
 computes, so the per-episode costs are bitwise those of
 ``simulate_episode``, for any block boundaries and any worker count. A
 block seeds its episodes' substreams in bulk (``rng.stream_uniforms``)
@@ -30,7 +31,6 @@ its memory, like a block's, is O(``BLOCK_BYTES``) for any sample count.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +38,7 @@ import numpy as np
 from .counts import (DEFAULT_SUPPORT_CAP, PRUNE_TOL, CountVector, JointCount, _count_lattice,
                      _count_laws, _lattice_rank, _mixture_rows, _rank_terms, count_point, lattice_size)
 from .errors import CapacityError, SpecValidationError
-from .model import GameSpec, cost_matrix, flatten_mean_field, transition_matrix
+from .model import GameSpec, _count, cost_matrix, flatten_mean_field, transition_matrix
 from .rng import stream_uniforms, substream
 
 BLOCK_BYTES = 1 << 20     # bytes of the uniforms of an episode block or a kernel-check chunk
@@ -216,7 +216,7 @@ def _team_index(terms: np.ndarray, states: np.ndarray) -> np.ndarray:
 def _episode_tables(spec: GameSpec, policy: LiftedPolicy) -> _EpisodeTables:
     table = policy.table
     lattice = _count_lattice(table)
-    K, T, P = spec.n_teams, spec.horizon, len(lattice)
+    K, T = spec.n_teams, spec.horizon
     for k, ps in enumerate(table.sets):
         tm = spec.teams[k]
         if lattice.teams[k].population != tm.population:
@@ -227,14 +227,8 @@ def _episode_tables(spec: GameSpec, policy: LiftedPolicy) -> _EpisodeTables:
             if item.rows.shape != (tm.n_states, tm.n_actions):
                 raise SpecValidationError("policy rows for team %d have shape %s"
                                           % (k, item.rows.shape))
-    cost = [np.empty((T, P, tm.n_states, tm.n_actions)) for tm in spec.teams]
-    trans = [np.empty((P, tm.n_states, tm.n_actions, tm.n_states)) for tm in spec.teams]
-    for p in range(P):
-        zf = np.concatenate([z[p] for z in lattice.z])
-        for k in range(K):
-            trans[k][p] = transition_matrix(spec, k, zf)
-            for t in range(T):
-                cost[k][t, p] = cost_matrix(spec, k, t, zf)
+    zf = np.concatenate(lattice.z, axis=1)
+    cost = [np.stack([cost_matrix(spec, k, t, zf) for t in range(T)]) for k in range(K)]
     ws = [table.mixtures(t) for t in range(T)]
     mixed = np.stack([st.mixed.reshape(-1) for st in table.stages])
     pure_item = [np.stack([w[k].argmax(axis=1) for w in ws]) for k in range(K)]
@@ -245,7 +239,7 @@ def _episode_tables(spec: GameSpec, policy: LiftedPolicy) -> _EpisodeTables:
         initial_cdf=[_cdf(tm.initial_law) for tm in spec.teams],
         rank_terms=[_rank_terms(tm.population, tm.n_states) for tm in spec.teams],
         action_cdf=[_cdf(ps.rows_stack()) for ps in table.sets],
-        cost=cost, transition_cdf=[_cdf(x) for x in trans],
+        cost=cost, transition_cdf=[_cdf(transition_matrix(spec, k, zf)) for k in range(K)],
         mixed=mixed, pure_item=pure_item, mixture_cdf=mixture_cdf)
 
 
@@ -295,18 +289,6 @@ def _run_chunk(args):
                            for i in range(0, len(episode_ids), size)], axis=0)
 
 
-def _count(value, unit: str) -> int:
-    """``value`` as a positive int: any integer type, never a float or str."""
-    try:
-        n = operator.index(value)
-    except TypeError:
-        raise SpecValidationError("the number of %ss must be an integer, got %r"
-                                  % (unit, value)) from None
-    if n < 1:
-        raise SpecValidationError("need at least one %s" % unit)
-    return n
-
-
 def estimate_cost(spec: GameSpec, policy: LiftedPolicy, episodes: int, master_seed=None,
                   workers: int = 1, keep_episodes: bool = False) -> SimResult:
     """Mean and standard error of the per-team cumulative cost over
@@ -317,7 +299,9 @@ def estimate_cost(spec: GameSpec, policy: LiftedPolicy, episodes: int, master_se
     if not isinstance(policy, LiftedPolicy):
         raise SpecValidationError("estimate_cost runs a LiftedPolicy, got %s"
                                   % type(policy).__name__)
-    episodes = _count(episodes, "episode")
+    episodes = _count(episodes, "the number of episodes", least=None)
+    if episodes < 1:
+        raise SpecValidationError("need at least one episode")
     seed = spec.seed if master_seed is None else master_seed
     tab = _episode_tables(spec, policy)
     ids = np.arange(episodes)
@@ -378,7 +362,9 @@ def empirical_kernel_check(spec: GameSpec, z, prescriptions,
     hit array, so the draws are those of the whole blocks and memory is
     O(``BLOCK_BYTES``) for any sample count.
     """
-    samples = _count(samples, "sample")
+    samples = _count(samples, "the number of samples", least=None)
+    if samples < 1:
+        raise SpecValidationError("need at least one sample")
     per_team = getattr(z, "per_team", z)
     counts_in = [count_point(per_team[k], tm.population, k)
                  for k, tm in enumerate(spec.teams)]

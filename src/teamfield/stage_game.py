@@ -27,7 +27,7 @@ from .errors import (CapacityError, EquilibriumNotFoundError, NoPureEquilibriumE
                      SpecValidationError)
 from .counts import (JointLattice, MeanField, Prescription, _count_laws, _joint_points,
                      _mixture_rows, count_point, enumerate_counts)
-from .model import GameSpec, flatten_mean_field
+from .model import GameSpec, cost_matrix, flatten_mean_field
 
 PURE_TOL = 1e-12      # strict-improvement tolerance for pure deviations
 CERT_TOL = 1e-9       # certified-equilibrium acceptance threshold
@@ -138,16 +138,6 @@ class StageEquilibrium:
             out.append(w)
         return out
 
-    def mean_rows(self, sets) -> list:
-        """Mixture-averaged prescription rows per team."""
-        out = []
-        for k, ps in enumerate(sets):
-            if self.kind == "pure":
-                out.append(ps.items[self.per_team[k]].rows)
-            else:
-                out.append(np.tensordot(self.per_team[k], ps.rows_stack(), axes=(0, 0)))
-        return out
-
 
 class KernelCache:
     """The one store of per-team next-count kernels of a run.
@@ -212,9 +202,7 @@ class KernelCache:
 def _cost_table(spec: GameSpec, k: int, ps: PrescriptionSet, Z, t: int) -> np.ndarray:
     """(P, menu size) own stage cost of team k at the joint points Z: the
     closed form of counts.stage_cost, sum_s z_k(s) sum_a gamma(a|s) c_t(s, a, z)."""
-    tm = spec.teams[k]
-    C = tm.cost_base[t] + np.einsum("sad,pd->psa", tm.cost_coupling[t],
-                                    np.concatenate(Z, axis=1))
+    C = cost_matrix(spec, k, t, np.concatenate(Z, axis=1))
     return np.einsum("ps,isa,psa->pi", Z[k], ps.rows_stack(), C)
 
 

@@ -18,13 +18,12 @@ from teamfield.counts import (CountVector, JointCount, MeanField, stage_cost,
 from teamfield.finite_mpe import (JointLattice, best_response,
                                   initial_distribution, policy_value,
                                   solve_mpe, verify_mpe)
-from teamfield.limit import (flow, limit_stage_cost, project_policy_to_lattice,
-                             solve_mpe_inf)
+from teamfield.limit import flow, project_policy_to_lattice, solve_mpe_inf
 from teamfield.metrics import (estimate_lipschitz, fit_rate, kappa_envelope,
                                theorem4_bound)
 from teamfield.model import with_populations
 from teamfield.simulate import empirical_kernel_check, estimate_cost, lift_policy
-from teamfield.stage_game import KernelCache, build_prescription_set
+from teamfield.stage_game import KernelCache, _cost_table, build_prescription_set
 from teamfield.static_games import (load_static_game_file, pure_nash_static,
                                     static_report, team_nash_static)
 
@@ -126,12 +125,12 @@ def test_criterion_04_stage_cost_identity(reference_spec, reference_sets):
     worst = 0.0
     for idx in idxs:
         z = lattice.mean_field(idx)
+        Z = [v[None] for v in z.per_team]
         for k in range(2):
-            for g in reference_sets[k].items:
-                for t in range(reference_spec.horizon):
-                    worst = max(worst, abs(
-                        stage_cost(z, g, reference_spec, k, t)
-                        - limit_stage_cost(z, g, reference_spec, k, t)))
+            for t in range(reference_spec.horizon):
+                limit = _cost_table(reference_spec, k, reference_sets[k], Z, t)[0]
+                for g, c in zip(reference_sets[k].items, limit):
+                    worst = max(worst, abs(stage_cost(z, g, reference_spec, k, t) - c))
     _verdict(4, "stage-cost-identity", worst <= 1e-12, "max gap %.2e" % worst,
              time.monotonic() - t0, 1)
 

@@ -6,6 +6,7 @@ loads neither the LP solver nor the process pool."""
 import importlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -25,7 +26,7 @@ NOT_IN_SRC = {
     "counts": ("action_count_dist", "nextstate_count_dist", "marginalize_counts",
                "sample_next_counts", "_multinomial_pmf", "mixture_rows", "format_counts"),
     "model": ("eval_transition", "eval_cost", "_kr_norm", "transition_lipschitz",
-              "cost_lipschitz"),
+              "cost_lipschitz", "_transitions"),
     "stage_game": ("build_stage_game", "ContinuationTable", "stage_pure_nash_loop",
                    "mixed_nash_2team_unpruned", "br_iteration_recertified", "pure_nash",
                    "select_equilibrium", "own_cost_vector_tensordot"),
@@ -33,7 +34,7 @@ NOT_IN_SRC = {
     "metrics": ("wasserstein_fast", "DEFAULT_DEVIATION_CAP", "DEFAULT_PAIR_CAP",
                 "joint_distance", "lemma1_check", "Lemma1Report"),
     "cli": ("PROBE_PROFILE_CAP",),
-    "limit": ("project_to_grid",),
+    "limit": ("project_to_grid", "limit_stage_cost"),
     "finite_mpe": ("total_cost_forward", "_records"),
 }
 
@@ -51,6 +52,17 @@ def test_test_oracles_are_not_exported():
             assert name not in tf.__all__
             assert not hasattr(tf, name), name
             assert not hasattr(mod, name), "%s.%s" % (module, name)
+
+
+def test_only_the_model_reads_the_affine_coefficients():
+    """Transitions and costs are evaluated by ``model.transition_matrix``
+    and ``model.cost_matrix`` alone: no other module of the package names
+    the coefficient arrays, and no second closed form is kept."""
+    coefficients = re.compile(r"\b(transition_base|transition_coupling|cost_base|cost_coupling)\b")
+    src = Path(tf.__file__).resolve().parent
+    readers = sorted(p.name for p in src.glob("*.py") if coefficients.search(p.read_text()))
+    assert readers == ["model.py"]
+    assert not hasattr(tf.StageEquilibrium, "mean_rows")
 
 
 def _workloads(monkeypatch):

@@ -50,6 +50,22 @@ def test_bad_row_sum_exits_2(tmp_path, capsys):
     assert "transition_base row sum" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["population", "horizon", "seed"])
+@pytest.mark.parametrize("value", [2.5, 2.0, "3"])
+def test_non_integral_counts_exit_2(tmp_path, field, value):
+    """A count that is not an integer is refused, not truncated."""
+    doc = minimal_team()
+    if field == "population":
+        doc["teams"][0]["population"] = value
+    else:
+        doc[field] = value
+    spec = write_json(tmp_path / "bad.json", doc)
+    assert main(["validate", "--spec", str(spec), "--out", str(tmp_path)]) == 2
+    err = _read(tmp_path / "validate" / "error.json")
+    assert err["error"] == "SpecValidationError"
+    assert "must be an integer" in err["message"]
+
+
 def test_missing_spec_exits_2(tmp_path):
     assert main(["validate", "--spec", str(tmp_path / "nope.json")]) == 2
 

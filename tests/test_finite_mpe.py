@@ -107,13 +107,13 @@ def test_single_team_policy_decongests(single_team_spec):
     lattice = policy.lattice
     i20 = lattice.teams[0].index[(2, 0)]
     i11 = lattice.teams[0].index[(1, 1)]
-    eq0 = policy.equilibrium(0, (i20,))
-    rows = eq0.mean_rows(policy.sets)[0]
+    items = policy.sets[0].items
+    rows = items[policy.equilibrium(0, (i20,)).per_team[0]].rows
     assert rows[0, 1] == 1.0       # crowded state moves
     assert policy.equilibrium(0, (i11,)).per_team[0] == 0
     for i in range(lattice.shape[0]):
         eq1 = policy.equilibrium(1, (i,))
-        assert eq1.mean_rows(policy.sets)[0][:, 1].max() == 0.0
+        assert items[eq1.per_team[0]].rows[:, 1].max() == 0.0
 
 
 def test_mixed_equilibrium_policy_certifies(tmp_path):

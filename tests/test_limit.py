@@ -7,9 +7,9 @@ import pytest
 import teamfield as tf
 from teamfield.counts import MeanField, Prescription, stage_cost
 from teamfield.errors import CapacityError, SpecValidationError
-from teamfield.limit import (SimplexGrid, default_grid, limit_stage_cost,
-                             project_indices, rollout_inf, solve_mpe_inf)
-from teamfield.stage_game import StageEquilibrium
+from teamfield.limit import (SimplexGrid, default_grid, project_indices, rollout_inf,
+                             solve_mpe_inf)
+from teamfield.stage_game import StageEquilibrium, _cost_table
 
 from conftest import deterministic_two_team, identity_dynamics_spec, minimal_team
 
@@ -37,17 +37,19 @@ def test_flow_is_kernel_mean(reference_spec, reference_sets):
 
 
 def test_limit_stage_cost_identity(reference_spec, reference_sets):
-    """Finite count stage cost and limit stage cost are one formula."""
+    """Finite count stage cost and the limit's cost path (the cost table
+    ``rollout_inf`` pays from) are one formula."""
     spec = reference_spec
     worst = 0.0
     for za in [(1.0, 0.0), (0.5, 0.5), (0.0, 1.0)]:
         for zb in [(1.0, 0.0), (0.5, 0.5)]:
             z = MeanField(per_team=(np.array(za), np.array(zb)))
+            Z = [v[None] for v in z.per_team]
             for k in range(2):
-                for g in reference_sets[k].items:
-                    for t in range(2):
+                for t in range(2):
+                    limit = _cost_table(spec, k, reference_sets[k], Z, t)[0]
+                    for g, b in zip(reference_sets[k].items, limit):
                         a = stage_cost(z, g, spec, k, t)
-                        b = limit_stage_cost(z, g, spec, k, t)
                         worst = max(worst, abs(a - b))
     assert worst <= 1e-12
 
@@ -187,6 +189,22 @@ def test_identity_dynamics_limit_is_exact():
     for z in traj.mean_fields:
         assert np.allclose(z.per_team[0], [0.5, 0.5])
     assert all(e == 0.0 for e in traj.projection_errors)
+
+
+@pytest.mark.parametrize("doc", [identity_dynamics_spec(), deterministic_two_team()],
+                         ids=["identity", "mixed-two-team"])
+def test_rollout_totals_equal_the_limit_values(doc):
+    """Where the rollout never leaves the grid, its totals are the limit
+    values at the initial grid point: the rollout pays the solver's own
+    cost table and steps with its flow, also through a mixed stage."""
+    spec = tf.load_spec(json.dumps(doc))
+    sets = tuple(tf.build_prescription_set(spec, k) for k in range(spec.n_teams))
+    policy, values, _ = solve_mpe_inf(spec, sets)
+    traj = rollout_inf(spec, policy)
+    assert max(traj.projection_errors) <= 1e-15
+    idx, _ = project_indices(traj.mean_fields[0], policy.lattice)
+    assert np.abs(traj.totals - values.values[(0, slice(None)) + idx]).max() <= 1e-12
+    assert policy.mixed_points or spec.n_teams == 1
 
 
 def test_projected_policy_plays_in_finite_game(reference_spec,

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teamfield.errors import SpecParseError, SpecValidationError
+from teamfield.limit import SimplexGrid
 from teamfield.model import flatten_mean_field, load_spec, with_populations
 
 from conftest import minimal_team
@@ -153,6 +154,39 @@ def test_with_populations_scales_and_revalidates(reference_spec):
     assert [tm.population for tm in spec.teams] == [4, 6]
     with pytest.raises(SpecValidationError):
         with_populations(reference_spec, [4])
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, "3"])
+def test_non_integral_counts_are_refused(value, reference_spec):
+    """Populations, horizons, seeds and grid resolutions that are not
+    integers raise instead of being truncated to another game."""
+    doc = minimal_team()
+    doc["teams"][0]["population"] = value
+    for bad in (doc, dict(minimal_team(), horizon=value), dict(minimal_team(), seed=value)):
+        with pytest.raises(SpecValidationError, match="must be an integer"):
+            load_spec(bad)
+        with pytest.raises(SpecValidationError, match="must be an integer"):
+            load_spec(json.dumps(bad))
+    with pytest.raises(SpecValidationError, match="must be an integer"):
+        with_populations(reference_spec, [value, 3])
+    with pytest.raises(SpecValidationError, match="must be an integer"):
+        with_populations(reference_spec, value)
+    with pytest.raises(SpecValidationError, match="must be an integer"):
+        SimplexGrid(reference_spec, [value, 3])
+
+
+def test_integer_types_are_counts(reference_spec):
+    doc = minimal_team()
+    doc["teams"][0]["population"] = np.int64(3)
+    doc["horizon"], doc["seed"] = np.uint8(2), np.int32(-4)
+    spec = load_spec(doc)
+    assert (spec.teams[0].population, spec.horizon, spec.seed) == (3, 2, -4)
+    assert type(spec.teams[0].population) is int and type(spec.horizon) is int
+    spec = with_populations(reference_spec, [np.int64(4), np.uint8(6)])
+    assert [tm.population for tm in spec.teams] == [4, 6]
+    assert SimplexGrid(reference_spec, [np.int64(2), np.uint8(3)]).resolutions == (2, 3)
+    with pytest.raises(SpecValidationError, match="population must be >= 1"):
+        with_populations(reference_spec, [0, 3])
 
 
 @settings(max_examples=30, deadline=None)

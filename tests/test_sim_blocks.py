@@ -8,6 +8,9 @@ on the joint lattice and counts them with ``np.bincount``; its report
 must equal the sample-by-sample loop against the dict-keyed joint kernel,
 and, bitwise, the whole-array check for any chunking of its samples. Both
 simulators hold their uniforms within a byte budget for any run length.
+The model's evaluators give a point bitwise the same rows alone or inside
+a batch, so the episode tables built over all points are bitwise the
+per-point values the per-episode process computes.
 """
 
 import json
@@ -23,6 +26,7 @@ import teamfield as tf
 from teamfield import simulate
 from teamfield.counts import (MeanField, TeamLattice, _lattice_rank, _rank_terms,
                               lattice_size)
+from teamfield.model import cost_matrix, flatten_mean_field, transition_matrix
 from teamfield.rng import substream
 from teamfield.simulate import (empirical_kernel_check, estimate_cost, lift_policy,
                                 simulate_episode)
@@ -135,6 +139,69 @@ def test_batched_costs_with_one_state_one_action_one_agent():
     check_batched(spec, 5)
     res = estimate_cost(spec, _solved_lift(spec), 5, master_seed=SEED, keep_episodes=True)
     assert np.all(res.per_episode == 0.5)
+
+
+def _bits(a) -> bytes:
+    a = np.asarray(a)
+    return a.dtype.str.encode() + repr(a.shape).encode() + a.tobytes()
+
+
+def check_evaluators(spec, zf):
+    """``transition_matrix`` / ``cost_matrix`` over the points zf (..., D)
+    are bitwise the calls at each point alone."""
+    for k in range(spec.n_teams):
+        P = transition_matrix(spec, k, zf)
+        C = [cost_matrix(spec, k, t, zf) for t in range(spec.horizon)]
+        for i in np.ndindex(zf.shape[:-1]):
+            assert _bits(P[i]) == _bits(transition_matrix(spec, k, zf[i])), (k, i)
+            for t in range(spec.horizon):
+                assert _bits(C[t][i]) == _bits(cost_matrix(spec, k, t, zf[i])), (k, t, i)
+
+
+def check_episode_tables(spec):
+    """Every entry of the batched episode tables is bitwise the per-point
+    value at the mean field the per-episode process flattens."""
+    lifted = _solved_lift(spec)
+    tab = simulate._episode_tables(spec, lifted)
+    lattice = lifted.table.lattice
+    for p, idx in enumerate(lattice.indices()):
+        zf = flatten_mean_field(spec, lattice.mean_field(idx))
+        for k in range(spec.n_teams):
+            assert (_bits(tab.transition_cdf[k][p])
+                    == _bits(simulate._cdf(transition_matrix(spec, k, zf)))), (k, p)
+            for t in range(spec.horizon):
+                assert _bits(tab.cost[k][t, p]) == _bits(cost_matrix(spec, k, t, zf)), (k, t, p)
+
+
+def _batch_points(spec, rng, n):
+    """n random points of the product of simplices, flat, shape (n, D)."""
+    return np.concatenate([rng.dirichlet(np.ones(tm.n_states), size=n) for tm in spec.teams],
+                          axis=1)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(small_games(), st.integers(0, 2 ** 32 - 1))
+def test_batched_evaluators_equal_one_point_calls(doc, seed):
+    """Random games of K 1-3, S 1-3, A 1-2: random points and the joint
+    lattice, as one batch and as a (2, 3) grid of points; and the episode
+    tables against the per-point calls."""
+    spec = tf.load_spec(doc)
+    rng = np.random.default_rng(seed)
+    lattice = tf.JointLattice(spec)
+    check_evaluators(spec, np.concatenate(lattice.z, axis=1))
+    zf = _batch_points(spec, rng, 6)
+    check_evaluators(spec, zf)
+    check_evaluators(spec, zf.reshape(2, 3, -1))
+    check_episode_tables(spec)
+
+
+@pytest.mark.parametrize("game", ["one-state-one-action", "one-action-walker", "cyclic"])
+def test_batched_evaluators_on_fixed_games(game):
+    spec = {"one-state-one-action": _one_state_one_action_one_agent,
+            "one-action-walker": lambda: tf.load_spec(_walker_beside_chooser(3, 2)),
+            "cyclic": lambda: tf.load_spec(cyclic_pursuit_three_team())}[game]()
+    check_evaluators(spec, _batch_points(spec, np.random.default_rng(5), 7))
+    check_episode_tables(spec)
 
 
 def test_single_episode(reference_spec):
