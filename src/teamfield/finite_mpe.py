@@ -35,6 +35,7 @@ solver, the certificate and the cost evaluation.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -230,35 +231,44 @@ def policy_records(policy: PolicyTable, values: ValueTable) -> str:
     return _encode_records(policy, values.values, policy.lattice.record_z)
 
 
-_RECORD = ('    {\n      "kind": "%s",\n      "prescription": %s,\n      "stage": %d,\n'
-           '      "team": %d,\n      "value": %r,\n%s      "z": %s\n    }')
+_HEAD = (',\n    {\n      "kind": "%s",\n      "prescription": %s,\n      "stage": %d,\n'
+         '      "team": %d,\n      "value": ')     # with the separator from the previous record
 
 
 def _encode_records(policy, values, zs) -> str:
     """Records {kind, prescription, stage, team, value, weights (mixed
     only), z} of ``policy`` and its values (T, K, *points) at every stage,
     point (C order) and team: the text ``json.dumps(sort_keys=True,
-    indent=2)`` writes for the ``records`` array of ``policy.json``, one
-    template per record. ``zs`` holds every point's encoded ``z``. Values
-    are finite (stage games reject others), so ``%r`` formats them as
-    ``json`` does. A pure prescription is a menu item, encoded once; a
-    mixed one is its mixture of the menu's rows."""
+    indent=2)`` writes for the ``records`` array of ``policy.json``. ``zs``
+    holds every point's encoded ``z``.
+
+    A record is a head (the keys up to "value"), the value, for a mixed
+    one its weights, and its point's ``z`` tail. The text is joined once
+    from per-team columns of each stage: heads picked from one head per
+    menu item (a pure prescription is a menu item), the ``repr`` of the
+    value column (values are finite, since stage games reject others, so
+    ``repr`` writes them as ``json`` does) and the per-point tails. Only
+    the mixed records, whose prescription is their mixture of the menu's
+    rows, are formatted one by one."""
     K = len(policy.sets)
+    if not (policy.stages and len(zs)):
+        return "[]"
     items = [[_indented(p.rows.tolist()) for p in ps.items] for ps in policy.sets]
     stacks = [ps.rows_stack() for ps in policy.sets]
-    records = []
+    tails = [',\n      "z": %s\n    }' % z for z in zs]
+    stages = []
     for t, st in enumerate(policy.stages):
-        ws = policy.mixtures(t)
-        picks = [w.argmax(axis=1).tolist() for w in ws]
-        vals = values[t].reshape(K, -1).tolist()
-        for p, (z, mixed) in enumerate(zip(zs, st.mixed.flat)):
-            for k in range(K):
-                if mixed:
-                    rows = np.tensordot(ws[k][p], stacks[k], axes=(0, 0)).tolist()
-                    records.append(_RECORD % ("mixed", _indented(rows), t, k, vals[k][p],
-                                              '      "weights": %s,\n'
-                                              % _indented(ws[k][p].tolist()), z))
-                else:
-                    records.append(_RECORD % ("pure", items[k][picks[k][p]], t, k,
-                                              vals[k][p], "", z))
-    return "[\n%s\n  ]" % ",\n".join(records) if records else "[]"
+        mixed, columns = np.flatnonzero(st.mixed).tolist(), []
+        for k, (w, v) in enumerate(zip(policy.mixtures(t), values[t].reshape(K, -1).tolist())):
+            heads = [_HEAD % ("pure", item, t, k) for item in items[k]]
+            head = list(map(heads.__getitem__, w.argmax(axis=1).tolist()))
+            value = list(map(repr, v))
+            for p in mixed:
+                rows = np.tensordot(w[p], stacks[k], axes=(0, 0)).tolist()
+                head[p] = _HEAD % ("mixed", _indented(rows), t, k)
+                value[p] += ',\n      "weights": %s' % _indented(w[p].tolist())
+            columns += [head, value, tails]
+        stages.append(columns)
+    stages[0][0][0] = stages[0][0][0][2:]      # no separator before the first record
+    points = itertools.chain.from_iterable(zip(*columns) for columns in stages)
+    return "".join(itertools.chain(["[\n"], itertools.chain.from_iterable(points), ["\n  ]"]))

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -411,20 +412,32 @@ def _run_plan(plan, weights) -> np.ndarray:
 def mixed_nash_2team(game: StageGame) -> StageEquilibrium:
     """Support enumeration for two-team games.
 
-    Candidate supports are scanned smallest total size first (then row
-    size, then lexicographic); each candidate's indifference system is
-    solved by least squares and the resulting profile is kept only if its
-    exactly recomputed epsilon is at most 1e-9. Supports hold at most
-    DEFAULT_SUPPORT_BOUND indices per team.
+    Candidate supports (R, C) hold at most DEFAULT_SUPPORT_BOUND indices
+    per team and are scanned one level (r, c) = (|R|, |C|) at a time:
+    smallest total size first, then row size, then R and C
+    lexicographically. Each candidate's indifference system is solved by
+    least squares and the resulting profile is kept only if its exactly
+    recomputed epsilon is at most CERT_TOL; the first one is returned.
 
-    Pairs (R, C) with a conditionally dominated index are skipped unsolved
+    Pairs with a conditionally dominated index are skipped unsolved
     (Porter, Nudelman and Shoham 2008): a row of R that costs more than
     delta = 1e-6 (1 + max |cost|) above some other row against every
     column of C, or a column of C likewise against the rows of R. Such a
     candidate would give that other index a gain of at least delta less
     the 1e-9 residual of the indifference solve, so the certificate would
-    reject it and the first certified candidate is unchanged. Dominance
-    is worked out only for the supports the scan reaches, once each.
+    reject it. Per level, the indices surviving each support come from
+    one array pass over a block of supports (every pairwise "beats by
+    more than delta" comparison, reduced over the support); C is drawn
+    only from the columns that survive against at least one R of size r
+    (found once per r), and a boolean table over a block of the level's
+    (R, C) pairs keeps those with R among the rows that survive C and C
+    among the columns that survive R (``_level_pairs``). Combinations of
+    a subset keep lexicographic order, so the kept pairs
+    are visited in exactly the order of the full scan, and the first
+    certified candidate is the one the unpruned scan finds. Every table
+    is built in blocks of at most STORE_BLOCK_ENTRIES entries from
+    ``itertools.islice`` of the combinations, so memory does not grow
+    with the number of supports of a level.
 
     The x solve of a pair is skipped when, against its solved y, some row
     costs more than delta less than every row of R: any mixture on R then
@@ -435,11 +448,12 @@ def mixed_nash_2team(game: StageGame) -> StageEquilibrium:
     A, B = game.tensors
     n1, n2 = game.shape
     delta = 1e-6 * (1.0 + max(np.abs(A).max(), np.abs(B).max()))
-    rows_ok = _undominated(A, delta)      # rows of A kept against a column support
-    cols_ok = _undominated(B.T, delta)    # columns of B kept against a row support
-    for r, c, R, C in _support_pairs(n1, n2, cols_ok):
-        if not set(R).issubset(rows_ok(C)):
-            continue
+    b1, b2 = min(n1, DEFAULT_SUPPORT_BOUND), min(n2, DEFAULT_SUPPORT_BOUND)
+    levels = ((r, total - r) for total in range(2, b1 + b2 + 1)
+              for r in range(max(1, total - b2), min(b1, total - 1) + 1))
+    columns = functools.cache(lambda r: _surviving_columns(B.T, delta, n1, r))
+    for r, c, R, C in ((r, c, R, C) for r, c in levels
+                       for R, C in _level_pairs(A, B.T, delta, r, c, columns(r))):
         if r == 1 and c == 1:
             x = np.zeros(n1); x[R[0]] = 1.0
             y = np.zeros(n2); y[C[0]] = 1.0
@@ -449,13 +463,13 @@ def mixed_nash_2team(game: StageGame) -> StageEquilibrium:
             if y is None:
                 continue
             against = A[:, C] @ y
-            if against.min() < against[list(R)].min() - delta:
+            if against.min() < against[R].min() - delta:
                 continue
             x = _indifference_solve(B[block].T, r)
             if x is None:
                 continue
-            xf = np.zeros(n1); xf[list(R)] = x
-            yf = np.zeros(n2); yf[list(C)] = y
+            xf = np.zeros(n1); xf[R] = x
+            yf = np.zeros(n2); yf[C] = y
             x, y = xf, yf
         cand = StageEquilibrium(kind="mixed", per_team=(x, y), epsilon=0.0)
         eps = certify_epsilon(game, cand)
@@ -467,29 +481,61 @@ def mixed_nash_2team(game: StageGame) -> StageEquilibrium:
         "no equilibrium with supports of size <= %d certified" % DEFAULT_SUPPORT_BOUND)
 
 
-def _undominated(M: np.ndarray, delta: float):
-    """Map from a support (tuple of column indices of M) to the increasing
-    tuple of rows of M that no other row beats by more than delta against
-    every column of it; each is built on first use and kept."""
-    @functools.cache
-    def rows(support):
-        X = M[:, list(support)]
-        dominated = (X[:, None] > X[None] + delta).all(axis=2).any(axis=1)
-        return tuple(np.flatnonzero(~dominated).tolist())
-    return rows
+def _surviving_columns(BT: np.ndarray, delta: float, n1: int, r: int) -> np.ndarray:
+    """Increasing indices of the rows of BT (columns of the game) that
+    survive at least one row support of size r."""
+    step = max(1, STORE_BLOCK_ENTRIES // (r * len(BT) ** 2))
+    union = np.zeros(len(BT), dtype=bool)
+    for Rs in _combination_blocks(n1, r, step):
+        union |= _survivors(BT, delta, Rs).any(axis=0)
+    return np.flatnonzero(union)
 
 
-def _support_pairs(n1: int, n2: int, columns):
-    """(r, c, R, C) for supports of at most DEFAULT_SUPPORT_BOUND indices,
-    generated lazily in ``mixed_nash_2team``'s scan order; ``columns(R)``
-    lists in increasing order the column indices that may enter C
-    alongside R."""
-    b1, b2 = min(n1, DEFAULT_SUPPORT_BOUND), min(n2, DEFAULT_SUPPORT_BOUND)
-    for total in range(2, b1 + b2 + 1):
-        for r in range(max(1, total - b2), min(b1, total - 1) + 1):
-            for R in itertools.combinations(range(n1), r):
-                for C in itertools.combinations(columns(R), total - r):
-                    yield r, total - r, R, C
+def _level_pairs(A: np.ndarray, BT: np.ndarray, delta: float, r: int, c: int,
+                 cols: np.ndarray):
+    """The support pairs (R, C) of one level, |R| = r and |C| = c, with C
+    drawn from ``cols``, that no index of either support is dominated in,
+    as lists of indices in scan order (R, then C, lexicographic).
+
+    Each (R block, C block) pair of blocks gives one boolean table of the
+    pairs with R among the rows of A surviving C and C among the rows of
+    BT surviving R (worked out only among ``cols``), read row-major; when
+    the C's of the level take several blocks, an R block holds one R, so
+    the pairs still come in scan order."""
+    n1, n2 = len(A), len(BT)
+    n_c = math.comb(len(cols), c)
+    if n_c == 0:
+        return
+    c_step = max(1, STORE_BLOCK_ENTRIES // (c * n1 * n1))
+    r_step = (1 if n_c > c_step else
+              max(1, min(STORE_BLOCK_ENTRIES // (r * n2 * n2),
+                         STORE_BLOCK_ENTRIES // (n_c * max(r, c)))))
+    for Rs in _combination_blocks(n1, r, r_step):
+        cols_ok = _survivors(BT, delta, Rs, cols)
+        for Cp in _combination_blocks(len(cols), c, c_step):
+            Cs = cols[Cp]
+            rows_ok = _survivors(A, delta, Cs)
+            keep = rows_ok[:, Rs].all(axis=2).T & cols_ok[:, Cp].all(axis=2)
+            for a, b in zip(*np.nonzero(keep)):
+                yield Rs[a].tolist(), Cs[b].tolist()
+
+
+def _survivors(M: np.ndarray, delta: float, supports: np.ndarray,
+               among=slice(None)) -> np.ndarray:
+    """(len(supports), len(M[among])) mask of the rows of M[among] that no
+    row of M beats by more than delta at every column of the support."""
+    X = M[:, supports].transpose(1, 0, 2)
+    return ~(X[:, among, None] > X[:, None] + delta).all(axis=3).any(axis=2)
+
+
+def _combination_blocks(n: int, size: int, step: int):
+    """itertools.combinations(range(n), size) in lexicographic order as
+    (<= step, size) index arrays."""
+    combos, total = itertools.combinations(range(n), size), math.comb(n, size)
+    for lo in range(0, total, step):
+        m = min(step, total - lo)
+        flat = itertools.chain.from_iterable(itertools.islice(combos, m))
+        yield np.fromiter(flat, dtype=np.intp, count=m * size).reshape(m, size)
 
 
 def _indifference_solve(M: np.ndarray, size: int):

@@ -33,8 +33,7 @@ from teamfield.rng import substream
 from teamfield.simulate import KernelCheckReport, _cdf, _pick, _pick_rows, _team_index
 from teamfield.stage_game import (CERT_TOL, DEFAULT_SUPPORT_BOUND, PURE_TOL, KernelCache,
                                   StageEquilibrium, StageGame, _cost_table,
-                                  _indifference_solve, _support_pairs,
-                                  certify_epsilon)
+                                  _indifference_solve, certify_epsilon)
 
 
 def _multinomial_pmf(n: int, probs: np.ndarray, comps: np.ndarray) -> np.ndarray:
@@ -376,6 +375,19 @@ def stage_pure_nash_loop(game: StageGame) -> list:
         if stable:
             out.append(prof)
     return out
+
+
+def _support_pairs(n1: int, n2: int, columns):
+    """(r, c, R, C) for supports of at most DEFAULT_SUPPORT_BOUND indices,
+    generated lazily in ``stage_game.mixed_nash_2team``'s scan order;
+    ``columns(R)`` lists in increasing order the column indices that may
+    enter C alongside R."""
+    b1, b2 = min(n1, DEFAULT_SUPPORT_BOUND), min(n2, DEFAULT_SUPPORT_BOUND)
+    for total in range(2, b1 + b2 + 1):
+        for r in range(max(1, total - b2), min(b1, total - 1) + 1):
+            for R in itertools.combinations(range(n1), r):
+                for C in itertools.combinations(columns(R), total - r):
+                    yield r, total - r, R, C
 
 
 def mixed_nash_2team_unpruned(game: StageGame) -> StageEquilibrium:

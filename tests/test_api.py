@@ -29,7 +29,8 @@ NOT_IN_SRC = {
               "cost_lipschitz", "_transitions"),
     "stage_game": ("build_stage_game", "ContinuationTable", "stage_pure_nash_loop",
                    "mixed_nash_2team_unpruned", "br_iteration_recertified", "pure_nash",
-                   "select_equilibrium", "own_cost_vector_tensordot"),
+                   "select_equilibrium", "own_cost_vector_tensordot", "_undominated",
+                   "_support_pairs"),
     "simulate": ("FunctionPolicy", "_frequencies", "kernel_check_whole"),
     "metrics": ("wasserstein_fast", "DEFAULT_DEVIATION_CAP", "DEFAULT_PAIR_CAP",
                 "joint_distance", "lemma1_check", "Lemma1Report"),

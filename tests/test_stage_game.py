@@ -6,11 +6,11 @@ import pytest
 
 from teamfield.errors import CapacityError, NoPureEquilibriumError, SpecValidationError
 from teamfield.stage_game import (DEFAULT_SUPPORT_BOUND, StageEquilibrium, StageGame,
-                                  _pure_mask, _support_pairs, br_iteration,
+                                  _pure_mask, br_iteration,
                                   build_prescription_set, certify_epsilon,
                                   mixed_nash_2team, solve_stage)
 
-from oracles import build_stage_game
+from oracles import _support_pairs, build_stage_game
 
 
 def game2(A, B):
@@ -124,28 +124,33 @@ def test_support_pairs_follow_the_sorted_order():
 
 
 def test_mixed_nash_lists_no_candidates_up_front():
-    """12 x 12 game whose only equilibrium is matching pennies on items
-    0-1, every other item strictly dominated: it is found without a list
-    of all 628,849 support pairs or of their dominance masks."""
-    A = np.full((12, 12), 2.0)
-    A[:, :2] = 3.0
-    A[:2, :] = 0.5
-    A[:2, :2] = [[0.0, 1.0], [1.0, 0.0]]
-    B = np.full((12, 12), 2.0)
-    B[:2, :] = 3.0
-    B[:, :2] = 0.5
-    B[:2, :2] = [[1.0, 0.0], [0.0, 1.0]]
-    g = game2(A, B)
-    tracemalloc.start()
-    try:
-        eq = mixed_nash_2team(g)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert eq.kind == "mixed" and eq.epsilon <= 1e-9
-    for v in eq.per_team:
-        np.testing.assert_allclose(v, [0.5, 0.5] + [0.0] * 10, atol=1e-9)
-    assert peak < 5 * 2 ** 20, peak
+    """n x n games (n = 12, 40, 64, 150) whose only equilibrium is
+    matching pennies on items 0-1, every other item strictly dominated:
+    each is found without a list of all support pairs or of their
+    dominance masks. At n = 64 one level holds 2,016 row supports, whose
+    dominance table alone would take 16 MiB unblocked; at n = 150 a
+    pairwise table over all columns at every row (n^3 booleans) alone
+    would take 3.2 MiB per team."""
+    for n in (12, 40, 64, 150):
+        A = np.full((n, n), 2.0)
+        A[:, :2] = 3.0
+        A[:2, :] = 0.5
+        A[:2, :2] = [[0.0, 1.0], [1.0, 0.0]]
+        B = np.full((n, n), 2.0)
+        B[:2, :] = 3.0
+        B[:, :2] = 0.5
+        B[:2, :2] = [[1.0, 0.0], [0.0, 1.0]]
+        g = game2(A, B)
+        tracemalloc.start()
+        try:
+            eq = mixed_nash_2team(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert eq.kind == "mixed" and eq.epsilon <= 1e-9
+        for v in eq.per_team:
+            np.testing.assert_allclose(v, [0.5, 0.5] + [0.0] * (n - 2), atol=1e-9)
+        assert peak < 5 * 2 ** 20, (n, peak)
 
 
 def test_br_iteration_common_interest():

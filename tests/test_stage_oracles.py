@@ -87,6 +87,26 @@ def test_pruned_support_enumeration_matches_the_full_scan(n1, n2, kind, seed):
         _same(eq, ref)
 
 
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(1, 9), st.integers(1, 9), st.sampled_from(PAYOFFS),
+       st.sampled_from([1, 7, 40, 300]), st.integers(0, 2 ** 32 - 1))
+def test_support_enumeration_in_small_blocks_matches_the_full_scan(n1, n2, kind, budget, seed):
+    """With a block budget of a few entries every level splits into many
+    blocks of supports and pairs (a budget of 1 leaves one support per
+    block, larger ones also cut a level's pair table into blocks of row
+    supports); the kept pairs must still be visited in the full scan's
+    order, so the result is bitwise the unpruned scan's."""
+    rng = np.random.default_rng(seed)
+    game = _game([_payoffs(rng, kind, (n1, n2)) for _ in range(2)])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stage_game, "STORE_BLOCK_ENTRIES", budget)
+        eq = _solve_or_error(mixed_nash_2team, game)
+    ref = _solve_or_error(mixed_nash_2team_unpruned, game)
+    assert (eq is None) == (ref is None)
+    if ref is not None:
+        _same(eq, ref)
+
+
 def test_support_enumeration_skips_the_x_solve_of_a_beaten_row_support(monkeypatch):
     """No pure equilibrium. The pair ({0, 1}, {0, 1}) survives dominance
     pruning, and its y = (1/3, 2/3) makes rows 0 and 1 cost 4/3 each while
