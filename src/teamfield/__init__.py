@@ -14,9 +14,8 @@ from .errors import (CapacityError, EquilibriumNotFoundError,
                      SpecValidationError, TeamfieldError)
 from .model import (GameSpec, TeamModel, load_spec, load_spec_file,
                     with_populations)
-from .counts import (CountDistribution, CountVector, JointCount, MeanField,
-                     Prescription, enumerate_counts, joint_transition_kernel,
-                     stage_cost, team_transition_kernel)
+from .counts import (CountVector, JointCount, MeanField, Prescription,
+                     enumerate_counts)
 from .stage_game import (KernelCache, PrescriptionSet, StageEquilibrium, StageGame,
                          br_iteration, build_prescription_set, mixed_nash_2team)
 from .finite_mpe import (EquilibriumCertificate, JointLattice, PolicyTable,
@@ -39,9 +38,7 @@ __all__ = [
     "CapacityError", "EquilibriumNotFoundError", "NoPureEquilibriumError",
     "SpecParseError", "SpecValidationError", "TeamfieldError",
     "GameSpec", "TeamModel", "load_spec", "load_spec_file", "with_populations",
-    "CountDistribution", "CountVector", "JointCount", "MeanField",
-    "Prescription", "enumerate_counts", "joint_transition_kernel",
-    "stage_cost", "team_transition_kernel",
+    "CountVector", "JointCount", "MeanField", "Prescription", "enumerate_counts",
     "KernelCache", "PrescriptionSet", "StageEquilibrium", "StageGame", "br_iteration",
     "build_prescription_set", "mixed_nash_2team",
     "EquilibriumCertificate", "JointLattice", "PolicyTable", "ValueTable",

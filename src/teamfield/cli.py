@@ -121,7 +121,7 @@ def _run_solve_finite(args, out, h):
     sets = _build_sets(spec, args)
     cache = KernelCache(spec, sets)
     policy, values = solve_mpe(spec, sets, pure_only=args.pure_only, kernel_cache=cache)
-    cert = verify_mpe(spec, policy, sets, kernel_cache=cache)
+    cert = verify_mpe(spec, policy, kernel_cache=cache)
     totals = evaluate_total_cost(spec, policy, kernel_cache=cache)
     _write_policy(out / "policy.json", policy_records(policy, values), h)
     _write_csv(out / "certificate.csv", ("stage", "z_id", "team", "gain"),
@@ -254,7 +254,7 @@ def _run_bound(args, out, h):
         init = initial_distribution(spn, fpolicy.lattice)
         gains = []
         for k in range(spn.n_teams):
-            _, U = best_response(spn, k, fpolicy, sets, kernel_cache=cache)
+            _, U = best_response(spn, k, fpolicy, kernel_cache=cache)
             gains.append(float(np.sum(init * (V[0, k] - U[0]))))
         lips = estimate_lipschitz(lvalues, spn)
         eps = theorem4_bound(kappa, lips, [n] * spn.n_teams)

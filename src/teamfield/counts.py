@@ -15,10 +15,9 @@ in state s landing in s' with the mixture row sum_a gamma(a|s) P(s'|s,a,z).
 ``_count_laws`` builds their law batched over many rows, adding one agent
 at a time on the lattice of the agents seen so far: arrays stay
 lattice-sized and every term is a nonnegative product, with no log space
-and no pruning. The kernels, the store, the initial count law and the
-kernel check all read its rows. The three maps and the per-state
-multinomial convolution it replaced are the references in
-``tests/oracles.py``.
+and no pruning. The kernel store, the bound's deviations, the initial
+count law and the kernel check all read its rows. The three maps and the
+per-state convolution it replaced are the references in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -32,11 +31,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, SpecValidationError
-from .model import GameSpec, cost_matrix, flatten_mean_field, transition_matrix
+from .model import GameSpec, transition_matrix
 
 DEFAULT_SUPPORT_CAP = 10 ** 7
-PRUNE_TOL = 1e-15     # support atoms below this are dropped, mass renormalized
-PROB_TOL = 1e-10
+PRUNE_TOL = 1e-15     # exact atoms below this count as off the kernel check's support
 
 
 @dataclass(frozen=True)
@@ -117,51 +115,6 @@ class Prescription:
         rows = np.ascontiguousarray(rows)
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
-
-
-@dataclass(frozen=True, eq=False)
-class CountDistribution:
-    """Finite distribution over count objects (vectors or count tensors)."""
-    support: tuple
-    probs: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "support", tuple(self.support))
-        probs = np.asarray(self.probs, dtype=float)
-        probs.setflags(write=False)
-        object.__setattr__(self, "probs", probs)
-        if len(self.support) != len(probs):
-            raise SpecValidationError("support/probs length mismatch")
-        if np.any(probs < 0) or abs(probs.sum() - 1.0) > PROB_TOL:
-            raise SpecValidationError("count distribution probabilities sum to %.17g"
-                                      % probs.sum())
-        keys = set(_support_key(x) for x in self.support)
-        if len(keys) != len(self.support):
-            raise SpecValidationError("count distribution support has duplicates")
-
-    def __len__(self):
-        return len(self.support)
-
-
-def _support_key(x):
-    if isinstance(x, CountVector):
-        return x.counts
-    if isinstance(x, JointCount):
-        return tuple(cv.counts for cv in x.per_team)
-    return x
-
-
-def _finalize(atoms: dict, wrap=None) -> CountDistribution:
-    """Prune tiny atoms, renormalize, order descending-lexicographically."""
-    items = [(key, p) for key, p in atoms.items() if p >= PRUNE_TOL]
-    if not items:   # pathological; keep the largest atom
-        key = max(atoms, key=atoms.get)
-        items = [(key, atoms[key])]
-    items.sort(key=lambda kv: kv[0], reverse=True)
-    total = math.fsum(p for _, p in items)
-    support = [wrap(key) if wrap else key for key, _ in items]
-    probs = np.array([p / total for _, p in items])
-    return CountDistribution(support=tuple(support), probs=probs)
 
 
 def lattice_size(N: int, d: int) -> int:
@@ -304,9 +257,6 @@ class JointLattice:
     def mean_field(self, idx) -> MeanField:
         return MeanField(per_team=tuple(x[i] for x, i in zip(self.points, idx)))
 
-    def counts_at(self, idx):
-        return tuple(tl.points[i] for tl, i in zip(self.teams, idx))
-
     def _team_ids(self, tl: TeamLattice) -> list:
         return ["-".join(map(str, c)) for c in tl.points]
 
@@ -363,50 +313,3 @@ def _mixture_rows(spec: GameSpec, k: int, zf: np.ndarray, R: np.ndarray) -> np.n
         raise SpecValidationError("prescription shape %s does not match team %d"
                                   % (R.shape[1:], k))
     return np.einsum("isa,psat->pist", R, transition_matrix(spec, k, zf))
-
-
-def team_transition_kernel(m, z, gamma: Prescription, spec: GameSpec, k: int,
-                           cap: int = DEFAULT_SUPPORT_CAP) -> CountDistribution:
-    """Exact one-stage law of team k's next counts given counts m, joint
-    mean field z and prescription gamma: one row of ``_count_laws``, with
-    atoms below PRUNE_TOL dropped and the rest renormalized."""
-    mv = m.as_array() if isinstance(m, CountVector) else np.asarray(m, dtype=int)
-    N, S = int(mv.sum()), spec.teams[k].n_states
-    if lattice_size(N, S) > cap:
-        raise CapacityError("team %d count lattice exceeds cap %d" % (k, cap))
-    mix = _mixture_rows(spec, k, flatten_mean_field(spec, z)[None], gamma.rows[None])
-    law = _count_laws(mix[0], mv[None])[0]
-    keep = law >= PRUNE_TOL
-    points = map(tuple, _arrivals(N, S)[1][keep].tolist())
-    return _finalize(dict(zip(points, law[keep].tolist())),
-                     wrap=lambda key: CountVector(team_id=k, counts=key))
-
-
-def joint_transition_kernel(M: JointCount, prescriptions, spec: GameSpec,
-                            cap: int = DEFAULT_SUPPORT_CAP) -> CountDistribution:
-    """Product measure across teams of the per-team kernels (teams move
-    independently given the current mean field and prescriptions)."""
-    M.validate(spec)
-    z = M.mean_field()
-    per_team = [team_transition_kernel(M.per_team[k], z, prescriptions[k], spec, k, cap=cap)
-                for k in range(spec.n_teams)]
-    size = math.prod(len(d) for d in per_team)
-    if size > cap:
-        raise CapacityError("joint kernel support %d exceeds cap %d" % (size, cap))
-    atoms = {tuple(cv.counts for cv, _ in combo): math.prod(p for _, p in combo)
-             for combo in itertools.product(*(zip(d.support, d.probs) for d in per_team))}
-    return _finalize(atoms, wrap=lambda key: JointCount(
-        per_team=tuple(CountVector(team_id=i, counts=c) for i, c in enumerate(key))))
-
-
-def stage_cost(z, gamma: Prescription, spec: GameSpec, k: int, t: int) -> float:
-    """Expected per-agent stage cost of team k under (z, gamma):
-    sum_s z(s) sum_a gamma(a|s) c_t(s, a, z). This closed form equals the
-    conditional expectation of the team's average agent cost because that
-    average is linear in the state-action counts."""
-    per_team = getattr(z, "per_team", z)
-    zf = flatten_mean_field(spec, z)
-    C = cost_matrix(spec, k, t, zf)
-    zk = np.asarray(per_team[k], dtype=float)
-    return float(zk @ (gamma.rows * C).sum(axis=1))
-

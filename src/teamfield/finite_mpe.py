@@ -30,7 +30,7 @@ values (``_contract``), the limit's gathers them at projected flow
 images. The driver finds the pure stage equilibria of a stage in one
 pass; only the stage games without one are solved point by point. One
 ``KernelCache`` (``kernel_cache``) can hold the kernels of a run for the
-solver, the certificate and the cost evaluation.
+solver, the certificate and the cost evaluation, checked by ``_store``.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .counts import JointLattice, _count_lattice, _count_laws, _indented
+from .errors import SpecValidationError
 from .model import GameSpec
 from .stage_game import KernelCache, StageEquilibrium, _backward, _contract, _cost_table
 
@@ -108,6 +109,21 @@ class EquilibriumCertificate:
                 for t in range(T) for p, zid in enumerate(lattice.ids) for k in range(K)]
 
 
+def _store(spec: GameSpec, sets, kernel_cache: KernelCache = None, lattice=None) -> KernelCache:
+    """``kernel_cache``, or a new store of ``spec`` and the menus ``sets``.
+    Raises SpecValidationError on a store of another spec object, other
+    menus (items compared by identity) or a lattice of another shape than ``lattice``."""
+    cache = kernel_cache or KernelCache(spec, sets)
+    if cache.spec is not spec:
+        raise SpecValidationError("kernel store was built for another game spec")
+    if [list(map(id, ps.items)) for ps in cache.sets] != [list(map(id, ps.items)) for ps in sets]:
+        raise SpecValidationError("kernel store was built for other menus")
+    if lattice is not None and cache.lattice.shape != lattice.shape:
+        raise SpecValidationError("kernel store lattice has shape %s, the policy's has %s"
+                                  % (cache.lattice.shape, lattice.shape))
+    return cache
+
+
 def solve_mpe(spec: GameSpec, sets, pure_only: bool = False,
               kernel_cache: KernelCache = None):
     """Backward induction over stages T-1 .. 0 and the full joint lattice.
@@ -116,7 +132,7 @@ def solve_mpe(spec: GameSpec, sets, pure_only: bool = False,
     pure_only mode at the first (stage, point) whose game has no pure
     equilibrium.
     """
-    cache = kernel_cache or KernelCache(spec, sets)
+    cache = _store(spec, sets, kernel_cache)
     lattice = cache.lattice
     Ws = cache.stacks() if spec.horizon > 1 else None    # checks the store size first
     stages, values = _backward(spec, sets, lattice, lambda V: _contract(Ws, V), pure_only)
@@ -129,9 +145,9 @@ def _average(w, W) -> np.ndarray:
     return np.einsum("pi,pil->pl", w, W)
 
 
-def best_response(spec: GameSpec, k: int, others: PolicyTable, sets,
+def best_response(spec: GameSpec, k: int, others: PolicyTable,
                   kernel_cache: KernelCache = None):
-    """Optimal reply of team k when teams j != k play ``others``.
+    """Optimal reply of team k (menu ``others.sets[k]``) when teams j != k play ``others``.
 
     A plain finite-horizon dynamic program (no game solving): at every
     (stage, lattice point) team k picks the menu item minimizing its own
@@ -142,14 +158,14 @@ def best_response(spec: GameSpec, k: int, others: PolicyTable, sets,
     shape (T, *lattice shape)); ties resolve to the smallest index.
     """
     lattice = _count_lattice(others)
-    cache = kernel_cache or KernelCache(spec, sets)
+    cache = _store(spec, others.sets, kernel_cache, lattice)
     T = spec.horizon
     shape = lattice.shape
     Ws = cache.stacks() if T > 1 else None
     U = np.zeros((T + 1,) + shape)
     picks = [None] * T
     for t in range(T - 1, -1, -1):
-        e = _cost_table(spec, k, sets[k], lattice.z, t)
+        e = _cost_table(spec, k, others.sets[k], lattice.z, t)
         if t < T - 1:
             w = others.mixtures(t)
             Wk = [W if j == k else _average(w[j], W)[:, None] for j, W in enumerate(Ws)]
@@ -163,7 +179,7 @@ def policy_value(spec: GameSpec, policy: PolicyTable,
                  kernel_cache: KernelCache = None) -> np.ndarray:
     """Per-team values of playing ``policy`` everywhere: (T, K, *shape)."""
     lattice = _count_lattice(policy)
-    cache = kernel_cache or KernelCache(spec, policy.sets)
+    cache = _store(spec, policy.sets, kernel_cache, lattice)
     T, K = spec.horizon, spec.n_teams
     Ws = cache.stacks() if T > 1 else None
     V = np.zeros((T + 1, K) + lattice.shape)
@@ -178,7 +194,7 @@ def policy_value(spec: GameSpec, policy: PolicyTable,
     return V[:T]
 
 
-def verify_mpe(spec: GameSpec, policy: PolicyTable, sets,
+def verify_mpe(spec: GameSpec, policy: PolicyTable,
                kernel_cache: KernelCache = None) -> EquilibriumCertificate:
     """Equilibrium certificate, independent of stage-game solving.
 
@@ -189,12 +205,12 @@ def verify_mpe(spec: GameSpec, policy: PolicyTable, sets,
     and the engine oracle check them. Gains are nonnegative up to a -1e-9
     numerical floor; for an exact equilibrium the max is ~0.
     """
-    cache = kernel_cache or KernelCache(spec, sets)
+    cache = _store(spec, policy.sets, kernel_cache)
     V = policy_value(spec, policy, kernel_cache=cache)
     T, K = spec.horizon, spec.n_teams
     gains = np.empty_like(V)
     for k in range(K):
-        _, U = best_response(spec, k, policy, sets, kernel_cache=cache)
+        _, U = best_response(spec, k, policy, kernel_cache=cache)
         gains[:, k] = V[:, k] - U
     return EquilibriumCertificate(
         gains=gains, max_gain=float(gains.max()), mean_gain=float(gains.mean()))

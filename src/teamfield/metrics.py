@@ -25,7 +25,7 @@ import numpy as np
 from .errors import CapacityError, SpecValidationError
 from .counts import (DEFAULT_SUPPORT_CAP, _arrivals, _count_laws, _mixture_rows,
                      count_point, lattice_size)
-from .model import GameSpec, _flow, flatten_mean_field, with_populations
+from .model import GameSpec, _count, _flow, flatten_mean_field, with_populations
 from .stage_game import STORE_BLOCK_ENTRIES
 
 MAX_EXACT_STATES = 32
@@ -181,7 +181,7 @@ def fit_rate(spec: GameSpec, z, prescriptions, n_values) -> RateFit:
 
     z must sit on the count lattice of every probed population. All-zero
     deviations (deterministic dynamics) come back flagged degenerate."""
-    ns = sorted(set(int(n) for n in n_values))
+    ns = sorted(set(_count(n, "rate-fit population") for n in n_values))
     if len(ns) < 4:
         raise SpecValidationError("rate fit needs at least 4 distinct populations")
     devs, kappa = [], np.zeros(spec.n_teams)

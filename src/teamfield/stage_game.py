@@ -34,7 +34,7 @@ PURE_TOL = 1e-12      # strict-improvement tolerance for pure deviations
 CERT_TOL = 1e-9       # certified-equilibrium acceptance threshold
 DEFAULT_PRESCRIPTION_CAP = 10 ** 5
 DEFAULT_SUPPORT_BOUND = 4
-MAX_STORE_BYTES = 1 << 30     # largest kernel store a run may allocate
+MAX_STORE_BYTES = 1 << 30     # largest kernel store, or one stage's game tensors, of a run
 STORE_BLOCK_ENTRIES = 1 << 20  # (rows, lattice) entries per block of the store build
 
 
@@ -201,8 +201,8 @@ class KernelCache:
 # W_k[P, n_k, L_k] against a gather at projected flow images)
 
 def _cost_table(spec: GameSpec, k: int, ps: PrescriptionSet, Z, t: int) -> np.ndarray:
-    """(P, menu size) own stage cost of team k at the joint points Z: the
-    closed form of counts.stage_cost, sum_s z_k(s) sum_a gamma(a|s) c_t(s, a, z)."""
+    """(P, menu size) own stage cost of team k at the joint points Z, in
+    closed form: sum_s z_k(s) sum_a gamma(a|s) c_t(s, a, z)."""
     C = cost_matrix(spec, k, t, np.concatenate(Z, axis=1))
     return np.einsum("ps,isa,psa->pi", Z[k], ps.rows_stack(), C)
 
@@ -256,12 +256,19 @@ def _backward(spec: GameSpec, sets, lattice: JointLattice, continuation, pure_on
     """Backward induction over stages T-1 .. 0 at the points of
     ``lattice`` (C order): own cost tables, ``continuation`` of the next
     values (K, *lattice shape) as (K, P, *menu shape), stage tensors, then
-    ``_solve_points``, which names a point by its ``lattice.ids`` entry.
+    ``_solve_points``, which names a point by its ``lattice.ids`` entry. A
+    stage's K tensors (P, *menu shape) and the (K, P, *menu shape)
+    continuation alive with them take 16 K P prod_k n_k bytes; above
+    MAX_STORE_BYTES this raises CapacityError before the first stage.
 
     Returns the per-stage record arrays of equilibria and the per-team
     equilibrium values (T, K, *lattice shape)."""
     T, K = spec.horizon, spec.n_teams
     shape = tuple(len(ps) for ps in sets)
+    size = 16 * K * len(lattice) * math.prod(shape)
+    if size > MAX_STORE_BYTES:
+        raise CapacityError("stage games need %d bytes per stage, cap is %d"
+                            % (size, MAX_STORE_BYTES))
     values = np.zeros((T + 1, K) + lattice.shape)
     stages = [None] * T
     for t in range(T - 1, -1, -1):

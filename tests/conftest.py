@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import teamfield as tf
+from teamfield.counts import _count_laws, _mixture_rows
+from teamfield.model import flatten_mean_field
 
 DATA = Path(tf.__file__).parent / "data"
 
@@ -109,6 +111,15 @@ def assert_simplex(v, tol=1e-9):
     v = np.asarray(v, dtype=float)
     assert np.all(v >= -tol)
     assert abs(v.sum() - 1.0) <= tol
+
+
+def kernel_row(spec, k, m, z, gamma) -> np.ndarray:
+    """Team k's next-count law at counts m and mean field z under gamma: one
+    row of ``counts._count_laws`` built as ``KernelCache.stacks`` builds its
+    rows, indexed like ``TeamLattice(N, S).points``."""
+    zf = flatten_mean_field(spec, z)
+    mix = _mixture_rows(spec, k, zf[None], gamma.rows[None])
+    return _count_laws(mix.reshape((-1,) + mix.shape[2:]), np.asarray(m, dtype=int)[None])[0]
 
 
 def cyclic_pursuit_three_team():

@@ -1,29 +1,29 @@
 """Slow reference implementations that fast paths in ``src/`` are tested
-against: the per-agent composition of one stage and the per-state
-multinomial convolution (checked against the count kernels), the
-per-profile deviation through the one-point kernel, the counting loop
+against: the dict-of-atoms count law (``CountDistribution``) that the
+per-agent composition of one stage and the per-state multinomial
+convolution return (checked against rows of the count kernels), the
+per-profile deviation through the one-point convolution, the counting loop
 of the kernel check and its whole-array form (checked against the
 chunked one), the per-point stage game (checked against the
 batched engine), the profile-by-profile pure check, the unpruned support
 enumeration and the re-certifying fictitious play (checked against the
 stage solvers), the forward propagation of the count law (checked
 against ``evaluate_total_cost``), hand-written agent policies for
-``simulate.simulate_episode``, and pointwise model evaluation with its
-closed-form Lipschitz bounds."""
+``simulate.simulate_episode``, and pointwise model evaluation (with the
+one-point stage cost summed from it) and its closed-form Lipschitz
+bounds."""
 
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import gammaln, xlogy
 
-from teamfield.counts import (DEFAULT_SUPPORT_CAP, PRUNE_TOL, CountDistribution,
-                              CountVector, JointCount, Prescription, _count_laws, _finalize,
-                              _mixture_rows, _rank_terms, count_point, enumerate_counts,
-                              joint_transition_kernel, lattice_size, stage_cost,
-                              team_transition_kernel)
+from teamfield.counts import (DEFAULT_SUPPORT_CAP, PRUNE_TOL, CountVector, JointCount,
+                              Prescription, _count_laws, _mixture_rows, _rank_terms,
+                              count_point, enumerate_counts, lattice_size)
 from teamfield.errors import CapacityError, EquilibriumNotFoundError, SpecValidationError
 from teamfield.finite_mpe import PolicyTable, _average, initial_distribution
 from teamfield.limit import SimplexGrid, flow
@@ -36,6 +36,54 @@ from teamfield.stage_game import (CERT_TOL, DEFAULT_SUPPORT_BOUND, PURE_TOL, Ker
                                   _indifference_solve, certify_epsilon)
 
 
+PROB_TOL = 1e-10
+
+
+@dataclass(frozen=True, eq=False)
+class CountDistribution:
+    """Finite distribution over count objects (vectors or count tensors)."""
+    support: tuple
+    probs: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "support", tuple(self.support))
+        probs = np.asarray(self.probs, dtype=float)
+        probs.setflags(write=False)
+        object.__setattr__(self, "probs", probs)
+        if len(self.support) != len(probs):
+            raise SpecValidationError("support/probs length mismatch")
+        if np.any(probs < 0) or abs(probs.sum() - 1.0) > PROB_TOL:
+            raise SpecValidationError("count distribution probabilities sum to %.17g"
+                                      % probs.sum())
+        keys = set(_support_key(x) for x in self.support)
+        if len(keys) != len(self.support):
+            raise SpecValidationError("count distribution support has duplicates")
+
+    def __len__(self):
+        return len(self.support)
+
+
+def _support_key(x):
+    if isinstance(x, CountVector):
+        return x.counts
+    if isinstance(x, JointCount):
+        return tuple(cv.counts for cv in x.per_team)
+    return x
+
+
+def _finalize(atoms: dict, wrap=None) -> CountDistribution:
+    """Prune tiny atoms, renormalize, order descending-lexicographically."""
+    items = [(key, p) for key, p in atoms.items() if p >= PRUNE_TOL]
+    if not items:   # pathological; keep the largest atom
+        key = max(atoms, key=atoms.get)
+        items = [(key, atoms[key])]
+    items.sort(key=lambda kv: kv[0], reverse=True)
+    total = math.fsum(p for _, p in items)
+    support = [wrap(key) if wrap else key for key, _ in items]
+    probs = np.array([p / total for _, p in items])
+    return CountDistribution(support=tuple(support), probs=probs)
+
+
 def _multinomial_pmf(n: int, probs: np.ndarray, comps: np.ndarray) -> np.ndarray:
     """Exact-in-structure multinomial pmf over given compositions of n."""
     logp = gammaln(n + 1) - gammaln(comps + 1.0).sum(axis=1) \
@@ -45,10 +93,11 @@ def _multinomial_pmf(n: int, probs: np.ndarray, comps: np.ndarray) -> np.ndarray
 
 def team_kernel_convolution(m, z, gamma: Prescription, spec: GameSpec, k: int,
                             cap: int = DEFAULT_SUPPORT_CAP) -> CountDistribution:
-    """``counts.team_transition_kernel`` by convolving, state by state, the
-    multinomial arrival counts on the per-state mixture row
+    """Team k's next-count law at counts m by convolving, state by state,
+    the multinomial arrival counts on the per-state mixture row
     sum_a gamma(a|s) P(.|s,a,z), in log space, pruning atoms below
-    PRUNE_TOL as they arise: the dict path ``counts._count_laws`` replaced."""
+    PRUNE_TOL as they arise: the dict path ``counts._count_laws`` replaced,
+    and the one-point reference for its rows."""
     mv = m.as_array() if isinstance(m, CountVector) else np.asarray(m, dtype=int)
     tm = spec.teams[k]
     S = tm.n_states
@@ -95,7 +144,7 @@ def kernel_store_loop(lattice, sets, spec: GameSpec) -> list:
 
 
 def deviation_by_kernel(z, prescriptions, spec: GameSpec) -> np.ndarray:
-    """``metrics.per_team_deviation`` through one ``team_transition_kernel``
+    """``metrics.per_team_deviation`` through one ``team_kernel_convolution``
     distribution of ``CountVector`` atoms per team and the ``flow`` image:
     the per-profile path ``metrics._deviations`` replaced."""
     per_team = getattr(z, "per_team", z)
@@ -104,7 +153,7 @@ def deviation_by_kernel(z, prescriptions, spec: GameSpec) -> np.ndarray:
     for k in range(spec.n_teams):
         tm = spec.teams[k]
         m = count_point(per_team[k], tm.population, k)
-        dist = team_transition_kernel(m, z, prescriptions[k], spec, k)
+        dist = team_kernel_convolution(m, z, prescriptions[k], spec, k)
         support = np.array([cv.counts for cv in dist.support]) / tm.population
         out[k] = dist.probs @ transport_distance(support, q.per_team[k], tm.state_metric)
     return out
@@ -113,16 +162,21 @@ def deviation_by_kernel(z, prescriptions, spec: GameSpec) -> np.ndarray:
 def kernel_check_loop(spec: GameSpec, z, prescriptions, samples: int,
                       master_seed=None) -> KernelCheckReport:
     """``simulate.empirical_kernel_check`` from the same substream draws,
-    counted one sample at a time by ``frequencies_loop`` and compared with
-    ``joint_transition_kernel`` over the union of both supports."""
+    counted one sample at a time by ``frequencies_loop`` and compared, over
+    the union of both supports, with the product of the teams'
+    ``team_kernel_convolution`` laws (product atoms below PRUNE_TOL
+    dropped)."""
     per_team = getattr(z, "per_team", z)
     counts_in = [count_point(per_team[k], tm.population, k)
                  for k, tm in enumerate(spec.teams)]
     M = JointCount(per_team=tuple(CountVector(team_id=k, counts=m)
-                                  for k, m in enumerate(counts_in)))
-    exact = joint_transition_kernel(M, prescriptions, spec)
-    exact_map = {tuple(cv.counts for cv in jc.per_team): p
-                 for jc, p in zip(exact.support, exact.probs)}
+                                  for k, m in enumerate(counts_in))).validate(spec)
+    laws = [team_kernel_convolution(m, M.mean_field(), prescriptions[k], spec, k)
+            for k, m in enumerate(counts_in)]
+    exact = _finalize({tuple(cv.counts for cv, _ in combo): math.prod(p for _, p in combo)
+                       for combo in itertools.product(*(zip(d.support, d.probs)
+                                                        for d in laws))})
+    exact_map = dict(zip(exact.support, exact.probs))
     rng = substream(spec.seed if master_seed is None else master_seed, "kernel-check")
     zf = M.mean_field().flat()
     keys_per_team = []
@@ -326,14 +380,14 @@ def sample_next_counts(M: JointCount, prescriptions, spec: GameSpec,
 def build_stage_game(z, t: int, continuation, sets, spec: GameSpec) -> StageGame:
     """Cost tensors at mean-field point z and stage t.
 
-    tensor_k[joint index] = stage_cost(z, menu_k[i_k])
+    tensor_k[joint index] = stage_cost(z, menu_k[i_k], k, t)
                             + E[continuation_k(next counts)],
     the expectation summed exactly over the materialized joint support of
-    the per-team kernels, one profile at a time; ``continuation`` maps a
-    JointCount to a length-K value sequence, or is None at the terminal
-    stage. Own costs come from ``counts.stage_cost`` at every stage, so no
-    step shares code with the engine's cost tables or contraction.
-    Small instances only."""
+    the per-team ``team_kernel_convolution`` laws, one profile at a time;
+    ``continuation`` maps a JointCount to a length-K value sequence, or is
+    None at the terminal stage. Own costs come from ``stage_cost`` at
+    every stage, so no step shares code with the engine's cost tables or
+    contraction. Small instances only."""
     K = spec.n_teams
     flatten_mean_field(spec, z)
     shape = tuple(len(ps) for ps in sets)
@@ -343,7 +397,7 @@ def build_stage_game(z, t: int, continuation, sets, spec: GameSpec) -> StageGame
     for k in range(K):
         m = np.rint(z.per_team[k] * spec.teams[k].population).astype(int)
         for i, p in enumerate(sets[k].items):
-            dists[(k, i)] = team_transition_kernel(m, z, p, spec, k)
+            dists[(k, i)] = team_kernel_convolution(m, z, p, spec, k)
     tensors = [np.zeros(shape) for _ in range(K)]
     for profile in np.ndindex(shape):
         per = [dists[(k, profile[k])] for k in range(K)]
@@ -563,10 +617,15 @@ def format_counts(counts) -> str:
     return "-".join(str(int(c)) for c in vals)
 
 
+def counts_at(lattice, idx) -> tuple:
+    """Per-team count tuples of the count-lattice point idx."""
+    return tuple(tl.points[i] for tl, i in zip(lattice.teams, idx))
+
+
 def z_id_oracle(lattice, idx) -> str:
     """Name of one count-lattice point: its per-team counts through
     ``format_counts``, joined by ``/``."""
-    return "/".join(format_counts(c) for c in lattice.counts_at(idx))
+    return "/".join(format_counts(c) for c in counts_at(lattice, idx))
 
 
 def point_id_oracle(grid, idx) -> str:
@@ -585,7 +644,7 @@ def record_z_oracle(lattice, idx):
     on a simplex grid, the per-team count lists on the count lattice."""
     if isinstance(lattice, SimplexGrid):
         return point_id_oracle(lattice, idx)
-    return [list(c) for c in lattice.counts_at(idx)]
+    return [list(c) for c in counts_at(lattice, idx)]
 
 
 def policy_json_oracle(policy, values, spec_hash: str) -> str:
@@ -627,6 +686,15 @@ def eval_cost(spec: GameSpec, k: int, t: int, s: int, a: int, z) -> float:
         raise IndexError("state/action out of range for team %d: (s=%d, a=%d)" % (k, s, a))
     zf = flatten_mean_field(spec, z)
     return float(tm.cost_base[t, s, a] + tm.cost_coupling[t, s, a] @ zf)
+
+
+def stage_cost(z, gamma: Prescription, spec: GameSpec, k: int, t: int) -> float:
+    """Expected per-agent stage cost of team k at z under gamma, summed
+    cell by cell from ``eval_cost``: sum_s z_k(s) sum_a gamma(a|s) c_t(s, a, z)."""
+    zk = getattr(z, "per_team", z)[k]
+    tm = spec.teams[k]
+    return sum(zk[s] * gamma.rows[s, a] * eval_cost(spec, k, t, s, a, z)
+               for s in range(tm.n_states) for a in range(tm.n_actions))
 
 
 def _kr_norm(w: np.ndarray, metric: np.ndarray) -> float:

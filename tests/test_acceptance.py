@@ -13,8 +13,7 @@ import numpy as np
 
 import teamfield as tf
 from teamfield.cli import main as cli_main
-from teamfield.counts import (CountVector, JointCount, MeanField, stage_cost,
-                              joint_transition_kernel, team_transition_kernel)
+from teamfield.counts import MeanField
 from teamfield.finite_mpe import (JointLattice, best_response,
                                   initial_distribution, policy_value,
                                   solve_mpe, verify_mpe)
@@ -27,7 +26,8 @@ from teamfield.stage_game import KernelCache, _cost_table, build_prescription_se
 from teamfield.static_games import (load_static_game_file, pure_nash_static,
                                     static_report, team_nash_static)
 
-from conftest import DATA
+from conftest import DATA, kernel_row
+from oracles import stage_cost, team_kernel_convolution
 
 
 def _verdict(idx, name, ok, detail, elapsed, budget):
@@ -84,18 +84,16 @@ def test_criterion_02_kernel_exactness(reference_spec, reference_sets):
         z = lattice.mean_field(idx)
         ms = [np.rint(np.asarray(z.per_team[k]) * 2).astype(int)
               for k in range(2)]
-        M = JointCount(per_team=tuple(
-            CountVector(team_id=k, counts=tuple(int(x) for x in ms[k]))
-            for k in range(2)))
         for g0 in reference_sets[0].items:
             for g1 in reference_sets[1].items:
-                joint = joint_transition_kernel(M, (g0, g1), reference_spec)
-                mass_err = max(mass_err, abs(sum(joint.probs) - 1.0))
+                joint = np.multiply.outer(*(kernel_row(reference_spec, k, ms[k], z,
+                                                       (g0, g1)[k]) for k in range(2)))
+                mass_err = max(mass_err, abs(joint.sum() - 1.0))
                 oracle = [_agent_level_team_kernel(reference_spec, k, ms[k],
                                                    z, (g0, g1)[k])
                           for k in range(2)]
-                got = {tuple(cv.counts for cv in jc.per_team): p
-                       for jc, p in zip(joint.support, joint.probs)}
+                got = {(lattice.teams[0].points[i], lattice.teams[1].points[j]): p
+                       for (i, j), p in np.ndenumerate(joint)}
                 keys = set(got)
                 for k0 in oracle[0]:
                     for k1 in oracle[1]:
@@ -147,10 +145,8 @@ def test_criterion_05_flow_consistency(reference_spec, reference_sets):
             for g1 in reference_sets[1].items:
                 q = flow(z, (g0, g1), reference_spec)
                 for k, g in enumerate((g0, g1)):
-                    dist = team_transition_kernel(ms[k], z, g,
-                                                  reference_spec, k)
-                    mean = sum(p * cv.as_array()
-                               for cv, p in zip(dist.support, dist.probs))
+                    row = kernel_row(reference_spec, k, ms[k], z, g)
+                    mean = row @ lattice.teams[k].counts
                     worst = max(worst, float(np.max(np.abs(
                         mean / 2.0 - q.per_team[k]))))
     _verdict(5, "flow-consistency", worst <= 1e-10, "max gap %.2e" % worst,
@@ -172,7 +168,7 @@ def test_criterion_06_concentration_rate(iid_probe_spec):
 def test_criterion_07_mpe_certificate(reference_spec, reference_sets):
     t0 = time.monotonic()
     policy, _ = solve_mpe(reference_spec, reference_sets, pure_only=True)
-    cert = verify_mpe(reference_spec, policy, reference_sets)
+    cert = verify_mpe(reference_spec, policy)
     ok = cert.max_gain <= 1e-9 and not policy.mixed_points
     _verdict(7, "mpe-certificate", ok, "max gain %.2e" % cert.max_gain,
              time.monotonic() - t0, 60)
@@ -214,7 +210,7 @@ def test_criterion_09_single_team_reduction(single_team_spec):
                 g = items[plan[t * len(idxs) + idxs.index(idx)]]
                 total += p * stage_cost(z, g, spec, 0, t)
                 m = np.rint(np.asarray(z.per_team[0]) * 2).astype(int)
-                kern = team_transition_kernel(m, z, g, spec, 0)
+                kern = team_kernel_convolution(m, z, g, spec, 0)
                 for cv, q in zip(kern.support, kern.probs):
                     nidx = (lattice.teams[0].index[cv.counts],)
                     ndist[nidx] = ndist.get(nidx, 0.0) + p * float(q)
@@ -246,7 +242,7 @@ def test_criterion_10_bound_pipeline(reference_spec):
         V = policy_value(spn, fpolicy, kernel_cache=cache)
         init = initial_distribution(spn, fpolicy.lattice)
         worst = max(float(np.sum(init * (V[0, k] - best_response(
-            spn, k, fpolicy, sets, kernel_cache=cache)[1][0])))
+            spn, k, fpolicy, kernel_cache=cache)[1][0])))
             for k in range(2))
         gains.append(max(worst, 0.0))
         bounds.append(theorem4_bound(kappa, estimate_lipschitz(lvalues, spn),

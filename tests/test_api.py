@@ -24,7 +24,9 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # that defined them
 NOT_IN_SRC = {
     "counts": ("action_count_dist", "nextstate_count_dist", "marginalize_counts",
-               "sample_next_counts", "_multinomial_pmf", "mixture_rows", "format_counts"),
+               "sample_next_counts", "_multinomial_pmf", "mixture_rows", "format_counts",
+               "CountDistribution", "team_transition_kernel", "joint_transition_kernel",
+               "stage_cost", "_finalize", "_support_key", "PROB_TOL"),
     "model": ("eval_transition", "eval_cost", "_kr_norm", "transition_lipschitz",
               "cost_lipschitz", "_transitions"),
     "stage_game": ("build_stage_game", "ContinuationTable", "stage_pure_nash_loop",
@@ -85,7 +87,6 @@ def test_benchmark_hooks_resolve(monkeypatch):
         assert callable(getattr(cls, attr)), "%s.%s" % (cls.__name__, attr)
     for owner, attr, name, _ in workloads.targets(traced=True):
         assert callable(getattr(owner, attr)), name
-    assert callable(tf.counts.team_transition_kernel)
 
 
 def test_import_loads_no_lp_solver_or_process_pool():
@@ -124,8 +125,6 @@ VALUE_TYPES = {
     "Prescription": _prescription,
     "MeanField": lambda: tf.MeanField(per_team=(np.array([0.5, 0.5]),)),
     "PrescriptionSet": lambda: tf.PrescriptionSet(team_id=0, items=(_prescription(),)),
-    "CountDistribution": lambda: tf.CountDistribution(
-        support=(tf.CountVector(team_id=0, counts=(1,)),), probs=np.array([1.0])),
     "StageGame": lambda: tf.StageGame(tensors=(np.zeros((2, 2)), np.ones((2, 2)))),
     "StageEquilibrium": lambda: tf.StageEquilibrium(
         kind="mixed", per_team=(np.array([0.5, 0.5]),) * 2, epsilon=0.0),

@@ -110,6 +110,32 @@ def test_oversized_kernel_store_exits_3_before_solving(tmp_path):
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize("mode, horizon, points", [("solve-infinite", 2, 5 * 5),
+                                                    ("solve-finite", 1, 3 * 3)])
+def test_oversized_stage_games_exit_3_before_any_stage(tmp_path, monkeypatch, mode, horizon,
+                                                       points):
+    """One stage's tensors and continuation take 16 K P n_1 n_2 bytes: 4-item
+    menus of K=2 teams (S=A=2, N=2) on the default 5 x 5 grid, or on the
+    3 x 3 count lattice at horizon 1, which builds no kernel store. Above the
+    cap the run exits 3 before it builds a stage tensor; at the cap it runs."""
+    from teamfield import stage_game
+    spec = write_json(tmp_path / "game.json", _uniform_two_team(2, 2, 2, horizon))
+    size = 16 * 2 * points * 4 * 4
+    built = []
+    stage_tensors = stage_game._stage_tensors
+    monkeypatch.setattr(stage_game, "_stage_tensors",
+                        lambda *a: built.append(1) or stage_tensors(*a))
+    monkeypatch.setattr(stage_game, "MAX_STORE_BYTES", size - 1)
+    assert main([mode, "--spec", str(spec), "--out", str(tmp_path / "over")]) == 3
+    err = _read(tmp_path / "over" / mode / "error.json")
+    assert err["error"] == "CapacityError"
+    assert "need %d bytes per stage, cap is %d" % (size, size - 1) in err["message"]
+    assert built == []
+    monkeypatch.setattr(stage_game, "MAX_STORE_BYTES", size)
+    assert main([mode, "--spec", str(spec), "--out", str(tmp_path / "at")]) == 0
+    assert len(built) == horizon
+
+
 @pytest.mark.parametrize("argv", [["solve-finite"], ["compare", "--episodes", "30"]])
 def test_exact_run_builds_each_kernel_once(tmp_path, monkeypatch, argv):
     """solve-finite (solve, verify, evaluate) and compare (solve, evaluate)

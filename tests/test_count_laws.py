@@ -1,8 +1,8 @@
 """The batched count-law builder against the dict convolution it replaced.
 
 ``counts._count_laws`` adds one agent at a time on the count lattice; the
-one-point kernel, the whole kernel store, the initial count law and the
-solver run on it. ``oracles.team_kernel_convolution`` convolves per-state
+whole kernel store, the initial count law and the solver run on it.
+``oracles.team_kernel_convolution`` convolves per-state
 multinomials in log space and prunes as it goes. Both must agree to
 1e-13 on every atom, and the solver must find the same equilibria on
 either store.
@@ -15,13 +15,13 @@ from hypothesis import strategies as st
 
 import teamfield as tf
 from teamfield import stage_game
-from teamfield.counts import MeanField, Prescription, TeamLattice, team_transition_kernel
+from teamfield.counts import MeanField, Prescription, TeamLattice
 from teamfield.errors import SpecValidationError
 from teamfield.finite_mpe import initial_distribution
 from teamfield.simulate import empirical_kernel_check
 from teamfield.stage_game import KernelCache
 
-from conftest import DATA, cyclic_pursuit_three_team, deterministic_two_team
+from conftest import DATA, cyclic_pursuit_three_team, deterministic_two_team, kernel_row
 from oracles import _multinomial_pmf, kernel_store_loop, team_kernel_convolution
 
 TOL = 1e-13
@@ -74,11 +74,12 @@ def _rows(rng, S, A, pure):
 
 
 def check_kernel(spec, k, m, z, gamma):
-    fast = team_transition_kernel(m, z, gamma, spec, k)
+    tm = spec.teams[k]
+    tl = TeamLattice(tm.population, tm.n_states)
+    fast = kernel_row(spec, k, m, z, gamma)
     slow = team_kernel_convolution(m, z, gamma, spec, k)
-    assert [cv.counts for cv in fast.support] == sorted(
-        (cv.counts for cv in fast.support), reverse=True)
-    a = {cv.counts: p for cv, p in zip(fast.support, fast.probs)}
+    assert len(fast) == len(tl) and tl.points == sorted(tl.points, reverse=True)
+    a = dict(zip(tl.points, fast))
     b = {cv.counts: p for cv, p in zip(slow.support, slow.probs)}
     for key in set(a) | set(b):
         assert abs(a.get(key, 0.0) - b.get(key, 0.0)) <= TOL, key
@@ -107,10 +108,9 @@ def test_team_kernel_edge_sizes(deterministic):
             for pure in (True, False):
                 gamma = Prescription(team_id=0, rows=_rows(rng, S, A, pure))
                 check_kernel(spec, 0, tl.counts[i], MeanField(per_team=(tl.z[i],)), gamma)
-    dist = team_transition_kernel(np.array([1]), MeanField(per_team=(np.array([1.0]),)),
-                                  Prescription(0, np.ones((1, 1))),
-                                  _ring_game([(1, 1, 1)], rng), 0)
-    assert [cv.counts for cv in dist.support] == [(1,)] and list(dist.probs) == [1.0]
+    row = kernel_row(_ring_game([(1, 1, 1)], rng), 0, np.array([1]),
+                     MeanField(per_team=(np.array([1.0]),)), Prescription(0, np.ones((1, 1))))
+    assert TeamLattice(1, 1).points == [(1,)] and list(row) == [1.0]
 
 
 @pytest.mark.parametrize("N", [1, 2, 7, 16, 33, 64])

@@ -6,15 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import teamfield as tf
-from teamfield.counts import (CountDistribution, CountVector, JointCount,
-                              MeanField, Prescription, TeamLattice, count_point,
-                              enumerate_counts, lattice_size,
-                              team_transition_kernel)
+from teamfield import simulate
+from teamfield.counts import (PRUNE_TOL, CountVector, JointCount, MeanField, Prescription,
+                              TeamLattice, count_point, enumerate_counts, lattice_size)
 from teamfield.errors import CapacityError, SpecValidationError
 from teamfield.rng import substream
+from teamfield.stage_game import PrescriptionSet, _cost_table
 
-from oracles import (action_count_dist, marginalize_counts, nextstate_count_dist,
-                     sample_next_counts)
+from conftest import kernel_row
+from oracles import (CountDistribution, action_count_dist, marginalize_counts,
+                     nextstate_count_dist, sample_next_counts)
 
 
 def test_enumerate_counts_order_and_size():
@@ -64,8 +65,9 @@ def test_next_state_composition_matches_direct_kernel(reference_spec,
     spec = reference_spec
     m = np.array([1, 1])
     z = MeanField(per_team=(np.array([0.5, 0.5]), np.array([0.5, 0.5])))
+    points = TeamLattice(2, 2).points
     for gamma in reference_sets[0].items:
-        direct = team_transition_kernel(m, z, gamma, spec, 0)
+        direct = kernel_row(spec, 0, m, z, gamma)
         composed = {}
         act = action_count_dist(m, gamma)
         for mbar, p in zip(act.support, act.probs):
@@ -73,7 +75,7 @@ def test_next_state_composition_matches_direct_kernel(reference_spec,
             for mhat, q in zip(nxt.support, nxt.probs):
                 key = tuple(int(x) for x in marginalize_counts(mhat))
                 composed[key] = composed.get(key, 0.0) + p * q
-        direct_map = {cv.counts: p for cv, p in zip(direct.support, direct.probs)}
+        direct_map = {pt: p for pt, p in zip(points, direct) if p >= PRUNE_TOL}
         assert set(direct_map) == set(composed)
         for key in composed:
             assert direct_map[key] == pytest.approx(composed[key], abs=1e-12)
@@ -81,33 +83,21 @@ def test_next_state_composition_matches_direct_kernel(reference_spec,
 
 def test_team_kernel_probabilities(reference_spec, reference_sets):
     z = MeanField(per_team=(np.array([1.0, 0.0]), np.array([0.5, 0.5])))
-    dist = team_transition_kernel(np.array([2, 0]), z,
-                                  reference_sets[0].items[3],
-                                  reference_spec, 0)
-    assert abs(sum(dist.probs) - 1.0) < 1e-12
-    assert all(cv.total == 2 for cv in dist.support)
+    row = kernel_row(reference_spec, 0, np.array([2, 0]), z, reference_sets[0].items[3])
+    assert abs(sum(row) - 1.0) < 1e-12
+    assert all(sum(pt) == 2 for pt in TeamLattice(2, 2).points)
 
 
-def test_joint_kernel_is_product_of_marginals(reference_spec, reference_sets):
-    spec = reference_spec
-    M = JointCount(per_team=(CountVector(0, (2, 0)), CountVector(1, (1, 1))))
+def test_joint_kernel_capacity_error(monkeypatch, reference_spec, reference_sets):
+    """The kernel check builds the exact law on the joint lattice (3 x 3
+    points here) and refuses a lattice above the support cap."""
+    z = MeanField(per_team=(np.array([1.0, 0.0]), np.array([0.5, 0.5])))
     gammas = (reference_sets[0].items[1], reference_sets[1].items[2])
-    joint = tf.joint_transition_kernel(M, gammas, spec)
-    z = M.mean_field()
-    parts = [team_transition_kernel(M.per_team[k], z, gammas[k], spec, k)
-             for k in range(2)]
-    maps = [{cv.counts: p for cv, p in zip(d.support, d.probs)} for d in parts]
-    for jc, p in zip(joint.support, joint.probs):
-        expect = maps[0][jc.per_team[0].counts] * maps[1][jc.per_team[1].counts]
-        assert p == pytest.approx(expect, abs=1e-14)
-    assert abs(sum(joint.probs) - 1.0) < 1e-10
-
-
-def test_joint_kernel_capacity_error(reference_spec, reference_sets):
-    M = JointCount(per_team=(CountVector(0, (2, 0)), CountVector(1, (1, 1))))
-    gammas = (reference_sets[0].items[1], reference_sets[1].items[2])
-    with pytest.raises(CapacityError):
-        tf.joint_transition_kernel(M, gammas, reference_spec, cap=2)
+    monkeypatch.setattr(simulate, "DEFAULT_SUPPORT_CAP", 8)
+    with pytest.raises(CapacityError, match="9 points, cap is 8"):
+        tf.empirical_kernel_check(reference_spec, z, gammas, samples=10)
+    monkeypatch.setattr(simulate, "DEFAULT_SUPPORT_CAP", 9)
+    assert tf.empirical_kernel_check(reference_spec, z, gammas, samples=10).samples == 10
 
 
 def test_sample_next_counts_reproducible(reference_spec, reference_sets):
@@ -124,7 +114,9 @@ def test_sample_next_counts_frequencies(reference_spec, reference_sets):
     spec = reference_spec
     M = JointCount(per_team=(CountVector(0, (1, 1)), CountVector(1, (1, 1))))
     gammas = (reference_sets[0].items[0], reference_sets[1].items[0])
-    exact = tf.joint_transition_kernel(M, gammas, spec)
+    z = M.mean_field()
+    exact = np.multiply.outer(*(kernel_row(spec, k, M.per_team[k].counts, z, gammas[k])
+                                for k in range(2)))
     rng = substream(17, "freq")
     n = 20000
     freq = {}
@@ -132,8 +124,8 @@ def test_sample_next_counts_frequencies(reference_spec, reference_sets):
         nxt = sample_next_counts(M, gammas, spec, rng)
         key = tuple(cv.counts for cv in nxt.per_team)
         freq[key] = freq.get(key, 0) + 1
-    emap = {tuple(cv.counts for cv in jc.per_team): p
-            for jc, p in zip(exact.support, exact.probs)}
+    points = TeamLattice(2, 2).points
+    emap = {(points[i], points[j]): p for (i, j), p in np.ndenumerate(exact)}
     tv = 0.5 * sum(abs(freq.get(k, 0) / n - emap.get(k, 0.0))
                    for k in set(freq) | set(emap))
     assert tv < 0.02
@@ -143,11 +135,11 @@ def test_stage_cost_literal(single_team_spec):
     # congestion weight 1 on own occupancy of the current state, move fee
     # 0.05: at z=(0.5,0.5) with everyone staying the cost is sum_s z(s)^2
     gamma = Prescription(team_id=0, rows=np.array([[1.0, 0.0], [1.0, 0.0]]))
-    z = MeanField(per_team=(np.array([0.5, 0.5]),))
-    assert tf.stage_cost(z, gamma, single_team_spec, 0, 0) == pytest.approx(0.5)
     mover = Prescription(team_id=0, rows=np.array([[0.0, 1.0], [0.0, 1.0]]))
-    assert tf.stage_cost(z, mover, single_team_spec, 0, 0) == \
-        pytest.approx(0.5 + 0.05)
+    stay, move = _cost_table(single_team_spec, 0, PrescriptionSet(0, (gamma, mover)),
+                             [np.array([[0.5, 0.5]])], 0)[0]
+    assert stay == pytest.approx(0.5)
+    assert move == pytest.approx(0.5 + 0.05)
 
 
 def test_count_point_rounds_lattice_points_and_rejects_the_rest():
@@ -180,9 +172,10 @@ def test_kernel_mass_and_mean_property(n0, w):
     gamma = Prescription(team_id=0, rows=rows)
     m = np.array([n0, 4 - n0])
     z = MeanField(per_team=(m / 4.0, np.array([0.5, 0.5])))
-    dist = team_transition_kernel(m, z, gamma, REFERENCE, 0)
-    assert abs(sum(dist.probs) - 1.0) < 1e-12
-    assert all(cv.total == 4 for cv in dist.support)
-    mean = sum(p * cv.as_array() for cv, p in zip(dist.support, dist.probs))
+    row = kernel_row(REFERENCE, 0, m, z, gamma)
+    tl = TeamLattice(4, 2)
+    assert abs(sum(row) - 1.0) < 1e-12
+    assert all(sum(pt) == 4 for pt in tl.points)
+    mean = row @ tl.counts
     flow = tf.flow(z, (gamma, gamma), REFERENCE).per_team[0]
     assert np.allclose(mean / 4.0, flow, atol=1e-12)

@@ -2,7 +2,7 @@
 
 ``oracles.build_stage_game`` with a callable continuation sums exactly
 over the materialized joint next-count support of one point, one profile
-at a time, with own costs from ``counts.stage_cost``; the solvers contract
+at a time, with own costs summed from ``oracles.eval_cost``; the solvers contract
 kernel stacks for all points at once. Both
 must give the same stage games, equilibria and values, for any number of
 teams with their own state, action and population sizes.
@@ -67,15 +67,15 @@ def check_shared_store(spec, sets, policy, store):
     """The solver's store, reused by the certificate and the cost evaluation,
     gives exactly the results of fresh stores, and its stacks are
     read-only."""
-    assert np.array_equal(tf.verify_mpe(spec, policy, sets, kernel_cache=store).gains,
-                          tf.verify_mpe(spec, policy, sets).gains)
+    assert np.array_equal(tf.verify_mpe(spec, policy, kernel_cache=store).gains,
+                          tf.verify_mpe(spec, policy).gains)
     assert np.array_equal(tf.evaluate_total_cost(spec, policy, kernel_cache=store),
                           tf.evaluate_total_cost(spec, policy))
     assert np.array_equal(policy_value(spec, policy, kernel_cache=store),
                           policy_value(spec, policy))
     for k in range(spec.n_teams):
-        picks, U = best_response(spec, k, policy, sets, kernel_cache=store)
-        fresh_picks, fresh_U = best_response(spec, k, policy, sets)
+        picks, U = best_response(spec, k, policy, kernel_cache=store)
+        fresh_picks, fresh_U = best_response(spec, k, policy)
         assert np.array_equal(U, fresh_U)
         assert all(np.array_equal(a, b) for a, b in zip(picks, fresh_picks))
     W = store.stacks()[0]

@@ -2,7 +2,7 @@
 
 ``metrics._deviations`` reads each team's next-count laws as rows of
 ``counts._count_laws`` on the team lattice, once per menu item.
-``oracles.deviation_by_kernel`` goes through one ``team_transition_kernel``
+``oracles.deviation_by_kernel`` goes through one ``team_kernel_convolution``
 distribution and one ``flow`` image per profile. Both must agree to 1e-12,
 and ``kappa_envelope`` must cover every item of every team's menu.
 """

@@ -7,14 +7,13 @@ import pytest
 
 import teamfield as tf
 from teamfield.cli import _write_policy
-from teamfield.counts import stage_cost
 from teamfield.finite_mpe import (JointLattice, initial_distribution,
                                   policy_records, policy_value)
 from teamfield.stage_game import KernelCache
 
 from conftest import (DATA, cyclic_pursuit_three_team, deterministic_two_team,
                       identity_dynamics_spec, perfbench_gen)
-from oracles import policy_json_oracle, total_cost_forward
+from oracles import policy_json_oracle, stage_cost, total_cost_forward
 
 def _exact_pure_game(seed):
     """The benchmark's generated two-team game whose stage games are all pure."""
@@ -24,7 +23,7 @@ def _exact_pure_game(seed):
 def test_solve_and_verify_reference(reference_spec, reference_sets,
                                     reference_solution):
     policy, values = reference_solution
-    cert = tf.verify_mpe(reference_spec, policy, reference_sets)
+    cert = tf.verify_mpe(reference_spec, policy)
     assert cert.max_gain <= 1e-9
     assert cert.gains.shape == (2, 2) + policy.lattice.shape
     assert np.all(cert.gains >= -1e-12)
@@ -64,9 +63,70 @@ def test_best_response_never_beats_equilibrium(reference_spec, reference_sets,
                                                reference_solution):
     policy, values = reference_solution
     for k in range(2):
-        _, U = tf.best_response(reference_spec, k, policy, reference_sets)
+        _, U = tf.best_response(reference_spec, k, policy)
         # equilibrium value of team k is exactly its best-response value
         assert np.allclose(U, values.values[:, k], atol=1e-9)
+
+
+def _reversed(sets):
+    return tuple(tf.PrescriptionSet(team_id=ps.team_id, items=ps.items[::-1]) for ps in sets)
+
+
+STORE_READERS = {
+    "solve_mpe": lambda spec, policy, store: tf.solve_mpe(spec, policy.sets, kernel_cache=store),
+    "policy_value": lambda spec, policy, store: policy_value(spec, policy, kernel_cache=store),
+    "best_response": lambda spec, policy, store: tf.best_response(spec, 1, policy,
+                                                                  kernel_cache=store),
+    "verify_mpe": lambda spec, policy, store: tf.verify_mpe(spec, policy, kernel_cache=store),
+    "evaluate_total_cost": lambda spec, policy, store: tf.evaluate_total_cost(
+        spec, policy, kernel_cache=store),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(STORE_READERS))
+def test_a_store_of_other_menus_is_refused(reader, reference_spec, reference_sets,
+                                           reference_solution):
+    """Each menu reversed: the same items in another order. Read from such a
+    store, the certificate reported 0.0 and the total cost [1.2513, 0.9547]
+    instead of [1.2279, 0.9317]."""
+    policy, _ = reference_solution
+    store = KernelCache(reference_spec, _reversed(reference_sets))
+    with pytest.raises(tf.SpecValidationError, match="other menus"):
+        STORE_READERS[reader](reference_spec, policy, store)
+
+
+@pytest.mark.parametrize("reader", sorted(STORE_READERS))
+def test_a_store_of_another_spec_is_refused(reader, reference_spec, reference_sets,
+                                            reference_solution):
+    policy, _ = reference_solution
+    twin = tf.load_spec_file(DATA / "two_team_reference.json")
+    with pytest.raises(tf.SpecValidationError, match="another game spec"):
+        STORE_READERS[reader](reference_spec, policy, KernelCache(twin, reference_sets))
+
+
+@pytest.mark.parametrize("reader", ["policy_value", "best_response", "verify_mpe",
+                                    "evaluate_total_cost"])
+def test_a_store_on_a_lattice_of_another_shape_is_refused(reader, reference_spec,
+                                                          reference_sets):
+    """A policy solved at N=3 read with the N=2 store of the same spec
+    object and menus."""
+    policy, _ = tf.solve_mpe(tf.with_populations(reference_spec, 3), reference_sets)
+    store = KernelCache(reference_spec, reference_sets)
+    with pytest.raises(tf.SpecValidationError, match=r"shape \(3, 3\), the policy's has \(4, 4\)"):
+        STORE_READERS[reader](reference_spec, policy, store)
+
+
+def test_a_store_of_the_same_items_is_shared(reference_spec, reference_sets,
+                                             reference_solution):
+    """Menus match item by item: a new tuple of the same PrescriptionSet
+    objects, or new sets of the same items, share the store."""
+    policy, _ = reference_solution
+    same = tuple(tf.PrescriptionSet(team_id=ps.team_id, items=ps.items) for ps in reference_sets)
+    store = KernelCache(reference_spec, list(same))
+    assert np.array_equal(tf.verify_mpe(reference_spec, policy, kernel_cache=store).gains,
+                          tf.verify_mpe(reference_spec, policy).gains)
+    assert np.array_equal(tf.evaluate_total_cost(reference_spec, policy, kernel_cache=store),
+                          tf.evaluate_total_cost(reference_spec, policy))
 
 
 def test_single_team_dp_matches_brute_force(single_team_spec):
@@ -122,7 +182,7 @@ def test_mixed_equilibrium_policy_certifies(tmp_path):
     sets = tuple(tf.build_prescription_set(spec, k) for k in range(2))
     policy, values = tf.solve_mpe(spec, sets)
     assert policy.mixed_points
-    cert = tf.verify_mpe(spec, policy, sets)
+    cert = tf.verify_mpe(spec, policy)
     assert cert.max_gain <= 1e-9
     # the matching-pennies continuation pins the initial values at 0.5
     init = initial_distribution(spec, policy.lattice)

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 import teamfield as tf
-from teamfield.counts import MeanField, Prescription, stage_cost
+from teamfield.counts import MeanField, Prescription, TeamLattice
 from teamfield.errors import CapacityError, SpecValidationError
 from teamfield.limit import (SimplexGrid, default_grid, project_indices, rollout_inf,
                              solve_mpe_inf)
 from teamfield.stage_game import StageEquilibrium, _cost_table
 
-from conftest import deterministic_two_team, identity_dynamics_spec, minimal_team
+from conftest import deterministic_two_team, identity_dynamics_spec, kernel_row, minimal_team
+from oracles import stage_cost
 
 
 def test_flow_literal():
@@ -24,21 +25,19 @@ def test_flow_literal():
 
 
 def test_flow_is_kernel_mean(reference_spec, reference_sets):
-    from teamfield.counts import team_transition_kernel
     z = MeanField(per_team=(np.array([0.5, 0.5]), np.array([1.0, 0.0])))
     gammas = (reference_sets[0].items[2], reference_sets[1].items[1])
     q = tf.flow(z, gammas, reference_spec)
     for k in range(2):
         m = np.rint(z.per_team[k] * 2).astype(int)
-        dist = team_transition_kernel(m, z, gammas[k], reference_spec, k)
-        mean = sum(p * cv.as_array() for cv, p in zip(dist.support,
-                                                      dist.probs))
+        row = kernel_row(reference_spec, k, m, z, gammas[k])
+        mean = row @ TeamLattice(2, 2).counts
         assert np.allclose(mean / 2.0, q.per_team[k], atol=1e-12)
 
 
 def test_limit_stage_cost_identity(reference_spec, reference_sets):
-    """Finite count stage cost and the limit's cost path (the cost table
-    ``rollout_inf`` pays from) are one formula."""
+    """The limit's cost path (the cost table ``rollout_inf`` pays from)
+    equals the one-point stage cost summed from ``oracles.eval_cost``."""
     spec = reference_spec
     worst = 0.0
     for za in [(1.0, 0.0), (0.5, 0.5), (0.0, 1.0)]:
@@ -136,16 +135,16 @@ def test_grid_tables_are_refused_where_the_count_lattice_is_read(reference_spec,
     table projected to the lattice is read."""
     spec, sets = reference_spec, reference_sets
     policy, _, _ = solve_mpe_inf(spec, sets, grid=grid_of(spec))
-    for call in (lambda: tf.verify_mpe(spec, policy, sets),
+    for call in (lambda: tf.verify_mpe(spec, policy),
                  lambda: tf.finite_mpe.policy_value(spec, policy),
-                 lambda: tf.best_response(spec, 0, policy, sets),
+                 lambda: tf.best_response(spec, 0, policy),
                  lambda: tf.evaluate_total_cost(spec, policy),
                  lambda: tf.lift_policy(policy),
                  lambda: tf.estimate_cost(spec, tf.LiftedPolicy(table=policy), episodes=10)):
         with pytest.raises(SpecValidationError, match="project_policy_to_lattice"):
             call()
     projected = tf.project_policy_to_lattice(spec, policy)
-    cert = tf.verify_mpe(spec, projected, sets)
+    cert = tf.verify_mpe(spec, projected)
     assert cert.gains.shape[2:] == tf.JointLattice(spec).shape and cert.max_gain >= 0
     tf.estimate_cost(spec, tf.lift_policy(projected), episodes=10)
 
@@ -213,7 +212,7 @@ def test_projected_policy_plays_in_finite_game(reference_spec,
     fpolicy = tf.project_policy_to_lattice(reference_spec, policy)
     totals = tf.evaluate_total_cost(reference_spec, fpolicy)
     assert np.all(np.isfinite(totals))
-    cert = tf.verify_mpe(reference_spec, fpolicy, reference_sets)
+    cert = tf.verify_mpe(reference_spec, fpolicy)
     # the projected limit policy is near-optimal but not exactly optimal
     # at N=2; its certified gain must at least be a finite nonnegative gap
     assert cert.max_gain >= -1e-12

@@ -182,6 +182,17 @@ def test_fit_rate_needs_four_populations(iid_probe_spec):
         fit_rate(iid_probe_spec, z, gammas, [2, 4, 4, 8])
 
 
+@pytest.mark.parametrize("bad", [4.5, 4.0, "4", 0])
+def test_fit_rate_refuses_a_population_that_is_not_a_count(iid_probe_spec, bad):
+    """N = 4.5 used to be fitted as N = 4; every population input is an
+    integer of at least 1, as ``kappa_envelope`` and the spec require."""
+    z, gammas = _iid_probe_inputs(iid_probe_spec)
+    with pytest.raises(SpecValidationError, match="rate-fit population"):
+        fit_rate(iid_probe_spec, z, gammas, [2, bad, 8, 16])
+    with pytest.raises(SpecValidationError):
+        kappa_envelope(iid_probe_spec, z, [gammas], [bad])
+
+
 def test_kappa_scales_with_metric():
     """Doubling the state metric doubles every transport distance and so
     doubles the fitted envelope."""

@@ -115,7 +115,7 @@ def test_certificate_csv_keeps_its_text(tmp_path):
     spec = tf.load_spec_file(spec_path)
     sets = tuple(tf.build_prescription_set(spec, k) for k in range(spec.n_teams))
     policy, _ = tf.solve_mpe(spec, sets)
-    gains = tf.verify_mpe(spec, policy, sets).gains
+    gains = tf.verify_mpe(spec, policy).gains
     assert [line.rsplit(",", 1)[1] for line in lines[2:]] == [
         repr(float(gains[(t, k) + idx])) for t in (0, 1)
         for idx in policy.lattice.indices() for k in (0, 1)]

@@ -13,7 +13,7 @@ from teamfield.simulate import (empirical_kernel_check, estimate_cost, lift_poli
 from teamfield.stage_game import PrescriptionSet, StageEquilibrium
 
 from conftest import deterministic_two_team, identity_dynamics_spec
-from oracles import FunctionPolicy
+from oracles import FunctionPolicy, counts_at
 
 
 FIXED_ROWS = [np.array([[0.7, 0.3], [0.4, 0.6]]),
@@ -107,7 +107,7 @@ def test_lifted_policy_reads_correct_lattice_cell(reference_spec,
     for idx in lattice.indices():
         M = JointCount(per_team=tuple(
             CountVector(team_id=k, counts=c)
-            for k, c in enumerate(lattice.counts_at(idx))))
+            for k, c in enumerate(counts_at(lattice, idx))))
         rows = lifted.realize(0, M, substream(0))
         eq = policy.equilibrium(0, idx)
         for k in range(2):

@@ -10,7 +10,7 @@ from teamfield.stage_game import (DEFAULT_SUPPORT_BOUND, StageEquilibrium, Stage
                                   build_prescription_set, certify_epsilon,
                                   mixed_nash_2team, solve_stage)
 
-from oracles import _support_pairs, build_stage_game
+from oracles import _support_pairs, build_stage_game, stage_cost
 
 
 def game2(A, B):
@@ -209,7 +209,7 @@ def test_solve_stage_pure_only_raises():
 
 def test_build_stage_game_terminal_matches_stage_costs(reference_spec,
                                                        reference_sets):
-    from teamfield.counts import MeanField, stage_cost
+    from teamfield.counts import MeanField
     spec = reference_spec
     z = MeanField(per_team=(np.array([0.5, 0.5]), np.array([1.0, 0.0])))
     game = build_stage_game(z, spec.horizon - 1, None, reference_sets, spec)
