@@ -21,8 +21,7 @@ from .stage_game import (KernelCache, PrescriptionSet, StageEquilibrium, StageGa
 from .finite_mpe import (EquilibriumCertificate, JointLattice, PolicyTable,
                          ValueTable, best_response, evaluate_total_cost,
                          solve_mpe, verify_mpe)
-from .limit import (LimitPolicyTable, LimitValueTable, SimplexGrid,
-                    default_grid, flow, project_policy_to_lattice,
+from .limit import (SimplexGrid, default_grid, flow, project_policy_to_lattice,
                     rollout_inf, solve_mpe_inf)
 from .metrics import (RateFit, estimate_lipschitz, expected_deviation, fit_rate,
                       kappa_envelope, theorem4_bound, wasserstein)
@@ -43,8 +42,8 @@ __all__ = [
     "build_prescription_set", "mixed_nash_2team",
     "EquilibriumCertificate", "JointLattice", "PolicyTable", "ValueTable",
     "best_response", "evaluate_total_cost", "solve_mpe", "verify_mpe",
-    "LimitPolicyTable", "LimitValueTable", "SimplexGrid", "default_grid",
-    "flow", "project_policy_to_lattice", "rollout_inf", "solve_mpe_inf",
+    "SimplexGrid", "default_grid", "flow", "project_policy_to_lattice",
+    "rollout_inf", "solve_mpe_inf",
     "RateFit", "estimate_lipschitz", "expected_deviation", "fit_rate",
     "kappa_envelope", "theorem4_bound", "wasserstein",
     "KernelCheckReport", "LiftedPolicy", "SimResult",

@@ -17,10 +17,13 @@ recomputed from prescriptions, stage costs and kernels alone.
 
 All recursions run on the engine in ``stage_game``, batched over the
 lattice: per-team kernel stacks are contracted against the next values,
-raw for the stage games, averaged for ``policy_value`` (all teams) and
-``best_response`` (all but one) under the policy's mixtures, which
-``PolicyTable.mixtures`` reads from a stage's record array as whole
-(P, n_k) columns; they take count-lattice tables only, though the tables
+raw for the stage games and averaged under a fixed policy's mixtures,
+which ``PolicyTable.mixtures`` reads from a stage's record array as whole
+(P, n_k) columns. One backward pass (``_evaluate``) evaluates a fixed
+policy: ``verify_mpe`` runs it once for the policy's values and every
+team's best reply, which share each stage's mixtures, cost tables and
+averaged stacks, and ``policy_value`` and ``best_response`` run it for
+one player. The readers take count-lattice tables only, though the tables
 serve the limit solver too, over a ``SimplexGrid`` (a ``JointLattice``).
 ``evaluate_total_cost`` averages ``policy_value``'s stage-0 values under
 the initial count law. ``solve_mpe`` runs the backward driver
@@ -145,6 +148,35 @@ def _average(w, W) -> np.ndarray:
     return np.einsum("pi,pil->pl", w, W)
 
 
+def _evaluate(spec: GameSpec, policy: PolicyTable, players, kernel_cache=None) -> list:
+    """One backward pass under ``policy`` for ``players``: None plays it (values
+    (T, K, *shape)), team k replies best to it ((per-stage picks, values (T,
+    *shape)), ties to the smallest index). A stage reads the mixtures, and
+    forms the cost tables and averaged stacks the players need, once."""
+    lattice = _count_lattice(policy)
+    cache = _store(spec, policy.sets, kernel_cache, lattice)
+    T, K, shape = spec.horizon, spec.n_teams, lattice.shape
+    Ws = cache.stacks() if T > 1 else None
+    own = range(K) if None in players else players
+    averaged = [j for j in range(K) if players != (j,)]     # some player averages team j
+    out = [(np.zeros((T + 1,) + ((K,) if k is None else ()) + shape), [None] * T)
+           for k in players]
+    for t in range(T - 1, -1, -1):
+        w = policy.mixtures(t) if None in players or t < T - 1 else None
+        c = {k: _cost_table(spec, k, policy.sets[k], lattice.z, t) for k in own}
+        avg = {j: _average(w[j], Ws[j])[:, None] for j in averaged} if t < T - 1 else {}
+        for k, (V, pk) in zip(players, out):
+            e = c[k] if k is not None else np.stack(
+                [np.einsum("pi,pi->p", w[j], c[j]) for j in range(K)])
+            if t < T - 1:
+                Wk = [W if j == k else avg[j] for j, W in enumerate(Ws)]
+                e = e + _contract(Wk, V[t + 1]).reshape(e.shape)
+            if k is not None:
+                pk[t], e = e.argmin(axis=1).reshape(shape), e.min(axis=1)
+            V[t] = e.reshape(V[t].shape)
+    return [V[:T] if k is None else (pk, V[:T]) for k, (V, pk) in zip(players, out)]
+
+
 def best_response(spec: GameSpec, k: int, others: PolicyTable,
                   kernel_cache: KernelCache = None):
     """Optimal reply of team k (menu ``others.sets[k]``) when teams j != k play ``others``.
@@ -155,43 +187,18 @@ def best_response(spec: GameSpec, k: int, others: PolicyTable,
     averaged under their (possibly mixed) equilibrium profiles.
 
     Returns (per-stage arrays of chosen own indices, value array U of
-    shape (T, *lattice shape)); ties resolve to the smallest index.
+    shape (T, *lattice shape)); ties resolve to the smallest index. Raises
+    SpecValidationError if k is not an integer in range(K).
     """
-    lattice = _count_lattice(others)
-    cache = _store(spec, others.sets, kernel_cache, lattice)
-    T = spec.horizon
-    shape = lattice.shape
-    Ws = cache.stacks() if T > 1 else None
-    U = np.zeros((T + 1,) + shape)
-    picks = [None] * T
-    for t in range(T - 1, -1, -1):
-        e = _cost_table(spec, k, others.sets[k], lattice.z, t)
-        if t < T - 1:
-            w = others.mixtures(t)
-            Wk = [W if j == k else _average(w[j], W)[:, None] for j, W in enumerate(Ws)]
-            e = e + _contract(Wk, U[t + 1]).reshape(e.shape)
-        picks[t] = e.argmin(axis=1).reshape(shape)
-        U[t] = e.min(axis=1).reshape(shape)
-    return picks, U[:T]
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= k < spec.n_teams:
+        raise SpecValidationError("team index %r is not in range(%d)" % (k, spec.n_teams))
+    return _evaluate(spec, others, (int(k),), kernel_cache)[0]
 
 
 def policy_value(spec: GameSpec, policy: PolicyTable,
                  kernel_cache: KernelCache = None) -> np.ndarray:
     """Per-team values of playing ``policy`` everywhere: (T, K, *shape)."""
-    lattice = _count_lattice(policy)
-    cache = _store(spec, policy.sets, kernel_cache, lattice)
-    T, K = spec.horizon, spec.n_teams
-    Ws = cache.stacks() if T > 1 else None
-    V = np.zeros((T + 1, K) + lattice.shape)
-    for t in range(T - 1, -1, -1):
-        w = policy.mixtures(t)
-        v = np.stack([np.einsum("pi,pi->p", w[k], _cost_table(spec, k, ps, lattice.z, t))
-                      for k, ps in enumerate(policy.sets)])
-        if t < T - 1:
-            avg = [_average(w[j], W)[:, None] for j, W in enumerate(Ws)]
-            v = v + _contract(avg, V[t + 1]).reshape(v.shape)
-        V[t] = v.reshape(V[t].shape)
-    return V[:T]
+    return _evaluate(spec, policy, (None,), kernel_cache)[0]
 
 
 def verify_mpe(spec: GameSpec, policy: PolicyTable,
@@ -200,18 +207,14 @@ def verify_mpe(spec: GameSpec, policy: PolicyTable,
 
     gains[t, k, z] = (value of playing the policy) - (best-response value),
     both recomputed by dynamic programming from the policy's prescriptions,
-    the stage costs and the count kernels; no stage game is solved. The
-    kernels may be the solver's (``kernel_cache``); acceptance criterion 2
-    and the engine oracle check them. Gains are nonnegative up to a -1e-9
-    numerical floor; for an exact equilibrium the max is ~0.
+    the stage costs and the count kernels in one backward pass, whose stages
+    share the mixtures, cost tables and averaged kernels; no stage game is
+    solved. The kernels may be the solver's (``kernel_cache``); acceptance
+    criterion 2 and the engine oracle check them. Gains are nonnegative up
+    to a -1e-9 numerical floor; for an exact equilibrium the max is ~0.
     """
-    cache = _store(spec, policy.sets, kernel_cache)
-    V = policy_value(spec, policy, kernel_cache=cache)
-    T, K = spec.horizon, spec.n_teams
-    gains = np.empty_like(V)
-    for k in range(K):
-        _, U = best_response(spec, k, policy, kernel_cache=cache)
-        gains[:, k] = V[:, k] - U
+    V, *replies = _evaluate(spec, policy, (None,) + tuple(range(spec.n_teams)), kernel_cache)
+    gains = V - np.stack([U for _, U in replies], axis=1)
     return EquilibriumCertificate(
         gains=gains, max_gain=float(gains.max()), mean_gain=float(gains.mean()))
 

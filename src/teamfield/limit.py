@@ -111,11 +111,6 @@ def project_indices(z, grid: SimplexGrid):
     return tuple(idx), err
 
 
-# one table family serves both solvers; the limit names stay as aliases
-LimitPolicyTable = PolicyTable
-LimitValueTable = ValueTable
-
-
 @dataclass
 class ProjectionLog:
     """Per-stage accounting of flow-image projection errors."""

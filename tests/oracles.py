@@ -8,7 +8,9 @@ chunked one), the per-point stage game (checked against the
 batched engine), the profile-by-profile pure check, the unpruned support
 enumeration and the re-certifying fictitious play (checked against the
 stage solvers), the forward propagation of the count law (checked
-against ``evaluate_total_cost``), hand-written agent policies for
+against ``evaluate_total_cost``), the separate stage loops of the
+policy's values and of one team's best reply (checked bitwise against
+the shared backward pass of ``finite_mpe``), hand-written agent policies for
 ``simulate.simulate_episode``, and pointwise model evaluation (with the
 one-point stage cost summed from it) and its closed-form Lipschitz
 bounds."""
@@ -22,17 +24,17 @@ import numpy as np
 from scipy.special import gammaln, xlogy
 
 from teamfield.counts import (DEFAULT_SUPPORT_CAP, PRUNE_TOL, CountVector, JointCount,
-                              Prescription, _count_laws, _mixture_rows, _rank_terms,
-                              count_point, enumerate_counts, lattice_size)
+                              Prescription, _count_lattice, _count_laws, _mixture_rows,
+                              _rank_terms, count_point, enumerate_counts, lattice_size)
 from teamfield.errors import CapacityError, EquilibriumNotFoundError, SpecValidationError
-from teamfield.finite_mpe import PolicyTable, _average, initial_distribution
+from teamfield.finite_mpe import PolicyTable, _average, _store, initial_distribution
 from teamfield.limit import SimplexGrid, flow
 from teamfield.metrics import LIPSCHITZ_BLOCK_PAIRS, transport_distance
 from teamfield.model import GameSpec, flatten_mean_field, transition_matrix
 from teamfield.rng import substream
 from teamfield.simulate import KernelCheckReport, _cdf, _pick, _pick_rows, _team_index
 from teamfield.stage_game import (CERT_TOL, DEFAULT_SUPPORT_BOUND, PURE_TOL, KernelCache,
-                                  StageEquilibrium, StageGame, _cost_table,
+                                  StageEquilibrium, StageGame, _contract, _cost_table,
                                   _indifference_solve, certify_epsilon)
 
 
@@ -553,6 +555,55 @@ def total_cost_forward(spec: GameSpec, policy: PolicyTable) -> np.ndarray:
                 raise AssertionError("forward propagation lost mass: %.17g" % new.sum())
             dist = new.reshape(-1)
     return totals
+
+
+def best_response_loop(spec: GameSpec, k: int, others: PolicyTable,
+                       kernel_cache: KernelCache = None):
+    """Optimal reply of team k (menu ``others.sets[k]``) when teams j != k play ``others``.
+
+    A plain finite-horizon dynamic program (no game solving): at every
+    (stage, lattice point) team k picks the menu item minimizing its own
+    stage cost plus expected continuation, the other teams' kernels being
+    averaged under their (possibly mixed) equilibrium profiles.
+
+    Returns (per-stage arrays of chosen own indices, value array U of
+    shape (T, *lattice shape)); ties resolve to the smallest index.
+    """
+    lattice = _count_lattice(others)
+    cache = _store(spec, others.sets, kernel_cache, lattice)
+    T = spec.horizon
+    shape = lattice.shape
+    Ws = cache.stacks() if T > 1 else None
+    U = np.zeros((T + 1,) + shape)
+    picks = [None] * T
+    for t in range(T - 1, -1, -1):
+        e = _cost_table(spec, k, others.sets[k], lattice.z, t)
+        if t < T - 1:
+            w = others.mixtures(t)
+            Wk = [W if j == k else _average(w[j], W)[:, None] for j, W in enumerate(Ws)]
+            e = e + _contract(Wk, U[t + 1]).reshape(e.shape)
+        picks[t] = e.argmin(axis=1).reshape(shape)
+        U[t] = e.min(axis=1).reshape(shape)
+    return picks, U[:T]
+
+
+def policy_value_loop(spec: GameSpec, policy: PolicyTable,
+                      kernel_cache: KernelCache = None) -> np.ndarray:
+    """Per-team values of playing ``policy`` everywhere: (T, K, *shape)."""
+    lattice = _count_lattice(policy)
+    cache = _store(spec, policy.sets, kernel_cache, lattice)
+    T, K = spec.horizon, spec.n_teams
+    Ws = cache.stacks() if T > 1 else None
+    V = np.zeros((T + 1, K) + lattice.shape)
+    for t in range(T - 1, -1, -1):
+        w = policy.mixtures(t)
+        v = np.stack([np.einsum("pi,pi->p", w[k], _cost_table(spec, k, ps, lattice.z, t))
+                      for k, ps in enumerate(policy.sets)])
+        if t < T - 1:
+            avg = [_average(w[j], W)[:, None] for j, W in enumerate(Ws)]
+            v = v + _contract(avg, V[t + 1]).reshape(v.shape)
+        V[t] = v.reshape(V[t].shape)
+    return V[:T]
 
 
 def lipschitz_all_pairs(table, spec: GameSpec) -> np.ndarray:

@@ -37,7 +37,7 @@ NOT_IN_SRC = {
     "metrics": ("wasserstein_fast", "DEFAULT_DEVIATION_CAP", "DEFAULT_PAIR_CAP",
                 "joint_distance", "lemma1_check", "Lemma1Report"),
     "cli": ("PROBE_PROFILE_CAP",),
-    "limit": ("project_to_grid", "limit_stage_cost"),
+    "limit": ("project_to_grid", "limit_stage_cost", "LimitPolicyTable", "LimitValueTable"),
     "finite_mpe": ("total_cost_forward", "_records"),
 }
 

@@ -5,8 +5,15 @@ over the materialized joint next-count support of one point, one profile
 at a time, with own costs summed from ``oracles.eval_cost``; the solvers contract
 kernel stacks for all points at once. Both
 must give the same stage games, equilibria and values, for any number of
-teams with their own state, action and population sizes.
+teams with their own state, action and population sizes. Away from an
+equilibrium (random mixtures at every point), a per-point Bellman
+recursion on the oracle's stage games gives the policy's values and every
+team's best reply, and the separate stage loops the shared pass replaced
+(``oracles.policy_value_loop``, ``oracles.best_response_loop``) give the
+same arrays bit for bit.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -19,7 +26,7 @@ from teamfield.finite_mpe import best_response, initial_distribution, policy_val
 from teamfield.stage_game import KernelCache, equilibrium_values, solve_stage
 
 from conftest import cyclic_pursuit_three_team
-from oracles import build_stage_game
+from oracles import best_response_loop, build_stage_game, policy_value_loop
 
 # (states, actions, population) per team; the oracle's work at one point
 # grows with lattice size squared times menu size, so draws are budgeted
@@ -60,6 +67,7 @@ def check_engine_against_oracle(spec):
                                [np.sum(init * V[0, k]) for k in range(K)],
                                rtol=0, atol=1e-12)
     check_shared_store(spec, sets, policy, store)
+    check_against_loops(spec, policy)
     return policy
 
 
@@ -85,10 +93,84 @@ def check_shared_store(spec, sets, policy, store):
         store.matrix(0, store.lattice.mean_field((0,) * spec.n_teams))[0, 0] = 1.0
 
 
+def random_mixtures(policy, seed):
+    """``policy`` with every stage's records replaced by random mixtures:
+    ``mixed`` True and Dirichlet weights at every point."""
+    rng = np.random.default_rng(seed)
+    stages = []
+    for st in policy.stages:
+        st = st.copy()
+        st.mixed = True
+        for w in st.dtype.names[2:]:
+            st[w] = rng.dirichlet(np.ones(st[w].shape[-1]), size=st.shape)
+        stages.append(st)
+    return dataclasses.replace(policy, stages=stages)
+
+
+def _expect(tensor, ws, keep=None):
+    """``tensor`` averaged under ``ws`` along every team's axis but ``keep``."""
+    for j in range(tensor.ndim - 1, -1, -1):
+        if j != keep:
+            tensor = np.tensordot(tensor, ws[j], axes=([j], [0]))
+    return tensor
+
+
+def check_fixed_policy_against_oracle(spec, policy):
+    """Per-point Bellman recursions on ``oracles.build_stage_game`` tensors,
+    continued by the oracle's own next values: the policy's values average
+    each team's tensor under every mixture, team k's best reply averages it
+    under the others' and takes the smallest minimizing index."""
+    sets, lattice = policy.sets, policy.lattice
+    T, K = spec.horizon, spec.n_teams
+    V = np.zeros((T + 1, K) + lattice.shape)     # the policy's values
+    U = np.zeros((T + 1, K) + lattice.shape)     # U[:, k]: team k's best-reply values
+    picks = np.zeros((T, K) + lattice.shape, dtype=int)
+
+    def continuation(X):
+        return lambda jc: X[(slice(None),) + tuple(
+            lattice.teams[k].index[jc.per_team[k].counts] for k in range(K))]
+
+    for t in range(T - 1, -1, -1):
+        for idx in lattice.indices():
+            ws = policy.equilibrium(t, idx).weights(tuple(len(ps) for ps in sets))
+            played, replied = (build_stage_game(lattice.mean_field(idx), t,
+                                                None if t == T - 1 else continuation(X[t + 1]),
+                                                sets, spec) for X in (V, U))
+            for k in range(K):
+                V[(t, k) + idx] = _expect(played.tensors[k], ws)
+                r = _expect(replied.tensors[k], ws, keep=k)
+                U[(t, k) + idx] = r.min()
+                picks[(t, k) + idx] = np.flatnonzero(r <= r.min() + 1e-12)[0]
+    np.testing.assert_allclose(policy_value(spec, policy), V[:T], rtol=0, atol=1e-12)
+    for k in range(K):
+        got_picks, got_U = best_response(spec, k, policy)
+        np.testing.assert_allclose(got_U, U[:T, k], rtol=0, atol=1e-12)
+        assert np.array_equal(np.stack(got_picks), picks[:, k])
+
+
+def check_against_loops(spec, policy):
+    """Values, picks and certificate gains equal those of the separate
+    stage loops bit for bit."""
+    V = policy_value_loop(spec, policy)
+    assert np.array_equal(policy_value(spec, policy), V)
+    gains = np.empty_like(V)
+    for k in range(spec.n_teams):
+        picks, U = best_response_loop(spec, k, policy)
+        got_picks, got_U = best_response(spec, k, policy)
+        assert np.array_equal(got_U, U)
+        assert len(got_picks) == len(picks)
+        assert all(np.array_equal(a, b) for a, b in zip(got_picks, picks))
+        gains[:, k] = V[:, k] - U
+    assert np.array_equal(tf.verify_mpe(spec, policy).gains, gains)
+
+
 def test_engine_matches_oracle_on_three_team_cyclic_pursuit():
     spec = tf.load_spec(cyclic_pursuit_three_team())
     policy = check_engine_against_oracle(spec)
     assert policy.mixed_points
+    off = random_mixtures(policy, 0)
+    check_fixed_policy_against_oracle(spec, off)
+    check_against_loops(spec, off)
 
 
 @st.composite
@@ -138,3 +220,16 @@ def small_games(draw):
 @given(small_games())
 def test_engine_matches_oracle_on_random_games(doc):
     check_engine_against_oracle(tf.load_spec(doc))
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(small_games(), st.integers(0, 2 ** 32 - 1))
+def test_fixed_policy_matches_oracle_off_equilibrium(doc, seed):
+    """Random mixtures everywhere: the policy's values and every team's
+    best reply (values and picks, ties included) against the oracle's
+    Bellman recursion, and bit for bit against the separate loops."""
+    spec = tf.load_spec(doc)
+    sets = tuple(tf.build_prescription_set(spec, k) for k in range(spec.n_teams))
+    policy = random_mixtures(tf.solve_mpe(spec, sets)[0], seed)
+    check_fixed_policy_against_oracle(spec, policy)
+    check_against_loops(spec, policy)

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import json
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 import teamfield as tf
+from teamfield import finite_mpe
 from teamfield.cli import _write_policy
 from teamfield.finite_mpe import (JointLattice, initial_distribution,
                                   policy_records, policy_value)
@@ -66,6 +68,65 @@ def test_best_response_never_beats_equilibrium(reference_spec, reference_sets,
         _, U = tf.best_response(reference_spec, k, policy)
         # equilibrium value of team k is exactly its best-response value
         assert np.allclose(U, values.values[:, k], atol=1e-9)
+
+
+@pytest.mark.parametrize("k", [2, -1, 1.0, True, "0", None])
+def test_best_response_refuses_a_bad_team_index(monkeypatch, k, reference_spec,
+                                                reference_solution):
+    """Before any work: at k=2 the loop raised IndexError, at k=-1 a
+    reshape ValueError and at k=1.0 a TypeError; a negative index into
+    operands shared by several players could read another team's slot."""
+    policy, _ = reference_solution
+    monkeypatch.setattr(finite_mpe, "_evaluate", lambda *args: pytest.fail("evaluated"))
+    with pytest.raises(tf.SpecValidationError, match=r"team index .* not in range\(2\)"):
+        tf.best_response(reference_spec, k, policy)
+
+
+def test_best_response_takes_a_numpy_team_index(reference_spec, reference_solution):
+    policy, _ = reference_solution
+    picks, U = tf.best_response(reference_spec, np.int64(1), policy)
+    ref_picks, ref_U = tf.best_response(reference_spec, 1, policy)
+    assert np.array_equal(U, ref_U)
+    assert all(np.array_equal(a, b) for a, b in zip(picks, ref_picks))
+
+
+@pytest.mark.parametrize("game", ["two_team_reference", "cyclic", "deterministic"])
+def test_one_pass_forms_each_stage_operand_once(monkeypatch, game):
+    """Calls of the cost tables, the averaged kernel stacks and the mixture
+    reads: the certificate forms each once per (stage, team) and reads each
+    stage's mixtures once (the separate loops made 2KT tables, K^2 (T-1)
+    stacks and (K+1)T-K reads); one team's best reply and the policy's
+    values alone do the work those loops did."""
+    if game == "cyclic":
+        spec = tf.load_spec(cyclic_pursuit_three_team())
+    elif game == "deterministic":
+        spec = tf.load_spec(deterministic_two_team(horizon=3))
+    else:
+        spec = tf.load_spec_file(DATA / ("%s.json" % game))
+    sets = tuple(tf.build_prescription_set(spec, k) for k in range(spec.n_teams))
+    policy, _ = tf.solve_mpe(spec, sets)
+    store = KernelCache(spec, sets)
+    T, K = spec.horizon, spec.n_teams
+    calls = collections.Counter()
+
+    def counted(name, f):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(finite_mpe, "_cost_table", counted("cost", finite_mpe._cost_table))
+    monkeypatch.setattr(finite_mpe, "_average", counted("average", finite_mpe._average))
+    monkeypatch.setattr(tf.PolicyTable, "mixtures", counted("mixtures", tf.PolicyTable.mixtures))
+    tf.verify_mpe(spec, policy, kernel_cache=store)
+    assert calls == {"cost": K * T, "average": K * (T - 1), "mixtures": T}
+    for k in range(K):
+        calls.clear()
+        tf.best_response(spec, k, policy, kernel_cache=store)
+        assert calls == {"cost": T, "average": (K - 1) * (T - 1), "mixtures": T - 1}
+    calls.clear()
+    policy_value(spec, policy, kernel_cache=store)
+    assert calls == {"cost": K * T, "average": K * (T - 1), "mixtures": T}
 
 
 def _reversed(sets):

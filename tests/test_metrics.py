@@ -11,7 +11,7 @@ import teamfield as tf
 from teamfield.counts import MeanField
 from teamfield import metrics
 from teamfield.errors import CapacityError, SpecValidationError
-from teamfield.limit import SimplexGrid, LimitValueTable
+from teamfield.limit import SimplexGrid
 from teamfield.metrics import (expected_deviation, estimate_lipschitz,
                                fit_rate, kappa_envelope, per_team_deviation,
                                theorem4_bound, transport_distance, wasserstein)
@@ -213,7 +213,7 @@ def test_kappa_scales_with_metric():
 
 def test_lipschitz_constant_table(reference_spec):
     grid = SimplexGrid(reference_spec, [2, 2])
-    table = LimitValueTable(values=np.full((2, 2) + grid.shape, 3.5), lattice=grid)
+    table = tf.ValueTable(values=np.full((2, 2) + grid.shape, 3.5), lattice=grid)
     out = estimate_lipschitz(table, reference_spec)
     assert out.shape == (2, 2)
     assert np.all(out == 0.0)
@@ -224,11 +224,11 @@ def test_lipschitz_recovers_unit_slope(reference_spec):
     vals = np.zeros((2, 2) + grid.shape)
     p0 = grid.points[0][:, 0]
     vals[:, :, :, :] = p0[None, None, :, None]
-    table = LimitValueTable(values=vals, lattice=grid)
+    table = tf.ValueTable(values=vals, lattice=grid)
     out = estimate_lipschitz(table, reference_spec)
     assert np.allclose(out, 1.0, atol=1e-12)
     # shifting a value table never changes its difference quotients
-    shifted = LimitValueTable(values=vals + 17.0, lattice=grid)
+    shifted = tf.ValueTable(values=vals + 17.0, lattice=grid)
     assert np.allclose(estimate_lipschitz(shifted, reference_spec), out)
 
 
@@ -241,7 +241,7 @@ def test_lipschitz_is_the_max_over_all_pairs(monkeypatch, reference_spec):
     monkeypatch.setattr(metrics, "LIPSCHITZ_BLOCK_PAIRS", 10)
     grid = SimplexGrid(reference_spec, [4, 4])
     vals = np.random.default_rng(0).random((2, 2) + grid.shape)
-    got = estimate_lipschitz(LimitValueTable(values=vals, lattice=grid), reference_spec)
+    got = estimate_lipschitz(tf.ValueTable(values=vals, lattice=grid), reference_spec)
     pts = list(np.ndindex(grid.shape))
     expect = np.zeros((2, 2))
     for a, ia in enumerate(pts):
