@@ -36,7 +36,7 @@ from .metrics import (estimate_lipschitz, fit_rate, kappa_envelope,
                       theorem4_bound)
 from .model import load_spec_file, with_populations
 from .simulate import estimate_cost, lift_policy
-from .stage_game import CERT_TOL, KernelCache, build_prescription_set
+from .stage_game import CERT_TOL, build_prescription_set
 from .static_games import load_static_game_file, static_report
 
 DEFAULT_EPISODES = 10000
@@ -118,11 +118,9 @@ def _run_validate(args, out, h):
 
 def _run_solve_finite(args, out, h):
     spec = _load_game(args)
-    sets = _build_sets(spec, args)
-    cache = KernelCache(spec, sets)
-    policy, values = solve_mpe(spec, sets, pure_only=args.pure_only, kernel_cache=cache)
-    cert = verify_mpe(spec, policy, kernel_cache=cache)
-    totals = evaluate_total_cost(spec, policy, kernel_cache=cache)
+    policy, values = solve_mpe(spec, _build_sets(spec, args), pure_only=args.pure_only)
+    cert = verify_mpe(spec, policy)
+    totals = evaluate_total_cost(spec, policy)
     _write_policy(out / "policy.json", policy_records(policy, values), h)
     _write_csv(out / "certificate.csv", ("stage", "z_id", "team", "gain"),
                cert.csv_rows(policy.lattice), h)
@@ -164,18 +162,10 @@ def _run_solve_infinite(args, out, h):
     return spec
 
 
-def _solved_lifted(spec, args):
-    """Solved policy, its per-agent lift and the run's kernel store."""
-    sets = _build_sets(spec, args)
-    cache = KernelCache(spec, sets)
-    policy, _ = solve_mpe(spec, sets, pure_only=args.pure_only, kernel_cache=cache)
-    return policy, lift_policy(policy), cache
-
-
 def _run_simulate(args, out, h):
     spec = _load_game(args)
-    _, lifted, _ = _solved_lifted(spec, args)
-    res = estimate_cost(spec, lifted, episodes=args.episodes,
+    policy, _ = solve_mpe(spec, _build_sets(spec, args), pure_only=args.pure_only)
+    res = estimate_cost(spec, lift_policy(policy), episodes=args.episodes,
                         workers=args.workers, keep_episodes=args.keep_episodes)
     _write_json(out / "result.json", {"spec_sha256": h, **res.as_dict()})
     if args.keep_episodes:
@@ -188,10 +178,9 @@ def _run_simulate(args, out, h):
 
 def _run_compare(args, out, h):
     spec = _load_game(args)
-    policy, lifted, cache = _solved_lifted(spec, args)
-    dp = evaluate_total_cost(spec, policy, kernel_cache=cache)
-    res = estimate_cost(spec, lifted, episodes=args.episodes,
-                        workers=args.workers)
+    policy, _ = solve_mpe(spec, _build_sets(spec, args), pure_only=args.pure_only)
+    dp = evaluate_total_cost(spec, policy)
+    res = estimate_cost(spec, lift_policy(policy), episodes=args.episodes, workers=args.workers)
     rows = []
     for k in range(spec.n_teams):
         diff = abs(float(dp[k]) - float(res.mean[k]))
@@ -221,16 +210,9 @@ def _probe_mean_field(spec, n_values):
     """A point that lies on every probed count lattice: the uniform law
     when every probed population is divisible by the state count, else a
     point mass on the first state."""
-    per = []
-    for tm in spec.teams:
-        S = tm.n_states
-        if all(n % S == 0 for n in n_values):
-            per.append(np.full(S, 1.0 / S))
-        else:
-            v = np.zeros(S)
-            v[0] = 1.0
-            per.append(v)
-    return MeanField(per_team=tuple(per))
+    return MeanField(per_team=tuple(
+        np.full(tm.n_states, 1.0 / tm.n_states) if all(n % tm.n_states == 0 for n in n_values)
+        else np.eye(tm.n_states)[0] for tm in spec.teams))
 
 
 def _run_bound(args, out, h):
@@ -248,22 +230,24 @@ def _run_bound(args, out, h):
         sets = _build_sets(spn, args)
         lpolicy, lvalues, _ = solve_mpe_inf(spn, sets, grid=_grid(spn, args),
                                             pure_only=args.pure_only)
-        cache = KernelCache(spn, sets)
-        fpolicy = project_policy_to_lattice(spn, lpolicy, lattice=cache.lattice)
-        V = policy_value(spn, fpolicy, kernel_cache=cache)
+        fpolicy = project_policy_to_lattice(spn, lpolicy)
+        V = policy_value(spn, fpolicy)
         init = initial_distribution(spn, fpolicy.lattice)
-        gains = []
+        gains, sup_gains = [], []
         for k in range(spn.n_teams):
-            _, U = best_response(spn, k, fpolicy, kernel_cache=cache)
+            _, U = best_response(spn, k, fpolicy)
             gains.append(float(np.sum(init * (V[0, k] - U[0]))))
+            sup_gains.append(float((V[:, k] - U).max()))
         lips = estimate_lipschitz(lvalues, spn)
         eps = theorem4_bound(kappa, lips, [n] * spn.n_teams)
         rows.append({
             "N": int(n),
             "gain_per_team": gains,
             "max_gain": max(gains),
+            "sup_gain_per_team": sup_gains,
             "epsilon_bound": eps,
             "lipschitz": [[float(x) for x in r] for r in lips],
+            **_stage_epsilons(lpolicy),
         })
         print("N=%d: max deviation gain %.6e  vs bound %.6e"
               % (n, max(gains), eps))

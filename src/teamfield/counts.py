@@ -121,15 +121,15 @@ def lattice_size(N: int, d: int) -> int:
     return math.comb(N + d - 1, d - 1)
 
 
-def enumerate_counts(N: int, d: int, cap: int = DEFAULT_SUPPORT_CAP):
+def enumerate_counts(N: int, d: int):
     """All length-d nonnegative integer vectors summing to N, ordered with
     the leading coordinates largest first; size C(N+d-1, d-1)."""
     if N < 0 or d < 1:
         raise ValueError("need N >= 0 and d >= 1, got N=%d, d=%d" % (N, d))
     size = lattice_size(N, d)
-    if size > cap:
+    if size > DEFAULT_SUPPORT_CAP:
         raise CapacityError("count lattice for (N=%d, d=%d) has %d points, cap is %d"
-                            % (N, d, size, cap))
+                            % (N, d, size, DEFAULT_SUPPORT_CAP))
     out = []
 
     def rec(prefix, remaining, slots):

@@ -31,9 +31,9 @@ the initial count law. ``solve_mpe`` runs the backward driver
 continuation contracts the store's kernel stacks against the next
 values (``_contract``), the limit's gathers them at projected flow
 images. The driver finds the pure stage equilibria of a stage in one
-pass; only the stage games without one are solved point by point. One
-``KernelCache`` (``kernel_cache``) can hold the kernels of a run for the
-solver, the certificate and the cost evaluation, checked by ``_store``.
+pass; only the stage games without one are solved point by point. A
+solved or projected policy keeps its ``KernelCache``, which every reader
+of it takes (``_store``).
 """
 
 from __future__ import annotations
@@ -56,10 +56,11 @@ class PolicyTable:
     (``limit.solve_mpe_inf``). Each stage is an ``np.recarray`` over the
     points with fields ``mixed``, ``epsilon`` (certified maximal
     unilateral gain) and ``w<k>``: team k's mixture over ``sets[k]``,
-    one-hot at pure points."""
+    one-hot at pure points. A count-lattice table keeps its kernel store."""
     stages: list
     sets: tuple
     lattice: JointLattice
+    _kernels: KernelCache = field(default=None, init=False, repr=False)   # see _store
 
     def mixtures(self, t: int) -> list:
         """Per-team (P, n_k) mixtures of stage t, points in C order."""
@@ -112,35 +113,34 @@ class EquilibriumCertificate:
                 for t in range(T) for p, zid in enumerate(lattice.ids) for k in range(K)]
 
 
-def _store(spec: GameSpec, sets, kernel_cache: KernelCache = None, lattice=None) -> KernelCache:
-    """``kernel_cache``, or a new store of ``spec`` and the menus ``sets``.
-    Raises SpecValidationError on a store of another spec object, other
-    menus (items compared by identity) or a lattice of another shape than ``lattice``."""
-    cache = kernel_cache or KernelCache(spec, sets)
-    if cache.spec is not spec:
-        raise SpecValidationError("kernel store was built for another game spec")
-    if [list(map(id, ps.items)) for ps in cache.sets] != [list(map(id, ps.items)) for ps in sets]:
-        raise SpecValidationError("kernel store was built for other menus")
-    if lattice is not None and cache.lattice.shape != lattice.shape:
+def _store(spec: GameSpec, policy: PolicyTable) -> KernelCache:
+    """The kernel store ``policy`` keeps; a new one of ``spec`` and its menus,
+    kept on it, when it keeps none or one of another spec object or menus.
+    Raises SpecValidationError when the spec's lattice has another shape."""
+    lattice, cache = _count_lattice(policy), policy._kernels
+    if cache is None or cache.spec is not spec or cache.sets is not policy.sets:
+        cache = KernelCache(spec, policy.sets)
+    if cache.lattice.shape != lattice.shape:
         raise SpecValidationError("kernel store lattice has shape %s, the policy's has %s"
                                   % (cache.lattice.shape, lattice.shape))
+    policy._kernels = cache
     return cache
 
 
-def solve_mpe(spec: GameSpec, sets, pure_only: bool = False,
-              kernel_cache: KernelCache = None):
+def solve_mpe(spec: GameSpec, sets, pure_only: bool = False):
     """Backward induction over stages T-1 .. 0 and the full joint lattice.
 
-    Returns (PolicyTable, ValueTable). Raises NoPureEquilibriumError in
-    pure_only mode at the first (stage, point) whose game has no pure
-    equilibrium.
+    Returns (PolicyTable, ValueTable); the policy keeps the kernel store it
+    was solved with. Raises NoPureEquilibriumError in pure_only mode at the
+    first (stage, point) whose game has no pure equilibrium.
     """
-    cache = _store(spec, sets, kernel_cache)
-    lattice = cache.lattice
+    cache = KernelCache(spec, tuple(sets))
     Ws = cache.stacks() if spec.horizon > 1 else None    # checks the store size first
-    stages, values = _backward(spec, sets, lattice, lambda V: _contract(Ws, V), pure_only)
-    return (PolicyTable(stages=stages, sets=tuple(sets), lattice=lattice),
-            ValueTable(values=values, lattice=lattice))
+    stages, values = _backward(spec, cache.sets, cache.lattice, lambda V: _contract(Ws, V),
+                               pure_only)
+    policy = PolicyTable(stages=stages, sets=cache.sets, lattice=cache.lattice)
+    policy._kernels = cache
+    return policy, ValueTable(values=values, lattice=cache.lattice)
 
 
 def _average(w, W) -> np.ndarray:
@@ -148,13 +148,13 @@ def _average(w, W) -> np.ndarray:
     return np.einsum("pi,pil->pl", w, W)
 
 
-def _evaluate(spec: GameSpec, policy: PolicyTable, players, kernel_cache=None) -> list:
+def _evaluate(spec: GameSpec, policy: PolicyTable, players) -> list:
     """One backward pass under ``policy`` for ``players``: None plays it (values
     (T, K, *shape)), team k replies best to it ((per-stage picks, values (T,
     *shape)), ties to the smallest index). A stage reads the mixtures, and
     forms the cost tables and averaged stacks the players need, once."""
-    lattice = _count_lattice(policy)
-    cache = _store(spec, policy.sets, kernel_cache, lattice)
+    cache = _store(spec, policy)
+    lattice = policy.lattice
     T, K, shape = spec.horizon, spec.n_teams, lattice.shape
     Ws = cache.stacks() if T > 1 else None
     own = range(K) if None in players else players
@@ -177,8 +177,7 @@ def _evaluate(spec: GameSpec, policy: PolicyTable, players, kernel_cache=None) -
     return [V[:T] if k is None else (pk, V[:T]) for k, (V, pk) in zip(players, out)]
 
 
-def best_response(spec: GameSpec, k: int, others: PolicyTable,
-                  kernel_cache: KernelCache = None):
+def best_response(spec: GameSpec, k: int, others: PolicyTable):
     """Optimal reply of team k (menu ``others.sets[k]``) when teams j != k play ``others``.
 
     A plain finite-horizon dynamic program (no game solving): at every
@@ -192,28 +191,26 @@ def best_response(spec: GameSpec, k: int, others: PolicyTable,
     """
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= k < spec.n_teams:
         raise SpecValidationError("team index %r is not in range(%d)" % (k, spec.n_teams))
-    return _evaluate(spec, others, (int(k),), kernel_cache)[0]
+    return _evaluate(spec, others, (int(k),))[0]
 
 
-def policy_value(spec: GameSpec, policy: PolicyTable,
-                 kernel_cache: KernelCache = None) -> np.ndarray:
+def policy_value(spec: GameSpec, policy: PolicyTable) -> np.ndarray:
     """Per-team values of playing ``policy`` everywhere: (T, K, *shape)."""
-    return _evaluate(spec, policy, (None,), kernel_cache)[0]
+    return _evaluate(spec, policy, (None,))[0]
 
 
-def verify_mpe(spec: GameSpec, policy: PolicyTable,
-               kernel_cache: KernelCache = None) -> EquilibriumCertificate:
+def verify_mpe(spec: GameSpec, policy: PolicyTable) -> EquilibriumCertificate:
     """Equilibrium certificate, independent of stage-game solving.
 
     gains[t, k, z] = (value of playing the policy) - (best-response value),
     both recomputed by dynamic programming from the policy's prescriptions,
     the stage costs and the count kernels in one backward pass, whose stages
     share the mixtures, cost tables and averaged kernels; no stage game is
-    solved. The kernels may be the solver's (``kernel_cache``); acceptance
+    solved. The kernels are the policy's store (``_store``); acceptance
     criterion 2 and the engine oracle check them. Gains are nonnegative up
     to a -1e-9 numerical floor; for an exact equilibrium the max is ~0.
     """
-    V, *replies = _evaluate(spec, policy, (None,) + tuple(range(spec.n_teams)), kernel_cache)
+    V, *replies = _evaluate(spec, policy, (None,) + tuple(range(spec.n_teams)))
     gains = V - np.stack([U for _, U in replies], axis=1)
     return EquilibriumCertificate(
         gains=gains, max_gain=float(gains.max()), mean_gain=float(gains.mean()))
@@ -230,12 +227,11 @@ def initial_distribution(spec: GameSpec, lattice: JointLattice) -> np.ndarray:
     return dist
 
 
-def evaluate_total_cost(spec: GameSpec, policy: PolicyTable,
-                        kernel_cache: KernelCache = None) -> np.ndarray:
+def evaluate_total_cost(spec: GameSpec, policy: PolicyTable) -> np.ndarray:
     """Exact expected cumulative cost per team under ``policy`` from the
     initial count law (never sampled): the stage-0 values of
     ``policy_value`` averaged under that law."""
-    V = policy_value(spec, policy, kernel_cache=kernel_cache)
+    V = policy_value(spec, policy)
     init = initial_distribution(spec, policy.lattice)
     return V[0].reshape(spec.n_teams, -1) @ init.reshape(-1)
 

@@ -34,7 +34,7 @@ from .counts import JointLattice, MeanField, TeamLattice
 from .finite_mpe import PolicyTable, ValueTable, _encode_records
 from .metrics import transport_distance
 from .model import GameSpec, _count, _flow, flatten_mean_field
-from .stage_game import STORE_BLOCK_ENTRIES, _backward, _cost_table, _on_axis
+from .stage_game import STORE_BLOCK_ENTRIES, KernelCache, _backward, _cost_table, _on_axis
 
 
 class SimplexGrid(JointLattice):
@@ -207,20 +207,19 @@ def rollout_inf(spec: GameSpec, policy: PolicyTable) -> LimitTrajectory:
                            projection_errors=errors)
 
 
-def project_policy_to_lattice(spec: GameSpec, policy: PolicyTable,
-                              lattice: JointLattice = None):
+def project_policy_to_lattice(spec: GameSpec, policy: PolicyTable):
     """Replay a limit policy inside the finite game: for every joint count
     lattice point take the limit stage records of the nearest grid point.
     With the default 2N grid every count point embeds exactly (zero
-    projection error). ``lattice`` is the joint count lattice of ``spec``
-    to replay on, such as a run's ``KernelCache.lattice``; by default a
-    new one is built."""
-    if lattice is None:
-        lattice = JointLattice(spec)
+    projection error). The replay runs on the lattice of a new kernel
+    store of ``spec``, which the returned table keeps."""
+    cache = KernelCache(spec, policy.sets)
     nearest = np.ix_(*(_nearest(x, k, policy.lattice)[0]
-                       for k, x in enumerate(lattice.points)))
-    return PolicyTable(stages=[st[nearest] for st in policy.stages], sets=policy.sets,
-                       lattice=lattice)
+                       for k, x in enumerate(cache.lattice.points)))
+    out = PolicyTable(stages=[st[nearest] for st in policy.stages], sets=policy.sets,
+                      lattice=cache.lattice)
+    out._kernels = cache
+    return out
 
 
 def limit_policy_records(policy: PolicyTable, values: ValueTable) -> str:

@@ -291,12 +291,18 @@ def _flow(spec: GameSpec, Z, R) -> list:
 # ---------------------------------------------------------------------------
 # document loading
 
-def _discrete_metric(n):
-    return np.ones((n, n)) - np.eye(n)
+def _floats(value, where: str) -> np.ndarray:
+    """``value`` as a float array; SpecParseError naming ``where`` if it is not one."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SpecParseError("%s must be an array of numbers (%s)" % (where, exc)) from None
 
 
 def _dense_coupling(records, shape, n_states_per_team, offsets, where, timed):
     """Expand sparse coupling records into the dense array."""
+    if not isinstance(records, list):
+        raise SpecParseError("%s coupling must be a list of records" % where)
     out = np.zeros(shape)
     for i, rec in enumerate(records):
         loc = "%s coupling record %d" % (where, i)
@@ -351,8 +357,8 @@ def load_spec(document) -> GameSpec:
 
     n_states = []
     for i, td in enumerate(team_docs):
-        if "states" not in td or not td["states"]:
-            raise SpecParseError("team %d: missing 'states'" % i)
+        if not (isinstance(td, dict) and isinstance(td.get("states"), list) and td["states"]):
+            raise SpecParseError("team %d must be an object with a nonempty 'states' list" % i)
         n_states.append(len(td["states"]))
     offsets = tuple(int(x) for x in np.cumsum([0] + n_states[:-1]))
     D = sum(n_states)
@@ -363,20 +369,23 @@ def load_spec(document) -> GameSpec:
             states = list(td["states"])
             actions = list(td["actions"])
             population = td["population"]
-            initial_law = td["initial_law"]
+            initial_law = _floats(td["initial_law"], "team %d: 'initial_law'" % i)
             trans = td["transition"]
             cost = td["cost"]
         except (KeyError, TypeError, ValueError) as exc:
             raise SpecParseError("team %d: missing or malformed field: %s" % (i, exc)) from exc
+        for name, part in (("transition", trans), ("cost", cost)):
+            if not isinstance(part, dict):
+                raise SpecParseError("team %d: '%s' must be an object" % (i, name))
         S, A = len(states), len(actions)
-        metric = td.get("metric")
-        metric = _discrete_metric(S) if metric is None else np.asarray(metric, dtype=float)
+        metric = (np.ones((S, S)) - np.eye(S) if td.get("metric") is None
+                  else _floats(td["metric"], "team %d: 'metric'" % i))
 
-        base = np.asarray(trans.get("base"), dtype=float)
+        base = _floats(trans.get("base"), "team %d: transition 'base'" % i)
         tcoup = _dense_coupling(trans.get("coupling", []), (S, A, S, D),
                                 n_states, offsets, "team %d transition" % i, timed=False)
 
-        cbase = np.asarray(cost.get("base"), dtype=float)
+        cbase = _floats(cost.get("base"), "team %d: cost 'base'" % i)
         if cbase.ndim == 2:
             cbase = np.broadcast_to(cbase, (horizon,) + cbase.shape).copy()
         ccoup = _dense_coupling(cost.get("coupling", []), (horizon, S, A, D),

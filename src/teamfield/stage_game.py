@@ -51,9 +51,8 @@ class PrescriptionSet:
         return np.stack([p.rows for p in self.items])
 
 
-def build_prescription_set(spec: GameSpec, k: int, g: int = None,
-                           cap: int = DEFAULT_PRESCRIPTION_CAP) -> PrescriptionSet:
-    """Menu for team k.
+def build_prescription_set(spec: GameSpec, k: int, g: int = None) -> PrescriptionSet:
+    """Menu for team k, of at most DEFAULT_PRESCRIPTION_CAP items.
 
     g None: all deterministic maps, ordered lexicographically by the tuple
     of chosen action indices (|A|^|S| items). g >= 1: every map whose
@@ -70,9 +69,9 @@ def build_prescription_set(spec: GameSpec, k: int, g: int = None,
         kind = "gridded"
         row_menu = [np.array(v, dtype=float) / g for v in enumerate_counts(g, A)]
     size = len(row_menu) ** S
-    if size > cap:
+    if size > DEFAULT_PRESCRIPTION_CAP:
         raise CapacityError("%s prescription set for team %d has %d items, cap %d"
-                            % (kind, k, size, cap))
+                            % (kind, k, size, DEFAULT_PRESCRIPTION_CAP))
     return PrescriptionSet(team_id=k, items=tuple(
         Prescription(team_id=k, rows=np.stack(combo))
         for combo in itertools.product(row_menu, repeat=S)))
@@ -141,12 +140,12 @@ class StageEquilibrium:
 
 
 class KernelCache:
-    """The one store of per-team next-count kernels of a run.
+    """The one store of per-team next-count kernels of a count lattice.
 
-    Kernels do not depend on the stage, so one store serves the solver,
-    the certificate (which recomputes values and best replies from them
-    but solves no stage game) and the cost evaluation; criterion 2 and
-    the engine oracle check them. Team k's are a dense read-only stack
+    Kernels do not depend on the stage, so the store that ``solve_mpe`` or
+    ``project_policy_to_lattice`` builds, and the policy it returns keeps,
+    serves the solver, the certificate and the cost evaluation; criterion 2
+    and the engine oracle check them. Team k's are a dense read-only stack
     W_k[point, menu item, L_k] over the C-order points of ``lattice``,
     built whole by ``counts._count_laws`` on the first ``stacks`` call.
     """

@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import SpecParseError, SpecValidationError
+from .model import _floats
 
 PAYOFF_TOL = 1e-12
 
@@ -137,12 +138,23 @@ def load_static_game(document) -> StaticGame:
         teams = document["teams"]
     except KeyError as e:
         raise SpecParseError("missing required key %s" % e) from None
+    if not all(isinstance(x, list) for x in (players, payoffs, teams)):
+        raise SpecParseError("'players', 'payoffs' and 'teams' must be lists")
+    for i, p in enumerate(players):
+        if not isinstance(p, dict) or not isinstance(p.get("actions"), list):
+            raise SpecParseError("player %d must be an object with an 'actions' list" % i)
     labels = tuple(tuple(str(a) for a in p["actions"]) for p in players)
     names = tuple(str(p.get("name", "player %d" % i))
                   for i, p in enumerate(players))
-    tensors = tuple(np.asarray(t, dtype=float) for t in payoffs)
-    partition = tuple(tuple(int(i) for i in team) for team in teams)
-    return StaticGame(payoffs=tensors, team_partition=partition,
+    tensors = tuple(_floats(t, "player %d: payoffs" % i) for i, t in enumerate(payoffs))
+    partition = []
+    for i, team in enumerate(teams):
+        try:
+            partition.append(tuple(int(p) for p in team))
+        except (TypeError, ValueError):
+            raise SpecParseError("team %d: player indices %r are not integers"
+                                 % (i, team)) from None
+    return StaticGame(payoffs=tensors, team_partition=tuple(partition),
                       action_labels=labels, player_names=names,
                       name=str(document.get("name", "")))
 

@@ -557,8 +557,7 @@ def total_cost_forward(spec: GameSpec, policy: PolicyTable) -> np.ndarray:
     return totals
 
 
-def best_response_loop(spec: GameSpec, k: int, others: PolicyTable,
-                       kernel_cache: KernelCache = None):
+def best_response_loop(spec: GameSpec, k: int, others: PolicyTable):
     """Optimal reply of team k (menu ``others.sets[k]``) when teams j != k play ``others``.
 
     A plain finite-horizon dynamic program (no game solving): at every
@@ -570,7 +569,7 @@ def best_response_loop(spec: GameSpec, k: int, others: PolicyTable,
     shape (T, *lattice shape)); ties resolve to the smallest index.
     """
     lattice = _count_lattice(others)
-    cache = _store(spec, others.sets, kernel_cache, lattice)
+    cache = _store(spec, others)
     T = spec.horizon
     shape = lattice.shape
     Ws = cache.stacks() if T > 1 else None
@@ -587,11 +586,10 @@ def best_response_loop(spec: GameSpec, k: int, others: PolicyTable,
     return picks, U[:T]
 
 
-def policy_value_loop(spec: GameSpec, policy: PolicyTable,
-                      kernel_cache: KernelCache = None) -> np.ndarray:
+def policy_value_loop(spec: GameSpec, policy: PolicyTable) -> np.ndarray:
     """Per-team values of playing ``policy`` everywhere: (T, K, *shape)."""
     lattice = _count_lattice(policy)
-    cache = _store(spec, policy.sets, kernel_cache, lattice)
+    cache = _store(spec, policy)
     T, K = spec.horizon, spec.n_teams
     Ws = cache.stacks() if T > 1 else None
     V = np.zeros((T + 1, K) + lattice.shape)

@@ -22,7 +22,7 @@ from teamfield.metrics import (estimate_lipschitz, fit_rate, kappa_envelope,
                                theorem4_bound)
 from teamfield.model import with_populations
 from teamfield.simulate import empirical_kernel_check, estimate_cost, lift_policy
-from teamfield.stage_game import KernelCache, _cost_table, build_prescription_set
+from teamfield.stage_game import _cost_table, build_prescription_set
 from teamfield.static_games import (load_static_game_file, pure_nash_static,
                                     static_report, team_nash_static)
 
@@ -238,12 +238,10 @@ def test_criterion_10_bound_pipeline(reference_spec):
         sets = tuple(build_prescription_set(spn, k) for k in range(2))
         lpolicy, lvalues, _ = solve_mpe_inf(spn, sets)
         fpolicy = project_policy_to_lattice(spn, lpolicy)
-        cache = KernelCache(spn, sets)
-        V = policy_value(spn, fpolicy, kernel_cache=cache)
+        V = policy_value(spn, fpolicy)
         init = initial_distribution(spn, fpolicy.lattice)
-        worst = max(float(np.sum(init * (V[0, k] - best_response(
-            spn, k, fpolicy, kernel_cache=cache)[1][0])))
-            for k in range(2))
+        worst = max(float(np.sum(init * (V[0, k] - best_response(spn, k, fpolicy)[1][0])))
+                    for k in range(2))
         gains.append(max(worst, 0.0))
         bounds.append(theorem4_bound(kappa, estimate_lipschitz(lvalues, spn),
                                      [n, n]))

@@ -66,6 +66,53 @@ def test_non_integral_counts_exit_2(tmp_path, field, value):
     assert "must be an integer" in err["message"]
 
 
+def _edit(name, path, value):
+    """A data file's document with the entry at ``path`` set to ``value``."""
+    doc = json.loads((DATA / name).read_text())
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+GAME, STATIC = "two_team_reference.json", "matrix_team_example.json"
+MALFORMED = {     # mode, document, words the message names
+    "team-not-object": ("validate", (GAME, ["teams", 0], 5), ("team 0", "object")),
+    "states-5": ("validate", (GAME, ["teams", 1, "states"], 5), ("team 1", "'states'")),
+    "transition-not-object": ("validate", (GAME, ["teams", 0, "transition"], [1, 2]),
+                              ("team 0", "'transition'")),
+    "cost-not-object": ("validate", (GAME, ["teams", 1, "cost"], "cheap"), ("team 1", "'cost'")),
+    "coupling-5": ("validate", (GAME, ["teams", 0, "cost", "coupling"], 5),
+                   ("team 0 cost coupling",)),
+    "text-base": ("validate", (GAME, ["teams", 0, "transition", "base"], "x"),
+                  ("team 0", "transition 'base'")),
+    "text-metric": ("validate", (GAME, ["teams", 1, "metric"], [["x", 1], [1, 0]]),
+                    ("team 1", "'metric'")),
+    "text-initial-law": ("validate", (GAME, ["teams", 0, "initial_law"], ["a", "b"]),
+                         ("team 0", "'initial_law'")),
+    "player-not-object": ("static-tne", (STATIC, ["players", 1], "column"), ("player 1",)),
+    "text-payoff": ("static-tne", (STATIC, ["payoffs", 2], "x"), ("player 2", "payoffs")),
+    "ragged-payoff": ("static-tne", (STATIC, ["payoffs", 0], [[[1, 2], [3, 4]], [[5]]]),
+                      ("player 0", "payoffs")),
+    "team-index-x": ("static-tne", (STATIC, ["teams", 1], ["x"]),
+                     ("team 1", "player indices")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_documents_exit_2(tmp_path, case):
+    """A document of the wrong structure is a parse error naming the team or
+    player and the field, not a crash of the reader."""
+    mode, (name, path, value), words = MALFORMED[case]
+    spec = write_json(tmp_path / name, _edit(name, path, value))
+    assert main([mode, "--spec", str(spec), "--out", str(tmp_path)]) == 2
+    err = _read(tmp_path / mode / "error.json")
+    assert err["error"] == "SpecParseError"
+    for word in words:
+        assert word in err["message"]
+
+
 def test_missing_spec_exits_2(tmp_path):
     assert main(["validate", "--spec", str(tmp_path / "nope.json")]) == 2
 
@@ -318,6 +365,34 @@ def test_bound_mode_reports_envelope(tmp_path):
     rate = (base / "rate.csv").read_text().splitlines()
     assert rate[1] == "N,deviation,stderr"
     assert len(rate) == 2 + 6
+
+
+@pytest.mark.parametrize("game, sweep", [("reference", "2,4"), ("cyclic", "1,2")])
+def test_bound_rows_label_the_solver_error(tmp_path, game, sweep):
+    """Each bound row carries the limit policy's worst stage epsilon and its
+    number of stage games above CERT_TOL: 0 on the reference game, above 0
+    where fictitious play stops short. Per team it carries the sup over
+    stages and points of the deviation gain, the projected policy's
+    certificate."""
+    from teamfield.stage_game import CERT_TOL
+    doc = json.loads(REFERENCE.read_text()) if game == "reference" else cyclic_pursuit_three_team()
+    spec_path = write_json(tmp_path / "game.json", doc)
+    assert main(["bound", "--spec", str(spec_path), "--out", str(tmp_path),
+                 "--n-sweep", sweep]) == 0
+    spec = teamfield.load_spec(doc)
+    for row in _read(tmp_path / "bound" / "bound.json")["sweep"]:
+        spn = teamfield.with_populations(spec, row["N"])
+        sets = tuple(teamfield.build_prescription_set(spn, k) for k in range(spn.n_teams))
+        lpolicy = teamfield.solve_mpe_inf(spn, sets)[0]
+        fpolicy = teamfield.project_policy_to_lattice(spn, lpolicy)
+        gains = teamfield.verify_mpe(spn, fpolicy).gains
+        assert row["sup_gain_per_team"] == [gains[:, k].max() for k in range(spn.n_teams)]
+        if game == "reference":
+            assert row["worst_stage_epsilon"] == 0.0
+            assert row["stage_games_above_cert_tol"] == 0
+        else:
+            assert row["worst_stage_epsilon"] > CERT_TOL
+            assert row["stage_games_above_cert_tol"] > 0
 
 
 def test_bound_on_one_state_teams_exits_0(tmp_path):

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import teamfield as tf
-from teamfield import stage_game
+from teamfield import finite_mpe, stage_game
 from teamfield.counts import MeanField, Prescription, TeamLattice
 from teamfield.errors import SpecValidationError
 from teamfield.finite_mpe import initial_distribution
@@ -133,16 +133,21 @@ STORE_GAMES = {
 
 
 @pytest.mark.parametrize("name", sorted(STORE_GAMES))
-def test_store_and_equilibria_match_the_convolution(name):
+def test_store_and_equilibria_match_the_convolution(name, monkeypatch):
     spec = STORE_GAMES[name]()
     sets = tuple(tf.build_prescription_set(spec, k) for k in range(spec.n_teams))
-    fast = KernelCache(spec, sets)
-    slow = KernelCache(spec, sets)
-    slow._W = kernel_store_loop(slow.lattice, sets, spec)
-    for a, b in zip(fast.stacks(), slow.stacks()):
+    policy, values = tf.solve_mpe(spec, sets)
+    slow = kernel_store_loop(policy.lattice, sets, spec)
+    for a, b in zip(policy._kernels.stacks(), slow):
         np.testing.assert_allclose(a, b, rtol=0, atol=TOL)
-    policy, values = tf.solve_mpe(spec, sets, kernel_cache=fast)
-    ref_policy, ref_values = tf.solve_mpe(spec, sets, kernel_cache=slow)
+
+    class LoopStore(KernelCache):
+        def stacks(self):
+            return slow
+
+    monkeypatch.setattr(finite_mpe, "KernelCache", LoopStore)
+    ref_policy, ref_values = tf.solve_mpe(spec, sets)
+    assert isinstance(ref_policy._kernels, LoopStore)
     for t in range(spec.horizon):
         for idx in policy.lattice.indices():
             a, b = policy.equilibrium(t, idx), ref_policy.equilibrium(t, idx)

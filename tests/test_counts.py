@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import teamfield as tf
-from teamfield import simulate
+from teamfield import counts, simulate
 from teamfield.counts import (PRUNE_TOL, CountVector, JointCount, MeanField, Prescription,
                               TeamLattice, count_point, enumerate_counts, lattice_size)
 from teamfield.errors import CapacityError, SpecValidationError
@@ -29,9 +29,13 @@ def test_enumerate_counts_order_and_size():
         assert len(set(pts)) == len(pts)
 
 
-def test_enumerate_counts_capacity():
+def test_enumerate_counts_capacity(monkeypatch):
     with pytest.raises(CapacityError):
-        enumerate_counts(10 ** 6, 5, cap=10 ** 4)
+        enumerate_counts(10 ** 6, 5)
+    monkeypatch.setattr(counts, "DEFAULT_SUPPORT_CAP", 5)
+    assert len(enumerate_counts(4, 2)) == 5
+    with pytest.raises(CapacityError, match="has 6 points, cap is 5"):
+        enumerate_counts(5, 2)
 
 
 def test_mean_field_validates_simplex():

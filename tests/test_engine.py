@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 import teamfield as tf
 from teamfield.counts import lattice_size
 from teamfield.finite_mpe import best_response, initial_distribution, policy_value
-from teamfield.stage_game import KernelCache, equilibrium_values, solve_stage
+from teamfield.stage_game import equilibrium_values, solve_stage
 
 from conftest import cyclic_pursuit_three_team
 from oracles import best_response_loop, build_stage_game, policy_value_loop
@@ -40,10 +40,9 @@ def _oracle_work(S, A, N):
 
 def check_engine_against_oracle(spec):
     sets = tuple(tf.build_prescription_set(spec, k) for k in range(spec.n_teams))
-    store = KernelCache(spec, sets)
-    policy, values = tf.solve_mpe(spec, sets, kernel_cache=store)
+    policy, values = tf.solve_mpe(spec, sets)
     lattice = policy.lattice
-    assert lattice is store.lattice
+    assert lattice is policy._kernels.lattice
     V = values.values
     T, K = spec.horizon, spec.n_teams
     for t in range(T):
@@ -66,26 +65,27 @@ def check_engine_against_oracle(spec):
     np.testing.assert_allclose(tf.evaluate_total_cost(spec, policy),
                                [np.sum(init * V[0, k]) for k in range(K)],
                                rtol=0, atol=1e-12)
-    check_shared_store(spec, sets, policy, store)
+    check_shared_store(spec, policy)
     check_against_loops(spec, policy)
     return policy
 
 
-def check_shared_store(spec, sets, policy, store):
-    """The solver's store, reused by the certificate and the cost evaluation,
-    gives exactly the results of fresh stores, and its stacks are
-    read-only."""
-    assert np.array_equal(tf.verify_mpe(spec, policy, kernel_cache=store).gains,
-                          tf.verify_mpe(spec, policy).gains)
-    assert np.array_equal(tf.evaluate_total_cost(spec, policy, kernel_cache=store),
-                          tf.evaluate_total_cost(spec, policy))
-    assert np.array_equal(policy_value(spec, policy, kernel_cache=store),
-                          policy_value(spec, policy))
+def check_shared_store(spec, policy):
+    """The store the policy keeps from the solver, read by the certificate
+    and the cost evaluation, gives exactly the results of a fresh store (a
+    copy of the table built by hand), and its stacks are read-only."""
+    store = policy._kernels
+    fresh = tf.PolicyTable(stages=policy.stages, sets=policy.sets, lattice=policy.lattice)
+    assert np.array_equal(tf.verify_mpe(spec, policy).gains, tf.verify_mpe(spec, fresh).gains)
+    assert np.array_equal(tf.evaluate_total_cost(spec, policy),
+                          tf.evaluate_total_cost(spec, fresh))
+    assert np.array_equal(policy_value(spec, policy), policy_value(spec, fresh))
     for k in range(spec.n_teams):
-        picks, U = best_response(spec, k, policy, kernel_cache=store)
-        fresh_picks, fresh_U = best_response(spec, k, policy)
+        picks, U = best_response(spec, k, policy)
+        fresh_picks, fresh_U = best_response(spec, k, fresh)
         assert np.array_equal(U, fresh_U)
         assert all(np.array_equal(a, b) for a, b in zip(picks, fresh_picks))
+    assert policy._kernels is store and fresh._kernels not in (None, store)
     W = store.stacks()[0]
     with pytest.raises(ValueError):
         W[0, 0, 0] = 1.0

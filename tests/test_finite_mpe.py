@@ -105,7 +105,6 @@ def test_one_pass_forms_each_stage_operand_once(monkeypatch, game):
         spec = tf.load_spec_file(DATA / ("%s.json" % game))
     sets = tuple(tf.build_prescription_set(spec, k) for k in range(spec.n_teams))
     policy, _ = tf.solve_mpe(spec, sets)
-    store = KernelCache(spec, sets)
     T, K = spec.horizon, spec.n_teams
     calls = collections.Counter()
 
@@ -118,14 +117,14 @@ def test_one_pass_forms_each_stage_operand_once(monkeypatch, game):
     monkeypatch.setattr(finite_mpe, "_cost_table", counted("cost", finite_mpe._cost_table))
     monkeypatch.setattr(finite_mpe, "_average", counted("average", finite_mpe._average))
     monkeypatch.setattr(tf.PolicyTable, "mixtures", counted("mixtures", tf.PolicyTable.mixtures))
-    tf.verify_mpe(spec, policy, kernel_cache=store)
+    tf.verify_mpe(spec, policy)
     assert calls == {"cost": K * T, "average": K * (T - 1), "mixtures": T}
     for k in range(K):
         calls.clear()
-        tf.best_response(spec, k, policy, kernel_cache=store)
+        tf.best_response(spec, k, policy)
         assert calls == {"cost": T, "average": (K - 1) * (T - 1), "mixtures": T - 1}
     calls.clear()
-    policy_value(spec, policy, kernel_cache=store)
+    policy_value(spec, policy)
     assert calls == {"cost": K * T, "average": K * (T - 1), "mixtures": T}
 
 
@@ -133,61 +132,71 @@ def _reversed(sets):
     return tuple(tf.PrescriptionSet(team_id=ps.team_id, items=ps.items[::-1]) for ps in sets)
 
 
+def _by_hand(policy):
+    """A copy of ``policy``'s table built by hand, which keeps no store."""
+    return tf.PolicyTable(stages=policy.stages, sets=policy.sets, lattice=policy.lattice)
+
+
 STORE_READERS = {
-    "solve_mpe": lambda spec, policy, store: tf.solve_mpe(spec, policy.sets, kernel_cache=store),
-    "policy_value": lambda spec, policy, store: policy_value(spec, policy, kernel_cache=store),
-    "best_response": lambda spec, policy, store: tf.best_response(spec, 1, policy,
-                                                                  kernel_cache=store),
-    "verify_mpe": lambda spec, policy, store: tf.verify_mpe(spec, policy, kernel_cache=store),
-    "evaluate_total_cost": lambda spec, policy, store: tf.evaluate_total_cost(
-        spec, policy, kernel_cache=store),
+    "policy_value": policy_value,
+    "best_response": lambda spec, policy: tf.best_response(spec, 1, policy)[1],
+    "verify_mpe": lambda spec, policy: tf.verify_mpe(spec, policy).gains,
+    "evaluate_total_cost": tf.evaluate_total_cost,
 }
 
 
 @pytest.mark.parametrize("reader", sorted(STORE_READERS))
-def test_a_store_of_other_menus_is_refused(reader, reference_spec, reference_sets,
-                                           reference_solution):
-    """Each menu reversed: the same items in another order. Read from such a
-    store, the certificate reported 0.0 and the total cost [1.2513, 0.9547]
-    instead of [1.2279, 0.9317]."""
-    policy, _ = reference_solution
-    store = KernelCache(reference_spec, _reversed(reference_sets))
-    with pytest.raises(tf.SpecValidationError, match="other menus"):
-        STORE_READERS[reader](reference_spec, policy, store)
+def test_a_store_of_other_menus_is_refused(reader, reference_spec, reference_sets):
+    """A solved policy given other menus (each reversed: the same items in
+    another order) leaves the store it was solved with and reads a new one
+    of its menus, as a table built by hand does. Read from the solver's
+    store, the total cost would be [1.6893, 1.5317] instead of [1.7127,
+    1.5547] and the largest gain 0.613 instead of 0.639."""
+    policy, _ = tf.solve_mpe(reference_spec, reference_sets)
+    solved = policy._kernels
+    policy.sets = _reversed(reference_sets)
+    got = STORE_READERS[reader](reference_spec, policy)
+    assert policy._kernels is not solved and policy._kernels.sets is policy.sets
+    assert np.array_equal(got, STORE_READERS[reader](reference_spec, _by_hand(policy)))
 
 
 @pytest.mark.parametrize("reader", sorted(STORE_READERS))
-def test_a_store_of_another_spec_is_refused(reader, reference_spec, reference_sets,
-                                            reference_solution):
-    policy, _ = reference_solution
-    twin = tf.load_spec_file(DATA / "two_team_reference.json")
-    with pytest.raises(tf.SpecValidationError, match="another game spec"):
-        STORE_READERS[reader](reference_spec, policy, KernelCache(twin, reference_sets))
+def test_a_store_of_another_spec_is_refused(reader, reference_spec, reference_sets):
+    """A solved policy read under another spec object, here one whose team-0
+    dynamics differ, reads a new store of that spec, kept on the policy."""
+    policy, _ = tf.solve_mpe(reference_spec, reference_sets)
+    solved = policy._kernels
+    doc = json.loads((DATA / "two_team_reference.json").read_text())
+    doc["teams"][0]["transition"]["base"] = [[[0.6, 0.4], [0.3, 0.7]], [[0.3, 0.7], [0.6, 0.4]]]
+    twin = tf.load_spec(doc)
+    got = STORE_READERS[reader](twin, policy)
+    assert policy._kernels is not solved and policy._kernels.spec is twin
+    assert np.array_equal(got, STORE_READERS[reader](twin, _by_hand(policy)))
+    assert not np.array_equal(got, STORE_READERS[reader](reference_spec, _by_hand(policy)))
 
 
-@pytest.mark.parametrize("reader", ["policy_value", "best_response", "verify_mpe",
-                                    "evaluate_total_cost"])
+@pytest.mark.parametrize("reader", sorted(STORE_READERS))
 def test_a_store_on_a_lattice_of_another_shape_is_refused(reader, reference_spec,
                                                           reference_sets):
-    """A policy solved at N=3 read with the N=2 store of the same spec
-    object and menus."""
+    """A policy solved at N=3 read under the N=2 spec of the same game."""
     policy, _ = tf.solve_mpe(tf.with_populations(reference_spec, 3), reference_sets)
-    store = KernelCache(reference_spec, reference_sets)
     with pytest.raises(tf.SpecValidationError, match=r"shape \(3, 3\), the policy's has \(4, 4\)"):
-        STORE_READERS[reader](reference_spec, policy, store)
+        STORE_READERS[reader](reference_spec, policy)
 
 
 def test_a_store_of_the_same_items_is_shared(reference_spec, reference_sets,
                                              reference_solution):
-    """Menus match item by item: a new tuple of the same PrescriptionSet
-    objects, or new sets of the same items, share the store."""
+    """Every reader of a solved policy reads the store it was solved with,
+    and gets exactly what a table built by hand, on a store of new sets of
+    the same items, gets."""
     policy, _ = reference_solution
-    same = tuple(tf.PrescriptionSet(team_id=ps.team_id, items=ps.items) for ps in reference_sets)
-    store = KernelCache(reference_spec, list(same))
-    assert np.array_equal(tf.verify_mpe(reference_spec, policy, kernel_cache=store).gains,
-                          tf.verify_mpe(reference_spec, policy).gains)
-    assert np.array_equal(tf.evaluate_total_cost(reference_spec, policy, kernel_cache=store),
-                          tf.evaluate_total_cost(reference_spec, policy))
+    solved = policy._kernels
+    same = tf.PolicyTable(stages=policy.stages, lattice=policy.lattice, sets=tuple(
+        tf.PrescriptionSet(team_id=ps.team_id, items=ps.items) for ps in reference_sets))
+    for reader in STORE_READERS.values():
+        assert np.array_equal(reader(reference_spec, policy), reader(reference_spec, same))
+        assert policy._kernels is solved
+    assert same._kernels not in (None, solved)
 
 
 def test_single_team_dp_matches_brute_force(single_team_spec):

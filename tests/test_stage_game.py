@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from teamfield import stage_game
 from teamfield.errors import CapacityError, NoPureEquilibriumError, SpecValidationError
 from teamfield.stage_game import (DEFAULT_SUPPORT_BOUND, StageEquilibrium, StageGame,
                                   _pure_mask, br_iteration,
@@ -44,11 +45,14 @@ def test_prescription_sets_gridded(reference_spec):
         assert np.all(g.rows * 2 == np.rint(g.rows * 2))
 
 
-def test_prescription_cap(reference_spec):
-    with pytest.raises(CapacityError):
-        build_prescription_set(reference_spec, 0, cap=3)
-    with pytest.raises(CapacityError):
-        build_prescription_set(reference_spec, 0, g=2, cap=8)
+def test_prescription_cap(reference_spec, monkeypatch):
+    monkeypatch.setattr(stage_game, "DEFAULT_PRESCRIPTION_CAP", 3)
+    with pytest.raises(CapacityError, match="has 4 items, cap 3"):
+        build_prescription_set(reference_spec, 0)
+    monkeypatch.setattr(stage_game, "DEFAULT_PRESCRIPTION_CAP", 8)
+    assert len(build_prescription_set(reference_spec, 0)) == 4
+    with pytest.raises(CapacityError, match="has 9 items, cap 8"):
+        build_prescription_set(reference_spec, 0, g=2)
 
 
 def test_pure_nash_simple_games():
