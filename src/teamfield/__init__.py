@@ -14,8 +14,7 @@ from .errors import (CapacityError, EquilibriumNotFoundError,
                      SpecValidationError, TeamfieldError)
 from .model import (GameSpec, TeamModel, load_spec, load_spec_file,
                     with_populations)
-from .counts import (CountVector, JointCount, MeanField, Prescription,
-                     enumerate_counts)
+from .counts import MeanField, Prescription, enumerate_counts
 from .stage_game import (KernelCache, PrescriptionSet, StageEquilibrium, StageGame,
                          br_iteration, build_prescription_set, mixed_nash_2team)
 from .finite_mpe import (EquilibriumCertificate, JointLattice, PolicyTable,
@@ -37,7 +36,7 @@ __all__ = [
     "CapacityError", "EquilibriumNotFoundError", "NoPureEquilibriumError",
     "SpecParseError", "SpecValidationError", "TeamfieldError",
     "GameSpec", "TeamModel", "load_spec", "load_spec_file", "with_populations",
-    "CountVector", "JointCount", "MeanField", "Prescription", "enumerate_counts",
+    "MeanField", "Prescription", "enumerate_counts",
     "KernelCache", "PrescriptionSet", "StageEquilibrium", "StageGame", "br_iteration",
     "build_prescription_set", "mixed_nash_2team",
     "EquilibriumCertificate", "JointLattice", "PolicyTable", "ValueTable",

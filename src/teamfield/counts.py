@@ -18,6 +18,10 @@ lattice-sized and every term is a nonnegative product, with no log space
 and no pruning. The kernel store, the bound's deviations, the initial
 count law and the kernel check all read its rows. The three maps and the
 per-state convolution it replaced are the references in ``tests/oracles.py``.
+
+A team's count point is an integer array of length S, a joint point a tuple
+of them. ``TeamLattice.rank`` is the one lookup of a point's lattice index:
+``_lattice_rank`` over ``_rank_terms``, which batched paths apply to arrays.
 """
 
 from __future__ import annotations
@@ -37,51 +41,6 @@ DEFAULT_SUPPORT_CAP = 10 ** 7
 PRUNE_TOL = 1e-15     # exact atoms below this count as off the kernel check's support
 
 
-@dataclass(frozen=True)
-class CountVector:
-    """Integer state occupancy of one team."""
-    team_id: int
-    counts: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
-        if any(c < 0 for c in self.counts):
-            raise SpecValidationError("negative count in %s" % (self.counts,))
-
-    @property
-    def total(self):
-        return sum(self.counts)
-
-    def as_array(self):
-        return np.array(self.counts, dtype=int)
-
-
-@dataclass(frozen=True)
-class JointCount:
-    """One CountVector per team."""
-    per_team: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "per_team", tuple(self.per_team))
-
-    def validate(self, spec: GameSpec):
-        if len(self.per_team) != spec.n_teams:
-            raise SpecValidationError("joint count has %d teams, spec has %d"
-                                      % (len(self.per_team), spec.n_teams))
-        for k, cv in enumerate(self.per_team):
-            tm = spec.teams[k]
-            if len(cv.counts) != tm.n_states:
-                raise SpecValidationError("team %d count vector has %d states, expected %d"
-                                          % (k, len(cv.counts), tm.n_states))
-            if cv.total != tm.population:
-                raise SpecValidationError("team %d counts sum to %d, population is %d"
-                                          % (k, cv.total, tm.population))
-        return self
-
-    def mean_field(self):
-        return MeanField(per_team=tuple(cv.as_array() / cv.total for cv in self.per_team))
-
-
 @dataclass(frozen=True, eq=False)
 class MeanField:
     """Per-team occupancy distributions (the joint mean field)."""
@@ -93,9 +52,6 @@ class MeanField:
             if np.any(v < -1e-12) or abs(v.sum() - 1.0) > 1e-9:
                 raise SpecValidationError("mean field entry off the simplex: %s" % (v,))
         object.__setattr__(self, "per_team", vecs)
-
-    def flat(self):
-        return np.concatenate(self.per_team)
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,18 +159,29 @@ def _count_laws(mix: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 class TeamLattice:
-    """Count lattice of one team, descending (or ``ascending``), plus index lookups."""
+    """Count lattice of one team, descending (or ``ascending``): ``counts``
+    (L, S) and the occupancies ``z`` = counts / population."""
 
     def __init__(self, population: int, n_states: int, ascending: bool = False):
         self.population = population
         self.n_states = n_states
-        self.points = enumerate_counts(population, n_states)[::-1 if ascending else 1]
-        self.index = {pt: i for i, pt in enumerate(self.points)}
-        self.counts = np.array(self.points, dtype=int)
+        self.ascending = ascending
+        self.counts = np.array(enumerate_counts(population, n_states)[::-1 if ascending else 1])
         self.z = self.counts / float(population)
+        self._terms = _rank_terms(population, n_states)
 
     def __len__(self):
-        return len(self.points)
+        return len(self.counts)
+
+    def rank(self, counts) -> int:
+        """Index of ``counts`` in this lattice; SpecValidationError off the lattice."""
+        c = np.asarray(counts)
+        if (c.shape != (self.n_states,) or not np.issubdtype(c.dtype, np.integer)
+                or np.any(c < 0) or c.sum() != self.population):
+            raise SpecValidationError("counts %s are not a point of the count lattice of %d "
+                                      "agents" % (c.tolist(), self.population))
+        i = int(_lattice_rank(self._terms, c[None])[0])
+        return len(self) - 1 - i if self.ascending else i
 
 
 def _joint_points(per_team_points) -> list:
@@ -258,7 +225,7 @@ class JointLattice:
         return MeanField(per_team=tuple(x[i] for x, i in zip(self.points, idx)))
 
     def _team_ids(self, tl: TeamLattice) -> list:
-        return ["-".join(map(str, c)) for c in tl.points]
+        return ["-".join(map(str, c)) for c in tl.counts.tolist()]
 
     @functools.cached_property
     def ids(self) -> list:
@@ -268,7 +235,7 @@ class JointLattice:
     def record_z(self) -> list:
         """Per-team count lists as ``_indented`` writes them in a record: each
         team's list written alone is ``[`` + part + close; a point's joins the parts."""
-        alone = [[_indented([list(c)]) for c in tl.points] for tl in self.teams]
+        alone = [[_indented([c]) for c in tl.counts.tolist()] for tl in self.teams]
         close = alone[0][0][alone[0][0].rindex("\n"):]
         parts = [[s[1:-len(close)] for s in team] for team in alone]
         return ["[%s%s" % (",".join(p), close) for p in itertools.product(*parts)]

@@ -45,7 +45,7 @@ import numpy as np
 
 from .counts import JointLattice, _count_lattice, _count_laws, _indented
 from .errors import SpecValidationError
-from .model import GameSpec
+from .model import GameSpec, _count
 from .stage_game import KernelCache, StageEquilibrium, _backward, _contract, _cost_table
 
 
@@ -189,9 +189,10 @@ def best_response(spec: GameSpec, k: int, others: PolicyTable):
     shape (T, *lattice shape)); ties resolve to the smallest index. Raises
     SpecValidationError if k is not an integer in range(K).
     """
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= k < spec.n_teams:
+    k = _count(k, "team index", least=None)
+    if not 0 <= k < spec.n_teams:
         raise SpecValidationError("team index %r is not in range(%d)" % (k, spec.n_teams))
-    return _evaluate(spec, others, (int(k),))[0]
+    return _evaluate(spec, others, (k,))[0]
 
 
 def policy_value(spec: GameSpec, policy: PolicyTable) -> np.ndarray:

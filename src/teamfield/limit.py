@@ -58,13 +58,11 @@ class SimplexGrid(JointLattice):
                 for n, tm in zip(self.resolutions, spec.teams)]
 
     def _team_ids(self, tl: TeamLattice) -> list:
-        return ["/".join("%d:%d" % (x, tl.population) for x in c) for c in tl.points]
+        return ["/".join("%d:%d" % (x, tl.population) for x in c) for c in tl.counts.tolist()]
 
     @functools.cached_property
     def record_z(self) -> list:
         return ['"%s"' % i for i in self.ids]     # digits and separators need no escapes
-
-    point_id = JointLattice.z_id
 
 
 def default_grid(spec: GameSpec) -> SimplexGrid:
@@ -225,5 +223,5 @@ def project_policy_to_lattice(spec: GameSpec, policy: PolicyTable):
 def limit_policy_records(policy: PolicyTable, values: ValueTable) -> str:
     """The ``records`` array of ``policy.json`` as text (see
     ``finite_mpe._encode_records``); a point's ``z`` is its grid's
-    ``record_z``, the quoted ``point_id``."""
+    ``record_z``, the quoted ``z_id``."""
     return _encode_records(policy, values.values, policy.lattice.record_z)

@@ -40,8 +40,10 @@ SIMPLEX_TOL = 1e-9    # membership of user-supplied mean fields
 
 def _count(value, name: str, least=1) -> int:
     """``value`` as an int of at least ``least`` (any sign when None): any
-    integer type, NumPy's too, never a float, str or None."""
+    integer type, NumPy's too, never a bool, float, str or None."""
     try:
+        if isinstance(value, bool):     # JSON true is not a count
+            raise TypeError
         n = operator.index(value)
     except TypeError:
         raise SpecValidationError("%s must be an integer, got %r" % (name, value)) from None
@@ -359,6 +361,8 @@ def load_spec(document) -> GameSpec:
     for i, td in enumerate(team_docs):
         if not (isinstance(td, dict) and isinstance(td.get("states"), list) and td["states"]):
             raise SpecParseError("team %d must be an object with a nonempty 'states' list" % i)
+        if not (isinstance(td.get("actions"), list) and td["actions"]):
+            raise SpecParseError("team %d: 'actions' must be a nonempty list" % i)
         n_states.append(len(td["states"]))
     offsets = tuple(int(x) for x in np.cumsum([0] + n_states[:-1]))
     D = sum(n_states)

@@ -8,6 +8,9 @@ values, and between empirical next-count frequencies and the exact count
 kernel, is what certifies the count reformulation end to end.
 
 ``simulate_episode`` defines the per-agent process and its draw order.
+A joint count is a tuple of per-team integer count arrays (an
+``np.bincount`` of the agents' states), which ``LiftedPolicy.realize``
+looks up with ``TeamLattice.rank``.
 ``estimate_cost`` runs a lifted table policy in blocks of episodes with
 numpy, as many per block as fit their uniforms in ``BLOCK_BYTES`` (at
 least one): every episode draws the same uniforms in the same order from
@@ -35,8 +38,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .counts import (DEFAULT_SUPPORT_CAP, PRUNE_TOL, CountVector, JointCount, _count_lattice,
-                     _count_laws, _lattice_rank, _mixture_rows, _rank_terms, count_point, lattice_size)
+from .counts import (DEFAULT_SUPPORT_CAP, PRUNE_TOL, _count_lattice, _count_laws, _lattice_rank,
+                     _mixture_rows, _rank_terms, count_point, lattice_size)
 from .errors import CapacityError, SpecValidationError
 from .model import GameSpec, _count, cost_matrix, flatten_mean_field, transition_matrix
 from .rng import stream_uniforms, substream
@@ -76,8 +79,8 @@ def _pick_rows(cdf: np.ndarray, g: np.ndarray, u: np.ndarray) -> np.ndarray:
 @dataclass
 class LiftedPolicy:
     """Agent policy induced by a solved count-table policy: at stage t
-    with joint counts M, every team-k agent in state s draws its action
-    from the equilibrium prescription row at M.
+    with joint counts M (a count array per team), every team-k agent in
+    state s draws its action from the equilibrium prescription row at M.
 
     Mixed stage profiles are realized by team-public randomization: one
     prescription per (episode, stage, team) is sampled from the mixed
@@ -86,11 +89,8 @@ class LiftedPolicy:
     table: object                 # PolicyTable over the full joint lattice
     randomized: bool = False
 
-    def realize(self, t: int, M: JointCount, rng) -> list:
-        lattice = self.table.lattice
-        idx = tuple(lattice.teams[k].index[M.per_team[k].counts]
-                    for k in range(len(lattice.teams)))
-        rec = self.table.stages[t][idx]
+    def realize(self, t: int, M: tuple, rng) -> list:
+        rec = self.table.stages[t][tuple(tl.rank(m) for tl, m in zip(self.table.lattice.teams, M))]
         rows = []
         for k, ps in enumerate(self.table.sets):
             w = rec["w%d" % k]
@@ -105,13 +105,8 @@ def lift_policy(table) -> LiftedPolicy:
     return LiftedPolicy(table=table, randomized=bool(table.mixed_points))
 
 
-def _counts_of(spec: GameSpec, states: list) -> JointCount:
-    return JointCount(per_team=tuple(
-        CountVector(team_id=k,
-                    counts=tuple(int(x) for x in
-                                 np.bincount(states[k],
-                                             minlength=spec.teams[k].n_states)))
-        for k in range(spec.n_teams)))
+def _counts_of(spec: GameSpec, states: list) -> tuple:
+    return tuple(np.bincount(x, minlength=tm.n_states) for x, tm in zip(states, spec.teams))
 
 
 def simulate_episode(spec: GameSpec, policy, rng):
@@ -120,7 +115,7 @@ def simulate_episode(spec: GameSpec, policy, rng):
     Draw order is fixed: initial states team by team; then per stage the
     realized prescriptions (team order, draws only at mixed points), and
     per team one uniform vector for actions followed by one for
-    transitions. Returns (joint-count trajectory of length T+1, per-team
+    transitions. Returns (trajectory of T+1 joint counts, per-team
     cumulative average cost).
     """
     K = spec.n_teams
@@ -132,7 +127,7 @@ def simulate_episode(spec: GameSpec, policy, rng):
     costs = np.zeros(K)
     for t in range(spec.horizon):
         M = traj[-1]
-        zf = flatten_mean_field(spec, M.mean_field())
+        zf = flatten_mean_field(spec, [m / tm.population for m, tm in zip(M, spec.teams)])
         rows_all = policy.realize(t, M, rng)
         nxt = []
         for k in range(K):
@@ -365,6 +360,10 @@ def empirical_kernel_check(spec: GameSpec, z, prescriptions,
     samples = _count(samples, "the number of samples", least=None)
     if samples < 1:
         raise SpecValidationError("need at least one sample")
+    flatten_mean_field(spec, z)
+    if len(prescriptions) != spec.n_teams:
+        raise SpecValidationError("profile has %d prescriptions, spec has %d teams"
+                                  % (len(prescriptions), spec.n_teams))
     per_team = getattr(z, "per_team", z)
     counts_in = [count_point(per_team[k], tm.population, k)
                  for k, tm in enumerate(spec.teams)]
@@ -372,9 +371,7 @@ def empirical_kernel_check(spec: GameSpec, z, prescriptions,
     if math.prod(shape) > DEFAULT_SUPPORT_CAP:
         raise CapacityError("joint count lattice has %d points, cap is %d"
                             % (math.prod(shape), DEFAULT_SUPPORT_CAP))
-    M = JointCount(per_team=tuple(CountVector(team_id=k, counts=m)
-                                  for k, m in enumerate(counts_in))).validate(spec)
-    zf = M.mean_field().flat()
+    zf = np.concatenate([m / tm.population for m, tm in zip(counts_in, spec.teams)])
     exact = np.ones(())
     for k, m in enumerate(counts_in):
         mix = _mixture_rows(spec, k, zf[None], prescriptions[k].rows[None])

@@ -186,7 +186,7 @@ class KernelCache:
         """(menu size, lattice size) stack of team k's kernels at z."""
         lat = self.lattice
         flatten_mean_field(self.spec, z)
-        idx = [tl.index[tuple(count_point(v, tl.population, j))]
+        idx = [tl.rank(count_point(v, tl.population, j))
                for j, (v, tl) in enumerate(zip(getattr(z, "per_team", z), lat.teams))]
         return self.stacks()[k][np.ravel_multi_index(idx, lat.shape)]
 
@@ -285,8 +285,8 @@ def _solve_points(tensors, t: int, points_shape, ids, pure_only: bool):
 
     One pure pass covers every point: the lexicographically first pure
     profile with its epsilon and values read by indexing. solve_stage
-    runs only at the points without one, in C order, so under pure_only
-    it raises at the first such point."""
+    runs only at the points without one, in C order; under pure_only the
+    first such point raises NoPureEquilibriumError instead."""
     if not all(np.isfinite(X).all() for X in tensors):
         raise SpecValidationError("stage game tensor has non-finite entries")
     has, profiles = _first_pure(tensors)
@@ -301,8 +301,10 @@ def _solve_points(tensors, t: int, points_shape, ids, pure_only: bool):
     values = np.empty((len(tensors), len(has)))
     values[:, pure] = vals
     for p in np.flatnonzero(~has):
+        if pure_only:
+            raise NoPureEquilibriumError(t, ids[p])
         game = StageGame(tensors=tuple(X[p] for X in tensors))
-        eq = solve_stage(game, t, ids[p], pure_only=pure_only)
+        eq = solve_stage(game)
         st[p] = (eq.kind == "mixed", eq.epsilon, *eq.weights(shape))
         values[:, p] = equilibrium_values(game, eq)
     return st.reshape(points_shape), values.reshape((len(tensors),) + tuple(points_shape))
@@ -620,21 +622,18 @@ def br_iteration(game: StageGame, max_iters: int = 200) -> StageEquilibrium:
     return StageEquilibrium(kind=("pure", "mixed")[kind], per_team=per_team, epsilon=eps)
 
 
-def solve_stage(game: StageGame, t: int, z_label, pure_only: bool = False) -> StageEquilibrium:
+def solve_stage(game: StageGame) -> StageEquilibrium:
     """One-stop solve of one stage game: the first pure equilibrium (the
     pure pass of the backward driver at one point), then support
-    enumeration for two teams, then fictitious play. pure_only fails
-    loudly instead of falling back. The pure equilibrium taken is the
-    lexicographically first joint index; fictitious play returns the first
-    visited profile with the smallest certified epsilon, pure before
-    mixed."""
+    enumeration for two teams, then fictitious play. The pure equilibrium
+    taken is the lexicographically first joint index; fictitious play
+    returns the first visited profile with the smallest certified epsilon,
+    pure before mixed."""
     tensors = [T[None] for T in game.tensors]
     has, profiles = _first_pure(tensors)
     if has[0]:
         eps, _ = _pure_certificate(tensors, [0], profiles)
         return StageEquilibrium(kind="pure", per_team=profiles[0], epsilon=float(eps[0]))
-    if pure_only:
-        raise NoPureEquilibriumError(t, z_label)
     if game.n_teams == 2:
         try:
             return mixed_nash_2team(game)

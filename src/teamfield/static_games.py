@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import SpecParseError, SpecValidationError
-from .model import _floats
+from .model import _count, _floats
 
 PAYOFF_TOL = 1e-12
 
@@ -150,9 +150,9 @@ def load_static_game(document) -> StaticGame:
     partition = []
     for i, team in enumerate(teams):
         try:
-            partition.append(tuple(int(p) for p in team))
-        except (TypeError, ValueError):
-            raise SpecParseError("team %d: player indices %r are not integers"
+            partition.append(tuple(_count(p, "a player index", least=0) for p in team))
+        except (TypeError, SpecValidationError):
+            raise SpecParseError("team %d: player indices %r are not nonnegative integers"
                                  % (i, team)) from None
     return StaticGame(payoffs=tensors, team_partition=tuple(partition),
                       action_labels=labels, player_names=names,

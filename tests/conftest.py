@@ -116,7 +116,7 @@ def assert_simplex(v, tol=1e-9):
 def kernel_row(spec, k, m, z, gamma) -> np.ndarray:
     """Team k's next-count law at counts m and mean field z under gamma: one
     row of ``counts._count_laws`` built as ``KernelCache.stacks`` builds its
-    rows, indexed like ``TeamLattice(N, S).points``."""
+    rows, indexed like ``TeamLattice(N, S).counts``."""
     zf = flatten_mean_field(spec, z)
     mix = _mixture_rows(spec, k, zf[None], gamma.rows[None])
     return _count_laws(mix.reshape((-1,) + mix.shape[2:]), np.asarray(m, dtype=int)[None])[0]

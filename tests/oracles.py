@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln, xlogy
 
-from teamfield.counts import (DEFAULT_SUPPORT_CAP, PRUNE_TOL, CountVector, JointCount,
-                              Prescription, _count_lattice, _count_laws, _mixture_rows,
-                              _rank_terms, count_point, enumerate_counts, lattice_size)
+from teamfield.counts import (DEFAULT_SUPPORT_CAP, PRUNE_TOL, Prescription, _count_lattice,
+                              _count_laws, _mixture_rows, _rank_terms, count_point,
+                              enumerate_counts, lattice_size)
 from teamfield.errors import CapacityError, EquilibriumNotFoundError, SpecValidationError
 from teamfield.finite_mpe import PolicyTable, _average, _store, initial_distribution
 from teamfield.limit import SimplexGrid, flow
@@ -43,7 +43,8 @@ PROB_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class CountDistribution:
-    """Finite distribution over count objects (vectors or count tensors)."""
+    """Finite distribution over count atoms: count tuples, nested tuples of
+    count tensors, or tuples of per-team count tuples."""
     support: tuple
     probs: np.ndarray = field(repr=False)
 
@@ -57,20 +58,11 @@ class CountDistribution:
         if np.any(probs < 0) or abs(probs.sum() - 1.0) > PROB_TOL:
             raise SpecValidationError("count distribution probabilities sum to %.17g"
                                       % probs.sum())
-        keys = set(_support_key(x) for x in self.support)
-        if len(keys) != len(self.support):
+        if len(set(self.support)) != len(self.support):
             raise SpecValidationError("count distribution support has duplicates")
 
     def __len__(self):
         return len(self.support)
-
-
-def _support_key(x):
-    if isinstance(x, CountVector):
-        return x.counts
-    if isinstance(x, JointCount):
-        return tuple(cv.counts for cv in x.per_team)
-    return x
 
 
 def _finalize(atoms: dict, wrap=None) -> CountDistribution:
@@ -100,7 +92,7 @@ def team_kernel_convolution(m, z, gamma: Prescription, spec: GameSpec, k: int,
     sum_a gamma(a|s) P(.|s,a,z), in log space, pruning atoms below
     PRUNE_TOL as they arise: the dict path ``counts._count_laws`` replaced,
     and the one-point reference for its rows."""
-    mv = m.as_array() if isinstance(m, CountVector) else np.asarray(m, dtype=int)
+    mv = np.asarray(m, dtype=int)
     tm = spec.teams[k]
     S = tm.n_states
     zf = flatten_mean_field(spec, z)
@@ -127,7 +119,7 @@ def team_kernel_convolution(m, z, gamma: Prescription, spec: GameSpec, k: int,
         if len(new) > cap:
             raise CapacityError("team kernel support exceeded cap %d" % cap)
         dist = new
-    return _finalize(dist, wrap=lambda key: CountVector(team_id=k, counts=key))
+    return _finalize(dist)
 
 
 def kernel_store_loop(lattice, sets, spec: GameSpec) -> list:
@@ -135,19 +127,20 @@ def kernel_store_loop(lattice, sets, spec: GameSpec) -> list:
     ``team_kernel_convolution`` per (point, team, menu item)."""
     out = []
     for k, (ps, tl) in enumerate(zip(sets, lattice.teams)):
+        where = {c: i for i, c in enumerate(map(tuple, tl.counts.tolist()))}
         W = np.zeros((len(lattice), len(ps), len(tl)))
         for p, idx in enumerate(lattice.indices()):
             z = lattice.mean_field(idx)
             for i, gamma in enumerate(ps.items):
                 dist = team_kernel_convolution(tl.counts[idx[k]], z, gamma, spec, k)
-                W[p, i, [tl.index[cv.counts] for cv in dist.support]] = dist.probs
+                W[p, i, [where[c] for c in dist.support]] = dist.probs
         out.append(W)
     return out
 
 
 def deviation_by_kernel(z, prescriptions, spec: GameSpec) -> np.ndarray:
     """``metrics.per_team_deviation`` through one ``team_kernel_convolution``
-    distribution of ``CountVector`` atoms per team and the ``flow`` image:
+    distribution of count atoms per team and the ``flow`` image:
     the per-profile path ``metrics._deviations`` replaced."""
     per_team = getattr(z, "per_team", z)
     q = flow(z, prescriptions, spec)
@@ -156,7 +149,7 @@ def deviation_by_kernel(z, prescriptions, spec: GameSpec) -> np.ndarray:
         tm = spec.teams[k]
         m = count_point(per_team[k], tm.population, k)
         dist = team_kernel_convolution(m, z, prescriptions[k], spec, k)
-        support = np.array([cv.counts for cv in dist.support]) / tm.population
+        support = np.array(dist.support) / tm.population
         out[k] = dist.probs @ transport_distance(support, q.per_team[k], tm.state_metric)
     return out
 
@@ -171,16 +164,15 @@ def kernel_check_loop(spec: GameSpec, z, prescriptions, samples: int,
     per_team = getattr(z, "per_team", z)
     counts_in = [count_point(per_team[k], tm.population, k)
                  for k, tm in enumerate(spec.teams)]
-    M = JointCount(per_team=tuple(CountVector(team_id=k, counts=m)
-                                  for k, m in enumerate(counts_in))).validate(spec)
-    laws = [team_kernel_convolution(m, M.mean_field(), prescriptions[k], spec, k)
+    z_in = [m / tm.population for m, tm in zip(counts_in, spec.teams)]
+    laws = [team_kernel_convolution(m, z_in, prescriptions[k], spec, k)
             for k, m in enumerate(counts_in)]
-    exact = _finalize({tuple(cv.counts for cv, _ in combo): math.prod(p for _, p in combo)
+    exact = _finalize({tuple(c for c, _ in combo): math.prod(p for _, p in combo)
                        for combo in itertools.product(*(zip(d.support, d.probs)
                                                         for d in laws))})
     exact_map = dict(zip(exact.support, exact.probs))
     rng = substream(spec.seed if master_seed is None else master_seed, "kernel-check")
-    zf = M.mean_field().flat()
+    zf = np.concatenate(z_in)
     keys_per_team = []
     for k in range(spec.n_teams):
         tm = spec.teams[k]
@@ -215,9 +207,7 @@ def kernel_check_whole(spec: GameSpec, z, prescriptions, samples: int,
     if math.prod(shape) > DEFAULT_SUPPORT_CAP:
         raise CapacityError("joint count lattice has %d points, cap is %d"
                             % (math.prod(shape), DEFAULT_SUPPORT_CAP))
-    M = JointCount(per_team=tuple(CountVector(team_id=k, counts=m)
-                                  for k, m in enumerate(counts_in))).validate(spec)
-    zf = M.mean_field().flat()
+    zf = flatten_mean_field(spec, [m / tm.population for m, tm in zip(counts_in, spec.teams)])
     exact = np.ones(())
     for k, m in enumerate(counts_in):
         mix = _mixture_rows(spec, k, zf[None], prescriptions[k].rows[None])
@@ -275,7 +265,7 @@ def action_count_dist(m, gamma: Prescription) -> CountDistribution:
     """Law of the state-action counts: each state's occupants split across
     actions independently with the prescription row as weights. Atoms are
     (S, A) nested tuples."""
-    mv = m.as_array() if isinstance(m, CountVector) else np.asarray(m, dtype=int)
+    mv = np.asarray(m, dtype=int)
     rows = gamma.rows
     S, A = rows.shape
     if mv.shape != (S,):
@@ -350,13 +340,12 @@ def marginalize_counts(mhat) -> np.ndarray:
     return mh.sum(axis=(0, 1))
 
 
-def sample_next_counts(M: JointCount, prescriptions, spec: GameSpec,
-                       rng: np.random.Generator) -> JointCount:
-    """One draw of the next joint counts via sequential multinomial
-    sampling (split over actions, then over next states, then marginalize).
+def sample_next_counts(M, prescriptions, spec: GameSpec, rng: np.random.Generator) -> tuple:
+    """One draw of the next joint counts M (per-team count vectors) via
+    sequential multinomial sampling (split over actions, then over next
+    states, then marginalize), as a tuple of per-team count tuples.
     Identical generator state yields identical draws."""
-    M.validate(spec)
-    zf = M.mean_field().flat()
+    zf = flatten_mean_field(spec, [np.asarray(m) / tm.population for m, tm in zip(M, spec.teams)])
     out = []
     for k in range(spec.n_teams):
         tm = spec.teams[k]
@@ -364,7 +353,7 @@ def sample_next_counts(M: JointCount, prescriptions, spec: GameSpec,
         P = transition_matrix(spec, k, zf)
         rows = prescriptions[k].rows
         nxt = np.zeros(S, dtype=int)
-        mv = M.per_team[k].counts
+        mv = M[k]
         for s in range(S):
             if mv[s] == 0:
                 continue
@@ -375,8 +364,8 @@ def sample_next_counts(M: JointCount, prescriptions, spec: GameSpec,
                     continue
                 row = P[s, a] / P[s, a].sum()
                 nxt += rng.multinomial(mbar_s[a], row)
-        out.append(CountVector(team_id=k, counts=tuple(int(x) for x in nxt)))
-    return JointCount(per_team=tuple(out))
+        out.append(tuple(int(x) for x in nxt))
+    return tuple(out)
 
 
 def build_stage_game(z, t: int, continuation, sets, spec: GameSpec) -> StageGame:
@@ -386,7 +375,8 @@ def build_stage_game(z, t: int, continuation, sets, spec: GameSpec) -> StageGame
                             + E[continuation_k(next counts)],
     the expectation summed exactly over the materialized joint support of
     the per-team ``team_kernel_convolution`` laws, one profile at a time;
-    ``continuation`` maps a JointCount to a length-K value sequence, or is
+    ``continuation`` maps a joint count (a tuple of per-team count tuples)
+    to a length-K value sequence, or is
     None at the terminal stage. Own costs come from ``stage_cost`` at
     every stage, so no step shares code with the engine's cost tables or
     contraction. Small instances only."""
@@ -409,9 +399,7 @@ def build_stage_game(z, t: int, continuation, sets, spec: GameSpec) -> StageGame
                 pr = 1.0
                 for k in range(K):
                     pr *= per[k].probs[combo[k]]
-                jc = JointCount(per_team=tuple(
-                    CountVector(team_id=k, counts=per[k].support[combo[k]].counts)
-                    for k in range(K)))
+                jc = tuple(per[k].support[combo[k]] for k in range(K))
                 acc += pr * np.asarray(continuation(jc), dtype=float)
         for k in range(K):
             tensors[k][profile] = own_cost[k][profile[k]] + acc[k]
@@ -662,13 +650,12 @@ def _records(policy, values, z_of):
 
 
 def format_counts(counts) -> str:
-    vals = counts.counts if isinstance(counts, CountVector) else counts
-    return "-".join(str(int(c)) for c in vals)
+    return "-".join(str(int(c)) for c in counts)
 
 
 def counts_at(lattice, idx) -> tuple:
     """Per-team count tuples of the count-lattice point idx."""
-    return tuple(tl.points[i] for tl, i in zip(lattice.teams, idx))
+    return tuple(tuple(tl.counts[i].tolist()) for tl, i in zip(lattice.teams, idx))
 
 
 def z_id_oracle(lattice, idx) -> str:

@@ -92,7 +92,8 @@ def test_criterion_02_kernel_exactness(reference_spec, reference_sets):
                 oracle = [_agent_level_team_kernel(reference_spec, k, ms[k],
                                                    z, (g0, g1)[k])
                           for k in range(2)]
-                got = {(lattice.teams[0].points[i], lattice.teams[1].points[j]): p
+                got = {(tuple(lattice.teams[0].counts[i].tolist()),
+                        tuple(lattice.teams[1].counts[j].tolist())): p
                        for (i, j), p in np.ndenumerate(joint)}
                 keys = set(got)
                 for k0 in oracle[0]:
@@ -211,8 +212,8 @@ def test_criterion_09_single_team_reduction(single_team_spec):
                 total += p * stage_cost(z, g, spec, 0, t)
                 m = np.rint(np.asarray(z.per_team[0]) * 2).astype(int)
                 kern = team_kernel_convolution(m, z, g, spec, 0)
-                for cv, q in zip(kern.support, kern.probs):
-                    nidx = (lattice.teams[0].index[cv.counts],)
+                for c, q in zip(kern.support, kern.probs):
+                    nidx = (lattice.teams[0].rank(c),)
                     ndist[nidx] = ndist.get(nidx, 0.0) + p * float(q)
             dist = ndist
         best = min(best, total)

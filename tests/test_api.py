@@ -26,7 +26,8 @@ NOT_IN_SRC = {
     "counts": ("action_count_dist", "nextstate_count_dist", "marginalize_counts",
                "sample_next_counts", "_multinomial_pmf", "mixture_rows", "format_counts",
                "CountDistribution", "team_transition_kernel", "joint_transition_kernel",
-               "stage_cost", "_finalize", "_support_key", "PROB_TOL"),
+               "stage_cost", "_finalize", "_support_key", "PROB_TOL", "CountVector",
+               "JointCount"),
     "model": ("eval_transition", "eval_cost", "_kr_norm", "transition_lipschitz",
               "cost_lipschitz", "_transitions"),
     "stage_game": ("build_stage_game", "ContinuationTable", "stage_pure_nash_loop",

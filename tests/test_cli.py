@@ -51,9 +51,10 @@ def test_bad_row_sum_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("field", ["population", "horizon", "seed"])
-@pytest.mark.parametrize("value", [2.5, 2.0, "3"])
+@pytest.mark.parametrize("value", [2.5, 2.0, "3", True])
 def test_non_integral_counts_exit_2(tmp_path, field, value):
-    """A count that is not an integer is refused, not truncated."""
+    """A count that is not an integer is refused, not truncated; JSON true
+    is not the count 1."""
     doc = minimal_team()
     if field == "population":
         doc["teams"][0]["population"] = value
@@ -97,6 +98,13 @@ MALFORMED = {     # mode, document, words the message names
                       ("player 0", "payoffs")),
     "team-index-x": ("static-tne", (STATIC, ["teams", 1], ["x"]),
                      ("team 1", "player indices")),
+    "actions-text": ("validate", (GAME, ["teams", 0, "actions"], "ab"), ("team 0", "'actions'")),
+    "team-index-half": ("static-tne", (STATIC, ["teams", 0], [0.5, 1]),
+                        ("team 0", "player indices")),
+    "team-index-1.7": ("static-tne", (STATIC, ["teams", 0], [0, 1.7]),
+                       ("team 0", "player indices")),
+    "team-index-true": ("static-tne", (STATIC, ["teams", 0], [0, True]),
+                        ("team 0", "player indices")),
 }
 
 

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 import teamfield as tf
 from teamfield import counts, simulate
-from teamfield.counts import (PRUNE_TOL, CountVector, JointCount, MeanField, Prescription,
-                              TeamLattice, count_point, enumerate_counts, lattice_size)
+from teamfield.counts import (PRUNE_TOL, MeanField, Prescription, TeamLattice, count_point,
+                              enumerate_counts, lattice_size)
 from teamfield.errors import CapacityError, SpecValidationError
 from teamfield.rng import substream
 from teamfield.stage_game import PrescriptionSet, _cost_table
@@ -45,7 +45,7 @@ def test_mean_field_validates_simplex():
 
 
 def test_count_distribution_rejects_bad_inputs():
-    cv = CountVector(0, (1, 0))
+    cv = (1, 0)
     with pytest.raises(SpecValidationError):
         CountDistribution(support=(cv,), probs=np.array([0.5]))
     with pytest.raises(SpecValidationError):
@@ -69,7 +69,7 @@ def test_next_state_composition_matches_direct_kernel(reference_spec,
     spec = reference_spec
     m = np.array([1, 1])
     z = MeanField(per_team=(np.array([0.5, 0.5]), np.array([0.5, 0.5])))
-    points = TeamLattice(2, 2).points
+    points = enumerate_counts(2, 2)
     for gamma in reference_sets[0].items:
         direct = kernel_row(spec, 0, m, z, gamma)
         composed = {}
@@ -89,7 +89,7 @@ def test_team_kernel_probabilities(reference_spec, reference_sets):
     z = MeanField(per_team=(np.array([1.0, 0.0]), np.array([0.5, 0.5])))
     row = kernel_row(reference_spec, 0, np.array([2, 0]), z, reference_sets[0].items[3])
     assert abs(sum(row) - 1.0) < 1e-12
-    assert all(sum(pt) == 2 for pt in TeamLattice(2, 2).points)
+    assert (TeamLattice(2, 2).counts.sum(axis=1) == 2).all()
 
 
 def test_joint_kernel_capacity_error(monkeypatch, reference_spec, reference_sets):
@@ -105,30 +105,27 @@ def test_joint_kernel_capacity_error(monkeypatch, reference_spec, reference_sets
 
 
 def test_sample_next_counts_reproducible(reference_spec, reference_sets):
-    M = JointCount(per_team=(CountVector(0, (1, 1)), CountVector(1, (2, 0))))
+    M = (np.array([1, 1]), np.array([2, 0]))
     gammas = (reference_sets[0].items[0], reference_sets[1].items[3])
     a = sample_next_counts(M, gammas, reference_spec, substream(9, "x"))
     b = sample_next_counts(M, gammas, reference_spec, substream(9, "x"))
     assert a == b
-    assert all(cv.total == M.per_team[k].total
-               for k, cv in enumerate(a.per_team))
+    assert [sum(c) for c in a] == [2, 2]
 
 
 def test_sample_next_counts_frequencies(reference_spec, reference_sets):
     spec = reference_spec
-    M = JointCount(per_team=(CountVector(0, (1, 1)), CountVector(1, (1, 1))))
+    M = (np.array([1, 1]), np.array([1, 1]))
     gammas = (reference_sets[0].items[0], reference_sets[1].items[0])
-    z = M.mean_field()
-    exact = np.multiply.outer(*(kernel_row(spec, k, M.per_team[k].counts, z, gammas[k])
-                                for k in range(2)))
+    z = MeanField(per_team=tuple(m / 2.0 for m in M))
+    exact = np.multiply.outer(*(kernel_row(spec, k, M[k], z, gammas[k]) for k in range(2)))
     rng = substream(17, "freq")
     n = 20000
     freq = {}
     for _ in range(n):
-        nxt = sample_next_counts(M, gammas, spec, rng)
-        key = tuple(cv.counts for cv in nxt.per_team)
+        key = sample_next_counts(M, gammas, spec, rng)
         freq[key] = freq.get(key, 0) + 1
-    points = TeamLattice(2, 2).points
+    points = enumerate_counts(2, 2)
     emap = {(points[i], points[j]): p for (i, j), p in np.ndenumerate(exact)}
     tv = 0.5 * sum(abs(freq.get(k, 0) / n - emap.get(k, 0.0))
                    for k in set(freq) | set(emap))
@@ -156,10 +153,28 @@ def test_count_point_rounds_lattice_points_and_rejects_the_rest():
 def test_team_lattice_lookup():
     tl = TeamLattice(3, 2)
     assert len(tl) == 4
-    assert tl.points[0] == (3, 0)
-    for i, pt in enumerate(tl.points):
-        assert tl.index[pt] == i
+    assert tl.counts.tolist() == [[3, 0], [2, 1], [1, 2], [0, 3]]
+    assert tl.rank((2, 1)) == 1 and tl.rank(np.array([0, 3])) == 3
+    assert TeamLattice(3, 2, ascending=True).rank((2, 1)) == 2
     assert np.allclose(tl.z.sum(axis=1), 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 4), st.booleans(), st.data())
+def test_team_lattice_rank_is_the_position_and_refuses_off_lattice_counts(N, S, ascending,
+                                                                          data):
+    """rank(counts[i]) == i on both orders; a vector of the wrong length, with
+    a negative entry, of another total or of floats is not a lattice point."""
+    tl = TeamLattice(N, S, ascending=ascending)
+    assert [tl.rank(c) for c in tl.counts] == list(range(len(tl)))
+    assert [tl.rank(tuple(c)) for c in tl.counts.tolist()] == list(range(len(tl)))
+    c = tl.counts[data.draw(st.integers(0, len(tl) - 1))]
+    off = [np.append(c, 0), c[:-1], c + np.eye(S, dtype=int)[0], c.astype(float)]
+    if S > 1:     # the right total with a negative entry
+        off.append(np.r_[N + 1, np.zeros(S - 2, dtype=int), -1])
+    for bad in off:
+        with pytest.raises(SpecValidationError, match="not a point of the count lattice"):
+            tl.rank(bad)
 
 
 from conftest import DATA
@@ -179,7 +194,7 @@ def test_kernel_mass_and_mean_property(n0, w):
     row = kernel_row(REFERENCE, 0, m, z, gamma)
     tl = TeamLattice(4, 2)
     assert abs(sum(row) - 1.0) < 1e-12
-    assert all(sum(pt) == 4 for pt in tl.points)
+    assert (tl.counts.sum(axis=1) == 4).all()
     mean = row @ tl.counts
     flow = tf.flow(z, (gamma, gamma), REFERENCE).per_team[0]
     assert np.allclose(mean / 4.0, flow, atol=1e-12)

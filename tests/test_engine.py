@@ -47,13 +47,12 @@ def check_engine_against_oracle(spec):
     T, K = spec.horizon, spec.n_teams
     for t in range(T):
         def continuation(jc, t=t):
-            idx = tuple(lattice.teams[k].index[jc.per_team[k].counts] for k in range(K))
-            return V[(t + 1, slice(None)) + idx]
+            return V[(t + 1, slice(None)) + tuple(tl.rank(c) for tl, c in zip(lattice.teams, jc))]
 
         for idx in lattice.indices():
             game = build_stage_game(lattice.mean_field(idx), t,
                                     None if t == T - 1 else continuation, sets, spec)
-            eq = solve_stage(game, t, lattice.z_id(idx))
+            eq = solve_stage(game)
             solved = policy.equilibrium(t, idx)
             assert eq.kind == solved.kind
             for mine, theirs in zip(eq.per_team, solved.per_team):
@@ -128,7 +127,7 @@ def check_fixed_policy_against_oracle(spec, policy):
 
     def continuation(X):
         return lambda jc: X[(slice(None),) + tuple(
-            lattice.teams[k].index[jc.per_team[k].counts] for k in range(K))]
+            tl.rank(c) for tl, c in zip(lattice.teams, jc))]
 
     for t in range(T - 1, -1, -1):
         for idx in lattice.indices():

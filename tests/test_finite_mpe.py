@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -56,8 +57,8 @@ def test_initial_distribution_literal(reference_spec):
     assert init.sum() == pytest.approx(1.0, abs=1e-12)
     # team 0 initial law (0.8, 0.2) at N=2: P(2,0)=0.64, P(1,1)=0.32,
     # P(0,2)=0.04; team 1 law (0.3, 0.7): P(2,0)=0.09, P(1,1)=0.42, P(0,2)=0.49
-    i20 = lattice.teams[0].index[(2, 0)]
-    j02 = lattice.teams[1].index[(0, 2)]
+    i20 = lattice.teams[0].rank((2, 0))
+    j02 = lattice.teams[1].rank((0, 2))
     assert init[i20, j02] == pytest.approx(0.64 * 0.49, abs=1e-12)
 
 
@@ -78,7 +79,9 @@ def test_best_response_refuses_a_bad_team_index(monkeypatch, k, reference_spec,
     operands shared by several players could read another team's slot."""
     policy, _ = reference_solution
     monkeypatch.setattr(finite_mpe, "_evaluate", lambda *args: pytest.fail("evaluated"))
-    with pytest.raises(tf.SpecValidationError, match=r"team index .* not in range\(2\)"):
+    message = ("team index %d is not in range(2)" % k if type(k) is int
+               else "team index must be an integer, got %r" % (k,))
+    with pytest.raises(tf.SpecValidationError, match=re.escape(message)):
         tf.best_response(reference_spec, k, policy)
 
 
@@ -235,8 +238,8 @@ def test_single_team_policy_decongests(single_team_spec):
     sets = (tf.build_prescription_set(single_team_spec, 0),)
     policy, _ = tf.solve_mpe(single_team_spec, sets)
     lattice = policy.lattice
-    i20 = lattice.teams[0].index[(2, 0)]
-    i11 = lattice.teams[0].index[(1, 1)]
+    i20 = lattice.teams[0].rank((2, 0))
+    i11 = lattice.teams[0].rank((1, 1))
     items = policy.sets[0].items
     rows = items[policy.equilibrium(0, (i20,)).per_team[0]].rows
     assert rows[0, 1] == 1.0       # crowded state moves

@@ -48,8 +48,6 @@ def test_names_equal_the_per_point_formatting(game):
         assert len(expect) == len(lattice)
         assert lattice.ids == expect
         assert [lattice.z_id(idx) for idx in idxs] == expect
-        if grid:
-            assert [lattice.point_id(idx) for idx in idxs] == expect
         assert lattice.record_z == [
             json.dumps(record_z_oracle(lattice, idx), indent=2).replace("\n", "\n      ")
             for idx in idxs]

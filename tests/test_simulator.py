@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import teamfield as tf
-from teamfield.counts import CountVector, JointCount, MeanField
+from teamfield.counts import MeanField
 from teamfield.errors import SpecValidationError
 from teamfield.rng import substream
 from teamfield.finite_mpe import PolicyTable
@@ -93,8 +93,10 @@ def test_episode_trajectory_shape(reference_spec, reference_solution):
                                    substream(0, "episode", 0))
     assert len(traj) == reference_spec.horizon + 1
     for M in traj:
-        for k, cv in enumerate(M.per_team):
-            assert sum(cv.counts) == reference_spec.teams[k].population
+        assert len(M) == 2
+        for m, tm in zip(M, reference_spec.teams):
+            assert m.shape == (tm.n_states,) and m.dtype.kind == "i"
+            assert m.sum() == tm.population
     assert costs.shape == (2,)
     assert np.all(np.isfinite(costs))
 
@@ -105,9 +107,7 @@ def test_lifted_policy_reads_correct_lattice_cell(reference_spec,
     lifted = lift_policy(policy)
     lattice = policy.lattice
     for idx in lattice.indices():
-        M = JointCount(per_team=tuple(
-            CountVector(team_id=k, counts=c)
-            for k, c in enumerate(counts_at(lattice, idx))))
+        M = tuple(np.array(c) for c in counts_at(lattice, idx))
         rows = lifted.realize(0, M, substream(0))
         eq = policy.equilibrium(0, idx)
         for k in range(2):
@@ -138,8 +138,8 @@ def test_agents_are_exchangeable(reference_spec):
     swapped, costs_b = simulate_episode(reference_spec, pol,
                                         _PermutingRng(substream(9, "episode", 0)))
     for Ma, Mb in zip(plain, swapped):
-        for cva, cvb in zip(Ma.per_team, Mb.per_team):
-            assert cva.counts == cvb.counts
+        for ma, mb in zip(Ma, Mb):
+            assert np.array_equal(ma, mb)
     assert np.allclose(costs_a, costs_b, atol=1e-12)
 
 
@@ -256,3 +256,27 @@ def test_kernel_check_rejects_off_lattice(reference_spec, reference_sets):
     gammas = (reference_sets[0].items[0], reference_sets[1].items[0])
     with pytest.raises(SpecValidationError):
         empirical_kernel_check(reference_spec, z, gammas, samples=10)
+
+
+@pytest.mark.parametrize("teams", [1, 3])
+def test_kernel_check_refuses_a_wrong_team_count(teams, reference_spec, reference_sets):
+    """One team's z on a two-team game raised IndexError; a third team's
+    occupancy was silently dropped."""
+    z = [np.array([0.5, 0.5])] * teams
+    gammas = (reference_sets[0].items[0], reference_sets[1].items[0])
+    with pytest.raises(SpecValidationError, match="mean field has %d teams, spec has 2" % teams):
+        empirical_kernel_check(reference_spec, z, gammas, samples=10)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_kernel_check_refuses_a_profile_of_the_wrong_length(n, reference_spec, reference_sets):
+    z = [np.array([0.5, 0.5])] * 2
+    gammas = (reference_sets[0].items[0],) * n
+    with pytest.raises(SpecValidationError, match="profile has %d prescriptions" % n):
+        empirical_kernel_check(reference_spec, z, gammas, samples=10)
+
+
+def test_realize_refuses_counts_off_the_lattice(reference_spec, reference_solution):
+    lifted = lift_policy(reference_solution[0])
+    with pytest.raises(SpecValidationError, match="not a point of the count lattice"):
+        lifted.realize(0, (np.array([2, 1]), np.array([1, 1])), substream(0))

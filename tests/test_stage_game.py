@@ -198,16 +198,18 @@ def test_select_equilibrium_prefers_pure_then_lex():
     g = game2([[5e-13, 1.0], [0.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]])
     assert pure_profiles(g) == [(0, 0), (1, 1)]
     chosen = StageEquilibrium(kind="pure", per_team=(0, 0), epsilon=0.0)
-    eq = solve_stage(g, 0, "z")
+    eq = solve_stage(g)
     assert eq.kind == "pure" and eq.per_team == chosen.per_team
     assert eq.epsilon == certify_epsilon(g, chosen) > 0.0
 
 
 def test_solve_stage_pure_only_raises():
+    """Under pure_only the stage driver raises, naming the stage and the
+    point, where solve_stage falls back to a mixed profile."""
     g = game2([[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]])
-    with pytest.raises(NoPureEquilibriumError):
-        solve_stage(g, 0, "z", pure_only=True)
-    eq = solve_stage(g, 0, "z")
+    with pytest.raises(NoPureEquilibriumError, match="no pure equilibrium at stage 3, z=z"):
+        stage_game._solve_points([X[None] for X in g.tensors], 3, (1,), ["z"], True)
+    eq = solve_stage(g)
     assert eq.kind == "mixed" and eq.epsilon <= 1e-9
 
 
@@ -238,9 +240,7 @@ def test_build_stage_game_callable_matches_table(reference_spec,
     cache = KernelCache(spec, reference_sets)
 
     def lookup(jc):
-        idx = tuple(lattice.teams[i].index[jc.per_team[i].counts]
-                    for i in range(2))
-        return values[(slice(None),) + idx]
+        return values[(slice(None),) + tuple(tl.rank(c) for tl, c in zip(lattice.teams, jc))]
 
     idx = (1, 1)
     p = int(np.ravel_multi_index(idx, lattice.shape))

@@ -157,12 +157,12 @@ def test_pruned_support_enumeration_reports_the_same_failure():
 def test_two_team_stage_falls_back_to_fictitious_play(monkeypatch):
     """When support enumeration exhausts, solve_stage and the backward
     driver's point solve return fictitious play's profile; under pure_only
-    both raise before any fallback runs."""
+    the driver raises before any fallback runs."""
     game = _full_support_game()
     ref = br_iteration(game)
     calls = []
     monkeypatch.setattr(stage_game, "br_iteration", lambda g: calls.append(g) or br_iteration(g))
-    _same(solve_stage(game, 0, "z"), ref)
+    _same(solve_stage(game), ref)
     tensors = [X[None] for X in game.tensors]
     eqs, values = _solve_points(tensors, 0, (1,), ["z"], False)
     _same(_at(eqs, (0,)), ref)
@@ -174,8 +174,6 @@ def test_two_team_stage_falls_back_to_fictitious_play(monkeypatch):
 
     monkeypatch.setattr(stage_game, "mixed_nash_2team", fallback)
     monkeypatch.setattr(stage_game, "br_iteration", fallback)
-    with pytest.raises(NoPureEquilibriumError):
-        solve_stage(game, 0, "z", pure_only=True)
     with pytest.raises(NoPureEquilibriumError):
         _solve_points(tensors, 0, (1,), ["z"], True)
 
@@ -334,9 +332,9 @@ def test_pure_pass_matches_solve_stage_point_by_point(K, P, seed):
             ref = StageEquilibrium(kind="pure", per_team=pure[0],
                                    epsilon=certify_epsilon(game, ref))
         else:
-            ref = solve_stage(game, 1, label(idx))
+            ref = solve_stage(game)
         _same(_at(eqs, idx), ref)
-        _same(solve_stage(game, 1, label(idx)), ref)
+        _same(solve_stage(game), ref)
         assert np.array_equal(values[(slice(None),) + idx], equilibrium_values(game, ref))
 
     mask = _pure_mask(tensors)
