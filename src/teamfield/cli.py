@@ -79,7 +79,7 @@ def _load_game(args):
 
 
 def _build_sets(spec, args):
-    return tuple(build_prescription_set(spec, k, g=args.grid_g or None)
+    return tuple(build_prescription_set(spec, k, g=args.grid_g)
                  for k in range(spec.n_teams))
 
 

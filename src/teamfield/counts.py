@@ -221,9 +221,6 @@ class JointLattice:
     def indices(self):
         return np.ndindex(self.shape)
 
-    def mean_field(self, idx) -> MeanField:
-        return MeanField(per_team=tuple(x[i] for x, i in zip(self.points, idx)))
-
     def _team_ids(self, tl: TeamLattice) -> list:
         return ["-".join(map(str, c)) for c in tl.counts.tolist()]
 

@@ -46,7 +46,7 @@ import numpy as np
 from .counts import JointLattice, _count_lattice, _count_laws, _indented
 from .errors import SpecValidationError
 from .model import GameSpec, _count
-from .stage_game import KernelCache, StageEquilibrium, _backward, _contract, _cost_table
+from .stage_game import KernelCache, _backward, _contract, _cost_table
 
 
 @dataclass(eq=False)
@@ -56,7 +56,8 @@ class PolicyTable:
     (``limit.solve_mpe_inf``). Each stage is an ``np.recarray`` over the
     points with fields ``mixed``, ``epsilon`` (certified maximal
     unilateral gain) and ``w<k>``: team k's mixture over ``sets[k]``,
-    one-hot at pure points. A count-lattice table keeps its kernel store."""
+    one-hot at pure points (a ``StageEquilibrium`` without its values). A
+    count-lattice table keeps its kernel store."""
     stages: list
     sets: tuple
     lattice: JointLattice
@@ -66,16 +67,6 @@ class PolicyTable:
         """Per-team (P, n_k) mixtures of stage t, points in C order."""
         st = self.stages[t]
         return [np.ascontiguousarray(st[w].reshape(st.size, -1)) for w in st.dtype.names[2:]]
-
-    def equilibrium(self, t: int, idx) -> StageEquilibrium:
-        """The equilibrium at stage t and point idx, built on demand (the
-        pure index of a team is the argmax of its one-hot row)."""
-        rec = self.stages[t][tuple(idx)]
-        ws = [np.array(rec[w]) for w in rec.dtype.names[2:]]
-        if rec.mixed:
-            return StageEquilibrium(kind="mixed", per_team=ws, epsilon=float(rec.epsilon))
-        return StageEquilibrium(kind="pure", per_team=[w.argmax() for w in ws],
-                                epsilon=float(rec.epsilon))
 
     @property
     def horizon(self):

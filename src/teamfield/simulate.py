@@ -297,6 +297,7 @@ def estimate_cost(spec: GameSpec, policy: LiftedPolicy, episodes: int, master_se
     episodes = _count(episodes, "the number of episodes", least=None)
     if episodes < 1:
         raise SpecValidationError("need at least one episode")
+    workers = _count(workers, "the number of workers")
     seed = spec.seed if master_seed is None else master_seed
     tab = _episode_tables(spec, policy)
     ids = np.arange(episodes)

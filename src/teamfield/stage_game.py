@@ -9,6 +9,10 @@ enumeration, batched over every point of a stage; support enumeration
 with exact dominance pruning for two teams; damped fictitious play as
 the always-terminating fallback).
 
+A solution has one format: the solvers return the row (mixed, epsilon,
+per-team mixtures) that the backward driver records, with its per-team
+values (``StageEquilibrium``), from ``certify_epsilon``'s own-cost pass.
+
 The prescription simplex is continuous in principle; menus here are
 either all deterministic state-to-action maps ("pure") or all maps with
 rows on a 1/g grid ("gridded"). Refining g trades computation for
@@ -21,6 +25,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,7 +33,7 @@ from .errors import (CapacityError, EquilibriumNotFoundError, NoPureEquilibriumE
                      SpecValidationError)
 from .counts import (JointLattice, MeanField, Prescription, _count_laws, _joint_points,
                      _mixture_rows, count_point, enumerate_counts)
-from .model import GameSpec, cost_matrix, flatten_mean_field
+from .model import GameSpec, _count, cost_matrix, flatten_mean_field
 
 PURE_TOL = 1e-12      # strict-improvement tolerance for pure deviations
 CERT_TOL = 1e-9       # certified-equilibrium acceptance threshold
@@ -99,44 +104,14 @@ class StageGame:
         return self.tensors[0].shape
 
 
-@dataclass(frozen=True, eq=False)
-class StageEquilibrium:
-    """Solution of one stage game.
-
-    kind 'pure': per_team is a tuple of prescription indices.
-    kind 'mixed': per_team is a tuple of probability vectors over each
-    team's menu. epsilon is the certified maximal unilateral gain,
-    recomputed exactly from the tensors.
-    """
-    kind: str
-    per_team: tuple
+class StageEquilibrium(NamedTuple):
+    """Solution of one stage game: the fields of its stage record (epsilon
+    is the certified maximal unilateral gain, the weights are per-team
+    mixtures, one-hot when pure) and the per-team expected costs."""
+    mixed: bool
     epsilon: float
-
-    def __post_init__(self):
-        if self.kind not in ("pure", "mixed"):
-            raise SpecValidationError("equilibrium kind must be pure or mixed")
-        if not (np.isfinite(self.epsilon) and self.epsilon >= 0):
-            raise SpecValidationError("epsilon must be a finite nonnegative number")
-        if self.kind == "mixed":
-            vecs = tuple(np.asarray(v, dtype=float) for v in self.per_team)
-            for v in vecs:
-                if np.any(v < -1e-10) or abs(v.sum() - 1.0) > 1e-10:
-                    raise SpecValidationError("mixed profile off the simplex")
-            object.__setattr__(self, "per_team", vecs)
-        else:
-            object.__setattr__(self, "per_team", tuple(int(i) for i in self.per_team))
-
-    def weights(self, game_shape) -> list:
-        """Per-team mixture over menu indices (one-hot when pure)."""
-        out = []
-        for k, n in enumerate(game_shape):
-            if self.kind == "pure":
-                w = np.zeros(n)
-                w[self.per_team[k]] = 1.0
-            else:
-                w = np.asarray(self.per_team[k], dtype=float)
-            out.append(w)
-        return out
+    weights: tuple
+    values: np.ndarray
 
 
 class KernelCache:
@@ -292,9 +267,8 @@ def _solve_points(tensors, t: int, points_shape, ids, pure_only: bool):
     has, profiles = _first_pure(tensors)
     pure = np.flatnonzero(has)
     eps, vals = _pure_certificate(tensors, pure, profiles[pure])
-    shape = tensors[0].shape[1:]
-    st = np.zeros(len(has), dtype=[("mixed", bool), ("epsilon", float)]
-                  + [("w%d" % k, float, (n,)) for k, n in enumerate(shape)]).view(np.recarray)
+    st = np.zeros(len(has), dtype=[("mixed", bool), ("epsilon", float)] + [
+        ("w%d" % k, float, (n,)) for k, n in enumerate(tensors[0].shape[1:])]).view(np.recarray)
     st.epsilon[pure] = eps
     for k, item in enumerate(profiles[pure].T):
         st["w%d" % k][pure, item] = 1.0
@@ -303,10 +277,9 @@ def _solve_points(tensors, t: int, points_shape, ids, pure_only: bool):
     for p in np.flatnonzero(~has):
         if pure_only:
             raise NoPureEquilibriumError(t, ids[p])
-        game = StageGame(tensors=tuple(X[p] for X in tensors))
-        eq = solve_stage(game)
-        st[p] = (eq.kind == "mixed", eq.epsilon, *eq.weights(shape))
-        values[:, p] = equilibrium_values(game, eq)
+        eq = solve_stage(StageGame(tensors=tuple(X[p] for X in tensors)))
+        st[p] = (eq.mixed, eq.epsilon, *eq.weights)
+        values[:, p] = eq.values
     return st.reshape(points_shape), values.reshape((len(tensors),) + tuple(points_shape))
 
 
@@ -333,7 +306,7 @@ def _first_pure(tensors):
 
 
 def _pure_certificate(tensors, points, profiles):
-    """certify_epsilon (len(points),) and equilibrium_values (K, len(points))
+    """certify_epsilon's epsilon (len(points),) and values (K, len(points))
     of the pure profiles (len(points), K) at the given points of
     (P, *menu shape) tensors, read by indexing: with one-hot weights the
     contractions pick single entries (+ 0.0: a one-hot dot product never
@@ -346,37 +319,31 @@ def _pure_certificate(tensors, points, profiles):
     return np.max(gains, axis=0), vals
 
 
-def certify_epsilon(game: StageGame, eq: StageEquilibrium) -> float:
-    """Exact maximal unilateral gain of eq, recomputed from the tensors."""
-    weights = eq.weights(game.shape)
-    own = [_own_cost_vector(T, weights, k) for k, T in enumerate(game.tensors)]
-    return _epsilon(weights, own, [e.argmin() for e in own])
+def _one_hot(shape, profile) -> tuple:
+    """Per-team mixtures that put all mass on the pure profile's items."""
+    return tuple(np.eye(1, n, i)[0] for n, i in zip(shape, profile))
 
 
-def _epsilon(weights, own, replies) -> float:
-    """Maximal unilateral gain of the mixtures ``weights`` given each
-    team's own cost vector against the others' mixtures and its best reply
-    (an argmin) in it. The entry there is the minimum up to the sign of
-    zero, which cannot change the result: eps starts at +0.0 and is
-    replaced only by a larger value."""
+def certify_epsilon(game: StageGame, weights) -> tuple:
+    """Exact maximal unilateral gain of the per-team mixtures ``weights``
+    and each team's expected cost under them (K,), from one own-cost
+    contraction per team of the tensors."""
+    own = [_run_plan(_contraction_plan(T, k), weights) for k, T in enumerate(game.tensors)]
+    eps, values = _epsilon(weights, own, [e.argmin() for e in own])
+    return eps, np.array(values)
+
+
+def _epsilon(weights, own, replies) -> tuple:
+    """Maximal unilateral gain of the mixtures ``weights`` and each team's
+    expected cost under them (a list), given each team's own cost vector
+    against the others' mixtures and its best reply (an argmin) in it. The
+    entry there is the minimum up to the sign of zero, which cannot change
+    the result: eps starts at +0.0 and is replaced only by a larger value."""
+    values = [w @ e for w, e in zip(weights, own)]
     eps = 0.0
-    for w, e, i in zip(weights, own, replies):
-        eps = max(eps, float(w @ e - e[i]))
-    return max(eps, 0.0)
-
-
-def equilibrium_values(game: StageGame, eq: StageEquilibrium) -> np.ndarray:
-    """Per-team expected cost under the (possibly mixed) profile."""
-    weights = eq.weights(game.shape)
-    out = np.empty(game.n_teams)
-    for k, T in enumerate(game.tensors):
-        out[k] = weights[k] @ _own_cost_vector(T, weights, k)
-    return out
-
-
-def _own_cost_vector(tensor: np.ndarray, weights, k: int) -> np.ndarray:
-    """Expected cost of team k per own index, others at their mixtures."""
-    return _run_plan(_contraction_plan(tensor, k), weights)
+    for v, e, i in zip(values, own, replies):
+        eps = max(eps, float(v - e[i]))
+    return max(eps, 0.0), values
 
 
 def _contraction_plan(tensor: np.ndarray, k: int):
@@ -463,8 +430,7 @@ def mixed_nash_2team(game: StageGame) -> StageEquilibrium:
     for r, c, R, C in ((r, c, R, C) for r, c in levels
                        for R, C in _level_pairs(A, B.T, delta, r, c, columns(r))):
         if r == 1 and c == 1:
-            x = np.zeros(n1); x[R[0]] = 1.0
-            y = np.zeros(n2); y[C[0]] = 1.0
+            x, y = _one_hot(game.shape, (R[0], C[0]))
         else:
             block = np.ix_(R, C)
             y = _indifference_solve(A[block], c)
@@ -479,12 +445,9 @@ def mixed_nash_2team(game: StageGame) -> StageEquilibrium:
             xf = np.zeros(n1); xf[R] = x
             yf = np.zeros(n2); yf[C] = y
             x, y = xf, yf
-        cand = StageEquilibrium(kind="mixed", per_team=(x, y), epsilon=0.0)
-        eps = certify_epsilon(game, cand)
+        eps, values = certify_epsilon(game, (x, y))
         if eps <= CERT_TOL:
-            if r == 1 and c == 1:
-                return StageEquilibrium(kind="pure", per_team=(R[0], C[0]), epsilon=eps)
-            return StageEquilibrium(kind="mixed", per_team=(x, y), epsilon=eps)
+            return StageEquilibrium(r + c > 2, eps, (x, y), values)
     raise EquilibriumNotFoundError(
         "no equilibrium with supports of size <= %d certified" % DEFAULT_SUPPORT_BOUND)
 
@@ -585,10 +548,10 @@ def br_iteration(game: StageGame, max_iters: int = 200) -> StageEquilibrium:
     round r plays fewer than 2r rounds, and the result is bitwise that of
     certifying round by round with certify_epsilon. The own-cost vectors
     come from one contraction plan per team, built once per game and run
-    every round into the same buffers.
+    every round into the same buffers, and once more for the values of
+    the profile kept.
     """
-    if max_iters < 1:
-        raise SpecValidationError("fictitious play needs max_iters >= 1")
+    max_iters = _count(max_iters, "max_iters")
     tensors = [T[None] for T in game.tensors]
     plans = [_contraction_plan(T, k) for k, T in enumerate(game.tensors)]
     plan = ([step for steps, _ in plans for step in steps], [e for _, e in plans])
@@ -604,7 +567,7 @@ def br_iteration(game: StageGame, max_iters: int = 200) -> StageEquilibrium:
             weights = [h[r] for h in hist]
             own = _run_plan(plan, weights)
             brs[r] = replies = [e.argmin() for e in own]
-            mixed[r] = _epsilon(weights, own, replies)
+            mixed[r], _ = _epsilon(weights, own, replies)
             alpha = 1.0 / (r + 2.0)
             np.multiply(whole[r], 1.0 - alpha, out=whole[r + 1])
             for a, i in zip(cuts, replies):
@@ -618,8 +581,9 @@ def br_iteration(game: StageGame, max_iters: int = 200) -> StageEquilibrium:
                 break
         start = stop
     eps, kind, r = best
-    per_team = brs[r] if kind == 0 else tuple(h[r].copy() for h in hist)
-    return StageEquilibrium(kind=("pure", "mixed")[kind], per_team=per_team, epsilon=eps)
+    weights = tuple(h[r].copy() for h in hist) if kind else _one_hot(game.shape, brs[r])
+    values = [w @ e for w, e in zip(weights, _run_plan(plan, weights))]
+    return StageEquilibrium(bool(kind), eps, weights, np.array(values))
 
 
 def solve_stage(game: StageGame) -> StageEquilibrium:
@@ -632,8 +596,9 @@ def solve_stage(game: StageGame) -> StageEquilibrium:
     tensors = [T[None] for T in game.tensors]
     has, profiles = _first_pure(tensors)
     if has[0]:
-        eps, _ = _pure_certificate(tensors, [0], profiles)
-        return StageEquilibrium(kind="pure", per_team=profiles[0], epsilon=float(eps[0]))
+        eps, values = _pure_certificate(tensors, [0], profiles)
+        return StageEquilibrium(False, float(eps[0]), _one_hot(game.shape, profiles[0]),
+                                values[:, 0])
     if game.n_teams == 2:
         try:
             return mixed_nash_2team(game)

@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln, xlogy
 
-from teamfield.counts import (DEFAULT_SUPPORT_CAP, PRUNE_TOL, Prescription, _count_lattice,
-                              _count_laws, _mixture_rows, _rank_terms, count_point,
-                              enumerate_counts, lattice_size)
+from teamfield.counts import (DEFAULT_SUPPORT_CAP, PRUNE_TOL, MeanField, Prescription,
+                              _count_lattice, _count_laws, _mixture_rows, _rank_terms,
+                              count_point, enumerate_counts, lattice_size)
 from teamfield.errors import CapacityError, EquilibriumNotFoundError, SpecValidationError
 from teamfield.finite_mpe import PolicyTable, _average, _store, initial_distribution
 from teamfield.limit import SimplexGrid, flow
@@ -122,6 +122,11 @@ def team_kernel_convolution(m, z, gamma: Prescription, spec: GameSpec, k: int,
     return _finalize(dist)
 
 
+def mean_field(lattice, idx) -> MeanField:
+    """The mean field at the point idx of a count lattice or simplex grid."""
+    return MeanField(per_team=tuple(x[i] for x, i in zip(lattice.points, idx)))
+
+
 def kernel_store_loop(lattice, sets, spec: GameSpec) -> list:
     """Per-team stacks W_k[point, menu item, L_k] of ``KernelCache``, one
     ``team_kernel_convolution`` per (point, team, menu item)."""
@@ -130,7 +135,7 @@ def kernel_store_loop(lattice, sets, spec: GameSpec) -> list:
         where = {c: i for i, c in enumerate(map(tuple, tl.counts.tolist()))}
         W = np.zeros((len(lattice), len(ps), len(tl)))
         for p, idx in enumerate(lattice.indices()):
-            z = lattice.mean_field(idx)
+            z = mean_field(lattice, idx)
             for i, gamma in enumerate(ps.items):
                 dist = team_kernel_convolution(tl.counts[idx[k]], z, gamma, spec, k)
                 W[p, i, [where[c] for c in dist.support]] = dist.probs
@@ -451,19 +456,17 @@ def mixed_nash_2team_unpruned(game: StageGame) -> StageEquilibrium:
             xf = np.zeros(n1); xf[list(R)] = x
             yf = np.zeros(n2); yf[list(C)] = y
             x, y = xf, yf
-        cand = StageEquilibrium(kind="mixed", per_team=(x, y), epsilon=0.0)
-        eps = certify_epsilon(game, cand)
+        eps, values = certify_epsilon(game, (x, y))
         if eps <= CERT_TOL:
-            if r == 1 and c == 1:
-                return StageEquilibrium(kind="pure", per_team=(R[0], C[0]), epsilon=eps)
-            return StageEquilibrium(kind="mixed", per_team=(x, y), epsilon=eps)
+            return StageEquilibrium(r + c > 2, eps, (x, y), values)
     raise EquilibriumNotFoundError(
         "no equilibrium with supports of size <= %d certified" % DEFAULT_SUPPORT_BOUND)
 
 
 def own_cost_vector_tensordot(tensor: np.ndarray, weights, k: int) -> np.ndarray:
-    """``stage_game._own_cost_vector`` as a chain of ``np.tensordot``
-    calls, highest axis first."""
+    """Team k's own-cost vector (``stage_game._run_plan`` of its
+    ``_contraction_plan``) as a chain of ``np.tensordot`` calls, highest
+    axis first."""
     X = tensor
     for j in range(len(weights) - 1, -1, -1):
         if j != k:
@@ -471,15 +474,15 @@ def own_cost_vector_tensordot(tensor: np.ndarray, weights, k: int) -> np.ndarray
     return X
 
 
-def certify_epsilon_tensordot(game: StageGame, eq: StageEquilibrium) -> float:
+def certify_epsilon_tensordot(game: StageGame, weights):
     """``stage_game.certify_epsilon`` from ``own_cost_vector_tensordot``
     vectors, each gain taken against the vector's minimum."""
-    weights = eq.weights(game.shape)
-    eps = 0.0
+    eps, values = 0.0, []
     for k, T in enumerate(game.tensors):
         e = own_cost_vector_tensordot(T, weights, k)
-        eps = max(eps, float(weights[k] @ e - e.min()))
-    return max(eps, 0.0)
+        values.append(weights[k] @ e)
+        eps = max(eps, float(values[k] - e.min()))
+    return max(eps, 0.0), np.array(values)
 
 
 def br_iteration_recertified(game: StageGame, max_iters: int = 200,
@@ -491,21 +494,19 @@ def br_iteration_recertified(game: StageGame, max_iters: int = 200,
     best = None     # (epsilon, preference, order, equilibrium)
     order = 0
 
-    def consider(eq):
+    def consider(mixed, weights):
         nonlocal best, order
-        eps = certify_epsilon(game, eq)
-        eq = StageEquilibrium(kind=eq.kind, per_team=eq.per_team, epsilon=eps)
-        rank = (eps, 0 if eq.kind == "pure" else 1, order)
+        eps, values = certify_epsilon(game, weights)
+        rank = (eps, int(mixed), order)
         order += 1
         if best is None or rank < best[0:3]:
-            best = (eps, rank[1], rank[2], eq)
+            best = rank + (StageEquilibrium(mixed, eps, weights, values),)
 
     for it in range(1, max_iters + 1):
         brs = [int(np.argmin(own_cost_vector_tensordot(game.tensors[k], weights, k)))
                for k in range(K)]
-        consider(StageEquilibrium(kind="pure", per_team=tuple(brs), epsilon=0.0))
-        consider(StageEquilibrium(kind="mixed",
-                                  per_team=tuple(w.copy() for w in weights), epsilon=0.0))
+        consider(False, tuple(np.eye(n)[i] for n, i in zip(game.shape, brs)))
+        consider(True, tuple(w.copy() for w in weights))
         if best[0] <= tol:
             break
         alpha = 1.0 / (it + 1.0)
@@ -523,15 +524,13 @@ def total_cost_forward(spec: GameSpec, policy: PolicyTable) -> np.ndarray:
     lattice = policy.lattice
     cache = KernelCache(spec, policy.sets)
     T, K = spec.horizon, spec.n_teams
-    game_shape = tuple(len(ps) for ps in policy.sets)
     dist = initial_distribution(spec, lattice).reshape(-1)
     totals = np.zeros(K)
     for t in range(T):
         live = np.flatnonzero(dist > 0.0)
         Zl = [z[live] for z in lattice.z]
-        eqs = [policy.equilibrium(t, np.unravel_index(p, lattice.shape)).weights(game_shape)
-               for p in live]
-        w = [np.array([ws[k] for ws in eqs]) for k in range(K)]
+        recs = [policy.stages[t][np.unravel_index(p, lattice.shape)] for p in live]
+        w = [np.array([rec["w%d" % k] for rec in recs]) for k in range(K)]
         totals += [dist[live] @ np.einsum("pi,pi->p", w[k], _cost_table(spec, k, ps, Zl, t))
                    for k, ps in enumerate(policy.sets)]
         if t < T - 1:

@@ -27,7 +27,7 @@ from teamfield.static_games import (load_static_game_file, pure_nash_static,
                                     static_report, team_nash_static)
 
 from conftest import DATA, kernel_row
-from oracles import stage_cost, team_kernel_convolution
+from oracles import mean_field, stage_cost, team_kernel_convolution
 
 
 def _verdict(idx, name, ok, detail, elapsed, budget):
@@ -81,7 +81,7 @@ def test_criterion_02_kernel_exactness(reference_spec, reference_sets):
     lattice, idxs = _lattice_points(reference_spec)
     worst, mass_err = 0.0, 0.0
     for idx in idxs:
-        z = lattice.mean_field(idx)
+        z = mean_field(lattice, idx)
         ms = [np.rint(np.asarray(z.per_team[k]) * 2).astype(int)
               for k in range(2)]
         for g0 in reference_sets[0].items:
@@ -123,7 +123,7 @@ def test_criterion_04_stage_cost_identity(reference_spec, reference_sets):
     lattice, idxs = _lattice_points(reference_spec)
     worst = 0.0
     for idx in idxs:
-        z = lattice.mean_field(idx)
+        z = mean_field(lattice, idx)
         Z = [v[None] for v in z.per_team]
         for k in range(2):
             for t in range(reference_spec.horizon):
@@ -139,7 +139,7 @@ def test_criterion_05_flow_consistency(reference_spec, reference_sets):
     lattice, idxs = _lattice_points(reference_spec)
     worst = 0.0
     for idx in idxs:
-        z = lattice.mean_field(idx)
+        z = mean_field(lattice, idx)
         ms = [np.rint(np.asarray(z.per_team[k]) * 2).astype(int)
               for k in range(2)]
         for g0 in reference_sets[0].items:
@@ -207,7 +207,7 @@ def test_criterion_09_single_team_reduction(single_team_spec):
         for t in range(spec.horizon):
             ndist = {}
             for idx, p in dist.items():
-                z = lattice.mean_field(idx)
+                z = mean_field(lattice, idx)
                 g = items[plan[t * len(idxs) + idxs.index(idx)]]
                 total += p * stage_cost(z, g, spec, 0, t)
                 m = np.rint(np.asarray(z.per_team[0]) * 2).astype(int)

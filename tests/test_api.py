@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 
 import teamfield as tf
+from teamfield import stage_game
 
-from conftest import cyclic_pursuit_three_team
+from conftest import cyclic_pursuit_three_team, perfbench_gen
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -33,7 +34,7 @@ NOT_IN_SRC = {
     "stage_game": ("build_stage_game", "ContinuationTable", "stage_pure_nash_loop",
                    "mixed_nash_2team_unpruned", "br_iteration_recertified", "pure_nash",
                    "select_equilibrium", "own_cost_vector_tensordot", "_undominated",
-                   "_support_pairs"),
+                   "_support_pairs", "equilibrium_values", "_own_cost_vector"),
     "simulate": ("FunctionPolicy", "_frequencies", "kernel_check_whole"),
     "metrics": ("wasserstein_fast", "DEFAULT_DEVIATION_CAP", "DEFAULT_PAIR_CAP",
                 "joint_distance", "lemma1_check", "Lemma1Report"),
@@ -56,6 +57,14 @@ def test_test_oracles_are_not_exported():
             assert name not in tf.__all__
             assert not hasattr(tf, name), name
             assert not hasattr(mod, name), "%s.%s" % (module, name)
+
+
+def test_a_stage_solution_has_one_format():
+    """The solvers return the fields of a stage record with the values;
+    no second format or converter between the two is kept."""
+    assert tf.StageEquilibrium._fields == ("mixed", "epsilon", "weights", "values")
+    assert not hasattr(tf.PolicyTable, "equilibrium")
+    assert not hasattr(tf.JointLattice, "mean_field")
 
 
 def test_only_the_model_reads_the_affine_coefficients():
@@ -118,6 +127,29 @@ def test_benchmark_policy_reader_sums_the_stage_epsilons(monkeypatch):
     assert total > 1e-9 and note((spec, sets), {}, result) == total
 
 
+def test_benchmark_solver_notes_read_the_solver_results(monkeypatch):
+    """The benchmark's notes on solve_stage, mixed_nash_2team and
+    br_iteration, applied as its traced passes apply them to every result
+    of the solves of pursuit (support enumeration) and the cyclic
+    three-team game (fictitious play): the epsilon notes read .epsilon."""
+    notes = _workloads(monkeypatch).NOTES
+    seen = []
+    for name in ("solve_stage", "mixed_nash_2team", "br_iteration"):
+        def noted(*args, _solve=getattr(stage_game, name), _name="stage_game." + name):
+            result = _solve(*args)
+            seen.append((_name, notes[_name](args, {}, result), result.epsilon))
+            return result
+        monkeypatch.setattr(stage_game, name, noted)
+    for doc in (perfbench_gen().pursuit_evasion(1), cyclic_pursuit_three_team()):
+        spec = tf.load_spec(doc)
+        tf.solve_mpe(spec, tuple(tf.build_prescription_set(spec, k) for k in range(spec.n_teams)))
+    assert {name for name, _, _ in seen} == {"stage_game.solve_stage",
+                                             "stage_game.mixed_nash_2team",
+                                             "stage_game.br_iteration"}
+    for name, note, eps in seen:
+        assert note == (1.0 if name == "stage_game.mixed_nash_2team" else eps)
+
+
 def _prescription():
     return tf.Prescription(team_id=0, rows=np.array([[0.5, 0.5]]))
 
@@ -127,8 +159,6 @@ VALUE_TYPES = {
     "MeanField": lambda: tf.MeanField(per_team=(np.array([0.5, 0.5]),)),
     "PrescriptionSet": lambda: tf.PrescriptionSet(team_id=0, items=(_prescription(),)),
     "StageGame": lambda: tf.StageGame(tensors=(np.zeros((2, 2)), np.ones((2, 2)))),
-    "StageEquilibrium": lambda: tf.StageEquilibrium(
-        kind="mixed", per_team=(np.array([0.5, 0.5]),) * 2, epsilon=0.0),
     "StaticGame": lambda: tf.StaticGame(
         payoffs=(np.zeros((2,)),), team_partition=((0,),), action_labels=(("a", "b"),),
         player_names=("p",)),

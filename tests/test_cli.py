@@ -252,17 +252,21 @@ def test_solve_finite_artifacts(tmp_path):
     assert "workers" not in manifest["config"]
 
 
-def test_grid_g_zero_means_pure_menus(tmp_path):
-    """--grid-g 0 builds the pure menus that no flag builds, while the
-    library call with g=0 is an invalid grid."""
-    assert main(["solve-finite", "--spec", str(REFERENCE), "--out", str(tmp_path / "a")]) == 0
-    assert main(["solve-finite", "--spec", str(REFERENCE), "--grid-g", "0",
-                 "--out", str(tmp_path / "b")]) == 0
-    assert ((tmp_path / "a" / "solve-finite" / "policy.json").read_bytes()
-            == (tmp_path / "b" / "solve-finite" / "policy.json").read_bytes())
-    spec = teamfield.load_spec_file(REFERENCE)
-    with pytest.raises(SpecValidationError):
-        teamfield.build_prescription_set(spec, 0, g=0)
+@pytest.mark.parametrize("mode, flag, value, message", [
+    ("solve-finite", "--grid-g", "0", "grid resolution g >= 1"),
+    ("simulate", "--workers", "-2", "the number of workers must be >= 1"),
+    ("compare", "--workers", "0", "the number of workers must be >= 1")],
+    ids=["grid-g-0", "simulate-workers--2", "compare-workers-0"])
+def test_out_of_range_counts_exit_2(tmp_path, mode, flag, value, message):
+    """--grid-g 0 is the invalid grid that build_prescription_set refuses,
+    not the pure menus that no flag builds; a worker count below 1 is
+    refused, not run serially."""
+    code = main([mode, "--spec", str(REFERENCE), flag, value, "--episodes", "2",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    err = _read(tmp_path / mode / "error.json")
+    assert err["error"] == "SpecValidationError" and message in err["message"]
+    assert not (tmp_path / mode / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("mode", ["solve-infinite", "bound"])

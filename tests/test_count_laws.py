@@ -151,10 +151,10 @@ def test_store_and_equilibria_match_the_convolution(name, monkeypatch):
     assert isinstance(ref_policy._kernels, LoopStore)
     for t in range(spec.horizon):
         for idx in policy.lattice.indices():
-            a, b = policy.equilibrium(t, idx), ref_policy.equilibrium(t, idx)
-            assert a.kind == b.kind
-            for mine, theirs in zip(a.per_team, b.per_team):
-                np.testing.assert_allclose(mine, theirs, rtol=0, atol=1e-12)
+            a, b = policy.stages[t][idx], ref_policy.stages[t][idx]
+            assert a.mixed == b.mixed
+            for w in a.dtype.names[2:]:
+                np.testing.assert_allclose(a[w], b[w], rtol=0, atol=1e-12)
     np.testing.assert_allclose(values.values, ref_values.values, rtol=0, atol=1e-12)
 
 

@@ -23,10 +23,10 @@ from hypothesis import strategies as st
 import teamfield as tf
 from teamfield.counts import lattice_size
 from teamfield.finite_mpe import best_response, initial_distribution, policy_value
-from teamfield.stage_game import equilibrium_values, solve_stage
+from teamfield.stage_game import solve_stage
 
 from conftest import cyclic_pursuit_three_team
-from oracles import best_response_loop, build_stage_game, policy_value_loop
+from oracles import best_response_loop, build_stage_game, mean_field, policy_value_loop
 
 # (states, actions, population) per team; the oracle's work at one point
 # grows with lattice size squared times menu size, so draws are budgeted
@@ -50,15 +50,14 @@ def check_engine_against_oracle(spec):
             return V[(t + 1, slice(None)) + tuple(tl.rank(c) for tl, c in zip(lattice.teams, jc))]
 
         for idx in lattice.indices():
-            game = build_stage_game(lattice.mean_field(idx), t,
+            game = build_stage_game(mean_field(lattice, idx), t,
                                     None if t == T - 1 else continuation, sets, spec)
             eq = solve_stage(game)
-            solved = policy.equilibrium(t, idx)
-            assert eq.kind == solved.kind
-            for mine, theirs in zip(eq.per_team, solved.per_team):
-                np.testing.assert_allclose(mine, theirs, rtol=0, atol=1e-9)
-            np.testing.assert_allclose(equilibrium_values(game, eq),
-                                       V[(t, slice(None)) + idx], rtol=0, atol=1e-12)
+            solved = policy.stages[t][idx]
+            assert eq.mixed == solved.mixed
+            for k, mine in enumerate(eq.weights):
+                np.testing.assert_allclose(mine, solved["w%d" % k], rtol=0, atol=1e-9)
+            np.testing.assert_allclose(eq.values, V[(t, slice(None)) + idx], rtol=0, atol=1e-12)
     np.testing.assert_allclose(policy_value(spec, policy), V, rtol=0, atol=1e-12)
     init = initial_distribution(spec, lattice)
     np.testing.assert_allclose(tf.evaluate_total_cost(spec, policy),
@@ -89,7 +88,7 @@ def check_shared_store(spec, policy):
     with pytest.raises(ValueError):
         W[0, 0, 0] = 1.0
     with pytest.raises(ValueError):
-        store.matrix(0, store.lattice.mean_field((0,) * spec.n_teams))[0, 0] = 1.0
+        store.matrix(0, mean_field(store.lattice, (0,) * spec.n_teams))[0, 0] = 1.0
 
 
 def random_mixtures(policy, seed):
@@ -131,8 +130,8 @@ def check_fixed_policy_against_oracle(spec, policy):
 
     for t in range(T - 1, -1, -1):
         for idx in lattice.indices():
-            ws = policy.equilibrium(t, idx).weights(tuple(len(ps) for ps in sets))
-            played, replied = (build_stage_game(lattice.mean_field(idx), t,
+            ws = [policy.stages[t][idx]["w%d" % k] for k in range(K)]
+            played, replied = (build_stage_game(mean_field(lattice, idx), t,
                                                 None if t == T - 1 else continuation(X[t + 1]),
                                                 sets, spec) for X in (V, U))
             for k in range(K):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import teamfield as tf
-from teamfield import finite_mpe
+from teamfield import finite_mpe, stage_game
 from teamfield.cli import _write_policy
 from teamfield.finite_mpe import (JointLattice, initial_distribution,
                                   policy_records, policy_value)
@@ -16,7 +16,7 @@ from teamfield.stage_game import KernelCache
 
 from conftest import (DATA, cyclic_pursuit_three_team, deterministic_two_team,
                       identity_dynamics_spec, perfbench_gen)
-from oracles import policy_json_oracle, stage_cost, total_cost_forward
+from oracles import mean_field, policy_json_oracle, stage_cost, total_cost_forward
 
 def _exact_pure_game(seed):
     """The benchmark's generated two-team game whose stage games are all pure."""
@@ -214,7 +214,7 @@ def test_single_team_dp_matches_brute_force(single_team_spec):
     lattice = policy.lattice
     cache = KernelCache(spec, sets)
     npts = lattice.shape[0]
-    pts = [lattice.mean_field((i,)) for i in range(npts)]
+    pts = [mean_field(lattice, (i,)) for i in range(npts)]
     kmat = [cache.matrix(0, z) for z in pts]
     sc = np.array([[[stage_cost(z, g, spec, 0, t) for g in sets[0].items]
                     for z in pts] for t in range(2)])
@@ -241,12 +241,35 @@ def test_single_team_policy_decongests(single_team_spec):
     i20 = lattice.teams[0].rank((2, 0))
     i11 = lattice.teams[0].rank((1, 1))
     items = policy.sets[0].items
-    rows = items[policy.equilibrium(0, (i20,)).per_team[0]].rows
-    assert rows[0, 1] == 1.0       # crowded state moves
-    assert policy.equilibrium(0, (i11,)).per_team[0] == 0
+    picks = [policy.mixtures(t)[0].argmax(axis=1) for t in range(2)]
+    assert not any(st.mixed.any() for st in policy.stages)
+    assert items[picks[0][i20]].rows[0, 1] == 1.0       # crowded state moves
+    assert picks[0][i11] == 0
     for i in range(lattice.shape[0]):
-        eq1 = policy.equilibrium(1, (i,))
-        assert items[eq1.per_team[0]].rows[:, 1].max() == 0.0
+        assert items[picks[1][i]].rows[:, 1].max() == 0.0
+
+
+@pytest.mark.parametrize("game, K, plans", [
+    (lambda: perfbench_gen().pursuit_evasion(1), 2, 24),
+    (cyclic_pursuit_three_team, 3, 24)], ids=["pursuit", "cyclic"])
+def test_stage_solutions_build_one_own_cost_plan_per_team(monkeypatch, game, K, plans):
+    """Each support-enumeration candidate certified builds one own-cost
+    contraction plan per team, and so does each fictitious-play game,
+    whose plans also give the values of the profile it keeps: no solution
+    runs a second own-cost pass for its values. Pursuit's 12 support
+    enumerations certify 12 candidates; the cyclic game has 8
+    fictitious-play games."""
+    calls = collections.Counter()
+    for name in ("_contraction_plan", "certify_epsilon", "br_iteration"):
+        def counted(*args, _f=getattr(stage_game, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(stage_game, name, counted)
+    spec = tf.load_spec(game())
+    assert spec.n_teams == K
+    tf.solve_mpe(spec, tuple(tf.build_prescription_set(spec, k) for k in range(K)))
+    assert calls["_contraction_plan"] == K * (calls["certify_epsilon"] + calls["br_iteration"])
+    assert calls["_contraction_plan"] == plans
 
 
 def test_mixed_equilibrium_policy_certifies(tmp_path):

@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 
 import teamfield as tf
+from teamfield import stage_game
 from teamfield.counts import MeanField, Prescription, TeamLattice
 from teamfield.errors import CapacityError, SpecValidationError
 from teamfield.limit import (SimplexGrid, default_grid, project_indices, rollout_inf,
                              solve_mpe_inf)
-from teamfield.stage_game import StageEquilibrium, _cost_table
+from teamfield.stage_game import _cost_table
 
 from conftest import deterministic_two_team, identity_dynamics_spec, kernel_row, minimal_team
-from oracles import stage_cost
+from oracles import mean_field, stage_cost
 
 
 def test_flow_literal():
@@ -71,7 +72,7 @@ def test_projection_literals(reference_spec):
     grid = SimplexGrid(reference_spec, [2, 2])
     z = MeanField(per_team=(np.array([0.6, 0.4]), np.array([1.0, 0.0])))
     idx, err = project_indices(z, grid)
-    snapped = grid.mean_field(idx)
+    snapped = mean_field(grid, idx)
     assert np.allclose(snapped.per_team[0], [0.5, 0.5])
     assert np.allclose(snapped.per_team[1], [1.0, 0.0])
     assert err == pytest.approx(0.1, abs=1e-12)
@@ -81,7 +82,7 @@ def test_projection_literals(reference_spec):
 def test_projection_tie_breaks_to_first(reference_spec):
     grid = SimplexGrid(reference_spec, [2, 2])
     z = MeanField(per_team=(np.array([0.25, 0.75]), np.array([1.0, 0.0])))
-    snapped = grid.mean_field(project_indices(z, grid)[0])
+    snapped = mean_field(grid, project_indices(z, grid)[0])
     # equidistant between (0,1) and (.5,.5): ascending-lex first wins
     assert np.allclose(snapped.per_team[0], [0.0, 1.0])
 
@@ -91,7 +92,7 @@ def test_default_grid_embeds_counts(reference_spec, reference_sets):
     from teamfield.finite_mpe import JointLattice
     lattice = JointLattice(reference_spec)
     for idx in lattice.indices():
-        z = lattice.mean_field(idx)
+        z = mean_field(lattice, idx)
         _, err = project_indices(z, grid)
         assert err == 0.0
 
@@ -103,7 +104,7 @@ def test_solve_mpe_inf_certifies_stagewise(reference_spec, reference_sets):
     # every stored stage equilibrium carries a certified epsilon
     for t in range(policy.horizon):
         for idx in policy.lattice.indices():
-            assert policy.equilibrium(t, idx).epsilon <= 1e-9
+            assert policy.stages[t][idx].epsilon <= 1e-9
     assert log.max_error[-1] == 0.0       # terminal stage projects nothing
 
 
@@ -117,7 +118,7 @@ def test_mixed_points_list_the_mixed_stage_equilibria():
     projected = tf.project_policy_to_lattice(spec, limit_policy)
     for policy in (finite, limit_policy, projected):
         mixed = {(t, idx) for t, st in enumerate(policy.stages)
-                 for idx in np.ndindex(st.shape) if policy.equilibrium(t, idx).kind == "mixed"}
+                 for idx in np.ndindex(st.shape) if policy.stages[t][idx].mixed}
         assert mixed
         assert policy.mixed_points == sorted(mixed)
     assert tf.lift_policy(projected).randomized
@@ -153,15 +154,13 @@ def test_pure_limit_solve_builds_no_stage_equilibrium(reference_spec, reference_
                                                      monkeypatch):
     """Every stage game of the reference game has a pure equilibrium, and
     the batched pure pass writes those straight into the stage records:
-    the limit solve constructs no StageEquilibrium; equilibrium(t, idx)
-    builds one on demand."""
+    the limit solve calls no solve_stage, which alone builds a
+    StageEquilibrium at a point of a stage."""
     calls = []
-    init = StageEquilibrium.__post_init__
-    monkeypatch.setattr(StageEquilibrium, "__post_init__",
-                        lambda self: calls.append(self) or init(self))
+    monkeypatch.setattr(stage_game, "solve_stage", lambda game: calls.append(game))
     policy, _, _ = solve_mpe_inf(reference_spec, reference_sets)
     assert policy.mixed_points == [] and calls == []
-    assert policy.equilibrium(0, (0, 0)).kind == "pure" and len(calls) == 1
+    assert all(((w == 1.0).sum(axis=1) == 1).all() for w in policy.mixtures(0))
 
 
 def test_rollout_accumulates(reference_spec, reference_sets):
@@ -234,7 +233,7 @@ def test_limit_values_approach_finite_values(reference_spec, reference_sets,
         lattice = policy.lattice
         worst = 0.0
         for idx in lattice.indices():
-            z = lattice.mean_field(idx)
+            z = mean_field(lattice, idx)
             gidx, err = project_indices(z, lpolicy.lattice)
             assert err == 0.0
             for k in range(2):

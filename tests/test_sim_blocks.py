@@ -33,7 +33,7 @@ from teamfield.simulate import (empirical_kernel_check, estimate_cost, lift_poli
 
 from conftest import (cyclic_pursuit_three_team, deterministic_two_team,
                       identity_dynamics_spec)
-from oracles import kernel_check_loop, kernel_check_whole
+from oracles import kernel_check_loop, kernel_check_whole, mean_field
 
 SEED = 11
 JOINT_POINTS_BUDGET = 100      # joint lattice points a drawn game may have
@@ -165,7 +165,7 @@ def check_episode_tables(spec):
     tab = simulate._episode_tables(spec, lifted)
     lattice = lifted.table.lattice
     for p, idx in enumerate(lattice.indices()):
-        zf = flatten_mean_field(spec, lattice.mean_field(idx))
+        zf = flatten_mean_field(spec, mean_field(lattice, idx))
         for k in range(spec.n_teams):
             assert (_bits(tab.transition_cdf[k][p])
                     == _bits(simulate._cdf(transition_matrix(spec, k, zf)))), (k, p)

@@ -10,7 +10,7 @@ from teamfield.rng import substream
 from teamfield.finite_mpe import PolicyTable
 from teamfield.simulate import (empirical_kernel_check, estimate_cost, lift_policy,
                                 simulate_episode)
-from teamfield.stage_game import PrescriptionSet, StageEquilibrium
+from teamfield.stage_game import PrescriptionSet
 
 from conftest import deterministic_two_team, identity_dynamics_spec
 from oracles import FunctionPolicy, counts_at
@@ -38,10 +38,9 @@ def _constant_table_policy(spec, rows=FIXED_ROWS):
                  + [("w%d" % k, float, (1,)) for k in range(spec.n_teams)]).view(np.recarray)
     st.mixed, st.epsilon = False, 0.0
     policy = PolicyTable(stages=[st] * spec.horizon, sets=sets, lattice=lattice)
-    ref = StageEquilibrium(kind="pure", per_team=(0,) * spec.n_teams, epsilon=0.0)
-    fields = lambda eq: (eq.kind, eq.per_team, eq.epsilon)    # noqa: E731
-    assert all(fields(policy.equilibrium(t, idx)) == fields(ref)
-               for t in range(spec.horizon) for idx in lattice.indices())
+    assert policy.mixed_points == []
+    assert all(np.array_equal(w, np.ones((len(lattice), 1)))
+               for t in range(spec.horizon) for w in policy.mixtures(t))
     return lift_policy(policy)
 
 
@@ -109,9 +108,9 @@ def test_lifted_policy_reads_correct_lattice_cell(reference_spec,
     for idx in lattice.indices():
         M = tuple(np.array(c) for c in counts_at(lattice, idx))
         rows = lifted.realize(0, M, substream(0))
-        eq = policy.equilibrium(0, idx)
+        rec = policy.stages[0][idx]
         for k in range(2):
-            expect = policy.sets[k].items[eq.per_team[k]].rows
+            expect = policy.sets[k].items[rec["w%d" % k].argmax()].rows
             assert np.array_equal(rows[k], expect)
 
 

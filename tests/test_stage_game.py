@@ -6,17 +6,23 @@ import pytest
 
 from teamfield import stage_game
 from teamfield.errors import CapacityError, NoPureEquilibriumError, SpecValidationError
-from teamfield.stage_game import (DEFAULT_SUPPORT_BOUND, StageEquilibrium, StageGame,
-                                  _pure_mask, br_iteration,
-                                  build_prescription_set, certify_epsilon,
+from teamfield.stage_game import (DEFAULT_SUPPORT_BOUND, StageGame, _one_hot, _pure_mask,
+                                  br_iteration, build_prescription_set, certify_epsilon,
                                   mixed_nash_2team, solve_stage)
 
-from oracles import _support_pairs, build_stage_game, stage_cost
+from oracles import _support_pairs, build_stage_game, mean_field, stage_cost
 
 
 def game2(A, B):
     return StageGame(tensors=(np.asarray(A, dtype=float),
                               np.asarray(B, dtype=float)))
+
+
+def pure_profile(eq):
+    """The menu indices of a pure solution, whose weights must be one-hot."""
+    assert not eq.mixed and all(w.min() >= 0.0 and w.max() == 1.0 == w.sum()
+                                for w in eq.weights)
+    return tuple(int(w.argmax()) for w in eq.weights)
 
 
 def pure_profiles(g):
@@ -77,19 +83,22 @@ def test_pure_nash_three_teams():
 
 def test_certify_epsilon_exact():
     g = game2([[0.0, 0.0], [1.0, 1.0]], [[0.0, 1.0], [0.0, 1.0]])
-    eq = StageEquilibrium(kind="pure", per_team=(0, 0), epsilon=0.0)
-    assert certify_epsilon(g, eq) == 0.0
-    bad = StageEquilibrium(kind="pure", per_team=(1, 1), epsilon=0.0)
-    assert certify_epsilon(g, bad) == pytest.approx(1.0)
+    eps, values = certify_epsilon(g, _one_hot(g.shape, (0, 0)))
+    assert eps == 0.0 and values.tolist() == [0.0, 0.0]
+    eps, values = certify_epsilon(g, _one_hot(g.shape, (1, 1)))
+    assert eps == pytest.approx(1.0) and values.tolist() == [1.0, 1.0]
+    eps, values = certify_epsilon(g, (np.array([0.5, 0.5]), np.array([0.25, 0.75])))
+    assert eps == 0.75 and values.tolist() == [0.5, 0.75]
 
 
 def test_mixed_nash_matching_pennies():
     g = game2([[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]])
     eq = mixed_nash_2team(g)
-    assert eq.kind == "mixed"
-    for v in eq.per_team:
+    assert eq.mixed
+    for v in eq.weights:
         assert np.allclose(v, [0.5, 0.5], atol=1e-9)
     assert eq.epsilon <= 1e-9
+    np.testing.assert_allclose(eq.values, [0.5, 0.5], rtol=0, atol=1e-12)
 
 
 def test_mixed_nash_asymmetric_pennies():
@@ -102,15 +111,15 @@ def test_mixed_nash_asymmetric_pennies():
     # indifference for the row team: B-column player mixes (y, 1-y) s.t.
     # row costs equal: 2(1-y) = 2y -> y = 0.5; for the column team:
     # x*1 = (1-x)*3 -> x = 0.75
-    assert np.allclose(eq.per_team[0], [0.75, 0.25], atol=1e-8)
-    assert np.allclose(eq.per_team[1], [0.5, 0.5], atol=1e-8)
+    assert np.allclose(eq.weights[0], [0.75, 0.25], atol=1e-8)
+    assert np.allclose(eq.weights[1], [0.5, 0.5], atol=1e-8)
 
 
 def test_mixed_nash_returns_pure_when_it_exists():
     g = game2([[0.0, 0.0], [1.0, 1.0]], [[0.0, 1.0], [0.0, 1.0]])
     eq = mixed_nash_2team(g)
-    assert eq.kind == "pure"
-    assert eq.per_team == (0, 0)
+    assert pure_profile(eq) == (0, 0)
+    assert eq.values.tolist() == [0.0, 0.0]
 
 
 def test_support_pairs_follow_the_sorted_order():
@@ -151,8 +160,8 @@ def test_mixed_nash_lists_no_candidates_up_front():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert eq.kind == "mixed" and eq.epsilon <= 1e-9
-        for v in eq.per_team:
+        assert eq.mixed and eq.epsilon <= 1e-9
+        for v in eq.weights:
             np.testing.assert_allclose(v, [0.5, 0.5] + [0.0] * (n - 2), atol=1e-9)
         assert peak < 5 * 2 ** 20, (n, peak)
 
@@ -164,8 +173,8 @@ def test_br_iteration_common_interest():
     g = StageGame(tensors=(base, base.copy(), base.copy()))
     eq = br_iteration(g)
     assert eq.epsilon <= 1e-9
-    assert eq.kind == "pure"
-    assert eq.per_team == (2, 0, 1)
+    assert pure_profile(eq) == (2, 0, 1)
+    assert eq.values.tolist() == [-1.0, -1.0, -1.0]
 
 
 def test_br_iteration_reports_best_visited():
@@ -173,23 +182,19 @@ def test_br_iteration_reports_best_visited():
     # but epsilon of the returned profile must be the certified minimum
     g = game2([[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]])
     eq = br_iteration(g, max_iters=400)
-    assert eq.epsilon == pytest.approx(certify_epsilon(g, eq), abs=1e-15)
+    eps, values = certify_epsilon(g, eq.weights)
+    assert eq.epsilon == pytest.approx(eps, abs=1e-15)
+    assert np.array_equal(eq.values, values)
     assert eq.epsilon < 0.51
 
 
-@pytest.mark.parametrize("rounds", [0, -1])
+@pytest.mark.parametrize("rounds", [0, -1, 2.5, True])
 def test_br_iteration_needs_a_round(rounds):
+    """max_iters is an integer of at least 1; a float or a bool is refused
+    as the spec loaders refuse them, not with a raw TypeError."""
     g = game2([[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]])
-    with pytest.raises(SpecValidationError):
+    with pytest.raises(SpecValidationError, match="max_iters must be"):
         br_iteration(g, max_iters=rounds)
-
-
-@pytest.mark.parametrize("eps", [np.nan, np.inf, -0.5])
-def test_equilibrium_epsilon_is_a_finite_nonnegative_number(eps):
-    with pytest.raises(SpecValidationError):
-        StageEquilibrium(kind="pure", per_team=(0,), epsilon=eps)
-    with pytest.raises(SpecValidationError):
-        StageEquilibrium(kind="mixed", per_team=([0.5, 0.5],), epsilon=eps)
 
 
 def test_select_equilibrium_prefers_pure_then_lex():
@@ -197,10 +202,11 @@ def test_select_equilibrium_prefers_pure_then_lex():
     # returns the lexicographically first with its certified epsilon
     g = game2([[5e-13, 1.0], [0.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]])
     assert pure_profiles(g) == [(0, 0), (1, 1)]
-    chosen = StageEquilibrium(kind="pure", per_team=(0, 0), epsilon=0.0)
     eq = solve_stage(g)
-    assert eq.kind == "pure" and eq.per_team == chosen.per_team
-    assert eq.epsilon == certify_epsilon(g, chosen) > 0.0
+    assert pure_profile(eq) == (0, 0)
+    eps, values = certify_epsilon(g, eq.weights)
+    assert eq.epsilon == eps > 0.0
+    assert np.array_equal(eq.values, values)
 
 
 def test_solve_stage_pure_only_raises():
@@ -210,7 +216,7 @@ def test_solve_stage_pure_only_raises():
     with pytest.raises(NoPureEquilibriumError, match="no pure equilibrium at stage 3, z=z"):
         stage_game._solve_points([X[None] for X in g.tensors], 3, (1,), ["z"], True)
     eq = solve_stage(g)
-    assert eq.kind == "mixed" and eq.epsilon <= 1e-9
+    assert eq.mixed and eq.epsilon <= 1e-9
 
 
 def test_build_stage_game_terminal_matches_stage_costs(reference_spec,
@@ -248,6 +254,6 @@ def test_build_stage_game_callable_matches_table(reference_spec,
     own = [_cost_table(spec, k, reference_sets[k], Z, 0) for k in range(2)]
     cont = _contract([W[p:p + 1] for W in cache.stacks()], values)
     fast = _stage_tensors(own, cont, tuple(len(ps) for ps in reference_sets))
-    slow = build_stage_game(lattice.mean_field(idx), 0, lookup, reference_sets, spec)
+    slow = build_stage_game(mean_field(lattice, idx), 0, lookup, reference_sets, spec)
     for k in range(2):
         assert np.allclose(fast[k][0], slow.tensors[k], atol=1e-10)

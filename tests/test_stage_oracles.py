@@ -23,11 +23,10 @@ from hypothesis import strategies as st
 from teamfield import stage_game
 from teamfield.errors import (EquilibriumNotFoundError, NoPureEquilibriumError,
                               SpecValidationError)
-from teamfield.finite_mpe import PolicyTable
 from teamfield.stage_game import (PURE_TOL, StageEquilibrium, StageGame, _contract,
-                                  _contract_operands, _own_cost_vector, _pure_mask,
-                                  _solve_points, br_iteration, certify_epsilon,
-                                  equilibrium_values, mixed_nash_2team, solve_stage)
+                                  _contract_operands, _contraction_plan, _one_hot,
+                                  _pure_mask, _run_plan, _solve_points, br_iteration,
+                                  certify_epsilon, mixed_nash_2team, solve_stage)
 
 import oracles
 from oracles import (br_iteration_recertified, certify_epsilon_tensordot,
@@ -56,15 +55,21 @@ def _game(tensors):
 
 
 def _same(eq, ref):
-    assert eq.kind == ref.kind
+    assert eq.mixed == ref.mixed
     assert eq.epsilon == ref.epsilon
-    for mine, theirs in zip(eq.per_team, ref.per_team):
+    assert len(eq.weights) == len(ref.weights)
+    for mine, theirs in zip(eq.weights, ref.weights):
         assert np.array_equal(mine, theirs)
+    assert np.array_equal(eq.values, ref.values)
 
 
-def _at(stage, idx):
-    """The equilibrium that a stage record array of _solve_points holds at idx."""
-    return PolicyTable(stages=[stage], sets=(), lattice=None).equilibrium(0, idx)
+def _at(stage, values, idx):
+    """The solution that a stage record array of _solve_points and its
+    values hold at idx."""
+    rec = stage[idx]
+    return StageEquilibrium(bool(rec.mixed), float(rec.epsilon),
+                            tuple(rec[w] for w in rec.dtype.names[2:]),
+                            values[(slice(None),) + tuple(idx)])
 
 
 def _solve_or_error(solver, game):
@@ -131,8 +136,8 @@ def test_support_enumeration_skips_the_x_solve_of_a_beaten_row_support(monkeypat
     ref = mixed_nash_2team_unpruned(game)
     assert mine < len(solves) - mine
     _same(eq, ref)
-    assert eq.kind == "mixed" and eq.epsilon <= 1e-15
-    assert np.allclose(eq.per_team[0], [0.5, 0.0, 0.5]) and np.allclose(eq.per_team[1], 0.5)
+    assert eq.mixed and eq.epsilon <= 1e-15
+    assert np.allclose(eq.weights[0], [0.5, 0.0, 0.5]) and np.allclose(eq.weights[1], 0.5)
 
 
 def _full_support_game():
@@ -165,8 +170,7 @@ def test_two_team_stage_falls_back_to_fictitious_play(monkeypatch):
     _same(solve_stage(game), ref)
     tensors = [X[None] for X in game.tensors]
     eqs, values = _solve_points(tensors, 0, (1,), ["z"], False)
-    _same(_at(eqs, (0,)), ref)
-    assert np.array_equal(values[:, 0], equilibrium_values(game, ref))
+    _same(_at(eqs, values, (0,)), ref)
     assert len(calls) == 2
 
     def fallback(game):
@@ -196,7 +200,7 @@ def test_own_cost_vector_matches_the_tensordot_chain(shape, kind, seed):
     tensor = _payoffs(rng, kind, tuple(shape))
     weights = [rng.dirichlet(np.ones(n)) for n in shape]
     for k in range(len(shape)):
-        mine = _own_cost_vector(tensor, weights, k)
+        mine = _run_plan(_contraction_plan(tensor, k), weights)
         ref = own_cost_vector_tensordot(tensor, weights, k)
         assert mine.shape == ref.shape == (shape[k],)
         assert np.array_equal(mine, ref)
@@ -211,14 +215,13 @@ def test_certify_epsilon_at_the_argmins_matches_the_minima(shape, kind, pure, se
     rng = np.random.default_rng(seed)
     game = _game([_payoffs(rng, kind, tuple(shape)) for _ in shape])
     if pure:
-        eq = StageEquilibrium(kind="pure", per_team=[rng.integers(n) for n in shape],
-                              epsilon=0.0)
+        weights = _one_hot(shape, [rng.integers(n) for n in shape])
     else:
-        eq = StageEquilibrium(kind="mixed", per_team=[rng.dirichlet(np.ones(n)) for n in shape],
-                              epsilon=0.0)
-    eps = certify_epsilon(game, eq)
-    ref = certify_epsilon_tensordot(game, eq)
+        weights = tuple(rng.dirichlet(np.ones(n)) for n in shape)
+    eps, values = certify_epsilon(game, weights)
+    ref, ref_values = certify_epsilon_tensordot(game, weights)
     assert eps == ref and np.signbit(eps) == np.signbit(ref)
+    assert np.array_equal(values, ref_values)
 
 
 @settings(max_examples=100, deadline=None)
@@ -273,7 +276,8 @@ def test_fictitious_play_stops_at_the_certifying_round_inside_a_block():
             [[[0, 1], [1, 1]], [[0, 0], [0, 1]]]]
     game = _game([np.add(W, 2.0 ** -31 * np.array(D)) for W, D in zip(whole, tiny)])
     eq = br_iteration(game)
-    assert (eq.kind, eq.per_team, eq.epsilon) == ("pure", (1, 1, 1), 2.0 ** -31)
+    assert not eq.mixed and eq.epsilon == 2.0 ** -31
+    assert [w.tolist() for w in eq.weights] == [[0.0, 1.0]] * 3
     _same(eq, br_iteration_recertified(game))
 
 
@@ -328,14 +332,13 @@ def test_pure_pass_matches_solve_stage_point_by_point(K, P, seed):
         game = _game([X[p] for X in tensors])
         pure = stage_pure_nash_loop(game)
         if pure:
-            ref = StageEquilibrium(kind="pure", per_team=pure[0], epsilon=0.0)
-            ref = StageEquilibrium(kind="pure", per_team=pure[0],
-                                   epsilon=certify_epsilon(game, ref))
+            weights = _one_hot(game.shape, pure[0])
+            eps, vals = certify_epsilon(game, weights)
+            ref = StageEquilibrium(False, eps, weights, vals)
         else:
             ref = solve_stage(game)
-        _same(_at(eqs, idx), ref)
+        _same(_at(eqs, values, idx), ref)
         _same(solve_stage(game), ref)
-        assert np.array_equal(values[(slice(None),) + idx], equilibrium_values(game, ref))
 
     mask = _pure_mask(tensors)
     assert all([tuple(int(i) for i in idx) for idx in np.argwhere(mask[p])]
@@ -361,12 +364,15 @@ def test_pure_pass_rejects_non_finite_tensors(bad):
 
 def test_pure_pass_values_keep_the_sign_of_zero_of_the_contraction():
     """A pure profile whose costs are -0.0 gets the +0.0 values that the
-    one-hot contraction of equilibrium_values gives."""
+    one-hot contraction of certify_epsilon gives, in the backward driver's
+    pure pass and in solve_stage."""
     A = np.array([[-0.0, 1.0], [2.0, 3.0]])
     B = np.array([[-0.0, -0.0], [1.0, 1.0]])
     eqs, values = _solve_points([A[None], B[None]], 0, (1,), ["z"], False)
     game = _game([A, B])
-    ref = equilibrium_values(game, _at(eqs, (0,)))
-    assert _at(eqs, (0,)).per_team == (0, 0)
+    eq = _at(eqs, values, (0,))
+    _, ref = certify_epsilon(game, eq.weights)
+    assert not eq.mixed and [w.tolist() for w in eq.weights] == [[1.0, 0.0]] * 2
     assert np.array_equal(values[:, 0], ref)
+    _same(solve_stage(game), eq)
     assert not np.signbit(ref).any() and not np.signbit(values).any()
