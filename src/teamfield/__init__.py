@@ -22,11 +22,10 @@ from .finite_mpe import (EquilibriumCertificate, JointLattice, PolicyTable,
                          solve_mpe, verify_mpe)
 from .limit import (SimplexGrid, default_grid, flow, project_policy_to_lattice,
                     rollout_inf, solve_mpe_inf)
-from .metrics import (RateFit, estimate_lipschitz, expected_deviation, fit_rate,
-                      kappa_envelope, theorem4_bound, wasserstein)
+from .metrics import (RateFit, estimate_lipschitz, fit_rate, kappa_envelope,
+                      theorem4_bound, wasserstein)
 from .simulate import (KernelCheckReport, LiftedPolicy, SimResult,
-                       empirical_kernel_check, estimate_cost, lift_policy,
-                       simulate_episode)
+                       empirical_kernel_check, estimate_cost, lift_policy)
 from .static_games import (StaticGame, load_static_game, pure_nash_static,
                            static_report, team_nash_static)
 
@@ -43,11 +42,10 @@ __all__ = [
     "best_response", "evaluate_total_cost", "solve_mpe", "verify_mpe",
     "SimplexGrid", "default_grid", "flow", "project_policy_to_lattice",
     "rollout_inf", "solve_mpe_inf",
-    "RateFit", "estimate_lipschitz", "expected_deviation", "fit_rate",
-    "kappa_envelope", "theorem4_bound", "wasserstein",
+    "RateFit", "estimate_lipschitz", "fit_rate", "kappa_envelope", "theorem4_bound",
+    "wasserstein",
     "KernelCheckReport", "LiftedPolicy", "SimResult",
     "empirical_kernel_check", "estimate_cost", "lift_policy",
-    "simulate_episode",
     "StaticGame", "load_static_game", "pure_nash_static", "static_report",
     "team_nash_static",
     "__version__",

@@ -34,7 +34,7 @@ from .limit import (SimplexGrid, default_grid, limit_policy_records,
                     project_policy_to_lattice, rollout_inf, solve_mpe_inf)
 from .metrics import (estimate_lipschitz, fit_rate, kappa_envelope,
                       theorem4_bound)
-from .model import load_spec_file, with_populations
+from .model import _count, load_spec_file, with_populations
 from .simulate import estimate_cost, lift_policy
 from .stage_game import CERT_TOL, build_prescription_set
 from .static_games import load_static_game_file, static_report
@@ -154,6 +154,7 @@ def _run_solve_infinite(args, out, h):
         "mixed_points": len(policy.mixed_points),
         "totals": [float(x) for x in traj.totals],
         "projection": log.as_dict(),
+        "trajectory_projection_errors": [float(e) for e in traj.projection_errors],
         **_stage_epsilons(policy),
     })
     print("solved %d grid points x %d stages; limit totals %s"
@@ -355,6 +356,8 @@ def main(argv=None) -> int:
     started = time.time()
     t0 = time.monotonic()
     try:
+        _count(args.episodes, "the number of episodes")
+        _count(args.workers, "the number of workers")
         spec_hash = _sha256_file(args.spec)
         _RUNNERS[args.mode](args, out, spec_hash)
     except (SpecParseError, SpecValidationError, FileNotFoundError) as e:

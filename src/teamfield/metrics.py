@@ -139,13 +139,6 @@ def per_team_deviation(z, prescriptions, spec: GameSpec) -> np.ndarray:
     return np.array([d[0] for d in _deviations(spec, z, [[p] for p in prescriptions])])
 
 
-def expected_deviation(z, prescriptions, spec: GameSpec) -> float:
-    """Exact E over the joint count kernel of the summed transport distance
-    to the deterministic flow image; teams move independently given z, so
-    it is the sum of the per-team deviations."""
-    return float(per_team_deviation(z, prescriptions, spec).sum())
-
-
 @dataclass
 class RateFit:
     """Log-log fit of deviation against population."""

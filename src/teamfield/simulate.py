@@ -7,24 +7,17 @@ table. Agreement between simulated average costs and the dynamic-program
 values, and between empirical next-count frequencies and the exact count
 kernel, is what certifies the count reformulation end to end.
 
-``simulate_episode`` defines the per-agent process and its draw order.
-A joint count is a tuple of per-team integer count arrays (an
-``np.bincount`` of the agents' states), which ``LiftedPolicy.realize``
-looks up with ``TeamLattice.rank``.
 ``estimate_cost`` runs a lifted table policy in blocks of episodes with
 numpy, as many per block as fit their uniforms in ``BLOCK_BYTES`` (at
-least one): every episode draws the same uniforms in the same order from
-its own substream, and its cost and transition tables come from one
-``cost_matrix`` / ``transition_matrix`` call per team (and stage) over
-all lattice points, bitwise the one-point values the per-episode process
-computes, so the per-episode costs are bitwise those of
-``simulate_episode``, for any block boundaries and any worker count. A
-block seeds its episodes' substreams in bulk (``rng.stream_uniforms``)
-and picks initial states, prescriptions, actions and next states by
-comparing uniforms with one CDF column at a time (``_pick_rows``), never
-gathering whole CDF rows per agent; ``_pick`` stays the per-episode
-definition. Hand-written policies run one episode at a time through
-``simulate_episode``.
+least one). Every episode draws the same uniforms in the same order from
+its own substream (see ``_run_block``), and its cost and transition
+tables come from one ``cost_matrix`` / ``transition_matrix`` call per
+team (and stage) over all lattice points, so its costs do not depend on
+the block boundaries or the worker count. A block seeds its episodes'
+substreams in bulk (``rng.stream_uniforms``) and picks initial states,
+prescriptions, actions and next states by comparing uniforms with one
+CDF column at a time (``_pick_rows``), never gathering whole CDF rows
+per agent.
 
 ``empirical_kernel_check`` draws in the same order from its one stream,
 but reads it in chunks of samples by jump-ahead (``PCG64.advance``), so
@@ -54,15 +47,10 @@ def _cdf(weights: np.ndarray) -> np.ndarray:
     return c / c[..., -1:]
 
 
-def _pick(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """index i with cdf[i-1] < u <= cdf[i], vectorized over leading axes."""
-    idx = (u[..., None] > cdf).sum(axis=-1)
-    return np.minimum(idx, cdf.shape[-1] - 1)
-
-
 def _pick_rows(cdf: np.ndarray, g: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``_pick(cdf.reshape(-1, S)[g], u)`` without gathering the rows: the
-    count of inner boundaries i < S - 1 with u > cdf[g, i]. A ``_cdf`` row
+    """Index i with cdf[g, i-1] < u <= cdf[g, i] (rows of
+    ``cdf.reshape(-1, S)``), without gathering the rows: the count of
+    inner boundaries i < S - 1 with u > cdf[g, i]. A ``_cdf`` row
     ends at exactly 1.0 and a uniform is below 1, so the last boundary
     never counts and no clamp is needed. ``g`` broadcasts against ``u``.
     Counts add up in the smallest unsigned dtype that holds S - 1 (adding
@@ -85,16 +73,22 @@ class LiftedPolicy:
     Mixed stage profiles are realized by team-public randomization: one
     prescription per (episode, stage, team) is sampled from the mixed
     weights, then agents randomize independently inside it. Outputs note
-    this via ``randomized``."""
+    this via ``randomized``, which holds when the table has a mixed point."""
     table: object                 # PolicyTable over the full joint lattice
-    randomized: bool = False
+
+    @property
+    def randomized(self) -> bool:
+        return bool(self.table.mixed_points)
 
     def realize(self, t: int, M: tuple, rng) -> list:
+        """Per-team action rows at stage t and joint counts M, drawing one
+        uniform from ``rng`` per team at a mixed point."""
         rec = self.table.stages[t][tuple(tl.rank(m) for tl, m in zip(self.table.lattice.teams, M))]
         rows = []
         for k, ps in enumerate(self.table.sets):
             w = rec["w%d" % k]
-            choice = int(_pick(_cdf(w), np.asarray(rng.random())) if rec.mixed else w.argmax())
+            choice = int(_pick_rows(_cdf(w), 0, np.asarray(rng.random())) if rec.mixed
+                         else w.argmax())
             rows.append(ps.items[choice].rows)
         return rows
 
@@ -102,48 +96,7 @@ class LiftedPolicy:
 def lift_policy(table) -> LiftedPolicy:
     """Wrap a count-table policy as an agent policy (see LiftedPolicy)."""
     _count_lattice(table)
-    return LiftedPolicy(table=table, randomized=bool(table.mixed_points))
-
-
-def _counts_of(spec: GameSpec, states: list) -> tuple:
-    return tuple(np.bincount(x, minlength=tm.n_states) for x, tm in zip(states, spec.teams))
-
-
-def simulate_episode(spec: GameSpec, policy, rng):
-    """One episode of the per-agent process.
-
-    Draw order is fixed: initial states team by team; then per stage the
-    realized prescriptions (team order, draws only at mixed points), and
-    per team one uniform vector for actions followed by one for
-    transitions. Returns (trajectory of T+1 joint counts, per-team
-    cumulative average cost).
-    """
-    K = spec.n_teams
-    states = []
-    for k in range(K):
-        tm = spec.teams[k]
-        states.append(_pick(_cdf(tm.initial_law), rng.random(tm.population)))
-    traj = [_counts_of(spec, states)]
-    costs = np.zeros(K)
-    for t in range(spec.horizon):
-        M = traj[-1]
-        zf = flatten_mean_field(spec, [m / tm.population for m, tm in zip(M, spec.teams)])
-        rows_all = policy.realize(t, M, rng)
-        nxt = []
-        for k in range(K):
-            tm = spec.teams[k]
-            rows = np.asarray(rows_all[k], dtype=float)
-            if rows.shape != (tm.n_states, tm.n_actions):
-                raise SpecValidationError("policy rows for team %d have shape %s"
-                                          % (k, rows.shape))
-            a = _pick(_cdf(rows)[states[k]], rng.random(tm.population))
-            C = cost_matrix(spec, k, t, zf)
-            costs[k] += C[states[k], a].sum() / tm.population
-            pcdf = _cdf(transition_matrix(spec, k, zf))[states[k], a]
-            nxt.append(_pick(pcdf, rng.random(tm.population)))
-        states = nxt
-        traj.append(_counts_of(spec, states))
-    return traj, costs
+    return LiftedPolicy(table=table)
 
 
 @dataclass
@@ -195,7 +148,7 @@ class _EpisodeTables:
     @property
     def draws(self) -> int:
         """Uniforms an episode consumes at most, in the order of
-        ``simulate_episode``."""
+        ``_run_block``."""
         n = sum(self.populations)
         return n + self.horizon * (len(self.populations) + 2 * n)
 
@@ -240,12 +193,14 @@ def _episode_tables(spec: GameSpec, policy: LiftedPolicy) -> _EpisodeTables:
 
 def _run_block(tab: _EpisodeTables, seed, episode_ids) -> np.ndarray:
     """Per-team cumulative costs of the episodes ``episode_ids`` under a
-    lifted table policy: the per-agent process of ``simulate_episode``,
-    one row per episode. Episode e reads its uniforms in sequence from
-    row e of ``stream_uniforms``, i.e. one ``random(draws)`` call on its
-    substream, which begins with exactly the values the per-episode
-    process draws one call at a time; ``off`` is each episode's read
-    position, since only mixed points consume prescription draws."""
+    lifted table policy, one row per episode. Episode e reads its uniforms
+    in sequence from row e of ``stream_uniforms``, i.e. one
+    ``random(draws)`` call on its substream, in a fixed order: one per
+    agent for the initial states, team by team; then per stage one per
+    team for the prescription, at mixed points only, and per team one per
+    agent for actions followed by one per agent for transitions. ``off``
+    is each episode's read position, since only mixed points consume
+    prescription draws."""
     B, K = len(episode_ids), len(tab.populations)
     U = stream_uniforms(seed, "episode", episode_ids, np.empty((B, tab.draws)))
     ep = np.arange(B)[:, None]

@@ -10,10 +10,13 @@ enumeration and the re-certifying fictitious play (checked against the
 stage solvers), the forward propagation of the count law (checked
 against ``evaluate_total_cost``), the separate stage loops of the
 policy's values and of one team's best reply (checked bitwise against
-the shared backward pass of ``finite_mpe``), hand-written agent policies for
-``simulate.simulate_episode``, and pointwise model evaluation (with the
-one-point stage cost summed from it) and its closed-form Lipschitz
-bounds."""
+the shared backward pass of ``finite_mpe``), the summed deviation of a
+profile (``expected_deviation``, from ``metrics.per_team_deviation``),
+the per-agent process one episode at a time (``simulate_episode``, whose
+costs the batched episodes of ``simulate.estimate_cost`` equal bitwise)
+with its per-row picker and hand-written agent policies, and pointwise
+model evaluation (with the one-point stage cost summed from it) and its
+closed-form Lipschitz bounds."""
 
 import itertools
 import json
@@ -29,10 +32,10 @@ from teamfield.counts import (DEFAULT_SUPPORT_CAP, PRUNE_TOL, MeanField, Prescri
 from teamfield.errors import CapacityError, EquilibriumNotFoundError, SpecValidationError
 from teamfield.finite_mpe import PolicyTable, _average, _store, initial_distribution
 from teamfield.limit import SimplexGrid, flow
-from teamfield.metrics import LIPSCHITZ_BLOCK_PAIRS, transport_distance
-from teamfield.model import GameSpec, flatten_mean_field, transition_matrix
+from teamfield.metrics import LIPSCHITZ_BLOCK_PAIRS, per_team_deviation, transport_distance
+from teamfield.model import GameSpec, cost_matrix, flatten_mean_field, transition_matrix
 from teamfield.rng import substream
-from teamfield.simulate import KernelCheckReport, _cdf, _pick, _pick_rows, _team_index
+from teamfield.simulate import KernelCheckReport, _cdf, _pick_rows, _team_index
 from teamfield.stage_game import (CERT_TOL, DEFAULT_SUPPORT_BOUND, PURE_TOL, KernelCache,
                                   StageEquilibrium, StageGame, _contract, _cost_table,
                                   _indifference_solve, certify_epsilon)
@@ -157,6 +160,13 @@ def deviation_by_kernel(z, prescriptions, spec: GameSpec) -> np.ndarray:
         support = np.array(dist.support) / tm.population
         out[k] = dist.probs @ transport_distance(support, q.per_team[k], tm.state_metric)
     return out
+
+
+def expected_deviation(z, prescriptions, spec: GameSpec) -> float:
+    """Exact E over the joint count kernel of the summed transport distance
+    to the deterministic flow image; teams move independently given z, so
+    it is the sum of the per-team deviations."""
+    return float(per_team_deviation(z, prescriptions, spec).sum())
 
 
 def kernel_check_loop(spec: GameSpec, z, prescriptions, samples: int,
@@ -691,15 +701,62 @@ def policy_json_oracle(policy, values, spec_hash: str) -> str:
                       sort_keys=True, indent=2) + "\n"
 
 
+def _pick(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """index i with cdf[i-1] < u <= cdf[i], vectorized over leading axes."""
+    idx = (u[..., None] > cdf).sum(axis=-1)
+    return np.minimum(idx, cdf.shape[-1] - 1)
+
+
 @dataclass
 class FunctionPolicy:
     """Adapter for hand-written policies: fn(t, M, rng) must return
     per-team (S, A) action rows."""
     fn: object
-    randomized: bool = False
 
     def realize(self, t, M, rng):
         return self.fn(t, M, rng)
+
+
+def _counts_of(spec: GameSpec, states: list) -> tuple:
+    return tuple(np.bincount(x, minlength=tm.n_states) for x, tm in zip(states, spec.teams))
+
+
+def simulate_episode(spec: GameSpec, policy, rng):
+    """One episode of the per-agent process under any policy with
+    ``realize(t, M, rng)`` (``simulate.LiftedPolicy``, ``FunctionPolicy``).
+
+    Draw order is fixed: initial states team by team; then per stage the
+    realized prescriptions (team order, draws only at mixed points), and
+    per team one uniform vector for actions followed by one for
+    transitions. Returns (trajectory of T+1 joint counts, per-team
+    cumulative average cost).
+    """
+    K = spec.n_teams
+    states = []
+    for k in range(K):
+        tm = spec.teams[k]
+        states.append(_pick(_cdf(tm.initial_law), rng.random(tm.population)))
+    traj = [_counts_of(spec, states)]
+    costs = np.zeros(K)
+    for t in range(spec.horizon):
+        M = traj[-1]
+        zf = flatten_mean_field(spec, [m / tm.population for m, tm in zip(M, spec.teams)])
+        rows_all = policy.realize(t, M, rng)
+        nxt = []
+        for k in range(K):
+            tm = spec.teams[k]
+            rows = np.asarray(rows_all[k], dtype=float)
+            if rows.shape != (tm.n_states, tm.n_actions):
+                raise SpecValidationError("policy rows for team %d have shape %s"
+                                          % (k, rows.shape))
+            a = _pick(_cdf(rows)[states[k]], rng.random(tm.population))
+            C = cost_matrix(spec, k, t, zf)
+            costs[k] += C[states[k], a].sum() / tm.population
+            pcdf = _cdf(transition_matrix(spec, k, zf))[states[k], a]
+            nxt.append(_pick(pcdf, rng.random(tm.population)))
+        states = nxt
+        traj.append(_counts_of(spec, states))
+    return traj, costs
 
 
 def eval_transition(spec: GameSpec, k: int, s: int, a: int, z) -> np.ndarray:

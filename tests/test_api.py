@@ -1,7 +1,8 @@
 """The public surface of ``teamfield``: every exported name resolves, none
 twice, the test oracles in ``tests/oracles.py`` are not part of it, every
-hook the benchmark wraps by name still exists, and importing the package
-loads neither the LP solver nor the process pool."""
+hook the benchmark wraps by name still exists, importing the package
+loads neither the LP solver nor the process pool, and the README's
+library example runs."""
 
 import importlib
 import importlib.util
@@ -19,7 +20,8 @@ from teamfield import stage_game
 
 from conftest import cyclic_pursuit_three_team, perfbench_gen
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 # names that left src/ for tests/oracles.py or were deleted, by the module
 # that defined them
@@ -35,9 +37,10 @@ NOT_IN_SRC = {
                    "mixed_nash_2team_unpruned", "br_iteration_recertified", "pure_nash",
                    "select_equilibrium", "own_cost_vector_tensordot", "_undominated",
                    "_support_pairs", "equilibrium_values", "_own_cost_vector"),
-    "simulate": ("FunctionPolicy", "_frequencies", "kernel_check_whole"),
+    "simulate": ("FunctionPolicy", "_frequencies", "kernel_check_whole", "simulate_episode",
+                 "_counts_of", "_pick"),
     "metrics": ("wasserstein_fast", "DEFAULT_DEVIATION_CAP", "DEFAULT_PAIR_CAP",
-                "joint_distance", "lemma1_check", "Lemma1Report"),
+                "joint_distance", "lemma1_check", "Lemma1Report", "expected_deviation"),
     "cli": ("PROBE_PROFILE_CAP",),
     "limit": ("project_to_grid", "limit_stage_cost", "LimitPolicyTable", "LimitValueTable"),
     "finite_mpe": ("total_cost_forward", "_records"),
@@ -97,6 +100,17 @@ def test_benchmark_hooks_resolve(monkeypatch):
         assert callable(getattr(cls, attr)), "%s.%s" % (cls.__name__, attr)
     for owner, attr, name, _ in workloads.targets(traced=True):
         assert callable(getattr(owner, attr)), name
+
+
+def test_readme_library_entry_points_run(monkeypatch):
+    """The ``python`` block under README's "Library entry points" runs
+    from the repository root as written."""
+    section = (ROOT / "README.md").read_text().split("## Library entry points", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    monkeypatch.chdir(ROOT)
+    scope = {}
+    exec(compile(block, "README.md", "exec"), scope)
+    assert scope["res"].episodes == 10_000 and scope["cert"].max_gain <= 1e-9
 
 
 def test_import_loads_no_lp_solver_or_process_pool():

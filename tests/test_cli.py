@@ -11,9 +11,11 @@ import pytest
 import teamfield
 from teamfield.cli import main
 from teamfield.errors import SpecValidationError
+from teamfield.limit import project_indices
 
 from conftest import (DATA, cyclic_pursuit_three_team, deterministic_two_team,
-                      minimal_team, one_state_two_team, perfbench_gen, write_json)
+                      identity_dynamics_spec, minimal_team, one_state_two_team, perfbench_gen,
+                      write_json)
 from oracles import policy_json_oracle
 
 REFERENCE = DATA / "two_team_reference.json"
@@ -255,13 +257,18 @@ def test_solve_finite_artifacts(tmp_path):
 @pytest.mark.parametrize("mode, flag, value, message", [
     ("solve-finite", "--grid-g", "0", "grid resolution g >= 1"),
     ("simulate", "--workers", "-2", "the number of workers must be >= 1"),
-    ("compare", "--workers", "0", "the number of workers must be >= 1")],
-    ids=["grid-g-0", "simulate-workers--2", "compare-workers-0"])
+    ("compare", "--workers", "0", "the number of workers must be >= 1"),
+    ("solve-finite", "--episodes", "-5", "the number of episodes must be >= 1"),
+    ("solve-finite", "--workers", "-2", "the number of workers must be >= 1"),
+    ("bound", "--workers", "0", "the number of workers must be >= 1")],
+    ids=["grid-g-0", "simulate-workers--2", "compare-workers-0", "solve-finite-episodes--5",
+         "solve-finite-workers--2", "bound-workers-0"])
 def test_out_of_range_counts_exit_2(tmp_path, mode, flag, value, message):
     """--grid-g 0 is the invalid grid that build_prescription_set refuses,
-    not the pure menus that no flag builds; a worker count below 1 is
-    refused, not run serially."""
-    code = main([mode, "--spec", str(REFERENCE), flag, value, "--episodes", "2",
+    not the pure menus that no flag builds; a worker or episode count
+    below 1 is refused, not run serially or written to the manifest, also
+    by the modes that run no simulation."""
+    code = main([mode, "--spec", str(REFERENCE), "--episodes", "2", "--n-sweep", "2", flag, value,
                  "--out", str(tmp_path)])
     assert code == 2
     err = _read(tmp_path / mode / "error.json")
@@ -291,6 +298,27 @@ def test_solve_infinite_artifacts(tmp_path):
     assert summary["projection"]["max_error"][-1] == 0.0
     traj = (base / "trajectory.csv").read_text().splitlines()
     assert len(traj) == 2 + 3 * 2 * 2
+
+
+def test_solve_infinite_writes_the_rollout_projection_errors(tmp_path):
+    """summary.json holds, per stage, how far the rollout's mean field is
+    from the grid point whose record it reads: stage 0 is the initial
+    law's own projection error, which the flow-image errors of
+    ``projection`` do not cover."""
+    assert main(["solve-infinite", "--spec", str(REFERENCE), "--out", str(tmp_path)]) == 0
+    summary = _read(tmp_path / "solve-infinite" / "summary.json")
+    spec = teamfield.load_spec_file(REFERENCE)
+    sets = tuple(teamfield.build_prescription_set(spec, k) for k in range(spec.n_teams))
+    policy, _, _ = teamfield.solve_mpe_inf(spec, sets)
+    errors = summary["trajectory_projection_errors"]
+    assert errors == teamfield.rollout_inf(spec, policy).projection_errors
+    assert len(errors) == spec.horizon
+    initial = [tm.initial_law for tm in spec.teams]
+    assert errors[0] == project_indices(initial, policy.lattice)[1] == pytest.approx(0.1)
+    still = write_json(tmp_path / "still.json", identity_dynamics_spec())
+    assert main(["solve-infinite", "--spec", str(still), "--out", str(tmp_path / "still")]) == 0
+    summary = _read(tmp_path / "still" / "solve-infinite" / "summary.json")
+    assert summary["trajectory_projection_errors"] == [0.0, 0.0]
 
 
 def test_simulate_with_episode_log(tmp_path):

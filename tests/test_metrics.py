@@ -12,12 +12,12 @@ from teamfield.counts import MeanField
 from teamfield import metrics
 from teamfield.errors import CapacityError, SpecValidationError
 from teamfield.limit import SimplexGrid
-from teamfield.metrics import (expected_deviation, estimate_lipschitz,
-                               fit_rate, kappa_envelope, per_team_deviation,
-                               theorem4_bound, transport_distance, wasserstein)
+from teamfield.metrics import (estimate_lipschitz, fit_rate, kappa_envelope,
+                               per_team_deviation, theorem4_bound, transport_distance,
+                               wasserstein)
 
 from conftest import minimal_team, perfbench_gen
-from oracles import lipschitz_all_pairs
+from oracles import expected_deviation, lipschitz_all_pairs
 
 LINE3 = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
 DISCRETE3 = np.ones((3, 3)) - np.eye(3)

@@ -2,7 +2,8 @@
 
 ``estimate_cost`` runs a lifted table policy in blocks of episodes sized
 by a byte budget; each episode must draw the same uniforms and pay the
-same costs as ``simulate_episode`` on its substream, bit for bit, for any
+same costs as the reference ``oracles.simulate_episode`` on its substream,
+bit for bit, for any
 block size and worker count. The empirical kernel check ranks next counts
 on the joint lattice and counts them with ``np.bincount``; its report
 must equal the sample-by-sample loop against the dict-keyed joint kernel,
@@ -28,12 +29,11 @@ from teamfield.counts import (MeanField, TeamLattice, _lattice_rank, _rank_terms
                               lattice_size)
 from teamfield.model import cost_matrix, flatten_mean_field, transition_matrix
 from teamfield.rng import substream
-from teamfield.simulate import (empirical_kernel_check, estimate_cost, lift_policy,
-                                simulate_episode)
+from teamfield.simulate import empirical_kernel_check, estimate_cost, lift_policy
 
 from conftest import (cyclic_pursuit_three_team, deterministic_two_team,
                       identity_dynamics_spec)
-from oracles import kernel_check_loop, kernel_check_whole, mean_field
+from oracles import _pick, kernel_check_loop, kernel_check_whole, mean_field, simulate_episode
 
 SEED = 11
 JOINT_POINTS_BUDGET = 100      # joint lattice points a drawn game may have
@@ -485,6 +485,6 @@ def test_pick_rows_equals_pick_on_gathered_rows(data):
     for rows in (g, g[:1]):
         got = simulate._pick_rows(cdf, rows, u)
         assert got.dtype == np.intp
-        assert np.array_equal(got, simulate._pick(flat[rows], u))
+        assert np.array_equal(got, _pick(flat[rows], u))
     top = simulate._pick_rows(simulate._cdf(np.ones(S)), 0, np.array([np.nextafter(1.0, 0.0)]))
     assert top.dtype == np.intp and top.tolist() == [S - 1]

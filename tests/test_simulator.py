@@ -8,12 +8,11 @@ from teamfield.counts import MeanField
 from teamfield.errors import SpecValidationError
 from teamfield.rng import substream
 from teamfield.finite_mpe import PolicyTable
-from teamfield.simulate import (empirical_kernel_check, estimate_cost, lift_policy,
-                                simulate_episode)
+from teamfield.simulate import empirical_kernel_check, estimate_cost, lift_policy
 from teamfield.stage_game import PrescriptionSet
 
 from conftest import deterministic_two_team, identity_dynamics_spec
-from oracles import FunctionPolicy, counts_at
+from oracles import FunctionPolicy, counts_at, simulate_episode
 
 
 FIXED_ROWS = [np.array([[0.7, 0.3], [0.4, 0.6]]),
@@ -170,6 +169,24 @@ def test_mixed_policy_randomizes():
     assert res.randomized_policy
     for k in range(2):
         assert abs(res.mean[k] - 0.5) <= 4 * res.stderr[k] + 1e-9
+
+
+def test_a_lifted_policy_is_randomized_exactly_when_its_table_has_a_mixed_point(
+        reference_spec, reference_solution):
+    """``randomized`` is read from the table, not set: a policy wrapped by
+    hand reports the prescription draws its episodes make."""
+    spec = tf.load_spec(json.dumps(deterministic_two_team()))
+    policy, _ = tf.solve_mpe(spec, tuple(tf.build_prescription_set(spec, k) for k in range(2)))
+    by_hand = tf.LiftedPolicy(table=policy)
+    assert policy.mixed_points and by_hand.randomized
+    assert estimate_cost(spec, by_hand, 20).randomized_policy is True
+    pure = tf.LiftedPolicy(table=reference_solution[0])
+    assert not pure.randomized
+    assert estimate_cost(reference_spec, pure, 20).randomized_policy is False
+    with pytest.raises(AttributeError):
+        by_hand.randomized = False
+    with pytest.raises(TypeError):
+        tf.LiftedPolicy(table=policy, randomized=False)
 
 
 def test_per_episode_rows(reference_spec):
