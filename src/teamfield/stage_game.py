@@ -329,21 +329,11 @@ def certify_epsilon(game: StageGame, weights) -> tuple:
     and each team's expected cost under them (K,), from one own-cost
     contraction per team of the tensors."""
     own = [_run_plan(_contraction_plan(T, k), weights) for k, T in enumerate(game.tensors)]
-    eps, values = _epsilon(weights, own, [e.argmin() for e in own])
-    return eps, np.array(values)
-
-
-def _epsilon(weights, own, replies) -> tuple:
-    """Maximal unilateral gain of the mixtures ``weights`` and each team's
-    expected cost under them (a list), given each team's own cost vector
-    against the others' mixtures and its best reply (an argmin) in it. The
-    entry there is the minimum up to the sign of zero, which cannot change
-    the result: eps starts at +0.0 and is replaced only by a larger value."""
     values = [w @ e for w, e in zip(weights, own)]
-    eps = 0.0
-    for v, e, i in zip(values, own, replies):
-        eps = max(eps, float(v - e[i]))
-    return max(eps, 0.0), values
+    # the argmin entry is the minimum up to the sign of zero, which cannot
+    # change eps: it starts at +0.0 and is replaced only by a larger gain
+    eps = max([0.0] + [float(v - e[e.argmin()]) for v, e in zip(values, own)])
+    return eps, np.array(values)
 
 
 def _contraction_plan(tensor: np.ndarray, k: int):
@@ -541,48 +531,72 @@ def br_iteration(game: StageGame, max_iters: int = 200) -> StageEquilibrium:
     profile, then running mixtures, the first visited profile with the
     smallest epsilon is kept, pure before mixed at equal epsilon; play
     stops at the first round where that epsilon is at most CERT_TOL, and
-    reports it honestly when it never gets there. The mixtures are
-    certified from the best-reply step's own-cost vectors, the pure
-    profiles by indexing in one _pure_certificate call per block of
-    rounds, blocks doubling in length (1, 2, 4, ...): a game certified at
-    round r plays fewer than 2r rounds, and the result is bitwise that of
-    certifying round by round with certify_epsilon. The own-cost vectors
-    come from one contraction plan per team, built once per game and run
-    every round into the same buffers, and once more for the values of
-    the profile kept.
+    reports it honestly when it never gets there. A round runs only the
+    contraction plan of each team (built once per game; its last np.dot
+    writes the round's row of a +inf padded own-cost history), one argmin
+    over that row and the weight update. Rounds run in blocks doubling in
+    length (1, 2, 4, ...); a block ends with a few array operations that
+    certify its mixtures from the own-cost history and its pure profiles
+    by indexing (_pure_certificate), and pick its best profile up to its
+    first round at or below CERT_TOL: a game certified at round r plays
+    fewer than 2r rounds, and the result is bitwise that of certifying
+    round by round with certify_epsilon. The plans run once more for the
+    values of the profile kept. The two histories take 8 ((max_iters + 1)
+    sum_k n_k + max_iters K max_k n_k) bytes; above MAX_STORE_BYTES this
+    raises CapacityError before they are allocated.
     """
     max_iters = _count(max_iters, "max_iters")
-    tensors = [T[None] for T in game.tensors]
-    plans = [_contraction_plan(T, k) for k, T in enumerate(game.tensors)]
-    plan = ([step for steps, _ in plans for step in steps], [e for _, e in plans])
-    cuts = np.cumsum((0,) + game.shape).tolist()
-    whole = np.empty((max_iters + 1, cuts[-1]))     # the histories side by side
-    whole[0] = np.repeat(1.0 / np.array(game.shape), game.shape)
+    K, shape = game.n_teams, game.shape
+    cuts = np.cumsum((0,) + shape).tolist()
+    size = 8 * ((max_iters + 1) * cuts[-1] + max_iters * K * max(shape))
+    if size > MAX_STORE_BYTES:
+        raise CapacityError("fictitious play histories need %d bytes, cap is %d"
+                            % (size, MAX_STORE_BYTES))
+    # the weight histories side by side, rows of (n_k, 1) slices: np.dot
+    # takes real slices (a zero-stride axis can leave its BLAS path)
+    whole = np.empty((max_iters + 1, cuts[-1], 1))
+    flat = whole[..., 0]
+    flat[0] = np.repeat(1.0 / np.array(shape), shape)
     hist = [whole[:, a:b] for a, b in zip(cuts, cuts[1:])]
-    brs, mixed = np.empty((max_iters, game.n_teams), dtype=np.intp), np.empty(max_iters)
+    costs = np.full((max_iters, K, max(shape), 1), np.inf)
+    own = [costs[:, k, :n] for k, n in enumerate(shape)]
+    if K == 1:
+        own[0][...] = game.tensors[0][:, None]
+    plans = [_contraction_plan(T, k) for k, T in enumerate(game.tensors)]
+    # (matrix, weight history, out, copy, out is a history): team k's last step writes own[k][r]
+    steps = [(m, hist[j], own[k] if i == len(p) - 1 else out, c, i == len(p) - 1)
+             for k, (p, _) in enumerate(plans) for i, (m, j, out, c) in enumerate(p)]
+    brs = np.empty((max_iters, K), dtype=np.intp)
     best, start = None, 0     # best: (epsilon, 0 for pure or 1 for mixed, round)
     while best is None or (best[0] > CERT_TOL and start < max_iters):
         stop = min(2 * start + 1, max_iters)
         for r in range(start, stop):
-            weights = [h[r] for h in hist]
-            own = _run_plan(plan, weights)
-            brs[r] = replies = [e.argmin() for e in own]
-            mixed[r], _ = _epsilon(weights, own, replies)
+            for mat, w, out, copy, last in steps:
+                if copy is not None:
+                    np.copyto(*copy)
+                np.dot(mat, w[r], out=out[r] if last else out)
+            brs[r] = replies = costs[r, :, :, 0].argmin(axis=1)
             alpha = 1.0 / (r + 2.0)
-            np.multiply(whole[r], 1.0 - alpha, out=whole[r + 1])
-            for a, i in zip(cuts, replies):
-                whole[r + 1, a + i] += alpha
-        pure, _ = _pure_certificate(tensors, np.zeros(stop - start, np.intp), brs[start:stop])
-        for r in range(start, stop):
-            for cand in ((float(pure[r - start]), 0, r), (float(mixed[r]), 1, r)):
-                if best is None or cand[:2] < best[:2]:
-                    best = cand
-            if best[0] <= CERT_TOL:
-                break
+            np.multiply(flat[r], 1.0 - alpha, out=flat[r + 1])
+            for a, i in zip(cuts, replies.tolist()):
+                flat[r + 1, a + i] += alpha
+        block = slice(start, stop)
+        pure, _ = _pure_certificate([T[None] for T in game.tensors],
+                                    np.zeros(stop - start, np.intp), brs[block])
+        # (R, 1, n) @ (R, n, 1) is bitwise certify_epsilon's w @ e
+        values = [np.matmul(h[block].transpose(0, 2, 1), e[block]) for h, e in zip(hist, own)]
+        gains = np.concatenate(values, axis=1)[..., 0] - costs[block].min(axis=2)[..., 0]
+        mixed = np.maximum(gains.max(axis=1), 0.0) + 0.0     # + 0.0: never -0.0
+        hit = np.flatnonzero(np.minimum(pure, mixed) <= CERT_TOL)
+        end = hit[0] + 1 if len(hit) else stop - start
+        eps = np.concatenate([pure[:end], mixed[:end]])     # argmin: (epsilon, kind, round) first
+        i = int(eps.argmin())
+        if best is None or (eps[i], i // end) < best[:2]:
+            best = (float(eps[i]), i // end, start + i % end)
         start = stop
     eps, kind, r = best
-    weights = tuple(h[r].copy() for h in hist) if kind else _one_hot(game.shape, brs[r])
-    values = [w @ e for w, e in zip(weights, _run_plan(plan, weights))]
+    weights = tuple(h[r, :, 0].copy() for h in hist) if kind else _one_hot(shape, brs[r])
+    values = [w @ _run_plan(p, weights) for w, p in zip(weights, plans)]
     return StageEquilibrium(bool(kind), eps, weights, np.array(values))
 
 

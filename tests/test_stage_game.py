@@ -197,6 +197,18 @@ def test_br_iteration_needs_a_round(rounds):
         br_iteration(g, max_iters=rounds)
 
 
+def test_br_iteration_refuses_histories_above_the_store_cap(monkeypatch):
+    """The weight and own-cost histories are checked against
+    MAX_STORE_BYTES before they are allocated: 200 rounds of a 2 x 2 game
+    take 8 (201 * 4 + 200 * 2 * 2) = 12,832 bytes."""
+    g = game2([[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]])
+    monkeypatch.setattr(stage_game, "MAX_STORE_BYTES", 12831)
+    with pytest.raises(CapacityError, match="fictitious play histories need 12832 bytes"):
+        br_iteration(g)
+    monkeypatch.setattr(stage_game, "MAX_STORE_BYTES", 12832)
+    assert br_iteration(g).epsilon == 0.0
+
+
 def test_select_equilibrium_prefers_pure_then_lex():
     # two pure equilibria, the first one only within PURE_TOL: solve_stage
     # returns the lexicographically first with its certified epsilon

@@ -7,9 +7,9 @@ unpruned scan returns. Own-cost vectors are contracted without
 read at their argmins what it gives at their minima. The continuation
 contraction reuses one einsum path per operand shapes; it must be what
 ``np.einsum(..., optimize=True)`` gives. Fictitious
-play certifies from the vectors of its best-reply step, and its pure
-profiles in blocks of rounds; it must return what re-certifying every
-profile round by round returns. The backward driver solves the pure
+play certifies its mixtures from its own-cost history and its pure
+profiles by indexing, once per block of rounds; it must return what
+re-certifying every profile round by round returns. The backward driver solves the pure
 stage games of a stage in one pass; it must return what ``solve_stage``
 returns point by point, and its pure mask what the profile-by-profile
 check lists. All are compared bitwise.
@@ -20,15 +20,17 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import teamfield as tf
 from teamfield import stage_game
 from teamfield.errors import (EquilibriumNotFoundError, NoPureEquilibriumError,
                               SpecValidationError)
-from teamfield.stage_game import (PURE_TOL, StageEquilibrium, StageGame, _contract,
+from teamfield.stage_game import (CERT_TOL, PURE_TOL, StageEquilibrium, StageGame, _contract,
                                   _contract_operands, _contraction_plan, _one_hot,
                                   _pure_mask, _run_plan, _solve_points, br_iteration,
                                   certify_epsilon, mixed_nash_2team, solve_stage)
 
 import oracles
+from conftest import cyclic_pursuit_three_team, perfbench_gen
 from oracles import (br_iteration_recertified, certify_epsilon_tensordot,
                      mixed_nash_2team_unpruned, own_cost_vector_tensordot, stage_pure_nash_loop)
 
@@ -55,12 +57,14 @@ def _game(tensors):
 
 
 def _same(eq, ref):
+    """Bitwise equal solutions; == alone would let -0.0 pass for 0.0."""
     assert eq.mixed == ref.mixed
-    assert eq.epsilon == ref.epsilon
+    assert eq.epsilon == ref.epsilon and np.signbit(eq.epsilon) == np.signbit(ref.epsilon)
     assert len(eq.weights) == len(ref.weights)
     for mine, theirs in zip(eq.weights, ref.weights):
         assert np.array_equal(mine, theirs)
     assert np.array_equal(eq.values, ref.values)
+    assert np.array_equal(np.signbit(eq.values), np.signbit(ref.values))
 
 
 def _at(stage, values, idx):
@@ -262,6 +266,25 @@ def test_fictitious_play_matches_the_recertifying_loop_at_every_length(K, rounds
     game = _game(tensors)
     _same(br_iteration(game, max_iters=rounds),
           br_iteration_recertified(game, max_iters=rounds))
+
+
+@pytest.mark.parametrize("doc", [lambda: perfbench_gen().cyclic_pursuit(1),
+                                 cyclic_pursuit_three_team], ids=["benchmark", "conftest"])
+def test_fictitious_play_on_the_cyclic_pursuit_games_matches_the_recertifying_loop(monkeypatch,
+                                                                                   doc):
+    """Every fictitious-play game that solve_mpe meets on the three-team
+    cyclic pursuit games, the benchmark's and the test suite's, is solved
+    bitwise as the round-by-round loop solves it. Some of them never
+    certify, so they play all 200 rounds and the last block of rounds
+    (127-199) runs cut at the round budget."""
+    games = []
+    monkeypatch.setattr(stage_game, "br_iteration", lambda g: games.append(g) or br_iteration(g))
+    spec = tf.load_spec(doc())
+    tf.solve_mpe(spec, tuple(tf.build_prescription_set(spec, k) for k in range(3)))
+    eqs = [br_iteration(g) for g in games]
+    assert any(eq.epsilon > CERT_TOL for eq in eqs)
+    for game, eq in zip(games, eqs):
+        _same(eq, br_iteration_recertified(game))
 
 
 def test_fictitious_play_stops_at_the_certifying_round_inside_a_block():
