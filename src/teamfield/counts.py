@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, SpecValidationError
-from .model import GameSpec, transition_matrix
+from .model import SIMPLEX_TOL, GameSpec, _team_rows, transition_matrix
 
 DEFAULT_SUPPORT_CAP = 10 ** 7
 PRUNE_TOL = 1e-15     # exact atoms below this count as off the kernel check's support
@@ -49,7 +49,7 @@ class MeanField:
     def __post_init__(self):
         vecs = tuple(np.asarray(v, dtype=float) for v in self.per_team)
         for v in vecs:
-            if np.any(v < -1e-12) or abs(v.sum() - 1.0) > 1e-9:
+            if np.any(v < -SIMPLEX_TOL) or abs(v.sum() - 1.0) > SIMPLEX_TOL:
                 raise SpecValidationError("mean field entry off the simplex: %s" % (v,))
         object.__setattr__(self, "per_team", vecs)
 
@@ -58,7 +58,6 @@ class MeanField:
 class Prescription:
     """Map from a team's local state to an action distribution; the
     decision variable of the team's virtual coordinator."""
-    team_id: int
     rows: np.ndarray = field(repr=False)
 
     def __post_init__(self):
@@ -71,6 +70,17 @@ class Prescription:
         rows = np.ascontiguousarray(rows)
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
+
+
+def _profile_rows(spec: GameSpec, prescriptions) -> list:
+    """Per-team (1, S_k, A_k) rows of a profile of one Prescription per team."""
+    if len(prescriptions) != spec.n_teams:
+        raise SpecValidationError("profile has %d prescriptions, spec has %d teams"
+                                  % (len(prescriptions), spec.n_teams))
+    bad = [type(p).__name__ for p in prescriptions if not isinstance(p, Prescription)]
+    if bad:
+        raise SpecValidationError("profile holds a %s, not a Prescription" % bad[0])
+    return [p.rows[None] for p in prescriptions]
 
 
 def lattice_size(N: int, d: int) -> int:
@@ -218,9 +228,6 @@ class JointLattice:
     def __len__(self):
         return math.prod(self.shape)
 
-    def indices(self):
-        return np.ndindex(self.shape)
-
     def _team_ids(self, tl: TeamLattice) -> list:
         return ["-".join(map(str, c)) for c in tl.counts.tolist()]
 
@@ -236,9 +243,6 @@ class JointLattice:
         close = alone[0][0][alone[0][0].rindex("\n"):]
         parts = [[s[1:-len(close)] for s in team] for team in alone]
         return ["[%s%s" % (",".join(p), close) for p in itertools.product(*parts)]
-
-    def z_id(self, idx) -> str:
-        return self.ids[np.ravel_multi_index(idx, self.shape)]
 
 
 def _indented(obj) -> str:
@@ -272,8 +276,4 @@ def _mixture_rows(spec: GameSpec, k: int, zf: np.ndarray, R: np.ndarray) -> np.n
     """(P, m, S, S) next-state law of one team-k agent in each state,
     sum_a gamma(a|s) P(.|s,a,z), at the flat joint points zf (P, D) under
     each prescription of R (m, S, A)."""
-    tm = spec.teams[k]
-    if R.shape[1:] != (tm.n_states, tm.n_actions):
-        raise SpecValidationError("prescription shape %s does not match team %d"
-                                  % (R.shape[1:], k))
-    return np.einsum("isa,psat->pist", R, transition_matrix(spec, k, zf))
+    return np.einsum("isa,psat->pist", _team_rows(spec, k, R), transition_matrix(spec, k, zf))

@@ -85,9 +85,6 @@ class ValueTable:
     values: np.ndarray = field(repr=False)
     lattice: JointLattice = None
 
-    def per_team_points(self):
-        return list(self.lattice.points)
-
 
 @dataclass
 class EquilibriumCertificate:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SpecValidationError
-from .counts import JointLattice, MeanField, TeamLattice
+from .counts import JointLattice, MeanField, TeamLattice, _profile_rows
 from .finite_mpe import PolicyTable, ValueTable, _encode_records
 from .metrics import transport_distance
 from .model import GameSpec, _count, _flow, flatten_mean_field
@@ -71,13 +71,12 @@ def default_grid(spec: GameSpec) -> SimplexGrid:
 
 
 def flow(z, prescriptions, spec: GameSpec) -> MeanField:
-    """Deterministic mean-field update: team k's next occupancy is
-    z'(s') = sum_s z(s) sum_a gamma(a|s) P(s'|s,a,z). Equals the exact
-    mean of the finite-population count kernel."""
+    """Deterministic mean-field update under one ``Prescription`` per team,
+    of the team's shape: team k's next occupancy is z'(s') = sum_s z(s)
+    sum_a gamma(a|s) P(s'|s,a,z), the exact mean of the finite-population count kernel."""
     flatten_mean_field(spec, z)
     Z = [np.asarray(v, dtype=float)[None] for v in getattr(z, "per_team", z)]
-    nxt = _flow(spec, Z, [np.asarray(getattr(p, "rows", p), dtype=float)[None]
-                          for p in prescriptions])
+    nxt = _flow(spec, Z, _profile_rows(spec, prescriptions))
     return MeanField(per_team=tuple(x[0, 0] for x in nxt))
 
 

@@ -225,7 +225,7 @@ def estimate_lipschitz(table, spec: GameSpec) -> np.ndarray:
         raise CapacityError("lipschitz estimation over %d point pairs, cap is %d"
                             % (pairs, MAX_LIPSCHITZ_PAIRS))
     best = np.zeros(T * K)
-    for k, (x, tm) in enumerate(zip(table.per_team_points(), spec.teams)):
+    for k, (x, tm) in enumerate(zip(table.lattice.points, spec.teams)):
         n = len(x)
         # team k's grid index first, every other team's index flattened
         Vk = np.moveaxis(V.reshape((T * K,) + shape), k + 1, 1).reshape(T * K, n, L // n)

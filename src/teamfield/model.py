@@ -181,18 +181,9 @@ class GameSpec:
     def coupling_dim(self):
         return sum(t.n_states for t in self.teams)
 
-    @property
-    def offsets(self):
-        """Start index of each team's occupancy block inside flat(z)."""
-        out, acc = [], 0
-        for t in self.teams:
-            out.append(acc)
-            acc += t.n_states
-        return tuple(out)
-
     def block(self, k):
         """Slice of flat(z) belonging to team k."""
-        off = self.offsets[k]
+        off = sum(t.n_states for t in self.teams[:k])
         return slice(off, off + self.teams[k].n_states)
 
     def _check_couplings(self):
@@ -278,6 +269,15 @@ def cost_matrix(spec: GameSpec, k: int, t: int, zf: np.ndarray) -> np.ndarray:
     return tm.cost_base[t] + np.einsum("sad,...d->...sa", tm.cost_coupling[t], zf)
 
 
+def _team_rows(spec: GameSpec, k: int, R: np.ndarray) -> np.ndarray:
+    """Team k's prescription rows R (m, S, A), checked against its shape."""
+    tm = spec.teams[k]
+    if R.shape[1:] != (tm.n_states, tm.n_actions):
+        raise SpecValidationError("prescription shape %s does not match team %d"
+                                  % (R.shape[1:], k))
+    return R
+
+
 def _flow(spec: GameSpec, Z, R) -> list:
     """The deterministic mean-field update (``limit.flow``) batched over P
     joint points and every prescription of each team: (P, m_k, S_k) images
@@ -285,7 +285,8 @@ def _flow(spec: GameSpec, Z, R) -> list:
     zf = np.concatenate(Z, axis=1)
     out = []
     for k in range(spec.n_teams):
-        nxt = np.einsum("ps,isa,psat->pit", Z[k], R[k], transition_matrix(spec, k, zf))
+        nxt = np.einsum("ps,isa,psat->pit", Z[k], _team_rows(spec, k, R[k]),
+                        transition_matrix(spec, k, zf))
         out.append(nxt / nxt.sum(axis=2, keepdims=True))
     return out
 

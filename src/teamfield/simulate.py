@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .counts import (DEFAULT_SUPPORT_CAP, PRUNE_TOL, _count_lattice, _count_laws, _lattice_rank,
-                     _mixture_rows, _rank_terms, count_point, lattice_size)
+                     _mixture_rows, _profile_rows, _rank_terms, count_point, lattice_size)
 from .errors import CapacityError, SpecValidationError
 from .model import GameSpec, _count, cost_matrix, flatten_mean_field, transition_matrix
 from .rng import stream_uniforms, substream
@@ -239,12 +239,12 @@ def _run_chunk(args):
                            for i in range(0, len(episode_ids), size)], axis=0)
 
 
-def estimate_cost(spec: GameSpec, policy: LiftedPolicy, episodes: int, master_seed=None,
-                  workers: int = 1, keep_episodes: bool = False) -> SimResult:
+def estimate_cost(spec: GameSpec, policy: LiftedPolicy, episodes: int, workers: int = 1,
+                  keep_episodes: bool = False) -> SimResult:
     """Mean and standard error of the per-team cumulative cost over
     independent episodes of a lifted table policy, run in batched blocks
     (see ``_run_block``). Episode e always runs on the substream
-    (seed, "episode", e), so the result is identical for any worker
+    (spec.seed, "episode", e), so the result is identical for any worker
     count; parallel chunks are reduced in episode order."""
     if not isinstance(policy, LiftedPolicy):
         raise SpecValidationError("estimate_cost runs a LiftedPolicy, got %s"
@@ -253,18 +253,16 @@ def estimate_cost(spec: GameSpec, policy: LiftedPolicy, episodes: int, master_se
     if episodes < 1:
         raise SpecValidationError("need at least one episode")
     workers = _count(workers, "the number of workers")
-    seed = spec.seed if master_seed is None else master_seed
     tab = _episode_tables(spec, policy)
     ids = np.arange(episodes)
     if workers > 1 and episodes > 1:
         from concurrent.futures import ProcessPoolExecutor   # loads multiprocessing
         chunks = np.array_split(ids, min(workers * 4, episodes))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_run_chunk,
-                                  [(tab, seed, c) for c in chunks]))
+            parts = list(pool.map(_run_chunk, [(tab, spec.seed, c) for c in chunks]))
         per = np.concatenate(parts, axis=0)
     else:
-        per = _run_chunk((tab, seed, ids))
+        per = _run_chunk((tab, spec.seed, ids))
     mean = per.mean(axis=0)
     if episodes > 1:
         stderr = per.std(axis=0, ddof=1) / math.sqrt(episodes)
@@ -281,14 +279,6 @@ class KernelCheckReport:
     confidence_radius: float       # 1.96 * max_j sqrt(phat_j(1-phat_j)/n)
     samples: int
     support_size: int
-
-    def as_dict(self):
-        return {
-            "tv_distance": float(self.tv_distance),
-            "confidence_radius": float(self.confidence_radius),
-            "samples": int(self.samples),
-            "support_size": int(self.support_size),
-        }
 
 
 def _jumped(bitgen, n: int) -> np.random.Generator:
@@ -317,9 +307,7 @@ def empirical_kernel_check(spec: GameSpec, z, prescriptions,
     if samples < 1:
         raise SpecValidationError("need at least one sample")
     flatten_mean_field(spec, z)
-    if len(prescriptions) != spec.n_teams:
-        raise SpecValidationError("profile has %d prescriptions, spec has %d teams"
-                                  % (len(prescriptions), spec.n_teams))
+    rows = _profile_rows(spec, prescriptions)
     per_team = getattr(z, "per_team", z)
     counts_in = [count_point(per_team[k], tm.population, k)
                  for k, tm in enumerate(spec.teams)]
@@ -330,7 +318,7 @@ def empirical_kernel_check(spec: GameSpec, z, prescriptions,
     zf = np.concatenate([m / tm.population for m, tm in zip(counts_in, spec.teams)])
     exact = np.ones(())
     for k, m in enumerate(counts_in):
-        mix = _mixture_rows(spec, k, zf[None], prescriptions[k].rows[None])
+        mix = _mixture_rows(spec, k, zf[None], rows[k])
         exact = np.multiply.outer(exact, _count_laws(mix[0], m[None])[0])
 
     bitgen = substream(spec.seed if master_seed is None else master_seed,
@@ -338,7 +326,7 @@ def empirical_kernel_check(spec: GameSpec, z, prescriptions,
     teams, at = [], 0
     for k, tm in enumerate(spec.teams):
         agent_states = np.repeat(np.arange(tm.n_states), counts_in[k])
-        teams.append((agent_states, _cdf(prescriptions[k].rows),
+        teams.append((agent_states, _cdf(rows[k][0]),
                       _cdf(transition_matrix(spec, k, zf)),
                       _rank_terms(tm.population, tm.n_states),
                       _jumped(bitgen, at), _jumped(bitgen, at + samples * tm.population)))

@@ -33,7 +33,7 @@ from .errors import (CapacityError, EquilibriumNotFoundError, NoPureEquilibriumE
                      SpecValidationError)
 from .counts import (JointLattice, MeanField, Prescription, _count_laws, _joint_points,
                      _mixture_rows, count_point, enumerate_counts)
-from .model import GameSpec, _count, cost_matrix, flatten_mean_field
+from .model import GameSpec, _count, _team_rows, cost_matrix, flatten_mean_field
 
 PURE_TOL = 1e-12      # strict-improvement tolerance for pure deviations
 CERT_TOL = 1e-9       # certified-equilibrium acceptance threshold
@@ -46,7 +46,6 @@ STORE_BLOCK_ENTRIES = 1 << 20  # (rows, lattice) entries per block of the store 
 @dataclass(frozen=True, eq=False)
 class PrescriptionSet:
     """Ordered finite menu of prescriptions for one team."""
-    team_id: int
     items: tuple
 
     def __len__(self):
@@ -77,9 +76,8 @@ def build_prescription_set(spec: GameSpec, k: int, g: int = None) -> Prescriptio
     if size > DEFAULT_PRESCRIPTION_CAP:
         raise CapacityError("%s prescription set for team %d has %d items, cap %d"
                             % (kind, k, size, DEFAULT_PRESCRIPTION_CAP))
-    return PrescriptionSet(team_id=k, items=tuple(
-        Prescription(team_id=k, rows=np.stack(combo))
-        for combo in itertools.product(row_menu, repeat=S)))
+    return PrescriptionSet(items=tuple(Prescription(rows=np.stack(combo))
+                                       for combo in itertools.product(row_menu, repeat=S)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,7 +176,7 @@ def _cost_table(spec: GameSpec, k: int, ps: PrescriptionSet, Z, t: int) -> np.nd
     """(P, menu size) own stage cost of team k at the joint points Z, in
     closed form: sum_s z_k(s) sum_a gamma(a|s) c_t(s, a, z)."""
     C = cost_matrix(spec, k, t, np.concatenate(Z, axis=1))
-    return np.einsum("ps,isa,psa->pi", Z[k], ps.rows_stack(), C)
+    return np.einsum("ps,isa,psa->pi", Z[k], _team_rows(spec, k, ps.rows_stack()), C)
 
 
 def _contract(Ws, V) -> np.ndarray:

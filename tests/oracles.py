@@ -137,7 +137,7 @@ def kernel_store_loop(lattice, sets, spec: GameSpec) -> list:
     for k, (ps, tl) in enumerate(zip(sets, lattice.teams)):
         where = {c: i for i, c in enumerate(map(tuple, tl.counts.tolist()))}
         W = np.zeros((len(lattice), len(ps), len(tl)))
-        for p, idx in enumerate(lattice.indices()):
+        for p, idx in enumerate(np.ndindex(lattice.shape)):
             z = mean_field(lattice, idx)
             for i, gamma in enumerate(ps.items):
                 dist = team_kernel_convolution(tl.counts[idx[k]], z, gamma, spec, k)
@@ -613,7 +613,7 @@ def lipschitz_all_pairs(table, spec: GameSpec) -> np.ndarray:
     # sums per-team tables, each computed once per unordered pair
     idx = np.indices(V.shape[2:]).reshape(K, L)
     tables = []
-    for x, tm in zip(table.per_team_points(), spec.teams):
+    for x, tm in zip(table.lattice.points, spec.teams):
         a, b = np.triu_indices(len(x), k=1)
         D = np.zeros((len(x), len(x)))
         D[a, b] = D[b, a] = transport_distance(x[a], x[b], tm.state_metric)

@@ -39,7 +39,7 @@ def _verdict(idx, name, ok, detail, elapsed, budget):
 
 def _lattice_points(spec):
     lattice = JointLattice(spec)
-    return lattice, list(lattice.indices())
+    return lattice, list(np.ndindex(lattice.shape))
 
 
 def test_criterion_01_static_team_nash():
@@ -195,7 +195,7 @@ def test_criterion_09_single_team_reduction(single_team_spec):
     sets = (build_prescription_set(spec, 0),)
     policy, values = solve_mpe(spec, sets)
     lattice = policy.lattice
-    idxs = list(lattice.indices())
+    idxs = list(np.ndindex(lattice.shape))
     init = initial_distribution(spec, lattice)
     dp = float(np.sum(init * values.values[0, 0]))
     items = sets[0].items

@@ -4,8 +4,10 @@ hook the benchmark wraps by name still exists, importing the package
 loads neither the LP solver nor the process pool, and the README's
 library example runs."""
 
+import dataclasses
 import importlib
 import importlib.util
+import inspect
 import os
 import re
 import subprocess
@@ -68,6 +70,22 @@ def test_a_stage_solution_has_one_format():
     assert tf.StageEquilibrium._fields == ("mixed", "epsilon", "weights", "values")
     assert not hasattr(tf.PolicyTable, "equilibrium")
     assert not hasattr(tf.JointLattice, "mean_field")
+
+
+def test_members_without_a_reader_are_gone():
+    """No code of the package read a prescription's team id, the lattice's
+    index iterator or one-point name lookup, the value table's point list,
+    the spec's block offsets, estimate_cost's seed override or the kernel
+    check's dict; they are gone. The kernel check keeps its seed override."""
+    assert [f.name for f in dataclasses.fields(tf.Prescription)] == ["rows"]
+    assert [f.name for f in dataclasses.fields(tf.PrescriptionSet)] == ["items"]
+    assert not hasattr(tf.Prescription(rows=np.ones((1, 1))), "team_id")
+    for owner, name in ((tf.JointLattice, "indices"), (tf.JointLattice, "z_id"),
+                        (tf.ValueTable, "per_team_points"), (tf.GameSpec, "offsets"),
+                        (tf.KernelCheckReport, "as_dict")):
+        assert not hasattr(owner, name), "%s.%s" % (owner.__name__, name)
+    assert "master_seed" not in inspect.signature(tf.estimate_cost).parameters
+    assert "master_seed" in inspect.signature(tf.empirical_kernel_check).parameters
 
 
 def test_only_the_model_reads_the_affine_coefficients():
@@ -165,13 +183,13 @@ def test_benchmark_solver_notes_read_the_solver_results(monkeypatch):
 
 
 def _prescription():
-    return tf.Prescription(team_id=0, rows=np.array([[0.5, 0.5]]))
+    return tf.Prescription(rows=np.array([[0.5, 0.5]]))
 
 
 VALUE_TYPES = {
     "Prescription": _prescription,
     "MeanField": lambda: tf.MeanField(per_team=(np.array([0.5, 0.5]),)),
-    "PrescriptionSet": lambda: tf.PrescriptionSet(team_id=0, items=(_prescription(),)),
+    "PrescriptionSet": lambda: tf.PrescriptionSet(items=(_prescription(),)),
     "StageGame": lambda: tf.StageGame(tensors=(np.zeros((2, 2)), np.ones((2, 2)))),
     "StaticGame": lambda: tf.StaticGame(
         payoffs=(np.zeros((2,)),), team_partition=((0,),), action_labels=(("a", "b"),),

@@ -95,7 +95,7 @@ def test_team_kernel_matches_the_convolution(S, A, N, S2, N2, deterministic, pur
     lattices = [TeamLattice(tm.population, tm.n_states) for tm in spec.teams]
     idx = [int(rng.integers(len(tl))) for tl in lattices]
     z = MeanField(per_team=tuple(tl.z[i] for tl, i in zip(lattices, idx)))
-    gamma = Prescription(team_id=0, rows=_rows(rng, S, A, pure))
+    gamma = Prescription(rows=_rows(rng, S, A, pure))
     check_kernel(spec, 0, lattices[0].counts[idx[0]], z, gamma)
 
 
@@ -107,10 +107,10 @@ def test_team_kernel_edge_sizes(deterministic):
         tl = TeamLattice(N, S)
         for i in range(len(tl)):
             for pure in (True, False):
-                gamma = Prescription(team_id=0, rows=_rows(rng, S, A, pure))
+                gamma = Prescription(rows=_rows(rng, S, A, pure))
                 check_kernel(spec, 0, tl.counts[i], MeanField(per_team=(tl.z[i],)), gamma)
     row = kernel_row(_ring_game([(1, 1, 1)], rng), 0, np.array([1]),
-                     MeanField(per_team=(np.array([1.0]),)), Prescription(0, np.ones((1, 1))))
+                     MeanField(per_team=(np.array([1.0]),)), Prescription(np.ones((1, 1))))
     assert TeamLattice(1, 1).counts.tolist() == [[1]] and list(row) == [1.0]
 
 
@@ -150,7 +150,7 @@ def test_store_and_equilibria_match_the_convolution(name, monkeypatch):
     ref_policy, ref_values = tf.solve_mpe(spec, sets)
     assert isinstance(ref_policy._kernels, LoopStore)
     for t in range(spec.horizon):
-        for idx in policy.lattice.indices():
+        for idx in np.ndindex(policy.lattice.shape):
             a, b = policy.stages[t][idx], ref_policy.stages[t][idx]
             assert a.mixed == b.mixed
             for w in a.dtype.names[2:]:
@@ -160,7 +160,7 @@ def test_store_and_equilibria_match_the_convolution(name, monkeypatch):
 
 def test_kernel_check_rejects_a_wrong_shape_prescription(reference_spec, reference_sets):
     z = MeanField(per_team=(np.array([0.5, 0.5]), np.array([0.5, 0.5])))
-    wrong = Prescription(team_id=1, rows=np.ones((3, 1)))
+    wrong = Prescription(rows=np.ones((3, 1)))
     with pytest.raises(SpecValidationError, match="prescription shape"):
         empirical_kernel_check(reference_spec, z, (reference_sets[0].items[0], wrong),
                                samples=10)

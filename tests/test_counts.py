@@ -53,7 +53,7 @@ def test_count_distribution_rejects_bad_inputs():
 
 
 def test_action_count_dist_hand_literal():
-    gamma = Prescription(team_id=0, rows=np.array([[0.5, 0.5], [1.0, 0.0]]))
+    gamma = Prescription(rows=np.array([[0.5, 0.5], [1.0, 0.0]]))
     dist = action_count_dist(np.array([2, 0]), gamma)
     got = {tuple(map(tuple, mb)): p for mb, p in zip(dist.support, dist.probs)}
     assert got[((2, 0), (0, 0))] == pytest.approx(0.25)
@@ -135,9 +135,9 @@ def test_sample_next_counts_frequencies(reference_spec, reference_sets):
 def test_stage_cost_literal(single_team_spec):
     # congestion weight 1 on own occupancy of the current state, move fee
     # 0.05: at z=(0.5,0.5) with everyone staying the cost is sum_s z(s)^2
-    gamma = Prescription(team_id=0, rows=np.array([[1.0, 0.0], [1.0, 0.0]]))
-    mover = Prescription(team_id=0, rows=np.array([[0.0, 1.0], [0.0, 1.0]]))
-    stay, move = _cost_table(single_team_spec, 0, PrescriptionSet(0, (gamma, mover)),
+    gamma = Prescription(rows=np.array([[1.0, 0.0], [1.0, 0.0]]))
+    mover = Prescription(rows=np.array([[0.0, 1.0], [0.0, 1.0]]))
+    stay, move = _cost_table(single_team_spec, 0, PrescriptionSet((gamma, mover)),
                              [np.array([[0.5, 0.5]])], 0)[0]
     assert stay == pytest.approx(0.5)
     assert move == pytest.approx(0.5 + 0.05)
@@ -188,7 +188,7 @@ REFERENCE = tf.load_spec_file(DATA / "two_team_reference.json")
 def test_kernel_mass_and_mean_property(n0, w):
     rows = np.asarray(w).reshape(2, 2)
     rows = rows / rows.sum(axis=1, keepdims=True)
-    gamma = Prescription(team_id=0, rows=rows)
+    gamma = Prescription(rows=rows)
     m = np.array([n0, 4 - n0])
     z = MeanField(per_team=(m / 4.0, np.array([0.5, 0.5])))
     row = kernel_row(REFERENCE, 0, m, z, gamma)

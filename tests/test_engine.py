@@ -49,7 +49,7 @@ def check_engine_against_oracle(spec):
         def continuation(jc, t=t):
             return V[(t + 1, slice(None)) + tuple(tl.rank(c) for tl, c in zip(lattice.teams, jc))]
 
-        for idx in lattice.indices():
+        for idx in np.ndindex(lattice.shape):
             game = build_stage_game(mean_field(lattice, idx), t,
                                     None if t == T - 1 else continuation, sets, spec)
             eq = solve_stage(game)
@@ -129,7 +129,7 @@ def check_fixed_policy_against_oracle(spec, policy):
             tl.rank(c) for tl, c in zip(lattice.teams, jc))]
 
     for t in range(T - 1, -1, -1):
-        for idx in lattice.indices():
+        for idx in np.ndindex(lattice.shape):
             ws = [policy.stages[t][idx]["w%d" % k] for k in range(K)]
             played, replied = (build_stage_game(mean_field(lattice, idx), t,
                                                 None if t == T - 1 else continuation(X[t + 1]),

@@ -72,7 +72,7 @@ def _check(spec, z, gammas):
 def test_deviation_matches_the_kernel_path(S, A, N, S2, A2, N2, deterministic, pure, seed):
     rng = np.random.default_rng(seed)
     spec = _ring_game([(S, A, N), (S2, A2, N2)], rng, deterministic)
-    gammas = [Prescription(team_id=k, rows=_rows(rng, tm.n_states, tm.n_actions, pure))
+    gammas = [Prescription(rows=_rows(rng, tm.n_states, tm.n_actions, pure))
               for k, tm in enumerate(spec.teams)]
     _check(spec, _random_point(spec, rng), gammas)
 
@@ -91,7 +91,7 @@ def test_deviation_edge_sizes(deterministic):
                          horizon=spec.horizon, seed=spec.seed)
         for sp in (spec, lined):
             for pure in (True, False):
-                gammas = [Prescription(team_id=k, rows=_rows(rng, tm.n_states,
+                gammas = [Prescription(rows=_rows(rng, tm.n_states,
                                                              tm.n_actions, pure))
                           for k, tm in enumerate(sp.teams)]
                 _check(sp, _random_point(sp, rng), gammas)
@@ -138,7 +138,7 @@ def test_deviation_input_checks(reference_spec):
         kappa_envelope(spec, z, profiles, [4])
     with pytest.raises(SpecValidationError, match="one menu per team"):
         per_team_deviation(z, menus[0][:1], spec)
-    wide = Prescription(team_id=1, rows=np.full((2, 3), 1 / 3))
+    wide = Prescription(rows=np.full((2, 3), 1 / 3))
     with pytest.raises(SpecValidationError, match="prescription shape"):
         per_team_deviation(z, [menus[0][0], wide], spec)
     with pytest.raises(SpecValidationError, match="prescription shape"):

@@ -132,7 +132,7 @@ def test_one_pass_forms_each_stage_operand_once(monkeypatch, game):
 
 
 def _reversed(sets):
-    return tuple(tf.PrescriptionSet(team_id=ps.team_id, items=ps.items[::-1]) for ps in sets)
+    return tuple(tf.PrescriptionSet(items=ps.items[::-1]) for ps in sets)
 
 
 def _by_hand(policy):
@@ -195,11 +195,24 @@ def test_a_store_of_the_same_items_is_shared(reference_spec, reference_sets,
     policy, _ = reference_solution
     solved = policy._kernels
     same = tf.PolicyTable(stages=policy.stages, lattice=policy.lattice, sets=tuple(
-        tf.PrescriptionSet(team_id=ps.team_id, items=ps.items) for ps in reference_sets))
+        tf.PrescriptionSet(items=ps.items) for ps in reference_sets))
     for reader in STORE_READERS.values():
         assert np.array_equal(reader(reference_spec, policy), reader(reference_spec, same))
         assert policy._kernels is solved
     assert same._kernels not in (None, solved)
+
+
+@pytest.mark.parametrize("horizon", [1, 2])
+@pytest.mark.parametrize("solve", [tf.solve_mpe, tf.solve_mpe_inf])
+def test_a_menu_of_another_shape_is_refused(solve, horizon):
+    """A menu's rows are checked against the team's shape where the cost
+    table, the kernel store and the flow read them, so neither solver
+    leaves a wrong shape to numpy at any horizon."""
+    spec = tf.load_spec(json.dumps(identity_dynamics_spec(horizon=horizon)))
+    menu = tf.PrescriptionSet(items=(tf.Prescription(rows=np.full((2, 2), 0.5)),))
+    with pytest.raises(tf.SpecValidationError,
+                       match=r"prescription shape \(2, 2\) does not match team 0"):
+        solve(spec, (menu,))
 
 
 def test_single_team_dp_matches_brute_force(single_team_spec):

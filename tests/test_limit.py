@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import teamfield as tf
-from teamfield import stage_game
+from teamfield import model, stage_game
 from teamfield.counts import MeanField, Prescription, TeamLattice
 from teamfield.errors import CapacityError, SpecValidationError
 from teamfield.limit import (SimplexGrid, default_grid, project_indices, rollout_inf,
@@ -19,7 +19,7 @@ from oracles import mean_field, stage_cost
 def test_flow_literal():
     spec = tf.load_spec(json.dumps(minimal_team(
         p_rows=((0.7, 0.3), (0.7, 0.3)))))
-    gamma = Prescription(team_id=0, rows=np.array([[1.0], [1.0]]))
+    gamma = Prescription(rows=np.array([[1.0], [1.0]]))
     z = MeanField(per_team=(np.array([0.5, 0.5]),))
     out = tf.flow(z, (gamma,), spec)
     assert np.allclose(out.per_team[0], [0.7, 0.3], atol=1e-15)
@@ -34,6 +34,48 @@ def test_flow_is_kernel_mean(reference_spec, reference_sets):
         row = kernel_row(reference_spec, k, m, z, gammas[k])
         mean = row @ TeamLattice(2, 2).counts
         assert np.allclose(mean / 2.0, q.per_team[k], atol=1e-12)
+
+
+def test_mean_field_and_flatten_mean_field_share_the_simplex_tolerance():
+    """Both accept and refuse the same vectors, so flow accepts its own
+    output: under identity dynamics it returns z, here 5e-10 off the simplex."""
+    spec = tf.load_spec(json.dumps(identity_dynamics_spec()))
+    tol = model.SIMPLEX_TOL
+    for v, ok in (([-5e-10, 1 + 5e-10], True), ([0.5, 0.5 + 0.5 * tol], True),
+                  ([-2 * tol, 1 + 2 * tol], False), ([0.5, 0.5 + 2 * tol], False),
+                  ([-0.5, 1.5], False)):
+        for check in (lambda: MeanField(per_team=(np.array(v),)),
+                      lambda: model.flatten_mean_field(spec, (np.array(v),))):
+            if ok:
+                check()
+            else:
+                with pytest.raises(SpecValidationError):
+                    check()
+    gamma = tf.build_prescription_set(spec, 0).items[0]
+    z = (np.array([-5e-10, 1 + 5e-10]),)
+    np.testing.assert_allclose(tf.flow(z, (gamma,), spec).per_team[0], z[0], rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("step", [
+    lambda spec, z, profile: tf.flow(z, profile, spec),
+    lambda spec, z, profile: tf.empirical_kernel_check(spec, z, profile, samples=10),
+], ids=["flow", "kernel_check"])
+def test_a_profile_is_one_prescription_of_its_team_shape_per_team(step, reference_spec,
+                                                                   reference_sets):
+    """Raw rows, too few or too many prescriptions and a wrong shape are
+    refused, not normalized, dropped or left to numpy."""
+    z = MeanField(per_team=(np.array([0.5, 0.5]), np.array([1.0, 0.0])))
+    g0, g1 = reference_sets[0].items[0], reference_sets[1].items[1]
+    step(reference_spec, z, (g0, g1))
+    for profile, message in (
+            ((g0,), "profile has 1 prescriptions, spec has 2 teams"),
+            ((g0, g1, g1), "profile has 3 prescriptions, spec has 2 teams"),
+            ((g0, np.array([[3.0, 0.0], [0.0, -1.0]])), "holds a ndarray, not a Prescription"),
+            ((g0.rows, g1), "holds a ndarray, not a Prescription"),
+            ((g0, Prescription(rows=np.full((2, 3), 1 / 3))),
+             r"prescription shape \(2, 3\) does not match team 1")):
+        with pytest.raises(SpecValidationError, match=message):
+            step(reference_spec, z, profile)
 
 
 def test_limit_stage_cost_identity(reference_spec, reference_sets):
@@ -91,7 +133,7 @@ def test_default_grid_embeds_counts(reference_spec, reference_sets):
     grid = default_grid(reference_spec)
     from teamfield.finite_mpe import JointLattice
     lattice = JointLattice(reference_spec)
-    for idx in lattice.indices():
+    for idx in np.ndindex(lattice.shape):
         z = mean_field(lattice, idx)
         _, err = project_indices(z, grid)
         assert err == 0.0
@@ -103,7 +145,7 @@ def test_solve_mpe_inf_certifies_stagewise(reference_spec, reference_sets):
     assert not policy.mixed_points
     # every stored stage equilibrium carries a certified epsilon
     for t in range(policy.horizon):
-        for idx in policy.lattice.indices():
+        for idx in np.ndindex(policy.lattice.shape):
             assert policy.stages[t][idx].epsilon <= 1e-9
     assert log.max_error[-1] == 0.0       # terminal stage projects nothing
 
@@ -232,7 +274,7 @@ def test_limit_values_approach_finite_values(reference_spec, reference_sets,
         lpolicy, lvalues, _ = solve_mpe_inf(spn, sets)
         lattice = policy.lattice
         worst = 0.0
-        for idx in lattice.indices():
+        for idx in np.ndindex(lattice.shape):
             z = mean_field(lattice, idx)
             gidx, err = project_indices(z, lpolicy.lattice)
             assert err == 0.0

@@ -259,7 +259,8 @@ def test_lipschitz_is_the_max_over_all_pairs(monkeypatch, reference_spec):
     spikes = np.zeros((len(pairs), 1, n))
     for t, (a, b) in enumerate(pairs):
         spikes[t, 0, a], spikes[t, 0, b] = 1.0, -1.0
-    vertices = types.SimpleNamespace(values=spikes, per_team_points=lambda: [np.eye(n)])
+    vertices = types.SimpleNamespace(values=spikes,
+                                     lattice=types.SimpleNamespace(points=[np.eye(n)]))
     unit = types.SimpleNamespace(teams=[types.SimpleNamespace(state_metric=1.0 - np.eye(n))])
     assert np.array_equal(estimate_lipschitz(vertices, unit), np.full((1, len(pairs)), 2.0))
 
@@ -315,7 +316,7 @@ def test_lipschitz_one_team_moves_reach_the_all_pairs_max(grids, seed, scale, ti
         V = np.broadcast_to(V * 10.0 ** scale, (2, K) + shape)
     else:
         V = rng.standard_normal((2, K) + shape) * 10.0 ** scale
-    table = types.SimpleNamespace(values=V, per_team_points=lambda: pts)
+    table = types.SimpleNamespace(values=V, lattice=types.SimpleNamespace(points=pts))
     spec = types.SimpleNamespace(teams=teams)
     got = estimate_lipschitz(table, spec)
     full = lipschitz_all_pairs(table, spec)
@@ -335,7 +336,7 @@ def test_lipschitz_above_the_pair_cap_is_refused(reference_spec):
 def test_lipschitz_of_a_one_point_table_is_zero(reference_spec):
     """One point makes no pair, so the largest difference quotient is 0."""
     table = types.SimpleNamespace(values=np.full((3, 2, 1, 1), 7.0),
-                                  per_team_points=lambda: [np.array([[1.0]])] * 2)
+                                  lattice=types.SimpleNamespace(points=[np.array([[1.0]])] * 2))
     out = estimate_lipschitz(table, reference_spec)
     assert out.shape == (2, 3)
     assert np.all(out == 0.0)

@@ -42,12 +42,11 @@ def _lattices(spec):
 def test_names_equal_the_per_point_formatting(game):
     spec = tf.load_spec(GAMES[game]())
     for lattice in _lattices(spec):
-        idxs = list(lattice.indices())
+        idxs = list(np.ndindex(lattice.shape))
         grid = isinstance(lattice, SimplexGrid)
         expect = [(point_id_oracle if grid else z_id_oracle)(lattice, idx) for idx in idxs]
         assert len(expect) == len(lattice)
         assert lattice.ids == expect
-        assert [lattice.z_id(idx) for idx in idxs] == expect
         assert lattice.record_z == [
             json.dumps(record_z_oracle(lattice, idx), indent=2).replace("\n", "\n      ")
             for idx in idxs]
@@ -66,7 +65,7 @@ def test_simplex_grid_is_the_count_lattice_in_ascending_order(game):
             old = np.array(sorted(enumerate_counts(n, tm.n_states)), dtype=float) / n
             assert grid.points[k].tobytes() == old.tobytes()
         assert [z.tobytes() for z in grid.z] == [
-            np.stack([grid.points[k][idx[k]] for idx in grid.indices()]).tobytes()
+            np.stack([grid.points[k][idx[k]] for idx in np.ndindex(grid.shape)]).tobytes()
             for k in range(spec.n_teams)]
 
 
@@ -95,7 +94,7 @@ def test_grid_g_certificate_names_every_point(tmp_path):
     lattice = JointLattice(tf.load_spec_file(REFERENCE))
     assert [tuple(r.split(",")[:3]) for r in rows] == [
         (str(t), z_id_oracle(lattice, idx), str(k))
-        for t in range(2) for idx in lattice.indices() for k in range(2)]
+        for t in range(2) for idx in np.ndindex(lattice.shape) for k in range(2)]
 
 
 def test_certificate_csv_keeps_its_text(tmp_path):
@@ -116,7 +115,7 @@ def test_certificate_csv_keeps_its_text(tmp_path):
     gains = tf.verify_mpe(spec, policy).gains
     assert [line.rsplit(",", 1)[1] for line in lines[2:]] == [
         repr(float(gains[(t, k) + idx])) for t in (0, 1)
-        for idx in policy.lattice.indices() for k in (0, 1)]
+        for idx in np.ndindex(policy.lattice.shape) for k in (0, 1)]
 
 
 @pytest.mark.parametrize("mode, where", [

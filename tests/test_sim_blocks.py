@@ -17,6 +17,7 @@ per-point values the per-episode process computes.
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -55,7 +56,7 @@ def check_batched(spec, episodes, workers=(1, 2)):
     lifted = _solved_lift(spec)
     expect = _per_episode(spec, lifted, episodes)
     for w in workers:
-        res = estimate_cost(spec, lifted, episodes, master_seed=SEED, workers=w,
+        res = estimate_cost(replace(spec, seed=SEED), lifted, episodes, workers=w,
                             keep_episodes=True)
         assert np.array_equal(res.per_episode, expect), "workers=%d" % w
     return lifted
@@ -137,7 +138,7 @@ def _one_state_one_action_one_agent():
 def test_batched_costs_with_one_state_one_action_one_agent():
     spec = _one_state_one_action_one_agent()
     check_batched(spec, 5)
-    res = estimate_cost(spec, _solved_lift(spec), 5, master_seed=SEED, keep_episodes=True)
+    res = estimate_cost(replace(spec, seed=SEED), _solved_lift(spec), 5, keep_episodes=True)
     assert np.all(res.per_episode == 0.5)
 
 
@@ -164,7 +165,7 @@ def check_episode_tables(spec):
     lifted = _solved_lift(spec)
     tab = simulate._episode_tables(spec, lifted)
     lattice = lifted.table.lattice
-    for p, idx in enumerate(lattice.indices()):
+    for p, idx in enumerate(np.ndindex(lattice.shape)):
         zf = flatten_mean_field(spec, mean_field(lattice, idx))
         for k in range(spec.n_teams):
             assert (_bits(tab.transition_cdf[k][p])
@@ -231,7 +232,7 @@ def test_episodes_across_block_boundaries(monkeypatch):
         monkeypatch.setattr(simulate, "BLOCK_BYTES", 8 * draws * per_block)
         for w in (1, 2):
             sizes.clear()
-            res = estimate_cost(spec, lifted, 23, master_seed=SEED, workers=w,
+            res = estimate_cost(replace(spec, seed=SEED), lifted, 23, workers=w,
                                 keep_episodes=True)
             assert np.array_equal(res.per_episode, expect), (per_block, w)
             if w == 1:
@@ -255,7 +256,7 @@ def test_block_uniforms_stay_within_the_byte_budget(monkeypatch):
     for budget in (simulate.BLOCK_BYTES, 8 * draws - 1):
         monkeypatch.setattr(simulate, "BLOCK_BYTES", budget)
         sizes.clear()
-        res = estimate_cost(spec, lifted, 13, master_seed=SEED, keep_episodes=True)
+        res = estimate_cost(replace(spec, seed=SEED), lifted, 13, keep_episodes=True)
         assert np.all(res.per_episode == 5.0)
         assert sum(sizes) == 13
         assert all(8 * draws * b <= budget or b == 1 for b in sizes), (budget, sizes)
@@ -376,10 +377,10 @@ def test_kernel_check_memory_does_not_grow_with_samples(reference_spec, referenc
 def test_estimate_cost_memory_is_its_output_and_one_block(reference_spec):
     """Beyond the (episodes, K) cost array, 20,000 episodes of the
     reference game at N=8 hold at most 8 budgets."""
-    spec = tf.with_populations(reference_spec, 8)
+    spec = replace(tf.with_populations(reference_spec, 8), seed=SEED)
     lifted = _solved_lift(spec)
     episodes = 20000
-    peak = _traced_peak(lambda: estimate_cost(spec, lifted, episodes, master_seed=SEED))
+    peak = _traced_peak(lambda: estimate_cost(spec, lifted, episodes))
     assert peak - 8 * episodes * spec.n_teams <= 8 * simulate.BLOCK_BYTES, peak
 
 

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ def _fixed_policy():
 def _constant_table_policy(spec, rows=FIXED_ROWS):
     """Lifted table policy playing the fixed per-team ``rows`` at every
     (stage, lattice point): a one-item menu per team, pure index 0."""
-    sets = tuple(PrescriptionSet(team_id=k, items=(tf.Prescription(team_id=k, rows=r),))
+    sets = tuple(PrescriptionSet(items=(tf.Prescription(rows=r),))
                  for k, r in enumerate(rows))
     lattice = tf.JointLattice(spec)
     st = np.ones(lattice.shape, dtype=[("mixed", bool), ("epsilon", float)]
@@ -45,26 +46,25 @@ def _constant_table_policy(spec, rows=FIXED_ROWS):
 
 def test_estimate_cost_reproducible(reference_spec):
     pol = _constant_table_policy(reference_spec)
-    a = estimate_cost(reference_spec, pol, episodes=20, master_seed=42,
+    a = estimate_cost(replace(reference_spec, seed=42), pol, episodes=20,
                       keep_episodes=True)
-    b = estimate_cost(reference_spec, pol, episodes=20, master_seed=42,
+    b = estimate_cost(replace(reference_spec, seed=42), pol, episodes=20,
                       keep_episodes=True)
     assert np.array_equal(a.per_episode, b.per_episode)
     assert np.array_equal(a.mean, b.mean)
-    c = estimate_cost(reference_spec, pol, episodes=20, master_seed=43)
+    c = estimate_cost(replace(reference_spec, seed=43), pol, episodes=20)
     assert not np.array_equal(a.mean, c.mean)
-    # omitting the seed falls back to the document seed
+    # the draws come from the seed, not from the spec object
     d = estimate_cost(reference_spec, pol, episodes=5)
-    e = estimate_cost(reference_spec, pol, episodes=5,
-                      master_seed=reference_spec.seed)
+    e = estimate_cost(replace(reference_spec, seed=reference_spec.seed), pol, episodes=5)
     assert np.array_equal(d.mean, e.mean)
 
 
 def test_worker_count_does_not_change_results(reference_spec):
     pol = _constant_table_policy(reference_spec)
-    serial = estimate_cost(reference_spec, pol, episodes=12, master_seed=7,
+    serial = estimate_cost(replace(reference_spec, seed=7), pol, episodes=12,
                            keep_episodes=True)
-    parallel = estimate_cost(reference_spec, pol, episodes=12, master_seed=7,
+    parallel = estimate_cost(replace(reference_spec, seed=7), pol, episodes=12,
                              workers=3, keep_episodes=True)
     assert np.array_equal(serial.per_episode, parallel.per_episode)
     assert np.array_equal(serial.stderr, parallel.stderr)
@@ -75,7 +75,7 @@ def test_constant_cost_instance_is_exact():
                                                           horizon=2,
                                                           cost=1.0)))
     pol = _constant_table_policy(spec, [np.ones((2, 1))])
-    res = estimate_cost(spec, pol, episodes=40, master_seed=1,
+    res = estimate_cost(replace(spec, seed=1), pol, episodes=40,
                         keep_episodes=True)
     assert np.all(res.per_episode == 2.0)
     assert res.mean[0] == 2.0
@@ -104,7 +104,7 @@ def test_lifted_policy_reads_correct_lattice_cell(reference_spec,
     policy, _ = reference_solution
     lifted = lift_policy(policy)
     lattice = policy.lattice
-    for idx in lattice.indices():
+    for idx in np.ndindex(lattice.shape):
         M = tuple(np.array(c) for c in counts_at(lattice, idx))
         rows = lifted.realize(0, M, substream(0))
         rec = policy.stages[0][idx]
@@ -151,8 +151,8 @@ def test_policy_row_shape_is_validated(reference_spec):
 def test_stderr_shrinks_like_sqrt_episodes(reference_spec, reference_solution):
     policy, _ = reference_solution
     lifted = lift_policy(policy)
-    small = estimate_cost(reference_spec, lifted, episodes=400, master_seed=2)
-    large = estimate_cost(reference_spec, lifted, episodes=1600, master_seed=2)
+    small = estimate_cost(replace(reference_spec, seed=2), lifted, episodes=400)
+    large = estimate_cost(replace(reference_spec, seed=2), lifted, episodes=1600)
     for k in range(2):
         ratio = large.stderr[k] / small.stderr[k]
         assert 0.4 <= ratio <= 0.6
@@ -165,7 +165,7 @@ def test_mixed_policy_randomizes():
     assert policy.mixed_points
     lifted = lift_policy(policy)
     assert lifted.randomized
-    res = estimate_cost(spec, lifted, episodes=600, master_seed=12)
+    res = estimate_cost(replace(spec, seed=12), lifted, episodes=600)
     assert res.randomized_policy
     for k in range(2):
         assert abs(res.mean[k] - 0.5) <= 4 * res.stderr[k] + 1e-9
@@ -191,13 +191,13 @@ def test_a_lifted_policy_is_randomized_exactly_when_its_table_has_a_mixed_point(
 
 def test_per_episode_rows(reference_spec):
     pol = _constant_table_policy(reference_spec)
-    res = estimate_cost(reference_spec, pol, episodes=3, master_seed=0,
+    res = estimate_cost(replace(reference_spec, seed=0), pol, episodes=3,
                         keep_episodes=True)
     rows = res.csv_rows()
     assert len(rows) == 6
     assert rows[0][0] == 0 and rows[1][1] == 1
     assert rows[2] == (1, 0, repr(float(res.per_episode[1, 0])))
-    bare = estimate_cost(reference_spec, pol, episodes=3, master_seed=0)
+    bare = estimate_cost(replace(reference_spec, seed=0), pol, episodes=3)
     with pytest.raises(SpecValidationError):
         bare.csv_rows()
     with pytest.raises(SpecValidationError):
@@ -217,7 +217,7 @@ def test_kernel_check_deterministic_dynamics():
     assert rep.tv_distance == 0.0
     assert rep.confidence_radius == 0.0
     assert rep.support_size == 1
-    assert rep.as_dict()["samples"] == 200
+    assert rep.samples == 200
 
 
 @pytest.mark.parametrize("samples", [0, -5])
@@ -247,8 +247,8 @@ def test_integer_types_are_counts(reference_spec, reference_sets):
     rep = empirical_kernel_check(reference_spec, z, gammas, samples=np.int64(30), master_seed=0)
     assert rep == empirical_kernel_check(reference_spec, z, gammas, samples=30, master_seed=0)
     assert type(rep.samples) is int
-    res = estimate_cost(reference_spec, _constant_table_policy(reference_spec),
-                        episodes=np.uint8(3), master_seed=0, keep_episodes=True)
+    res = estimate_cost(replace(reference_spec, seed=0), _constant_table_policy(reference_spec),
+                        episodes=np.uint8(3), keep_episodes=True)
     assert res.episodes == 3 and res.per_episode.shape == (3, 2)
     with pytest.raises(SpecValidationError, match="at least one episode"):
         estimate_cost(reference_spec, _constant_table_policy(reference_spec),
