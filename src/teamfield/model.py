@@ -302,6 +302,15 @@ def _floats(value, where: str) -> np.ndarray:
         raise SpecParseError("%s must be an array of numbers (%s)" % (where, exc)) from None
 
 
+def _labels(values, where: str) -> tuple:
+    """``values`` as string labels; SpecParseError naming ``where`` if one repeats."""
+    labels = tuple(str(x) for x in values)
+    repeated = [x for i, x in enumerate(labels) if x in labels[:i]]
+    if repeated:
+        raise SpecParseError("%s repeats the label %r" % (where, repeated[0]))
+    return labels
+
+
 def _dense_coupling(records, shape, n_states_per_team, offsets, where, timed):
     """Expand sparse coupling records into the dense array."""
     if not isinstance(records, list):
@@ -371,8 +380,8 @@ def load_spec(document) -> GameSpec:
     teams = []
     for i, td in enumerate(team_docs):
         try:
-            states = list(td["states"])
-            actions = list(td["actions"])
+            states = _labels(td["states"], "team %d: 'states'" % i)
+            actions = _labels(td["actions"], "team %d: 'actions'" % i)
             population = td["population"]
             initial_law = _floats(td["initial_law"], "team %d: 'initial_law'" % i)
             trans = td["transition"]

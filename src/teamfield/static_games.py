@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import SpecParseError, SpecValidationError
-from .model import _count, _floats
+from .model import _count, _floats, _labels
 
 PAYOFF_TOL = 1e-12
 
@@ -143,7 +143,8 @@ def load_static_game(document) -> StaticGame:
     for i, p in enumerate(players):
         if not isinstance(p, dict) or not isinstance(p.get("actions"), list):
             raise SpecParseError("player %d must be an object with an 'actions' list" % i)
-    labels = tuple(tuple(str(a) for a in p["actions"]) for p in players)
+    labels = tuple(_labels(p["actions"], "player %d: 'actions'" % i)
+                   for i, p in enumerate(players))
     names = tuple(str(p.get("name", "player %d" % i))
                   for i, p in enumerate(players))
     tensors = tuple(_floats(t, "player %d: payoffs" % i) for i, t in enumerate(payoffs))

@@ -107,6 +107,14 @@ MALFORMED = {     # mode, document, words the message names
                        ("team 0", "player indices")),
     "team-index-true": ("static-tne", (STATIC, ["teams", 0], [0, True]),
                         ("team 0", "player indices")),
+    "states-repeated": ("validate", (GAME, ["teams", 1, "states"], ["L0", "L0"]),
+                        ("team 1", "'states'", "'L0'")),
+    "actions-repeated": ("validate", (GAME, ["teams", 0, "actions"], ["stay", "stay"]),
+                         ("team 0", "'actions'", "'stay'")),
+    "actions-repeated-as-text": ("validate", (GAME, ["teams", 0, "actions"], [1, "1"]),
+                                 ("team 0", "'actions'", "'1'")),
+    "player-actions-repeated": ("static-tne", (STATIC, ["players", 0, "actions"], ["a", "a"]),
+                                ("player 0", "'actions'", "'a'")),
 }
 
 

@@ -140,19 +140,23 @@ def test_mixed_nash_lists_no_candidates_up_front():
     """n x n games (n = 12, 40, 64, 150) whose only equilibrium is
     matching pennies on items 0-1, every other item strictly dominated:
     each is found without a list of all support pairs or of their
-    dominance masks. At n = 64 one level holds 2,016 row supports, whose
-    dominance table alone would take 16 MiB unblocked; at n = 150 a
-    pairwise table over all columns at every row (n^3 booleans) alone
-    would take 3.2 MiB per team."""
-    for n in (12, 40, 64, 150):
+    dominance masks. With shift 0 every dominated item is a copy of item
+    2, so the scan runs over 3 x 3 first items; with shift 1e-3 item i of
+    each team costs 1e-3 i more, so every item is distinct and the scan
+    walks every row support of size 1 and 2 before the level of the
+    equilibrium. At n = 150 a pairwise table over all columns at every
+    row (n^3 booleans) alone would take 3.2 MiB per team."""
+    for shift, n in itertools.product((0.0, 1e-3), (12, 40, 64, 150)):
         A = np.full((n, n), 2.0)
         A[:, :2] = 3.0
         A[:2, :] = 0.5
         A[:2, :2] = [[0.0, 1.0], [1.0, 0.0]]
+        A[2:] += shift * np.arange(2, n)[:, None]
         B = np.full((n, n), 2.0)
         B[:2, :] = 3.0
         B[:, :2] = 0.5
         B[:2, :2] = [[1.0, 0.0], [0.0, 1.0]]
+        B[:, 2:] += shift * np.arange(2, n)
         g = game2(A, B)
         tracemalloc.start()
         try:
@@ -163,7 +167,7 @@ def test_mixed_nash_lists_no_candidates_up_front():
         assert eq.mixed and eq.epsilon <= 1e-9
         for v in eq.weights:
             np.testing.assert_allclose(v, [0.5, 0.5] + [0.0] * (n - 2), atol=1e-9)
-        assert peak < 5 * 2 ** 20, (n, peak)
+        assert peak < 5 * 2 ** 20, (shift, n, peak)
 
 
 def test_br_iteration_common_interest():

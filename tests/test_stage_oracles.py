@@ -1,9 +1,10 @@
 """The stage-game solvers against their slow exact forms.
 
-Support enumeration skips conditionally dominated support pairs and the
-x solves of row supports beaten against their y; it must return what the
-unpruned scan returns. Own-cost vectors are contracted without
-``np.tensordot``; they must be what its chain gives, and the certificate
+Support enumeration scans supports of first items only (copies
+collapse), skips conditionally dominated support pairs and the x solves
+of row supports beaten against their y; it must return what the
+unpruned scan over every item returns. Own-cost vectors are contracted
+without ``np.tensordot``; they must be what its chain gives, and the certificate
 read at their argmins what it gives at their minima. The continuation
 contraction reuses one einsum path per operand shapes; it must be what
 ``np.einsum(..., optimize=True)`` gives. Fictitious
@@ -97,19 +98,20 @@ def test_pruned_support_enumeration_matches_the_full_scan(n1, n2, kind, seed):
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(st.integers(1, 9), st.integers(1, 9), st.sampled_from(PAYOFFS),
-       st.sampled_from([1, 7, 40, 300]), st.integers(0, 2 ** 32 - 1))
-def test_support_enumeration_in_small_blocks_matches_the_full_scan(n1, n2, kind, budget, seed):
-    """With a block budget of a few entries every level splits into many
-    blocks of supports and pairs (a budget of 1 leaves one support per
-    block, larger ones also cut a level's pair table into blocks of row
-    supports); the kept pairs must still be visited in the full scan's
-    order, so the result is bitwise the unpruned scan's."""
+@given(st.integers(1, 9), st.integers(1, 9), st.integers(1, 4), st.integers(1, 4),
+       st.sampled_from(PAYOFFS), st.integers(0, 2 ** 32 - 1))
+def test_support_enumeration_over_copied_items_matches_the_full_scan(n1, n2, d1, d2, kind,
+                                                                      seed):
+    """Both tensors repeat the items of a game of at most d1 x d2 items
+    through one shared row map and one shared column map, so most items
+    are copies to both teams. Supports of first items only are scanned;
+    the result must be bitwise the unpruned scan's over every item."""
     rng = np.random.default_rng(seed)
-    game = _game([_payoffs(rng, kind, (n1, n2)) for _ in range(2)])
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(stage_game, "STORE_BLOCK_ENTRIES", budget)
-        eq = _solve_or_error(mixed_nash_2team, game)
+    base = [_payoffs(rng, kind, (min(d1, n1), min(d2, n2))) for _ in range(2)]
+    block = np.ix_(rng.integers(0, len(base[0]), size=n1),
+                   rng.integers(0, base[0].shape[1], size=n2))
+    game = _game([X[block] for X in base])
+    eq = _solve_or_error(mixed_nash_2team, game)
     ref = _solve_or_error(mixed_nash_2team_unpruned, game)
     assert (eq is None) == (ref is None)
     if ref is not None:
