@@ -302,6 +302,9 @@ def _parse_sweep(text):
         raise argparse.ArgumentTypeError("sweep must be comma-separated integers")
     if not values or any(v < 1 for v in values):
         raise argparse.ArgumentTypeError("sweep populations must be >= 1")
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            raise argparse.ArgumentTypeError("sweep population %d is listed twice" % v)
     return values
 
 

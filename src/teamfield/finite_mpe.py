@@ -29,11 +29,11 @@ serve the limit solver too, over a ``SimplexGrid`` (a ``JointLattice``).
 the initial count law. ``solve_mpe`` runs the backward driver
 ``stage_game._backward`` that ``limit.solve_mpe_inf`` also runs; its
 continuation contracts the store's kernel stacks against the next
-values (``_contract``), the limit's gathers them at projected flow
-images. The driver finds the pure stage equilibria of a stage in one
-pass; only the stage games without one are solved point by point. A
-solved or projected policy keeps its ``KernelCache``, which every reader
-of it takes (``_store``).
+values by batched matmuls (``_contract``, which ``_evaluate`` runs too),
+the limit's gathers them at projected flow images. The driver finds the
+pure stage equilibria of a stage in one pass; only the stage games
+without one are solved point by point. A solved or projected policy
+keeps its ``KernelCache``, which every reader of it takes (``_store``).
 """
 
 from __future__ import annotations

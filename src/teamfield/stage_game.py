@@ -186,29 +186,25 @@ def _contract(Ws, V) -> np.ndarray:
     Raw kernel stacks give the continuation part of the stage tensors;
     kernels averaged under a policy's mixtures (m_k = 1) give its expected
     next value; averaging every team but one gives that team's
-    best-response step."""
-    operands = _contract_operands(Ws, V)
-    path = _contract_path(tuple(W.shape for W in Ws), V.shape)
-    return np.einsum(*operands, optimize=path)
-
-
-def _contract_operands(Ws, V) -> list:
-    """np.einsum's sublist operands of ``_contract``."""
-    K = len(Ws)
-    operands = []
-    for k, W in enumerate(Ws):
-        operands += [W, [2 * K, k, K + k]]
-    return operands + [V, [Ellipsis] + list(range(K, 2 * K)), [Ellipsis, 2 * K] + list(range(K))]
-
-
-@functools.lru_cache
-def _contract_path(w_shapes, v_shape) -> tuple:
-    """The contraction order that np.einsum(..., optimize=True) searches
-    for ``_contract`` at these operand shapes (its greedy search), found
-    once per shape; zero-stride placeholders stand in for the operands.
-    A tuple, so no caller can change the cached path."""
-    ops = [np.broadcast_to(0.0, s) for s in w_shapes + (v_shape,)]
-    return tuple(np.einsum_path(*_contract_operands(ops[:-1], ops[-1]), optimize="greedy")[0])
+    best-response step. One np.matmul per team, the last first, with the
+    points on a batch axis: a point's bits do not depend on the other
+    points, which run in blocks of about STORE_BLOCK_ENTRIES entries."""
+    K, P = len(Ws), len(Ws[0])
+    lead, Ls, menus = V.shape[:-K], V.shape[-K:], tuple(W.shape[1] for W in Ws)
+    step = max(1, STORE_BLOCK_ENTRIES // math.prod(lead) // max(
+        math.prod(Ls[:k] + menus[k:]) for k in range(K)))
+    out = np.empty((math.prod(lead), P, math.prod(menus))) if step < P else None
+    for lo in range(0, P, step):
+        X = np.matmul(V.reshape(-1, 1, math.prod(Ls[:-1]), Ls[-1]),
+                      Ws[-1][lo:lo + step].transpose(0, 2, 1))
+        for k in range(K - 2, -1, -1):     # onto the (L_k, m_>k) matrix of each (p, n_<k)
+            X = np.matmul(Ws[k][lo:lo + step, None],
+                          X.reshape(X.shape[:2] + (-1, Ls[k], X.shape[-1])))
+            X = X.reshape(X.shape[:3] + (-1,))
+        if out is None:
+            return X.reshape(lead + (P,) + menus)
+        out[:, lo:lo + step] = X.reshape(len(X), -1, out.shape[-1])
+    return out.reshape(lead + (P,) + menus)
 
 
 def _on_axis(a, k: int, K: int) -> np.ndarray:

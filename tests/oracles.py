@@ -7,8 +7,10 @@ of the kernel check and its whole-array form (checked against the
 chunked one), the per-point stage game (checked against the
 batched engine), the profile-by-profile pure check, the unpruned support
 enumeration and the re-certifying fictitious play (checked against the
-stage solvers), the forward propagation of the count law (checked
-against ``evaluate_total_cost``), the separate stage loops of the
+stage solvers), the continuation contraction as one searched einsum
+(checked against the team-by-team matmuls within a tolerance), the
+forward propagation of the count law (checked against
+``evaluate_total_cost``), the separate stage loops of the
 policy's values and of one team's best reply (checked bitwise against
 the shared backward pass of ``finite_mpe``), the summed deviation of a
 profile (``expected_deviation``, from ``metrics.per_team_deviation``),
@@ -482,6 +484,17 @@ def own_cost_vector_tensordot(tensor: np.ndarray, weights, k: int) -> np.ndarray
         if j != k:
             X = np.tensordot(X, weights[j], axes=(j, 0))
     return X
+
+
+def contract_einsum(Ws, V) -> np.ndarray:
+    """``stage_game._contract`` as one ``np.einsum`` over every operand,
+    its contraction order searched by ``optimize=True``."""
+    K = len(Ws)
+    operands = []
+    for k, W in enumerate(Ws):
+        operands += [W, [2 * K, k, K + k]]
+    operands += [V, [Ellipsis] + list(range(K, 2 * K)), [Ellipsis, 2 * K] + list(range(K))]
+    return np.einsum(*operands, optimize=True)
 
 
 def certify_epsilon_tensordot(game: StageGame, weights):

@@ -141,6 +141,17 @@ def test_out_is_required_for_solve(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("sweep", ["4,4", "2,4,2"])
+def test_repeated_sweep_population_exits_2(tmp_path, capsys, sweep):
+    """A population listed twice would be solved twice and give two equal
+    bound rows; it is refused before any work, naming the population."""
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", "--spec", str(REFERENCE), "--n-sweep", sweep, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "sweep population %s is listed twice" % sweep.split(",")[0] in capsys.readouterr().err
+    assert not (tmp_path / "bound").exists()
+
+
 def test_capacity_overflow_exits_3(tmp_path):
     doc = minimal_team(population=2 * 10 ** 7)
     spec = write_json(tmp_path / "huge.json", doc)

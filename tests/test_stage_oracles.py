@@ -6,15 +6,18 @@ of row supports beaten against their y; it must return what the
 unpruned scan over every item returns. Own-cost vectors are contracted
 without ``np.tensordot``; they must be what its chain gives, and the certificate
 read at their argmins what it gives at their minima. The continuation
-contraction reuses one einsum path per operand shapes; it must be what
-``np.einsum(..., optimize=True)`` gives. Fictitious
+contraction sums one team at a time by matmuls; it must be what
+``np.einsum(..., optimize=True)`` gives within 1e-12 of the values' scale,
+and bitwise what it gives itself on any block of the points. Fictitious
 play certifies its mixtures from its own-cost history and its pure
 profiles by indexing, once per block of rounds; it must return what
 re-certifying every profile round by round returns. The backward driver solves the pure
 stage games of a stage in one pass; it must return what ``solve_stage``
 returns point by point, and its pure mask what the profile-by-profile
-check lists. All are compared bitwise.
+check lists. All but the contraction are compared bitwise.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +29,7 @@ from teamfield import stage_game
 from teamfield.errors import (EquilibriumNotFoundError, NoPureEquilibriumError,
                               SpecValidationError)
 from teamfield.stage_game import (CERT_TOL, PURE_TOL, StageEquilibrium, StageGame, _contract,
-                                  _contract_operands, _contraction_plan, _one_hot,
+                                  _contraction_plan, _one_hot,
                                   _pure_mask, _run_plan, _solve_points, br_iteration,
                                   certify_epsilon, mixed_nash_2team, solve_stage)
 
@@ -230,22 +233,62 @@ def test_certify_epsilon_at_the_argmins_matches_the_minima(shape, kind, pure, se
     assert np.array_equal(values, ref_values)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 2), st.integers(0, 2 ** 32 - 1))
-def test_contract_with_the_cached_path_matches_the_searched_one(K, P, lead, seed):
-    """Kernel stacks over menus of 1 to 4 items (1: a policy's averaged
-    kernels) against values with no leading axis, a per-team one as the
-    backward driver passes, or two. Called twice, so the second call reads
-    the cached path."""
-    rng = np.random.default_rng(seed)
+def _contract_inputs(rng, K, P, lead):
+    """Kernel stacks over menus and lattices of 1 to 4 items (a menu of 1:
+    a policy's averaged kernels) and values with no leading axis, a
+    per-team one as the backward driver passes, or two."""
     menus, lattice = rng.integers(1, 5, size=K), rng.integers(1, 5, size=K)
     Ws = [rng.dirichlet(np.ones(L), size=(P, m)) for m, L in zip(menus, lattice)]
-    V = rng.normal(size=(K,) * lead + tuple(lattice))
-    ref = np.einsum(*_contract_operands(Ws, V), optimize=True)
-    for _ in range(2):
-        out = _contract(Ws, V)
-        assert out.shape == V.shape[:lead] + (P,) + tuple(menus)
-        assert np.array_equal(out, ref)
+    return Ws, rng.normal(size=(K,) * lead + tuple(lattice)) * 10.0 ** rng.integers(-3, 4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 2), st.integers(0, 2 ** 32 - 1))
+def test_contract_matches_the_searched_einsum_within_tolerance(K, P, lead, seed):
+    """The team-by-team matmuls sum in another order than the einsum, so
+    they agree to 1e-12 of the values' scale, not bitwise."""
+    Ws, V = _contract_inputs(np.random.default_rng(seed), K, P, lead)
+    out, ref = _contract(Ws, V), oracles.contract_einsum(Ws, V)
+    assert out.shape == ref.shape == V.shape[:lead] + (P,) + tuple(W.shape[1] for W in Ws)
+    assert np.abs(out - ref).max() <= 1e-12 * max(1.0, np.abs(V).max())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 8), st.integers(0, 2), st.integers(0, 2 ** 32 - 1),
+       st.data())
+def test_contract_of_a_block_of_points_is_the_slice_of_the_whole(K, P, lead, seed, data):
+    """A point's result does not depend on the other points, so blocking
+    the points changes no bit."""
+    Ws, V = _contract_inputs(np.random.default_rng(seed), K, P, lead)
+    a = data.draw(st.integers(0, P - 1))
+    b = data.draw(st.integers(a + 1, P))
+    whole = _contract(Ws, V)[(slice(None),) * lead + (slice(a, b),)]
+    assert np.array_equal(_contract([W[a:b] for W in Ws], V), whole)
+
+
+def test_contract_keeps_its_intermediates_within_the_block_budget(monkeypatch):
+    """A lattice larger than the menus makes the first step's intermediate
+    (2, P, 40, 2) twenty times the (2, P, 2, 2) result; under a budget of
+    1,000 entries the points run in blocks, the traced peak stays within
+    the result plus two blocks' intermediates (and 4 KiB for the Python
+    objects of the loop), and no bit changes."""
+    rng = np.random.default_rng(7)
+    Ws = [rng.dirichlet(np.ones(40), size=(64, 2)) for _ in range(2)]
+    V = rng.normal(size=(2, 40, 40))
+
+    def peak():
+        tracemalloc.start()
+        try:
+            out = _contract(Ws, V)
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    whole, whole_peak = peak()
+    monkeypatch.setattr(stage_game, "STORE_BLOCK_ENTRIES", 1000)
+    blocked, blocked_peak = peak()
+    assert np.array_equal(blocked, whole)
+    assert blocked_peak <= whole.nbytes + 2 * 8 * 1000 + 4096 < whole_peak
 
 
 # first and last rounds of the doubling certification blocks 1, 2-3, 4-7, ...
