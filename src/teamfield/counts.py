@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, SpecValidationError
-from .model import SIMPLEX_TOL, GameSpec, _team_rows, transition_matrix
+from .model import GameSpec, _per_team_simplex, _team_rows, transition_matrix
 
 DEFAULT_SUPPORT_CAP = 10 ** 7
 PRUNE_TOL = 1e-15     # exact atoms below this count as off the kernel check's support
@@ -47,11 +47,8 @@ class MeanField:
     per_team: tuple
 
     def __post_init__(self):
-        vecs = tuple(np.asarray(v, dtype=float) for v in self.per_team)
-        for v in vecs:
-            if np.any(v < -SIMPLEX_TOL) or abs(v.sum() - 1.0) > SIMPLEX_TOL:
-                raise SpecValidationError("mean field entry off the simplex: %s" % (v,))
-        object.__setattr__(self, "per_team", vecs)
+        sizes = [np.size(v) for v in self.per_team]
+        object.__setattr__(self, "per_team", _per_team_simplex(self.per_team, sizes, "mean field"))
 
 
 @dataclass(frozen=True, eq=False)

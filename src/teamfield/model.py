@@ -35,7 +35,7 @@ import numpy as np
 from .errors import SpecParseError, SpecValidationError
 
 STOCH_TOL = 1e-12     # stochasticity / normalization checks
-SIMPLEX_TOL = 1e-9    # membership of user-supplied mean fields
+SIMPLEX_TOL = 1e-9    # simplex membership of mean fields and stage-game mixtures
 
 
 def _count(value, name: str, least=1) -> int:
@@ -236,20 +236,26 @@ def flatten_mean_field(spec: GameSpec, z) -> np.ndarray:
     ``per_team`` attribute holding one.
     """
     per_team = getattr(z, "per_team", z)
-    if len(per_team) != spec.n_teams:
-        raise SpecValidationError("mean field has %d teams, spec has %d"
-                                  % (len(per_team), spec.n_teams))
-    parts = []
-    for k, tm in enumerate(spec.teams):
-        v = np.asarray(per_team[k], dtype=float)
-        if v.shape != (tm.n_states,):
-            raise SpecValidationError("mean field for team %d has shape %s, expected (%d,)"
-                                      % (k, v.shape, tm.n_states))
-        if np.any(v < -SIMPLEX_TOL) or abs(v.sum() - 1.0) > SIMPLEX_TOL:
-            raise SpecValidationError("mean field for team %d is not on the simplex "
-                                      "(sum %.17g)" % (k, v.sum()))
-        parts.append(v)
-    return np.concatenate(parts)
+    return np.concatenate(_per_team_simplex(per_team, [tm.n_states for tm in spec.teams],
+                                            "mean field"))
+
+
+def _per_team_simplex(vectors, sizes, what: str) -> tuple:
+    """``vectors`` as one float vector per team, team k's of length
+    sizes[k], with entries of at least -SIMPLEX_TOL summing to 1 within
+    SIMPLEX_TOL (a NaN fails, an empty vector too); anything else raises
+    SpecValidationError naming ``what``."""
+    if len(vectors) != len(sizes):
+        raise SpecValidationError("%s has %d teams, spec has %d" % (what, len(vectors), len(sizes)))
+    out = tuple(np.asarray(v, dtype=float) for v in vectors)
+    for k, (v, n) in enumerate(zip(out, sizes)):
+        if v.shape != (n,):
+            raise SpecValidationError("%s for team %d has shape %s, expected (%d,)"
+                                      % (what, k, v.shape, n))
+        if not (abs(v.sum() - 1.0) <= SIMPLEX_TOL and v.min() >= -SIMPLEX_TOL):
+            raise SpecValidationError("%s for team %d is not on the simplex (sum %.17g)"
+                                      % (what, k, v.sum()))
+    return out
 
 
 def transition_matrix(spec: GameSpec, k: int, zf: np.ndarray) -> np.ndarray:

@@ -5,9 +5,9 @@ coordinators face a finite simultaneous-move game: each picks a
 prescription from a finite menu, pays its own stage cost plus the
 expected continuation value under the induced joint count kernel. This
 module builds those menus and cost tensors and solves the game (pure
-enumeration, batched over every point of a stage; support enumeration
-over the distinct menu items, with exact dominance pruning, for two
-teams; damped fictitious play as the always-terminating fallback).
+enumeration, batched over every point of a stage; Lemke–Howson over the
+distinct menu items for two teams; damped fictitious play as the
+always-terminating fallback).
 
 A solution has one format: the solvers return the row (mixed, epsilon,
 per-team mixtures) that the backward driver records, with its per-team
@@ -21,7 +21,6 @@ fidelity.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -33,12 +32,14 @@ from .errors import (CapacityError, EquilibriumNotFoundError, NoPureEquilibriumE
                      SpecValidationError)
 from .counts import (JointLattice, MeanField, Prescription, _count_laws, _joint_points,
                      _mixture_rows, count_point, enumerate_counts)
-from .model import GameSpec, _count, _team_rows, cost_matrix, flatten_mean_field
+from .model import (GameSpec, _count, _per_team_simplex, _team_rows, cost_matrix,
+                    flatten_mean_field)
 
 PURE_TOL = 1e-12      # strict-improvement tolerance for pure deviations
 CERT_TOL = 1e-9       # certified-equilibrium acceptance threshold
 DEFAULT_PRESCRIPTION_CAP = 10 ** 5
-DEFAULT_SUPPORT_BOUND = 4
+PIVOT_CAP = 1000       # Lemke–Howson pivots per path before the next label is tried
+PIVOT_TOL = 1e-12      # Lemke–Howson pivot entries and ratio gaps below this count as zero
 MAX_STORE_BYTES = 1 << 30     # largest kernel store, or one stage's game tensors, of a run
 STORE_BLOCK_ENTRIES = 1 << 20  # (rows, lattice) entries per block of the store build
 
@@ -321,7 +322,9 @@ def _one_hot(shape, profile) -> tuple:
 def certify_epsilon(game: StageGame, weights) -> tuple:
     """Exact maximal unilateral gain of the per-team mixtures ``weights``
     and each team's expected cost under them (K,), from one own-cost
-    contraction per team of the tensors."""
+    contraction per team of the tensors. Weights that are not one mixture
+    per team over its menu (at model.SIMPLEX_TOL) raise SpecValidationError."""
+    weights = _per_team_simplex(weights, game.shape, "stage game weights")
     own = [_run_plan(_contraction_plan(T, k), weights) for k, T in enumerate(game.tensors)]
     values = [w @ e for w, e in zip(weights, own)]
     # the argmin entry is the minimum up to the sign of zero, which cannot
@@ -369,74 +372,44 @@ def _run_plan(plan, weights) -> np.ndarray:
 
 
 def mixed_nash_2team(game: StageGame) -> StageEquilibrium:
-    """Support enumeration for two-team games.
+    """Lemke–Howson for two-team games (Lemke and Howson 1964), in the
+    tableau form of von Stengel (Handbook of Game Theory vol. 3, 2002).
 
     Copies collapse first: an item whose row of [A | B] (team 0) or
-    [A.T | B.T] (team 1) repeats an earlier item's never enters a support.
-    Supports (R, C) of at most DEFAULT_SUPPORT_BOUND first items are
-    scanned smallest total size first, then row size, then R and C
-    lexicographically. Each candidate's indifference system is solved by
-    least squares, and the profile, scattered to full length, is kept only
-    if its exactly recomputed epsilon on the whole game is at most
-    CERT_TOL; the first one is returned. A support holding a copy gives
-    the profile of an earlier support of first items (the copy's weight
-    moved to its first item), so the collapse changes no result.
-
-    Pairs with a conditionally dominated index are skipped unsolved
-    (Porter, Nudelman and Shoham 2008): a row of R that costs more than
-    delta = 1e-6 (1 + max |cost|) above some other row against every
-    column of C, or a column of C likewise against the rows of R. Such a
-    candidate would give that other index a gain of at least delta less
-    the 1e-9 residual of the indifference solve, so the certificate would
-    reject it. C is drawn in lexicographic order from the columns that
-    survive R, and the pair is kept when R lies among the rows that
-    survive C; both survivor sets are cached per support for the call.
-
-    The x solve of a pair is skipped when, against its solved y, some row
-    costs more than delta less than every row of R: any mixture on R then
-    leaves team 1 a gain above delta, and the certificate would reject it.
-    """
+    [A.T | B.T] (team 1) repeats an earlier item's is dropped, so paths run
+    on the m x n game of first items. Label i < m is team 0's item i,
+    label m + j team 1's item j; labels 0, 1, ... are dropped in turn, and
+    a path that has not ended after PIVOT_CAP pivots (paths can be
+    exponentially long, and a degenerate one can cycle in floating point)
+    is given up. The end of the first path whose profile, scattered to
+    full length with each copy's weight on its first item (a copy of a
+    best reply is one), certify_epsilon accepts at CERT_TOL is returned,
+    mixed when its supports hold more than two items in all;
+    EquilibriumNotFoundError is raised only when no label certifies."""
     if game.n_teams != 2:
-        raise SpecValidationError("support enumeration needs exactly 2 teams")
+        raise SpecValidationError("Lemke–Howson needs exactly 2 teams")
     A, B = game.tensors
-    n1, n2 = game.shape
-    delta = 1e-6 * (1.0 + max(np.abs(A).max(), np.abs(B).max()))
     rows, cols = _first_items(np.hstack([A, B])), _first_items(np.hstack([A.T, B.T]))
-    A_rows, BT_cols = A[rows], B.T[cols]
-
-    def unbeaten(X, items):
-        """The items whose rows of X no row beats by more than delta at every column."""
-        return items[~(X[:, None] > X + delta).all(axis=2).any(axis=1)].tolist()
-    rows_of = functools.cache(lambda C: frozenset(unbeaten(A_rows[:, C], rows)))
-    cols_of = functools.cache(lambda R: unbeaten(BT_cols[:, R], cols))
-    b1, b2 = min(len(rows), DEFAULT_SUPPORT_BOUND), min(len(cols), DEFAULT_SUPPORT_BOUND)
-    levels = ((r, total - r) for total in range(2, b1 + b2 + 1)
-              for r in range(max(1, total - b2), min(b1, total - 1) + 1))
-    for r, c, R, C in ((r, c, R, C) for r, c in levels
-                       for R in itertools.combinations(rows.tolist(), r)
-                       for C in itertools.combinations(cols_of(R), c)):
-        if not rows_of(C).issuperset(R):
+    m, n = len(rows), len(cols)
+    # payoffs in [1, 2] by a positive affine map per team, which keeps every
+    # best reply and makes PIVOT_TOL scale-free; team 1's tableau
+    # [B.T | I | 1] holds x (labels 0..m-1) and its slacks (labels m..),
+    # team 0's [I | A | 1] its slacks (labels 0..m-1) and y
+    P, Q = ((C.max() - C) / ((C.max() - C.min()) or 1.0) + 1.0
+            for C in (A[np.ix_(rows, cols)], B[np.ix_(rows, cols)]))
+    start = [np.hstack([Q.T, np.eye(n), np.ones((n, 1))]),
+             np.hstack([np.eye(m), P, np.ones((m, 1))])]
+    for label in range(m + n):
+        end = _lemke_howson_path([T.copy() for T in start], m, label)
+        if end is None:
             continue
-        if r == 1 and c == 1:
-            x, y = _one_hot(game.shape, (R[0], C[0]))
-        else:
-            R, C = list(R), list(C)
-            ys = _indifference_solve(A[np.ix_(R, C)], c)
-            if ys is None:
-                continue
-            against = A[:, C] @ ys
-            if against.min() < against[R].min() - delta:
-                continue
-            xs = _indifference_solve(B[np.ix_(R, C)].T, r)
-            if xs is None:
-                continue
-            x, y = np.zeros(n1), np.zeros(n2)
-            x[R], y[C] = xs, ys
+        x, y = np.zeros(len(A)), np.zeros(len(A.T))
+        x[rows], y[cols] = end
         eps, values = certify_epsilon(game, (x, y))
         if eps <= CERT_TOL:
-            return StageEquilibrium(r + c > 2, eps, (x, y), values)
-    raise EquilibriumNotFoundError(
-        "no equilibrium with supports of size <= %d certified" % DEFAULT_SUPPORT_BOUND)
+            mixed = np.count_nonzero(x) + np.count_nonzero(y) > 2
+            return StageEquilibrium(bool(mixed), eps, (x, y), values)
+    raise EquilibriumNotFoundError("no Lemke–Howson path ended in a certified equilibrium")
 
 
 def _first_items(M: np.ndarray) -> np.ndarray:
@@ -448,27 +421,38 @@ def _first_items(M: np.ndarray) -> np.ndarray:
     return np.fromiter(first.values(), dtype=np.intp)
 
 
-def _indifference_solve(M: np.ndarray, size: int):
-    """Mixture on the columns of M making all rows equal in expectation.
-
-    Solves [M, -1; 1, 0] [y; v] = [0; 1] by least squares; returns None
-    when the system is inconsistent or the mixture leaves the simplex.
-    """
-    rows = M.shape[0]
-    lhs = np.zeros((rows + 1, size + 1))
-    lhs[:rows, :size] = M
-    lhs[:rows, size] = -1.0
-    lhs[rows, :size] = 1.0
-    rhs = np.zeros(rows + 1)
-    rhs[rows] = 1.0
-    sol, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
-    y = sol[:size]
-    if np.any(y < -1e-9) or abs(y.sum() - 1.0) > 1e-9:
-        return None
-    if np.max(np.abs(lhs @ sol - rhs)) > 1e-9:
-        return None
-    y = np.maximum(y, 0.0)
-    return y / y.sum()
+def _lemke_howson_path(tableaux, m: int, label: int):
+    """The (x, y) mixtures at the end of the Lemke–Howson path that drops
+    ``label``, pivoting in place on the two tableaux (columns: the labels,
+    then the rhs), or None after PIVOT_CAP pivots. The leaving row is the
+    lexicographic minimum of [rhs | B^-1] / pivot column over the rows
+    whose pivot entry is above PIVOT_TOL: the rhs ratio first, its ties
+    (within PIVOT_TOL) broken by the slack columns (B^-1) in label order."""
+    n = len(tableaux[0])
+    bases = [np.arange(m, m + n), np.arange(m)]
+    lex = [[-1, *range(m, m + n)], [-1, *range(m)]]
+    side, entering = int(label >= m), label
+    for _ in range(PIVOT_CAP):
+        T, basis = tableaux[side], bases[side]
+        col = T[:, entering]
+        rows = np.flatnonzero(col > PIVOT_TOL)
+        if not len(rows):     # no positive entry: rounding broke the path
+            return None
+        for j in lex[side]:
+            ratio = T[rows, j] / col[rows]
+            rows = rows[ratio <= ratio.min() + PIVOT_TOL]
+            if len(rows) == 1:
+                break
+        pivot = T[rows[0]] / col[rows[0]]
+        T -= col[:, None] * pivot
+        T[rows[0]] = pivot
+        leaving, basis[rows[0]] = basis[rows[0]], entering
+        if leaving == label:     # each basis holds distinct labels
+            x, y = (np.bincount(b, np.maximum(T[:, -1], 0.0), m + n)
+                    for T, b in zip(tableaux, bases))
+            return x[:m] / x[:m].sum(), y[m:] / y[m:].sum()
+        side, entering = 1 - side, leaving
+    return None
 
 
 def br_iteration(game: StageGame, max_iters: int = 200) -> StageEquilibrium:
@@ -483,21 +467,21 @@ def br_iteration(game: StageGame, max_iters: int = 200) -> StageEquilibrium:
     reports it honestly when it never gets there. A round runs only the
     contraction plan of each team (built once per game; its last np.dot
     writes the round's row of a +inf padded own-cost history), one argmin
-    over that row and the weight update. Rounds run in blocks doubling in
-    length (1, 2, 4, ...); a block ends with a few array operations that
-    certify its mixtures from the own-cost history and its pure profiles
-    by indexing (_pure_certificate), and pick its best profile up to its
-    first round at or below CERT_TOL: a game certified at round r plays
-    fewer than 2r rounds, and the result is bitwise that of certifying
-    round by round with certify_epsilon. The plans run once more for the
-    values of the profile kept. The two histories take 8 ((max_iters + 1)
-    sum_k n_k + max_iters K max_k n_k) bytes; above MAX_STORE_BYTES this
-    raises CapacityError before they are allocated.
+    over that row into the reply history and the weight update. Rounds
+    run in blocks doubling in length (1, 2, 4, ...); a block certifies
+    its mixtures from the own-cost history, reads its pure profiles'
+    epsilons from a table of every joint profile's (built once per game),
+    and picks its best profile up to its first round at or below
+    CERT_TOL: a game certified at round r plays fewer than 2r rounds, and
+    the result is bitwise that of certifying round by round with
+    certify_epsilon. The histories and the table take 8 ((max_iters + 1)
+    sum_k n_k + max_iters K max_k n_k + prod_k n_k) bytes; above
+    MAX_STORE_BYTES this raises CapacityError before they are allocated.
     """
     max_iters = _count(max_iters, "max_iters")
     K, shape = game.n_teams, game.shape
     cuts = np.cumsum((0,) + shape).tolist()
-    size = 8 * ((max_iters + 1) * cuts[-1] + max_iters * K * max(shape))
+    size = 8 * ((max_iters + 1) * cuts[-1] + max_iters * K * max(shape) + math.prod(shape))
     if size > MAX_STORE_BYTES:
         raise CapacityError("fictitious play histories need %d bytes, cap is %d"
                             % (size, MAX_STORE_BYTES))
@@ -508,30 +492,40 @@ def br_iteration(game: StageGame, max_iters: int = 200) -> StageEquilibrium:
     flat[0] = np.repeat(1.0 / np.array(shape), shape)
     hist = [whole[:, a:b] for a, b in zip(cuts, cuts[1:])]
     costs = np.full((max_iters, K, max(shape), 1), np.inf)
+    cost_rows = costs[..., 0]
     own = [costs[:, k, :n] for k, n in enumerate(shape)]
     if K == 1:
         own[0][...] = game.tensors[0][:, None]
+    # _pure_certificate's epsilon of every pure profile (a gain is never -0.0)
+    pure_eps = np.zeros(shape)
+    for k, T in enumerate(game.tensors):
+        np.maximum(pure_eps, T - T.min(axis=k, keepdims=True), out=pure_eps)
     plans = [_contraction_plan(T, k) for k, T in enumerate(game.tensors)]
-    # (matrix, weight history, out, copy, out is a history): team k's last step writes own[k][r]
-    steps = [(m, hist[j], own[k] if i == len(p) - 1 else out, c, i == len(p) - 1)
-             for k, (p, _) in enumerate(plans) for i, (m, j, out, c) in enumerate(p)]
+    # a plan's first step reads a fixed matrix and its last, a 2-D view,
+    # writes own[k][r]; only the middle steps (K >= 4) may refill a copy
+    firsts = [(p[0][0], hist[p[0][1]], p[0][2]) for p, _ in plans if len(p) > 1]
+    middles = [(m, hist[j], out, c) for p, _ in plans for m, j, out, c in p[1:-1]]
+    lasts = [(p[-1][0], hist[p[-1][1]], own[k]) for k, (p, _) in enumerate(plans) if p]
     brs = np.empty((max_iters, K), dtype=np.intp)
     best, start = None, 0     # best: (epsilon, 0 for pure or 1 for mixed, round)
     while best is None or (best[0] > CERT_TOL and start < max_iters):
         stop = min(2 * start + 1, max_iters)
         for r in range(start, stop):
-            for mat, w, out, copy, last in steps:
+            for mat, w, out in firsts:
+                np.dot(mat, w[r], out=out)
+            for mat, w, out, copy in middles:
                 if copy is not None:
                     np.copyto(*copy)
-                np.dot(mat, w[r], out=out[r] if last else out)
-            brs[r] = replies = costs[r, :, :, 0].argmin(axis=1)
+                np.dot(mat, w[r], out=out)
+            for mat, w, out in lasts:
+                np.dot(mat, w[r], out=out[r])
+            cost_rows[r].argmin(axis=1, out=brs[r])
             alpha = 1.0 / (r + 2.0)
             np.multiply(flat[r], 1.0 - alpha, out=flat[r + 1])
-            for a, i in zip(cuts, replies.tolist()):
+            for a, i in zip(cuts, brs[r].tolist()):
                 flat[r + 1, a + i] += alpha
         block = slice(start, stop)
-        pure, _ = _pure_certificate([T[None] for T in game.tensors],
-                                    np.zeros(stop - start, np.intp), brs[block])
+        pure = pure_eps[tuple(brs[block].T)]
         # (R, 1, n) @ (R, n, 1) is bitwise certify_epsilon's w @ e
         values = [np.matmul(h[block].transpose(0, 2, 1), e[block]) for h, e in zip(hist, own)]
         gains = np.concatenate(values, axis=1)[..., 0] - costs[block].min(axis=2)[..., 0]
@@ -551,11 +545,12 @@ def br_iteration(game: StageGame, max_iters: int = 200) -> StageEquilibrium:
 
 def solve_stage(game: StageGame) -> StageEquilibrium:
     """One-stop solve of one stage game: the first pure equilibrium (the
-    pure pass of the backward driver at one point), then support
-    enumeration for two teams, then fictitious play. The pure equilibrium
-    taken is the lexicographically first joint index; fictitious play
-    returns the first visited profile with the smallest certified epsilon,
-    pure before mixed."""
+    pure pass of the backward driver at one point), then Lemke–Howson for
+    two teams, then fictitious play. The pure equilibrium taken is the
+    lexicographically first joint index; Lemke–Howson returns the end of
+    the first label's path that certifies; fictitious play returns the
+    first visited profile with the smallest certified epsilon, pure before
+    mixed."""
     tensors = [T[None] for T in game.tensors]
     has, profiles = _first_pure(tensors)
     if has[0]:

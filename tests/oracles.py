@@ -5,9 +5,11 @@ convolution return (checked against rows of the count kernels), the
 per-profile deviation through the one-point convolution, the counting loop
 of the kernel check and its whole-array form (checked against the
 chunked one), the per-point stage game (checked against the
-batched engine), the profile-by-profile pure check, the unpruned support
-enumeration and the re-certifying fictitious play (checked against the
-stage solvers), the continuation contraction as one searched einsum
+batched engine), the profile-by-profile pure check, the support
+enumeration that Lemke–Howson replaced (its values checked against
+Lemke–Howson's) and its unpruned form (checked bitwise against it), the
+re-certifying fictitious play (checked against the stage solver), the
+continuation contraction as one searched einsum
 (checked against the team-by-team matmuls within a tolerance), the
 forward propagation of the count law (checked against
 ``evaluate_total_cost``), the separate stage loops of the
@@ -20,6 +22,7 @@ with its per-row picker and hand-written agent policies, and pointwise
 model evaluation (with the one-point stage cost summed from it) and its
 closed-form Lipschitz bounds."""
 
+import functools
 import itertools
 import json
 import math
@@ -38,12 +41,13 @@ from teamfield.metrics import LIPSCHITZ_BLOCK_PAIRS, per_team_deviation, transpo
 from teamfield.model import GameSpec, cost_matrix, flatten_mean_field, transition_matrix
 from teamfield.rng import substream
 from teamfield.simulate import KernelCheckReport, _cdf, _pick_rows, _team_index
-from teamfield.stage_game import (CERT_TOL, DEFAULT_SUPPORT_BOUND, PURE_TOL, KernelCache,
-                                  StageEquilibrium, StageGame, _contract, _cost_table,
-                                  _indifference_solve, certify_epsilon)
+from teamfield.stage_game import (CERT_TOL, PURE_TOL, KernelCache, StageEquilibrium, StageGame,
+                                  _contract, _cost_table, _first_items, _one_hot,
+                                  certify_epsilon)
 
 
 PROB_TOL = 1e-10
+DEFAULT_SUPPORT_BOUND = 4     # largest support per team that the scans try
 
 
 @dataclass(frozen=True, eq=False)
@@ -440,7 +444,7 @@ def stage_pure_nash_loop(game: StageGame) -> list:
 
 def _support_pairs(n1: int, n2: int, columns):
     """(r, c, R, C) for supports of at most DEFAULT_SUPPORT_BOUND indices,
-    generated lazily in ``stage_game.mixed_nash_2team``'s scan order;
+    generated lazily in ``mixed_nash_2team_scan``'s order;
     ``columns(R)`` lists in increasing order the column indices that may
     enter C alongside R."""
     b1, b2 = min(n1, DEFAULT_SUPPORT_BOUND), min(n2, DEFAULT_SUPPORT_BOUND)
@@ -451,9 +455,105 @@ def _support_pairs(n1: int, n2: int, columns):
                     yield r, total - r, R, C
 
 
+def mixed_nash_2team_scan(game: StageGame) -> StageEquilibrium:
+    """Support enumeration for two-team games, the two-team solver that
+    ``stage_game.mixed_nash_2team`` (Lemke–Howson) replaced.
+
+    Copies collapse first: an item whose row of [A | B] (team 0) or
+    [A.T | B.T] (team 1) repeats an earlier item's never enters a support.
+    Supports (R, C) of at most DEFAULT_SUPPORT_BOUND first items are
+    scanned smallest total size first, then row size, then R and C
+    lexicographically. Each candidate's indifference system is solved by
+    least squares, and the profile, scattered to full length, is kept only
+    if its exactly recomputed epsilon on the whole game is at most
+    CERT_TOL; the first one is returned. A support holding a copy gives
+    the profile of an earlier support of first items (the copy's weight
+    moved to its first item), so the collapse changes no result.
+
+    Pairs with a conditionally dominated index are skipped unsolved
+    (Porter, Nudelman and Shoham 2008): a row of R that costs more than
+    delta = 1e-6 (1 + max |cost|) above some other row against every
+    column of C, or a column of C likewise against the rows of R. Such a
+    candidate would give that other index a gain of at least delta less
+    the 1e-9 residual of the indifference solve, so the certificate would
+    reject it. C is drawn in lexicographic order from the columns that
+    survive R, and the pair is kept when R lies among the rows that
+    survive C; both survivor sets are cached per support for the call.
+
+    The x solve of a pair is skipped when, against its solved y, some row
+    costs more than delta less than every row of R: any mixture on R then
+    leaves team 1 a gain above delta, and the certificate would reject it.
+    """
+    if game.n_teams != 2:
+        raise SpecValidationError("support enumeration needs exactly 2 teams")
+    A, B = game.tensors
+    n1, n2 = game.shape
+    delta = 1e-6 * (1.0 + max(np.abs(A).max(), np.abs(B).max()))
+    rows, cols = _first_items(np.hstack([A, B])), _first_items(np.hstack([A.T, B.T]))
+    A_rows, BT_cols = A[rows], B.T[cols]
+
+    def unbeaten(X, items):
+        """The items whose rows of X no row beats by more than delta at every column."""
+        return items[~(X[:, None] > X + delta).all(axis=2).any(axis=1)].tolist()
+    rows_of = functools.cache(lambda C: frozenset(unbeaten(A_rows[:, C], rows)))
+    cols_of = functools.cache(lambda R: unbeaten(BT_cols[:, R], cols))
+    b1, b2 = min(len(rows), DEFAULT_SUPPORT_BOUND), min(len(cols), DEFAULT_SUPPORT_BOUND)
+    levels = ((r, total - r) for total in range(2, b1 + b2 + 1)
+              for r in range(max(1, total - b2), min(b1, total - 1) + 1))
+    for r, c, R, C in ((r, c, R, C) for r, c in levels
+                       for R in itertools.combinations(rows.tolist(), r)
+                       for C in itertools.combinations(cols_of(R), c)):
+        if not rows_of(C).issuperset(R):
+            continue
+        if r == 1 and c == 1:
+            x, y = _one_hot(game.shape, (R[0], C[0]))
+        else:
+            R, C = list(R), list(C)
+            ys = _indifference_solve(A[np.ix_(R, C)], c)
+            if ys is None:
+                continue
+            against = A[:, C] @ ys
+            if against.min() < against[R].min() - delta:
+                continue
+            xs = _indifference_solve(B[np.ix_(R, C)].T, r)
+            if xs is None:
+                continue
+            x, y = np.zeros(n1), np.zeros(n2)
+            x[R], y[C] = xs, ys
+        eps, values = certify_epsilon(game, (x, y))
+        if eps <= CERT_TOL:
+            return StageEquilibrium(r + c > 2, eps, (x, y), values)
+    raise EquilibriumNotFoundError(
+        "no equilibrium with supports of size <= %d certified" % DEFAULT_SUPPORT_BOUND)
+
+
+def _indifference_solve(M: np.ndarray, size: int):
+    """Mixture on the columns of M making all rows equal in expectation.
+
+    Solves [M, -1; 1, 0] [y; v] = [0; 1] by least squares; returns None
+    when the system is inconsistent or the mixture leaves the simplex.
+    """
+    rows = M.shape[0]
+    lhs = np.zeros((rows + 1, size + 1))
+    lhs[:rows, :size] = M
+    lhs[:rows, size] = -1.0
+    lhs[rows, :size] = 1.0
+    rhs = np.zeros(rows + 1)
+    rhs[rows] = 1.0
+    sol, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
+    y = sol[:size]
+    if np.any(y < -1e-9) or abs(y.sum() - 1.0) > 1e-9:
+        return None
+    if np.max(np.abs(lhs @ sol - rhs)) > 1e-9:
+        return None
+    y = np.maximum(y, 0.0)
+    return y / y.sum()
+
+
 def mixed_nash_2team_unpruned(game: StageGame) -> StageEquilibrium:
-    """``stage_game.mixed_nash_2team`` without dominance pruning: every
-    support pair in scan order is solved and certified."""
+    """``mixed_nash_2team_scan`` without the collapse of copies and
+    without dominance pruning: every support pair in scan order is solved
+    and certified."""
     A, B = game.tensors
     n1, n2 = game.shape
     for r, c, R, C in _support_pairs(n1, n2, lambda R: range(n2)):

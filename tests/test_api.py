@@ -40,7 +40,8 @@ NOT_IN_SRC = {
                    "select_equilibrium", "own_cost_vector_tensordot", "_undominated",
                    "_support_pairs", "equilibrium_values", "_own_cost_vector",
                    "_surviving_columns", "_level_pairs", "_survivors", "_combination_blocks",
-                   "contract_einsum", "_contract_operands", "_contract_path"),
+                   "contract_einsum", "_contract_operands", "_contract_path",
+                   "mixed_nash_2team_scan", "DEFAULT_SUPPORT_BOUND", "_indifference_solve"),
     "simulate": ("FunctionPolicy", "_frequencies", "kernel_check_whole", "simulate_episode",
                  "_counts_of", "_pick"),
     "metrics": ("wasserstein_fast", "DEFAULT_DEVIATION_CAP", "DEFAULT_PAIR_CAP",

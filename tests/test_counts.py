@@ -10,6 +10,7 @@ from teamfield import counts, simulate
 from teamfield.counts import (PRUNE_TOL, MeanField, Prescription, TeamLattice, count_point,
                               enumerate_counts, lattice_size)
 from teamfield.errors import CapacityError, SpecValidationError
+from teamfield.model import flatten_mean_field
 from teamfield.rng import substream
 from teamfield.stage_game import PrescriptionSet, _cost_table
 
@@ -42,6 +43,17 @@ def test_mean_field_validates_simplex():
     MeanField(per_team=(np.array([0.5, 0.5]),))
     with pytest.raises(SpecValidationError):
         MeanField(per_team=(np.array([0.6, 0.6]),))
+
+
+@pytest.mark.parametrize("v", [[np.nan, 1.0], [[0.5, 0.5]]], ids=["nan", "matrix"])
+def test_mean_field_refuses_nan_and_non_vectors(v, reference_spec):
+    """A NaN passed both simplex bounds (every comparison with it is
+    false), and a matrix passed as one team's vector; the mean field and
+    the flattened form now share one check."""
+    with pytest.raises(SpecValidationError):
+        MeanField(per_team=(np.array(v),))
+    with pytest.raises(SpecValidationError):
+        flatten_mean_field(reference_spec, [np.array(v), np.array([1.0, 0.0])])
 
 
 def test_count_distribution_rejects_bad_inputs():

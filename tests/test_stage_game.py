@@ -6,11 +6,12 @@ import pytest
 
 from teamfield import stage_game
 from teamfield.errors import CapacityError, NoPureEquilibriumError, SpecValidationError
-from teamfield.stage_game import (DEFAULT_SUPPORT_BOUND, StageGame, _one_hot, _pure_mask,
-                                  br_iteration, build_prescription_set, certify_epsilon,
-                                  mixed_nash_2team, solve_stage)
+from teamfield.stage_game import (CERT_TOL, StageGame, _one_hot, _pure_mask, br_iteration,
+                                  build_prescription_set, certify_epsilon, mixed_nash_2team,
+                                  solve_stage)
 
-from oracles import _support_pairs, build_stage_game, mean_field, stage_cost
+from oracles import (DEFAULT_SUPPORT_BOUND, _support_pairs, build_stage_game, mean_field,
+                     mixed_nash_2team_scan, stage_cost)
 
 
 def game2(A, B):
@@ -91,8 +92,38 @@ def test_certify_epsilon_exact():
     assert eps == 0.75 and values.tolist() == [0.5, 0.75]
 
 
+PENNIES = ([[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("weights", [
+    ([2.0, 0.0], [1.0, 0.0]),
+    ([1.5, -0.5], [0.5, 0.5]),
+    ([np.nan, 1.0], [0.5, 0.5]),
+    ([1.0, 0.0, 0.0], [0.5, 0.5]),
+    ([0.5, 0.5],),
+    ([0.5, 0.5], [0.5, 0.5], [1.0]),
+    [0.5, 0.5],
+], ids=["sum-2", "negative", "nan", "long", "one-team", "three-teams", "one-vector"])
+def test_certify_epsilon_refuses_weights_that_are_not_mixtures(weights):
+    """Weights that sum to 2, leave the simplex, hold NaN, have the wrong
+    length or come as one vector or one per team too few or too many are
+    refused, where they used to return an epsilon or raise numpy's
+    errors."""
+    g = game2(*PENNIES)
+    with pytest.raises(SpecValidationError):
+        certify_epsilon(g, weights if isinstance(weights[0], float)
+                        else tuple(np.array(w) for w in weights))
+
+
+def test_certify_epsilon_accepts_mixtures_within_the_simplex_tolerance():
+    g = game2(*PENNIES)
+    eps, values = certify_epsilon(g, (np.array([1.0 + 5e-10, -5e-10]),
+                                      np.array([0.5, 0.5 + 5e-10])))
+    assert eps == pytest.approx(0.5) and values == pytest.approx([0.5, 0.5])
+
+
 def test_mixed_nash_matching_pennies():
-    g = game2([[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]])
+    g = game2(*PENNIES)
     eq = mixed_nash_2team(g)
     assert eq.mixed
     for v in eq.weights:
@@ -137,15 +168,24 @@ def test_support_pairs_follow_the_sorted_order():
 
 
 def test_mixed_nash_lists_no_candidates_up_front():
+    _finds_pennies_among_dominated_items(mixed_nash_2team)
+
+
+def test_support_scan_lists_no_candidates_up_front():
+    _finds_pennies_among_dominated_items(mixed_nash_2team_scan)
+
+
+def _finds_pennies_among_dominated_items(solver):
     """n x n games (n = 12, 40, 64, 150) whose only equilibrium is
     matching pennies on items 0-1, every other item strictly dominated:
     each is found without a list of all support pairs or of their
     dominance masks. With shift 0 every dominated item is a copy of item
-    2, so the scan runs over 3 x 3 first items; with shift 1e-3 item i of
-    each team costs 1e-3 i more, so every item is distinct and the scan
+    2, so the solvers run over 3 x 3 first items; with shift 1e-3 item i
+    of each team costs 1e-3 i more, so every item is distinct, the scan
     walks every row support of size 1 and 2 before the level of the
-    equilibrium. At n = 150 a pairwise table over all columns at every
-    row (n^3 booleans) alone would take 3.2 MiB per team."""
+    equilibrium, and Lemke–Howson's two tableaux hold n x 2n entries.
+    At n = 150 a pairwise table over all columns at every row (n^3
+    booleans) alone would take 3.2 MiB per team."""
     for shift, n in itertools.product((0.0, 1e-3), (12, 40, 64, 150)):
         A = np.full((n, n), 2.0)
         A[:, :2] = 3.0
@@ -160,7 +200,7 @@ def test_mixed_nash_lists_no_candidates_up_front():
         g = game2(A, B)
         tracemalloc.start()
         try:
-            eq = mixed_nash_2team(g)
+            eq = solver(g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -203,13 +243,14 @@ def test_br_iteration_needs_a_round(rounds):
 
 def test_br_iteration_refuses_histories_above_the_store_cap(monkeypatch):
     """The weight and own-cost histories are checked against
-    MAX_STORE_BYTES before they are allocated: 200 rounds of a 2 x 2 game
-    take 8 (201 * 4 + 200 * 2 * 2) = 12,832 bytes."""
+    MAX_STORE_BYTES before they are allocated, with the table of pure
+    epsilons: 200 rounds of a 2 x 2 game take 8 (201 * 4 + 200 * 2 * 2 +
+    4) = 12,864 bytes."""
     g = game2([[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]])
-    monkeypatch.setattr(stage_game, "MAX_STORE_BYTES", 12831)
-    with pytest.raises(CapacityError, match="fictitious play histories need 12832 bytes"):
+    monkeypatch.setattr(stage_game, "MAX_STORE_BYTES", 12863)
+    with pytest.raises(CapacityError, match="fictitious play histories need 12864 bytes"):
         br_iteration(g)
-    monkeypatch.setattr(stage_game, "MAX_STORE_BYTES", 12832)
+    monkeypatch.setattr(stage_game, "MAX_STORE_BYTES", 12864)
     assert br_iteration(g).epsilon == 0.0
 
 
@@ -233,6 +274,39 @@ def test_solve_stage_pure_only_raises():
         stage_game._solve_points([X[None] for X in g.tensors], 3, (1,), ["z"], True)
     eq = solve_stage(g)
     assert eq.mixed and eq.epsilon <= 1e-9
+
+
+def _edge_games():
+    """1 x n, n x 1 and all-equal two-team games, and three-team games with
+    a one-item team: common interest (every team pays the same tensor),
+    all-equal, and a dominance-solvable one."""
+    rng = np.random.default_rng(11)
+    games = []
+    for n in (1, 2, 5):
+        games += [[rng.normal(size=(1, n)) for _ in range(2)],
+                  [rng.normal(size=(n, 1)) for _ in range(2)],
+                  [np.full((n, 3), 1.5)] * 2]
+    for shape in ((1, 2, 3), (2, 1, 3), (3, 2, 1), (1, 1, 4)):
+        dominant = [np.add.outer(np.zeros(shape[:k]), np.add.outer(
+            rng.normal(size=shape[k]), rng.normal(size=shape[k + 1:]))) for k in range(3)]
+        games += [[rng.normal(size=shape)] * 3, [np.full(shape, -0.5)] * 3, dominant]
+    return [StageGame(tensors=tuple(g)) for g in games]
+
+
+@pytest.mark.parametrize("g", _edge_games(), ids=lambda g: "x".join(map(str, g.shape)))
+def test_stage_solvers_on_degenerate_shapes(g):
+    """Each solver's result is certified, with the epsilon and values
+    that certify_epsilon gives its weights, and pure (the first pure
+    profile, for solve_stage) because each of these games has one."""
+    pure = pure_profiles(g)
+    assert pure
+    solvers = [solve_stage] + ([mixed_nash_2team] if g.n_teams == 2 else [])
+    for solver in solvers:
+        eq = solver(g)
+        eps, values = certify_epsilon(g, eq.weights)
+        assert eq.epsilon == eps <= CERT_TOL and np.array_equal(eq.values, values)
+        assert pure_profile(eq) in pure
+    assert pure_profile(solve_stage(g)) == pure[0]
 
 
 def test_build_stage_game_terminal_matches_stage_costs(reference_spec,

@@ -1,8 +1,11 @@
 """The stage-game solvers against their slow exact forms.
 
-Support enumeration scans supports of first items only (copies
-collapse), skips conditionally dominated support pairs and the x solves
-of row supports beaten against their y; it must return what the
+Lemke–Howson must certify every two-team game, and agree with the
+support scan it replaced (kept as an oracle) where the answer is unique:
+the value of a zero-sum game, and in generic games the profile wherever
+both pick the same supports. The scan itself scans supports of first items only
+(copies collapse), skips conditionally dominated support pairs and the x
+solves of row supports beaten against their y; it must return what the
 unpruned scan over every item returns. Own-cost vectors are contracted
 without ``np.tensordot``; they must be what its chain gives, and the certificate
 read at their argmins what it gives at their minima. The continuation
@@ -14,7 +17,8 @@ profiles by indexing, once per block of rounds; it must return what
 re-certifying every profile round by round returns. The backward driver solves the pure
 stage games of a stage in one pass; it must return what ``solve_stage``
 returns point by point, and its pure mask what the profile-by-profile
-check lists. All but the contraction are compared bitwise.
+check lists. All but Lemke–Howson and the contraction are compared
+bitwise.
 """
 
 import tracemalloc
@@ -35,7 +39,7 @@ from teamfield.stage_game import (CERT_TOL, PURE_TOL, StageEquilibrium, StageGam
 
 import oracles
 from conftest import cyclic_pursuit_three_team, perfbench_gen
-from oracles import (br_iteration_recertified, certify_epsilon_tensordot,
+from oracles import (br_iteration_recertified, certify_epsilon_tensordot, mixed_nash_2team_scan,
                      mixed_nash_2team_unpruned, own_cost_vector_tensordot, stage_pure_nash_loop)
 
 PAYOFFS = ("normal", "integer", "duplicated", "constant")
@@ -93,7 +97,7 @@ def _solve_or_error(solver, game):
 def test_pruned_support_enumeration_matches_the_full_scan(n1, n2, kind, seed):
     rng = np.random.default_rng(seed)
     game = _game([_payoffs(rng, kind, (n1, n2)) for _ in range(2)])
-    eq = _solve_or_error(mixed_nash_2team, game)
+    eq = _solve_or_error(mixed_nash_2team_scan, game)
     ref = _solve_or_error(mixed_nash_2team_unpruned, game)
     assert (eq is None) == (ref is None)
     if ref is not None:
@@ -114,7 +118,7 @@ def test_support_enumeration_over_copied_items_matches_the_full_scan(n1, n2, d1,
     block = np.ix_(rng.integers(0, len(base[0]), size=n1),
                    rng.integers(0, base[0].shape[1], size=n2))
     game = _game([X[block] for X in base])
-    eq = _solve_or_error(mixed_nash_2team, game)
+    eq = _solve_or_error(mixed_nash_2team_scan, game)
     ref = _solve_or_error(mixed_nash_2team_unpruned, game)
     assert (eq is None) == (ref is None)
     if ref is not None:
@@ -136,12 +140,11 @@ def test_support_enumeration_skips_the_x_solve_of_a_beaten_row_support(monkeypat
         solves.append(M.tolist())
         return solve(M, size)
 
-    solve = stage_game._indifference_solve
-    monkeypatch.setattr(stage_game, "_indifference_solve", counted)
-    eq = mixed_nash_2team(game)
+    solve = oracles._indifference_solve
+    monkeypatch.setattr(oracles, "_indifference_solve", counted)
+    eq = mixed_nash_2team_scan(game)
     assert solves == [A[:2].tolist(), A[[0, 2]].tolist(), B[[0, 2]].T.tolist()]
     mine = len(solves)
-    monkeypatch.setattr(oracles, "_indifference_solve", counted)
     ref = mixed_nash_2team_unpruned(game)
     assert mine < len(solves) - mine
     _same(eq, ref)
@@ -151,7 +154,7 @@ def test_support_enumeration_skips_the_x_solve_of_a_beaten_row_support(monkeypat
 
 def _full_support_game():
     """Zero-sum 5 x 5 rock-paper-scissors extension whose only equilibrium
-    has full support 5 > DEFAULT_SUPPORT_BOUND."""
+    has full support 5 > oracles.DEFAULT_SUPPORT_BOUND."""
     n = 5
     A = np.zeros((n, n))
     for i in range(n):
@@ -163,16 +166,20 @@ def _full_support_game():
 def test_pruned_support_enumeration_reports_the_same_failure():
     """Both scans exhaust on a game whose only equilibrium needs support 5."""
     game = _full_support_game()
-    for solver in (mixed_nash_2team, mixed_nash_2team_unpruned):
+    for solver in (mixed_nash_2team_scan, mixed_nash_2team_unpruned):
         with pytest.raises(EquilibriumNotFoundError):
             solver(game)
 
 
 def test_two_team_stage_falls_back_to_fictitious_play(monkeypatch):
-    """When support enumeration exhausts, solve_stage and the backward
-    driver's point solve return fictitious play's profile; under pure_only
-    the driver raises before any fallback runs."""
+    """When Lemke–Howson exhausts its labels (here every path is cut by a
+    pivot cap of 1), solve_stage and the backward driver's point solve
+    return fictitious play's profile; under pure_only the driver raises
+    before any fallback runs."""
     game = _full_support_game()
+    monkeypatch.setattr(stage_game, "PIVOT_CAP", 1)
+    with pytest.raises(EquilibriumNotFoundError):
+        mixed_nash_2team(game)
     ref = br_iteration(game)
     calls = []
     monkeypatch.setattr(stage_game, "br_iteration", lambda g: calls.append(g) or br_iteration(g))
@@ -444,3 +451,90 @@ def test_pure_pass_values_keep_the_sign_of_zero_of_the_contraction():
     assert np.array_equal(values[:, 0], ref)
     _same(solve_stage(game), eq)
     assert not np.signbit(ref).any() and not np.signbit(values).any()
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(1, 9), st.integers(1, 9), st.sampled_from(PAYOFFS), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_lemke_howson_certifies_and_agrees_with_the_scan_where_the_answer_is_unique(
+        n1, n2, kind, zero_sum, seed):
+    """Every game is certified from the path's end, with each copy's
+    weight on its first item. Equilibria of a general-sum game can differ
+    in value, so the scan is matched where the answer is unique: the
+    value of a zero-sum game, and in generic ("normal") games the profile
+    on the supports that both pick."""
+    rng = np.random.default_rng(seed)
+    A = _payoffs(rng, kind, (n1, n2))
+    game = _game([A, -A if zero_sum else _payoffs(rng, kind, (n1, n2))])
+    eq = mixed_nash_2team(game)
+    eps, values = certify_epsilon(game, eq.weights)
+    assert eq.epsilon == eps <= CERT_TOL and np.array_equal(eq.values, values)
+    assert eq.mixed == (sum(np.count_nonzero(w) for w in eq.weights) > 2)
+    for w, X in zip(eq.weights, (np.hstack(game.tensors), np.hstack([T.T for T in game.tensors]))):
+        assert set(np.flatnonzero(w)) <= set(stage_game._first_items(X).tolist())
+    ref = _solve_or_error(mixed_nash_2team_scan, game)
+    if ref is None:
+        return
+    if zero_sum:
+        assert np.abs(eq.values - ref.values).max() <= 1e-12
+    if kind == "normal" and all(np.array_equal(w > 0, v > 0)
+                                for w, v in zip(eq.weights, ref.weights)):
+        assert np.abs(eq.values - ref.values).max() <= 1e-12
+        for w, v in zip(eq.weights, ref.weights):
+            assert np.abs(w - v).max() <= 1e-12
+
+
+def _near_zero_sum_games():
+    """29 games of 5 to 8 items per team, B = -A + 0.1 noise."""
+    rng = np.random.default_rng(7)
+    games = []
+    for _ in range(29):
+        n1, n2 = rng.integers(5, 9, size=2)
+        A = rng.normal(size=(n1, n2))
+        games.append(_game([A, -A + 0.1 * rng.normal(size=(n1, n2))]))
+    return games
+
+
+def test_lemke_howson_certifies_near_zero_sum_games_the_scan_cannot():
+    """Five of the games need a support above the scan's bound of 4:
+    the scan raises, fictitious play stays above CERT_TOL, and
+    Lemke–Howson certifies each with supports of at least 5 items, which
+    solve_stage returns."""
+    unsolved = 0
+    for game in _near_zero_sum_games():
+        eq = mixed_nash_2team(game)
+        assert eq.mixed and eq.epsilon <= CERT_TOL
+        if _solve_or_error(mixed_nash_2team_scan, game) is not None:
+            continue
+        unsolved += 1
+        assert all(np.count_nonzero(w) >= 5 for w in eq.weights)
+        assert br_iteration(game).epsilon > CERT_TOL
+        _same(solve_stage(game), eq)
+    assert unsolved == 5
+
+
+def test_lemke_howson_tries_the_next_label_past_the_pivot_cap(monkeypatch):
+    """On the 5 x 5 game the path that drops label 0 takes 12 pivots and
+    the one that drops label 1 takes 10: under a cap of 10 the first is
+    cut, uncertified, and the second ends in the unique equilibrium (each
+    team uniform). Under a cap of 9 every path is cut."""
+    game = _full_support_game()
+    labels, certified = [], []
+    path, certify = stage_game._lemke_howson_path, stage_game.certify_epsilon
+    monkeypatch.setattr(stage_game, "_lemke_howson_path",
+                        lambda T, m, label: labels.append(label) or path(T, m, label))
+    monkeypatch.setattr(stage_game, "certify_epsilon",
+                        lambda g, w: certified.append(w) or certify(g, w))
+    assert mixed_nash_2team(game).epsilon <= CERT_TOL and labels == [0]
+    labels.clear(), certified.clear()
+    monkeypatch.setattr(stage_game, "PIVOT_CAP", 10)
+    eq = mixed_nash_2team(game)
+    assert labels == [0, 1] and len(certified) == 1
+    assert eq.mixed and eq.epsilon <= CERT_TOL
+    for w in eq.weights:
+        np.testing.assert_allclose(w, 0.2, rtol=0, atol=1e-12)
+    labels.clear()
+    monkeypatch.setattr(stage_game, "PIVOT_CAP", 9)
+    with pytest.raises(EquilibriumNotFoundError):
+        mixed_nash_2team(game)
+    assert labels == list(range(10))
