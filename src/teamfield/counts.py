@@ -13,11 +13,11 @@ agent of the team), one stage factors into three elementary random maps:
 So the next counts are a sum of N independent one-agent draws, an agent
 in state s landing in s' with the mixture row sum_a gamma(a|s) P(s'|s,a,z).
 ``_count_laws`` builds their law batched over many rows, adding one agent
-at a time on the lattice of the agents seen so far: arrays stay
-lattice-sized and every term is a nonnegative product, with no log space
-and no pruning. The kernel store, the bound's deviations, the initial
-count law and the kernel check all read its rows. The three maps and the
-per-state convolution it replaced are the references in ``tests/oracles.py``.
+at a time on the lattice of the agents seen so far: arrays stay lattice-sized
+and every term is a nonnegative product (no log space, no pruning). The kernel
+store, the initial count law, the kernel check and the bound's deviations (one
+call per population for all teams with the same (N, S)) read its rows. The
+three maps and the convolution it replaced are the oracles in ``tests/oracles.py``.
 
 A team's count point is an integer array of length S, a joint point a tuple
 of them. ``TeamLattice.rank`` is the one lookup of a point's lattice index:
@@ -152,16 +152,20 @@ def _count_laws(mix: np.ndarray, counts: np.ndarray) -> np.ndarray:
     independent agents: row b has counts[b, s] agents in state s, each
     landing in s' with probability mix[b, s, s']; all rows total N. Agents
     join one at a time in state order, so after j of them the law lives on
-    the level-j lattice, plus the zero column ``_arrivals`` points to."""
+    the level-j lattice, plus the zero column ``_arrivals`` points to. Agent
+    j's rows (B, S) are gathered again only if j starts some row's state."""
     B, S = counts.shape
     bounds = np.cumsum(counts, axis=1)
+    enters = np.bincount((bounds - counts).ravel(), minlength=bounds[0, -1] + 1) > 0
     law = np.repeat([[1.0, 0.0]], B, axis=0)
     for j, pred in enumerate(_arrivals(int(bounds[0, -1]), S)[0]):
-        w = mix[np.arange(B), (bounds <= j).sum(axis=1)]         # agent j's row, (B, S)
-        new = np.zeros((B, pred.shape[1] + 1))
-        for s in range(S):
-            new[:, :-1] += law[:, pred[s]] * w[:, s, None]
-        law = new
+        if enters[j]:
+            w = mix[np.arange(B), (bounds <= j).sum(axis=1)]     # agent j's row, (B, S)
+        acc = law[:, pred[0]] * w[:, 0, None]     # contiguous; adding into the padded view is slower
+        for s in range(1, S):
+            acc += law[:, pred[s]] * w[:, s, None]
+        law = np.zeros((B, acc.shape[1] + 1))
+        law[:, :-1] = acc
     return law[:, :-1]
 
 

@@ -7,8 +7,9 @@ image (a constant-over-sqrt(N) envelope, estimated empirically here from
 deviations that are exact expectations under the count kernel) and (b)
 how steep the equilibrium value functions are in the mean field (the
 largest difference quotient over all point pairs of the computed tables).
-Each team's envelope covers its whole menu, every item once, with the
-next-count laws read as rows of ``counts._count_laws`` on its lattice.
+Each team's envelope covers its whole menu, every item once. A probe
+call builds the mixture rows and flow images once and, per population,
+the ``counts._count_laws`` rows of all teams with the same (N, S) at once.
 ``theorem4_bound`` combines the two into an estimated gap, not a
 certificate, 2 * sum_t sum_k kappa_k * L_{k,t} / sqrt(N_k): each kappa is
 an empirical envelope over the probed populations and each L a grid
@@ -25,7 +26,7 @@ import numpy as np
 from .errors import CapacityError, SpecValidationError
 from .counts import (DEFAULT_SUPPORT_CAP, _arrivals, _count_laws, _mixture_rows,
                      count_point, lattice_size)
-from .model import GameSpec, _count, _flow, flatten_mean_field, with_populations
+from .model import GameSpec, _count, _flow, flatten_mean_field
 from .stage_game import STORE_BLOCK_ENTRIES
 
 MAX_EXACT_STATES = 32
@@ -99,36 +100,46 @@ def transport_distance(p, q, metric) -> np.ndarray:
     return out
 
 
-def _deviations(spec: GameSpec, z, menus) -> list:
-    """Per team k, the (len(menus[k]),) exact E W(next counts / N, flow
-    image) under each item of menus[k], read from rows of the count law on
-    team k's lattice in blocks of about STORE_BLOCK_ENTRIES entries. Teams
-    move independently given z, so each item is evaluated once."""
+def _deviations(spec: GameSpec, z, menus, populations) -> list:
+    """Per entry of ``populations`` (one count per team, all checked before
+    any law), per team k the exact E W(next counts / N_k, flow image) under
+    each item of menus[k]: one ``_count_laws`` call per entry and (N, S),
+    in blocks of about STORE_BLOCK_ENTRIES entries."""
     if len(menus) != spec.n_teams:
         raise SpecValidationError("need one menu per team, got %d for %d teams"
                                   % (len(menus), spec.n_teams))
     zf = flatten_mean_field(spec, z)
     Z = [np.asarray(v, dtype=float)[None] for v in getattr(z, "per_team", z)]
-    R, laws = [], []
-    for k, (tm, menu) in enumerate(zip(spec.teams, menus)):
-        m = count_point(Z[k][0], tm.population, k)
-        if lattice_size(tm.population, tm.n_states) > DEFAULT_SUPPORT_CAP:
-            raise CapacityError("team %d count lattice exceeds cap %d" % (k, DEFAULT_SUPPORT_CAP))
+    counts = [[count_point(Z[k][0], n, k) for k, n in enumerate(ns)] for ns in populations]
+    big = [k for ns in populations for k, (tm, n) in enumerate(zip(spec.teams, ns))
+           if lattice_size(n, tm.n_states) > DEFAULT_SUPPORT_CAP]
+    if big:
+        raise CapacityError("team %d count lattice exceeds cap %d" % (big[0], DEFAULT_SUPPORT_CAP))
+    for k, menu in enumerate(menus):
         if len({p.rows.shape for p in menu}) > 1:
             raise SpecValidationError("prescription shapes differ within team %d's menu" % k)
-        R.append(np.stack([p.rows for p in menu]))
-        laws.append((m, _mixture_rows(spec, k, zf[None], R[k])[0]))
+    R = [np.stack([p.rows for p in menu]) for menu in menus]
+    mix = [_mixture_rows(spec, k, zf[None], r)[0] for k, r in enumerate(R)]
+    q = [f[0] for f in _flow(spec, Z, R)]
     out = []
-    for tm, (m, mix), q in zip(spec.teams, laws, _flow(spec, Z, R)):
-        points = _arrivals(tm.population, tm.n_states)[1] / tm.population
-        step = max(1, STORE_BLOCK_ENTRIES // len(points))
-        dev = np.empty(len(mix))
-        for lo in range(0, len(mix), step):
-            rows = mix[lo:lo + step]
-            law = _count_laws(rows, np.repeat(m[None], len(rows), axis=0))
-            dist = transport_distance(points, q[0, lo:lo + step, None], tm.state_metric)
-            dev[lo:lo + step] = (law * dist).sum(axis=1)
-        out.append(dev)
+    for ns, m in zip(populations, counts):
+        devs = {}
+        for N, S in {(n, tm.n_states) for n, tm in zip(ns, spec.teams)}:
+            ks = [k for k, tm in enumerate(spec.teams) if (ns[k], tm.n_states) == (N, S)]
+            team = np.repeat(ks, [len(mix[k]) for k in ks])
+            rows, q_rows = np.concatenate([mix[k] for k in ks]), np.concatenate([q[k] for k in ks])
+            points = _arrivals(N, S)[1] / N
+            step = max(1, STORE_BLOCK_ENTRIES // len(points))
+            dev = np.empty(len(rows))
+            for lo in range(0, len(rows), step):
+                b = slice(lo, lo + step)
+                law = _count_laws(rows[b], np.stack([m[k] for k in team[b]]))
+                for k in ks:
+                    at = team[b] == k
+                    dist = transport_distance(points, q_rows[b][at, None], spec.teams[k].state_metric)
+                    dev[b][at] = (law[at] * dist).sum(axis=1)
+            devs.update({k: dev[team == k] for k in ks})
+        out.append([devs[k] for k in range(spec.n_teams)])
     return out
 
 
@@ -136,7 +147,8 @@ def per_team_deviation(z, prescriptions, spec: GameSpec) -> np.ndarray:
     """Exact per-team E[W(next counts / N, flow image)] under the count
     kernel. The joint expectation of the summed metric separates across
     teams because teams transition independently."""
-    return np.array([d[0] for d in _deviations(spec, z, [[p] for p in prescriptions])])
+    devs = _deviations(spec, z, [[p] for p in prescriptions], [[tm.population for tm in spec.teams]])
+    return np.array([d[0] for d in devs[0]])
 
 
 @dataclass
@@ -178,8 +190,9 @@ def fit_rate(spec: GameSpec, z, prescriptions, n_values) -> RateFit:
     if len(ns) < 4:
         raise SpecValidationError("rate fit needs at least 4 distinct populations")
     devs, kappa = [], np.zeros(spec.n_teams)
-    for n in ns:
-        d = per_team_deviation(z, prescriptions, with_populations(spec, n))
+    probes = _deviations(spec, z, [[p] for p in prescriptions], [[n] * spec.n_teams for n in ns])
+    for n, per_team in zip(ns, probes):
+        d = np.array([x[0] for x in per_team])
         devs.append(float(d.sum()))
         kappa = np.maximum(kappa, math.sqrt(n) * d)
     if max(devs) < 1e-15:
@@ -198,10 +211,12 @@ def fit_rate(spec: GameSpec, z, prescriptions, n_values) -> RateFit:
 
 def kappa_envelope(spec: GameSpec, z, menus, n_values) -> np.ndarray:
     """Per team k, the max sqrt(N)-scaled deviation over every item of
-    menus[k] and every N in n_values; z must sit on every probed lattice."""
+    menus[k] and every N of a nonempty n_values; z on every probed lattice."""
+    ns = [_count(n, "probe population") for n in n_values]
+    if not ns:
+        raise SpecValidationError("kappa envelope needs at least one population")
     kappa = np.zeros(spec.n_teams)
-    for n in n_values:
-        devs = _deviations(with_populations(spec, n), z, menus)
+    for n, devs in zip(ns, _deviations(spec, z, menus, [[n] * spec.n_teams for n in ns])):
         kappa = np.maximum(kappa, [math.sqrt(n) * d.max() for d in devs])
     return kappa
 

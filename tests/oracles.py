@@ -16,6 +16,8 @@ forward propagation of the count law (checked against
 policy's values and of one team's best reply (checked bitwise against
 the shared backward pass of ``finite_mpe``), the summed deviation of a
 profile (``expected_deviation``, from ``metrics.per_team_deviation``),
+the rate fit and kappa envelope one population at a time (checked bitwise
+against the one pass over every population),
 the per-agent process one episode at a time (``simulate_episode``, whose
 costs the batched episodes of ``simulate.estimate_cost`` equal bitwise)
 with its per-row picker and hand-written agent policies, and pointwise
@@ -37,8 +39,10 @@ from teamfield.counts import (DEFAULT_SUPPORT_CAP, PRUNE_TOL, MeanField, Prescri
 from teamfield.errors import CapacityError, EquilibriumNotFoundError, SpecValidationError
 from teamfield.finite_mpe import PolicyTable, _average, _store, initial_distribution
 from teamfield.limit import SimplexGrid, flow
-from teamfield.metrics import LIPSCHITZ_BLOCK_PAIRS, per_team_deviation, transport_distance
-from teamfield.model import GameSpec, cost_matrix, flatten_mean_field, transition_matrix
+from teamfield.metrics import (LIPSCHITZ_BLOCK_PAIRS, RateFit, per_team_deviation,
+                               transport_distance)
+from teamfield.model import (GameSpec, cost_matrix, flatten_mean_field, transition_matrix,
+                             with_populations)
 from teamfield.rng import substream
 from teamfield.simulate import KernelCheckReport, _cdf, _pick_rows, _team_index
 from teamfield.stage_game import (CERT_TOL, PURE_TOL, KernelCache, StageEquilibrium, StageGame,
@@ -166,6 +170,44 @@ def deviation_by_kernel(z, prescriptions, spec: GameSpec) -> np.ndarray:
         support = np.array(dist.support) / tm.population
         out[k] = dist.probs @ transport_distance(support, q.per_team[k], tm.state_metric)
     return out
+
+
+def fit_rate_by_population(spec: GameSpec, z, prescriptions, n_values) -> RateFit:
+    """``metrics.fit_rate`` one population at a time: a ``with_populations``
+    spec per N and one ``per_team_deviation`` call on it, the loop that the
+    single ``metrics._deviations`` pass over every N replaced."""
+    ns = sorted(set(n_values))
+    devs, kappa = [], np.zeros(spec.n_teams)
+    for n in ns:
+        d = per_team_deviation(z, prescriptions, with_populations(spec, n))
+        devs.append(float(d.sum()))
+        kappa = np.maximum(kappa, math.sqrt(n) * d)
+    if max(devs) < 1e-15:
+        return RateFit(n_values=ns, deviations=devs, slope=float("nan"),
+                       intercept=float("nan"), r_squared=float("nan"), kappa_hat=kappa,
+                       degenerate=True)
+    x = np.log(np.asarray(ns, dtype=float))
+    y = np.log(np.asarray(devs))
+    slope, intercept = np.polyfit(x, y, 1)
+    resid = y - (slope * x + intercept)
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    r2 = 1.0 if ss_tot == 0 else 1.0 - float(np.sum(resid ** 2)) / ss_tot
+    return RateFit(n_values=ns, deviations=devs, slope=float(slope),
+                   intercept=float(intercept), r_squared=r2, kappa_hat=kappa)
+
+
+def kappa_envelope_by_population(spec: GameSpec, z, menus, n_values) -> np.ndarray:
+    """``metrics.kappa_envelope`` one population and one menu item at a
+    time: per N a ``with_populations`` spec, and per item of team k one
+    ``per_team_deviation`` call with the other teams on their first items."""
+    kappa = np.zeros(spec.n_teams)
+    for n in n_values:
+        sp = with_populations(spec, n)
+        devs = [np.array([per_team_deviation(z, [g if j == k else m[0]
+                                                 for j, m in enumerate(menus)], sp)[k]
+                          for g in menu]) for k, menu in enumerate(menus)]
+        kappa = np.maximum(kappa, [math.sqrt(n) * d.max() for d in devs])
+    return kappa
 
 
 def expected_deviation(z, prescriptions, spec: GameSpec) -> float:

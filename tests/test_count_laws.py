@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 
 import teamfield as tf
 from teamfield import finite_mpe, stage_game
-from teamfield.counts import MeanField, Prescription, TeamLattice
+from teamfield.counts import MeanField, Prescription, TeamLattice, _count_laws, _mixture_rows
 from teamfield.errors import SpecValidationError
 from teamfield.finite_mpe import initial_distribution
+from teamfield.model import flatten_mean_field
 from teamfield.simulate import empirical_kernel_check
 from teamfield.stage_game import KernelCache
 
@@ -174,3 +175,25 @@ def test_store_blocks_do_not_change_the_store(monkeypatch):
     monkeypatch.setattr(stage_game, "STORE_BLOCK_ENTRIES", 100)
     for a, b in zip(KernelCache(spec, sets).stacks(), whole):
         assert np.array_equal(a, b)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(1, 4), st.lists(st.integers(1, 3), min_size=1, max_size=3),
+       st.integers(1, 9), st.booleans(), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_batched_count_laws_equal_one_row_calls(S, actions, N, deterministic, pure, seed):
+    """The rows of several teams (same S, different A) and menu items in one
+    call, each at its own count vector as ``KernelCache`` passes them, are
+    bitwise the rows of one-row calls."""
+    rng = np.random.default_rng(seed)
+    spec = _ring_game([(S, A, N) for A in actions], rng, deterministic)
+    tl = TeamLattice(N, S)
+    z = MeanField(per_team=tuple(tl.z[int(rng.integers(len(tl)))] for _ in actions))
+    zf = flatten_mean_field(spec, z)[None]
+    mix = np.concatenate([_mixture_rows(spec, k, zf, np.stack(
+        [_rows(rng, S, A, pure) for _ in range(int(rng.integers(1, 4)))]))[0]
+                          for k, A in enumerate(actions)])
+    counts = tl.counts[rng.integers(len(tl), size=len(mix))]
+    law = _count_laws(mix, counts)
+    assert law.shape == (len(mix), len(tl))
+    for b in range(len(mix)):
+        assert np.array_equal(law[b], _count_laws(mix[b:b + 1], counts[b:b + 1])[0])

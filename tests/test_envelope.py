@@ -4,7 +4,10 @@
 ``counts._count_laws`` on the team lattice, once per menu item.
 ``oracles.deviation_by_kernel`` goes through one ``team_kernel_convolution``
 distribution and one ``flow`` image per profile. Both must agree to 1e-12,
-and ``kappa_envelope`` must cover every item of every team's menu.
+and ``kappa_envelope`` must cover every item of every team's menu. One
+``_deviations`` pass serves every probed population; ``fit_rate`` and
+``kappa_envelope`` must equal, bitwise, the oracles that rebuild the spec
+with ``with_populations`` and probe one population at a time.
 """
 
 import json
@@ -19,11 +22,12 @@ import teamfield as tf
 from teamfield.cli import PROBE_POPULATIONS, _probe_mean_field, main
 from teamfield.counts import MeanField, Prescription, TeamLattice
 from teamfield.errors import CapacityError, SpecValidationError
-from teamfield.metrics import kappa_envelope, per_team_deviation
+from teamfield import metrics
+from teamfield.metrics import _deviations, fit_rate, kappa_envelope, per_team_deviation
 from teamfield.model import GameSpec, with_populations
 
 from conftest import cyclic_pursuit_three_team, write_json
-from oracles import deviation_by_kernel
+from oracles import deviation_by_kernel, fit_rate_by_population, kappa_envelope_by_population
 from test_count_laws import _ring_game, _rows
 
 TOL = 1e-12
@@ -129,7 +133,7 @@ def test_kappa_envelope_covers_every_item(name, reference_spec):
     assert np.all(got > 0)
 
 
-def test_deviation_input_checks(reference_spec):
+def test_deviation_input_checks(reference_spec, monkeypatch):
     spec = with_populations(reference_spec, 4)
     z = MeanField(per_team=(np.full(2, 0.5), np.full(2, 0.5)))
     menus = [tf.build_prescription_set(spec, k).items for k in range(2)]
@@ -145,8 +149,77 @@ def test_deviation_input_checks(reference_spec):
         kappa_envelope(spec, z, [menus[0], (wide,) * 2], [4])
     with pytest.raises(SpecValidationError, match="prescription shapes differ"):
         kappa_envelope(spec, z, [menus[0], menus[1] + (wide,)], [4])
+    with pytest.raises(SpecValidationError, match="at least one population"):
+        kappa_envelope(spec, z, menus, [])
+    for bad in (0, -2, 2.5, True):
+        with pytest.raises(SpecValidationError, match="probe population"):
+            kappa_envelope(spec, z, menus, [4, bad])
+
+    def no_law(mix, counts):
+        raise AssertionError("a count law was built before every population was checked")
+
+    monkeypatch.setattr(metrics, "_count_laws", no_law)
     with pytest.raises(CapacityError, match="count lattice exceeds cap"):
         per_team_deviation(z, [m[0] for m in menus], with_populations(spec, 2 * 10 ** 7))
+    with pytest.raises(CapacityError, match="count lattice exceeds cap"):
+        kappa_envelope(spec, z, menus, [4, 2 * 10 ** 7])
+    with pytest.raises(CapacityError, match="count lattice exceeds cap"):
+        fit_rate(spec, z, [m[0] for m in menus], [2, 4, 8, 2 * 10 ** 7])
+
+
+def _composition(rng, total, S):
+    """A random point of the count lattice of ``total`` agents on S states."""
+    return np.bincount(rng.integers(S, size=total), minlength=S)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=3),
+       st.lists(st.integers(1, 8), min_size=4, max_size=6, unique=True), st.integers(1, 3),
+       st.integers(1, 3), st.booleans(), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_probes_match_the_per_population_path(teams, ns, g, items, deterministic, pure, seed):
+    """Teams of different S, A and metric (S = 1 and N = 1 included) at a
+    point z = counts / g on the lattice of every N = g * n: the rate
+    fit and the envelope equal the per-population oracles bitwise, and the
+    deviations match the kernel path that shares no code with them."""
+    rng = np.random.default_rng(seed)
+    ring = _ring_game([(S, A, 1) for S, A in teams], rng, deterministic)
+    spec = GameSpec(teams=tuple(replace(tm, state_metric=(k + 1) * tm.state_metric)
+                                for k, tm in enumerate(ring.teams)), horizon=2)
+    ns = [g * n for n in ns]
+    z = MeanField(per_team=tuple(_composition(rng, g, tm.n_states) / g for tm in spec.teams))
+    menus = [[Prescription(rows=_rows(rng, tm.n_states, tm.n_actions, pure))
+              for _ in range(items)] for tm in spec.teams]
+    first = [m[0] for m in menus]
+    fast, slow = fit_rate(spec, z, first, ns), fit_rate_by_population(spec, z, first, ns)
+    assert fast.deviations == slow.deviations
+    assert np.array_equal(fast.kappa_hat, slow.kappa_hat)
+    for n, d in zip(fast.n_values, fast.deviations):
+        kernel_path = deviation_by_kernel(z, first, with_populations(spec, n)).sum()
+        np.testing.assert_allclose(d, kernel_path, rtol=0, atol=TOL * len(teams))
+    assert fast.degenerate == slow.degenerate
+    assert fast.as_dict() == slow.as_dict()     # slope and intercept; None if degenerate
+    if not fast.degenerate:
+        assert (fast.slope, fast.intercept) == (slow.slope, slow.intercept)
+    assert np.array_equal(kappa_envelope(spec, z, menus, ns),
+                          kappa_envelope_by_population(spec, z, menus, ns))
+
+
+def test_deviation_blocks_do_not_change_the_probes(monkeypatch):
+    """Blocks of one row, of a few rows across a team boundary and of
+    whole menus give the same deviations, for populations that group the
+    teams by (N, S) in different ways."""
+    rng = np.random.default_rng(3)
+    spec = _ring_game([(3, 2, 1), (3, 3, 1), (2, 2, 1), (1, 2, 1)], rng)
+    z = MeanField(per_team=(np.full(3, 1 / 3), np.eye(3)[1], np.full(2, 0.5), np.ones(1)))
+    menus = [tf.build_prescription_set(spec, k).items for k in range(spec.n_teams)]
+    populations = [[6] * 4, [6, 3, 2, 1], [3, 3, 4, 4]]
+    whole = _deviations(spec, z, menus, populations)
+    assert [len(d) for d in whole[0]] == [8, 27, 4, 2]
+    for entries in (1, 30, 200):
+        monkeypatch.setattr(metrics, "STORE_BLOCK_ENTRIES", entries)
+        got = _deviations(spec, z, menus, populations)
+        for a, b in zip(got, whole):
+            assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def test_bound_envelope_dominates_every_menu_item(tmp_path):
