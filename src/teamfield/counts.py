@@ -276,5 +276,14 @@ def count_point(z_k, population: int, k: int) -> np.ndarray:
 def _mixture_rows(spec: GameSpec, k: int, zf: np.ndarray, R: np.ndarray) -> np.ndarray:
     """(P, m, S, S) next-state law of one team-k agent in each state,
     sum_a gamma(a|s) P(.|s,a,z), at the flat joint points zf (P, D) under
-    each prescription of R (m, S, A)."""
-    return np.einsum("isa,psat->pist", _team_rows(spec, k, R), transition_matrix(spec, k, zf))
+    each prescription of R (m, S, A). The actions are summed in order by
+    elementwise ufuncs, the points and items on broadcast axes, so a point
+    or item has the same bits alone or inside any batch; no temporary is
+    larger than the result, which agrees with the einsum form
+    (``tests/oracles.py``) within 1e-12."""
+    R, P = _team_rows(spec, k, R), transition_matrix(spec, k, zf)
+    out = np.zeros((len(P), len(R)) + P.shape[1:2] + P.shape[3:])
+    term = np.empty_like(out)
+    for a in range(R.shape[2]):
+        out += np.multiply(R[None, :, :, a, None], P[:, None, :, a], out=term)
+    return out

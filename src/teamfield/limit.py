@@ -5,10 +5,13 @@ expectation, so the coordinator game collapses to a deterministic one:
 the mean field advances by the push-forward ``flow`` and stage costs are
 the finite solver's cost table on it. The solve and ``rollout_inf`` both
 step with ``model._flow`` and pay ``stage_game._cost_table``, each
-batched over points and menu items. The backward induction then runs
-on a uniform 1/n discretization of each team's simplex, projecting every
-flow image to its nearest grid point (projection errors are logged, they
-are the honest discretization cost of the scheme).
+batched over points and menu items, each a fixed-order sum of elementwise
+ufuncs: a point's bits do not depend on the batch, and both agree with
+their einsum forms within 1e-12. The backward induction then runs on a
+uniform 1/n discretization of each team's simplex, projecting every flow
+image to its nearest grid point, read at the ``argmin`` of one
+``metrics.transport_distance`` table per block of images (projection
+errors are logged, they are the honest discretization cost of the scheme).
 
 This is the finite solver's recursion with a Dirac mass for the count
 kernel, run by the same backward driver (``stage_game._backward``): the
@@ -82,17 +85,18 @@ def flow(z, prescriptions, spec: GameSpec) -> MeanField:
 
 def _nearest(x, k, grid: SimplexGrid):
     """Nearest grid point of team k to every row of ``x`` and its distance;
-    ties go to the ascending-lex first point. Rows go in blocks that keep
-    the (rows, grid points, states) difference table near
-    STORE_BLOCK_ENTRIES entries."""
+    ties go to the ascending-lex first point. Rows go in blocks of
+    STORE_BLOCK_ENTRIES // (grid points x states), each with one
+    (rows, grid points) ``transport_distance`` table, read at its ``argmin``."""
     pts = grid.points[k]
     step = max(1, STORE_BLOCK_ENTRIES // pts.size)
-    idx, dist = [], []
+    idx, dist = np.empty(len(x), dtype=np.intp), np.empty(len(x))
     for lo in range(0, len(x), step):
         d = transport_distance(x[lo:lo + step, None], pts[None], grid.spec.teams[k].state_metric)
-        idx.append(d.argmin(axis=1))
-        dist.append(d.min(axis=1))
-    return np.concatenate(idx), np.concatenate(dist)
+        i = d.argmin(axis=1)
+        idx[lo:lo + step] = i
+        dist[lo:lo + step] = d[np.arange(len(d)), i]
+    return idx, dist
 
 
 def project_indices(z, grid: SimplexGrid):

@@ -77,26 +77,43 @@ def wasserstein(p, q, metric) -> float:
 def transport_distance(p, q, metric) -> np.ndarray:
     """Optimal transport cost between the distributions on the last axis of
     ``p`` and ``q``, broadcast against each other; one value per pair.
+    ``p``, ``q`` and the (n, n) ``metric`` must agree on the state count n.
 
     Closed forms where they exist (one state: 0; two states: d01*|p0-q0|;
-    equal off-diagonal metric: half the L1 distance times that value);
-    any other metric falls back to the exact LP ``wasserstein`` pair by
-    pair. The identity with the LP is property-tested."""
+    equal off-diagonal metric: half the L1 distance times that value),
+    each built as one array of the result's shape: the state-0 difference
+    made absolute in place, the other states' absolute differences added
+    one state at a time, in order, through one scratch array of that
+    shape, then scaled in place (bitwise the old axis sum below 8 states,
+    within 1e-12 of it above). Any other metric falls back to the exact
+    LP ``wasserstein`` pair by pair. The identity with the LP is
+    property-tested."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     d = np.asarray(metric, dtype=float)
     n = p.shape[-1]
+    if q.shape[-1] != n or d.shape != (n, n):
+        raise SpecValidationError("metric/distribution dimensions disagree: %s, %s and metric %s"
+                                  % (p.shape, q.shape, d.shape))
     if n == 1:
         return np.zeros(np.broadcast_shapes(p.shape, q.shape)[:-1])
+    if n > 2:
+        off = d[~np.eye(n, dtype=bool)]
+        if np.any(off != off[0]):
+            p, q = np.broadcast_arrays(p, q)
+            out = np.empty(p.shape[:-1])
+            for i in np.ndindex(out.shape):
+                out[i] = wasserstein(p[i], q[i], d)
+            return out
+    out = np.asarray(p[..., 0] - q[..., 0])
+    np.abs(out, out=out)
     if n == 2:
-        return d[0, 1] * np.abs(p[..., 0] - q[..., 0])
-    off = d[~np.eye(n, dtype=bool)]
-    if np.all(off == off[0]):
-        return off[0] * 0.5 * np.abs(p - q).sum(axis=-1)
-    p, q = np.broadcast_arrays(p, q)
-    out = np.empty(p.shape[:-1])
-    for i in np.ndindex(out.shape):
-        out[i] = wasserstein(p[i], q[i], d)
+        out *= d[0, 1]
+        return out
+    term = np.empty_like(out)
+    for s in range(1, n):
+        out += np.abs(np.subtract(p[..., s], q[..., s], out=term), out=term)
+    out *= off[0] * 0.5
     return out
 
 
@@ -242,6 +259,8 @@ def estimate_lipschitz(table, spec: GameSpec) -> np.ndarray:
     best = np.zeros(T * K)
     for k, (x, tm) in enumerate(zip(table.lattice.points, spec.teams)):
         n = len(x)
+        if n < 2:      # one point makes no pair
+            continue
         # team k's grid index first, every other team's index flattened
         Vk = np.moveaxis(V.reshape((T * K,) + shape), k + 1, 1).reshape(T * K, n, L // n)
         a, b = np.triu_indices(n, k=1)

@@ -19,6 +19,9 @@ metric, and the infinite-population flow stays exact.
 ``transition_matrix`` and ``cost_matrix`` evaluate the maps by one einsum
 each, at one flat point or any batch, bitwise alike for a point either
 way; other modules call them (and ``_flow``) and never read coefficients.
+The kernels built on them (``_flow`` here, ``counts._mixture_rows`` and
+``stage_game._cost_table``) call each once per batch and sum their terms
+by elementwise ufuncs in a fixed order, so they are batch-invariant too.
 
 All validation failures raise SpecValidationError naming the first
 violated invariant and its location.
@@ -287,13 +290,30 @@ def _team_rows(spec: GameSpec, k: int, R: np.ndarray) -> np.ndarray:
 def _flow(spec: GameSpec, Z, R) -> list:
     """The deterministic mean-field update (``limit.flow``) batched over P
     joint points and every prescription of each team: (P, m_k, S_k) images
-    from occupancies Z[k] (P, S_k) and prescription rows R[k] (m_k, S_k, A_k)."""
+    from occupancies Z[k] (P, S_k) and prescription rows R[k] (m_k, S_k, A_k).
+
+    Each image sums the terms (z(s) gamma(a|s)) P(.|s, a, z) in a fixed
+    order, actions fastest, then states, and divides by its entries added
+    in order, all by elementwise ufuncs on an (m_k, S_k, P) array with the
+    points on the long inner axis; a team's images are a view of it. A
+    point or menu item has the same bits alone or inside any batch, no
+    temporary is larger than the images, and the result agrees with the
+    einsum form (``tests/oracles.py``) within 1e-12."""
     zf = np.concatenate(Z, axis=1)
     out = []
     for k in range(spec.n_teams):
-        nxt = np.einsum("ps,isa,psat->pit", Z[k], _team_rows(spec, k, R[k]),
-                        transition_matrix(spec, k, zf))
-        out.append(nxt / nxt.sum(axis=2, keepdims=True))
+        rows, P = _team_rows(spec, k, R[k]), transition_matrix(spec, k, zf)
+        nxt = np.zeros((len(rows), P.shape[-1], len(zf)))
+        w, term = np.empty((len(rows), 1, len(zf))), np.empty_like(nxt)
+        for z, r_s, P_s in zip(Z[k].T, rows.transpose(1, 2, 0)[..., None, None],
+                               P.transpose(1, 2, 3, 0)):
+            for r, P_sa in zip(r_s, P_s):
+                nxt += np.multiply(np.multiply(r, z, out=w), P_sa, out=term)
+        total = nxt[:, 0].copy()
+        for t in range(1, nxt.shape[1]):
+            total += nxt[:, t]
+        nxt /= total[:, None]
+        out.append(nxt.transpose(2, 0, 1))
     return out
 
 

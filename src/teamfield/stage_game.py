@@ -21,6 +21,7 @@ fidelity.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -53,7 +54,14 @@ class PrescriptionSet:
         return len(self.items)
 
     def rows_stack(self):
-        return np.stack([p.rows for p in self.items])
+        """The items' rows as one read-only (n, S, A) array, stacked once."""
+        return self._rows
+
+    @functools.cached_property
+    def _rows(self):
+        rows = np.stack([p.rows for p in self.items])
+        rows.setflags(write=False)
+        return rows
 
 
 def build_prescription_set(spec: GameSpec, k: int, g: int = None) -> PrescriptionSet:
@@ -175,9 +183,22 @@ class KernelCache:
 
 def _cost_table(spec: GameSpec, k: int, ps: PrescriptionSet, Z, t: int) -> np.ndarray:
     """(P, menu size) own stage cost of team k at the joint points Z, in
-    closed form: sum_s z_k(s) sum_a gamma(a|s) c_t(s, a, z)."""
+    closed form: sum_s z_k(s) sum_a gamma(a|s) c_t(s, a, z), its terms
+    (z(s) gamma(a|s)) c_t(s, a, z) added in a fixed order (actions
+    fastest, then states) by elementwise ufuncs like ``model._flow``:
+    batch-invariant, within 1e-12 of the einsum form. The sums run on a
+    (menu size, P) array, the points on the long inner axis, which is
+    copied to (P, menu size) order at the end."""
     C = cost_matrix(spec, k, t, np.concatenate(Z, axis=1))
-    return np.einsum("ps,isa,psa->pi", Z[k], _team_rows(spec, k, ps.rows_stack()), C)
+    R = _team_rows(spec, k, ps.rows_stack())
+    out = np.zeros((len(R), len(C)))
+    term = np.empty_like(out)
+    for z, rows, costs in zip(Z[k].T, R.transpose(1, 2, 0)[..., None], C.transpose(1, 2, 0)):
+        for r, c in zip(rows, costs):
+            np.multiply(r, z, out=term)
+            term *= c
+            out += term
+    return np.ascontiguousarray(out.T)
 
 
 def _contract(Ws, V) -> np.ndarray:
@@ -225,10 +246,10 @@ def _backward(spec: GameSpec, sets, lattice: JointLattice, continuation, pure_on
     """Backward induction over stages T-1 .. 0 at the points of
     ``lattice`` (C order): own cost tables, ``continuation`` of the next
     values (K, *lattice shape) as (K, P, *menu shape), stage tensors, then
-    ``_solve_points``, which names a point by its ``lattice.ids`` entry. A
-    stage's K tensors (P, *menu shape) and the (K, P, *menu shape)
-    continuation alive with them take 16 K P prod_k n_k bytes; above
-    MAX_STORE_BYTES this raises CapacityError before the first stage.
+    ``_solve_points``. A stage's K tensors (P, *menu shape) and the
+    (K, P, *menu shape) continuation alive with them take 16 K P prod_k n_k
+    bytes; above MAX_STORE_BYTES this raises CapacityError before the first
+    stage.
 
     Returns the per-stage record arrays of equilibria and the per-team
     equilibrium values (T, K, *lattice shape)."""
@@ -244,19 +265,20 @@ def _backward(spec: GameSpec, sets, lattice: JointLattice, continuation, pure_on
         own = [_cost_table(spec, k, sets[k], lattice.z, t) for k in range(K)]
         tensors = _stage_tensors(own, None if t == T - 1 else continuation(values[t + 1]),
                                  shape)
-        stages[t], values[t] = _solve_points(tensors, t, lattice.shape, lattice.ids, pure_only)
+        stages[t], values[t] = _solve_points(tensors, t, lattice, pure_only)
     return stages, values[:T]
 
 
-def _solve_points(tensors, t: int, points_shape, ids, pure_only: bool):
-    """Equilibria (record array over ``points_shape``) and per-team values
-    (K, *points_shape) of the stage games in the per-team tensors
-    (P, *menu shape), P points in C order, named ``ids[p]``.
+def _solve_points(tensors, t: int, lattice, pure_only: bool):
+    """Equilibria (record array over ``lattice.shape``) and per-team values
+    (K, *lattice.shape) of the stage games in the per-team tensors
+    (P, *menu shape), P points in C order.
 
     One pure pass covers every point: the lexicographically first pure
     profile with its epsilon and values read by indexing. solve_stage
     runs only at the points without one, in C order; under pure_only the
-    first such point raises NoPureEquilibriumError instead."""
+    first such point raises NoPureEquilibriumError instead, naming it
+    by its ``lattice.ids`` entry (read only then: a solve builds no names)."""
     if not all(np.isfinite(X).all() for X in tensors):
         raise SpecValidationError("stage game tensor has non-finite entries")
     has, profiles = _first_pure(tensors)
@@ -271,11 +293,11 @@ def _solve_points(tensors, t: int, points_shape, ids, pure_only: bool):
     values[:, pure] = vals
     for p in np.flatnonzero(~has):
         if pure_only:
-            raise NoPureEquilibriumError(t, ids[p])
+            raise NoPureEquilibriumError(t, lattice.ids[p])
         eq = solve_stage(StageGame(tensors=tuple(X[p] for X in tensors)))
         st[p] = (eq.mixed, eq.epsilon, *eq.weights)
         values[:, p] = eq.values
-    return st.reshape(points_shape), values.reshape((len(tensors),) + tuple(points_shape))
+    return st.reshape(lattice.shape), values.reshape((len(tensors),) + tuple(lattice.shape))
 
 
 # ---------------------------------------------------------------------------

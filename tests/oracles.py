@@ -639,6 +639,51 @@ def contract_einsum(Ws, V) -> np.ndarray:
     return np.einsum(*operands, optimize=True)
 
 
+def flow_einsum(spec: GameSpec, Z, R) -> list:
+    """``model._flow`` as one three-operand ``np.einsum`` per team, then
+    normalized."""
+    zf = np.concatenate(Z, axis=1)
+    out = []
+    for k in range(spec.n_teams):
+        nxt = np.einsum("ps,isa,psat->pit", Z[k], R[k], transition_matrix(spec, k, zf))
+        out.append(nxt / nxt.sum(axis=2, keepdims=True))
+    return out
+
+
+def mixture_rows_einsum(spec: GameSpec, k: int, zf, R) -> np.ndarray:
+    """``counts._mixture_rows`` as one ``np.einsum``."""
+    return np.einsum("isa,psat->pist", R, transition_matrix(spec, k, zf))
+
+
+def cost_table_einsum(spec: GameSpec, k: int, ps, Z, t: int) -> np.ndarray:
+    """``stage_game._cost_table`` as one three-operand ``np.einsum``."""
+    C = cost_matrix(spec, k, t, np.concatenate(Z, axis=1))
+    return np.einsum("ps,isa,psa->pi", Z[k], ps.rows_stack(), C)
+
+
+def transport_distance_sum(p, q, metric) -> np.ndarray:
+    """The closed forms of ``metrics.transport_distance`` as whole-array
+    expressions: the (..., states) difference table, made absolute and
+    summed on its last axis (one state: 0)."""
+    p, q, d = (np.asarray(x, dtype=float) for x in (p, q, metric))
+    n = p.shape[-1]
+    if n == 1:
+        return np.zeros(np.broadcast_shapes(p.shape, q.shape)[:-1])
+    if n == 2:
+        return d[0, 1] * np.abs(p[..., 0] - q[..., 0])
+    off = d[~np.eye(n, dtype=bool)]
+    assert np.all(off == off[0]), "no closed form"
+    return off[0] * 0.5 * np.abs(p - q).sum(axis=-1)
+
+
+def nearest_min(x, k, grid: SimplexGrid):
+    """``limit._nearest`` in one block: ``transport_distance_sum`` of every
+    row against every grid point, then ``argmin`` and a second ``min`` pass."""
+    d = transport_distance_sum(x[:, None], grid.points[k][None],
+                               grid.spec.teams[k].state_metric)
+    return d.argmin(axis=1), d.min(axis=1)
+
+
 def certify_epsilon_tensordot(game: StageGame, weights):
     """``stage_game.certify_epsilon`` from ``own_cost_vector_tensordot``
     vectors, each gain taken against the vector's minimum."""

@@ -32,22 +32,25 @@ NOT_IN_SRC = {
                "sample_next_counts", "_multinomial_pmf", "mixture_rows", "format_counts",
                "CountDistribution", "team_transition_kernel", "joint_transition_kernel",
                "stage_cost", "_finalize", "_support_key", "PROB_TOL", "CountVector",
-               "JointCount"),
+               "JointCount", "mixture_rows_einsum"),
     "model": ("eval_transition", "eval_cost", "_kr_norm", "transition_lipschitz",
-              "cost_lipschitz", "_transitions"),
+              "cost_lipschitz", "_transitions", "flow_einsum"),
     "stage_game": ("build_stage_game", "ContinuationTable", "stage_pure_nash_loop",
                    "mixed_nash_2team_unpruned", "br_iteration_recertified", "pure_nash",
                    "select_equilibrium", "own_cost_vector_tensordot", "_undominated",
                    "_support_pairs", "equilibrium_values", "_own_cost_vector",
                    "_surviving_columns", "_level_pairs", "_survivors", "_combination_blocks",
                    "contract_einsum", "_contract_operands", "_contract_path",
-                   "mixed_nash_2team_scan", "DEFAULT_SUPPORT_BOUND", "_indifference_solve"),
+                   "mixed_nash_2team_scan", "DEFAULT_SUPPORT_BOUND", "_indifference_solve",
+                   "cost_table_einsum"),
     "simulate": ("FunctionPolicy", "_frequencies", "kernel_check_whole", "simulate_episode",
                  "_counts_of", "_pick"),
     "metrics": ("wasserstein_fast", "DEFAULT_DEVIATION_CAP", "DEFAULT_PAIR_CAP",
-                "joint_distance", "lemma1_check", "Lemma1Report", "expected_deviation"),
+                "joint_distance", "lemma1_check", "Lemma1Report", "expected_deviation",
+                "transport_distance_sum"),
     "cli": ("PROBE_PROFILE_CAP",),
-    "limit": ("project_to_grid", "limit_stage_cost", "LimitPolicyTable", "LimitValueTable"),
+    "limit": ("project_to_grid", "limit_stage_cost", "LimitPolicyTable", "LimitValueTable",
+              "nearest_min"),
     "finite_mpe": ("total_cost_forward", "_records"),
 }
 

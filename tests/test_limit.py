@@ -5,15 +5,15 @@ import numpy as np
 import pytest
 
 import teamfield as tf
-from teamfield import model, stage_game
-from teamfield.counts import MeanField, Prescription, TeamLattice
+from teamfield import limit, model, stage_game
+from teamfield.counts import JointLattice, MeanField, Prescription, TeamLattice
 from teamfield.errors import CapacityError, SpecValidationError
 from teamfield.limit import (SimplexGrid, default_grid, project_indices, rollout_inf,
                              solve_mpe_inf)
 from teamfield.stage_game import _cost_table
 
 from conftest import deterministic_two_team, identity_dynamics_spec, kernel_row, minimal_team
-from oracles import mean_field, stage_cost
+from oracles import mean_field, nearest_min, stage_cost, transport_distance_sum
 
 
 def test_flow_literal():
@@ -301,3 +301,80 @@ def test_limit_solver_handles_one_state_team():
     assert np.allclose(values.values[:, 0, 0, :], [[0.5], [0.25]])
     assert np.allclose(values.values[:, 1, 0, :], [[2.0], [1.0]])
     assert np.all(tf.estimate_lipschitz(values, spec)[0] == 0.0)
+
+
+def _one_team(S, scale, row=None):
+    """One team of S states under the metric scale * (1 - identity) whose
+    one action moves every agent by the law ``row`` (uniform if None)."""
+    row = list(np.full(S, 1.0 / S) if row is None else row)
+    return tf.load_spec({"horizon": 2, "teams": [{
+        "states": ["s%d" % s for s in range(S)], "actions": ["a0"], "population": 1,
+        "initial_law": [1.0] + [0.0] * (S - 1),
+        "metric": (scale * (np.ones((S, S)) - np.eye(S))).tolist(),
+        "transition": {"base": [[row]] * S}, "cost": {"base": [[0.0]] * S}}]})
+
+
+@pytest.mark.parametrize("S, n, scale", [(1, 3, 1.0), (2, 6, 0.7), (3, 4, 1.0), (5, 3, 2.5),
+                                         (7, 2, 0.3), (8, 2, 1.3)])
+def test_projection_reads_the_summed_table_at_its_argmin(S, n, scale, monkeypatch):
+    """The one-table distance and the distance read at the argmin equal, bitwise,
+    the old (rows, grid points, states) table summed on its last axis and
+    reduced by argmin and min, below 8 states (from 8 on numpy's axis sum
+    is pairwise, so the distances agree within 1e-12 and the index is a
+    nearest point within 1e-12); blocks of a few rows change nothing."""
+    rng = np.random.default_rng(S)
+    grid = SimplexGrid(_one_team(S, scale), [n])
+    pts = grid.points[0]
+    x = np.concatenate([rng.dirichlet(np.ones(S), size=300), pts,
+                        (pts[:-1] + pts[1:]) / 2])       # exact points and midpoints
+    idx, dist = limit._nearest(x, 0, grid)
+    ref_idx, ref_dist = nearest_min(x, 0, grid)
+    if S < 8:
+        assert np.array_equal(idx, ref_idx) and dist.tobytes() == ref_dist.tobytes()
+    else:
+        np.testing.assert_allclose(dist, ref_dist, rtol=0, atol=1e-12)
+        table = transport_distance_sum(x[:, None], pts[None], grid.spec.teams[0].state_metric)
+        np.testing.assert_allclose(table[np.arange(len(x)), idx], ref_dist, rtol=0, atol=1e-12)
+    monkeypatch.setattr(limit, "STORE_BLOCK_ENTRIES", 3 * len(pts) + 1)
+    blocked = limit._nearest(x, 0, grid)
+    assert np.array_equal(blocked[0], idx) and blocked[1].tobytes() == dist.tobytes()
+
+
+@pytest.mark.parametrize("row, first", [([0.25, 0.75], [0.0, 1.0]),
+                                        ([0.25, 0.25, 0.5], [0.0, 0.5, 0.5])])
+def test_a_flow_image_at_a_midpoint_goes_to_the_first_grid_point(row, first):
+    """A flow image exactly halfway between grid points (two states) or
+    equidistant from two of them (three states) projects to the
+    ascending-lex first one, in the solver's projection too."""
+    spec = _one_team(len(row), 1.0, row)
+    grid = SimplexGrid(spec, [2])
+    image = tf.flow(MeanField(per_team=(spec.teams[0].initial_law,)),
+                    (Prescription(rows=np.ones((len(row), 1))),), spec)
+    assert image.per_team[0].tolist() == row
+    idx, err = project_indices(image, grid)
+    assert grid.points[0][idx[0]].tolist() == first and err == 0.25
+    assert limit._nearest(image.per_team[0][None], 0, grid)[0].tolist() == [idx[0]]
+
+
+def test_a_solve_reads_point_names_only_to_report_a_missing_pure_equilibrium(
+        monkeypatch, reference_spec, reference_sets):
+    """Limit and finite solves succeed on lattices whose ``ids`` raise; under
+    pure_only the error still names the stage and the point id, the first
+    point in C order of the last stage with a mixed equilibrium."""
+    spec = tf.load_spec(json.dumps(deterministic_two_team()))
+    sets = tuple(tf.build_prescription_set(spec, k) for k in range(2))
+    mixed = solve_mpe_inf(spec, sets)[0].mixed_points
+    t = max(s for s, _ in mixed)
+    grid = default_grid(spec)
+    expect = grid.ids[np.ravel_multi_index(min(i for s, i in mixed if s == t), grid.shape)]
+    with pytest.raises(tf.NoPureEquilibriumError) as err:
+        solve_mpe_inf(spec, sets, grid=default_grid(spec), pure_only=True)
+    assert (err.value.stage, err.value.z) == (t, expect)
+
+    def unnamed(self):
+        raise AssertionError("a point name was read")
+
+    monkeypatch.setattr(JointLattice, "ids", property(unnamed))
+    solve_mpe_inf(reference_spec, reference_sets)
+    tf.solve_mpe(reference_spec, reference_sets)
+    solve_mpe_inf(spec, sets)

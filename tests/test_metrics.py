@@ -94,6 +94,22 @@ def test_wasserstein_rejects_bad_input():
         wasserstein([0.5, 0.5], [1.0, 0.0], LINE3)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_transport_distance_refuses_disagreeing_state_counts(n):
+    """Every branch (closed form for n = 1, 2 and the equal off-diagonal
+    metric, the LP for the line metric) checks that p, q and the metric
+    agree on the state count, as wasserstein does."""
+    p = np.full(n, 1.0 / n)
+    longer = np.full(n + 1, 1.0 / (n + 1))
+    metrics_n = [np.ones((n, n)) - np.eye(n)] + ([LINE3] if n == 3 else [])
+    for d in metrics_n:
+        assert transport_distance(p, p, d) == 0.0
+        for bad in ((p, longer, d), (longer, p, d), (p[None], longer[None, None], d),
+                    (p, p, np.ones((n + 1, n + 1)) - np.eye(n + 1)), (p, p, np.zeros((n, n + 1)))):
+            with pytest.raises(SpecValidationError, match="dimensions disagree"):
+                transport_distance(*bad)
+
+
 def _iid_probe_inputs(spec):
     gammas = (tf.build_prescription_set(spec, 0).items[0],)
     z = MeanField(per_team=(np.array([0.5, 0.5]),))

@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -271,7 +272,8 @@ def test_solve_stage_pure_only_raises():
     point, where solve_stage falls back to a mixed profile."""
     g = game2([[0.0, 1.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(NoPureEquilibriumError, match="no pure equilibrium at stage 3, z=z"):
-        stage_game._solve_points([X[None] for X in g.tensors], 3, (1,), ["z"], True)
+        stage_game._solve_points([X[None] for X in g.tensors], 3,
+                                  SimpleNamespace(shape=(1,), ids=["z"]), True)
     eq = solve_stage(g)
     assert eq.mixed and eq.epsilon <= 1e-9
 

@@ -22,6 +22,7 @@ bitwise.
 """
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -73,6 +74,11 @@ def _same(eq, ref):
         assert np.array_equal(mine, theirs)
     assert np.array_equal(eq.values, ref.values)
     assert np.array_equal(np.signbit(eq.values), np.signbit(ref.values))
+
+
+def _points(shape, ids):
+    """The two members of a lattice that _solve_points reads."""
+    return SimpleNamespace(shape=shape, ids=ids)
 
 
 def _at(stage, values, idx):
@@ -185,7 +191,7 @@ def test_two_team_stage_falls_back_to_fictitious_play(monkeypatch):
     monkeypatch.setattr(stage_game, "br_iteration", lambda g: calls.append(g) or br_iteration(g))
     _same(solve_stage(game), ref)
     tensors = [X[None] for X in game.tensors]
-    eqs, values = _solve_points(tensors, 0, (1,), ["z"], False)
+    eqs, values = _solve_points(tensors, 0, _points((1,), ["z"]), False)
     _same(_at(eqs, values, (0,)), ref)
     assert len(calls) == 2
 
@@ -195,7 +201,7 @@ def test_two_team_stage_falls_back_to_fictitious_play(monkeypatch):
     monkeypatch.setattr(stage_game, "mixed_nash_2team", fallback)
     monkeypatch.setattr(stage_game, "br_iteration", fallback)
     with pytest.raises(NoPureEquilibriumError):
-        _solve_points(tensors, 0, (1,), ["z"], True)
+        _solve_points(tensors, 0, _points((1,), ["z"]), True)
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -401,7 +407,7 @@ def test_pure_pass_matches_solve_stage_point_by_point(K, P, seed):
     points_shape = (P,) if P % 2 else (2, P // 2)
     label = lambda idx: "z%s" % (idx,)
     ids = [label(idx) for idx in np.ndindex(points_shape)]
-    eqs, values = _solve_points(tensors, 1, points_shape, ids, False)
+    eqs, values = _solve_points(tensors, 1, _points(points_shape, ids), False)
     assert eqs.shape == points_shape and values.shape == (K,) + points_shape
     for p, idx in enumerate(np.ndindex(points_shape)):
         game = _game([X[p] for X in tensors])
@@ -421,10 +427,10 @@ def test_pure_pass_matches_solve_stage_point_by_point(K, P, seed):
     first = next((idx for p, idx in enumerate(np.ndindex(points_shape))
                   if not stage_pure_nash_loop(_game([X[p] for X in tensors]))), None)
     if first is None:
-        _solve_points(tensors, 1, points_shape, ids, True)
+        _solve_points(tensors, 1, _points(points_shape, ids), True)
         return
     with pytest.raises(NoPureEquilibriumError) as err:
-        _solve_points(tensors, 1, points_shape, ids, True)
+        _solve_points(tensors, 1, _points(points_shape, ids), True)
     assert (err.value.stage, err.value.z) == (1, label(first))
 
 
@@ -434,7 +440,7 @@ def test_pure_pass_rejects_non_finite_tensors(bad):
     tensors = _stage_tensors(rng, 2, 4)
     tensors[1][3, 0, 1] = bad
     with pytest.raises(SpecValidationError):
-        _solve_points(tensors, 0, (4,), list("abcd"), False)
+        _solve_points(tensors, 0, _points((4,), list("abcd")), False)
 
 
 def test_pure_pass_values_keep_the_sign_of_zero_of_the_contraction():
@@ -443,7 +449,7 @@ def test_pure_pass_values_keep_the_sign_of_zero_of_the_contraction():
     pure pass and in solve_stage."""
     A = np.array([[-0.0, 1.0], [2.0, 3.0]])
     B = np.array([[-0.0, -0.0], [1.0, 1.0]])
-    eqs, values = _solve_points([A[None], B[None]], 0, (1,), ["z"], False)
+    eqs, values = _solve_points([A[None], B[None]], 0, _points((1,), ["z"]), False)
     game = _game([A, B])
     eq = _at(eqs, values, (0,))
     _, ref = certify_epsilon(game, eq.weights)
