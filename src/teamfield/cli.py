@@ -6,8 +6,7 @@ manifest.json (spec hash, result-determining config, seed, versions) and
 timing.json. Wall-clock data lives only in timing.json so that reruns
 with the same configuration produce byte-identical result files.
 
-Exit codes: 0 success, 2 spec parse/validation failure, 3 capacity
-overflow, 4 no pure equilibrium under --pure-only, 1 anything else.
+Exit codes: 0 on success, else the code that _EXIT_CODES gives the error.
 """
 
 from __future__ import annotations
@@ -221,14 +220,14 @@ def _run_bound(args, out, h):
     sweep = args.n_sweep or list(DEFAULT_N_SWEEP)
     probe_ns = list(PROBE_POPULATIONS)
     probe_z = _probe_mean_field(spec, probe_ns)
-    pure_sets = tuple(build_prescription_set(spec, k) for k in range(spec.n_teams))
-    rate = fit_rate(spec, probe_z, [ps.items[0] for ps in pure_sets], probe_ns)
+    # menus depend on the states and actions only, not on the populations
+    sets = _build_sets(spec, args)
+    rate = fit_rate(spec, probe_z, [ps.items[0] for ps in sets], probe_ns)
     kappa = np.maximum(rate.kappa_hat, kappa_envelope(
-        spec, probe_z, [ps.items for ps in pure_sets], [max(probe_ns)]))
+        spec, probe_z, [ps.items for ps in sets], [max(probe_ns)]))
     rows = []
     for n in sweep:
         spn = with_populations(spec, n)
-        sets = _build_sets(spn, args)
         lpolicy, lvalues, _ = solve_mpe_inf(spn, sets, grid=_grid(spn, args),
                                             pure_only=args.pure_only)
         fpolicy = project_policy_to_lattice(spn, lpolicy)
@@ -337,6 +336,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# (exception types, exit code): the first match wins
+_EXIT_CODES = (((SpecParseError, SpecValidationError, FileNotFoundError), 2),
+               (CapacityError, 3), (NoPureEquilibriumError, 4), (Exception, 1))
+# options that change no result file, left out of manifest.json's config; a
+# new option that changes no result (a verbosity flag, say) must be added here
+_NO_RESULT_OPTIONS = ("spec", "out", "workers")
+
+
 def _error_record(out, mode, exc):
     record = {"mode": mode, "error": type(exc).__name__, "message": str(exc)}
     if out is not None:
@@ -363,30 +370,12 @@ def main(argv=None) -> int:
         _count(args.workers, "the number of workers")
         spec_hash = _sha256_file(args.spec)
         _RUNNERS[args.mode](args, out, spec_hash)
-    except (SpecParseError, SpecValidationError, FileNotFoundError) as e:
-        _error_record(out, args.mode, e)
-        return 2
-    except CapacityError as e:
-        _error_record(out, args.mode, e)
-        return 3
-    except NoPureEquilibriumError as e:
-        _error_record(out, args.mode, e)
-        return 4
     except Exception as e:                      # noqa: BLE001 - CLI boundary
         _error_record(out, args.mode, e)
-        return 1
+        return next(code for kinds, code in _EXIT_CODES if isinstance(e, kinds))
     if out is not None:
-        config = {
-            "mode": args.mode,
-            "spec_sha256": spec_hash,
-            "seed": args.seed,
-            "episodes": args.episodes,
-            "grid_g": args.grid_g,
-            "simplex_n": args.simplex_n,
-            "n_sweep": args.n_sweep,
-            "pure_only": args.pure_only,
-            "keep_episodes": args.keep_episodes,
-        }
+        config = {key: v for key, v in vars(args).items()
+                  if key not in _NO_RESULT_OPTIONS} | {"spec_sha256": spec_hash}
         canon = json.dumps(config, sort_keys=True)
         _write_json(out / "manifest.json", {
             "config": config,

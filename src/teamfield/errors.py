@@ -29,14 +29,11 @@ class NoPureEquilibriumError(TeamfieldError):
     """Raised in strict pure-only mode when some stage game has no pure
     equilibrium; carries the offending stage and mean-field point."""
 
-    def __init__(self, stage, z, message=None):
-        self.stage = stage
-        self.z = z
-        if message is None:
-            message = "no pure equilibrium at stage %d, z=%s" % (stage, z)
-        super().__init__(message)
+    def __init__(self, stage, z):
+        self.stage, self.z = stage, z
+        super().__init__("no pure equilibrium at stage %d, z=%s" % (stage, z))
 
 
 class EquilibriumNotFoundError(TeamfieldError):
-    """Support enumeration exhausted its support bound without certifying
-    an equilibrium; callers may fall back to best-response iteration."""
+    """No Lemke–Howson path, from any starting label, ended in a certified
+    equilibrium; callers may fall back to best-response iteration."""

@@ -36,7 +36,7 @@ LIPSCHITZ_BLOCK_PAIRS = 1 << 14   # pairs per block; bounds the transient arrays
 
 def _check_dist(p, name):
     p = np.asarray(p, dtype=float)
-    if np.any(p < -1e-12) or abs(p.sum() - 1.0) > 1e-9:
+    if np.any(p < -1e-12) or not abs(p.sum() - 1.0) <= 1e-9:
         raise SpecValidationError("%s is not a probability vector (sum %.17g)"
                                   % (name, p.sum()))
     return np.maximum(p, 0.0)
@@ -158,14 +158,6 @@ def _deviations(spec: GameSpec, z, menus, populations) -> list:
             devs.update({k: dev[team == k] for k in ks})
         out.append([devs[k] for k in range(spec.n_teams)])
     return out
-
-
-def per_team_deviation(z, prescriptions, spec: GameSpec) -> np.ndarray:
-    """Exact per-team E[W(next counts / N, flow image)] under the count
-    kernel. The joint expectation of the summed metric separates across
-    teams because teams transition independently."""
-    devs = _deviations(spec, z, [[p] for p in prescriptions], [[tm.population for tm in spec.teams]])
-    return np.array([d[0] for d in devs[0]])
 
 
 @dataclass

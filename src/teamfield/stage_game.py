@@ -67,20 +67,17 @@ class PrescriptionSet:
 def build_prescription_set(spec: GameSpec, k: int, g: int = None) -> PrescriptionSet:
     """Menu for team k, of at most DEFAULT_PRESCRIPTION_CAP items.
 
-    g None: all deterministic maps, ordered lexicographically by the tuple
-    of chosen action indices (|A|^|S| items). g >= 1: every map whose
-    rows have entries that are multiples of 1/g (C(g+|A|-1, |A|-1)^|S|
-    items, rows cycling fastest in the last state).
+    g >= 1: every map whose rows have entries that are multiples of 1/g
+    (C(g+|A|-1, |A|-1)^|S| items, rows cycling fastest in the last state).
+    g None is the g = 1 grid: all deterministic maps, ordered
+    lexicographically by the tuple of chosen action indices (|A|^|S| items).
     """
     tm = spec.teams[k]
     S, A = tm.n_states, tm.n_actions
-    if g is None:
-        kind, row_menu = "pure", list(np.eye(A))
-    elif g < 1:
+    kind, g = ("pure", 1) if g is None else ("gridded", g)
+    if g < 1:
         raise SpecValidationError("gridded menus need a grid resolution g >= 1")
-    else:
-        kind = "gridded"
-        row_menu = [np.array(v, dtype=float) / g for v in enumerate_counts(g, A)]
+    row_menu = [np.array(v, dtype=float) / g for v in enumerate_counts(g, A)]
     size = len(row_menu) ** S
     if size > DEFAULT_PRESCRIPTION_CAP:
         raise CapacityError("%s prescription set for team %d has %d items, cap %d"

@@ -15,7 +15,8 @@ forward propagation of the count law (checked against
 ``evaluate_total_cost``), the separate stage loops of the
 policy's values and of one team's best reply (checked bitwise against
 the shared backward pass of ``finite_mpe``), the summed deviation of a
-profile (``expected_deviation``, from ``metrics.per_team_deviation``),
+profile (``expected_deviation``, from ``per_team_deviation``, the
+one-profile deviation at the spec's populations),
 the rate fit and kappa envelope one population at a time (checked bitwise
 against the one pass over every population),
 the per-agent process one episode at a time (``simulate_episode``, whose
@@ -39,8 +40,7 @@ from teamfield.counts import (DEFAULT_SUPPORT_CAP, PRUNE_TOL, MeanField, Prescri
 from teamfield.errors import CapacityError, EquilibriumNotFoundError, SpecValidationError
 from teamfield.finite_mpe import PolicyTable, _average, _store, initial_distribution
 from teamfield.limit import SimplexGrid, flow
-from teamfield.metrics import (LIPSCHITZ_BLOCK_PAIRS, RateFit, per_team_deviation,
-                               transport_distance)
+from teamfield.metrics import LIPSCHITZ_BLOCK_PAIRS, RateFit, _deviations, transport_distance
 from teamfield.model import (GameSpec, cost_matrix, flatten_mean_field, transition_matrix,
                              with_populations)
 from teamfield.rng import substream
@@ -156,8 +156,18 @@ def kernel_store_loop(lattice, sets, spec: GameSpec) -> list:
     return out
 
 
+def per_team_deviation(z, prescriptions, spec: GameSpec) -> np.ndarray:
+    """Exact per-team E[W(next counts / N, flow image)] under the count
+    kernel at the spec's populations, one prescription per team: a
+    one-item menu per team through ``metrics._deviations``. The joint
+    expectation of the summed metric separates across teams because teams
+    transition independently."""
+    devs = _deviations(spec, z, [[p] for p in prescriptions], [[tm.population for tm in spec.teams]])
+    return np.array([d[0] for d in devs[0]])
+
+
 def deviation_by_kernel(z, prescriptions, spec: GameSpec) -> np.ndarray:
-    """``metrics.per_team_deviation`` through one ``team_kernel_convolution``
+    """``per_team_deviation`` through one ``team_kernel_convolution``
     distribution of count atoms per team and the ``flow`` image:
     the per-profile path ``metrics._deviations`` replaced."""
     per_team = getattr(z, "per_team", z)

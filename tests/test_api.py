@@ -47,7 +47,7 @@ NOT_IN_SRC = {
                  "_counts_of", "_pick"),
     "metrics": ("wasserstein_fast", "DEFAULT_DEVIATION_CAP", "DEFAULT_PAIR_CAP",
                 "joint_distance", "lemma1_check", "Lemma1Report", "expected_deviation",
-                "transport_distance_sum"),
+                "transport_distance_sum", "per_team_deviation"),
     "cli": ("PROBE_PROFILE_CAP",),
     "limit": ("project_to_grid", "limit_stage_cost", "LimitPolicyTable", "LimitValueTable",
               "nearest_min"),

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import teamfield
+from teamfield import cli
 from teamfield.cli import main
 from teamfield.errors import SpecValidationError
 from teamfield.limit import project_indices
@@ -251,6 +252,19 @@ def test_pure_only_exits_4(tmp_path):
     summary = _read(tmp_path / "mixed" / "solve-finite" / "summary.json")
     assert summary["mixed_points"] > 0
     assert summary["max_gain"] <= 1e-9
+
+
+def test_unexpected_error_exits_1(tmp_path, monkeypatch, capsys):
+    """Any exception outside the spec, capacity and pure-only errors exits 1
+    with an error record and no manifest."""
+    def boom(args, out, h):
+        raise RuntimeError("solver exploded")
+    monkeypatch.setitem(cli._RUNNERS, "solve-finite", boom)
+    assert main(["solve-finite", "--spec", str(REFERENCE), "--out", str(tmp_path)]) == 1
+    assert _read(tmp_path / "solve-finite" / "error.json") == {
+        "mode": "solve-finite", "error": "RuntimeError", "message": "solver exploded"}
+    assert not (tmp_path / "solve-finite" / "manifest.json").exists()
+    assert "error (RuntimeError): solver exploded" in capsys.readouterr().err
 
 
 def test_solve_finite_artifacts(tmp_path):

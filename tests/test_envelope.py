@@ -23,11 +23,12 @@ from teamfield.cli import PROBE_POPULATIONS, _probe_mean_field, main
 from teamfield.counts import MeanField, Prescription, TeamLattice
 from teamfield.errors import CapacityError, SpecValidationError
 from teamfield import metrics
-from teamfield.metrics import _deviations, fit_rate, kappa_envelope, per_team_deviation
+from teamfield.metrics import _deviations, fit_rate, kappa_envelope
 from teamfield.model import GameSpec, with_populations
 
-from conftest import cyclic_pursuit_three_team, write_json
-from oracles import deviation_by_kernel, fit_rate_by_population, kappa_envelope_by_population
+from conftest import DATA, cyclic_pursuit_three_team, write_json
+from oracles import (deviation_by_kernel, fit_rate_by_population, kappa_envelope_by_population,
+                     per_team_deviation)
 from test_count_laws import _ring_game, _rows
 
 TOL = 1e-12
@@ -237,3 +238,16 @@ def test_bound_envelope_dominates_every_menu_item(tmp_path):
     for gammas in zip(*sets):
         dev = deviation_by_kernel(z, gammas, with_populations(spec, n))
         assert np.all(np.asarray(kappa) >= np.sqrt(n) * dev - TOL), (kappa, dev)
+
+
+def test_bound_envelope_covers_the_gridded_menus_it_plays(tmp_path):
+    """Under --grid-g the sweep plays gridded menus, so kappa_hat must
+    cover their envelope, not only the pure menus'."""
+    path = DATA / "two_team_reference.json"
+    assert main(["bound", "--spec", str(path), "--out", str(tmp_path), "--grid-g", "2",
+                 "--n-sweep", "2"]) == 0
+    kappa = json.loads((tmp_path / "bound" / "bound.json").read_text())["kappa_hat"]
+    spec = tf.load_spec_file(path)
+    z = _probe_mean_field(spec, PROBE_POPULATIONS)
+    menus = [tf.build_prescription_set(spec, k, g=2).items for k in range(spec.n_teams)]
+    assert np.all(np.asarray(kappa) >= kappa_envelope(spec, z, menus, [max(PROBE_POPULATIONS)]))

@@ -12,12 +12,11 @@ from teamfield.counts import MeanField
 from teamfield import metrics
 from teamfield.errors import CapacityError, SpecValidationError
 from teamfield.limit import SimplexGrid
-from teamfield.metrics import (estimate_lipschitz, fit_rate, kappa_envelope,
-                               per_team_deviation, theorem4_bound, transport_distance,
-                               wasserstein)
+from teamfield.metrics import (estimate_lipschitz, fit_rate, kappa_envelope, theorem4_bound,
+                               transport_distance, wasserstein)
 
 from conftest import minimal_team, perfbench_gen
-from oracles import expected_deviation, lipschitz_all_pairs
+from oracles import expected_deviation, lipschitz_all_pairs, per_team_deviation
 
 LINE3 = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
 DISCRETE3 = np.ones((3, 3)) - np.eye(3)
@@ -92,6 +91,16 @@ def test_wasserstein_rejects_bad_input():
         wasserstein([0.5, 0.6], [0.5, 0.5], DISCRETE3[:2, :2])
     with pytest.raises(SpecValidationError):
         wasserstein([0.5, 0.5], [1.0, 0.0], LINE3)
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_wasserstein_rejects_a_nan_distribution(side):
+    """A NaN sums to NaN, which no tolerance comparison accepts: the check
+    raises SpecValidationError before the LP sees the vector."""
+    pq = [[0.5, 0.25, 0.25], [0.2, 0.3, 0.5]]
+    pq[side] = [np.nan, 0.5, 0.5]
+    with pytest.raises(SpecValidationError, match="%s is not a probability vector" % "pq"[side]):
+        wasserstein(*pq, LINE3)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
