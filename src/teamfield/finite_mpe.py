@@ -21,9 +21,9 @@ raw for the stage games and averaged under a fixed policy's mixtures,
 which ``PolicyTable.mixtures`` reads from a stage's record array as whole
 (P, n_k) columns. One backward pass (``_evaluate``) evaluates a fixed
 policy: ``verify_mpe`` runs it once for the policy's values and every
-team's best reply, which share each stage's mixtures, cost tables and
-averaged stacks, and ``policy_value`` and ``best_response`` run it for
-one player. The readers take count-lattice tables only, though the tables
+team's best reply, which share each stage's mixtures and averaged
+stacks, and ``policy_value`` and ``best_response`` run it for one
+player. The readers take count-lattice tables only, though the tables
 serve the limit solver too, over a ``SimplexGrid`` (a ``JointLattice``).
 ``evaluate_total_cost`` averages ``policy_value``'s stage-0 values under
 the initial count law. ``solve_mpe`` runs the backward driver
@@ -34,6 +34,10 @@ the limit's gathers them at projected flow images. The driver finds the
 pure stage equilibria of a stage in one pass; only the stage games
 without one are solved point by point. A solved or projected policy
 keeps its ``KernelCache``, which every reader of it takes (``_store``).
+The store holds the own-cost tables of every stage as well as the
+kernels: the solve, the certificate and the forward pass read the same
+tables, formed once per store, so no reader of a solved or projected
+policy forms one, and a table built by hand gets them with its store.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ import numpy as np
 from .counts import JointLattice, _count_lattice, _count_laws, _indented
 from .errors import SpecValidationError
 from .model import GameSpec, _count
-from .stage_game import KernelCache, _backward, _contract, _cost_table
+from .stage_game import KernelCache, _backward, _contract
 
 
 @dataclass(eq=False)
@@ -103,7 +107,8 @@ class EquilibriumCertificate:
 
 def _store(spec: GameSpec, policy: PolicyTable) -> KernelCache:
     """The kernel store ``policy`` keeps; a new one of ``spec`` and its menus,
-    kept on it, when it keeps none or one of another spec object or menus.
+    kept on it, when it keeps none or one of another spec object or menus
+    (whose kernels or cost tables may differ).
     Raises SpecValidationError when the spec's lattice has another shape."""
     lattice, cache = _count_lattice(policy), policy._kernels
     if cache is None or cache.spec is not spec or cache.sets is not policy.sets:
@@ -124,8 +129,9 @@ def solve_mpe(spec: GameSpec, sets, pure_only: bool = False):
     """
     cache = KernelCache(spec, tuple(sets))
     Ws = cache.stacks() if spec.horizon > 1 else None    # checks the store size first
-    stages, values = _backward(spec, cache.sets, cache.lattice, lambda V: _contract(Ws, V),
-                               pure_only)
+    C = cache.costs()
+    stages, values = _backward(spec, cache.sets, cache.lattice, lambda t: [c[t] for c in C],
+                               lambda V: _contract(Ws, V), pure_only)
     policy = PolicyTable(stages=stages, sets=cache.sets, lattice=cache.lattice)
     policy._kernels = cache
     return policy, ValueTable(values=values, lattice=cache.lattice)
@@ -139,23 +145,22 @@ def _average(w, W) -> np.ndarray:
 def _evaluate(spec: GameSpec, policy: PolicyTable, players) -> list:
     """One backward pass under ``policy`` for ``players``: None plays it (values
     (T, K, *shape)), team k replies best to it ((per-stage picks, values (T,
-    *shape)), ties to the smallest index). A stage reads the mixtures, and
-    forms the cost tables and averaged stacks the players need, once."""
+    *shape)), ties to the smallest index). The cost tables are the store's;
+    a stage reads the mixtures, and forms the averaged stacks the players
+    need, once."""
     cache = _store(spec, policy)
-    lattice = policy.lattice
-    T, K, shape = spec.horizon, spec.n_teams, lattice.shape
+    T, K, shape = spec.horizon, spec.n_teams, policy.lattice.shape
     Ws = cache.stacks() if T > 1 else None
-    own = range(K) if None in players else players
+    C = cache.costs()
     averaged = [j for j in range(K) if players != (j,)]     # some player averages team j
     out = [(np.zeros((T + 1,) + ((K,) if k is None else ()) + shape), [None] * T)
            for k in players]
     for t in range(T - 1, -1, -1):
         w = policy.mixtures(t) if None in players or t < T - 1 else None
-        c = {k: _cost_table(spec, k, policy.sets[k], lattice.z, t) for k in own}
         avg = {j: _average(w[j], Ws[j])[:, None] for j in averaged} if t < T - 1 else {}
         for k, (V, pk) in zip(players, out):
-            e = c[k] if k is not None else np.stack(
-                [np.einsum("pi,pi->p", w[j], c[j]) for j in range(K)])
+            e = C[k][t] if k is not None else np.stack(
+                [np.einsum("pi,pi->p", w[j], C[j][t]) for j in range(K)])
             if t < T - 1:
                 Wk = [W if j == k else avg[j] for j, W in enumerate(Ws)]
                 e = e + _contract(Wk, V[t + 1]).reshape(e.shape)
@@ -194,8 +199,8 @@ def verify_mpe(spec: GameSpec, policy: PolicyTable) -> EquilibriumCertificate:
     gains[t, k, z] = (value of playing the policy) - (best-response value),
     both recomputed by dynamic programming from the policy's prescriptions,
     the stage costs and the count kernels in one backward pass, whose stages
-    share the mixtures, cost tables and averaged kernels; no stage game is
-    solved. The kernels are the policy's store (``_store``); acceptance
+    share the mixtures and averaged kernels; no stage game is solved. The
+    kernels and cost tables are the policy's store (``_store``); acceptance
     criterion 2 and the engine oracle check them. Gains are nonnegative up
     to a -1e-9 numerical floor; for an exact equilibrium the max is ~0.
     """

@@ -4,14 +4,16 @@ As populations grow, the random next mean field concentrates on its
 expectation, so the coordinator game collapses to a deterministic one:
 the mean field advances by the push-forward ``flow`` and stage costs are
 the finite solver's cost table on it. The solve and ``rollout_inf`` both
-step with ``model._flow`` and pay ``stage_game._cost_table``, each
+step with ``model._flow`` and pay ``stage_game._cost_tables``, each
 batched over points and menu items, each a fixed-order sum of elementwise
 ufuncs: a point's bits do not depend on the batch, and both agree with
-their einsum forms within 1e-12. The backward induction then runs on a
-uniform 1/n discretization of each team's simplex, projecting every flow
-image to its nearest grid point, read at the ``argmin`` of one
-``metrics.transport_distance`` table per block of images (projection
-errors are logged, they are the honest discretization cost of the scheme).
+their einsum forms within 1e-12. The solve forms the grid's cost tables
+one stage at a time, as it reads them (no kernel store keeps them). The
+backward induction then runs on a uniform 1/n discretization of each
+team's simplex, projecting every flow image to its nearest grid point,
+read at the ``argmin`` of one ``metrics.transport_distance`` table per
+block of images (projection errors are logged, they are the honest
+discretization cost of the scheme).
 
 This is the finite solver's recursion with a Dirac mass for the count
 kernel, run by the same backward driver (``stage_game._backward``): the
@@ -37,7 +39,7 @@ from .counts import JointLattice, MeanField, TeamLattice, _profile_rows
 from .finite_mpe import PolicyTable, ValueTable, _encode_records
 from .metrics import transport_distance
 from .model import GameSpec, _count, _flow, flatten_mean_field
-from .stage_game import STORE_BLOCK_ENTRIES, KernelCache, _backward, _cost_table, _on_axis
+from .stage_game import STORE_BLOCK_ENTRIES, KernelCache, _backward, _cost_tables, _on_axis
 
 
 class SimplexGrid(JointLattice):
@@ -151,7 +153,11 @@ def solve_mpe_inf(spec: GameSpec, sets, grid: SimplexGrid = None,
         log.evaluations[:T - 1] = [int(errors.size)] * (T - 1)
         log.max_error[:T - 1] = [float(errors.max())] * (T - 1)
         log.mean_error[:T - 1] = [float(errors.sum()) / errors.size] * (T - 1)
-    stages, values = _backward(spec, sets, grid, lambda V: V[(slice(None),) + gather],
+
+    def costs(t):     # one stage at a time: no other pass reads the grid's tables
+        return [_cost_tables(spec, k, ps, grid.z, [t])[0] for k, ps in enumerate(sets)]
+
+    stages, values = _backward(spec, sets, grid, costs, lambda V: V[(slice(None),) + gather],
                                pure_only)
     return (PolicyTable(stages=stages, sets=tuple(sets), lattice=grid),
             ValueTable(values=values, lattice=grid), log)
@@ -180,7 +186,7 @@ class LimitTrajectory:
 def rollout_inf(spec: GameSpec, policy: PolicyTable) -> LimitTrajectory:
     """Deterministic trajectory from the initial laws: at each stage read
     the stage record at the projected current point, pay each team's menu
-    costs (the solver's own ``_cost_table``) averaged under its weights,
+    costs (the solver's own ``_cost_tables``) averaged under its weights,
     and advance by the flow (``_flow``) under the weight-averaged rows.
     Flow and cost are affine in each team's rows, so a mixed profile
     enters exactly as its one-step expectation; a pure one reads its item."""
@@ -198,7 +204,7 @@ def rollout_inf(spec: GameSpec, policy: PolicyTable) -> LimitTrajectory:
         rows = []
         for k, ps in enumerate(policy.sets):
             w = rec["w%d" % k]
-            stage_costs[t, k] = w @ _cost_table(spec, k, ps, Z, t)[0]
+            stage_costs[t, k] = w @ _cost_tables(spec, k, ps, Z, [t])[0, 0]
             rows.append(np.tensordot(w, ps.rows_stack(), axes=(0, 0))[None])
         z = MeanField(per_team=tuple(x[0, 0] for x in _flow(spec, Z, rows)))
         mean_fields.append(z)

@@ -20,8 +20,9 @@ metric, and the infinite-population flow stays exact.
 each, at one flat point or any batch, bitwise alike for a point either
 way; other modules call them (and ``_flow``) and never read coefficients.
 The kernels built on them (``_flow`` here, ``counts._mixture_rows`` and
-``stage_game._cost_table``) call each once per batch and sum their terms
-by elementwise ufuncs in a fixed order, so they are batch-invariant too.
+``stage_game._cost_tables``) call each once per batch (``cost_matrix``
+once per stage) and sum their terms by elementwise ufuncs in a fixed
+order, so they are batch-invariant too.
 
 All validation failures raise SpecValidationError naming the first
 violated invariant and its location.

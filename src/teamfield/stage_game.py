@@ -13,6 +13,13 @@ A solution has one format: the solvers return the row (mixed, epsilon,
 per-team mixtures) that the backward driver records, with its per-team
 values (``StageEquilibrium``), from ``certify_epsilon``'s own-cost pass.
 
+A count lattice's ``KernelCache`` is the run's store of per-team kernel
+stacks and own-cost tables: ``_cost_tables`` forms a team's tables of
+every stage in one pass on the store's first ``costs`` call, and the
+exact solve, the certificate and the forward pass read them from there.
+The limit solve keeps no store and forms the grid's tables one stage at
+a time with the same kernel.
+
 The prescription simplex is continuous in principle; menus here are
 either all deterministic state-to-action maps ("pure") or all maps with
 rows on a 1/g grid ("gridded"). Refining g trades computation for
@@ -119,14 +126,19 @@ class StageEquilibrium(NamedTuple):
 
 
 class KernelCache:
-    """The one store of per-team next-count kernels of a count lattice.
+    """The one store of per-team next-count kernels and own-cost tables of
+    a count lattice.
 
-    Kernels do not depend on the stage, so the store that ``solve_mpe`` or
-    ``project_policy_to_lattice`` builds, and the policy it returns keeps,
-    serves the solver, the certificate and the cost evaluation; criterion 2
-    and the engine oracle check them. Team k's are a dense read-only stack
-    W_k[point, menu item, L_k] over the C-order points of ``lattice``,
-    built whole by ``counts._count_laws`` on the first ``stacks`` call.
+    Kernels do not depend on the stage, and the cost tables of a spec and
+    its menus do not depend on the policy, so the store that ``solve_mpe``
+    or ``project_policy_to_lattice`` builds, and the policy it returns
+    keeps, serves the solver, the certificate and the cost evaluation;
+    criterion 2 and the engine oracle check the kernels. Team k's kernels
+    are a dense read-only stack W_k[point, menu item, L_k] over the C-order
+    points of ``lattice``, built whole by ``counts._count_laws`` on the
+    first ``stacks`` call; its cost tables are one read-only array
+    C_k[stage, point, menu item], every stage formed by one
+    ``_cost_tables`` pass on the first ``costs`` call.
     """
 
     def __init__(self, spec: GameSpec, sets):
@@ -134,17 +146,27 @@ class KernelCache:
         self.sets = sets
         self.lattice = JointLattice(spec)
         self._W = None
+        self._C = None
+
+    def _check_size(self, stacks: bool):
+        """Raise CapacityError, before anything is allocated, when the cost
+        tables, with the kernel stacks if ``stacks``, exceed MAX_STORE_BYTES."""
+        lat = self.lattice
+        entries = sum(len(ps) * len(tl) for ps, tl in zip(self.sets, lat.teams))
+        W = 8 * len(lat) * entries if stacks else 0
+        C = 8 * self.spec.horizon * len(lat) * sum(len(ps) for ps in self.sets)
+        if W + C > MAX_STORE_BYTES:
+            raise CapacityError("kernel store needs %d bytes: %d bytes of kernel stacks and "
+                                "%d bytes of cost tables; cap is %d"
+                                % (W + C, W, C, MAX_STORE_BYTES))
 
     def stacks(self) -> list:
         """Per-team read-only stacks W_k over every joint point, built in
         blocks of points whose (rows, lattice) arrays stay near
         STORE_BLOCK_ENTRIES entries."""
         if self._W is None:
+            self._check_size(stacks=True)
             lat = self.lattice
-            size = 8 * len(lat) * sum(len(ps) * len(tl) for ps, tl in zip(self.sets, lat.teams))
-            if size > MAX_STORE_BYTES:
-                raise CapacityError("kernel store needs %d bytes, cap is %d"
-                                    % (size, MAX_STORE_BYTES))
             zf = np.concatenate(lat.z, axis=1)
             counts = _joint_points([tl.counts for tl in lat.teams])
             self._W = []
@@ -160,6 +182,19 @@ class KernelCache:
                 W.setflags(write=False)
                 self._W.append(W)
         return list(self._W)
+
+    def costs(self) -> list:
+        """Per-team read-only own-cost tables C_k (T, P, n_k) over every
+        stage and joint point. The stacks are counted in the size check
+        when they are built or read (horizon above 1)."""
+        if self._C is None:
+            self._check_size(stacks=self._W is not None or self.spec.horizon > 1)
+            self._C = []
+            for k, ps in enumerate(self.sets):
+                C = _cost_tables(self.spec, k, ps, self.lattice.z, range(self.spec.horizon))
+                C.setflags(write=False)
+                self._C.append(C)
+        return list(self._C)
 
     def matrix(self, k: int, z: MeanField) -> np.ndarray:
         """(menu size, lattice size) stack of team k's kernels at z."""
@@ -178,24 +213,33 @@ class KernelCache:
 # limit solvers differ only in the next-state operator (kernel stacks
 # W_k[P, n_k, L_k] against a gather at projected flow images)
 
-def _cost_table(spec: GameSpec, k: int, ps: PrescriptionSet, Z, t: int) -> np.ndarray:
-    """(P, menu size) own stage cost of team k at the joint points Z, in
-    closed form: sum_s z_k(s) sum_a gamma(a|s) c_t(s, a, z), its terms
-    (z(s) gamma(a|s)) c_t(s, a, z) added in a fixed order (actions
-    fastest, then states) by elementwise ufuncs like ``model._flow``:
-    batch-invariant, within 1e-12 of the einsum form. The sums run on a
-    (menu size, P) array, the points on the long inner axis, which is
-    copied to (P, menu size) order at the end."""
-    C = cost_matrix(spec, k, t, np.concatenate(Z, axis=1))
+def _cost_tables(spec: GameSpec, k: int, ps: PrescriptionSet, Z, stages) -> np.ndarray:
+    """(len(stages), P, menu size) own stage costs of team k at the joint
+    points Z, in closed form: sum_s z_k(s) sum_a gamma(a|s) c_t(s, a, z),
+    its terms (z(s) gamma(a|s)) c_t(s, a, z) added in a fixed order
+    (actions fastest, then states) by elementwise ufuncs like
+    ``model._flow``: a stage, point or menu item has the same bits alone
+    or inside any batch, within 1e-12 of the einsum form. A term takes
+    four ufunc calls for all stages: z(s) gamma(a|s) once into the first
+    stage's slice of the scratch array, times every stage's costs. The
+    sums run on a (stages, menu size, P) array, the points on the long
+    inner axis, which is copied to (stages, P, menu size) order at the end."""
+    zf = np.concatenate(Z, axis=1)
     R = _team_rows(spec, k, ps.rows_stack())
-    out = np.zeros((len(R), len(C)))
+    C = np.empty((len(stages),) + R.shape[1:] + (len(zf),))
+    for i, t in enumerate(stages):
+        C[i] = cost_matrix(spec, k, t, zf).transpose(1, 2, 0)
+    out = np.zeros((len(C), len(R), len(zf)))
     term = np.empty_like(out)
-    for z, rows, costs in zip(Z[k].T, R.transpose(1, 2, 0)[..., None], C.transpose(1, 2, 0)):
+    rz = term[0]
+    for z, rows, costs in zip(Z[k].T, R.transpose(1, 2, 0)[..., None], C.transpose(1, 2, 0, 3)):
         for r, c in zip(rows, costs):
-            np.multiply(r, z, out=term)
-            term *= c
+            np.multiply(r, z, out=rz)
+            np.multiply(rz, c[1:, None], out=term[1:])
+            rz *= c[0]
             out += term
-    return np.ascontiguousarray(out.T)
+    del term, rz, C     # the copy below then holds the result and one array more
+    return np.ascontiguousarray(out.transpose(0, 2, 1))
 
 
 def _contract(Ws, V) -> np.ndarray:
@@ -239,10 +283,12 @@ def _stage_tensors(own, cont, shape) -> list:
                                  else cont[k]) for k, c in enumerate(own)]
 
 
-def _backward(spec: GameSpec, sets, lattice: JointLattice, continuation, pure_only: bool):
+def _backward(spec: GameSpec, sets, lattice: JointLattice, costs, continuation,
+              pure_only: bool):
     """Backward induction over stages T-1 .. 0 at the points of
-    ``lattice`` (C order): own cost tables, ``continuation`` of the next
-    values (K, *lattice shape) as (K, P, *menu shape), stage tensors, then
+    ``lattice`` (C order): the per-team own cost tables (P, n_k) of stage t
+    that ``costs(t)`` reads, ``continuation`` of the next values
+    (K, *lattice shape) as (K, P, *menu shape), stage tensors, then
     ``_solve_points``. A stage's K tensors (P, *menu shape) and the
     (K, P, *menu shape) continuation alive with them take 16 K P prod_k n_k
     bytes; above MAX_STORE_BYTES this raises CapacityError before the first
@@ -259,8 +305,7 @@ def _backward(spec: GameSpec, sets, lattice: JointLattice, continuation, pure_on
     values = np.zeros((T + 1, K) + lattice.shape)
     stages = [None] * T
     for t in range(T - 1, -1, -1):
-        own = [_cost_table(spec, k, sets[k], lattice.z, t) for k in range(K)]
-        tensors = _stage_tensors(own, None if t == T - 1 else continuation(values[t + 1]),
+        tensors = _stage_tensors(costs(t), None if t == T - 1 else continuation(values[t + 1]),
                                  shape)
         stages[t], values[t] = _solve_points(tensors, t, lattice, pure_only)
     return stages, values[:T]

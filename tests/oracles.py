@@ -46,7 +46,7 @@ from teamfield.model import (GameSpec, cost_matrix, flatten_mean_field, transiti
 from teamfield.rng import substream
 from teamfield.simulate import KernelCheckReport, _cdf, _pick_rows, _team_index
 from teamfield.stage_game import (CERT_TOL, PURE_TOL, KernelCache, StageEquilibrium, StageGame,
-                                  _contract, _cost_table, _first_items, _one_hot,
+                                  _contract, _cost_tables, _first_items, _one_hot,
                                   certify_epsilon)
 
 
@@ -666,7 +666,7 @@ def mixture_rows_einsum(spec: GameSpec, k: int, zf, R) -> np.ndarray:
 
 
 def cost_table_einsum(spec: GameSpec, k: int, ps, Z, t: int) -> np.ndarray:
-    """``stage_game._cost_table`` as one three-operand ``np.einsum``."""
+    """Stage t of ``stage_game._cost_tables`` as one three-operand ``np.einsum``."""
     C = cost_matrix(spec, k, t, np.concatenate(Z, axis=1))
     return np.einsum("ps,isa,psa->pi", Z[k], ps.rows_stack(), C)
 
@@ -751,7 +751,7 @@ def total_cost_forward(spec: GameSpec, policy: PolicyTable) -> np.ndarray:
         Zl = [z[live] for z in lattice.z]
         recs = [policy.stages[t][np.unravel_index(p, lattice.shape)] for p in live]
         w = [np.array([rec["w%d" % k] for rec in recs]) for k in range(K)]
-        totals += [dist[live] @ np.einsum("pi,pi->p", w[k], _cost_table(spec, k, ps, Zl, t))
+        totals += [dist[live] @ np.einsum("pi,pi->p", w[k], _cost_tables(spec, k, ps, Zl, [t])[0])
                    for k, ps in enumerate(policy.sets)]
         if t < T - 1:
             operands = [dist[live], [K]]
@@ -783,7 +783,7 @@ def best_response_loop(spec: GameSpec, k: int, others: PolicyTable):
     U = np.zeros((T + 1,) + shape)
     picks = [None] * T
     for t in range(T - 1, -1, -1):
-        e = _cost_table(spec, k, others.sets[k], lattice.z, t)
+        e = _cost_tables(spec, k, others.sets[k], lattice.z, [t])[0]
         if t < T - 1:
             w = others.mixtures(t)
             Wk = [W if j == k else _average(w[j], W)[:, None] for j, W in enumerate(Ws)]
@@ -802,7 +802,7 @@ def policy_value_loop(spec: GameSpec, policy: PolicyTable) -> np.ndarray:
     V = np.zeros((T + 1, K) + lattice.shape)
     for t in range(T - 1, -1, -1):
         w = policy.mixtures(t)
-        v = np.stack([np.einsum("pi,pi->p", w[k], _cost_table(spec, k, ps, lattice.z, t))
+        v = np.stack([np.einsum("pi,pi->p", w[k], _cost_tables(spec, k, ps, lattice.z, [t])[0])
                       for k, ps in enumerate(policy.sets)])
         if t < T - 1:
             avg = [_average(w[j], W)[:, None] for j, W in enumerate(Ws)]

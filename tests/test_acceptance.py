@@ -22,7 +22,7 @@ from teamfield.metrics import (estimate_lipschitz, fit_rate, kappa_envelope,
                                theorem4_bound)
 from teamfield.model import with_populations
 from teamfield.simulate import empirical_kernel_check, estimate_cost, lift_policy
-from teamfield.stage_game import _cost_table, build_prescription_set
+from teamfield.stage_game import _cost_tables, build_prescription_set
 from teamfield.static_games import (load_static_game_file, pure_nash_static,
                                     static_report, team_nash_static)
 
@@ -127,7 +127,7 @@ def test_criterion_04_stage_cost_identity(reference_spec, reference_sets):
         Z = [v[None] for v in z.per_team]
         for k in range(2):
             for t in range(reference_spec.horizon):
-                limit = _cost_table(reference_spec, k, reference_sets[k], Z, t)[0]
+                limit = _cost_tables(reference_spec, k, reference_sets[k], Z, [t])[0, 0]
                 for g, c in zip(reference_sets[k].items, limit):
                     worst = max(worst, abs(stage_cost(z, g, reference_spec, k, t) - c))
     _verdict(4, "stage-cost-identity", worst <= 1e-12, "max gap %.2e" % worst,

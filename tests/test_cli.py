@@ -187,6 +187,33 @@ def test_oversized_kernel_store_exits_3_before_solving(tmp_path):
     assert elapsed < 1.0
 
 
+def test_kernel_store_counts_its_cost_tables_before_forming_any(tmp_path, monkeypatch):
+    """The store's cap counts its cost tables with its kernel stacks: on the
+    9 x 9 count lattice of two teams (S=A=2, N=8, 4-item menus) the stacks
+    take 8 x 81 x 2 x 4 x 9 bytes and the tables of both stages 8 x 2 x 81
+    x 2 x 4. A cap between the stacks and the whole store exits 3 before
+    any stack or table is formed; at the whole store the run completes
+    (one stage's games take 16 x 2 x 81 x 16 bytes, below it)."""
+    from teamfield import stage_game
+    spec = write_json(tmp_path / "game.json", _uniform_two_team(2, 2, 8))
+    stacks, tables = 8 * 81 * 2 * 4 * 9, 8 * 2 * 81 * 2 * 4
+    formed = []
+    for name in ("_mixture_rows", "_cost_tables"):
+        monkeypatch.setattr(stage_game, name, lambda *a, name=name, real=getattr(
+            stage_game, name): formed.append(name) or real(*a))
+    monkeypatch.setattr(stage_game, "MAX_STORE_BYTES", stacks + tables - 1)
+    assert main(["solve-finite", "--spec", str(spec), "--out", str(tmp_path / "over")]) == 3
+    err = _read(tmp_path / "over" / "solve-finite" / "error.json")
+    assert err["error"] == "CapacityError"
+    assert err["message"] == ("kernel store needs %d bytes: %d bytes of kernel stacks and %d "
+                              "bytes of cost tables; cap is %d"
+                              % (stacks + tables, stacks, tables, stacks + tables - 1))
+    assert formed == []
+    monkeypatch.setattr(stage_game, "MAX_STORE_BYTES", stacks + tables)
+    assert main(["solve-finite", "--spec", str(spec), "--out", str(tmp_path / "at")]) == 0
+    assert formed.count("_cost_tables") == 2 and "_mixture_rows" in formed
+
+
 @pytest.mark.parametrize("mode, horizon, points", [("solve-infinite", 2, 5 * 5),
                                                     ("solve-finite", 1, 3 * 3)])
 def test_oversized_stage_games_exit_3_before_any_stage(tmp_path, monkeypatch, mode, horizon,

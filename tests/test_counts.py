@@ -12,7 +12,7 @@ from teamfield.counts import (PRUNE_TOL, MeanField, Prescription, TeamLattice, c
 from teamfield.errors import CapacityError, SpecValidationError
 from teamfield.model import flatten_mean_field
 from teamfield.rng import substream
-from teamfield.stage_game import PrescriptionSet, _cost_table
+from teamfield.stage_game import PrescriptionSet, _cost_tables
 
 from conftest import kernel_row
 from oracles import (CountDistribution, action_count_dist, marginalize_counts,
@@ -149,8 +149,8 @@ def test_stage_cost_literal(single_team_spec):
     # 0.05: at z=(0.5,0.5) with everyone staying the cost is sum_s z(s)^2
     gamma = Prescription(rows=np.array([[1.0, 0.0], [1.0, 0.0]]))
     mover = Prescription(rows=np.array([[0.0, 1.0], [0.0, 1.0]]))
-    stay, move = _cost_table(single_team_spec, 0, PrescriptionSet((gamma, mover)),
-                             [np.array([[0.5, 0.5]])], 0)[0]
+    stay, move = _cost_tables(single_team_spec, 0, PrescriptionSet((gamma, mover)),
+                              [np.array([[0.5, 0.5]])], [0])[0, 0]
     assert stay == pytest.approx(0.5)
     assert move == pytest.approx(0.5 + 0.05)
 

@@ -96,10 +96,14 @@ def test_best_response_takes_a_numpy_team_index(reference_spec, reference_soluti
 @pytest.mark.parametrize("game", ["two_team_reference", "cyclic", "deterministic"])
 def test_one_pass_forms_each_stage_operand_once(monkeypatch, game):
     """Calls of the cost tables, the averaged kernel stacks and the mixture
-    reads: the certificate forms each once per (stage, team) and reads each
-    stage's mixtures once (the separate loops made 2KT tables, K^2 (T-1)
-    stacks and (K+1)T-K reads); one team's best reply and the policy's
-    values alone do the work those loops did."""
+    reads. The cost tables are the kernel store's: no reader of a solved
+    policy forms one, and the first reader of a table built by hand forms
+    K, one per team covering every stage, which the next reader shares
+    (per-reader tables made K T per certificate and 2 K T per bound
+    population). The certificate averages each team's stack once per stage
+    and reads each stage's mixtures once (the separate loops made
+    K^2 (T-1) stacks and (K+1)T-K reads); one team's best reply and the
+    policy's values alone do the work those loops did."""
     if game == "cyclic":
         spec = tf.load_spec(cyclic_pursuit_three_team())
     elif game == "deterministic":
@@ -109,7 +113,7 @@ def test_one_pass_forms_each_stage_operand_once(monkeypatch, game):
     sets = tuple(tf.build_prescription_set(spec, k) for k in range(spec.n_teams))
     policy, _ = tf.solve_mpe(spec, sets)
     T, K = spec.horizon, spec.n_teams
-    calls = collections.Counter()
+    calls, tables = collections.Counter(), []
 
     def counted(name, f):
         def call(*args, **kwargs):
@@ -117,18 +121,31 @@ def test_one_pass_forms_each_stage_operand_once(monkeypatch, game):
             return f(*args, **kwargs)
         return call
 
-    monkeypatch.setattr(finite_mpe, "_cost_table", counted("cost", finite_mpe._cost_table))
+    def cost_tables(spec, k, ps, Z, stages, real=stage_game._cost_tables):
+        tables.append((k, tuple(stages)))
+        return real(spec, k, ps, Z, stages)
+
+    monkeypatch.setattr(stage_game, "_cost_tables", cost_tables)
     monkeypatch.setattr(finite_mpe, "_average", counted("average", finite_mpe._average))
     monkeypatch.setattr(tf.PolicyTable, "mixtures", counted("mixtures", tf.PolicyTable.mixtures))
     tf.verify_mpe(spec, policy)
-    assert calls == {"cost": K * T, "average": K * (T - 1), "mixtures": T}
+    assert calls == {"average": K * (T - 1), "mixtures": T} and tables == []
     for k in range(K):
         calls.clear()
         tf.best_response(spec, k, policy)
-        assert calls == {"cost": T, "average": (K - 1) * (T - 1), "mixtures": T - 1}
+        assert calls == {"average": (K - 1) * (T - 1), "mixtures": T - 1} and tables == []
     calls.clear()
     policy_value(spec, policy)
-    assert calls == {"cost": K * T, "average": K * (T - 1), "mixtures": T}
+    assert calls == {"average": K * (T - 1), "mixtures": T} and tables == []
+    every_team = [(k, tuple(range(T))) for k in range(K)]
+    for first, then in [(tf.verify_mpe, policy_value),
+                        (lambda spec, p: tf.best_response(spec, K - 1, p), tf.verify_mpe)]:
+        hand = _by_hand(policy)
+        first(spec, hand)
+        assert tables == every_team
+        tables.clear()
+        then(spec, hand)
+        assert tables == []
 
 
 def _reversed(sets):
@@ -176,6 +193,30 @@ def test_a_store_of_another_spec_is_refused(reader, reference_spec, reference_se
     assert policy._kernels is not solved and policy._kernels.spec is twin
     assert np.array_equal(got, STORE_READERS[reader](twin, _by_hand(policy)))
     assert not np.array_equal(got, STORE_READERS[reader](reference_spec, _by_hand(policy)))
+
+
+@pytest.mark.parametrize("reader", ["policy_value", "best_response"])
+def test_a_store_of_a_spec_with_other_costs_is_refused(reader, reference_spec, reference_sets):
+    """The cost tables are keyed like the kernels: a solved policy read
+    under another spec object of the same lattice shape and dynamics, whose
+    costs are all tripled, gets the tables of that spec, bitwise what a
+    table built by hand gets under it, never the solver's."""
+    policy, _ = tf.solve_mpe(reference_spec, reference_sets)
+    doc = json.loads((DATA / "two_team_reference.json").read_text())
+    for team in doc["teams"]:
+        team["cost"]["base"] = (3.0 * np.array(team["cost"]["base"])).tolist()
+        for term in team["cost"]["coupling"]:
+            term["value"] *= 3.0
+    tripled = tf.load_spec(doc)
+    got = STORE_READERS[reader](tripled, policy)
+    hand = STORE_READERS[reader](tripled, _by_hand(policy))
+    assert policy._kernels.spec is tripled
+    assert got.shape == hand.shape and got.tobytes() == hand.tobytes()
+    assert not np.array_equal(got, STORE_READERS[reader](reference_spec, _by_hand(policy)))
+    if reader == "best_response":
+        picks = tf.best_response(tripled, 1, policy)[0]
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(picks, tf.best_response(tripled, 1, _by_hand(policy))[0]))
 
 
 @pytest.mark.parametrize("reader", sorted(STORE_READERS))

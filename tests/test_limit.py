@@ -10,7 +10,7 @@ from teamfield.counts import JointLattice, MeanField, Prescription, TeamLattice
 from teamfield.errors import CapacityError, SpecValidationError
 from teamfield.limit import (SimplexGrid, default_grid, project_indices, rollout_inf,
                              solve_mpe_inf)
-from teamfield.stage_game import _cost_table
+from teamfield.stage_game import _cost_tables
 
 from conftest import deterministic_two_team, identity_dynamics_spec, kernel_row, minimal_team
 from oracles import mean_field, nearest_min, stage_cost, transport_distance_sum
@@ -89,7 +89,7 @@ def test_limit_stage_cost_identity(reference_spec, reference_sets):
             Z = [v[None] for v in z.per_team]
             for k in range(2):
                 for t in range(2):
-                    limit = _cost_table(spec, k, reference_sets[k], Z, t)[0]
+                    limit = _cost_tables(spec, k, reference_sets[k], Z, [t])[0, 0]
                     for g, b in zip(reference_sets[k].items, limit):
                         a = stage_cost(z, g, spec, k, t)
                         worst = max(worst, abs(a - b))

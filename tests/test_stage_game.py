@@ -330,7 +330,7 @@ def test_build_stage_game_callable_matches_table(reference_spec,
     the engine's batched stage tensors at one point: own cost tables plus
     the contraction of the kernel stacks with a tabulated continuation."""
     from teamfield.finite_mpe import JointLattice
-    from teamfield.stage_game import KernelCache, _contract, _cost_table, _stage_tensors
+    from teamfield.stage_game import KernelCache, _contract, _cost_tables, _stage_tensors
     spec = reference_spec
     lattice = JointLattice(spec)
     rng = np.random.default_rng(3)
@@ -343,7 +343,7 @@ def test_build_stage_game_callable_matches_table(reference_spec,
     idx = (1, 1)
     p = int(np.ravel_multi_index(idx, lattice.shape))
     Z = [zk[p:p + 1] for zk in lattice.z]
-    own = [_cost_table(spec, k, reference_sets[k], Z, 0) for k in range(2)]
+    own = [_cost_tables(spec, k, reference_sets[k], Z, [0])[0] for k in range(2)]
     cont = _contract([W[p:p + 1] for W in cache.stacks()], values)
     fast = _stage_tensors(own, cont, tuple(len(ps) for ps in reference_sets))
     slow = build_stage_game(mean_field(lattice, idx), 0, lookup, reference_sets, spec)
