@@ -9,12 +9,20 @@ streams for the episode indices they own instead of sharing a generator.
 
 ``stream_uniforms`` derives many streams that differ only in a last int
 label (one per episode) at once: it runs SeedSequence's entropy hash
-(NEP 19 keeps it stable) as uint32 column operations over all of them,
-then sets one PCG64 to each stream's seeded state in turn, refilling one
-state dict for its ``state`` setter rather than building one per stream.
-Its rows are bitwise those of ``substream``.
+(NEP 19 keeps it stable) and PCG64's seeding as uint32/uint64 column
+operations over all of them, then writes each stream's four state words
+into one PCG64 through a uint64[4] view of its ``pcg64_random_t`` and
+draws that stream's row. Before the view is used, the struct (reached
+through the first field of the public ``ctypes.state_address``) must lie
+inside the generator object, and the order of its words is read back
+after one write through the public ``state`` setter; any other layout
+raises RuntimeError. Its rows are bitwise those of ``substream``.
+
+The kernel check's jump-ahead copies (``simulate._jumped``) keep the
+public ``state`` setter: there are four per check, not one per episode.
 """
 
+import ctypes
 import functools
 import hashlib
 
@@ -22,7 +30,6 @@ import numpy as np
 
 _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
-_MASK128 = (1 << 128) - 1
 # numpy/random/bit_generator.pyx (SeedSequence, pool size 4) and the
 # PCG64 default multiplier of numpy/random/src/pcg64/pcg64.h.
 _POOL = 4
@@ -61,10 +68,42 @@ def substream(master_seed, *labels) -> np.random.Generator:
     return np.random.default_rng(seed_sequence(master_seed, *labels))
 
 
-def _pcg64_states(entropy: np.ndarray):
-    """Yield (state, inc) of ``PCG64(SeedSequence(e))`` for each column e of the
-    uint32 entropy array ``entropy`` (words, rows): SeedSequence's pool
-    mixing and ``generate_state(4, uint64)`` one word row at a time, then
+def _mulhi(a: np.ndarray, b: int) -> np.ndarray:
+    """High 64 bits of the 128-bit products of the uint64 array ``a`` with
+    the 64-bit ``b``, summed from 32-bit halves."""
+    m, h = np.uint64(_MASK32), np.uint64(32)
+    a0, a1, b0, b1 = a & m, a >> h, np.uint64(b & _MASK32), np.uint64(b >> 32)
+    p01, p10 = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> h) + (p01 & m) + (p10 & m)
+    return a1 * b1 + (p01 >> h) + (p10 >> h) + (mid >> h)
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo):
+    """(a + b) mod 2**128 over uint64 (high, low) word arrays."""
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo
+
+
+def _pcg64_seed(s_hi, s_lo, q_hi, q_lo) -> np.ndarray:
+    """``pcg64_set_seed`` over uint64 arrays: with initstate s and initseq q
+    (high and low words), inc = 2q + 1 and state = ((inc + s) * _PCG_MULT
+    + inc) mod 2**128. Returns the (len, 4) uint64 words (state high,
+    state low, inc high, inc low)."""
+    one = np.uint64(1)
+    with np.errstate(over="ignore"):
+        i_hi, i_lo = (q_hi << one) | (q_lo >> np.uint64(63)), (q_lo << one) | one
+        x_hi, x_lo = _add128(s_hi, s_lo, i_hi, i_lo)
+        m_hi, m_lo = _PCG_MULT >> 64, _PCG_MULT & _MASK64
+        p_hi = _mulhi(x_lo, m_lo) + x_hi * np.uint64(m_lo) + x_lo * np.uint64(m_hi)
+        p_lo = x_lo * np.uint64(m_lo)
+        return np.stack(_add128(p_hi, p_lo, i_hi, i_lo) + (i_hi, i_lo), axis=-1)
+
+
+def _pcg64_states(entropy: np.ndarray) -> np.ndarray:
+    """The (columns, 4) state words (see ``_pcg64_seed``) of
+    ``PCG64(SeedSequence(e))`` for each column e of the uint32 entropy
+    array ``entropy`` (words, rows): SeedSequence's pool mixing and
+    ``generate_state(4, uint64)`` one word row at a time, then
     ``pcg64_set_seed``. Every operand of the hash is a uint32 array (never a
     NumPy scalar), so it wraps mod 2**32 under NumPy 1.x value-based
     promotion as under NEP 50."""
@@ -99,10 +138,35 @@ def _pcg64_states(entropy: np.ndarray):
             words.append((value ^ (value >> 16)).astype(np.uint64))
     # generate_state(4, uint64) pairs the words little-endian; pcg64_set_seed
     # takes (high, low) halves: initstate from uint64 0 and 1, initseq from 2 and 3.
-    v = [(words[2 * j] | (words[2 * j + 1] << np.uint64(32))).tolist() for j in range(4)]
-    for s_hi, s_lo, q_hi, q_lo in zip(*v):
-        inc = ((q_hi << 65) | (q_lo << 1) | 1) & _MASK128
-        yield ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128, inc
+    return _pcg64_seed(*(words[2 * j] | (words[2 * j + 1] << np.uint64(32)) for j in range(4)))
+
+
+def _state_view(bitgen: np.random.PCG64):
+    """A uint64[4] view of the ``pcg64_random_t`` (state, inc) of ``bitgen``
+    and the order of its words: ``view[:] = w[order]`` sets the state whose
+    ``_pcg64_seed`` words are w. The struct's address is the first field
+    of the public ``ctypes.state_address``; that field and the struct's 32
+    bytes must lie inside the generator object, and the word order is read
+    back after one write of distinct words through the public ``state``
+    setter. Any other layout raises RuntimeError. The view holds no
+    reference to ``bitgen``: the caller keeps it alive while writing."""
+    lo = id(bitgen)
+    hi = lo + type(bitgen).__basicsize__
+    field = bitgen.ctypes.state_address
+    if not lo <= field <= hi - ctypes.sizeof(ctypes.c_void_p):
+        raise RuntimeError("PCG64 state address %#x lies outside the generator" % field)
+    ptr = ctypes.c_void_p.from_address(field).value
+    if ptr is None or not lo <= ptr <= hi - 32:
+        raise RuntimeError("PCG64 state struct lies outside the generator")
+    view = np.ctypeslib.as_array((ctypes.c_uint64 * 4).from_address(ptr))
+    probe = (0x0123456789ABCDEF, 0x1032547698BADCFE, 0x2301674589EFCDAB, 0x32107654BA98FEDD)
+    state = bitgen.state
+    state["state"] = {"state": probe[0] << 64 | probe[1], "inc": probe[2] << 64 | probe[3]}
+    bitgen.state = state
+    got = view.tolist()
+    if sorted(got) != sorted(probe):
+        raise RuntimeError("unknown PCG64 state layout: words %s" % [hex(w) for w in got])
+    return view, np.array([probe.index(w) for w in got])
 
 
 def _id_words(ids):
@@ -130,19 +194,26 @@ def stream_uniforms(master_seed, label, ids, out: np.ndarray) -> np.ndarray:
     The seeding of all rows runs as array operations (``_id_words``,
     ``_pcg64_states``), grouped by the entropy length of the ids (an id of
     2**32 or more takes two words, 2**64 or more three, ...); one PCG64
-    then draws every row, its ``state`` set from one reused dict."""
+    then draws every row, its state words written through ``_state_view``.
+    An ``out`` that is not a C-contiguous 2-D float64 array of len(ids)
+    rows is refused before any draw."""
     head = np.array(_label_words(int(master_seed) & _MASK64) + list(_label_words(label)),
                     dtype=np.uint32)
     words, count = _id_words(ids)
+    if not (isinstance(out, np.ndarray) and out.dtype == np.float64 and out.ndim == 2
+            and out.flags.c_contiguous and len(out) == len(count)):
+        raise ValueError("out must be a C-contiguous float64 array of %d rows, got %s %s"
+                         % (len(count), getattr(out, "dtype", type(out).__name__),
+                            np.shape(out)))
     entropy = np.concatenate([np.repeat(head[:, None], len(count), axis=1), words])
-    bitgen = np.random.PCG64(0)
-    gen = np.random.Generator(bitgen)
-    state = bitgen.state
-    pcg = state["state"]
+    seeded = np.empty((len(count), 4), dtype=np.uint64)
     for n in np.unique(count):
         rows = np.flatnonzero(count == n)
-        for i, (s, inc) in zip(rows.tolist(), _pcg64_states(entropy[:len(head) + n, rows])):
-            pcg["state"], pcg["inc"] = s, inc
-            bitgen.state = state
-            gen.random(out=out[i])
+        seeded[rows] = _pcg64_states(entropy[:len(head) + n, rows])
+    bitgen = np.random.PCG64(0)
+    gen = np.random.Generator(bitgen)
+    view, order = _state_view(bitgen)
+    for w, row in zip(seeded[:, order], out):
+        view[:] = w
+        gen.random(out=row)
     return out

@@ -14,7 +14,9 @@ its own substream (see ``_run_block``), and its cost and transition
 tables come from one ``cost_matrix`` / ``transition_matrix`` call per
 team (and stage) over all lattice points, so its costs do not depend on
 the block boundaries or the worker count. A block seeds its episodes'
-substreams in bulk (``rng.stream_uniforms``) and picks initial states,
+substreams in bulk (``rng.stream_uniforms``: array seeding, then one
+PCG64 whose state words are written through a checked view of its state
+struct for each episode's row) and picks initial states,
 prescriptions, actions and next states by comparing uniforms with one
 CDF column at a time (``_pick_rows``), never gathering whole CDF rows
 per agent.
@@ -22,6 +24,8 @@ per agent.
 ``empirical_kernel_check`` draws in the same order from its one stream,
 but reads it in chunks of samples by jump-ahead (``PCG64.advance``), so
 its memory, like a block's, is O(``BLOCK_BYTES``) for any sample count.
+Its four jump-ahead copies (``_jumped``) are set through the public
+``state`` setter, not the view: there are four per check.
 """
 
 from __future__ import annotations
