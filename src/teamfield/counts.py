@@ -20,8 +20,9 @@ call per population for all teams with the same (N, S)) read its rows. The
 three maps and the convolution it replaced are the oracles in ``tests/oracles.py``.
 
 A team's count point is an integer array of length S, a joint point a tuple
-of them. ``TeamLattice.rank`` is the one lookup of a point's lattice index:
-``_lattice_rank`` over ``_rank_terms``, which batched paths apply to arrays.
+of them. ``TeamLattice.rank`` is the one lookup of a point's lattice index
+(``TeamLattice._ranks`` of a batch): ``_lattice_rank`` over ``_rank_terms``,
+which batched paths apply to arrays.
 """
 
 from __future__ import annotations
@@ -191,7 +192,11 @@ class TeamLattice:
                 or np.any(c < 0) or c.sum() != self.population):
             raise SpecValidationError("counts %s are not a point of the count lattice of %d "
                                       "agents" % (c.tolist(), self.population))
-        i = int(_lattice_rank(self._terms, c[None])[0])
+        return int(self._ranks(c[None])[0])
+
+    def _ranks(self, counts: np.ndarray) -> np.ndarray:
+        """Indices in this lattice of the rows of counts (B, S), all on it."""
+        i = _lattice_rank(self._terms, counts)
         return len(self) - 1 - i if self.ascending else i
 
 

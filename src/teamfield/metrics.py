@@ -6,7 +6,8 @@ how far the random next mean field strays from its deterministic flow
 image (a constant-over-sqrt(N) envelope, estimated empirically here from
 deviations that are exact expectations under the count kernel) and (b)
 how steep the equilibrium value functions are in the mean field (the
-largest difference quotient over all point pairs of the computed tables).
+largest difference quotient of the computed tables over the one-unit moves
+of each team's lattice, which by the triangle inequality bound every pair).
 Each team's envelope covers its whole menu, every item once. A probe
 call builds the mixture rows and flow images once and, per population,
 the ``counts._count_laws`` rows of all teams with the same (N, S) at once.
@@ -18,6 +19,7 @@ difference quotient, both labeled as such. Nothing here samples.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -30,8 +32,6 @@ from .model import GameSpec, _count, _flow, flatten_mean_field
 from .stage_game import STORE_BLOCK_ENTRIES
 
 MAX_EXACT_STATES = 32
-MAX_LIPSCHITZ_PAIRS = 10 ** 9     # most point pairs estimate_lipschitz compares
-LIPSCHITZ_BLOCK_PAIRS = 1 << 14   # pairs per block; bounds the transient arrays
 
 
 def _check_dist(p, name):
@@ -46,7 +46,8 @@ def wasserstein(p, q, metric) -> float:
     """Exact optimal transport cost between p and q on a finite metric
     space, solved as the transportation linear program. ``scipy.optimize``
     is imported on first use: only metrics without a closed form reach
-    this LP, and the import costs more than most runs."""
+    this LP, and the import costs more than most runs. Above
+    MAX_EXACT_STATES states it raises CapacityError."""
     from scipy.optimize import linprog
     p = _check_dist(p, "p")
     q = _check_dist(q, "q")
@@ -55,8 +56,8 @@ def wasserstein(p, q, metric) -> float:
     if d.shape != (n, n) or len(q) != n:
         raise SpecValidationError("metric/distribution dimensions disagree")
     if n > MAX_EXACT_STATES:
-        raise SpecValidationError("exact transport is limited to %d states, got %d"
-                                  % (MAX_EXACT_STATES, n))
+        raise CapacityError("exact transport is limited to %d states, got %d"
+                            % (MAX_EXACT_STATES, n))
     if n == 1:
         return 0.0
     # marginal constraints; the last one is redundant and dropped
@@ -232,37 +233,30 @@ def kappa_envelope(spec: GameSpec, z, menus, n_values) -> np.ndarray:
 
 def estimate_lipschitz(table, spec: GameSpec) -> np.ndarray:
     """Per-(team, stage) Lipschitz estimate of a value table w.r.t. the
-    summed transport metric: the max difference quotient over all point
-    pairs. The joint distance sums per-team distances on a product grid,
-    so a path from x to y that moves one team at a time stays on the grid,
-    and by the triangle inequality no pair's quotient exceeds the largest
-    quotient of a pair that differs in one team only; the max is taken
-    over those (a multi-team quotient can round a few ulps above it), in
-    blocks of about LIPSCHITZ_BLOCK_PAIRS pairs. Shape (K, T); all zeros
-    on a one-point table, which has no pairs; raises CapacityError above
-    MAX_LIPSCHITZ_PAIRS one-team pairs."""
+    summed transport metric: the max difference quotient over the one-unit
+    moves of each team's lattice, which take 1/n_k of team k's mass from
+    one state to another. Any two grid points are joined by a path of such
+    moves, one team at a time, whose lengths add up to their distance (the
+    optimal plan between two lattice points is integral), so by the
+    triangle inequality no pair's quotient exceeds the largest move's (in
+    floating point one can round a few ulps above it). Per state pair, one
+    array no larger than the table. Shape (K, T); all zeros on a one-point
+    table, which has no moves."""
     V = table.values                      # (T, K, *shape)
     T, K, shape = V.shape[0], V.shape[1], V.shape[2:]
-    L = math.prod(shape)
-    pairs = sum(L * (n - 1) // 2 for n in shape)
-    if pairs > MAX_LIPSCHITZ_PAIRS:
-        raise CapacityError("lipschitz estimation over %d point pairs, cap is %d"
-                            % (pairs, MAX_LIPSCHITZ_PAIRS))
     best = np.zeros(T * K)
-    for k, (x, tm) in enumerate(zip(table.lattice.points, spec.teams)):
-        n = len(x)
-        if n < 2:      # one point makes no pair
-            continue
+    for k, (tl, tm) in enumerate(zip(table.lattice.teams, spec.teams)):
         # team k's grid index first, every other team's index flattened
-        Vk = np.moveaxis(V.reshape((T * K,) + shape), k + 1, 1).reshape(T * K, n, L // n)
-        a, b = np.triu_indices(n, k=1)
-        dist = transport_distance(x[a], x[b], tm.state_metric)
-        ok = dist > 1e-15
-        a, b, dist = a[ok], b[ok], dist[ok, None]
-        step = max(1, LIPSCHITZ_BLOCK_PAIRS // (L // n))
-        for lo in range(0, len(a), step):
-            s = slice(lo, lo + step)
-            q = np.abs(Vk[:, a[s]] - Vk[:, b[s]]) / dist[s]
+        Vk = np.moveaxis(V.reshape((T * K,) + shape), k + 1, 1).reshape(T * K, len(tl), -1)
+        for s, r in itertools.combinations(range(tl.n_states), 2):
+            a = np.flatnonzero(tl.counts[:, s])
+            moved = tl.counts[a]
+            moved[:, s] -= 1
+            moved[:, r] += 1
+            # lower index first, as a pair scan takes it: the LP is not bitwise symmetric
+            a, b = np.sort([a, tl._ranks(moved)], axis=0)
+            q = np.abs(Vk[:, a] - Vk[:, b])
+            q /= transport_distance(tl.z[a], tl.z[b], tm.state_metric)[:, None]
             best = np.maximum(best, q.max(axis=(1, 2)))
     return best.reshape(T, K).T
 

@@ -40,7 +40,7 @@ from teamfield.counts import (DEFAULT_SUPPORT_CAP, PRUNE_TOL, MeanField, Prescri
 from teamfield.errors import CapacityError, EquilibriumNotFoundError, SpecValidationError
 from teamfield.finite_mpe import PolicyTable, _average, _store, initial_distribution
 from teamfield.limit import SimplexGrid, flow
-from teamfield.metrics import LIPSCHITZ_BLOCK_PAIRS, RateFit, _deviations, transport_distance
+from teamfield.metrics import RateFit, _deviations, transport_distance
 from teamfield.model import (GameSpec, cost_matrix, flatten_mean_field, transition_matrix,
                              with_populations)
 from teamfield.rng import substream
@@ -52,6 +52,7 @@ from teamfield.stage_game import (CERT_TOL, PURE_TOL, KernelCache, StageEquilibr
 
 PROB_TOL = 1e-10
 DEFAULT_SUPPORT_BOUND = 4     # largest support per team that the scans try
+LIPSCHITZ_BLOCK_PAIRS = 1 << 14   # pairs per block of lipschitz_all_pairs
 
 
 @dataclass(frozen=True, eq=False)
@@ -813,7 +814,7 @@ def policy_value_loop(spec: GameSpec, policy: PolicyTable) -> np.ndarray:
 
 def lipschitz_all_pairs(table, spec: GameSpec) -> np.ndarray:
     """``metrics.estimate_lipschitz`` as the max difference quotient over
-    all L(L-1)/2 point pairs, not only one-team moves, taken in row blocks
+    all L(L-1)/2 point pairs, not only one-unit moves, taken in row blocks
     of about LIPSCHITZ_BLOCK_PAIRS pairs. Shape (K, T)."""
     V = table.values                      # (T, K, *shape)
     T, K = V.shape[0], V.shape[1]
@@ -823,7 +824,8 @@ def lipschitz_all_pairs(table, spec: GameSpec) -> np.ndarray:
     # sums per-team tables, each computed once per unordered pair
     idx = np.indices(V.shape[2:]).reshape(K, L)
     tables = []
-    for x, tm in zip(table.lattice.points, spec.teams):
+    for tl, tm in zip(table.lattice.teams, spec.teams):
+        x = tl.z
         a, b = np.triu_indices(len(x), k=1)
         D = np.zeros((len(x), len(x)))
         D[a, b] = D[b, a] = transport_distance(x[a], x[b], tm.state_metric)

@@ -1,4 +1,4 @@
-"""Seeded simulator results, pinned in ``tests/data/reference_results.json``.
+"""Seeded simulator and bound results, pinned in ``tests/data/reference_results.json``.
 
 - ``compare``: ``teamfield compare --seed 1 --episodes 2000 --workers 1``
   on the shipped reference game; per team ``sim_mean`` and ``sim_stderr``.
@@ -6,10 +6,17 @@
   benchmark's agent-sim workload (the reference game at population 8 and
   seed 1, the uniform mean field, team k playing item k + 1 of its menu)
   with 10,000 samples; its ``tv_distance``.
+- ``bound``: ``teamfield bound --workers 1`` on the reference game
+  (``--n-sweep 4,8``) and on the benchmark's pursuit and cyclic games
+  (``perfbench/gen.py`` seed 1, ``--n-sweep 4``); ``kappa_hat`` and per
+  row ``lipschitz``, ``epsilon_bound``, ``max_gain``,
+  ``sup_gain_per_team`` and ``stage_games_above_cert_tol``.
 
-Floats are kept as ``repr`` strings, so ``tests/test_reference_results.py``
-compares a rerun exactly. A change that moves them must say why. Rewrite
-the file with ``PYTHONPATH=src python tests/reference_results.py``.
+The simulator's floats are kept as ``repr`` strings and compared exactly.
+The bound's floats are JSON numbers, compared within ``BOUND_RTOL`` times
+the larger of 1 and the field's largest magnitude; its integers exactly.
+A change that moves any of them must say why. Rewrite the file with
+``PYTHONPATH=src python tests/reference_results.py``.
 """
 
 import json
@@ -20,10 +27,15 @@ import numpy as np
 
 import teamfield as tf
 from teamfield import cli
+from conftest import perfbench_gen
 
 REFERENCE = Path(tf.__file__).parent / "data" / "two_team_reference.json"
 PATH = Path(__file__).parent / "data" / "reference_results.json"
 SEED = 1
+BOUND_RUNS = (("reference", "4,8"), ("pursuit", "4"), ("cyclic", "4"))
+BOUND_ROW_FIELDS = ("lipschitz", "epsilon_bound", "max_gain", "sup_gain_per_team",
+                    "stage_games_above_cert_tol")
+BOUND_RTOL = 1e-12
 
 
 def compare_entry() -> dict:
@@ -47,8 +59,29 @@ def kernel_check_entry() -> dict:
             "tv_distance": repr(float(rep.tv_distance))}
 
 
-def reference_results() -> dict:
+def simulator_results() -> dict:
     return {"compare": compare_entry(), "kernel_check": kernel_check_entry()}
+
+
+def bound_results() -> list:
+    with tempfile.TemporaryDirectory() as work:
+        perfbench_gen().write_inputs("exact-mixed", SEED, Path(work))
+        entries = []
+        for game, sweep in BOUND_RUNS:
+            spec = REFERENCE if game == "reference" else Path(work) / ("%s.json" % game)
+            rc = cli.main(["bound", "--spec", str(spec), "--out", work, "--n-sweep", sweep,
+                           "--workers", "1"])
+            assert rc == 0, rc
+            rep = json.loads((Path(work) / "bound" / "bound.json").read_text())
+            entries.append({"game": game, "args": "bound --n-sweep %s" % sweep,
+                            "kappa_hat": rep["kappa_hat"],
+                            "sweep": [{"N": r["N"], **{f: r[f] for f in BOUND_ROW_FIELDS}}
+                                      for r in rep["sweep"]]})
+    return entries
+
+
+def reference_results() -> dict:
+    return {**simulator_results(), "bound": bound_results()}
 
 
 if __name__ == "__main__":

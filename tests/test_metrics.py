@@ -3,13 +3,12 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
 import teamfield as tf
-from teamfield.counts import MeanField
-from teamfield import metrics
+from teamfield.counts import MeanField, TeamLattice
 from teamfield.errors import CapacityError, SpecValidationError
 from teamfield.limit import SimplexGrid
 from teamfield.metrics import (estimate_lipschitz, fit_rate, kappa_envelope, theorem4_bound,
@@ -117,6 +116,18 @@ def test_transport_distance_refuses_disagreeing_state_counts(n):
                     (p, p, np.ones((n + 1, n + 1)) - np.eye(n + 1)), (p, p, np.zeros((n, n + 1)))):
             with pytest.raises(SpecValidationError, match="dimensions disagree"):
                 transport_distance(*bad)
+
+
+def test_transport_distance_above_the_exact_state_cap_is_a_capacity_error():
+    """A 33-state metric without a closed form needs the LP, which is
+    limited to MAX_EXACT_STATES = 32 states: the spec is valid, so the
+    refusal is CapacityError (exit 3), not SpecValidationError."""
+    n = 33
+    d = np.ones((n, n)) - np.eye(n)
+    d[0, 1] = d[1, 0] = 1.5
+    p = np.full(n, 1.0 / n)
+    with pytest.raises(CapacityError, match="limited to 32 states, got 33"):
+        transport_distance(p, p, d)
 
 
 def _iid_probe_inputs(spec):
@@ -257,13 +268,12 @@ def test_lipschitz_recovers_unit_slope(reference_spec):
     assert np.allclose(estimate_lipschitz(shifted, reference_spec), out)
 
 
-def test_lipschitz_is_the_max_over_all_pairs(monkeypatch, reference_spec):
-    """Blocked by one-team pairs (five blocks of two pairs per team), the
-    estimate equals the all-pairs loop on a random two-team table of 25
-    points, and it reaches every pair: on 25 points of one team at unit
-    distance, stage t raises one pair (a, b) to +1 and -1, so its estimate
-    is 2 only if (a, b) is compared (30 blocks of ten pairs)."""
-    monkeypatch.setattr(metrics, "LIPSCHITZ_BLOCK_PAIRS", 10)
+def test_lipschitz_is_the_max_over_all_pairs(reference_spec):
+    """The estimate equals the all-pairs loop on a random two-team table of
+    25 points, and it reaches every pair of one team's 25 vertices at unit
+    distance (``TeamLattice(1, 25)``, descending, so its ranks are not
+    flipped), where every pair is a one-unit move: stage t raises one pair
+    (a, b) to +1 and -1, so its estimate is 2 only if (a, b) is compared."""
     grid = SimplexGrid(reference_spec, [4, 4])
     vals = np.random.default_rng(0).random((2, 2) + grid.shape)
     got = estimate_lipschitz(tf.ValueTable(values=vals, lattice=grid), reference_spec)
@@ -285,7 +295,7 @@ def test_lipschitz_is_the_max_over_all_pairs(monkeypatch, reference_spec):
     for t, (a, b) in enumerate(pairs):
         spikes[t, 0, a], spikes[t, 0, b] = 1.0, -1.0
     vertices = types.SimpleNamespace(values=spikes,
-                                     lattice=types.SimpleNamespace(points=[np.eye(n)]))
+                                     lattice=types.SimpleNamespace(teams=[TeamLattice(1, n)]))
     unit = types.SimpleNamespace(teams=[types.SimpleNamespace(state_metric=1.0 - np.eye(n))])
     assert np.array_equal(estimate_lipschitz(vertices, unit), np.full((1, len(pairs)), 2.0))
 
@@ -313,11 +323,15 @@ def test_lipschitz_matches_the_all_pairs_scan_on_the_exact_pure_game():
 
 
 # A multi-team pair's quotient rounds in the difference, the summed distance
-# and the division, against one rounding of each one-team quotient, so with
-# K <= 3 teams it can exceed the one-team max by at most about 3 eps
+# and the division, against one rounding of each one-unit move's quotient,
+# so with K <= 3 teams it can exceed the move max by at most about 3 eps
 # relative; tables whose values are a common multiple of the summed distance
 # to a point tie every quotient and reach one ulp.
 LIPSCHITZ_RTOL = 4 * np.finfo(float).eps
+
+
+def _grid_table(values, lattices):
+    return types.SimpleNamespace(values=values, lattice=types.SimpleNamespace(teams=lattices))
 
 
 @settings(max_examples=60, deadline=None)
@@ -326,10 +340,11 @@ LIPSCHITZ_RTOL = 4 * np.finfo(float).eps
        seed=st.integers(0, 2 ** 32 - 1), scale=st.integers(-6, 6), tied=st.booleans())
 def test_lipschitz_one_team_moves_reach_the_all_pairs_max(grids, seed, scale, tied):
     """Random value tables on two- and three-team product grids (S in
-    {2, 3}, resolution 1-3, equal off-diagonal metrics): the one-team max
-    is never above the all-pairs max and at most LIPSCHITZ_RTOL below it."""
+    {2, 3}, resolution 1-3, equal off-diagonal metrics): the one-unit move
+    max is never above the all-pairs max and at most LIPSCHITZ_RTOL below it."""
     rng = np.random.default_rng(seed)
-    pts = [np.array(sorted(tf.enumerate_counts(r, S)), dtype=float) / r for S, r, _ in grids]
+    lattices = [TeamLattice(r, S, ascending=True) for S, r, _ in grids]
+    pts = [tl.z for tl in lattices]
     teams = [types.SimpleNamespace(state_metric=d * (1.0 - np.eye(S))) for S, _, d in grids]
     shape = tuple(len(p) for p in pts)
     K = len(shape)
@@ -341,7 +356,7 @@ def test_lipschitz_one_team_moves_reach_the_all_pairs_max(grids, seed, scale, ti
         V = np.broadcast_to(V * 10.0 ** scale, (2, K) + shape)
     else:
         V = rng.standard_normal((2, K) + shape) * 10.0 ** scale
-    table = types.SimpleNamespace(values=V, lattice=types.SimpleNamespace(points=pts))
+    table = _grid_table(V, lattices)
     spec = types.SimpleNamespace(teams=teams)
     got = estimate_lipschitz(table, spec)
     full = lipschitz_all_pairs(table, spec)
@@ -349,19 +364,34 @@ def test_lipschitz_one_team_moves_reach_the_all_pairs_max(grids, seed, scale, ti
     assert np.all(full <= got * (1.0 + LIPSCHITZ_RTOL))
 
 
-def test_lipschitz_above_the_pair_cap_is_refused(reference_spec):
-    # 44,722 points of one team make 1,000,006,281 one-team pairs, just above
-    # MAX_LIPSCHITZ_PAIRS; the table has no points to measure, so only the
-    # early check can answer
-    table = types.SimpleNamespace(values=np.zeros((1, 1, 44722)))
-    with pytest.raises(CapacityError, match="1000006281 point pairs"):
-        estimate_lipschitz(table, reference_spec)
+@settings(max_examples=30, deadline=None)
+@given(resolutions=st.lists(st.integers(1, 3), min_size=1, max_size=2),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(resolutions=[3, 3], seed=1)
+def test_lipschitz_moves_reach_the_all_pairs_max_under_a_general_metric(resolutions, seed):
+    """Three states with unequal off-diagonal distances in [1, 2], so every
+    triangle inequality holds and ``transport_distance`` solves the LP: on
+    random value tables the move max is never above the all-pairs max and at
+    most LIPSCHITZ_RTOL below it. The LP is not bitwise symmetric, so the
+    first bound holds only if each move's distance is taken in the pair
+    scan's order (the pinned example fails otherwise)."""
+    rng = np.random.default_rng(seed)
+    d = np.zeros((3, 3))
+    d[0, 1], d[0, 2], d[1, 2] = rng.uniform(1.0, 2.0, 3)
+    d += d.T
+    lattices = [TeamLattice(r, 3, ascending=True) for r in resolutions]
+    table = _grid_table(rng.standard_normal((2, len(lattices)) + tuple(map(len, lattices))),
+                        lattices)
+    spec = types.SimpleNamespace(teams=[types.SimpleNamespace(state_metric=d)] * len(lattices))
+    got = estimate_lipschitz(table, spec)
+    full = lipschitz_all_pairs(table, spec)
+    assert np.all(got <= full)
+    assert np.all(full <= got * (1.0 + LIPSCHITZ_RTOL))
 
 
 def test_lipschitz_of_a_one_point_table_is_zero(reference_spec):
-    """One point makes no pair, so the largest difference quotient is 0."""
-    table = types.SimpleNamespace(values=np.full((3, 2, 1, 1), 7.0),
-                                  lattice=types.SimpleNamespace(points=[np.array([[1.0]])] * 2))
+    """One point makes no move, so the largest difference quotient is 0."""
+    table = _grid_table(np.full((3, 2, 1, 1), 7.0), [TeamLattice(1, 1, ascending=True)] * 2)
     out = estimate_lipschitz(table, reference_spec)
     assert out.shape == (2, 3)
     assert np.all(out == 0.0)
